@@ -21,18 +21,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from . import confluence as cf
-from . import mmkdv
-from .dynamics import integrate, monitor_invariants
+from .dynamics import integrate, monitor_invariants, step_count
 from .errors import (CplabError, ConfigError, NonConvergedEigensolve, Overflow,
-                     ParticleCollision, PoleAtLambda)
+                     ParticleCollision, PoleAtLambda, UnsupportedSystem)
 from .lax import default_lambda_grid, spectral_match, spectral_table
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, reduce
 from .sampling import random_level_set_point, random_reduced
-from .selfcheck import run_selfcheck
-from .traces import CalogeroMatrixSpec, evenness_check, tr_q3_closed, \
-    tr_q4_closed, trace_power_oracle
+from .selfcheck import (check_appendix_traces, check_confluence, check_mmkdv,
+                        run_selfcheck)
 
 NUMERICAL_ERRORS = (ParticleCollision, Overflow, NonConvergedEigensolve,
                     PoleAtLambda)
@@ -84,7 +81,7 @@ def system_spec(cfg: dict) -> SystemSpec:
     if sy is None:
         raise ConfigError("this command needs a 'system' block")
     kw = {}
-    for name in ("theta", "theta0", "theta1", "alpha"):
+    for name in ("theta", "theta0", "theta1"):
         if name in sy:
             kw[name] = as_complex(sy[name])
     if "tau" in sy:
@@ -196,6 +193,10 @@ def cmd_simulate(cfg, rng, out):
     tm = cfg.get("time")
     if tm is None:
         raise ConfigError("simulate needs a 'time' block")
+    try:
+        step_count(tm["t0"], tm["t1"], tm["h"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     start = initial_state(cfg, rng)
     traj = integrate(spec, start, tm["t0"], tm["t1"], tm["h"],
                      g=cfg.get("g"))
@@ -253,106 +254,27 @@ def cmd_spectral(cfg, rng, out):
     }, True
 
 
+def run_check(check, rng, **sizes):
+    """A selfcheck entry as the report; sizes left unset keep their defaults."""
+    entry = check(rng, **{k: v for k, v in sizes.items() if v is not None})
+    return entry, entry["pass"]
+
+
 def cmd_confluence(cfg, rng, out):
-    eps = cfg.get("eps_sweep", [0.1, 0.05, 0.025])
-    theta = as_complex(cfg.get("conf_theta", 0.7))
-    n = cfg.get("n", 2)
-    g = cfg.get("g", 1.0)
-    from .selfcheck import _conf_remainders, _generic_conf_point
-    pt = _generic_conf_point(rng, n)
-    from .reduction import embed
-    while True:
-        xq = random_reduced(rng, n, g, t=0.1)
-        if _conf_remainders(embed(xq)) > 1.0:
-            break
-    xd = random_reduced(rng, n, g, Slice.P_DIAG, t=0.1)
-    report = {"operation": "confluence_residual sweep + dual breakdown",
-              "eps_sweep": eps, "theta": theta, "sweeps": {}, "breakdown": {}}
-    ok = True
-    for kind in ("conf", "conf1"):
-        for label, point, reduced in (("matrix", pt, False), ("reduced", xq, True)):
-            sweep = cf.residual_ratio_sweep(point, theta, eps, kind, reduced)
-            good = all(3.5 <= r <= 4.5 for r in sweep["ratios"])
-            report["sweeps"][f"{kind}_{label}"] = {**sweep, "pass": good}
-            ok = ok and good
-    cp = cf.ConfluenceParams(eps[0], theta)
-    b_full = cf.dual_confluence_breakdown(xd, cp)
-    b_lin = cf.dual_confluence_breakdown(xd, cp, use_linear=True)
-    report["breakdown"]["conf"] = {**b_full, "pass": b_full["deviation"] > 1e-3}
-    report["breakdown"]["conf1"] = {**b_lin, "pass": b_lin["deviation"] < 1e-8}
-    ok = ok and report["breakdown"]["conf"]["pass"] \
-        and report["breakdown"]["conf1"]["pass"]
-    report["pass"] = ok
-    return report, ok
+    theta = cfg.get("conf_theta")
+    return run_check(check_confluence, rng, eps=cfg.get("eps_sweep"),
+                     theta=None if theta is None else as_complex(theta),
+                     n=cfg.get("n"), g=cfg.get("g"))
 
 
 def cmd_traces(cfg, rng, out):
     tr = cfg.get("trace", {})
-    n_max = tr.get("n_max", 8)
-    trials = tr.get("trials", 50)
-    max_l = tr.get("max_even_l", 12)
-    worst = 0.0
-    for n in range(1, n_max + 1):
-        for _ in range(trials):
-            spec = CalogeroMatrixSpec(
-                rng.normal(size=n) + 1j * rng.normal(size=n),
-                np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n),
-                float(rng.uniform(0.5, 2.0)))
-            for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-                oracle = trace_power_oracle(spec, l)
-                worst = max(worst,
-                            abs(closed(spec) - oracle) / max(1.0, abs(oracle)))
-    worked = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
-    evenness = {}
-    even_ok = True
-    spec3 = CalogeroMatrixSpec(rng.normal(size=3), [0.0, 1.3, 2.9], 1.0)
-    for l in range(1, max_l + 1):
-        rep = evenness_check(spec3, l, [0.5, 1.0, 2.0])
-        evenness[l] = rep
-        even_ok = even_ok and rep["symmetry_deviation"] < 1e-11 \
-            and rep["odd_over_even"] < 1e-9
-    w3, w4 = tr_q3_closed(worked), tr_q4_closed(worked)
-    ok = worst < 1e-10 and even_ok and abs(w3 - 18) < 1e-12 and abs(w4 - 47) < 1e-12
-    report = {
-        "operation": "tr_q3/tr_q4 closed forms vs trace_power_oracle",
-        "tolerance": 1e-10,
-        "worst_relative_deviation": worst,
-        "worked_values": {"l3": w3, "l4": w4},
-        "evenness": evenness,
-        "pass": ok,
-    }
-    return report, ok
+    return run_check(check_appendix_traces, rng, n_max=tr.get("n_max"),
+                     trials=tr.get("trials"), max_l=tr.get("max_even_l"))
 
 
 def cmd_mmkdv(cfg, rng, out):
-    sw, calib = mmkdv.calibrate(seed=int(rng.integers(0, 2 ** 31)))
-    worst_tw = worst_ss = 0.0
-    for _ in range(100):
-        v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z = float(rng.normal())
-        th = complex(rng.normal())
-        worst_tw = max(worst_tw, mmkdv.tw_residual(v, p, z, th, sw))
-        worst_ss = max(worst_ss, mmkdv.ss_residual(v, p, z, th, sw))
-    samples = [(rng.normal(), rng.normal(), float(rng.normal()), rng.normal())
-               for _ in range(100)]
-    deform = mmkdv.deformation_check(sw, samples)
-    d = np.diag(rng.normal(size=2)).astype(complex)
-    e = np.diag(rng.normal(size=2)).astype(complex)
-    commuting = mmkdv.tw_residual(d, e, 0.7, 0.2, sw)
-    sens = mmkdv.switch_sensitivity(sw)
-    ok = (worst_tw < 1e-12 and worst_ss < 1e-12
-          and deform["max_deviation"] < 1e-10 and commuting < 1e-10)
-    report = {
-        "operation": "mmkdv calibration + residuals",
-        "calibration": calib,
-        "scalar_tw_residual_max": worst_tw,
-        "scalar_ss_residual_max": worst_ss,
-        "deformation_check": deform,
-        "commuting_matrix_tw_residual": commuting,
-        "switch_sensitivity": sens,
-        "pass": ok,
-    }
-    return report, ok
+    return run_check(check_mmkdv, rng)
 
 
 def cmd_selfcheck(cfg, rng, out):
@@ -391,7 +313,7 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
         rng = np.random.default_rng(cfg.get("seed", 0))
         report, ok = COMMANDS[args.command](cfg, rng, Path(args.out))
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

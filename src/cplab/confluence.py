@@ -20,10 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import CplabError
 from .hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, match_permutation, \
     normalized_diagonalizer, reduce
+from .sampling import random_reduced
+
+# the most draws sample_generic_point makes; over 2000 seeds the sampler
+# needed at most 7
+MAX_DRAWS = 100
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,43 @@ def reduced_confluence_residual(x: ReducedPoint, cp: ConfluenceParams,
     h_iv = reduced_hamiltonian(p4_spec(cp), y)
     shift = x.n * cp.theta / (2 * cp.eps ** 2)
     return float(abs(h_target - (-cp.eps * h_iv + shift)))
+
+
+def eps2_remainder(pt: MatrixPhasePoint) -> float:
+    """Smaller of the eps^2 remainder magnitudes of the two confluence maps.
+
+    The remainder coefficient Tr(w q w) - t Tr(w q) (w = p for the linear
+    map, w = p + q^2 + t/2 for the full one) can vanish accidentally,
+    drowning the small-eps residual in the cancellation noise of the
+    1/eps^6 parameter terms.
+    """
+    q, p, t = pt.q, pt.p, pt.t
+    w = p + q @ q + (t / 2) * np.eye(pt.n)
+    r_full = abs(np.trace(w @ q @ w) - t * np.trace(w @ q))
+    r_lin = abs(np.trace(p @ q @ p) - t * np.trace(p @ q))
+    return min(r_full, r_lin)
+
+
+def sample_generic_point(rng: np.random.Generator, n: int = 2,
+                         g: float | None = None):
+    """First draw at t = 0.1 whose eps^2 remainders (eps2_remainder) exceed 1.
+
+    Without g the draw is a matrix point with complex Gaussian q and p
+    (imaginary parts scaled by 0.3); with g it is a Q_DIAG reduced point of
+    that coupling, tested through its embedding.  Raises CplabError after
+    MAX_DRAWS rejected draws.
+    """
+    for _ in range(MAX_DRAWS):
+        if g is None:
+            point = pt = MatrixPhasePoint(
+                rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)),
+                rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)), 0.1)
+        else:
+            point = random_reduced(rng, n, g, t=0.1)
+            pt = embed(point)
+        if eps2_remainder(pt) > 1.0:
+            return point
+    raise CplabError(f"no point with eps^2 remainders above 1 in {MAX_DRAWS} draws")
 
 
 def residual_ratio_sweep(point, cp_theta: complex, eps_values,

@@ -15,7 +15,7 @@ from .hamiltonians import matrix_hamiltonian, matrix_vector_field, reduced_hamil
     reduced_vector_field
 from .lax import char_poly, lax_pair
 from .phase import MatrixPhasePoint, SystemSpec, level_set_target, moment_map
-from .reduction import ReducedPoint, Slice, _collision_threshold, _min_gap, embed, \
+from .reduction import ReducedPoint, Slice, collision_threshold, embed, min_gap, \
     match_permutation, reduce
 
 MAX_STEPS = 10_000_000
@@ -45,6 +45,22 @@ def _rk4_step(fn, t, y, h):
                  for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
+def step_count(t0: float, t1: float, h: float) -> int:
+    """Number of uniform steps of size at most h from t0 to t1 (> t0).
+
+    Raises ValueError for a non-positive h, an empty or reversed span, or
+    more than MAX_STEPS steps.
+    """
+    if h <= 0:
+        raise ValueError("h must be positive")
+    if t1 <= t0:
+        raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
+    steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
+    if steps > MAX_STEPS:
+        raise ValueError(f"step count {steps} exceeds {MAX_STEPS}")
+    return steps
+
+
 def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
               g: float | None = None) -> Trajectory:
     """Classical RK4 from t0 to t1.
@@ -52,11 +68,7 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     The requested step is shrunk to the nearest exact divisor of the
     interval so the endpoint lands on t1 with uniform steps.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
-    steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-    if steps > MAX_STEPS:
-        raise ValueError(f"step count {steps} exceeds {MAX_STEPS}")
+    steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
 
     matrix_state = isinstance(start, MatrixPhasePoint)
@@ -100,7 +112,7 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
             raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
                            partial=Trajectory(np.array(times), states,
                                               _pack_diag(energy, mu_dev), g_monitor))
-        if not matrix_state and _min_gap(y[0]) < _collision_threshold(y[0]):
+        if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
             raise ParticleCollision(
                 f"collision at t={t:.6g}",
                 partial=Trajectory(np.array(times), states,

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnsupportedSystem
+from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from .reduction import ReducedPoint, Slice, embed
-from .traces import a4_total, pairwise_inverse_square_sum
+from .traces import (a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum,
+                     pairwise_inverse_square_sum)
 
 
 def _eye(pt: MatrixPhasePoint) -> np.ndarray:
@@ -160,13 +161,13 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
 
 
 def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
-    """The g^2 and g^4 blocks of the dual P_II closed form, split by class.
+    """The g^2 and g^4 blocks of the dual P_II Hamiltonian, split by class.
 
     These are exactly the Tr Q^4 / Tr Q^2 interaction blocks of the traces
     module evaluated on (positions as denominators, momenta as diagonal).
+    The quadruple block is identically zero and is left out of the closed
+    form; it is kept here as the witness of that cancellation.
     """
-    from .traces import a4_pair_sum, a4_quad_sum, a4_triple_sum
-
     a, b, g = x.positions, x.momenta, x.g
     T = spec.time(x.t)
     g2, g4 = g * g, g ** 4
@@ -178,12 +179,6 @@ def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
         "g4_triple": complex(-(g4 / 2) * a4_triple_sum(a)),
         "g4_quadruple": complex(-(g4 / 2) * a4_quad_sum(a)),
     }
-
-
-def dual_p2_hamiltonian_ablated(spec: SystemSpec, x: ReducedPoint) -> complex:
-    """Dual P_II closed form with the 4-index interaction class dropped."""
-    full = reduced_hamiltonian(spec, x)
-    return complex(full - dual_p2_interaction_blocks(x, spec)["g4_quadruple"])
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +251,3 @@ def harmosc_selfduality(x: ReducedPoint, omega: float) -> ReducedPoint:
     return ReducedPoint(omega * x.positions, -x.momenta / omega, x.g, x.t,
                         Slice.P_DIAG)
 
-
-def check_dimensions(spec: SystemSpec, pt: MatrixPhasePoint):
-    if pt.q.shape != pt.p.shape:  # pragma: no cover - guarded in the type
-        raise DimensionMismatch("q/p shape mismatch")

@@ -107,14 +107,13 @@ class SystemSpec:
     theta: complex = 0.0      # P_II / P_II_poly linear coefficient
     theta0: complex = 0.0     # P_IV
     theta1: complex = 0.0     # P_IV
-    alpha: complex = 0.0      # stored alias used by some reduced forms
     tau: float | None = None  # frozen time for autonomous forms
     omega: float = 1.0        # harmonic oscillator frequency
 
     def __post_init__(self):
         if self.autonomous and self.tau is None:
             raise ValueError("autonomous systems require tau")
-        for name in ("theta", "theta0", "theta1", "alpha"):
+        for name in ("theta", "theta0", "theta1"):
             if not np.isfinite(complex(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.kind is SystemKind.HARM_OSC and not np.isfinite(self.omega):

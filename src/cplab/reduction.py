@@ -73,7 +73,7 @@ class ReducedPoint:
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
             raise ValueError("non-finite particle coordinates")
         g = coupling_value(self.g)
-        _collision_guard(a)
+        collision_guard(a)
         object.__setattr__(self, "positions", a)
         object.__setattr__(self, "momenta", b)
         object.__setattr__(self, "g", g)
@@ -94,11 +94,11 @@ class Diagonalizer:
     rank_one_residual: float
 
 
-def _collision_threshold(x: np.ndarray) -> float:
+def collision_threshold(x: np.ndarray) -> float:
     return COLLISION_RTOL * (1.0 + float(np.abs(x).max(initial=0.0)))
 
 
-def _min_gap(x: np.ndarray) -> float:
+def min_gap(x: np.ndarray) -> float:
     if x.size < 2:
         return np.inf
     diff = x[:, None] - x[None, :]
@@ -106,10 +106,10 @@ def _min_gap(x: np.ndarray) -> float:
     return float(off.min())
 
 
-def _collision_guard(x: np.ndarray):
-    if _min_gap(x) < _collision_threshold(x):
+def collision_guard(x: np.ndarray):
+    if min_gap(x) < collision_threshold(x):
         raise ParticleCollision(
-            f"particle gap {_min_gap(x):.3e} below threshold {_collision_threshold(x):.3e}"
+            f"particle gap {min_gap(x):.3e} below threshold {collision_threshold(x):.3e}"
         )
 
 
@@ -129,7 +129,7 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     order = np.lexsort((w.imag, w.real))
     w, V = w[order], V[:, order]
 
-    gap = _min_gap(w)
+    gap = min_gap(w)
     gap_thr = DEGENERACY_RTOL * (1.0 + float(np.abs(w).max(initial=0.0)))
     if gap < gap_thr:
         raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} below {gap_thr:.3e}")
@@ -191,7 +191,7 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
 def embed(x: ReducedPoint) -> MatrixPhasePoint:
     """Rebuild the slice-diagonal matrix representative of a reduced point."""
     a, b, n = x.positions, x.momenta, x.n
-    _collision_guard(a)
+    collision_guard(a)
     K = np.zeros((n, n), dtype=complex)
     if n > 1:
         diff = a[:, None] - a[None, :] + np.eye(n)

@@ -53,13 +53,6 @@ def random_level_set_point(rng: np.random.Generator, n: int, g: float,
     return MatrixPhasePoint(Gi @ pt.q @ G, Gi @ pt.p @ G, t)
 
 
-def random_matrix_point(rng: np.random.Generator, n: int,
-                        t: float = 0.0) -> MatrixPhasePoint:
-    return MatrixPhasePoint(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                            rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
-                            t)
-
-
 def spec_for(kind: SystemKind, autonomous: bool = False,
              tau: float | None = None) -> SystemSpec:
     """Generic nonzero parameters for each kind, used by randomized checks."""

@@ -1,8 +1,12 @@
-"""The full invariant battery behind the `selfcheck` subcommand.
+"""The acceptance criteria, each defined once: the checks behind `selfcheck`.
 
-Every check records the operation it exercises, the tolerance it asserts,
-and the measured value; the report is deterministic for a fixed seed (no
-wall-clock content).  Checks mirror the acceptance suite.
+The 15 checks of ALL_CHECKS *are* the acceptance criteria: each one fixes
+its sampler, its sizes and its gate, and records the operation it
+exercises, the tolerance it asserts and the measured value.  The
+acceptance suite (tests/test_acceptance.py) runs each check at its own
+seed, and the `traces`, `mmkdv` and `confluence` subcommands return a
+check's entry as their report.  The report is deterministic for a fixed
+seed (no wall-clock content).
 """
 from __future__ import annotations
 
@@ -12,9 +16,8 @@ from . import confluence as cf
 from . import mmkdv
 from .dynamics import (dual_position_drift, equivariance_check, integrate,
                        monitor_invariants)
-from .hamiltonians import (dual_p2_hamiltonian_ablated, matrix_vector_field,
-                           p4_involution, reduced_hamiltonian,
-                           reduced_hamiltonian_oracle)
+from .hamiltonians import (matrix_vector_field, p4_involution,
+                           reduced_hamiltonian, reduced_hamiltonian_oracle)
 from .lax import (char_poly, default_lambda_grid, spectral_match,
                   zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
@@ -22,8 +25,9 @@ from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
 from .reduction import ReducedPoint, Slice, embed, normalized_diagonalizer, \
     permuted_deviation, reduce
 from .sampling import random_level_set_point, random_reduced, spec_for
-from .traces import (CalogeroMatrixSpec, evenness_check, tr_q3_closed,
-                     tr_q4_closed, trace_power_oracle)
+from .traces import (CalogeroMatrixSpec, a4_quad_sum, a4_triple_sum,
+                     evenness_check, tr_q3_closed, tr_q4_closed,
+                     trace_power_oracle)
 
 FOUR_KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV, SystemKind.HARM_OSC)
 
@@ -80,30 +84,37 @@ def check_hamiltonian_oracle(rng, trials=100):
                   measured < 1e-10, per_kind=worst)
 
 
-def check_appendix_traces(rng, trials=100):
+def _pair(z) -> list:
+    """A complex number as the [re, im] pair of the JSON reports."""
+    return [float(z.real), float(z.imag)]
+
+
+def check_appendix_traces(rng, n_max=8, trials=50, max_l=12):
     worst = 0.0
-    for n in range(1, 9):
-        for _ in range(trials // 2):
+    for n in range(1, n_max + 1):
+        for _ in range(trials):
             spec = CalogeroMatrixSpec(rng.normal(size=n) + 1j * rng.normal(size=n),
                                       np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n),
                                       float(rng.uniform(0.5, 2.0)))
             for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
                 oracle = trace_power_oracle(spec, l)
                 worst = max(worst, abs(closed(spec) - oracle) / max(1.0, abs(oracle)))
-    spec2 = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
-    worked3 = tr_q3_closed(spec2)
-    worked4 = tr_q4_closed(spec2)
-    even = {}
-    for l in range(1, 13):
+    worked = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
+    worked3 = tr_q3_closed(worked)
+    worked4 = tr_q4_closed(worked)
+    evenness = {}
+    for l in range(1, max_l + 1):
         spec3 = CalogeroMatrixSpec(rng.normal(size=3), [0.0, 1.3, 2.9], 1.0)
-        rep = evenness_check(spec3, l, [0.5, 1.0, 2.0])
-        even[l] = max(rep["symmetry_deviation"], rep["odd_over_even"])
-    even_worst = max(even.values())
-    ok = (worst < 1e-10 and abs(worked3 - 18) < 1e-12 and abs(worked4 - 47) < 1e-12
-          and even_worst < 1e-9)
+        evenness[l] = evenness_check(spec3, l, [0.5, 1.0, 2.0])
+    even_ok = all(r["symmetry_deviation"] < 1e-11 and r["odd_over_even"] < 1e-9
+                  for r in evenness.values())
+    even_worst = max(max(r["symmetry_deviation"], r["odd_over_even"])
+                     for r in evenness.values())
+    ok = worst < 1e-10 and worked3 == 18 and worked4 == 47 and even_ok
     return _check("appendix_traces", "tr_q3/tr_q4 vs trace_power_oracle", 1e-10,
-                  worst, ok, worked_l3=abs(worked3 - 18), worked_l4=abs(worked4 - 47),
-                  evenness_worst=even_worst)
+                  worst, ok,
+                  worked_values={"l3": _pair(worked3), "l4": _pair(worked4)},
+                  evenness_worst=even_worst, evenness=evenness)
 
 
 def check_spectral_duality(rng):
@@ -246,26 +257,29 @@ def check_dual_p2_interaction_structure(rng, trials=100):
     The honest finding: the 4-index class of Tr(A^4) vanishes identically
     (the three cyclic chain orders of every 4-subset cancel; residue
     calculus shows the necklace sum is a pole-free rational function
-    decaying at infinity).  So ablating the quadruple class cannot move
-    the Hamiltonian, while ablating the 3-index class must; both facts are
-    measured here.  See CONVENTIONS.md for the write-up.
+    decaying at infinity).  The closed form therefore carries the pair and
+    triple classes only: it *is* the quadruple-ablated Hamiltonian, and it
+    agrees with the trace oracle, while ablating the 3-index class must
+    break that agreement; both facts are measured here.  Acceptance
+    criterion 11 as stated (the quadruple ablation breaks agreement on
+    95/100 points) is recorded as measured, and is false.  See
+    CONVENTIONS.md for the write-up.
     """
-    from .traces import a4_quad_sum, a4_triple_sum
-
     spec = spec_for(SystemKind.P_II)
     quad_effect = 0.0
     quad_class_max = 0.0
-    triple_broken = 0
+    quad_broken = triple_broken = 0
     for _ in range(trials):
         x = random_reduced(rng, 4, 1.0, Slice.P_DIAG, t=0.2)
         oracle = reduced_hamiltonian_oracle(spec, x)
         scale = max(1.0, abs(oracle))
-        ablated = dual_p2_hamiltonian_ablated(spec, x)
-        quad_effect = max(quad_effect, abs(ablated - oracle) / scale)
+        closed = reduced_hamiltonian(spec, x)
+        effect = abs(closed - oracle) / scale
+        quad_effect = max(quad_effect, effect)
+        if effect > 1e-6:
+            quad_broken += 1
         quad_class_max = max(quad_class_max, abs(a4_quad_sum(x.positions)))
-        g4 = x.g ** 4
-        triple_ablated = reduced_hamiltonian(spec, x) \
-            + (g4 / 2) * a4_triple_sum(x.positions)
+        triple_ablated = closed + (x.g ** 4 / 2) * a4_triple_sum(x.positions)
         if abs(triple_ablated - oracle) / scale > 1e-6:
             triple_broken += 1
     ok = quad_class_max < 1e-10 and quad_effect < 1e-10 and triple_broken >= 95
@@ -274,66 +288,44 @@ def check_dual_p2_interaction_structure(rng, trials=100):
                   "quad class == 0; triple class required on 95/100",
                   quad_class_max, ok,
                   quadruple_ablation_effect=quad_effect,
+                  quadruple_ablation_broken=quad_broken,
                   triple_ablation_broken=triple_broken, trials=trials,
-                  acceptance_criterion_11_as_stated=False,
+                  acceptance_criterion_11_as_stated=quad_broken >= 95,
                   note=("the published 4-index interaction term is an "
                         "incomplete symmetrization; the full cyclic class "
                         "sums to zero identically, so the dual P_II system "
                         "has two- and three-body interactions only"))
 
 
-def _conf_remainders(pt: MatrixPhasePoint) -> float:
-    """Smaller of the eps^2 remainder magnitudes of the two confluence maps.
-
-    The remainder coefficient Tr(w q w) - t Tr(w q) (w = p for the linear
-    map, w = p + q^2 + t/2 for the full one) can vanish accidentally,
-    drowning the small-eps residual in the cancellation noise of the
-    1/eps^6 parameter terms.
-    """
-    q, p, t = pt.q, pt.p, pt.t
-    w = p + q @ q + (t / 2) * np.eye(pt.n)
-    r_full = abs(np.trace(w @ q @ w) - t * np.trace(w @ q))
-    r_lin = abs(np.trace(p @ q @ p) - t * np.trace(p @ q))
-    return min(r_full, r_lin)
-
-
-def _generic_conf_point(rng, n=2):
-    while True:
-        pt = MatrixPhasePoint(rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)),
-                              rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)),
-                              0.1)
-        if _conf_remainders(pt) > 1.0:
-            return pt
-
-
-def check_confluence(rng):
-    eps = [0.1, 0.05, 0.025]
-    pt = _generic_conf_point(rng)
-    while True:
-        xq = random_reduced(rng, 2, 1.0, t=0.1)
-        if _conf_remainders(embed(xq)) > 1.0:
-            break
-    detail = {}
-    ok = True
+def check_confluence(rng, eps=(0.1, 0.05, 0.025), theta=0.7 + 0.1j, n=2,
+                     g=1.0):
+    eps = list(eps)
+    theta = complex(theta)
+    pt = cf.sample_generic_point(rng, n)
+    xq = cf.sample_generic_point(rng, n, g)
+    xd = random_reduced(rng, n, g, Slice.P_DIAG, t=0.1)
+    sweeps = {}
     for kind in ("conf", "conf1"):
-        for label, sweep in (
-                ("matrix", cf.residual_ratio_sweep(pt, 0.7 + 0.1j, eps, kind)),
-                ("reduced", cf.residual_ratio_sweep(xq, 0.7 + 0.1j, eps, kind,
-                                                    reduced=True))):
-            ratios = sweep["ratios"]
-            good = all(3.5 <= r <= 4.5 for r in ratios)
-            detail[f"{kind}_{label}_ratios"] = ratios
-            ok = ok and good
-    xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
-    cp = cf.ConfluenceParams(0.1, 0.5)
+        for label, point, reduced in (("matrix", pt, False), ("reduced", xq, True)):
+            sweep = cf.residual_ratio_sweep(point, theta, eps, kind, reduced)
+            sweeps[f"{kind}_{label}"] = {
+                **sweep, "pass": all(3.5 <= r <= 4.5 for r in sweep["ratios"])}
+    cp = cf.ConfluenceParams(eps[0], theta)
     b_full = cf.dual_confluence_breakdown(xd, cp)
     b_lin = cf.dual_confluence_breakdown(xd, cp, use_linear=True)
-    detail["breakdown_conf"] = b_full["deviation"]
-    detail["breakdown_conf1"] = b_lin["deviation"]
-    ok = ok and b_full["deviation"] > 1e-3 and b_lin["deviation"] < 1e-8
+    if n > 1:
+        full_ok = b_full["deviation"] > 1e-3
+        tolerance = "ratio in [3.5, 4.5]; breakdown > 1e-3 (conf), < 1e-8 (conf1)"
+    else:  # one particle: no interaction, so nothing obstructs either map
+        full_ok = b_full["deviation"] < 1e-8
+        tolerance = "ratio in [3.5, 4.5]; breakdown < 1e-8 (conf and conf1 at n = 1)"
+    breakdown = {"conf": {**b_full, "pass": full_ok},
+                 "conf1": {**b_lin, "pass": b_lin["deviation"] < 1e-8}}
+    ok = all(v["pass"] for v in (*sweeps.values(), *breakdown.values()))
     return _check("confluence", "confluence_residual sweep + dual breakdown",
-                  "ratio in [3.5, 4.5]; breakdown > 1e-3 (conf), < 1e-8 (conf1)",
-                  detail["conf_matrix_ratios"], ok, detail=detail)
+                  tolerance, sweeps["conf_matrix"]["ratios"], ok,
+                  eps_sweep=eps, theta=_pair(theta),
+                  sweeps=sweeps, breakdown=breakdown)
 
 
 def check_mmkdv(rng):
@@ -424,6 +416,8 @@ def check_charpoly_cross(rng):
                   worst, worst < 1e-8)
 
 
+# acceptance criteria 1-13, then 15 and 16 (14 is the determinism of this
+# report, tested on run_selfcheck itself)
 ALL_CHECKS = (
     check_level_set_embedding,
     check_round_trip,

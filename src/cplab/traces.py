@@ -5,7 +5,9 @@ is an even polynomial in g of degree <= l.  Closed forms are provided for
 l = 3, 4; brute-force matrix powers serve as the oracle.  The l = 4
 quartic block Tr(A^4) splits into pair, triple and quadruple index
 classes; for each unordered triple all three pinch choices contribute, and
-for each unordered quadruple all three cyclic orders do.
+for each unordered quadruple all three cyclic orders do.  The quadruple
+class sums to zero identically (see CONVENTIONS.md): a4_quad_sum is kept
+as the witness of that cancellation and enters no closed form.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import coupling_value
-from .reduction import _collision_guard
+from .reduction import collision_guard
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class CalogeroMatrixSpec:
         x = np.atleast_1d(np.asarray(self.denom, dtype=complex))
         if d.shape != x.shape or d.ndim != 1:
             raise ValueError("diag and denom must be equal-length vectors")
-        _collision_guard(x)
+        collision_guard(x)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "denom", x)
         object.__setattr__(self, "g", coupling_value(self.g))
@@ -97,7 +99,8 @@ def a4_quad_sum(x: np.ndarray) -> complex:
 
 
 def a4_total(x: np.ndarray) -> complex:
-    return a4_pair_sum(x) + a4_triple_sum(x) + a4_quad_sum(x)
+    """Tr(A^4): the pair and triple classes (the quadruple class is zero)."""
+    return a4_pair_sum(x) + a4_triple_sum(x)
 
 
 def pairwise_inverse_square_sum(x: np.ndarray) -> complex:
@@ -112,20 +115,13 @@ def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
     return complex(np.sum(d ** 3) + 3.0 * g ** 2 * inter)
 
 
-def tr_q4_closed(spec: CalogeroMatrixSpec, include_quadruple: bool = True) -> complex:
-    """Tr Q^4 with the full pair/triple/quadruple quartic block.
-
-    `include_quadruple=False` ablates the 4-index class (for structure
-    tests); the result then disagrees with the oracle for n >= 4.
-    """
+def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
+    """Tr Q^4 with the quartic block a4_total."""
     d, x, g = spec.diag, spec.denom, spec.g
     tr_d2a2 = sum((d[i] ** 2 + d[j] ** 2) / dd ** 2 for i, j, dd in _pair_diffs(x))
     tr_dada = sum(2.0 * d[i] * d[j] / dd ** 2 for i, j, dd in _pair_diffs(x))
-    quart = a4_pair_sum(x) + a4_triple_sum(x)
-    if include_quadruple:
-        quart += a4_quad_sum(x)
     return complex(np.sum(d ** 4) + 2.0 * g ** 2 * (2.0 * tr_d2a2 + tr_dada)
-                   + g ** 4 * quart)
+                   + g ** 4 * a4_total(x))
 
 
 def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:

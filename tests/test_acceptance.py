@@ -1,12 +1,14 @@
-"""Acceptance gate: one test per criterion, at its stated tolerance.
+"""Acceptance gate: each criterion is a selfcheck entry, run at its own seed.
 
-Run `pytest -s tests/test_acceptance.py` to see one pass/fail line per
-criterion.  Criterion 11 is implemented faithfully and marked xfail
-(strict): the 4-index class of the quartic trace vanishes identically
-(see CONVENTIONS.md), so ablating it cannot break oracle agreement; the
-criterion contradicts criterion 3 and cannot pass.  The true structural
-statements (quadruple class zero, triple class essential) are asserted in
-its companion test.
+The sampler, sizes and gate of every criterion are defined once, in
+cplab.selfcheck; this module only fixes the seed of each criterion and
+asserts the entry's verdict.  Run `pytest -s tests/test_acceptance.py` to
+see one pass/fail line per criterion.  Criterion 11 as stated is marked
+xfail (strict): the 4-index class of the quartic trace vanishes
+identically (see CONVENTIONS.md), so ablating it cannot break oracle
+agreement; the criterion contradicts criterion 3 and cannot pass.  The
+true structural statements (quadruple class zero, triple class essential)
+are the gate of the criterion-11 entry itself.
 """
 import json
 import time
@@ -14,214 +16,49 @@ import time
 import numpy as np
 import pytest
 
-import cplab.confluence as cf
-import cplab.mmkdv as mmkdv
-from cplab.dynamics import (dual_position_drift, equivariance_check, integrate,
-                            monitor_invariants)
-from cplab.hamiltonians import (dual_p2_hamiltonian_ablated, p4_involution,
-                                reduced_hamiltonian, reduced_hamiltonian_oracle)
-from cplab.lax import default_lambda_grid, spectral_match, zero_curvature_residual
-from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
-                         level_set_target, moment_map)
-from cplab.reduction import Slice, embed, permuted_deviation, reduce
-from cplab.sampling import random_level_set_point, random_reduced, spec_for
-from cplab.selfcheck import (_conf_remainders, _generic_conf_point,
-                             run_selfcheck, tame_flow_start)
-from cplab.traces import (CalogeroMatrixSpec, a4_triple_sum, evenness_check,
-                          tr_q3_closed, tr_q4_closed, trace_power_oracle)
-
-FOUR_KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
-              SystemKind.HARM_OSC)
+from cplab import selfcheck as sc
 
 
 def report(criterion, passed, detail):
     print(f"\n[criterion {criterion:>2}] {'PASS' if passed else 'FAIL'} - {detail}")
 
 
-def test_criterion_01_level_set_embedding():
-    rng = np.random.default_rng(1)
-    t0 = time.perf_counter()
-    worst = 0.0
-    for n in range(1, 7):
-        for g in (0.5, 1.0, 2.0):
-            for _ in range(100):
-                x = random_reduced(rng, n, g)
-                dev = np.abs(moment_map(embed(x)) - level_set_target(n, g)).max()
-                worst = max(worst, dev / g)
-    elapsed = time.perf_counter() - t0
-    ok = worst < 1e-11 and elapsed < 5.0
-    report(1, ok, f"max deviation/g = {worst:.3e} (tol 1e-11), {elapsed:.2f}s")
-    assert ok
+def criterion_test(criterion, check, seed, budget_s=None):
+    """One acceptance test: the entry of `check` at `seed` passes its gate."""
+    def test():
+        t0 = time.perf_counter()
+        entry = check(np.random.default_rng(seed))
+        elapsed = time.perf_counter() - t0
+        report(criterion, entry["pass"], f"{entry['name']} (seed {seed}): "
+                                         f"{entry['operation']}, measured "
+                                         f"{entry['measured']} (tol {entry['tolerance']})")
+        assert entry["pass"]
+        if budget_s is not None:
+            assert elapsed < budget_s, f"{elapsed:.2f}s over the {budget_s}s budget"
+    return test
 
 
-def test_criterion_02_round_trip():
-    rng = np.random.default_rng(2)
-    worst = 0.0
-    for n in range(1, 7):
-        for g in (0.5, 1.0, 2.0):
-            for k in range(100):
-                sl = Slice.Q_DIAG if k % 2 == 0 else Slice.P_DIAG
-                x = random_reduced(rng, n, g, sl)
-                worst = max(worst, permuted_deviation(x, reduce(embed(x), sl, g)))
-    ok = worst < 1e-10
-    report(2, ok, f"max round-trip deviation = {worst:.3e} (tol 1e-10)")
-    assert ok
-
-
-def test_criterion_03_hamiltonian_oracle_equivalence():
-    rng = np.random.default_rng(3)
-    worst = 0.0
-    for kind in FOUR_KINDS:
-        spec = spec_for(kind)
-        for sl in Slice:
-            for k in range(100):
-                n = 1 + k % 6
-                x = random_reduced(rng, n, 0.8, sl, t=0.4)
-                a = reduced_hamiltonian(spec, x)
-                b = reduced_hamiltonian_oracle(spec, x)
-                worst = max(worst, abs(a - b) / max(1.0, abs(b)))
-    ok = worst < 1e-10
-    report(3, ok, f"closed vs trace oracle, max rel = {worst:.3e} (tol 1e-10)")
-    assert ok
-
-
-def test_criterion_04_appendix_formulas():
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    for n in range(1, 9):
-        for _ in range(50):
-            spec = CalogeroMatrixSpec(rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n),
-                                      float(rng.uniform(0.5, 2.0)))
-            for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-                oracle = trace_power_oracle(spec, l)
-                worst = max(worst, abs(closed(spec) - oracle) / max(1.0, abs(oracle)))
-    worked = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
-    exact = tr_q3_closed(worked) == 18.0 and tr_q4_closed(worked) == 47.0
-    even_worst = 0.0
-    for l in range(1, 13):
-        spec3 = CalogeroMatrixSpec(rng.normal(size=3), [0.0, 1.3, 2.9], 1.0)
-        rep = evenness_check(spec3, l, [0.5, 1.0, 2.0])
-        even_worst = max(even_worst, rep["symmetry_deviation"])
-    ok = worst < 1e-10 and exact and even_worst < 1e-11
-    report(4, ok, f"closed-vs-oracle {worst:.2e} (1e-10); worked 18/47 exact: "
-                  f"{exact}; evenness {even_worst:.2e} (1e-11)")
-    assert ok
-
-
-def test_criterion_05_spectral_duality():
-    rng = np.random.default_rng(5)
-    grid = default_lambda_grid()
-    worst = 0.0
-    for kind in FOUR_KINDS:
-        spec = spec_for(kind, autonomous=True, tau=1.0)
-        for n in (2, 3, 4):
-            pt = random_level_set_point(rng, n, 1.0)
-            xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-5)
-            xp = reduce(pt, Slice.P_DIAG, 1.0, tol=1e-5)
-            for a, b in ((pt, xq), (pt, xp), (xq, xp)):
-                _, dev = spectral_match(spec, a, b, grid)
-                worst = max(worst, dev)
-    spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
-    _, neg = spectral_match(spec, random_reduced(rng, 3, 1.0),
-                            random_reduced(rng, 3, 1.0), grid)
-    ok = worst < 1e-8 and neg > 1e-8
-    report(5, ok, f"max coeff deviation {worst:.3e} (tol 1e-8); "
-                  f"negative control {neg:.3e}")
-    assert ok
-
-
-def test_criterion_06_zero_curvature():
-    rng = np.random.default_rng(6)
-    ok = True
-    lines = []
-    for kind in FOUR_KINDS:
-        spec = spec_for(kind, autonomous=True, tau=1.0)
-        pt = MatrixPhasePoint(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-                              rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
-                              0.3)
-        r1 = zero_curvature_residual(spec, pt, 0.9 + 0.2j, h=1e-2)
-        r2 = zero_curvature_residual(spec, pt, 0.9 + 0.2j, h=5e-3)
-        if r1 < 1e-12 and r2 < 1e-12:
-            scaling = True  # exactly compatible pair (linear flow)
-            lines.append(f"{kind.value}: exact ({r1:.1e})")
-        else:
-            ratio = r1 / r2
-            scaling = 12.0 <= ratio <= 20.0
-            lines.append(f"{kind.value}: ratio {ratio:.2f}")
-        pert = TangentPair(1e-3 * np.eye(2), 1e-3 * np.eye(2))
-        lifted = zero_curvature_residual(spec, pt, 0.9 + 0.2j, h=1e-2,
-                                         perturb=pert) > 1e-4
-        ok = ok and scaling and lifted
-    spec4 = spec_for(SystemKind.P_IV)
-    pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.2)
-    printed = zero_curvature_residual(spec4, pt, 1.1, h=1e-2, p4_variant="printed")
-    corrected = zero_curvature_residual(spec4, pt, 1.1, h=1e-2)
-    ok = ok and printed > 1e-2 and corrected < 1e-5
-    report(6, ok, "; ".join(lines) + f"; P_IV printed B fails ({printed:.2e}), "
-                  f"corrected pair passes ({corrected:.2e})")
-    assert ok
-
-
-def test_criterion_07_isospectral_conservation():
-    x0 = tame_flow_start()
-    worst = 0.0
-    for kind in (SystemKind.P_I, SystemKind.P_II):
-        spec = spec_for(kind, autonomous=True, tau=1.0)
-        traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
-        rep = monitor_invariants(spec, traj, [1.0, 2.0j], g=x0.g)
-        worst = max(worst, max(rep["charpoly_drift"].values()))
-    ok = worst < 1e-6
-    report(7, ok, f"autonomous P_I/P_II coefficient drift {worst:.3e} (tol 1e-6)")
-    assert ok
-
-
-def test_criterion_08_equivariance():
-    rng = np.random.default_rng(8)
-    cases = ((spec_for(SystemKind.FREE), 3, 1.0),
-             (spec_for(SystemKind.P_IV), 2, 0.3),
-             (spec_for(SystemKind.P_II), 2, 0.3))
-    worst = 0.0
-    for spec, n, dt in cases:
-        x0 = random_reduced(rng, n, 1.0, mom_scale=0.5)
-        worst = max(worst, equivariance_check(spec, x0, dt, 1e-3))
-    ok = worst < 1e-6
-    report(8, ok, f"flow/reduce commutation, max deviation {worst:.3e} (tol 1e-6)")
-    assert ok
-
-
-def test_criterion_09_ruijsenaars_demo():
-    rng = np.random.default_rng(9)
-    x0 = random_reduced(rng, 3, 1.0, spread=2.0, complex_positions=False,
-                        mom_scale=0.5)
-    traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 1.0, 1e-3)
-    drift = dual_position_drift(traj)
-    moved = np.abs(traj.final.positions - x0.positions).max()
-    ok = drift < 1e-8 and moved > 0.1
-    report(9, ok, f"dual positions drift {drift:.3e} (tol 1e-8) while "
-                  f"positions moved {moved:.2f}")
-    assert ok
-
-
-def test_criterion_10_p4_selfduality():
-    rng = np.random.default_rng(10)
-    th0, th1 = 0.37 + 0.11j, -0.64 + 0.2j
-    spec = SystemSpec(SystemKind.P_IV, theta0=th0, theta1=th1)
-    worst = 0.0
-    for n in range(1, 6):
-        for _ in range(20):
-            sl = Slice.P_DIAG if n % 2 else Slice.Q_DIAG
-            x = random_reduced(rng, n, 1.0, sl, t=0.3)
-            sx, th0s, th1s = p4_involution(x, th0, th1)
-            h1 = reduced_hamiltonian(spec, x)
-            h2 = reduced_hamiltonian(
-                SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s), sx)
-            worst = max(worst, abs(h1 - h2) / max(1.0, abs(h1)))
-    ok = worst < 1e-10
-    report(10, ok, f"H identity {worst:.3e} (tol 1e-10); derived relabeling "
-                   "theta0 -> theta0+theta1, theta1 -> -theta1 "
-                   "(published: theta0 -> theta1, theta1 -> theta0-theta1)")
-    assert ok
+# criterion, registry entry, seed
+test_criterion_01_level_set_embedding = criterion_test(
+    1, sc.check_level_set_embedding, 1, budget_s=5.0)
+test_criterion_02_round_trip = criterion_test(2, sc.check_round_trip, 2)
+test_criterion_03_hamiltonian_oracle_equivalence = criterion_test(
+    3, sc.check_hamiltonian_oracle, 3)
+test_criterion_04_appendix_formulas = criterion_test(4, sc.check_appendix_traces, 4)
+test_criterion_05_spectral_duality = criterion_test(5, sc.check_spectral_duality, 5)
+test_criterion_06_zero_curvature = criterion_test(6, sc.check_zero_curvature, 6)
+test_criterion_07_isospectral_conservation = criterion_test(
+    7, sc.check_isospectral_conservation, 7)
+test_criterion_08_equivariance = criterion_test(8, sc.check_equivariance, 8)
+test_criterion_09_ruijsenaars_demo = criterion_test(9, sc.check_ruijsenaars, 9)
+test_criterion_10_p4_selfduality = criterion_test(10, sc.check_p4_selfduality, 10)
+test_criterion_11_replacement_interaction_structure = criterion_test(
+    11, sc.check_dual_p2_interaction_structure, 11)
+test_criterion_12_confluence = criterion_test(12, sc.check_confluence, 12)
+test_criterion_13_mmkdv = criterion_test(13, sc.check_mmkdv, 13)
+test_criterion_15_core_invariants = criterion_test(15, sc.check_core_invariants, 15)
+test_criterion_16_charpoly_cross_check = criterion_test(
+    16, sc.check_charpoly_cross, 16)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -230,95 +67,18 @@ def test_criterion_10_p4_selfduality():
     "ablating it never moves the dual P_II closed form away from the "
     "oracle; the criterion contradicts criterion 3 (see CONVENTIONS.md)"))
 def test_criterion_11_quadruple_interaction_as_stated():
-    rng = np.random.default_rng(11)
-    spec = spec_for(SystemKind.P_II)
-    broken = 0
-    for _ in range(100):
-        x = random_reduced(rng, 4, 1.0, Slice.P_DIAG, t=0.2)
-        oracle = reduced_hamiltonian_oracle(spec, x)
-        ablated = dual_p2_hamiltonian_ablated(spec, x)
-        if abs(ablated - oracle) / max(1.0, abs(oracle)) > 1e-6:
-            broken += 1
-    ok = broken >= 95
-    report(11, ok, f"as stated: 4-index ablation broke agreement on "
-                   f"{broken}/100 points (needs >= 95) - vacuous, class is 0")
-    assert ok
-
-
-def test_criterion_11_replacement_interaction_structure():
-    rng = np.random.default_rng(11)
-    spec = spec_for(SystemKind.P_II)
-    triple_broken = 0
-    quad_effect = 0.0
-    for _ in range(100):
-        x = random_reduced(rng, 4, 1.0, Slice.P_DIAG, t=0.2)
-        oracle = reduced_hamiltonian_oracle(spec, x)
-        scale = max(1.0, abs(oracle))
-        quad_effect = max(quad_effect,
-                          abs(dual_p2_hamiltonian_ablated(spec, x) - oracle) / scale)
-        triple_ablated = reduced_hamiltonian(spec, x) \
-            + (x.g ** 4 / 2) * a4_triple_sum(x.positions)
-        if abs(triple_ablated - oracle) / scale > 1e-6:
-            triple_broken += 1
-    ok = quad_effect < 1e-10 and triple_broken >= 95
-    report(11, ok, f"replacement: quadruple class inert ({quad_effect:.1e}); "
-                   f"3-index class required on {triple_broken}/100 points")
-    assert ok
-
-
-def test_criterion_12_confluence():
-    rng = np.random.default_rng(12)
-    eps = [0.1, 0.05, 0.025]
-    pt = _generic_conf_point(rng)
-    while True:
-        xq = random_reduced(rng, 2, 1.0, t=0.1)
-        if _conf_remainders(embed(xq)) > 1.0:
-            break
-    ok = True
-    ratios_all = {}
-    for kind in ("conf", "conf1"):
-        for label, point, reduced in (("matrix", pt, False), ("reduced", xq, True)):
-            sweep = cf.residual_ratio_sweep(point, 0.7 + 0.1j, eps, kind, reduced)
-            ratios_all[f"{kind}/{label}"] = [round(r, 3) for r in sweep["ratios"]]
-            ok = ok and all(3.5 <= r <= 4.5 for r in sweep["ratios"])
-    xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
-    cp = cf.ConfluenceParams(0.1, 0.5)
-    b_full = cf.dual_confluence_breakdown(xd, cp)["deviation"]
-    b_lin = cf.dual_confluence_breakdown(xd, cp, use_linear=True)["deviation"]
-    ok = ok and b_full > 1e-3 and b_lin < 1e-8
-    report(12, ok, f"ratios {ratios_all}; breakdown conf {b_full:.2e} (>1e-3), "
-                   f"conf1 {b_lin:.2e} (<1e-8)")
-    assert ok
-
-
-def test_criterion_13_mmkdv():
-    rng = np.random.default_rng(13)
-    sw, calib = mmkdv.calibrate(seed=0)
-    worst_tw = worst_ss = 0.0
-    for _ in range(100):
-        v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z, th = float(rng.normal()), complex(rng.normal())
-        worst_tw = max(worst_tw, mmkdv.tw_residual(v, p, z, th, sw))
-        worst_ss = max(worst_ss, mmkdv.ss_residual(v, p, z, th, sw))
-    samples = [(rng.normal(), rng.normal(), float(rng.normal()), rng.normal())
-               for _ in range(100)]
-    deform = mmkdv.deformation_check(sw, samples)["max_deviation"]
-    d = np.diag(rng.normal(size=2)).astype(complex)
-    e = np.diag(rng.normal(size=2)).astype(complex)
-    commuting = mmkdv.tw_residual(d, e, 0.7, 0.2, sw)
-    ok = (worst_tw < 1e-12 and worst_ss < 1e-12 and deform < 1e-10
-          and commuting < 1e-10)
-    report(13, ok, f"scalar tw {worst_tw:.1e} (1e-12), ss {worst_ss:.1e} "
-                   f"(1e-12), deformation {deform:.1e} (1e-10), commuting "
-                   f"matrix {commuting:.1e} (1e-10); calibration vs printed: "
-                   f"{calib['deviations_from_printed']}")
-    assert ok
+    entry = sc.check_dual_p2_interaction_structure(np.random.default_rng(11))
+    report(11, entry["acceptance_criterion_11_as_stated"],
+           f"as stated: 4-index ablation broke agreement on "
+           f"{entry['quadruple_ablation_broken']}/{entry['trials']} points "
+           f"(needs >= 95) - vacuous, class is 0")
+    assert entry["acceptance_criterion_11_as_stated"]
 
 
 def test_criterion_14_determinism():
     t0 = time.perf_counter()
-    a = json.dumps(run_selfcheck(42), sort_keys=True)
-    b = json.dumps(run_selfcheck(42), sort_keys=True)
+    a = json.dumps(sc.run_selfcheck(42), sort_keys=True)
+    b = json.dumps(sc.run_selfcheck(42), sort_keys=True)
     elapsed = time.perf_counter() - t0
     ok = a == b and elapsed < 300.0
     report(14, ok, f"selfcheck reports byte-identical: {a == b}; "

@@ -2,7 +2,11 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
+import cplab.confluence as cf
+import cplab.mmkdv as mmkdv
+from cplab import selfcheck
 from cplab.cli import main
 
 
@@ -60,6 +64,18 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("t1", [0.0, 1.0])
+    def test_reversed_or_empty_span_is_config_error(self, tmp_path, capsys, t1):
+        cfg = write(tmp_path, "sim.json", {
+            "command": "simulate",
+            "system": {"kind": "Free"},
+            "initial": {"reduced": {"positions": [0.0, 1.0],
+                                    "momenta": [0.0, 0.0]}},
+            "time": {"t0": 1.0, "t1": t1, "h": 0.1},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 class TestVerifyDuality:
     def test_seeded_p2_point(self, tmp_path):
@@ -113,6 +129,15 @@ class TestOtherCommands:
         coeffs = rep["report"]["samples"][0]["coeffs"]
         assert coeffs[0] == [1.0, 0.0]
 
+    def test_spectral_without_lax_pair_is_config_error(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.json", {
+            "command": "spectral",
+            "system": {"kind": "P_II_poly"},
+            "initial": {"reduced": {"positions": [1.0], "momenta": [2.0]}},
+        })
+        assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_traces_command(self, tmp_path):
         cfg = write(tmp_path, "t.json", {
             "command": "traces", "seed": 5,
@@ -139,3 +164,45 @@ class TestOtherCommands:
         rep = json.loads((tmp_path / "confluence.json").read_text())
         assert rep["report"]["breakdown"]["conf"]["pass"]
         assert rep["report"]["breakdown"]["conf1"]["pass"]
+
+    def test_confluence_single_particle(self, tmp_path):
+        # one particle has no interaction: neither map breaks down
+        cfg = write(tmp_path, "c.json", {"command": "confluence", "seed": 3, "n": 1})
+        assert main(["confluence", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "confluence.json").read_text())
+        for kind in ("conf", "conf1"):
+            assert rep["report"]["breakdown"][kind]["deviation"] < 1e-8
+
+    def test_confluence_sampler_exhausted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cf, "eps2_remainder", lambda pt: 0.0)
+        cfg = write(tmp_path, "c.json", {"command": "confluence", "seed": 3})
+        assert main(["confluence", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    def test_mmkdv_enforces_switch_sensitivity(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mmkdv, "switch_sensitivity", lambda sw: dict.fromkeys(
+            ("s_cubic", "s_z", "s_linear", "s_comm"), 1e-4))
+        cfg = write(tmp_path, "m.json", {"command": "mmkdv", "seed": 3})
+        assert main(["mmkdv", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+class TestRegistryAgreement:
+    """The traces/mmkdv/confluence reports are the selfcheck entries."""
+
+    @pytest.mark.parametrize("command, config, check, sizes", [
+        ("traces", {"trace": {"n_max": 4, "trials": 5, "max_even_l": 6}},
+         selfcheck.check_appendix_traces, {"n_max": 4, "trials": 5, "max_l": 6}),
+        ("mmkdv", {}, selfcheck.check_mmkdv, {}),
+        ("confluence", {"eps_sweep": [0.1, 0.05], "conf_theta": [0.5, 0.2],
+                        "n": 3, "g": 0.8},
+         selfcheck.check_confluence,
+         {"eps": [0.1, 0.05], "theta": 0.5 + 0.2j, "n": 3, "g": 0.8}),
+    ], ids=["traces", "mmkdv", "confluence"])
+    def test_cli_report_is_registry_entry(self, tmp_path, command, config,
+                                          check, sizes):
+        cfg = write(tmp_path, "c.json", {"command": command, "seed": 6, **config})
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        report = json.loads((tmp_path / f"{command}.json").read_text())["report"]
+        entry = check(np.random.default_rng(6), **sizes)
+        assert code == (0 if entry["pass"] else 1)
+        assert report.pop("seed") == 6
+        assert report == json.loads(json.dumps(entry))

@@ -1,10 +1,14 @@
 import numpy as np
+import pytest
 
+import cplab.confluence as cf
 from cplab.confluence import (ConfluenceParams, canonical_shift,
                               canonical_unshift, conf_map, conf_map_linear,
                               confluence_residual, dual_confluence_breakdown,
                               map_time, particle_conf_map, p4_spec,
-                              reduced_confluence_residual, residual_ratio_sweep)
+                              reduced_confluence_residual, residual_ratio_sweep,
+                              sample_generic_point)
+from cplab.errors import CplabError
 from cplab.phase import (MatrixPhasePoint, SystemKind, TangentPair,
                          moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint, Slice, embed
@@ -131,18 +135,20 @@ class TestResiduals:
             assert confluence_residual(pt, ConfluenceParams(e, 1.0)) < e ** 2
 
     def test_matrix_and_reduced_sweeps(self, rng):
-        from cplab.selfcheck import _conf_remainders, _generic_conf_point
-        pt = _generic_conf_point(rng)
-        while True:
-            xq = random_reduced(rng, 2, 1.0, t=0.1)
-            if _conf_remainders(embed(xq)) > 1.0:
-                break
+        pt = sample_generic_point(rng)
+        xq = sample_generic_point(rng, 2, 1.0)
         for kind in ("conf", "conf1"):
             sweep = residual_ratio_sweep(pt, 0.7 + 0.1j, EPS_SWEEP, kind)
             assert all(3.5 < r < 4.5 for r in sweep["ratios"]), (kind, sweep)
             sweep = residual_ratio_sweep(xq, 0.7 + 0.1j, EPS_SWEEP, kind,
                                          reduced=True)
             assert all(3.5 < r < 4.5 for r in sweep["ratios"]), (kind, sweep)
+
+    @pytest.mark.parametrize("g", [None, 1.0])
+    def test_sampler_is_bounded(self, rng, monkeypatch, g):
+        monkeypatch.setattr(cf, "eps2_remainder", lambda pt: 0.0)
+        with pytest.raises(CplabError, match=f"{cf.MAX_DRAWS} draws"):
+            sample_generic_point(rng, 2, g)
 
     def test_reduced_equals_matrix_on_slice(self, rng):
         # conf commutes with the Q_DIAG embedding, so the two residual code

@@ -35,6 +35,12 @@ class TestIntegrate:
         ratio = endpoint_error(2e-2) / endpoint_error(1e-2)
         assert 16 * 0.8 < ratio < 16 * 1.2
 
+    @pytest.mark.parametrize("t1", [0.0, 1.0])
+    def test_rejects_reversed_or_empty_span(self, t1):
+        with pytest.raises(ValueError, match="must exceed"):
+            integrate(spec_for(SystemKind.FREE),
+                      MatrixPhasePoint([[1.0]], [[0.0]]), 1.0, t1, 0.1)
+
     def test_autonomous_energy_conserved(self):
         spec = SystemSpec(SystemKind.P_II, autonomous=True, tau=0.0, theta=0.0)
         traj = integrate(spec, MatrixPhasePoint([[0.0]], [[1.0]]), 0.0, 1.0, 1e-3)

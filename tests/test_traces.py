@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cplab import selfcheck
 from cplab.errors import ParticleCollision
 from cplab.traces import (CalogeroMatrixSpec, a4_pair_sum, a4_quad_sum,
                           a4_triple_sum, assemble, evenness_check,
@@ -117,6 +118,15 @@ class TestEvenness:
         rep = evenness_check(spec, l, [0.5, 1.0, 2.0])
         assert rep["symmetry_deviation"] < 1e-11
         assert rep["odd_over_even"] < 1e-9
+
+    def test_appendix_gate_sees_symmetry_deviation(self, monkeypatch):
+        # 1e-10 passes an odd/even bound of 1e-9 but breaks the 1e-11 g -> -g gate
+        def skewed(spec, l, g_values):
+            return {**evenness_check(spec, l, g_values), "symmetry_deviation": 1e-10}
+
+        monkeypatch.setattr(selfcheck, "evenness_check", skewed)
+        entry = selfcheck.check_appendix_traces(np.random.default_rng(4))
+        assert not entry["pass"]
 
     def test_l1_independent_of_g(self):
         spec = CalogeroMatrixSpec([1.0, 2.0, 3.0], [0.0, 1.0, 2.5], 1.0)
