@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import Overflow, ParticleCollision
 from .hamiltonians import matrix_hamiltonian, matrix_vector_field, reduced_hamiltonian, \
-    reduced_vector_field
+    reduced_vector_field, rk4_step
 from .lax import char_poly, lax_pair
 from .phase import MatrixPhasePoint, SystemSpec, level_set_target, moment_map
 from .reduction import ReducedPoint, Slice, collision_threshold, embed, min_gap, \
@@ -36,15 +36,6 @@ class Trajectory:
         return self.states[-1]
 
 
-def _rk4_step(fn, t, y, h):
-    k1 = fn(t, y)
-    k2 = fn(t + h / 2, tuple(a + (h / 2) * b for a, b in zip(y, k1)))
-    k3 = fn(t + h / 2, tuple(a + (h / 2) * b for a, b in zip(y, k2)))
-    k4 = fn(t + h, tuple(a + h * b for a, b in zip(y, k3)))
-    return tuple(a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
-
-
 def step_count(t0: float, t1: float, h: float) -> int:
     """Number of uniform steps of size at most h from t0 to t1 (> t0).
 
@@ -66,7 +57,9 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     """Classical RK4 from t0 to t1.
 
     The requested step is shrunk to the nearest exact divisor of the
-    interval so the endpoint lands on t1 with uniform steps.
+    interval so the endpoint lands on t1 with uniform steps.  Stages run on
+    plain arrays; a point is built once per accepted step, after the
+    overflow and collision checks.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -75,57 +68,48 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     if matrix_state:
         y = (start.q.copy(), start.p.copy())
 
-        def fn(t, y):
-            V = matrix_vector_field(spec, MatrixPhasePoint(y[0], y[1], t))
-            return (V.dq, V.dp)
-
-        def pack(t, y):
-            return MatrixPhasePoint(y[0], y[1], t)
+        def rhs(y, t):
+            return matrix_vector_field(spec, y[0], y[1], t)
     else:
         y = (start.positions.copy(), start.momenta.copy())
 
-        def fn(t, y):
-            pt = ReducedPoint(y[0], y[1], start.g, t, start.slice)
-            return reduced_vector_field(spec, pt)
-
-        def pack(t, y):
-            return ReducedPoint(y[0], y[1], start.g, t, start.slice)
+        def rhs(y, t):
+            return reduced_vector_field(spec, y[0], y[1], start.g, t, start.slice)
 
     g_monitor = g if g is not None else (None if matrix_state else start.g)
-    times = [t0]
-    states = [pack(t0, y)]
-    energy = [matrix_hamiltonian(spec, states[0]) if matrix_state
-              else reduced_hamiltonian(spec, states[0])]
-    mu_dev = [_moment_deviation(states[0], g_monitor)] if matrix_state else []
+    times, states, energy, mu_dev = [], [], [], []
+
+    def so_far():
+        return Trajectory(np.array(times), states, _pack_diag(energy, mu_dev), g_monitor)
 
     t = t0
-    for k in range(steps):
-        try:
-            y = _rk4_step(fn, t, y, h)
-        except ParticleCollision as exc:
-            exc.partial = Trajectory(np.array(times), states,
-                                     _pack_diag(energy, mu_dev), g_monitor)
-            raise
-        t = t0 + (k + 1) * h
-        norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
-        if not np.isfinite(norm) or norm > OVERFLOW_NORM:
-            raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
-                           partial=Trajectory(np.array(times), states,
-                                              _pack_diag(energy, mu_dev), g_monitor))
-        if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
-            raise ParticleCollision(
-                f"collision at t={t:.6g}",
-                partial=Trajectory(np.array(times), states,
-                                   _pack_diag(energy, mu_dev), g_monitor))
-        state = pack(t, y)
+    for k in range(steps + 1):
+        if k > 0:
+            try:
+                y = rk4_step(rhs, y, t, h)
+            except ParticleCollision as exc:
+                exc.partial = so_far()
+                raise
+            t = t0 + k * h
+            norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+            if not np.isfinite(norm):
+                raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
+            if norm > OVERFLOW_NORM:
+                raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
+                               partial=so_far())
+            if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
+                raise ParticleCollision(f"collision at t={t:.6g}", partial=so_far())
+        if matrix_state:
+            state = MatrixPhasePoint(y[0], y[1], t)
+            energy.append(matrix_hamiltonian(spec, state))
+            mu_dev.append(_moment_deviation(state, g_monitor))
+        else:
+            state = ReducedPoint(y[0], y[1], start.g, t, start.slice)
+            energy.append(reduced_hamiltonian(spec, state))
         times.append(t)
         states.append(state)
-        energy.append(matrix_hamiltonian(spec, state) if matrix_state
-                      else reduced_hamiltonian(spec, state))
-        if matrix_state:
-            mu_dev.append(_moment_deviation(state, g_monitor))
 
-    return Trajectory(np.array(times), states, _pack_diag(energy, mu_dev), g_monitor)
+    return so_far()
 
 
 def _moment_deviation(pt: MatrixPhasePoint, g: float | None) -> float:

@@ -10,20 +10,20 @@ Matrix gradients use the pairing dH = Tr(G_q dq) + Tr(G_p dp); Hamilton's
 equations are qdot = G_p, pdot = -G_q.  On the p-diagonal slice the stored
 (positions, momenta) are canonically conjugate with the roles swapped
 (omega = sum dI ^ dphi), which the reduced vector field accounts for.
+
+The vector fields and the RK4 step work on plain arrays: flows build a
+point only where they hand one out.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import UnsupportedSystem
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
-from .reduction import ReducedPoint, Slice, embed
+from .phase import MatrixPhasePoint, SystemKind, SystemSpec
+from .reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
+                        embed, offdiag_sign)
 from .traces import (a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum,
-                     pairwise_inverse_square_sum)
-
-
-def _eye(pt: MatrixPhasePoint) -> np.ndarray:
-    return np.eye(pt.n, dtype=complex)
+                     pair_diffs, pairwise_inverse_square_sum)
 
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
@@ -38,7 +38,7 @@ def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
     elif k is SystemKind.P_I:
         val = np.trace(p @ p) / 2 - np.trace(q @ q @ q) / 2 - (T / 4) * np.trace(q)
     elif k is SystemKind.P_II:
-        w = q @ q + (T / 2) * _eye(pt)
+        w = q @ q + (T / 2) * np.eye(pt.n, dtype=complex)
         val = np.trace(p @ p) / 2 - np.trace(w @ w) / 2 - spec.theta * np.trace(q)
     elif k is SystemKind.P_II_POLY:
         val = (np.trace(p @ p) / 2 - np.trace(p @ q @ q)
@@ -52,11 +52,10 @@ def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
     return complex(val)
 
 
-def matrix_gradients(spec: SystemSpec, pt: MatrixPhasePoint):
+def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
     """(G_q, G_p) under dH = Tr(G_q dq) + Tr(G_p dp)."""
-    q, p = pt.q, pt.p
-    T = spec.time(pt.t)
-    I = _eye(pt)
+    T = spec.time(t)
+    I = np.eye(q.shape[0], dtype=complex)
     k = spec.kind
     if k is SystemKind.FREE:
         return np.zeros_like(q), p.copy()
@@ -77,22 +76,25 @@ def matrix_gradients(spec: SystemSpec, pt: MatrixPhasePoint):
     raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
-def matrix_vector_field(spec: SystemSpec, pt: MatrixPhasePoint) -> TangentPair:
+def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
     """(qdot, pdot) = (G_p, -G_q)."""
-    gq, gp = matrix_gradients(spec, pt)
-    return TangentPair(dq=gp, dp=-gq)
+    gq, gp = matrix_gradients(spec, q, p, t)
+    return gp, -gq
+
+
+def rk4_step(field, y: tuple, t: float, h: float) -> tuple:
+    """One classical RK4 step of dy/dt = field(y, t) for a tuple y of arrays."""
+    k1 = field(y, t)
+    k2 = field(tuple(a + (h / 2) * b for a, b in zip(y, k1)), t + h / 2)
+    k3 = field(tuple(a + (h / 2) * b for a, b in zip(y, k2)), t + h / 2)
+    k4 = field(tuple(a + h * b for a, b in zip(y, k3)), t + h)
+    return tuple(a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
+                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
 
 
 # ---------------------------------------------------------------------------
 # closed-form reduced/dual Hamiltonians
 # ---------------------------------------------------------------------------
-
-def _pair_terms(x: np.ndarray):
-    n = x.size
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield i, j, x[i] - x[j]
-
 
 def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
     """Normative definition: the matrix trace at the embedded point."""
@@ -125,7 +127,7 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
             diag = np.sum(b ** 2 / 2 - a ** 3 / 2 - (T / 4) * a)
             return complex(diag + g2 * pairwise_inverse_square_sum(a))
         diag = np.sum(a ** 2 / 2 - b ** 3 / 2 - (T / 4) * b)
-        inter = sum((b[i] + b[j]) / d ** 2 for i, j, d in _pair_terms(a))
+        inter = sum((b[i] + b[j]) / d ** 2 for i, j, d in pair_diffs(a))
         return complex(diag - 1.5 * g2 * inter)
 
     if k is SystemKind.P_II:
@@ -134,7 +136,7 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
             return complex(diag + g2 * pairwise_inverse_square_sum(a))
         diag = np.sum(a ** 2 / 2 - (b ** 2 + T / 2) ** 2 / 2 - spec.theta * b)
         pair = sum((b[i] ** 2 + b[i] * b[j] + b[j] ** 2 + T / 2) / d ** 2
-                   for i, j, d in _pair_terms(a))
+                   for i, j, d in pair_diffs(a))
         return complex(diag - 2 * g2 * pair - (g2 * g2 / 2) * a4_total(a))
 
     if k is SystemKind.P_II_POLY:
@@ -142,7 +144,7 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
             diag = np.sum(b ** 2 / 2 - a ** 2 * b - (T / 2) * b - spec.theta * a)
             return complex(diag + g2 * pairwise_inverse_square_sum(a))
         diag = np.sum(a ** 2 / 2 - a * b ** 2 - (T / 2) * a - spec.theta * b)
-        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in _pair_terms(a))
+        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
         return complex(diag - g2 * inter)
 
     if k is SystemKind.P_IV:
@@ -150,11 +152,11 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
         if red:
             diag = np.sum(a * b ** 2 - b * a ** 2 - T * a * b
                           + th0 * b - (th0 + th1) * a)
-            inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in _pair_terms(a))
+            inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
             return complex(diag + g2 * inter)
         diag = np.sum(b * a ** 2 - a * b ** 2 - T * a * b
                       + th0 * a - (th0 + th1) * b)
-        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in _pair_terms(a))
+        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
         return complex(diag - g2 * inter)
 
     raise UnsupportedSystem(str(k))  # pragma: no cover
@@ -172,7 +174,7 @@ def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
     T = spec.time(x.t)
     g2, g4 = g * g, g ** 4
     pair = sum((b[i] ** 2 + b[i] * b[j] + b[j] ** 2 + T / 2) / d ** 2
-               for i, j, d in _pair_terms(a))
+               for i, j, d in pair_diffs(a))
     return {
         "g2_pair": complex(-2 * g2 * pair),
         "g4_pair": complex(-(g4 / 2) * a4_pair_sum(a)),
@@ -185,37 +187,30 @@ def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
 # reduced vector fields via the embedding chain rule
 # ---------------------------------------------------------------------------
 
-def _embed_gradient(spec: SystemSpec, x: ReducedPoint):
-    """(dH/d positions, dH/d momenta) of the trace Hamiltonian at embed(x)."""
-    pt = embed(x)
-    gq, gp = matrix_gradients(spec, pt)
-    if x.slice is Slice.Q_DIAG:
-        g_diag, g_res, sgn = gq, gp, +1
-    else:
-        g_diag, g_res, sgn = gp, gq, -1
-    a = x.positions
-    n = x.n
-    dH_db = np.diag(g_res).copy()
-    dH_da = np.diag(g_diag).astype(complex).copy()
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            # d/da_i of K_ij = s*i*g/(a_i-a_j) and of K_ji = s*i*g/(a_j-a_i)
-            dK_ij = -sgn * 1j * x.g / (a[i] - a[j]) ** 2
-            dK_ji = sgn * 1j * x.g / (a[j] - a[i]) ** 2
-            dH_da[i] += g_res[j, i] * dK_ij + g_res[i, j] * dK_ji
-    return dH_da, dH_db
-
-
-def reduced_vector_field(spec: SystemSpec, x: ReducedPoint):
+def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.ndarray,
+                         g: float, t: float, slice: Slice):
     """(d positions/dt, d momenta/dt) of the reduced canonical flow.
+
+    The matrix gradient at the embedded point, pulled back through the
+    embedding: dH/d momenta is the diagonal of the resolved block's
+    gradient, and dH/d positions adds to the diagonal block's diagonal the
+    chain rule through K_ij = s i g/(a_i - a_j), whose a_i-derivative is
+    -K_ij^2/(s i g) (and that of K_ji = -K_ij the opposite).
 
     Q_DIAG: positions are canonical coordinates, momenta their conjugates.
     P_DIAG: omega = sum dI ^ dphi, so the roles swap.
     """
-    dH_da, dH_db = _embed_gradient(spec, x)
-    if x.slice is Slice.Q_DIAG:
+    collision_guard(positions)
+    sgn = offdiag_sign(slice)
+    K = calogero_block(positions, g, sgn)
+    diag, resolved = np.diag(positions), np.diag(momenta) + K
+    if slice is Slice.Q_DIAG:
+        g_diag, g_res = matrix_gradients(spec, diag, resolved, t)
+    else:
+        g_res, g_diag = matrix_gradients(spec, resolved, diag, t)
+    dH_da = np.diag(g_diag) + (K * K * (g_res - g_res.T)).sum(axis=1) / (sgn * 1j * g)
+    dH_db = np.diag(g_res).copy()
+    if slice is Slice.Q_DIAG:
         return dH_db, -dH_da
     return -dH_db, dH_da
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonConvergedEigensolve, PoleAtLambda, UnsupportedSystem
-from .hamiltonians import matrix_vector_field
+from .hamiltonians import matrix_vector_field, rk4_step
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from .reduction import ReducedPoint, Slice, embed
 
@@ -243,25 +243,6 @@ def _richardson(f, h: float) -> np.ndarray:
     return (4.0 * central(h / 2) - central(h)) / 3.0
 
 
-def _flow_step(spec: SystemSpec, pt: MatrixPhasePoint, s: float,
-               perturb: TangentPair | None) -> MatrixPhasePoint:
-    """One RK4 step of the (optionally perturbed) matrix flow over [0, s]."""
-    def field(t, q, p):
-        V = matrix_vector_field(spec, MatrixPhasePoint(q, p, t))
-        if perturb is None:
-            return V.dq, V.dp
-        return V.dq + perturb.dq, V.dp + perturb.dp
-
-    t, q, p = pt.t, pt.q, pt.p
-    k1q, k1p = field(t, q, p)
-    k2q, k2p = field(t + s / 2, q + (s / 2) * k1q, p + (s / 2) * k1p)
-    k3q, k3p = field(t + s / 2, q + (s / 2) * k2q, p + (s / 2) * k2p)
-    k4q, k4p = field(t + s, q + s * k3q, p + s * k3p)
-    return MatrixPhasePoint(q + (s / 6) * (k1q + 2 * k2q + 2 * k3q + k4q),
-                            p + (s / 6) * (k1p + 2 * k2p + 2 * k3p + k4p),
-                            t + s)
-
-
 def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
                             h: float = 1e-3, perturb: TangentPair | None = None,
                             p4_variant: str = "corrected") -> float:
@@ -279,9 +260,15 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     if h <= 0:
         raise ValueError("h must be positive")
 
+    def rhs(y, t):
+        dq, dp = matrix_vector_field(spec, y[0], y[1], t)
+        if perturb is None:
+            return dq, dp
+        return dq + perturb.dq, dp + perturb.dp
+
     def L_along(s: float) -> np.ndarray:
-        return lax_pair(spec, _flow_step(spec, pt, s, perturb), lam,
-                        p4_variant).L
+        q, p = rk4_step(rhs, (pt.q, pt.p), pt.t, s)
+        return lax_pair(spec, MatrixPhasePoint(q, p, pt.t + s), lam, p4_variant).L
 
     sample = lax_pair(spec, pt, lam, p4_variant)
     At = _richardson(L_along, h)
@@ -312,8 +299,8 @@ def gauge_F(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
     of the Lax equation.
     """
     pt = embed(x)
-    V = matrix_vector_field(spec, pt)
-    R = V.dq if x.slice is Slice.Q_DIAG else V.dp
+    qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
+    R = qdot if x.slice is Slice.Q_DIAG else pdot
     a = x.positions
     n = x.n
     F = np.zeros((n, n), dtype=complex)

@@ -49,6 +49,13 @@ def offdiag_sign(s: Slice) -> int:
     return 1 if s is Slice.Q_DIAG else -1
 
 
+def calogero_block(x: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
+    """sign * i g / (x_i - x_j) off the diagonal, zero on it."""
+    K = sign * 1j * g / (x[:, None] - x[None, :] + np.eye(x.shape[0]))
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     """Multi-particle state on a slice.
@@ -176,8 +183,7 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
     pos = diag.eigenvalues
     M = np.linalg.solve(diag.C, partner @ diag.C)
 
-    sgn = offdiag_sign(slice)
-    expect = sgn * 1j * gv / (pos[:, None] - pos[None, :] + np.eye(pt.n))
+    expect = calogero_block(pos, gv, offdiag_sign(slice))
     mask = ~np.eye(pt.n, dtype=bool)
     mismatch = float(np.abs((M - expect)[mask]).max())
     if mismatch > tol:
@@ -190,14 +196,9 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
 
 def embed(x: ReducedPoint) -> MatrixPhasePoint:
     """Rebuild the slice-diagonal matrix representative of a reduced point."""
-    a, b, n = x.positions, x.momenta, x.n
+    a = x.positions
     collision_guard(a)
-    K = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        diff = a[:, None] - a[None, :] + np.eye(n)
-        K = offdiag_sign(x.slice) * 1j * x.g / diff
-        np.fill_diagonal(K, 0.0)
-    resolved = np.diag(b) + K
+    resolved = np.diag(x.momenta) + calogero_block(a, x.g, offdiag_sign(x.slice))
     if x.slice is Slice.Q_DIAG:
         return MatrixPhasePoint(np.diag(a), resolved, x.t)
     return MatrixPhasePoint(resolved, np.diag(a), x.t)

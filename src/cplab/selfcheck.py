@@ -392,8 +392,8 @@ def check_core_invariants(rng):
     for kind in FOUR_KINDS + (SystemKind.FREE, SystemKind.P_II_POLY):
         spec = spec_for(kind)
         pt = random_level_set_point(rng, 3, 1.0, t=0.2)
-        V = matrix_vector_field(spec, pt)
-        mu_dot = (V.dp @ pt.q - pt.q @ V.dp) + (pt.p @ V.dq - V.dq @ pt.p)
+        qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
+        mu_dot = (pdot @ pt.q - pt.q @ pdot) + (pt.p @ qdot - qdot @ pt.p)
         worst = max(worst, float(np.abs(mu_dot).max()))
     return _check("core_invariants",
                   "pairing antisymmetry, mu bilinearity/trace, target rank, "

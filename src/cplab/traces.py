@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import coupling_value
-from .reduction import collision_guard
+from .reduction import calogero_block, collision_guard
 
 
 @dataclass(frozen=True)
@@ -46,14 +46,7 @@ class CalogeroMatrixSpec:
 def assemble(spec: CalogeroMatrixSpec, g: float | None = None) -> np.ndarray:
     """The matrix Q; an explicit g overrides the stored coupling."""
     gv = spec.g if g is None else float(g)
-    n = spec.n
-    Q = np.diag(spec.diag).astype(complex)
-    if n > 1:
-        diff = spec.denom[:, None] - spec.denom[None, :] + np.eye(n)
-        off = 1j * gv / diff
-        np.fill_diagonal(off, 0.0)
-        Q = Q + off
-    return Q
+    return np.diag(spec.diag) + calogero_block(spec.denom, gv)
 
 
 def trace_power_oracle(spec: CalogeroMatrixSpec, l: int, g: float | None = None) -> complex:
@@ -63,15 +56,15 @@ def trace_power_oracle(spec: CalogeroMatrixSpec, l: int, g: float | None = None)
     return complex(np.trace(np.linalg.matrix_power(assemble(spec, g), l)))
 
 
-def _pair_diffs(x: np.ndarray):
-    n = x.size
-    for i, j in itertools.combinations(range(n), 2):
+def pair_diffs(x: np.ndarray):
+    """(i, j, x_i - x_j) for every pair i < j, in lexicographic order."""
+    for i, j in itertools.combinations(range(x.size), 2):
         yield i, j, x[i] - x[j]
 
 
 def a4_pair_sum(x: np.ndarray) -> complex:
     """Pair class of Tr(A^4): sum over i<j of 2 / (x_i - x_j)^4."""
-    return sum(2.0 / d ** 4 for _, _, d in _pair_diffs(x))
+    return sum(2.0 / d ** 4 for _, _, d in pair_diffs(x))
 
 
 def a4_triple_sum(x: np.ndarray) -> complex:
@@ -105,21 +98,21 @@ def a4_total(x: np.ndarray) -> complex:
 
 def pairwise_inverse_square_sum(x: np.ndarray) -> complex:
     """Sum over i<j of 1/(x_i - x_j)^2 (the Tr(A^2)/2 block)."""
-    return sum(1.0 / d ** 2 for _, _, d in _pair_diffs(x))
+    return sum(1.0 / d ** 2 for _, _, d in pair_diffs(x))
 
 
 def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
     """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2."""
     d, x, g = spec.diag, spec.denom, spec.g
-    inter = sum((d[i] + d[j]) / dd ** 2 for i, j, dd in _pair_diffs(x))
+    inter = sum((d[i] + d[j]) / dd ** 2 for i, j, dd in pair_diffs(x))
     return complex(np.sum(d ** 3) + 3.0 * g ** 2 * inter)
 
 
 def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
     """Tr Q^4 with the quartic block a4_total."""
     d, x, g = spec.diag, spec.denom, spec.g
-    tr_d2a2 = sum((d[i] ** 2 + d[j] ** 2) / dd ** 2 for i, j, dd in _pair_diffs(x))
-    tr_dada = sum(2.0 * d[i] * d[j] / dd ** 2 for i, j, dd in _pair_diffs(x))
+    tr_d2a2 = sum((d[i] ** 2 + d[j] ** 2) / dd ** 2 for i, j, dd in pair_diffs(x))
+    tr_dada = sum(2.0 * d[i] * d[j] / dd ** 2 for i, j, dd in pair_diffs(x))
     return complex(np.sum(d ** 4) + 2.0 * g ** 2 * (2.0 * tr_d2a2 + tr_dada)
                    + g ** 4 * a4_total(x))
 

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,13 @@ import cplab.confluence as cf
 import cplab.mmkdv as mmkdv
 from cplab import selfcheck
 from cplab.cli import main
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+# exits 1: the conf1 halving ratio at eps = 0.0125 is lost to the catastrophic
+# cancellation of the theta0 = -1/(4 eps^6) terms in confluence_residual
+CONFLUENCE_CANCELLATION = pytest.mark.xfail(
+    strict=True, reason="theta0 = -1/(4 eps^6) cancellation at eps = 0.0125")
 
 
 def write(tmp_path, name, payload):
@@ -61,6 +69,17 @@ class TestSimulate:
             "initial": {"reduced": {"positions": [0.0, 1e-12],
                                     "momenta": [0.0, 0.0]}},
             "time": {"t0": 0.0, "t1": 1.0, "h": 0.01},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_stage_overflow_exit_code(self, tmp_path):
+        # a state that overflows inside one RK4 stage is a numerical error
+        cfg = write(tmp_path, "sim.json", {
+            "command": "simulate",
+            "system": {"kind": "P_II"},
+            "initial": {"matrix": {"q": [[1e40]], "p": [[0.0]]}},
+            "time": {"t0": 0.0, "t1": 1.0, "h": 0.5},
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
@@ -206,3 +225,13 @@ class TestRegistryAgreement:
         assert code == (0 if entry["pass"] else 1)
         assert report.pop("seed") == 6
         assert report == json.loads(json.dumps(entry))
+
+
+class TestShippedConfigs:
+    @pytest.mark.parametrize("path", [
+        pytest.param(p, id=p.name, marks=CONFLUENCE_CANCELLATION
+                     if p.name == "confluence_sweep.json" else ())
+        for p in sorted(CONFIG_DIR.glob("*.json"))])
+    def test_exits_zero(self, tmp_path, path):
+        command = json.loads(path.read_text())["command"]
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0

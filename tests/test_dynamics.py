@@ -62,6 +62,14 @@ class TestIntegrate:
         assert exc_info.value.partial is not None
         assert len(exc_info.value.partial.states) >= 1
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_inside_a_stage_raises_overflow(self):
+        # the third stage overflows to inf; the step's check reports it
+        spec = SystemSpec(SystemKind.P_II)
+        with pytest.raises(Overflow, match="non-finite") as exc_info:
+            integrate(spec, MatrixPhasePoint([[1e40]], [[0.0]]), 0.0, 1.0, 0.5)
+        assert len(exc_info.value.partial.states) == 1
+
     def test_collision_guard_on_construction(self):
         with pytest.raises(ParticleCollision):
             ReducedPoint([0.0, 1e-12], [0.0, 0.0], 1.0)
@@ -116,3 +124,28 @@ class TestRuijsenaars:
         traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 1.0, 1e-3)
         assert dual_position_drift(traj) < 1e-8
         assert np.abs(traj.final.positions - x0.positions).max() > 0.1
+
+
+class TestPointsAtStepBoundaries:
+    """Stages run on arrays: integrate builds one point per step, plus t0."""
+
+    @staticmethod
+    def _count_constructions(monkeypatch):
+        counts = []
+        for cls in (MatrixPhasePoint, ReducedPoint):
+            def counting(self, _orig=cls.__post_init__):
+                counts.append(type(self).__name__)
+                _orig(self)
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        return counts
+
+    @pytest.mark.parametrize("form", ["matrix", "reduced"])
+    def test_one_point_per_step(self, monkeypatch, rng, form):
+        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        x0 = random_reduced(rng, 3, 1.0, mom_scale=0.5)
+        start = embed(x0) if form == "matrix" else x0
+        counts = self._count_constructions(monkeypatch)
+        traj = integrate(spec, start, 0.0, 0.05, 1e-2, g=1.0)
+        assert len(traj.states) == 6
+        assert len(counts) == len(traj.states)
+        assert set(counts) == {type(start).__name__}
