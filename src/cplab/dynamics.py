@@ -59,7 +59,7 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     The requested step is shrunk to the nearest exact divisor of the
     interval so the endpoint lands on t1 with uniform steps.  Stages run on
     plain arrays; a point is built once per accepted step, after the
-    overflow and collision checks.
+    overflow and collision checks, which the start state passes too.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -86,19 +86,21 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     for k in range(steps + 1):
         if k > 0:
             try:
-                y = rk4_step(rhs, y, t, h)
+                # a stage may overflow; the state check below reports it
+                with np.errstate(over="ignore", invalid="ignore"):
+                    y = rk4_step(rhs, y, t, h)
             except ParticleCollision as exc:
                 exc.partial = so_far()
                 raise
             t = t0 + k * h
-            norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
-            if not np.isfinite(norm):
-                raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
-            if norm > OVERFLOW_NORM:
-                raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
-                               partial=so_far())
-            if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
-                raise ParticleCollision(f"collision at t={t:.6g}", partial=so_far())
+        norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+        if not np.isfinite(norm):
+            raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
+        if norm > OVERFLOW_NORM:
+            raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
+                           partial=so_far())
+        if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
+            raise ParticleCollision(f"collision at t={t:.6g}", partial=so_far())
         if matrix_state:
             state = MatrixPhasePoint(y[0], y[1], t)
             energy.append(matrix_hamiltonian(spec, state))

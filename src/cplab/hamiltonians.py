@@ -21,9 +21,8 @@ import numpy as np
 from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
-                        embed, offdiag_sign)
-from .traces import (a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum,
-                     pair_diffs, pairwise_inverse_square_sum)
+                        embed, inverse_square_kernel, offdiag_sign)
+from .traces import a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum
 
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
@@ -102,64 +101,69 @@ def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
 
 
 def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
-    """Closed-form fast path; agrees with the trace oracle to 1e-10 relative."""
-    a, b, g, n = x.positions, x.momenta, x.g, x.n
+    """Closed-form fast path; agrees with the trace oracle to 1e-10 relative.
+
+    Pair sums contract W_ij = 1/(a_i - a_j)^2 and its row sums S:
+    sum_{i<j} 1/D^2 = sum W / 2 and sum_{i<j} (c_i + c_j)/D^2 = c.S.
+    """
+    a, b, g = x.positions, x.momenta, x.g
     T = spec.time(x.t)
     k = spec.kind
     red = x.slice is Slice.Q_DIAG
     g2 = g * g
+    W = inverse_square_kernel(a)
+    S = W.sum(axis=1)
+    calogero = g2 * S.sum() / 2
 
     if k is SystemKind.FREE:
         if red:
-            return complex(np.sum(b ** 2) / 2 + g2 * pairwise_inverse_square_sum(a))
+            return complex(np.sum(b ** 2) / 2 + calogero)
         return complex(np.sum(a ** 2) / 2)
 
     if k is SystemKind.HARM_OSC:
         om2 = spec.omega ** 2
         if red:
-            return complex(np.sum(b ** 2 + om2 * a ** 2) / 2
-                           + g2 * pairwise_inverse_square_sum(a))
-        return complex(np.sum(a ** 2 + om2 * b ** 2) / 2
-                       + om2 * g2 * pairwise_inverse_square_sum(a))
+            return complex(np.sum(b ** 2 + om2 * a ** 2) / 2 + calogero)
+        return complex(np.sum(a ** 2 + om2 * b ** 2) / 2 + om2 * calogero)
 
     if k is SystemKind.P_I:
         if red:
-            diag = np.sum(b ** 2 / 2 - a ** 3 / 2 - (T / 4) * a)
-            return complex(diag + g2 * pairwise_inverse_square_sum(a))
+            return complex(np.sum(b ** 2 / 2 - a ** 3 / 2 - (T / 4) * a) + calogero)
         diag = np.sum(a ** 2 / 2 - b ** 3 / 2 - (T / 4) * b)
-        inter = sum((b[i] + b[j]) / d ** 2 for i, j, d in pair_diffs(a))
-        return complex(diag - 1.5 * g2 * inter)
+        return complex(diag - 1.5 * g2 * (b @ S))
 
     if k is SystemKind.P_II:
         if red:
             diag = np.sum(b ** 2 / 2 - (a ** 2 + T / 2) ** 2 / 2 - spec.theta * a)
-            return complex(diag + g2 * pairwise_inverse_square_sum(a))
+            return complex(diag + calogero)
         diag = np.sum(a ** 2 / 2 - (b ** 2 + T / 2) ** 2 / 2 - spec.theta * b)
-        pair = sum((b[i] ** 2 + b[i] * b[j] + b[j] ** 2 + T / 2) / d ** 2
-                   for i, j, d in pair_diffs(a))
-        return complex(diag - 2 * g2 * pair - (g2 * g2 / 2) * a4_total(a))
+        return complex(diag + _dual_p2_g2_block(b, W, T, g2)
+                       - (g2 * g2 / 2) * a4_total(a))
 
     if k is SystemKind.P_II_POLY:
         if red:
             diag = np.sum(b ** 2 / 2 - a ** 2 * b - (T / 2) * b - spec.theta * a)
-            return complex(diag + g2 * pairwise_inverse_square_sum(a))
+            return complex(diag + calogero)
         diag = np.sum(a ** 2 / 2 - a * b ** 2 - (T / 2) * a - spec.theta * b)
-        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
-        return complex(diag - g2 * inter)
+        return complex(diag - g2 * (a @ S))
 
     if k is SystemKind.P_IV:
         th0, th1 = spec.theta0, spec.theta1
         if red:
             diag = np.sum(a * b ** 2 - b * a ** 2 - T * a * b
                           + th0 * b - (th0 + th1) * a)
-            inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
-            return complex(diag + g2 * inter)
+            return complex(diag + g2 * (a @ S))
         diag = np.sum(b * a ** 2 - a * b ** 2 - T * a * b
                       + th0 * a - (th0 + th1) * b)
-        inter = sum((a[i] + a[j]) / d ** 2 for i, j, d in pair_diffs(a))
-        return complex(diag - g2 * inter)
+        return complex(diag - g2 * (a @ S))
 
     raise UnsupportedSystem(str(k))  # pragma: no cover
+
+
+def _dual_p2_g2_block(b, W, T, g2) -> complex:
+    """-2 g^2 sum_{i<j} (b_i^2 + b_i b_j + b_j^2 + T/2) / (a_i - a_j)^2."""
+    S = W.sum(axis=1)
+    return -2 * g2 * ((b * b) @ S + (b @ W @ b) / 2 + T * S.sum() / 4)
 
 
 def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
@@ -171,12 +175,10 @@ def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
     form; it is kept here as the witness of that cancellation.
     """
     a, b, g = x.positions, x.momenta, x.g
-    T = spec.time(x.t)
     g2, g4 = g * g, g ** 4
-    pair = sum((b[i] ** 2 + b[i] * b[j] + b[j] ** 2 + T / 2) / d ** 2
-               for i, j, d in pair_diffs(a))
     return {
-        "g2_pair": complex(-2 * g2 * pair),
+        "g2_pair": complex(_dual_p2_g2_block(b, inverse_square_kernel(a),
+                                             spec.time(x.t), g2)),
         "g4_pair": complex(-(g4 / 2) * a4_pair_sum(a)),
         "g4_triple": complex(-(g4 / 2) * a4_triple_sum(a)),
         "g4_quadruple": complex(-(g4 / 2) * a4_quad_sum(a)),

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import NonConvergedEigensolve, PoleAtLambda, UnsupportedSystem
 from .hamiltonians import matrix_vector_field, rk4_step
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
-from .reduction import ReducedPoint, Slice, embed
+from .reduction import ReducedPoint, Slice, embed, inverse_square_kernel
 
 POLE_EPS = 1e-12
 
@@ -205,33 +205,6 @@ def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> list[SpectralSample]
     return [SpectralSample(lam, char_poly(_lax_for(spec, obj, lam))) for lam in grid]
 
 
-def laurent_charpoly(spec: SystemSpec, obj, orders=None,
-                     radius: float = 1.0, n_points: int = 128) -> dict:
-    """Laurent coefficients (in lambda) of each char-poly coefficient.
-
-    Discrete-Fourier extraction on the circle |lambda| = radius; purely a
-    reporting aid, the pointwise grid comparison is the normative check.
-    Returns {mu-coefficient index: {order m: c_m}} with small coefficients
-    dropped.  The default order window covers entries spanning
-    lambda^-1 .. lambda^2 in a 2n x 2n determinant.
-    """
-    lams = radius * np.exp(2j * np.pi * np.arange(n_points) / n_points)
-    rows = np.array([char_poly(_lax_for(spec, obj, lam)) for lam in lams])
-    if orders is None:
-        dim = rows.shape[1] - 1
-        orders = range(-dim, 2 * dim + 1)
-    out: dict[int, dict[int, complex]] = {}
-    scale = max(1.0, float(np.abs(rows).max()))
-    for idx in range(rows.shape[1]):
-        series = {}
-        for m in orders:
-            c = complex(np.mean(rows[:, idx] * lams ** (-m)))
-            if abs(c) > 1e-9 * scale:
-                series[m] = c
-        out[idx] = series
-    return out
-
-
 # ---------------------------------------------------------------------------
 # zero curvature
 # ---------------------------------------------------------------------------
@@ -301,19 +274,10 @@ def gauge_F(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
     pt = embed(x)
     qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
     R = qdot if x.slice is Slice.Q_DIAG else pdot
-    a = x.positions
-    n = x.n
-    F = np.zeros((n, n), dtype=complex)
-    if n > 1:
-        D = np.diag(a)
-        comm = R @ D - D @ R
-        diff = a[:, None] - a[None, :] + np.eye(n)
-        F = comm / diff ** 2
-        np.fill_diagonal(F, 0.0)
+    D = np.diag(x.positions)
+    F = (R @ D - D @ R) * inverse_square_kernel(x.positions)
     # printed completion: row sums plus the mean off-diagonal mass
-    total = F.sum()
-    for j in range(n):
-        F[j, j] = -F[j].sum() + total / n
+    np.fill_diagonal(F, F.sum() / x.n - F.sum(axis=1))
     return F
 
 

@@ -56,6 +56,15 @@ def calogero_block(x: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
     return K
 
 
+def inverse_square_kernel(x: np.ndarray) -> np.ndarray:
+    """W_ij = 1 / (x_i - x_j)^2 off the diagonal, zero on it.
+
+    Every pair sum of the closed forms contracts W or its row sums
+    S = W.1: sum_{i<j} c_ij / (x_i - x_j)^2 = sum(c * W) / 2 for symmetric c.
+    """
+    return -calogero_block(x, 1.0) ** 2
+
+
 @dataclass(frozen=True)
 class ReducedPoint:
     """Multi-particle state on a slice.

@@ -7,7 +7,9 @@ quartic block Tr(A^4) splits into pair, triple and quadruple index
 classes; for each unordered triple all three pinch choices contribute, and
 for each unordered quadruple all three cyclic orders do.  The quadruple
 class sums to zero identically (see CONVENTIONS.md): a4_quad_sum is kept
-as the witness of that cancellation and enters no closed form.
+as the witness of that cancellation and enters no closed form.  Every other
+pair and triple sum contracts W_ij = 1/(x_i - x_j)^2 and its row sums
+S = W.1 (reduction.inverse_square_kernel).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .phase import coupling_value
-from .reduction import calogero_block, collision_guard
+from .reduction import calogero_block, collision_guard, inverse_square_kernel
 
 
 @dataclass(frozen=True)
@@ -56,26 +58,20 @@ def trace_power_oracle(spec: CalogeroMatrixSpec, l: int, g: float | None = None)
     return complex(np.trace(np.linalg.matrix_power(assemble(spec, g), l)))
 
 
-def pair_diffs(x: np.ndarray):
-    """(i, j, x_i - x_j) for every pair i < j, in lexicographic order."""
-    for i, j in itertools.combinations(range(x.size), 2):
-        yield i, j, x[i] - x[j]
-
-
 def a4_pair_sum(x: np.ndarray) -> complex:
-    """Pair class of Tr(A^4): sum over i<j of 2 / (x_i - x_j)^4."""
-    return sum(2.0 / d ** 4 for _, _, d in pair_diffs(x))
+    """Pair class of Tr(A^4): sum over i<j of 2 / (x_i - x_j)^4 = sum W o W."""
+    W = inverse_square_kernel(x)
+    return complex((W * W).sum())
 
 
 def a4_triple_sum(x: np.ndarray) -> complex:
-    """Triple class of Tr(A^4): 4 / (d_ab^2 d_ac^2) for each pinch a of each triple."""
-    total = 0.0 + 0.0j
-    for i, j, k in itertools.combinations(range(x.size), 3):
-        dij, dik, djk = x[i] - x[j], x[i] - x[k], x[j] - x[k]
-        total += 4.0 * (1.0 / (dij ** 2 * dik ** 2)
-                        + 1.0 / (dij ** 2 * djk ** 2)
-                        + 1.0 / (dik ** 2 * djk ** 2))
-    return total
+    """Triple class of Tr(A^4): 4 / (d_ab^2 d_ac^2) for each pinch a of each triple.
+
+    Summed over ordered pairs b != c at each pinch a: 2 (S.S - sum W o W).
+    """
+    W = inverse_square_kernel(x)
+    S = W.sum(axis=1)
+    return complex(2.0 * (S @ S - (W * W).sum()))
 
 
 def a4_quad_sum(x: np.ndarray) -> complex:
@@ -92,27 +88,31 @@ def a4_quad_sum(x: np.ndarray) -> complex:
 
 
 def a4_total(x: np.ndarray) -> complex:
-    """Tr(A^4): the pair and triple classes (the quadruple class is zero)."""
-    return a4_pair_sum(x) + a4_triple_sum(x)
+    """Tr(A^4) = 2 S.S - sum W o W: the pair and triple classes.
 
-
-def pairwise_inverse_square_sum(x: np.ndarray) -> complex:
-    """Sum over i<j of 1/(x_i - x_j)^2 (the Tr(A^2)/2 block)."""
-    return sum(1.0 / d ** 2 for _, _, d in pair_diffs(x))
+    The quadruple class is zero and left out.
+    """
+    W = inverse_square_kernel(x)
+    S = W.sum(axis=1)
+    return complex(2.0 * (S @ S) - (W * W).sum())
 
 
 def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
-    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2."""
-    d, x, g = spec.diag, spec.denom, spec.g
-    inter = sum((d[i] + d[j]) / dd ** 2 for i, j, dd in pair_diffs(x))
-    return complex(np.sum(d ** 3) + 3.0 * g ** 2 * inter)
+    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2.
+
+    The pair sum is d.S.
+    """
+    d, g = spec.diag, spec.g
+    S = inverse_square_kernel(spec.denom).sum(axis=1)
+    return complex(np.sum(d ** 3) + 3.0 * g ** 2 * (d @ S))
 
 
 def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
-    """Tr Q^4 with the quartic block a4_total."""
+    """Tr Q^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total."""
     d, x, g = spec.diag, spec.denom, spec.g
-    tr_d2a2 = sum((d[i] ** 2 + d[j] ** 2) / dd ** 2 for i, j, dd in pair_diffs(x))
-    tr_dada = sum(2.0 * d[i] * d[j] / dd ** 2 for i, j, dd in pair_diffs(x))
+    W = inverse_square_kernel(x)
+    tr_d2a2 = (d * d) @ W.sum(axis=1)
+    tr_dada = d @ W @ d
     return complex(np.sum(d ** 4) + 2.0 * g ** 2 * (2.0 * tr_d2a2 + tr_dada)
                    + g ** 4 * a4_total(x))
 

@@ -72,16 +72,28 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stage_overflow_exit_code(self, tmp_path):
         # a state that overflows inside one RK4 stage is a numerical error
         cfg = write(tmp_path, "sim.json", {
             "command": "simulate",
-            "system": {"kind": "P_II"},
-            "initial": {"matrix": {"q": [[1e40]], "p": [[0.0]]}},
+            "system": {"kind": "P_II", "theta": 1e200},
+            "initial": {"matrix": {"q": [[0.0]], "p": [[0.0]]}},
             "time": {"t0": 0.0, "t1": 1.0, "h": 0.5},
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_state_overflow_exit_code(self, tmp_path, capsys):
+        # a start state beyond the overflow norm fails before the first step
+        cfg = write(tmp_path, "sim.json", {
+            "command": "simulate",
+            "system": {"kind": "P_II"},
+            "initial": {"matrix": {"q": [[1e80]], "p": [[0.0]]}},
+            "time": {"t0": 0.0, "t1": 1.0, "h": 0.5},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "Overflow: state norm 1.000e+80" in capsys.readouterr().err
 
     @pytest.mark.parametrize("t1", [0.0, 1.0])
     def test_reversed_or_empty_span_is_config_error(self, tmp_path, capsys, t1):

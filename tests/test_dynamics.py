@@ -62,13 +62,22 @@ class TestIntegrate:
         assert exc_info.value.partial is not None
         assert len(exc_info.value.partial.states) >= 1
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_inside_a_stage_raises_overflow(self):
-        # the third stage overflows to inf; the step's check reports it
-        spec = SystemSpec(SystemKind.P_II)
+        # from rest the huge theta overflows the third stage to inf; the
+        # step's check reports it without a numpy warning
+        spec = SystemSpec(SystemKind.P_II, theta=1e200)
         with pytest.raises(Overflow, match="non-finite") as exc_info:
-            integrate(spec, MatrixPhasePoint([[1e40]], [[0.0]]), 0.0, 1.0, 0.5)
+            integrate(spec, MatrixPhasePoint([[0.0]], [[0.0]]), 0.0, 1.0, 0.5)
         assert len(exc_info.value.partial.states) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("q0", [1e13, 1e80])
+    def test_start_state_overflow_raises_before_any_step(self, q0):
+        spec = SystemSpec(SystemKind.P_II)
+        with pytest.raises(Overflow, match="exceeds") as exc_info:
+            integrate(spec, MatrixPhasePoint([[q0]], [[0.0]]), 0.0, 1.0, 0.5)
+        assert exc_info.value.partial.states == []
 
     def test_collision_guard_on_construction(self):
         with pytest.raises(ParticleCollision):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab.hamiltonians import (dual_p2_interaction_blocks, harmosc_selfduality,
@@ -15,6 +15,16 @@ from cplab.traces import a4_pair_sum, a4_quad_sum, a4_triple_sum
 
 ALL_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
              SystemKind.P_II, SystemKind.P_II_POLY, SystemKind.P_IV)
+
+
+def every_kind_and_slice(**fixed):
+    """Explicit hypothesis examples, one per kind x slice, run on every run."""
+    def add(test):
+        for kind in ALL_KINDS:
+            for sl in Slice:
+                test = example(kind=kind, sl=sl, **fixed)(test)
+        return test
+    return add
 
 
 class TestMatrixHamiltonian:
@@ -117,13 +127,12 @@ class TestReducedHamiltonian:
         x = ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0)
         assert abs(reduced_hamiltonian(spec, x) - 1.5) < 1e-14
 
-    @given(seed=st.integers(0, 10 ** 6))
-    def test_oracle_equivalence(self, seed):
+    @given(seed=st.integers(0, 10 ** 6), kind=st.sampled_from(ALL_KINDS),
+           sl=st.sampled_from(Slice), n=st.integers(1, 12))
+    @every_kind_and_slice(seed=0, n=12)
+    def test_oracle_equivalence(self, seed, kind, sl, n):
         rng = np.random.default_rng(seed)
-        kind = ALL_KINDS[seed % len(ALL_KINDS)]
         spec = spec_for(kind)
-        n = 1 + seed % 6
-        sl = Slice.Q_DIAG if (seed // 7) % 2 == 0 else Slice.P_DIAG
         x = random_reduced(rng, n, 0.9, sl, t=0.4)
         a = reduced_hamiltonian(spec, x)
         b = reduced_hamiltonian_oracle(spec, x)

@@ -4,8 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cplab.errors import PoleAtLambda, UnsupportedSystem
-from cplab.lax import (char_poly, default_lambda_grid, gauge_F, laurent_charpoly,
-                       lax_pair, reduced_lax, reduced_m, spectral_match,
+from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_pair,
+                       reduced_lax, reduced_m, spectral_match,
                        zero_curvature_residual)
 from cplab.dynamics import integrate
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
@@ -16,8 +16,11 @@ from cplab.sampling import random_level_set_point, random_reduced, spec_for
 class TestLaxPair:
     def test_harmosc_worked(self):
         spec = SystemSpec(SystemKind.HARM_OSC, omega=1.0)
-        sample = lax_pair(spec, MatrixPhasePoint([[4.0]], [[3.0]]), 0.7)
+        pt = MatrixPhasePoint([[4.0]], [[3.0]])
+        sample = lax_pair(spec, pt, 0.7)
         assert np.abs(sample.L - np.array([[3.0, 4.0], [4.0, -3.0]])).max() == 0
+        # the HarmOsc L carries no spectral parameter
+        assert np.array_equal(lax_pair(spec, pt, 2.3 - 1.1j).L, sample.L)
         assert np.abs(char_poly(sample.L) - np.array([1.0, 0.0, -25.0])).max() < 1e-12
 
     def test_p2_vacuum(self):
@@ -216,22 +219,3 @@ class TestGaugeF:
         spec = SystemSpec(SystemKind.P_I, autonomous=True, tau=0.5)
         x = ReducedPoint([0.4, 1.8], [0.2, -0.7], 1.0, 0.0, Slice.P_DIAG)
         assert self._reduced_pair_residual(spec, x, 0.9) < 1e-7
-
-
-class TestLaurentExtraction:
-    def test_reconstructs_charpoly(self, rng):
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
-        x = random_reduced(rng, 2, 1.0)
-        series = laurent_charpoly(spec, x)
-        lam = 1.3 + 0.4j
-        direct = char_poly(reduced_lax(spec, x, lam).L)
-        for idx, coeffs in series.items():
-            rebuilt = sum(c * lam ** m for m, c in coeffs.items())
-            assert abs(rebuilt - direct[idx]) < 1e-8 * max(1.0, abs(direct[idx]))
-
-    def test_harmosc_has_no_lambda_dependence(self):
-        spec = SystemSpec(SystemKind.HARM_OSC, omega=1.0)
-        pt = MatrixPhasePoint([[4.0]], [[3.0]])
-        series = laurent_charpoly(spec, pt, orders=range(-3, 4))
-        for coeffs in series.values():
-            assert set(coeffs) <= {0}

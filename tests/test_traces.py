@@ -1,6 +1,8 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab import selfcheck
@@ -63,7 +65,8 @@ class TestClosedForms:
         spec = random_spec(rng, 5, g=1e-12)
         assert abs(tr_q3_closed(spec) - np.sum(spec.diag ** 3)) < 1e-9
 
-    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 8))
+    @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 12))
+    @example(seed=0, n=12)
     def test_matches_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
         spec = random_spec(rng, n)
@@ -93,7 +96,7 @@ class TestQuadrupleClassCancellation:
         assert abs(s) < 1e-10
 
     def test_pair_plus_triple_equals_brute_force(self, rng):
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 12):
             x = np.arange(n) * 1.2 + 1j * rng.normal(size=n) * 0.4
             A = 1j / (x[:, None] - x[None, :] + np.eye(n))
             np.fill_diagonal(A, 0)
@@ -101,6 +104,18 @@ class TestQuadrupleClassCancellation:
             closed = a4_pair_sum(x) + a4_triple_sum(x)
             assert abs(brute - closed) < 1e-10 * max(1.0, abs(brute))
             assert abs(a4_quad_sum(x)) < 1e-12
+
+    def test_classes_match_their_index_sums(self, rng):
+        # the kernel contractions against the index-class definitions
+        for n in (1, 2, 3, 5, 12):
+            x = np.arange(n) * 1.2 + 1j * rng.normal(size=n) * 0.4
+            pairs = sum(2 / (x[i] - x[j]) ** 4
+                        for i, j in itertools.combinations(range(n), 2))
+            triples = sum(4 / ((x[a] - x[b]) ** 2 * (x[a] - x[c]) ** 2)
+                          for i, j, k in itertools.combinations(range(n), 3)
+                          for a, b, c in ((i, j, k), (j, i, k), (k, i, j)))
+            assert abs(a4_pair_sum(x) - pairs) <= 1e-12 * max(1.0, abs(pairs))
+            assert abs(a4_triple_sum(x) - triples) <= 1e-12 * max(1.0, abs(triples))
 
     def test_triple_class_is_essential(self, rng):
         x = np.arange(4) * 1.2 + 1j * rng.normal(size=4) * 0.4
