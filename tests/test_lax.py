@@ -19,8 +19,6 @@ class TestLaxPair:
         pt = MatrixPhasePoint([[4.0]], [[3.0]])
         sample = lax_pair(spec, pt, 0.7)
         assert np.abs(sample.L - np.array([[3.0, 4.0], [4.0, -3.0]])).max() == 0
-        # the HarmOsc L carries no spectral parameter
-        assert np.array_equal(lax_pair(spec, pt, 2.3 - 1.1j).L, sample.L)
         assert np.abs(char_poly(sample.L) - np.array([1.0, 0.0, -25.0])).max() < 1e-12
 
     def test_p2_vacuum(self):
@@ -219,3 +217,19 @@ class TestGaugeF:
         spec = SystemSpec(SystemKind.P_I, autonomous=True, tau=0.5)
         x = ReducedPoint([0.4, 1.8], [0.2, -0.7], 1.0, 0.0, Slice.P_DIAG)
         assert self._reduced_pair_residual(spec, x, 0.9) < 1e-7
+
+
+class TestLaurentExtraction:
+    def test_harmosc_has_no_lambda_dependence(self):
+        # Laurent coefficients of det(mu - L(lambda)) read off a circle in the
+        # lambda plane: the HarmOsc L carries no spectral parameter, so only
+        # order 0 survives and it is the lambda-free char poly.
+        spec = SystemSpec(SystemKind.HARM_OSC, omega=1.0)
+        pt = MatrixPhasePoint([[4.0]], [[3.0]])
+        n_pts = 8
+        lams = 1.5 * np.exp(2j * np.pi * np.arange(n_pts) / n_pts)
+        samples = np.array([char_poly(lax_pair(spec, pt, lam).L) for lam in lams])
+        coeffs = np.fft.fft(samples, axis=0) / n_pts
+        assert np.abs(coeffs[1:]).max() < 1e-12
+        assert np.abs(coeffs[0] - np.array([1.0, 0.0, -25.0])).max() < 1e-12
+        assert np.array_equal(lax_pair(spec, pt, 2.3 - 1.1j).L, lax_pair(spec, pt, 0.7).L)
