@@ -2,9 +2,11 @@
 """Scan spectral duality across kinds and particle numbers.
 
 For each kind and n, draws a generic level-set point (diagonal in neither
-q nor p), reduces it at both slices, and prints the worst char-poly
-coefficient deviation between the unreduced, reduced, and dual Lax
-matrices over the default 20-point lambda grid.
+q nor p), reduces it at both slices, and prints the spectral_match
+deviation between the unreduced, reduced, and dual Lax matrices over the
+default 20-point lambda grid: the largest |det(mu - L_a)/det(mu - L_b) - 1|
+on a circle in mu enclosing both spectra, at roundoff for exact dualities
+at any n.
 """
 import argparse
 

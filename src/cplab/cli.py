@@ -233,10 +233,10 @@ def cmd_verify_duality(cfg, rng, out):
         _, devs[name] = spectral_match(spec, a, b, grid, tol)
     worst = max(devs.values())
     report = {
-        "operation": "spectral_match on char-poly coefficients",
+        "operation": "spectral_match: det(mu - L) ratios on a mu circle",
         "tolerance": tol,
         "lambda_grid_size": len(grid),
-        "max_coeff_deviation": worst,
+        "max_deviation": worst,
         "deviations": devs,
         "pass": worst < tol,
     }

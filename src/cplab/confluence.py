@@ -5,11 +5,11 @@ Both maps send a P_II-side point to a P_IV-side point with parameters
     theta0 = -1/(4 eps^6),   theta1 = theta + 1/(4 eps^6),
 
 so that theta0 + theta1 = theta stays finite; the Hamiltonians then match
-as
+exactly at every eps,
 
-    H_II(pt) = -eps * H_IV(image) + n * theta / (2 eps^2) + O(eps^2)
+    H_II(pt) = -eps * H_IV(image) + n * theta / (2 eps^2) - eps^2 R,
 
-exactly in the eps-expansion (the commonly printed assignment theta1 =
+with R = Tr(w q w) - t Tr(w q) (the commonly printed assignment theta1 =
 -theta leaves an uncancelled Tr q / (4 eps^6) term; see CONVENTIONS.md).
 Both maps preserve the moment map exactly, [p', q'] = [p, q], so level-set
 points map to level-set points with the same coupling.
@@ -20,26 +20,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CplabError
 from .hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, match_permutation, \
     normalized_diagonalizer, reduce
-from .sampling import random_reduced
 
-# the most draws sample_generic_point makes; over 2000 seeds the sampler
-# needed at most 7
-MAX_DRAWS = 100
+# eps_k = exp(2 pi i (k + 1/2) / 32): off the real axis, with |theta0| = 1/4,
+# so no term of the identity is large and nothing cancels
+UNIT_CIRCLE_EPS = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
 
 
 @dataclass(frozen=True)
 class ConfluenceParams:
-    eps: float
+    """eps in (0, 1], or a non-real eps with 0 < |eps| <= 1."""
+
+    eps: float | complex
     theta: complex = 0.0
 
     def __post_init__(self):
-        if not (0 < self.eps <= 1):
-            raise ValueError("eps must lie in (0, 1]")
+        e = complex(self.eps)
+        if not (0 < abs(e) <= 1 and (e.imag or e.real > 0)):
+            raise ValueError("eps must lie in (0, 1], or be non-real with |eps| <= 1")
 
     @property
     def theta0(self) -> complex:
@@ -91,21 +92,32 @@ def canonical_unshift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
     return MatrixPhasePoint(pt.q, pt.p - pt.q @ pt.q - (pt.t / 2) * I, pt.t)
 
 
+def _hamiltonians(point, cp: ConfluenceParams, kind: str, reduced: bool) -> tuple:
+    """(H_target(point), H_IV(image)): traces, or closed forms if reduced."""
+    if kind not in ("conf", "conf1"):
+        raise ValueError(f"unknown confluence kind {kind!r}")
+    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
+                        theta=cp.theta)
+    if not reduced:
+        image, _ = (conf_map if kind == "conf" else conf_map_linear)(point, cp)
+        return matrix_hamiltonian(target, point), matrix_hamiltonian(p4_spec(cp), image)
+    if point.slice is not Slice.Q_DIAG:
+        raise ValueError("reduced confluence lives on the Q_DIAG slice")
+    return (reduced_hamiltonian(target, point),
+            reduced_hamiltonian(p4_spec(cp), particle_conf_map(point, cp, kind)))
+
+
+def _residual(point, cp: ConfluenceParams, kind: str, reduced: bool) -> float:
+    """|H_target - (-eps H_IV(image) + n theta/(2 eps^2))|, which is |eps^2 R|."""
+    h_target, h_iv = _hamiltonians(point, cp, kind, reduced)
+    shift = point.n * cp.theta / (2 * cp.eps ** 2)
+    return float(abs(h_target - (-cp.eps * h_iv + shift)))
+
+
 def confluence_residual(pt: MatrixPhasePoint, cp: ConfluenceParams,
                         kind: str = "conf") -> float:
-    """|H_target(pt) - (-eps H_IV(image) + n theta/(2 eps^2))|; O(eps^2)."""
-    if kind == "conf":
-        target_spec = SystemSpec(SystemKind.P_II, theta=cp.theta)
-        image, _ = conf_map(pt, cp)
-    elif kind == "conf1":
-        target_spec = SystemSpec(SystemKind.P_II_POLY, theta=cp.theta)
-        image, _ = conf_map_linear(pt, cp)
-    else:
-        raise ValueError(f"unknown confluence kind {kind!r}")
-    h_target = matrix_hamiltonian(target_spec, pt)
-    h_iv = matrix_hamiltonian(p4_spec(cp), image)
-    shift = pt.n * cp.theta / (2 * cp.eps ** 2)
-    return float(abs(h_target - (-cp.eps * h_iv + shift)))
+    """|eps^2 R| through the matrix traces (loses digits as eps -> 0)."""
+    return _residual(pt, cp, kind, reduced=False)
 
 
 def particle_conf_map(x: ReducedPoint, cp: ConfluenceParams,
@@ -125,63 +137,43 @@ def particle_conf_map(x: ReducedPoint, cp: ConfluenceParams,
 def reduced_confluence_residual(x: ReducedPoint, cp: ConfluenceParams,
                                 kind: str = "conf") -> float:
     """Same residual through the closed-form reduced Hamiltonians (Q_DIAG)."""
-    if x.slice is not Slice.Q_DIAG:
-        raise ValueError("reduced confluence lives on the Q_DIAG slice")
-    target_kind = SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY
-    h_target = reduced_hamiltonian(SystemSpec(target_kind, theta=cp.theta), x)
-    y = particle_conf_map(x, cp, kind)
-    h_iv = reduced_hamiltonian(p4_spec(cp), y)
-    shift = x.n * cp.theta / (2 * cp.eps ** 2)
-    return float(abs(h_target - (-cp.eps * h_iv + shift)))
+    return _residual(x, cp, kind, reduced=True)
 
 
-def eps2_remainder(pt: MatrixPhasePoint) -> float:
-    """Smaller of the eps^2 remainder magnitudes of the two confluence maps.
-
-    The remainder coefficient Tr(w q w) - t Tr(w q) (w = p for the linear
-    map, w = p + q^2 + t/2 for the full one) can vanish accidentally,
-    drowning the small-eps residual in the cancellation noise of the
-    1/eps^6 parameter terms.
-    """
+def remainder(pt: MatrixPhasePoint, kind: str = "conf") -> complex:
+    """R = Tr(w q w) - t Tr(w q): w = p + q^2 + t/2 (conf) or w = p (conf1)."""
     q, p, t = pt.q, pt.p, pt.t
-    w = p + q @ q + (t / 2) * np.eye(pt.n)
-    r_full = abs(np.trace(w @ q @ w) - t * np.trace(w @ q))
-    r_lin = abs(np.trace(p @ q @ p) - t * np.trace(p @ q))
-    return min(r_full, r_lin)
+    w = p + q @ q + (t / 2) * np.eye(pt.n) if kind == "conf" else p
+    return complex(np.trace(w @ q @ w) - t * np.trace(w @ q))
 
 
-def sample_generic_point(rng: np.random.Generator, n: int = 2,
-                         g: float | None = None):
-    """First draw at t = 0.1 whose eps^2 remainders (eps2_remainder) exceed 1.
+def identity_defect(point, theta: complex, kind: str = "conf",
+                    reduced: bool = False) -> float:
+    """max_k |D(eps_k)| over UNIT_CIRCLE_EPS, relative to the largest term.
 
-    Without g the draw is a matrix point with complex Gaussian q and p
-    (imaginary parts scaled by 0.3); with g it is a Q_DIAG reduced point of
-    that coupling, tested through its embedding.  Raises CplabError after
-    MAX_DRAWS rejected draws.
+    D(eps) = H_target - (-eps H_IV(image) + n theta/(2 eps^2)) + eps^2 R is
+    a Laurent polynomial in eps (orders -4..2 term by term) that the exact
+    identity makes zero.  The DFT over the 32 points is unitary, so the
+    maximum bounds every Laurent coefficient: every order is checked at once.
     """
-    for _ in range(MAX_DRAWS):
-        if g is None:
-            point = pt = MatrixPhasePoint(
-                rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)),
-                rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n)), 0.1)
-        else:
-            point = random_reduced(rng, n, g, t=0.1)
-            pt = embed(point)
-        if eps2_remainder(pt) > 1.0:
-            return point
-    raise CplabError(f"no point with eps^2 remainders above 1 in {MAX_DRAWS} draws")
+    R = remainder(embed(point) if reduced else point, kind)
+    worst = scale = 0.0
+    for e in UNIT_CIRCLE_EPS:
+        h_target, h_iv = _hamiltonians(point, ConfluenceParams(e, theta), kind, reduced)
+        image, shift, r = -e * h_iv, point.n * theta / (2 * e ** 2), e ** 2 * R
+        worst = max(worst, abs(h_target - (image + shift) + r))
+        scale = max(scale, abs(h_target), abs(image), abs(shift), abs(r))
+    return float(worst / scale)
 
 
 def residual_ratio_sweep(point, cp_theta: complex, eps_values,
                          kind: str = "conf", reduced: bool = False) -> dict:
-    """Residuals over an eps sweep plus halving ratios (expect ~4 = O(eps^2))."""
-    residuals = []
-    for e in eps_values:
-        cp = ConfluenceParams(eps=e, theta=cp_theta)
-        if reduced:
-            residuals.append(reduced_confluence_residual(point, cp, kind))
-        else:
-            residuals.append(confluence_residual(point, cp, kind))
+    """Residuals |eps^2 R| over an eps sweep and their halving ratios.
+
+    Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms.
+    """
+    residuals = [_residual(point, ConfluenceParams(e, cp_theta), kind, reduced)
+                 for e in eps_values]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
     return {"eps": list(eps_values), "residuals": residuals, "ratios": ratios}

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergedEigensolve, PoleAtLambda, UnsupportedSystem
-from .hamiltonians import matrix_vector_field, rk4_step
+from .errors import (DimensionMismatch, NonConvergedEigensolve, PoleAtLambda,
+                     UnsupportedSystem)
+from .hamiltonians import matrix_vector_field
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from .reduction import ReducedPoint, Slice, embed, inverse_square_kernel
 
@@ -175,85 +176,88 @@ def default_lambda_grid(n_per_circle: int = 10,
     return grid
 
 
-def _lax_for(spec: SystemSpec, obj, lam: complex) -> np.ndarray:
+def _matrix_point(obj) -> MatrixPhasePoint:
+    """The matrix point whose pair describes obj (a reduced point is embedded)."""
     if isinstance(obj, MatrixPhasePoint):
-        return lax_pair(spec, obj, lam).L
+        return obj
     if isinstance(obj, ReducedPoint):
-        return reduced_lax(spec, obj, lam).L
+        return embed(obj)
     raise TypeError(f"cannot build a Lax matrix from {type(obj)!r}")
 
 
 def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
                    tol: float = 1e-8) -> tuple[bool, float]:
-    """Compare char-poly coefficient vectors of two descriptions on a grid.
+    """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
-    Relative deviation per coefficient uses max(1, |c_a|, |c_b|) as the
-    scale so that structurally-zero coefficients do not blow up the ratio.
+    At each lambda both sides are monic of degree 2n in mu, so they are
+    equal iff they agree at 2n points.  The deviation is the largest
+    |det(mu - L_a) / det(mu - L_b) - 1| over 2n + 1 points of the circle
+    |mu| = 2 max(||L_a||_inf, ||L_b||_inf), where every factor mu - eigenvalue
+    is at least half the radius, so the ratio is well conditioned at any n.
+    One slogdet call per side and lambda covers the 2n + 1 points.
     """
-    grid = default_lambda_grid() if lam_grid is None else lam_grid
+    grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
+    if not grid:
+        raise ValueError("spectral_match needs a non-empty lambda grid")
+    pa, pb = _matrix_point(a), _matrix_point(b)
+    if pa.n != pb.n:
+        raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
+    k = 2 * pa.n
+    circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     worst = 0.0
     for lam in grid:
-        ca = char_poly(_lax_for(spec, a, lam))
-        cb = char_poly(_lax_for(spec, b, lam))
-        scale = np.maximum(1.0, np.maximum(np.abs(ca), np.abs(cb)))
-        worst = max(worst, float((np.abs(ca - cb) / scale).max()))
+        La, Lb = lax_pair(spec, pa, lam).L, lax_pair(spec, pb, lam).L
+        radius = 2 * max(np.abs(La).sum(axis=1).max(), np.abs(Lb).sum(axis=1).max())
+        mu = (radius or 1.0) * circle
+        sign_a, log_a = np.linalg.slogdet(mu - La)
+        sign_b, log_b = np.linalg.slogdet(mu - Lb)
+        ratio = sign_a / sign_b * np.exp(log_a - log_b)
+        worst = max(worst, float(np.abs(ratio - 1).max()))
     return worst < tol, worst
 
 
 def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> list[SpectralSample]:
     grid = default_lambda_grid() if lam_grid is None else lam_grid
-    return [SpectralSample(lam, char_poly(_lax_for(spec, obj, lam))) for lam in grid]
+    pt = _matrix_point(obj)
+    return [SpectralSample(lam, char_poly(lax_pair(spec, pt, lam).L)) for lam in grid]
 
 
 # ---------------------------------------------------------------------------
 # zero curvature
 # ---------------------------------------------------------------------------
 
-def _richardson(f, h: float) -> np.ndarray:
-    """(4 D(h/2) - D(h)) / 3 with central differences; O(h^4)."""
-    def central(step):
-        return (f(step) - f(-step)) / (2 * step)
-    return (4.0 * central(h / 2) - central(h)) / 3.0
-
-
 def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
-                            h: float = 1e-3, perturb: TangentPair | None = None,
+                            perturb: TangentPair | None = None,
                             p4_variant: str = "corrected") -> float:
-    """Max-norm of A_t - B_lam + [A, B] (isomonodromic) or L_t + [L, M].
+    """Max-norm of A_t - B_lam + [A, B] (isomonodromic) or L_t + [L, M],
+    relative to max(|A_t|, |[A, B]|).
 
-    A_t is the total derivative of the L-builder along the analytic flow
-    (optionally perturbed, to demonstrate EOM-violation detection): central
-    differences over short RK4 flow legs plus one Richardson step, so the
-    residual of an exact pair scales as O(h^4).  A straight-ray displacement
-    would be exact here (the builders are polynomial in q, p, t) and leave
-    nothing but roundoff; the flow legs keep the convergence order
-    observable.  Autonomous specs freeze tau, drop the B_lam term, and
-    check the Lax equation instead.
+    A_t is the derivative of the L-builder along the straight ray
+    (q, p, t) + s (qdot, pdot, 1), the equations of motion optionally
+    perturbed to show that a wrong flow is detected.  The builders are
+    polynomials of degree <= 3 there, so the 5-point central stencil is
+    exact, as is one central difference of M (affine in lambda) for B_lam:
+    an exact pair leaves roundoff only.  Autonomous specs freeze tau, drop
+    the B_lam term, and check the Lax equation.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
+    if perturb is not None:
+        qdot, pdot = qdot + perturb.dq, pdot + perturb.dp
 
-    def rhs(y, t):
-        dq, dp = matrix_vector_field(spec, y[0], y[1], t)
-        if perturb is None:
-            return dq, dp
-        return dq + perturb.dq, dp + perturb.dp
-
-    def L_along(s: float) -> np.ndarray:
-        q, p = rk4_step(rhs, (pt.q, pt.p), pt.t, s)
-        return lax_pair(spec, MatrixPhasePoint(q, p, pt.t + s), lam, p4_variant).L
+    def L_at(s: float) -> np.ndarray:
+        ray = MatrixPhasePoint(pt.q + s * qdot, pt.p + s * pdot, pt.t + s)
+        return lax_pair(spec, ray, lam, p4_variant).L
 
     sample = lax_pair(spec, pt, lam, p4_variant)
-    At = _richardson(L_along, h)
+    At = (8 * (L_at(1) - L_at(-1)) - (L_at(2) - L_at(-2))) / 12
     commutator = sample.L @ sample.M - sample.M @ sample.L
-    if spec.autonomous:
-        return float(np.abs(At + commutator).max())
-
-    def M_at(dlam: float) -> np.ndarray:
-        return lax_pair(spec, pt, lam + dlam, p4_variant).M
-
-    Blam = _richardson(M_at, h)
-    return float(np.abs(At - Blam + commutator).max())
+    residual = At + commutator
+    if not spec.autonomous:
+        d = abs(lam) / 2 or 0.5  # keeps lam +- d off the pole at 0
+        residual -= (lax_pair(spec, pt, lam + d, p4_variant).M
+                     - lax_pair(spec, pt, lam - d, p4_variant).M) / (2 * d)
+    scale = max(np.abs(At).max(), np.abs(commutator).max()) or 1.0
+    return float(np.abs(residual).max() / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -27,13 +27,19 @@ def _as_square_complex(m, name: str) -> np.ndarray:
     return a
 
 
+def as_time(t) -> float | complex:
+    """A real time as a float; complex times serve the confluence identity."""
+    t = complex(t)
+    return t if t.imag else t.real
+
+
 @dataclass(frozen=True)
 class MatrixPhasePoint:
     """A point (q, p) of gl(n) x gl(n) together with the Painlevé time t."""
 
     q: np.ndarray
     p: np.ndarray
-    t: float = 0.0
+    t: float | complex = 0.0
 
     def __post_init__(self):
         q = _as_square_complex(self.q, "q")
@@ -42,7 +48,7 @@ class MatrixPhasePoint:
             raise DimensionMismatch(f"q has shape {q.shape}, p has shape {p.shape}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", as_time(self.t))
 
     @property
     def n(self) -> int:

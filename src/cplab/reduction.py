@@ -26,7 +26,7 @@ from .errors import (
     ParticleCollision,
     ZeroColumnSum,
 )
-from .phase import MatrixPhasePoint, coupling_value, on_level_set
+from .phase import MatrixPhasePoint, as_time, coupling_value, on_level_set
 
 # relative guards against 1/(x_i - x_j) blowups and near-degenerate spectra;
 # the eigensolve guard sits above sqrt(eps), where defective pairs land
@@ -78,7 +78,7 @@ class ReducedPoint:
     positions: np.ndarray
     momenta: np.ndarray
     g: float
-    t: float = 0.0
+    t: float | complex = 0.0
     slice: Slice = Slice.Q_DIAG
 
     def __post_init__(self):
@@ -93,7 +93,7 @@ class ReducedPoint:
         object.__setattr__(self, "positions", a)
         object.__setattr__(self, "momenta", b)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", as_time(self.t))
 
     @property
     def n(self) -> int:

@@ -75,6 +75,18 @@ def test_criterion_11_quadruple_interaction_as_stated():
     assert entry["acceptance_criterion_11_as_stated"]
 
 
+def test_identity_gates_hold_on_seeds_0_to_99():
+    # criteria 6 and 12 measure exact identities at roundoff, so their
+    # verdicts do not move with the sampled point
+    t0 = time.perf_counter()
+    failed = [(check.__name__, s)
+              for check in (sc.check_zero_curvature, sc.check_confluence)
+              for s in range(100) if not check(np.random.default_rng(s))["pass"]]
+    elapsed = time.perf_counter() - t0
+    assert not failed
+    assert elapsed < 3.0, f"{elapsed:.2f}s over the 3s budget"
+
+
 def test_criterion_14_determinism():
     t0 = time.perf_counter()
     a = json.dumps(sc.run_selfcheck(42), sort_keys=True)

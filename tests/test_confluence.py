@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
-import cplab.confluence as cf
 from cplab.confluence import (ConfluenceParams, canonical_shift,
                               canonical_unshift, conf_map, conf_map_linear,
                               confluence_residual, dual_confluence_breakdown,
-                              map_time, particle_conf_map, p4_spec,
-                              reduced_confluence_residual, residual_ratio_sweep,
-                              sample_generic_point)
-from cplab.errors import CplabError
+                              identity_defect, map_time, particle_conf_map,
+                              p4_spec, reduced_confluence_residual, remainder,
+                              residual_ratio_sweep)
 from cplab.phase import (MatrixPhasePoint, SystemKind, TangentPair,
                          moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint, Slice, embed
@@ -135,20 +133,32 @@ class TestResiduals:
             assert confluence_residual(pt, ConfluenceParams(e, 1.0)) < e ** 2
 
     def test_matrix_and_reduced_sweeps(self, rng):
-        pt = sample_generic_point(rng)
-        xq = sample_generic_point(rng, 2, 1.0)
+        # the identity holds at roundoff on both paths and for both maps; the
+        # sweep residual at eps = 0.1 is the eps^2 remainder it predicts
+        pt = generic_point(rng)
+        xq = random_reduced(rng, 2, 1.0, t=0.1)
         for kind in ("conf", "conf1"):
-            sweep = residual_ratio_sweep(pt, 0.7 + 0.1j, EPS_SWEEP, kind)
-            assert all(3.5 < r < 4.5 for r in sweep["ratios"]), (kind, sweep)
-            sweep = residual_ratio_sweep(xq, 0.7 + 0.1j, EPS_SWEEP, kind,
-                                         reduced=True)
-            assert all(3.5 < r < 4.5 for r in sweep["ratios"]), (kind, sweep)
+            for point, reduced in ((pt, False), (xq, True)):
+                assert identity_defect(point, 0.7 + 0.1j, kind, reduced) <= 1e-12
+                sweep = residual_ratio_sweep(point, 0.7 + 0.1j, EPS_SWEEP, kind,
+                                             reduced)
+                R = remainder(embed(point) if reduced else point, kind)
+                assert abs(sweep["residuals"][0] - 0.01 * abs(R)) < 1e-6 * abs(R)
 
-    @pytest.mark.parametrize("g", [None, 1.0])
-    def test_sampler_is_bounded(self, rng, monkeypatch, g):
-        monkeypatch.setattr(cf, "eps2_remainder", lambda pt: 0.0)
-        with pytest.raises(CplabError, match=f"{cf.MAX_DRAWS} draws"):
-            sample_generic_point(rng, 2, g)
+    def test_printed_theta1_breaks_identity(self, rng, monkeypatch):
+        # negative control: theta1 = -theta leaves the Tr q / (4 eps^6) term
+        monkeypatch.setattr(ConfluenceParams, "theta1",
+                            property(lambda cp: -cp.theta))
+        pt = generic_point(rng)
+        for kind in ("conf", "conf1"):
+            assert identity_defect(pt, 0.7 + 0.1j, kind) > 1e-2
+
+    def test_complex_eps(self):
+        ConfluenceParams(0.6 + 0.6j)
+        ConfluenceParams(np.exp(0.3j))
+        for bad in (0.0, -0.5, 1.5, 1.0 + 1.0j, -1.0 + 0j):
+            with pytest.raises(ValueError):
+                ConfluenceParams(bad)
 
     def test_reduced_equals_matrix_on_slice(self, rng):
         # conf commutes with the Q_DIAG embedding, so the two residual code

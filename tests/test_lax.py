@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cplab.errors import PoleAtLambda, UnsupportedSystem
+from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_pair,
                        reduced_lax, reduced_m, spectral_match,
                        zero_curvature_residual)
@@ -151,38 +151,67 @@ class TestSpectralMatch:
         assert spread == 0
         assert np.abs(coeffs[0] - np.array([1, 0, -25])).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_exact_dualities_at_large_n(self, n):
+        # the determinant ratio stays at roundoff where char-poly
+        # coefficients of eigenvalues lost up to all digits
+        rng = np.random.default_rng(n)
+        for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
+                     SystemKind.HARM_OSC):
+            spec = spec_for(kind, autonomous=True, tau=1.0)
+            pt = random_level_set_point(rng, n, 1.0)
+            xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-5)
+            xp = reduce(pt, Slice.P_DIAG, 1.0, tol=1e-5)
+            for a, b in ((pt, xq), (pt, xp), (xq, xp)):
+                ok, dev = spectral_match(spec, a, b)
+                assert ok, (kind, dev)
+
+    def test_empty_grid_raises(self, rng):
+        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        x = random_reduced(rng, 2, 1.0)
+        with pytest.raises(ValueError, match="non-empty"):
+            spectral_match(spec, x, x, [])
+
+    def test_different_sizes_raise(self, rng):
+        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        with pytest.raises(DimensionMismatch):
+            spectral_match(spec, random_reduced(rng, 2, 1.0),
+                           random_reduced(rng, 3, 1.0))
+
+
+PAIR_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
+              SystemKind.P_II, SystemKind.P_IV)
+
 
 class TestZeroCurvature:
-    def test_order_four_scaling(self, rng):
-        for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV):
+    def test_exact_pairs_at_roundoff(self, rng):
+        for kind in PAIR_KINDS:
             for autonomous in (False, True):
                 spec = spec_for(kind, autonomous=autonomous,
                                 tau=1.0 if autonomous else None)
                 pt = MatrixPhasePoint(
                     rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                     rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0.3)
-                r1 = zero_curvature_residual(spec, pt, 0.9 + 0.2j, h=1e-2)
-                r2 = zero_curvature_residual(spec, pt, 0.9 + 0.2j, h=5e-3)
-                assert 12.0 < r1 / r2 < 20.0, (kind, autonomous, r1, r2)
+                r = zero_curvature_residual(spec, pt, 0.9 + 0.2j)
+                assert r <= 1e-12, (kind, autonomous, r)
 
     def test_harmosc_exact(self, rng):
         spec = spec_for(SystemKind.HARM_OSC)
         pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
-        assert zero_curvature_residual(spec, pt, 1.0, h=1e-3) < 1e-9
+        assert zero_curvature_residual(spec, pt, 1.0) <= 1e-12
 
     def test_perturbation_detector(self):
         spec = SystemSpec(SystemKind.P_II, theta=0.0)
         pt = MatrixPhasePoint([[0.4]], [[0.3]], 0.2)
         pert = TangentPair([[0.0]], [[1e-3]])
-        r = zero_curvature_residual(spec, pt, 1.1, h=1e-2, perturb=pert)
-        assert r > 0.1 * 1e-3
+        r = zero_curvature_residual(spec, pt, 1.1, perturb=pert)
+        assert r > 1e-4
 
     def test_p4_printed_fails_corrected_passes(self, rng):
         spec = spec_for(SystemKind.P_IV)
         pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.2)
-        assert zero_curvature_residual(spec, pt, 1.1, h=1e-2,
-                                       p4_variant="printed") > 1e-2
-        assert zero_curvature_residual(spec, pt, 1.1, h=1e-2) < 1e-5
+        assert zero_curvature_residual(spec, pt, 1.1, p4_variant="printed") > 1e-2
+        assert zero_curvature_residual(spec, pt, 1.1) <= 1e-12
 
 
 class TestGaugeF:

@@ -7,6 +7,7 @@ from cplab.errors import DimensionMismatch
 from cplab.phase import (Coupling, MatrixPhasePoint, SystemKind, SystemSpec,
                          TangentPair, level_set_target, moment_map,
                          on_level_set, symplectic_pairing)
+from cplab.reduction import ReducedPoint
 
 
 def cmat(rng, n):
@@ -42,6 +43,15 @@ class TestMomentMap:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             MatrixPhasePoint(np.eye(2), np.eye(3))
+
+    def test_time_real_or_complex(self):
+        # a real time stays a Python float (reports unchanged); the
+        # confluence identity at complex eps needs complex times
+        for t in (0.3, np.float64(0.3), 0.3 + 0j):
+            assert type(MatrixPhasePoint(np.eye(2), np.eye(2), t).t) is float
+            assert type(ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, t).t) is float
+        assert MatrixPhasePoint(np.eye(2), np.eye(2), 0.3 + 0.2j).t == 0.3 + 0.2j
+        assert ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, 0.3 + 0.2j).t == 0.3 + 0.2j
 
 
 class TestLevelSet:
