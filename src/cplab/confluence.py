@@ -92,24 +92,31 @@ def canonical_unshift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
     return MatrixPhasePoint(pt.q, pt.p - pt.q @ pt.q - (pt.t / 2) * I, pt.t)
 
 
-def _hamiltonians(point, cp: ConfluenceParams, kind: str, reduced: bool) -> tuple:
-    """(H_target(point), H_IV(image)): traces, or closed forms if reduced."""
+def _target_hamiltonian(point, theta: complex, kind: str, reduced: bool) -> complex:
+    """H_target(point): P_II (conf) or polynomial P_II (conf1); no eps in it."""
     if kind not in ("conf", "conf1"):
         raise ValueError(f"unknown confluence kind {kind!r}")
-    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
-                        theta=cp.theta)
-    if not reduced:
-        image, _ = (conf_map if kind == "conf" else conf_map_linear)(point, cp)
-        return matrix_hamiltonian(target, point), matrix_hamiltonian(p4_spec(cp), image)
-    if point.slice is not Slice.Q_DIAG:
+    if reduced and point.slice is not Slice.Q_DIAG:
         raise ValueError("reduced confluence lives on the Q_DIAG slice")
-    return (reduced_hamiltonian(target, point),
-            reduced_hamiltonian(p4_spec(cp), particle_conf_map(point, cp, kind)))
+    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
+                        theta=theta)
+    if reduced:
+        return reduced_hamiltonian(target, point)
+    return matrix_hamiltonian(target, point)
+
+
+def _image_hamiltonian(point, cp: ConfluenceParams, kind: str, reduced: bool) -> complex:
+    """H_IV at the confluence image: traces, or closed forms if reduced."""
+    if reduced:
+        return reduced_hamiltonian(p4_spec(cp), particle_conf_map(point, cp, kind))
+    image, _ = (conf_map if kind == "conf" else conf_map_linear)(point, cp)
+    return matrix_hamiltonian(p4_spec(cp), image)
 
 
 def _residual(point, cp: ConfluenceParams, kind: str, reduced: bool) -> float:
     """|H_target - (-eps H_IV(image) + n theta/(2 eps^2))|, which is |eps^2 R|."""
-    h_target, h_iv = _hamiltonians(point, cp, kind, reduced)
+    h_target = _target_hamiltonian(point, cp.theta, kind, reduced)
+    h_iv = _image_hamiltonian(point, cp, kind, reduced)
     shift = point.n * cp.theta / (2 * cp.eps ** 2)
     return float(abs(h_target - (-cp.eps * h_iv + shift)))
 
@@ -156,10 +163,11 @@ def identity_defect(point, theta: complex, kind: str = "conf",
     identity makes zero.  The DFT over the 32 points is unitary, so the
     maximum bounds every Laurent coefficient: every order is checked at once.
     """
+    h_target = _target_hamiltonian(point, theta, kind, reduced)
     R = remainder(embed(point) if reduced else point, kind)
     worst = scale = 0.0
     for e in UNIT_CIRCLE_EPS:
-        h_target, h_iv = _hamiltonians(point, ConfluenceParams(e, theta), kind, reduced)
+        h_iv = _image_hamiltonian(point, ConfluenceParams(e, theta), kind, reduced)
         image, shift, r = -e * h_iv, point.n * theta / (2 * e ** 2), e ** 2 * R
         worst = max(worst, abs(h_target - (image + shift) + r))
         scale = max(scale, abs(h_target), abs(image), abs(shift), abs(r))

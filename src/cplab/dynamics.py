@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Overflow, ParticleCollision
-from .hamiltonians import matrix_hamiltonian, matrix_vector_field, reduced_hamiltonian, \
-    reduced_vector_field, rk4_step
-from .lax import char_poly, lax_pair
-from .phase import MatrixPhasePoint, SystemSpec, level_set_target, moment_map
-from .reduction import ReducedPoint, Slice, collision_threshold, embed, min_gap, \
-    match_permutation, reduce
+from .hamiltonians import matrix_vector_field, reduced_hamiltonian, reduced_vector_field, \
+    rk4_step, trace_hamiltonian
+from .lax import charpoly_coefficients, lax_matrices
+from .phase import MatrixPhasePoint, SystemSpec, level_set_target
+from .reduction import ReducedPoint, Slice, collision_threshold, embed, \
+    embedded_matrices, min_gap, match_permutation, reduce
 
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
@@ -60,6 +60,8 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     interval so the endpoint lands on t1 with uniform steps.  Stages run on
     plain arrays; a point is built once per accepted step, after the
     overflow and collision checks, which the start state passes too.
+    Matrix-state energies and moment deviations are evaluated once, over
+    the stacked states of the finished (or partial) trajectory.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -77,10 +79,16 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
             return reduced_vector_field(spec, y[0], y[1], start.g, t, start.slice)
 
     g_monitor = g if g is not None else (None if matrix_state else start.g)
-    times, states, energy, mu_dev = [], [], [], []
+    times, states, energy = [], [], []
 
     def so_far():
-        return Trajectory(np.array(times), states, _pack_diag(energy, mu_dev), g_monitor)
+        diagnostics = {"energy": np.array(energy)}
+        if matrix_state and states:
+            q, p = stacked_matrices(states)
+            diagnostics = {
+                "energy": trace_hamiltonian(spec, q, p, spec.time(np.array(times))),
+                "moment_deviation": _moment_deviations(q, p, g_monitor)}
+        return Trajectory(np.array(times), states, diagnostics, g_monitor)
 
     t = t0
     for k in range(steps + 1):
@@ -103,8 +111,6 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
             raise ParticleCollision(f"collision at t={t:.6g}", partial=so_far())
         if matrix_state:
             state = MatrixPhasePoint(y[0], y[1], t)
-            energy.append(matrix_hamiltonian(spec, state))
-            mu_dev.append(_moment_deviation(state, g_monitor))
         else:
             state = ReducedPoint(y[0], y[1], start.g, t, start.slice)
             energy.append(reduced_hamiltonian(spec, state))
@@ -114,46 +120,47 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     return so_far()
 
 
-def _moment_deviation(pt: MatrixPhasePoint, g: float | None) -> float:
-    mu = moment_map(pt)
-    if g is None:
-        return float(np.abs(mu).max())
-    return float(np.abs(mu - level_set_target(pt.n, g)).max())
+def stacked_matrices(states: list) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) of a non-empty list of points as (len(states), n, n) arrays.
+
+    Reduced points are embedded at their slice, all in one array expression.
+    """
+    if isinstance(states[0], MatrixPhasePoint):
+        return np.array([s.q for s in states]), np.array([s.p for s in states])
+    x = states[0]
+    return embedded_matrices(np.array([s.positions for s in states]),
+                             np.array([s.momenta for s in states]), x.g, x.slice)
 
 
-def _pack_diag(energy, mu_dev):
-    d = {"energy": np.array(energy)}
-    if mu_dev:
-        d["moment_deviation"] = np.array(mu_dev)
-    return d
+def _moment_deviations(q: np.ndarray, p: np.ndarray, g: float | None) -> np.ndarray:
+    """max |[p, q] - i g (1 - v^T v)| of each stacked point (target 0 without g)."""
+    mu = p @ q - q @ p
+    if g is not None:
+        mu -= level_set_target(q.shape[-1], g)
+    return np.abs(mu).max(axis=(-2, -1))
 
 
 def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor,
                        g: float | None = None) -> dict:
     """Per-step moment-map deviation and char-poly coefficient drift.
 
-    For autonomous specs the drifts are conserved-quantity checks; for
-    non-autonomous ones they are reported as diagnostics only.
+    The states are stacked once; each lambda costs one Lax build over the
+    stack and one batched eigensolve.  For autonomous specs the drifts are
+    conserved-quantity checks; for non-autonomous ones they are reported as
+    diagnostics only.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
     gv = g if g is not None else traj.g
-    matrix_state = isinstance(traj.states[0], MatrixPhasePoint)
+    q, p = stacked_matrices(traj.states)
+    T = spec.time(traj.times)
 
     report: dict = {"autonomous": spec.autonomous,
-                    "conservation_asserted": bool(spec.autonomous)}
-    if matrix_state:
-        devs = [_moment_deviation(s, gv) for s in traj.states]
-        report["moment_deviation_max"] = float(np.max(devs))
-        points = traj.states
-    else:
-        points = [embed(s) for s in traj.states]
-        devs = [_moment_deviation(s, gv) for s in points]
-        report["moment_deviation_max"] = float(np.max(devs))
-
+                    "conservation_asserted": bool(spec.autonomous),
+                    "moment_deviation_max": float(_moment_deviations(q, p, gv).max())}
     drift = {}
     for lam in lam_monitor:
-        coeffs = np.array([char_poly(lax_pair(spec, s, lam).L) for s in points])
+        coeffs = charpoly_coefficients(lax_matrices(spec, q, p, T, lam)[0])
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
     report["charpoly_drift"] = drift
@@ -180,15 +187,12 @@ def dual_position_drift(traj: Trajectory) -> float:
     Along the free reduced flow these are the action variables: positions
     of the dual system, constant while the reduced positions move.
     """
-    ref = None
+    x = traj.states[0]
+    q, p = stacked_matrices(traj.states)
+    partner = p if x.slice is Slice.Q_DIAG else q
+    eigs = np.sort_complex(np.linalg.eigvals(partner))
     worst = 0.0
-    for s in traj.states:
-        pt = embed(s)
-        partner = pt.p if s.slice is Slice.Q_DIAG else pt.q
-        eigs = np.sort_complex(np.linalg.eigvals(partner))
-        if ref is None:
-            ref = eigs
-        else:
-            perm = match_permutation(ref, eigs)
-            worst = max(worst, float(np.abs(eigs[perm] - ref).max()))
+    for e in eigs[1:]:
+        perm = match_permutation(eigs[0], e)
+        worst = max(worst, float(np.abs(e[perm] - eigs[0]).max()))
     return worst

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedSystem
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec
+from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
 from .reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
                         embed, inverse_square_kernel, offdiag_sign)
 from .traces import a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum
@@ -27,50 +27,57 @@ from .traces import a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
     """Tr H(q, p, t) with the operator ordering of the matrix systems."""
-    q, p = pt.q, pt.p
-    T = spec.time(pt.t)
+    return complex(trace_hamiltonian(spec, pt.q, pt.p, spec.time(pt.t)))
+
+
+def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T):
+    """Tr H at each point of a stack, with matrix_hamiltonian's ordering.
+
+    q and p are (..., n, n); the effective time T = spec.time(t) broadcasts
+    over the leading axes.
+    """
+    def tr(a):
+        return np.trace(a, axis1=-2, axis2=-1)
+
     k = spec.kind
     if k is SystemKind.FREE:
-        val = np.trace(p @ p) / 2
-    elif k is SystemKind.HARM_OSC:
-        val = np.trace(p @ p) / 2 + spec.omega ** 2 * np.trace(q @ q) / 2
-    elif k is SystemKind.P_I:
-        val = np.trace(p @ p) / 2 - np.trace(q @ q @ q) / 2 - (T / 4) * np.trace(q)
-    elif k is SystemKind.P_II:
-        w = q @ q + (T / 2) * np.eye(pt.n, dtype=complex)
-        val = np.trace(p @ p) / 2 - np.trace(w @ w) / 2 - spec.theta * np.trace(q)
-    elif k is SystemKind.P_II_POLY:
-        val = (np.trace(p @ p) / 2 - np.trace(p @ q @ q)
-               - (T / 2) * np.trace(p) - spec.theta * np.trace(q))
-    elif k is SystemKind.P_IV:
-        val = (np.trace(p @ q @ p) - np.trace(p @ q @ q) - T * np.trace(p @ q)
-               + spec.theta0 * np.trace(p)
-               - (spec.theta0 + spec.theta1) * np.trace(q))
-    else:  # pragma: no cover
-        raise UnsupportedSystem(str(k))
-    return complex(val)
+        return tr(p @ p) / 2
+    if k is SystemKind.HARM_OSC:
+        return tr(p @ p) / 2 + spec.omega ** 2 * tr(q @ q) / 2
+    if k is SystemKind.P_I:
+        return tr(p @ p) / 2 - tr(q @ q @ q) / 2 - (T / 4) * tr(q)
+    if k is SystemKind.P_II:
+        w = add_to_diagonal(q @ q, T / 2)
+        return tr(p @ p) / 2 - tr(w @ w) / 2 - spec.theta * tr(q)
+    if k is SystemKind.P_II_POLY:
+        return (tr(p @ p) / 2 - tr(p @ q @ q)
+                - (T / 2) * tr(p) - spec.theta * tr(q))
+    if k is SystemKind.P_IV:
+        return (tr(p @ q @ p) - tr(p @ q @ q) - T * tr(p @ q)
+                + spec.theta0 * tr(p)
+                - (spec.theta0 + spec.theta1) * tr(q))
+    raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
 def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
     """(G_q, G_p) under dH = Tr(G_q dq) + Tr(G_p dp)."""
     T = spec.time(t)
-    I = np.eye(q.shape[0], dtype=complex)
     k = spec.kind
     if k is SystemKind.FREE:
         return np.zeros_like(q), p.copy()
     if k is SystemKind.HARM_OSC:
         return spec.omega ** 2 * q, p.copy()
     if k is SystemKind.P_I:
-        return -1.5 * q @ q - (T / 4) * I, p.copy()
+        return add_to_diagonal(-1.5 * q @ q, -(T / 4)), p.copy()
     if k is SystemKind.P_II:
-        return -(2 * q @ q @ q + T * q) - spec.theta * I, p.copy()
+        return add_to_diagonal(-(2 * q @ q @ q + T * q), -spec.theta), p.copy()
     if k is SystemKind.P_II_POLY:
-        gq = -(q @ p + p @ q) - spec.theta * I
-        gp = p - q @ q - (T / 2) * I
+        gq = add_to_diagonal(-(q @ p + p @ q), -spec.theta)
+        gp = add_to_diagonal(p - q @ q, -(T / 2))
         return gq, gp
     if k is SystemKind.P_IV:
-        gq = p @ p - q @ p - p @ q - T * p - (spec.theta0 + spec.theta1) * I
-        gp = q @ p + p @ q - q @ q - T * q + spec.theta0 * I
+        gq = add_to_diagonal(p @ p - q @ p - p @ q - T * p, -(spec.theta0 + spec.theta1))
+        gp = add_to_diagonal(q @ p + p @ q - q @ q - T * q, spec.theta0)
         return gq, gp
     raise UnsupportedSystem(str(k))  # pragma: no cover
 
@@ -138,7 +145,7 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
             return complex(diag + calogero)
         diag = np.sum(a ** 2 / 2 - (b ** 2 + T / 2) ** 2 / 2 - spec.theta * b)
         return complex(diag + _dual_p2_g2_block(b, W, T, g2)
-                       - (g2 * g2 / 2) * a4_total(a))
+                       - (g2 * g2 / 2) * a4_total(W))
 
     if k is SystemKind.P_II_POLY:
         if red:

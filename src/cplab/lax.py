@@ -24,7 +24,8 @@ import numpy as np
 from .errors import (DimensionMismatch, NonConvergedEigensolve, PoleAtLambda,
                      UnsupportedSystem)
 from .hamiltonians import matrix_vector_field
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
+from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
+                    add_to_diagonal)
 from .reduction import ReducedPoint, Slice, embed, inverse_square_kernel
 
 POLE_EPS = 1e-12
@@ -63,71 +64,115 @@ class SpectralSample:
         object.__setattr__(self, "coeffs", c)
 
 
-def _blocks(a, b, c, d) -> np.ndarray:
-    return np.block([[a, b], [c, d]])
+def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
+                 p4_variant: str = "corrected") -> tuple[np.ndarray, np.ndarray]:
+    """The pair (L, M) over stacked points and spectral parameters.
+
+    q and p are (..., n, n); the effective time T = spec.time(t) and lam
+    broadcast over the leading axes.  L and M come back as (..., 2n, 2n)
+    arrays, filled block by block.  The coefficients lam^2 and theta/lam
+    are formed in Python complex arithmetic, one lambda at a time: numpy's
+    vectorised complex loops round them differently, and this way every
+    point of a stack is bitwise the matrix of its own lax_pair call.
+    """
+    k = spec.kind
+    lam = np.asarray(lam, dtype=complex)
+    if k in (SystemKind.P_II, SystemKind.P_IV) and np.any(np.abs(lam) < POLE_EPS):
+        raise PoleAtLambda(f"{k.value} pair has a pole at lambda = 0")
+    if k is SystemKind.P_IV and p4_variant not in ("corrected", "printed"):
+        raise ValueError(f"unknown P_IV variant {p4_variant!r}")
+    q, p, T = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex), np.asarray(T)
+    n = q.shape[-1]
+    shape = np.broadcast_shapes(q.shape[:-2], p.shape[:-2], lam.shape, T.shape)
+    L = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
+    M = np.zeros_like(L)
+    L11, L12, L21, L22 = L[..., :n, :n], L[..., :n, n:], L[..., n:, :n], L[..., n:, n:]
+    M11, M12, M21, M22 = M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:]
+    l = lam[..., None, None]
+
+    def per_lambda(f):
+        return np.reshape([f(z) for z in lam.ravel().tolist()], lam.shape)
+
+    # one block at a time, so that at most one stack-sized temporary is alive
+    if k is SystemKind.FREE:
+        L11[...] = p
+        L22[...] = -p
+    elif k is SystemKind.HARM_OSC:
+        om = spec.omega
+        L11[...] = p
+        L12[...] = om * q
+        L21[...] = L12
+        L22[...] = -p
+        add_to_diagonal(M12, -(om / 2))
+        add_to_diagonal(M21, om / 2)
+    elif k is SystemKind.P_I:
+        L11[...] = p
+        L12[...] = -q
+        add_to_diagonal(L12, lam)
+        L21[...] = l * q
+        add_to_diagonal(L21, per_lambda(lambda z: z ** 2))
+        L21 += q @ q
+        add_to_diagonal(L21, T / 2)
+        L22[...] = -p
+        add_to_diagonal(M12, 0.5)
+        M21[...] = q
+        add_to_diagonal(M21, lam / 2)
+    elif k is SystemKind.P_II:
+        L11[...] = 1j * q @ q
+        add_to_diagonal(L11, 1j * (per_lambda(lambda z: z ** 2) / 2))
+        add_to_diagonal(L11, 1j * (T / 2))
+        L22[...] = -L11
+        theta_over_lam = per_lambda(lambda z: spec.theta / z)
+        L12[...] = l * q
+        L12 -= 1j * p
+        add_to_diagonal(L12, -theta_over_lam)
+        L21[...] = l * q
+        L21 += 1j * p
+        add_to_diagonal(L21, -theta_over_lam)
+        _p2_m(M, q, lam)
+    elif k is SystemKind.P_IV:
+        th0, th1 = spec.theta0, spec.theta1
+        X = add_to_diagonal(q @ p, th0 + th1)
+        L11[...] = p @ q / l
+        if p4_variant == "corrected":
+            np.negative(L11, out=L11)
+        L12[...] = X - (p @ q @ p + th0 * p) / l
+        L21[...] = q / l
+        add_to_diagonal(L21, 1.0)
+        L22[...] = add_to_diagonal(q @ p, th0) / l
+        add_to_diagonal(L22, T - lam)
+        if p4_variant == "corrected":
+            add_to_diagonal(M11, T / 2)
+            M12[...] = -X
+            add_to_diagonal(M21, -1.0)
+            M22[...] = -q
+            add_to_diagonal(M22, lam)
+            add_to_diagonal(M22, -(T / 2))
+        else:
+            _p2_m(M, q, lam)
+    else:
+        raise UnsupportedSystem(f"no printed pair for {k}")
+    return L, M
+
+
+def _p2_m(M: np.ndarray, q: np.ndarray, lam: np.ndarray):
+    """M = [[i lam/2, q], [q, -i lam/2]] of the P_II pair (and printed P_IV)."""
+    n = q.shape[-1]
+    add_to_diagonal(M[..., :n, :n], 1j * (lam / 2))
+    M[..., :n, n:] = q
+    M[..., n:, :n] = q
+    add_to_diagonal(M[..., n:, n:], -1j * (lam / 2))
 
 
 def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
              p4_variant: str = "corrected") -> LaxSample:
     """The isomonodromic/isospectral pair at spectral parameter lam.
 
-    Autonomous specs substitute tau for t inside both matrices.
+    One point of lax_matrices; autonomous specs substitute tau for t
+    inside both matrices.
     """
-    q, p = pt.q, pt.p
-    n = pt.n
-    I = np.eye(n, dtype=complex)
-    Z = np.zeros((n, n), dtype=complex)
-    T = spec.time(pt.t)
-    k = spec.kind
-    lam = complex(lam)
-
-    if k is SystemKind.FREE:
-        L = _blocks(p, Z, Z, -p)
-        M = np.zeros((2 * n, 2 * n), dtype=complex)
-        return LaxSample(lam, L, M)
-
-    if k is SystemKind.HARM_OSC:
-        om = spec.omega
-        L = _blocks(p, om * q, om * q, -p)
-        M = (om / 2) * _blocks(Z, -I, I, Z)
-        return LaxSample(lam, L, M)
-
-    if k is SystemKind.P_I:
-        L = _blocks(p, lam * I - q,
-                    lam ** 2 * I + lam * q + q @ q + (T / 2) * I, -p)
-        M = _blocks(Z, I / 2, (lam / 2) * I + q, Z)
-        return LaxSample(lam, L, M)
-
-    if k is SystemKind.P_II:
-        if abs(lam) < POLE_EPS:
-            raise PoleAtLambda("P_II pair has a pole at lambda = 0")
-        d = 1j * (lam ** 2 / 2) * I + 1j * q @ q + 1j * (T / 2) * I
-        L = _blocks(d, lam * q - 1j * p - (spec.theta / lam) * I,
-                    lam * q + 1j * p - (spec.theta / lam) * I, -d)
-        M = _blocks(1j * (lam / 2) * I, q, q, -1j * (lam / 2) * I)
-        return LaxSample(lam, L, M)
-
-    if k is SystemKind.P_IV:
-        if abs(lam) < POLE_EPS:
-            raise PoleAtLambda("P_IV pair has a pole at lambda = 0")
-        th0, th1 = spec.theta0, spec.theta1
-        X = q @ p + (th0 + th1) * I
-        res11 = (p @ q) / lam
-        if p4_variant == "corrected":
-            res11 = -res11
-        elif p4_variant != "printed":
-            raise ValueError(f"unknown P_IV variant {p4_variant!r}")
-        L = _blocks(res11,
-                    X - (p @ q @ p + th0 * p) / lam,
-                    I + q / lam,
-                    -lam * I + T * I + (q @ p + th0 * I) / lam)
-        if p4_variant == "corrected":
-            M = _blocks((T / 2) * I, -X, -I, lam * I - q - (T / 2) * I)
-        else:
-            M = _blocks(1j * (lam / 2) * I, q, q, -1j * (lam / 2) * I)
-        return LaxSample(lam, L, M)
-
-    raise UnsupportedSystem(f"no printed pair for {k}")
+    L, M = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), lam, p4_variant)
+    return LaxSample(complex(lam), L, M)
 
 
 def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex,
@@ -148,11 +193,7 @@ def char_poly(L: np.ndarray, method: str = "eig") -> np.ndarray:
         raise ValueError("char_poly needs a square matrix")
     k = L.shape[0]
     if method == "eig":
-        try:
-            w = np.linalg.eigvals(L)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NonConvergedEigensolve(str(exc)) from exc
-        return np.atleast_1d(np.poly(w)).astype(complex)
+        return charpoly_coefficients(L)
     if method == "faddeev":
         # Faddeev-LeVerrier recurrence: exact in rational arithmetic,
         # here a float cross-check of the eigenvalue route
@@ -164,6 +205,24 @@ def char_poly(L: np.ndarray, method: str = "eig") -> np.ndarray:
             coeffs[m] = -np.trace(L @ M) / m
         return coeffs
     raise ValueError(f"unknown method {method!r}")
+
+
+def charpoly_coefficients(L: np.ndarray) -> np.ndarray:
+    """Monic char-poly coefficients, leading first, of each matrix of a stack.
+
+    One batched eigensolve over L (..., k, k), then the np.poly product
+    recurrence c -> c * (mu - w_j) on all rows at once.
+    """
+    try:
+        w = np.linalg.eigvals(L)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NonConvergedEigensolve(str(exc)) from exc
+    k = w.shape[-1]
+    c = np.zeros(w.shape[:-1] + (k + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    for j in range(k):
+        c[..., 1:j + 2] -= w[..., j:j + 1] * c[..., :j + 1]
+    return c
 
 
 def default_lambda_grid(n_per_circle: int = 10,
@@ -204,22 +263,24 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
     k = 2 * pa.n
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
+    La = lax_matrices(spec, pa.q, pa.p, spec.time(pa.t), grid)[0]
+    Lb = lax_matrices(spec, pb.q, pb.p, spec.time(pb.t), grid)[0]
     worst = 0.0
-    for lam in grid:
-        La, Lb = lax_pair(spec, pa, lam).L, lax_pair(spec, pb, lam).L
-        radius = 2 * max(np.abs(La).sum(axis=1).max(), np.abs(Lb).sum(axis=1).max())
+    for la, lb in zip(La, Lb):
+        radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
         mu = (radius or 1.0) * circle
-        sign_a, log_a = np.linalg.slogdet(mu - La)
-        sign_b, log_b = np.linalg.slogdet(mu - Lb)
+        sign_a, log_a = np.linalg.slogdet(mu - la)
+        sign_b, log_b = np.linalg.slogdet(mu - lb)
         ratio = sign_a / sign_b * np.exp(log_a - log_b)
         worst = max(worst, float(np.abs(ratio - 1).max()))
     return worst < tol, worst
 
 
 def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> list[SpectralSample]:
-    grid = default_lambda_grid() if lam_grid is None else lam_grid
+    grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
     pt = _matrix_point(obj)
-    return [SpectralSample(lam, char_poly(lax_pair(spec, pt, lam).L)) for lam in grid]
+    L = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), grid)[0]
+    return [SpectralSample(lam, c) for lam, c in zip(grid, charpoly_coefficients(L))]
 
 
 # ---------------------------------------------------------------------------
@@ -244,18 +305,19 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     if perturb is not None:
         qdot, pdot = qdot + perturb.dq, pdot + perturb.dp
 
-    def L_at(s: float) -> np.ndarray:
-        ray = MatrixPhasePoint(pt.q + s * qdot, pt.p + s * pdot, pt.t + s)
-        return lax_pair(spec, ray, lam, p4_variant).L
-
-    sample = lax_pair(spec, pt, lam, p4_variant)
-    At = (8 * (L_at(1) - L_at(-1)) - (L_at(2) - L_at(-2))) / 12
-    commutator = sample.L @ sample.M - sample.M @ sample.L
+    # the point itself, then the stencil points s = 1, -1, 2, -2 of the ray
+    s = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
+    ray = s[:, None, None]
+    L, M = lax_matrices(spec, pt.q + ray * qdot, pt.p + ray * pdot,
+                        spec.time(pt.t + s), lam, p4_variant)
+    At = (8 * (L[1] - L[2]) - (L[3] - L[4])) / 12
+    commutator = L[0] @ M[0] - M[0] @ L[0]
     residual = At + commutator
     if not spec.autonomous:
         d = abs(lam) / 2 or 0.5  # keeps lam +- d off the pole at 0
-        residual -= (lax_pair(spec, pt, lam + d, p4_variant).M
-                     - lax_pair(spec, pt, lam - d, p4_variant).M) / (2 * d)
+        M_pm = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), [lam + d, lam - d],
+                            p4_variant)[1]
+        residual -= (M_pm[0] - M_pm[1]) / (2 * d)
     scale = max(np.abs(At).max(), np.abs(commutator).max()) or 1.0
     return float(np.abs(residual).max() / scale)
 

@@ -130,6 +130,31 @@ class SystemSpec:
         return self.tau if self.autonomous else t
 
 
+def fill_diagonal(a: np.ndarray, value) -> np.ndarray:
+    """Set the diagonal of each matrix of the stack a (..., n, n) in place.
+
+    value is a scalar or the diagonal entries (..., n).  Returns a.
+    """
+    if a.ndim == 2:
+        np.fill_diagonal(a, value)
+    else:
+        np.einsum("...ii->...i", a)[...] = value
+    return a
+
+
+def add_to_diagonal(a: np.ndarray, s) -> np.ndarray:
+    """a + s * 1 in place on each matrix of the stack a (..., n, n); returns a.
+
+    s is a scalar or broadcasts over the leading axes.  Adding s * eye(n)
+    would change the off-diagonal entries by an exact 0 only.
+    """
+    if a.ndim == 2:
+        a.flat[:: a.shape[-1] + 1] += s
+    else:
+        np.einsum("...ii->...i", a)[...] += np.asarray(s)[..., None]
+    return a
+
+
 def moment_map(pt: MatrixPhasePoint) -> np.ndarray:
     """mu = [p, q] = p q - q p; traceless by construction."""
     return pt.p @ pt.q - pt.q @ pt.p

@@ -26,7 +26,8 @@ from .errors import (
     ParticleCollision,
     ZeroColumnSum,
 )
-from .phase import MatrixPhasePoint, as_time, coupling_value, on_level_set
+from .phase import (MatrixPhasePoint, as_time, coupling_value, fill_diagonal,
+                    on_level_set)
 
 # relative guards against 1/(x_i - x_j) blowups and near-degenerate spectra;
 # the eigensolve guard sits above sqrt(eps), where defective pairs land
@@ -50,10 +51,12 @@ def offdiag_sign(s: Slice) -> int:
 
 
 def calogero_block(x: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
-    """sign * i g / (x_i - x_j) off the diagonal, zero on it."""
-    K = sign * 1j * g / (x[:, None] - x[None, :] + np.eye(x.shape[0]))
-    np.fill_diagonal(K, 0.0)
-    return K
+    """sign * i g / (x_i - x_j) off the diagonal, zero on it.
+
+    x is one vector of n coordinates or a stack (..., n) of them.
+    """
+    diff = fill_diagonal(x[..., :, None] - x[..., None, :], 1.0)
+    return fill_diagonal(sign * 1j * g / diff, 0.0)
 
 
 def inverse_square_kernel(x: np.ndarray) -> np.ndarray:
@@ -118,8 +121,8 @@ def min_gap(x: np.ndarray) -> float:
     if x.size < 2:
         return np.inf
     diff = x[:, None] - x[None, :]
-    off = np.abs(diff[~np.eye(x.size, dtype=bool)])
-    return float(off.min())
+    np.fill_diagonal(diff, np.inf)
+    return float(np.abs(diff).min())
 
 
 def collision_guard(x: np.ndarray):
@@ -205,12 +208,24 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
 
 def embed(x: ReducedPoint) -> MatrixPhasePoint:
     """Rebuild the slice-diagonal matrix representative of a reduced point."""
-    a = x.positions
-    collision_guard(a)
-    resolved = np.diag(x.momenta) + calogero_block(a, x.g, offdiag_sign(x.slice))
-    if x.slice is Slice.Q_DIAG:
-        return MatrixPhasePoint(np.diag(a), resolved, x.t)
-    return MatrixPhasePoint(resolved, np.diag(a), x.t)
+    collision_guard(x.positions)
+    q, p = embedded_matrices(x.positions, x.momenta, x.g, x.slice)
+    return MatrixPhasePoint(q, p, x.t)
+
+
+def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
+                      slice: Slice) -> tuple[np.ndarray, np.ndarray]:
+    """(q, p) of the slice-diagonal representatives, as arrays.
+
+    positions and momenta are (..., n): one reduced point or a stack of
+    them (guarded against collisions by their ReducedPoints).
+    """
+    n = positions.shape[-1]
+    diagonal = fill_diagonal(np.zeros(positions.shape + (n,), dtype=complex), positions)
+    resolved = fill_diagonal(calogero_block(positions, g, offdiag_sign(slice)), momenta)
+    if slice is Slice.Q_DIAG:
+        return diagonal, resolved
+    return resolved, diagonal
 
 
 def dual_of(x: ReducedPoint, tol: float = 1e-8) -> ReducedPoint:

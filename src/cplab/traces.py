@@ -87,12 +87,12 @@ def a4_quad_sum(x: np.ndarray) -> complex:
     return total
 
 
-def a4_total(x: np.ndarray) -> complex:
+def a4_total(W: np.ndarray) -> complex:
     """Tr(A^4) = 2 S.S - sum W o W: the pair and triple classes.
 
+    Takes the kernel W = inverse_square_kernel(x) that the caller holds.
     The quadruple class is zero and left out.
     """
-    W = inverse_square_kernel(x)
     S = W.sum(axis=1)
     return complex(2.0 * (S @ S) - (W * W).sum())
 
@@ -114,7 +114,7 @@ def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
     tr_d2a2 = (d * d) @ W.sum(axis=1)
     tr_dada = d @ W @ d
     return complex(np.sum(d ** 4) + 2.0 * g ** 2 * (2.0 * tr_d2a2 + tr_dada)
-                   + g ** 4 * a4_total(x))
+                   + g ** 4 * a4_total(W))
 
 
 def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:

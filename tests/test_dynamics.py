@@ -4,7 +4,10 @@ import pytest
 from cplab.dynamics import (dual_position_drift, equivariance_check, integrate,
                             monitor_invariants)
 from cplab.errors import Overflow, ParticleCollision
-from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
+from cplab.hamiltonians import matrix_hamiltonian
+from cplab.lax import lax_pair
+from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
+                         moment_map)
 from cplab.reduction import ReducedPoint, Slice, embed
 from cplab.sampling import random_reduced, spec_for
 
@@ -110,6 +113,116 @@ class TestMonitor:
         rep = monitor_invariants(spec, traj, [1.0], g=1.0)
         assert max(rep["charpoly_drift"].values()) < 1e-12
         assert rep["energy_drift"] < 1e-12
+
+
+def per_state_monitor(spec, traj, lams, g):
+    """The monitor as a loop over states: embed, lax_pair, np.poly of eigvals."""
+    points = [s if isinstance(s, MatrixPhasePoint) else embed(s) for s in traj.states]
+    target = 0.0 if g is None else level_set_target(points[0].n, g)
+    dev = max(float(np.abs(moment_map(pt) - target).max()) for pt in points)
+    drift = {}
+    for lam in lams:
+        coeffs = np.array([np.poly(np.linalg.eigvals(lax_pair(spec, pt, lam).L))
+                           for pt in points])
+        scale = np.maximum(1.0, np.abs(coeffs[0]))
+        drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
+    return dev, drift
+
+
+def monitor_cases():
+    """(spec, trajectory, g): matrix and reduced states, autonomous or not."""
+    rng = np.random.default_rng(7)
+    aut_p1 = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+    aut_p2 = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    x0 = random_reduced(rng, 3, 0.6, mom_scale=0.3)
+    xp = random_reduced(rng, 3, 0.6, Slice.P_DIAG, mom_scale=0.3)
+    return {
+        "matrix_autonomous": (aut_p1, integrate(aut_p1, embed(x0), 0.0, 0.1, 1e-3,
+                                                g=0.6), 0.6),
+        "reduced_q_slice": (aut_p2, integrate(aut_p2, x0, 0.0, 0.1, 1e-3), None),
+        "reduced_p_slice": (aut_p1, integrate(aut_p1, xp, 0.0, 0.1, 1e-3), None),
+        "matrix_nonautonomous": (spec_for(SystemKind.P_II),
+                                 integrate(spec_for(SystemKind.P_II), embed(x0), 0.2,
+                                           0.3, 1e-3, g=0.6), 0.6),
+        "reduced_nonautonomous": (spec_for(SystemKind.P_IV),
+                                  integrate(spec_for(SystemKind.P_IV), x0, 0.2, 0.3,
+                                            1e-3), None),
+    }
+
+
+@pytest.fixture(scope="module")
+def monitored():
+    return monitor_cases()
+
+
+class TestStackedMonitor:
+    LAMS = (1.0, 2.0j, 0.7 - 0.4j)
+
+    @pytest.mark.parametrize("case", ["matrix_autonomous", "reduced_q_slice",
+                                      "reduced_p_slice", "matrix_nonautonomous",
+                                      "reduced_nonautonomous"])
+    def test_matches_per_state_charpoly(self, monitored, case):
+        spec, traj, g = monitored[case]
+        rep = monitor_invariants(spec, traj, self.LAMS, g=g)
+        dev, drift = per_state_monitor(spec, traj, self.LAMS,
+                                       g if g is not None else traj.g)
+        assert abs(rep["moment_deviation_max"] - dev) <= 1e-12
+        assert rep["charpoly_drift"].keys() == drift.keys()
+        for lam in drift:
+            assert abs(rep["charpoly_drift"][lam] - drift[lam]) <= 1e-12, lam
+
+    @pytest.mark.parametrize("case", ["matrix_autonomous", "reduced_p_slice"])
+    def test_one_eigensolve_per_lambda(self, monkeypatch, monitored, case):
+        spec, traj, g = monitored[case]
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return eigvals(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        monitor_invariants(spec, traj, self.LAMS, g=g)
+        assert len(calls) == len(self.LAMS)
+        assert all(shape[0] == len(traj.states) for shape in calls)
+
+    def test_dual_position_drift_one_eigensolve(self, monkeypatch, monitored):
+        _, traj, _ = monitored["reduced_q_slice"]
+        calls = []
+        eigvals = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals",
+                            lambda a: calls.append(1) or eigvals(a))
+        dual_position_drift(traj)
+        assert len(calls) == 1
+
+
+class TestBatchedDiagnostics:
+    @staticmethod
+    def _assert_per_state(spec, traj, g):
+        energy = traj.diagnostics["energy"]
+        assert len(energy) == len(traj.states)
+        ref = np.array([matrix_hamiltonian(spec, s) for s in traj.states])
+        assert (np.abs(energy - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))).all()
+        target = level_set_target(traj.states[0].n, g)
+        ref_dev = [np.abs(moment_map(s) - target).max() for s in traj.states]
+        assert np.array_equal(traj.diagnostics["moment_deviation"], ref_dev)
+
+    @pytest.mark.parametrize("kind", list(SystemKind))
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_energies_equal_per_state_hamiltonian(self, rng, kind, autonomous):
+        spec = spec_for(kind, autonomous=autonomous, tau=0.8 if autonomous else None)
+        start = embed(random_reduced(rng, 3, 1.0, t=0.1, mom_scale=0.3))
+        traj = integrate(spec, start, 0.1, 0.15, 1e-2, g=1.0)
+        self._assert_per_state(spec, traj, 1.0)
+
+    def test_overflow_partial_carries_a_value_per_state(self):
+        spec = spec_for(SystemKind.P_II)
+        start = MatrixPhasePoint([[12.0, 6.0], [-9.0, 18.0]], [[24.0, -12.0], [6.0, 30.0]])
+        with pytest.raises(Overflow) as exc_info:
+            integrate(spec, start, 0.0, 5.0, 1e-2, g=1.0)
+        partial = exc_info.value.partial
+        assert len(partial.states) > 2
+        self._assert_per_state(spec, partial, 1.0)
 
 
 class TestEquivariance:

@@ -4,9 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
-from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_pair,
-                       reduced_lax, reduced_m, spectral_match,
-                       zero_curvature_residual)
+from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
+                       gauge_F, lax_matrices, lax_pair, reduced_lax, reduced_m,
+                       spectral_match, zero_curvature_residual)
 from cplab.dynamics import integrate
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from cplab.reduction import ReducedPoint, Slice, embed, reduce
@@ -61,10 +61,122 @@ class TestLaxPair:
         assert np.abs(eig_l[perm] - expect).max() < 1e-10
 
 
+def reference_pair(spec, pt, lam, p4_variant="corrected"):
+    """The point-level np.block formulas that lax_matrices replaced."""
+    q, p, n = pt.q, pt.p, pt.n
+    I = np.eye(n, dtype=complex)
+    Z = np.zeros((n, n), dtype=complex)
+    T = spec.time(pt.t)
+    lam = complex(lam)
+    k = spec.kind
+
+    def blocks(a, b, c, d):
+        return np.block([[a, b], [c, d]])
+
+    if k is SystemKind.FREE:
+        return blocks(p, Z, Z, -p), np.zeros((2 * n, 2 * n), dtype=complex)
+    if k is SystemKind.HARM_OSC:
+        om = spec.omega
+        return blocks(p, om * q, om * q, -p), (om / 2) * blocks(Z, -I, I, Z)
+    if k is SystemKind.P_I:
+        return (blocks(p, lam * I - q,
+                       lam ** 2 * I + lam * q + q @ q + (T / 2) * I, -p),
+                blocks(Z, I / 2, (lam / 2) * I + q, Z))
+    p2_m = blocks(1j * (lam / 2) * I, q, q, -1j * (lam / 2) * I)
+    if k is SystemKind.P_II:
+        d = 1j * (lam ** 2 / 2) * I + 1j * q @ q + 1j * (T / 2) * I
+        return (blocks(d, lam * q - 1j * p - (spec.theta / lam) * I,
+                       lam * q + 1j * p - (spec.theta / lam) * I, -d), p2_m)
+    th0, th1 = spec.theta0, spec.theta1
+    X = q @ p + (th0 + th1) * I
+    res11 = (p @ q) / lam
+    L = blocks(-res11 if p4_variant == "corrected" else res11,
+               X - (p @ q @ p + th0 * p) / lam,
+               I + q / lam,
+               -lam * I + T * I + (q @ p + th0 * I) / lam)
+    if p4_variant == "corrected":
+        return L, blocks((T / 2) * I, -X, -I, lam * I - q - (T / 2) * I)
+    return L, p2_m
+
+
+# every kind with a pair, P_IV in both variants
+PAIR_CASES = [(SystemKind.FREE, "corrected"), (SystemKind.HARM_OSC, "corrected"),
+              (SystemKind.P_I, "corrected"), (SystemKind.P_II, "corrected"),
+              (SystemKind.P_IV, "corrected"), (SystemKind.P_IV, "printed")]
+
+
+def generic_spec(kind, autonomous=False):
+    return SystemSpec(kind, autonomous=autonomous, tau=0.7 if autonomous else None,
+                      theta=0.4 - 0.3j, theta0=0.6 + 0.2j, theta1=-0.9,
+                      omega=1.3)
+
+
+class TestLaxMatrices:
+    @pytest.mark.parametrize("kind,variant", PAIR_CASES)
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_stack_equals_point_loop(self, rng, kind, variant, autonomous):
+        # 5 states at their own times, 3 lambdas: a (3, 5, 2n, 2n) stack
+        spec = generic_spec(kind, autonomous)
+        n = 3
+        q = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        p = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        t = rng.normal(size=5)
+        lams = np.array([0.8 + 0.3j, -1.7j, 2.1])
+        L, M = lax_matrices(spec, q, p, spec.time(t), lams[:, None], variant)
+        assert L.shape == M.shape == (3, 5, 2 * n, 2 * n)
+        for i, lam in enumerate(lams):
+            for j in range(5):
+                ref = lax_pair(spec, MatrixPhasePoint(q[j], p[j], t[j]), lam, variant)
+                for got, want in ((L[i, j], ref.L), (M[i, j], ref.M)):
+                    scale = max(np.abs(want).max(), 1e-300)
+                    assert np.abs(got - want).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("kind,variant", PAIR_CASES)
+    def test_lax_pair_bitwise_as_before(self, kind, variant):
+        # fixed inputs, real and complex times, n = 1..4
+        rng = np.random.default_rng(2024)
+        for n in range(1, 5):
+            for t in (0.35, 0.2 - 0.6j):
+                for autonomous in (False, True):
+                    spec = generic_spec(kind, autonomous)
+                    pt = MatrixPhasePoint(
+                        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                        rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), t)
+                    lam = complex(*rng.normal(size=2))
+                    sample = lax_pair(spec, pt, lam, variant)
+                    L, M = reference_pair(spec, pt, lam, variant)
+                    assert np.array_equal(sample.L, L)
+                    assert np.array_equal(sample.M, M)
+
+    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
+    def test_stacked_lambda_at_the_pole_raises(self, rng, kind):
+        q = rng.normal(size=(4, 2, 2))
+        with pytest.raises(PoleAtLambda):
+            lax_matrices(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
+
+    def test_entire_pairs_accept_lambda_zero(self, rng):
+        q = rng.normal(size=(4, 2, 2))
+        for kind in (SystemKind.P_I, SystemKind.HARM_OSC):
+            L, _ = lax_matrices(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
+            assert L.shape == (3, 4, 4, 4)
+
+    def test_kinds_without_a_pair_raise(self):
+        q = np.zeros((2, 1, 1))
+        with pytest.raises(UnsupportedSystem):
+            lax_matrices(spec_for(SystemKind.P_II_POLY), q, q, 0.0, 1.0)
+
+
 class TestCharPoly:
     def test_identity(self):
         coeffs = char_poly(np.eye(3))
         assert np.abs(coeffs - np.array([1, -3, 3, -1])).max() < 1e-12
+
+    def test_stack_matches_np_poly(self, rng):
+        L = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
+        coeffs = charpoly_coefficients(L)
+        for c, Li in zip(coeffs, L):
+            ref = np.poly(np.linalg.eigvals(Li))
+            assert (np.abs(c - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
 
     @given(seed=st.integers(0, 10 ** 6))
     def test_methods_agree(self, seed):

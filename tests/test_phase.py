@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from cplab.errors import DimensionMismatch
 from cplab.phase import (Coupling, MatrixPhasePoint, SystemKind, SystemSpec,
-                         TangentPair, level_set_target, moment_map,
-                         on_level_set, symplectic_pairing)
+                         TangentPair, add_to_diagonal, fill_diagonal,
+                         level_set_target, moment_map, on_level_set,
+                         symplectic_pairing)
 from cplab.reduction import ReducedPoint
 
 
@@ -52,6 +53,32 @@ class TestMomentMap:
             assert type(ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, t).t) is float
         assert MatrixPhasePoint(np.eye(2), np.eye(2), 0.3 + 0.2j).t == 0.3 + 0.2j
         assert ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, 0.3 + 0.2j).t == 0.3 + 0.2j
+
+
+class TestDiagonalHelpers:
+    def test_add_to_diagonal_adds_s_times_identity(self, rng):
+        a = cmat(rng, 3)
+        assert np.array_equal(add_to_diagonal(a.copy(), 0.3 - 0.2j),
+                              a + (0.3 - 0.2j) * np.eye(3))
+        stack = rng.normal(size=(2, 4, 3, 3)) + 0j
+        s = rng.normal(size=(2, 4))
+        assert np.array_equal(add_to_diagonal(stack.copy(), s),
+                              stack + s[..., None, None] * np.eye(3))
+
+    def test_writes_through_block_views(self):
+        big = np.zeros((3, 4, 4), dtype=complex)
+        add_to_diagonal(big[0, :2, 2:], 1.5)
+        add_to_diagonal(big[:, 2:, :2], np.array([1.0, 2.0, 3.0]))
+        fill_diagonal(big[1, :2, :2], [7.0, 8.0])
+        assert big[0, 0, 2] == big[0, 1, 3] == 1.5
+        assert [big[i, 3, 1] for i in range(3)] == [1.0, 2.0, 3.0]
+        assert (big[1, 0, 0], big[1, 1, 1]) == (7.0, 8.0)
+        assert np.count_nonzero(big) == 2 + 6 + 2
+
+    def test_fill_diagonal_on_stacks(self):
+        a = fill_diagonal(np.ones((2, 3, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+        assert np.array_equal(np.diagonal(a, axis1=-2, axis2=-1), [[1, 2, 3], [4, 5, 6]])
+        assert a[1, 0, 2] == 1.0
 
 
 class TestLevelSet:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from cplab.errors import (DegenerateSpectrum, NotOnLevelSet,
                           OffDiagonalMismatch, ParticleCollision, ZeroColumnSum)
 from cplab.phase import MatrixPhasePoint, moment_map, level_set_target
-from cplab.reduction import (ReducedPoint, Slice, dual_of, embed,
-                             match_permutation, normalized_diagonalizer,
-                             permuted_deviation, reduce)
+from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed,
+                             embedded_matrices, match_permutation, min_gap,
+                             normalized_diagonalizer, permuted_deviation, reduce)
 from cplab.sampling import random_level_set_point, random_reduced
 
 
@@ -71,6 +71,29 @@ class TestEmbed:
     def test_collision_guard(self):
         with pytest.raises(ParticleCollision):
             ReducedPoint([1.0, 1.0 + 1e-12], [0.0, 0.0], 1.0)
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_stack_equals_per_point_embed(self, rng, sl):
+        points = [random_reduced(rng, 4, 0.9, sl) for _ in range(6)]
+        q, p = embedded_matrices(np.array([x.positions for x in points]),
+                                 np.array([x.momenta for x in points]), 0.9, sl)
+        assert q.shape == p.shape == (6, 4, 4)
+        for i, x in enumerate(points):
+            pt = embed(x)
+            assert np.array_equal(q[i], pt.q) and np.array_equal(p[i], pt.p)
+
+    def test_calogero_block_worked_and_stacked(self):
+        x = np.array([0.0, 1.0, 3.0])
+        K = calogero_block(x, 2.0, -1)
+        expect = -2j / (x[:, None] - x[None, :] + np.eye(3))
+        np.fill_diagonal(expect, 0.0)
+        assert np.array_equal(K, expect)
+        assert np.array_equal(calogero_block(np.array([x, x + 1.0]), 2.0, -1),
+                              np.array([K, K]))
+
+    def test_min_gap_ignores_the_diagonal(self):
+        assert min_gap(np.array([0.0, 2.5, 1.0 + 1j])) == np.sqrt(2.0)
+        assert min_gap(np.array([4.0])) == np.inf
 
 
 class TestReduce:
