@@ -19,7 +19,7 @@ def demo(eps: float, theta: float):
         xd = ReducedPoint([0.3, 1.7], [-0.2, 0.6], g, 0.1, Slice.P_DIAG)
         cp = ConfluenceParams(eps, theta)
         full = dual_confluence_breakdown(xd, cp)
-        lin = dual_confluence_breakdown(xd, cp, use_linear=True)
+        lin = dual_confluence_breakdown(xd, cp, "conf1")
         print(f"{g:8.3f}  {full['eigenbasis_misalignment']:16.3e}  "
               f"{full['naive_map_deviation']:17.3e}  "
               f"{lin['eigenbasis_misalignment']:18.3e}")

@@ -209,8 +209,7 @@ def cmd_simulate(cfg, rng, out):
         "energy_final": traj.diagnostics["energy"][-1],
     }
     if monitors and spec.kind is not SystemKind.P_II_POLY:
-        report["invariants"] = monitor_invariants(spec, traj, monitors,
-                                                  g=cfg.get("g"))
+        report["invariants"] = monitor_invariants(spec, traj, monitors)
     csv_name = cfg.get("output", {}).get("trajectory_csv", "trajectory.csv")
     write_trajectory_csv(traj, out, csv_name)
     report["trajectory_csv"] = csv_name

@@ -22,8 +22,8 @@ import numpy as np
 
 from .hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
-from .reduction import ReducedPoint, Slice, embed, match_permutation, \
-    normalized_diagonalizer, reduce
+from .reduction import ReducedPoint, Slice, embed, matrix_point, \
+    normalized_diagonalizer, permuted_deviation, reduce
 
 # eps_k = exp(2 pi i (k + 1/2) / 32): off the real axis, with |theta0| = 1/4,
 # so no term of the identity is large and nothing cancels
@@ -51,34 +51,17 @@ class ConfluenceParams:
         return self.theta + 1.0 / (4 * self.eps ** 6)
 
 
-def p4_spec(cp: ConfluenceParams, autonomous: bool = False,
-            tau: float | None = None) -> SystemSpec:
-    return SystemSpec(SystemKind.P_IV, autonomous=autonomous, tau=tau,
-                      theta0=cp.theta0, theta1=cp.theta1)
+def p4_spec(cp: ConfluenceParams) -> SystemSpec:
+    return SystemSpec(SystemKind.P_IV, theta0=cp.theta0, theta1=cp.theta1)
 
 
 def map_time(t: float, cp: ConfluenceParams) -> float:
     return (1.0 - cp.eps ** 4 * t) / cp.eps ** 3
 
 
-def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams):
-    """Full confluence symplectomorphism (quadratic in q on the p-side)."""
-    e = cp.eps
-    I = np.eye(pt.n, dtype=complex)
-    q4 = -(0.5 * I + e ** 2 * pt.q) / e ** 3
-    p4 = -e * (pt.p + pt.q @ pt.q + (pt.t / 2) * I)
-    image = MatrixPhasePoint(q4, p4, map_time(pt.t, cp))
-    return image, {"theta0": cp.theta0, "theta1": cp.theta1}
-
-
-def conf_map_linear(pt: MatrixPhasePoint, cp: ConfluenceParams):
-    """The variant linear in both q and p, targeting the polynomial P_II form."""
-    e = cp.eps
-    I = np.eye(pt.n, dtype=complex)
-    q4 = -(0.5 * I + e ** 2 * pt.q) / e ** 3
-    p4 = -e * pt.p
-    image = MatrixPhasePoint(q4, p4, map_time(pt.t, cp))
-    return image, {"theta0": cp.theta0, "theta1": cp.theta1}
+def _check_kind(kind: str):
+    if kind not in ("conf", "conf1"):
+        raise ValueError(f"unknown confluence kind {kind!r}")
 
 
 def canonical_shift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
@@ -87,75 +70,72 @@ def canonical_shift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
     return MatrixPhasePoint(pt.q, pt.p + pt.q @ pt.q + (pt.t / 2) * I, pt.t)
 
 
-def canonical_unshift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
-    I = np.eye(pt.n, dtype=complex)
-    return MatrixPhasePoint(pt.q, pt.p - pt.q @ pt.q - (pt.t / 2) * I, pt.t)
+def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams,
+             kind: str = "conf") -> MatrixPhasePoint:
+    """The confluence symplectomorphism onto P_IV with parameters p4_spec(cp).
 
-
-def _target_hamiltonian(point, theta: complex, kind: str, reduced: bool) -> complex:
-    """H_target(point): P_II (conf) or polynomial P_II (conf1); no eps in it."""
-    if kind not in ("conf", "conf1"):
-        raise ValueError(f"unknown confluence kind {kind!r}")
-    if reduced and point.slice is not Slice.Q_DIAG:
-        raise ValueError("reduced confluence lives on the Q_DIAG slice")
-    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
-                        theta=theta)
-    if reduced:
-        return reduced_hamiltonian(target, point)
-    return matrix_hamiltonian(target, point)
-
-
-def _image_hamiltonian(point, cp: ConfluenceParams, kind: str, reduced: bool) -> complex:
-    """H_IV at the confluence image: traces, or closed forms if reduced."""
-    if reduced:
-        return reduced_hamiltonian(p4_spec(cp), particle_conf_map(point, cp, kind))
-    image, _ = (conf_map if kind == "conf" else conf_map_linear)(point, cp)
-    return matrix_hamiltonian(p4_spec(cp), image)
-
-
-def _residual(point, cp: ConfluenceParams, kind: str, reduced: bool) -> float:
-    """|H_target - (-eps H_IV(image) + n theta/(2 eps^2))|, which is |eps^2 R|."""
-    h_target = _target_hamiltonian(point, cp.theta, kind, reduced)
-    h_iv = _image_hamiltonian(point, cp, kind, reduced)
-    shift = point.n * cp.theta / (2 * cp.eps ** 2)
-    return float(abs(h_target - (-cp.eps * h_iv + shift)))
-
-
-def confluence_residual(pt: MatrixPhasePoint, cp: ConfluenceParams,
-                        kind: str = "conf") -> float:
-    """|eps^2 R| through the matrix traces (loses digits as eps -> 0)."""
-    return _residual(pt, cp, kind, reduced=False)
+    conf1 is linear in q and p and targets the polynomial P_II form; conf
+    targets P_II and is conf1 after canonical_shift (quadratic in q on the
+    p-side).
+    """
+    _check_kind(kind)
+    e = cp.eps
+    w = canonical_shift(pt).p if kind == "conf" else pt.p
+    q4 = -(0.5 * np.eye(pt.n, dtype=complex) + e ** 2 * pt.q) / e ** 3
+    return MatrixPhasePoint(q4, -e * w, map_time(pt.t, cp))
 
 
 def particle_conf_map(x: ReducedPoint, cp: ConfluenceParams,
                       kind: str = "conf") -> ReducedPoint:
     """Particle-wise confluence on the Q_DIAG slice coordinates."""
+    _check_kind(kind)
     e = cp.eps
+    w = x.momenta + x.positions ** 2 + x.t / 2 if kind == "conf" else x.momenta
     a4 = -(0.5 + e ** 2 * x.positions) / e ** 3
-    if kind == "conf":
-        b4 = -e * (x.momenta + x.positions ** 2 + x.t / 2)
-    elif kind == "conf1":
-        b4 = -e * x.momenta
-    else:
-        raise ValueError(f"unknown confluence kind {kind!r}")
-    return ReducedPoint(a4, b4, x.g, map_time(x.t, cp), x.slice)
+    return ReducedPoint(a4, -e * w, x.g, map_time(x.t, cp), x.slice)
 
 
-def reduced_confluence_residual(x: ReducedPoint, cp: ConfluenceParams,
-                                kind: str = "conf") -> float:
-    """Same residual through the closed-form reduced Hamiltonians (Q_DIAG)."""
-    return _residual(x, cp, kind, reduced=True)
+def _hamiltonian(spec: SystemSpec, point) -> complex:
+    """Closed form at a reduced point, trace at a matrix point."""
+    if isinstance(point, ReducedPoint):
+        if point.slice is not Slice.Q_DIAG:
+            raise ValueError("reduced confluence lives on the Q_DIAG slice")
+        return reduced_hamiltonian(spec, point)
+    return matrix_hamiltonian(spec, point)
+
+
+def _target_hamiltonian(point, theta: complex, kind: str) -> complex:
+    """H_target(point): P_II (conf) or polynomial P_II (conf1); no eps in it."""
+    return _hamiltonian(
+        SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
+                   theta=theta), point)
+
+
+def _image_hamiltonian(point, cp: ConfluenceParams, kind: str) -> complex:
+    """H_IV at the confluence image of a matrix or a reduced point."""
+    mapper = particle_conf_map if isinstance(point, ReducedPoint) else conf_map
+    return _hamiltonian(p4_spec(cp), mapper(point, cp, kind))
+
+
+def confluence_residual(point, cp: ConfluenceParams, kind: str = "conf") -> float:
+    """|H_target - (-eps H_IV(image) + n theta/(2 eps^2))|, which is |eps^2 R|.
+
+    A matrix point goes through the traces, a reduced (Q_DIAG) point
+    through the closed forms; both lose digits as eps -> 0.
+    """
+    h_target = _target_hamiltonian(point, cp.theta, kind)
+    h_iv = _image_hamiltonian(point, cp, kind)
+    shift = point.n * cp.theta / (2 * cp.eps ** 2)
+    return float(abs(h_target - (-cp.eps * h_iv + shift)))
 
 
 def remainder(pt: MatrixPhasePoint, kind: str = "conf") -> complex:
     """R = Tr(w q w) - t Tr(w q): w = p + q^2 + t/2 (conf) or w = p (conf1)."""
-    q, p, t = pt.q, pt.p, pt.t
-    w = p + q @ q + (t / 2) * np.eye(pt.n) if kind == "conf" else p
-    return complex(np.trace(w @ q @ w) - t * np.trace(w @ q))
+    w = canonical_shift(pt).p if kind == "conf" else pt.p
+    return complex(np.trace(w @ pt.q @ w) - pt.t * np.trace(w @ pt.q))
 
 
-def identity_defect(point, theta: complex, kind: str = "conf",
-                    reduced: bool = False) -> float:
+def identity_defect(point, theta: complex, kind: str = "conf") -> float:
     """max_k |D(eps_k)| over UNIT_CIRCLE_EPS, relative to the largest term.
 
     D(eps) = H_target - (-eps H_IV(image) + n theta/(2 eps^2)) + eps^2 R is
@@ -163,11 +143,11 @@ def identity_defect(point, theta: complex, kind: str = "conf",
     identity makes zero.  The DFT over the 32 points is unitary, so the
     maximum bounds every Laurent coefficient: every order is checked at once.
     """
-    h_target = _target_hamiltonian(point, theta, kind, reduced)
-    R = remainder(embed(point) if reduced else point, kind)
+    h_target = _target_hamiltonian(point, theta, kind)
+    R = remainder(matrix_point(point), kind)
     worst = scale = 0.0
     for e in UNIT_CIRCLE_EPS:
-        h_iv = _image_hamiltonian(point, ConfluenceParams(e, theta), kind, reduced)
+        h_iv = _image_hamiltonian(point, ConfluenceParams(e, theta), kind)
         image, shift, r = -e * h_iv, point.n * theta / (2 * e ** 2), e ** 2 * R
         worst = max(worst, abs(h_target - (image + shift) + r))
         scale = max(scale, abs(h_target), abs(image), abs(shift), abs(r))
@@ -175,12 +155,12 @@ def identity_defect(point, theta: complex, kind: str = "conf",
 
 
 def residual_ratio_sweep(point, cp_theta: complex, eps_values,
-                         kind: str = "conf", reduced: bool = False) -> dict:
+                         kind: str = "conf") -> dict:
     """Residuals |eps^2 R| over an eps sweep and their halving ratios.
 
     Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms.
     """
-    residuals = [_residual(point, ConfluenceParams(e, cp_theta), kind, reduced)
+    residuals = [confluence_residual(point, ConfluenceParams(e, cp_theta), kind)
                  for e in eps_values]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
@@ -188,7 +168,7 @@ def residual_ratio_sweep(point, cp_theta: complex, eps_values,
 
 
 def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
-                              use_linear: bool = False) -> dict:
+                              kind: str = "conf") -> dict:
     """Quantify how the dual-slice reduction obstructs the confluence.
 
     Diagonalizing p_IV means diagonalizing p_II + q_II^2 (+ t/2), not p_II,
@@ -196,13 +176,11 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
     Reported: the misalignment of the p_IV eigenbasis against the p_II one
     (the standard basis at the embedded point), and the failure of the
     naive particle-wise map to reproduce the actual reduced image.  Both
-    collapse to ~0 for the linear map and for g -> 0.
+    collapse to ~0 for the linear map (conf1) and for g -> 0.
     """
     if x.slice is not Slice.P_DIAG:
         raise ValueError("breakdown analysis starts from a P_DIAG point")
-    pt = embed(x)
-    mapper = conf_map_linear if use_linear else conf_map
-    image, _ = mapper(pt, cp)
+    image = conf_map(embed(x), cp, kind)
 
     diag = normalized_diagonalizer(image.p, tol=1e-8)
     C = diag.C
@@ -220,16 +198,13 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
 
     actual = reduce(image, Slice.P_DIAG, x.g, tol=1e-6)
     naive = particle_conf_map(
-        ReducedPoint(x.momenta, x.positions, x.g, x.t, Slice.Q_DIAG),
-        cp, "conf1" if use_linear else "conf")
+        ReducedPoint(x.momenta, x.positions, x.g, x.t, Slice.Q_DIAG), cp, kind)
     # naive guess in dual terms: positions from the p-map, momenta from q-map
     naive_dual = ReducedPoint(naive.momenta, naive.positions, x.g,
                               naive.t, Slice.P_DIAG)
-    perm = match_permutation(naive_dual.positions, actual.positions)
-    dev_pos = np.abs(actual.positions[perm] - naive_dual.positions).max()
-    dev_mom = np.abs(actual.momenta[perm] - naive_dual.momenta).max()
+    naive_deviation = permuted_deviation(naive_dual, actual)
     return {
         "eigenbasis_misalignment": misalignment,
-        "naive_map_deviation": float(max(dev_pos, dev_mom)),
-        "deviation": float(max(misalignment, dev_pos, dev_mom)),
+        "naive_map_deviation": naive_deviation,
+        "deviation": max(misalignment, naive_deviation),
     }

@@ -11,15 +11,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import Overflow, ParticleCollision
-from .hamiltonians import matrix_vector_field, reduced_hamiltonian, reduced_vector_field, \
-    rk4_step, trace_hamiltonian
+from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
+    trace_hamiltonian
 from .lax import charpoly_coefficients, lax_matrices
-from .phase import MatrixPhasePoint, SystemSpec, level_set_target
-from .reduction import ReducedPoint, Slice, collision_threshold, embed, \
-    embedded_matrices, min_gap, match_permutation, reduce
+from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
+from .reduction import ReducedPoint, Slice, embed, embedded_matrices, \
+    match_permutation, permuted_deviation, reduce
 
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
+EQUIVARIANCE_STEP = 1e-3  # RK4 step of both legs of equivariance_check
 
 
 @dataclass(frozen=True)
@@ -59,61 +60,62 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     The requested step is shrunk to the nearest exact divisor of the
     interval so the endpoint lands on t1 with uniform steps.  Stages run on
     plain arrays; a point is built once per accepted step, after the
-    overflow and collision checks, which the start state passes too.
-    Matrix-state energies and moment deviations are evaluated once, over
-    the stacked states of the finished (or partial) trajectory.
+    overflow check, which the start state passes too.  Collisions are
+    caught where they are guarded: in the reduced vector field at every
+    stage and in ReducedPoint at every step.  Energies and moment
+    deviations are evaluated once, over the stacked (embedded) states of
+    the finished or partial trajectory.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
 
-    matrix_state = isinstance(start, MatrixPhasePoint)
-    if matrix_state:
+    if isinstance(start, MatrixPhasePoint):
         y = (start.q.copy(), start.p.copy())
 
         def rhs(y, t):
             return matrix_vector_field(spec, y[0], y[1], t)
+
+        def point(y, t):
+            return MatrixPhasePoint(y[0], y[1], t)
     else:
         y = (start.positions.copy(), start.momenta.copy())
 
         def rhs(y, t):
             return reduced_vector_field(spec, y[0], y[1], start.g, t, start.slice)
 
-    g_monitor = g if g is not None else (None if matrix_state else start.g)
-    times, states, energy = [], [], []
+        def point(y, t):
+            return ReducedPoint(y[0], y[1], start.g, t, start.slice)
+
+    g_monitor = g if g is not None else getattr(start, "g", None)
+    times, states = [], []
 
     def so_far():
-        diagnostics = {"energy": np.array(energy)}
-        if matrix_state and states:
+        diagnostics = {"energy": np.array([]), "moment_deviation": np.array([])}
+        if states:
             q, p = stacked_matrices(states)
             diagnostics = {
                 "energy": trace_hamiltonian(spec, q, p, spec.time(np.array(times))),
-                "moment_deviation": _moment_deviations(q, p, g_monitor)}
+                "moment_deviation": moment_deviation(q, p, g_monitor)}
         return Trajectory(np.array(times), states, diagnostics, g_monitor)
 
     t = t0
     for k in range(steps + 1):
-        if k > 0:
-            try:
+        try:
+            if k > 0:
                 # a stage may overflow; the state check below reports it
                 with np.errstate(over="ignore", invalid="ignore"):
                     y = rk4_step(rhs, y, t, h)
-            except ParticleCollision as exc:
-                exc.partial = so_far()
-                raise
-            t = t0 + k * h
-        norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
-        if not np.isfinite(norm):
-            raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
-        if norm > OVERFLOW_NORM:
-            raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
-                           partial=so_far())
-        if not matrix_state and min_gap(y[0]) < collision_threshold(y[0]):
-            raise ParticleCollision(f"collision at t={t:.6g}", partial=so_far())
-        if matrix_state:
-            state = MatrixPhasePoint(y[0], y[1], t)
-        else:
-            state = ReducedPoint(y[0], y[1], start.g, t, start.slice)
-            energy.append(reduced_hamiltonian(spec, state))
+                t = t0 + k * h
+            norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+            if not np.isfinite(norm):
+                raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
+            if norm > OVERFLOW_NORM:
+                raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
+                               partial=so_far())
+            state = point(y, t)
+        except ParticleCollision as exc:
+            exc.partial = so_far()
+            raise
         times.append(t)
         states.append(state)
 
@@ -132,32 +134,24 @@ def stacked_matrices(states: list) -> tuple[np.ndarray, np.ndarray]:
                              np.array([s.momenta for s in states]), x.g, x.slice)
 
 
-def _moment_deviations(q: np.ndarray, p: np.ndarray, g: float | None) -> np.ndarray:
-    """max |[p, q] - i g (1 - v^T v)| of each stacked point (target 0 without g)."""
-    mu = p @ q - q @ p
-    if g is not None:
-        mu -= level_set_target(q.shape[-1], g)
-    return np.abs(mu).max(axis=(-2, -1))
-
-
-def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor,
-                       g: float | None = None) -> dict:
+def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor) -> dict:
     """Per-step moment-map deviation and char-poly coefficient drift.
 
-    The states are stacked once; each lambda costs one Lax build over the
-    stack and one batched eigensolve.  For autonomous specs the drifts are
-    conserved-quantity checks; for non-autonomous ones they are reported as
-    diagnostics only.
+    The moment deviations and energies are the trajectory's own
+    diagnostics (against its coupling traj.g).  The states are stacked
+    once; each lambda costs one Lax build over the stack and one batched
+    eigensolve.  For autonomous specs the drifts are conserved-quantity
+    checks; for non-autonomous ones they are reported as diagnostics only.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
-    gv = g if g is not None else traj.g
     q, p = stacked_matrices(traj.states)
     T = spec.time(traj.times)
 
     report: dict = {"autonomous": spec.autonomous,
                     "conservation_asserted": bool(spec.autonomous),
-                    "moment_deviation_max": float(_moment_deviations(q, p, gv).max())}
+                    "moment_deviation_max":
+                        float(traj.diagnostics["moment_deviation"].max())}
     drift = {}
     for lam in lam_monitor:
         coeffs = charpoly_coefficients(lax_matrices(spec, q, p, T, lam)[0])
@@ -169,16 +163,13 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor,
     return report
 
 
-def equivariance_check(spec: SystemSpec, x0: ReducedPoint, dt: float,
-                       h: float = 1e-3) -> float:
+def equivariance_check(spec: SystemSpec, x0: ReducedPoint, dt: float) -> float:
     """Flow-then-reduce versus reduce-then-flow, permutation matched."""
-    matrix_end = integrate(spec, embed(x0), x0.t, x0.t + dt, h, g=x0.g).final
-    reduced_end = integrate(spec, x0, x0.t, x0.t + dt, h).final
+    t1 = x0.t + dt
+    matrix_end = integrate(spec, embed(x0), x0.t, t1, EQUIVARIANCE_STEP, g=x0.g).final
+    reduced_end = integrate(spec, x0, x0.t, t1, EQUIVARIANCE_STEP).final
     back = reduce(matrix_end, x0.slice, x0.g, tol=1e-5)
-    perm = match_permutation(reduced_end.positions, back.positions)
-    dev_pos = np.abs(back.positions[perm] - reduced_end.positions).max()
-    dev_mom = np.abs(back.momenta[perm] - reduced_end.momenta).max()
-    return float(max(dev_pos, dev_mom))
+    return permuted_deviation(reduced_end, back)
 
 
 def dual_position_drift(traj: Trajectory) -> float:

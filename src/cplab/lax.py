@@ -26,7 +26,8 @@ from .errors import (DimensionMismatch, NonConvergedEigensolve, PoleAtLambda,
 from .hamiltonians import matrix_vector_field
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                     add_to_diagonal)
-from .reduction import ReducedPoint, Slice, embed, inverse_square_kernel
+from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
+                        matrix_point)
 
 POLE_EPS = 1e-12
 
@@ -235,15 +236,6 @@ def default_lambda_grid(n_per_circle: int = 10,
     return grid
 
 
-def _matrix_point(obj) -> MatrixPhasePoint:
-    """The matrix point whose pair describes obj (a reduced point is embedded)."""
-    if isinstance(obj, MatrixPhasePoint):
-        return obj
-    if isinstance(obj, ReducedPoint):
-        return embed(obj)
-    raise TypeError(f"cannot build a Lax matrix from {type(obj)!r}")
-
-
 def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
                    tol: float = 1e-8) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
@@ -258,7 +250,7 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
     grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
     if not grid:
         raise ValueError("spectral_match needs a non-empty lambda grid")
-    pa, pb = _matrix_point(a), _matrix_point(b)
+    pa, pb = matrix_point(a), matrix_point(b)
     if pa.n != pb.n:
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
     k = 2 * pa.n
@@ -278,7 +270,7 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
 
 def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> list[SpectralSample]:
     grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
-    pt = _matrix_point(obj)
+    pt = matrix_point(obj)
     L = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), grid)[0]
     return [SpectralSample(lam, c) for lam, c in zip(grid, charpoly_coefficients(L))]
 

@@ -117,14 +117,14 @@ def _scalar_samples(rng, count=24):
         yield v, p, z, th
 
 
-def calibrate(seed: int = 0) -> tuple[ConventionSwitch, dict]:
+def calibrate() -> tuple[ConventionSwitch, dict]:
     """Search the finite switch set for the scalar-residual-annihilating one.
 
     The commutator switch is unobservable on scalar data (commutators
     vanish) and is left at its printed value; its effect is checked at the
     matrix level through mmkdv_rhs directly.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     samples = list(_scalar_samples(rng))
     tw_winners, ss_winners = [], []
     for s_cubic in (1, -1):
@@ -155,15 +155,16 @@ def calibrate(seed: int = 0) -> tuple[ConventionSwitch, dict]:
     return chosen, report
 
 
-def switch_sensitivity(sw: ConventionSwitch, seed: int = 1) -> dict:
+def switch_sensitivity(sw: ConventionSwitch) -> dict:
     """Worst residual after flipping each calibrated switch individually.
 
     s_cubic is probed through the travelling-wave residual, s_z / s_linear
     through the self-similar one (scalar data); s_comm through the direct
     matrix rhs on generic noncommuting input (scalar residuals cannot see
-    it, since all commutators vanish for scalars).
+    it, since all commutators vanish for scalars).  Its samples come from
+    seed 1, calibrate's from seed 0, so the two never share a sample.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1)
     samples = list(_scalar_samples(rng))
     out = {}
     flipped = replace(sw, s_cubic=-sw.s_cubic)

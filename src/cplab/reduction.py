@@ -126,10 +126,9 @@ def min_gap(x: np.ndarray) -> float:
 
 
 def collision_guard(x: np.ndarray):
-    if min_gap(x) < collision_threshold(x):
-        raise ParticleCollision(
-            f"particle gap {min_gap(x):.3e} below threshold {collision_threshold(x):.3e}"
-        )
+    gap, threshold = min_gap(x), collision_threshold(x)
+    if gap < threshold:
+        raise ParticleCollision(f"particle gap {gap:.3e} below threshold {threshold:.3e}")
 
 
 def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
@@ -208,9 +207,17 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
 
 def embed(x: ReducedPoint) -> MatrixPhasePoint:
     """Rebuild the slice-diagonal matrix representative of a reduced point."""
-    collision_guard(x.positions)
     q, p = embedded_matrices(x.positions, x.momenta, x.g, x.slice)
     return MatrixPhasePoint(q, p, x.t)
+
+
+def matrix_point(obj) -> MatrixPhasePoint:
+    """The matrix point of obj: a matrix point itself, a reduced point embedded."""
+    if isinstance(obj, MatrixPhasePoint):
+        return obj
+    if isinstance(obj, ReducedPoint):
+        return embed(obj)
+    raise TypeError(f"expected a matrix or reduced point, got {type(obj)!r}")
 
 
 def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
@@ -228,9 +235,9 @@ def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
     return resolved, diagonal
 
 
-def dual_of(x: ReducedPoint, tol: float = 1e-8) -> ReducedPoint:
+def dual_of(x: ReducedPoint) -> ReducedPoint:
     """Re-reduce the embedded point at the opposite slice."""
-    return reduce(embed(x), x.slice.other, x.g, tol)
+    return reduce(embed(x), x.slice.other, x.g)
 
 
 def match_permutation(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:

@@ -27,12 +27,11 @@ def random_reduced(rng: np.random.Generator, n: int, g: float,
     return ReducedPoint(pos, mom, g, t, slice)
 
 
-def stabilizer_element(rng: np.random.Generator, n: int,
-                       scale: float = 0.4) -> np.ndarray:
+def stabilizer_element(rng: np.random.Generator, n: int) -> np.ndarray:
     """Random G = exp(B) with B annihilated by v on both sides."""
     v = np.ones((n, 1))
     proj = np.eye(n) - (v @ v.T) / n
-    B = proj @ (scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))) @ proj
+    B = proj @ (0.4 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))) @ proj
     G = np.eye(n, dtype=complex)
     term = np.eye(n, dtype=complex)
     for k in range(1, 16):
@@ -42,11 +41,11 @@ def stabilizer_element(rng: np.random.Generator, n: int,
 
 
 def random_level_set_point(rng: np.random.Generator, n: int, g: float,
-                           t: float = 0.0, dress: bool = True) -> MatrixPhasePoint:
+                           t: float = 0.0) -> MatrixPhasePoint:
     """Generic point of the level set (neither q nor p diagonal for n > 1)."""
     x = random_reduced(rng, n, g, Slice.Q_DIAG, t)
     pt = embed(x)
-    if not dress or n == 1:
+    if n == 1:
         return pt
     G = stabilizer_element(rng, n)
     Gi = np.linalg.inv(G)

@@ -77,14 +77,15 @@ def test_criterion_11_quadruple_interaction_as_stated():
 
 def test_identity_gates_hold_on_seeds_0_to_99():
     # criteria 6 and 12 measure exact identities at roundoff, so their
-    # verdicts do not move with the sampled point
-    t0 = time.perf_counter()
+    # verdicts do not move with the sampled point; the budget is CPU time of
+    # this process, so the load of the machine does not move it either
+    t0 = time.process_time()
     failed = [(check.__name__, s)
               for check in (sc.check_zero_curvature, sc.check_confluence)
               for s in range(100) if not check(np.random.default_rng(s))["pass"]]
-    elapsed = time.perf_counter() - t0
+    elapsed = time.process_time() - t0
     assert not failed
-    assert elapsed < 3.0, f"{elapsed:.2f}s over the 3s budget"
+    assert elapsed < 3.0, f"{elapsed:.2f}s of CPU time over the 3s budget"
 
 
 def test_criterion_14_determinism():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from cplab.confluence import (ConfluenceParams, canonical_shift,
-                              canonical_unshift, conf_map, conf_map_linear,
+from cplab.confluence import (ConfluenceParams, canonical_shift, conf_map,
                               confluence_residual, dual_confluence_breakdown,
                               identity_defect, map_time, particle_conf_map,
-                              p4_spec, reduced_confluence_residual, remainder,
-                              residual_ratio_sweep)
-from cplab.phase import (MatrixPhasePoint, SystemKind, TangentPair,
+                              p4_spec, remainder, residual_ratio_sweep)
+from cplab.hamiltonians import matrix_hamiltonian
+from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                          moment_map, symplectic_pairing)
-from cplab.reduction import ReducedPoint, Slice, embed
+from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
 from cplab.sampling import random_reduced
 
 EPS_SWEEP = [0.1, 0.05, 0.025]
@@ -24,41 +23,41 @@ def generic_point(rng, n=2):
 class TestConfMap:
     def test_vacuum_worked(self):
         cp = ConfluenceParams(1.0, 0.0)
-        image, params = conf_map(MatrixPhasePoint([[0.0]], [[0.0]], 0.0), cp)
+        image = conf_map(MatrixPhasePoint([[0.0]], [[0.0]], 0.0), cp)
         assert image.q[0, 0] == -0.5
         assert image.p[0, 0] == 0.0
         assert image.t == 1.0
-        assert params["theta0"] == -0.25
+        assert p4_spec(cp).theta0 == -0.25
 
     def test_linear_vacuum(self):
         cp = ConfluenceParams(1.0, 0.0)
-        image, _ = conf_map_linear(MatrixPhasePoint([[0.0]], [[1.0]], 0.0), cp)
+        image = conf_map(MatrixPhasePoint([[0.0]], [[1.0]], 0.0), cp, "conf1")
         assert image.q[0, 0] == -0.5 and image.p[0, 0] == -1.0
 
     def test_q_image_diverges_as_eps_cubed(self):
         pt = MatrixPhasePoint([[0.3]], [[0.1]], 0.0)
         norms = []
         for e in (0.1, 0.05):
-            image, _ = conf_map(pt, ConfluenceParams(e, 0.0))
+            image = conf_map(pt, ConfluenceParams(e, 0.0))
             norms.append(abs(image.q[0, 0]))
         assert 7.0 < norms[1] / norms[0] < 9.0  # eps^-3 halving
 
     def test_moment_map_preserved_exactly(self, rng):
         pt = generic_point(rng)
-        for mapper in (conf_map, conf_map_linear):
-            image, _ = mapper(pt, ConfluenceParams(0.1, 0.4))
+        for kind in ("conf", "conf1"):
+            image = conf_map(pt, ConfluenceParams(0.1, 0.4), kind)
             assert np.abs(moment_map(image) - moment_map(pt)).max() < 1e-10
 
     def test_composition_identity(self, rng):
         pt = generic_point(rng)
         cp = ConfluenceParams(0.1, 1.0)
-        im1, _ = conf_map(pt, cp)
-        im2, _ = conf_map_linear(canonical_shift(pt), cp)
+        im1 = conf_map(pt, cp)
+        im2 = conf_map(canonical_shift(pt), cp, "conf1")
         assert np.abs(im1.q - im2.q).max() < 1e-12
         assert np.abs(im1.p - im2.p).max() < 1e-12
 
 
-def _pushforward(mapper, pt, cp, tangent, step=1e-4):
+def _pushforward(mapper, pt, tangent, step=1e-4):
     """Finite-difference Jacobian action on a tangent pair (Richardson).
 
     Both confluence maps are quadratic in (q, p), so central differences
@@ -69,8 +68,7 @@ def _pushforward(mapper, pt, cp, tangent, step=1e-4):
     def moved(s):
         shifted = MatrixPhasePoint(pt.q + s * tangent.dq, pt.p + s * tangent.dp,
                                    pt.t)
-        image, _ = mapper(shifted, cp)
-        return image
+        return mapper(shifted)
 
     def diff(s):
         a, b = moved(s), moved(-s)
@@ -87,21 +85,20 @@ class TestSymplectomorphisms:
         u = TangentPair(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         w = TangentPair(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         before = symplectic_pairing(u, w)
-        for mapper in (conf_map, conf_map_linear):
-            pu = _pushforward(mapper, pt, cp, u)
-            pw = _pushforward(mapper, pt, cp, w)
+        for kind in ("conf", "conf1"):
+            def mapper(p):
+                return conf_map(p, cp, kind)
+
+            pu = _pushforward(mapper, pt, u)
+            pw = _pushforward(mapper, pt, w)
             assert abs(symplectic_pairing(pu, pw) - before) < 1e-9 * max(1, abs(before))
 
     def test_canonical_shift_preserves_pairing(self, rng):
         pt = generic_point(rng, 3)
         u = TangentPair(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
         w = TangentPair(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-
-        def as_map(p, _cp):
-            return canonical_shift(p), {}
-
-        pu = _pushforward(as_map, pt, None, u)
-        pw = _pushforward(as_map, pt, None, w)
+        pu = _pushforward(canonical_shift, pt, u)
+        pw = _pushforward(canonical_shift, pt, w)
         assert abs(symplectic_pairing(pu, pw) - symplectic_pairing(u, w)) < 1e-10
 
 
@@ -111,11 +108,13 @@ class TestCanonicalShift:
         shifted = canonical_shift(pt)
         assert np.abs(shifted.p - (np.eye(2) + 0.4 * np.eye(2))).max() < 1e-15
 
-    def test_roundtrip(self, rng):
+    def test_links_the_two_p2_forms(self, rng):
+        # H_II(q, p) = H_poly(q, p + q^2 + t/2) exactly, traces cyclic
         pt = generic_point(rng, 3)
-        back = canonical_unshift(canonical_shift(pt))
-        assert np.abs(back.p - pt.p).max() < 1e-14
-        assert np.abs(back.q - pt.q).max() < 1e-14
+        h2 = matrix_hamiltonian(SystemSpec(SystemKind.P_II, theta=0.4), pt)
+        hp = matrix_hamiltonian(SystemSpec(SystemKind.P_II_POLY, theta=0.4),
+                                canonical_shift(pt))
+        assert abs(h2 - hp) < 1e-13 * max(1.0, abs(h2))
 
 
 class TestResiduals:
@@ -138,11 +137,10 @@ class TestResiduals:
         pt = generic_point(rng)
         xq = random_reduced(rng, 2, 1.0, t=0.1)
         for kind in ("conf", "conf1"):
-            for point, reduced in ((pt, False), (xq, True)):
-                assert identity_defect(point, 0.7 + 0.1j, kind, reduced) <= 1e-12
-                sweep = residual_ratio_sweep(point, 0.7 + 0.1j, EPS_SWEEP, kind,
-                                             reduced)
-                R = remainder(embed(point) if reduced else point, kind)
+            for point in (pt, xq):
+                assert identity_defect(point, 0.7 + 0.1j, kind) <= 1e-12
+                sweep = residual_ratio_sweep(point, 0.7 + 0.1j, EPS_SWEEP, kind)
+                R = remainder(matrix_point(point), kind)
                 assert abs(sweep["residuals"][0] - 0.01 * abs(R)) < 1e-6 * abs(R)
 
     def test_printed_theta1_breaks_identity(self, rng, monkeypatch):
@@ -165,7 +163,7 @@ class TestResiduals:
         # paths (closed forms vs traces) must agree
         x = random_reduced(rng, 2, 1.0, t=0.1)
         cp = ConfluenceParams(0.1, 0.7)
-        a = reduced_confluence_residual(x, cp, "conf")
+        a = confluence_residual(x, cp, "conf")
         b = confluence_residual(embed(x), cp, "conf")
         assert abs(a - b) < 1e-8 * max(1.0, abs(b))
 
@@ -184,6 +182,13 @@ class TestResiduals:
         assert errs[0] < 0.1
         assert 3.5 < errs[0] / errs[1] < 4.5
 
+    def test_kind_and_slice_are_checked(self, rng):
+        cp = ConfluenceParams(0.1, 0.7)
+        with pytest.raises(ValueError, match="kind"):
+            conf_map(generic_point(rng), cp, "conf2")
+        with pytest.raises(ValueError, match="Q_DIAG"):
+            confluence_residual(random_reduced(rng, 2, 1.0, Slice.P_DIAG), cp)
+
     def test_image_time(self):
         cp = ConfluenceParams(0.1, 0.0)
         assert abs(map_time(0.3, cp) - (1 - 1e-4 * 0.3) / 1e-3) < 1e-9
@@ -197,8 +202,7 @@ class TestDualBreakdown:
 
     def test_linear_map_aligns(self, rng):
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
-        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5),
-                                        use_linear=True)
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), "conf1")
         assert rep["deviation"] < 1e-8
 
     def test_small_coupling_alignment(self):
@@ -214,7 +218,7 @@ class TestDualBreakdown:
         # eigenvectors of p_IV coincide with those of p_II under the linear map
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
         pt = embed(xd)
-        image, _ = conf_map_linear(pt, ConfluenceParams(0.1, 0.5))
+        image = conf_map(pt, ConfluenceParams(0.1, 0.5), "conf1")
         comm = image.p @ pt.p - pt.p @ image.p
         assert np.abs(comm).max() < 1e-10
 

@@ -4,11 +4,11 @@ import pytest
 from cplab.dynamics import (dual_position_drift, equivariance_check, integrate,
                             monitor_invariants)
 from cplab.errors import Overflow, ParticleCollision
-from cplab.hamiltonians import matrix_hamiltonian
+from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from cplab.lax import lax_pair
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
                          moment_map)
-from cplab.reduction import ReducedPoint, Slice, embed
+from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
 from cplab.sampling import random_reduced, spec_for
 
 
@@ -55,7 +55,7 @@ class TestIntegrate:
         # n=1: both paths integrate the same scalar ODE
         spec = SystemSpec(SystemKind.P_IV, theta0=0.2, theta1=-0.4)
         x0 = ReducedPoint([0.3], [0.1], 1.0, 0.0)
-        assert equivariance_check(spec, x0, 0.5, 1e-3) < 1e-10
+        assert equivariance_check(spec, x0, 0.5) < 1e-10
 
     def test_overflow_aborts_with_partial(self):
         spec = SystemSpec(SystemKind.P_I, autonomous=True, tau=0.0)
@@ -86,6 +86,16 @@ class TestIntegrate:
         with pytest.raises(ParticleCollision):
             ReducedPoint([0.0, 1e-12], [0.0, 0.0], 1.0)
 
+    def test_reduced_collision_aborts_with_partial(self):
+        # two nearly free particles meet at t = 0.5, inside the 0.4 -> 0.5 step
+        start = ReducedPoint([0.0, 1.0], [1.0, -1.0], 1e-6)
+        with pytest.raises(ParticleCollision) as exc_info:
+            integrate(spec_for(SystemKind.FREE), start, 0.0, 1.0, 0.1)
+        partial = exc_info.value.partial
+        assert np.allclose(partial.times, [0.0, 0.1, 0.2, 0.3, 0.4])
+        assert len(partial.states) == 5
+        assert len(partial.diagnostics["energy"]) == 5
+
 
 class TestMonitor:
     def test_autonomous_isospectral(self, rng):
@@ -93,7 +103,7 @@ class TestMonitor:
         x0 = ReducedPoint(0.6 * np.array([-1.0, 0.0, 1.0]) + 0.05j,
                           0.2 * rng.normal(size=3), 0.3, 0.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=0.3)
-        rep = monitor_invariants(spec, traj, [1.0, 2.0j], g=0.3)
+        rep = monitor_invariants(spec, traj, [1.0, 2.0j])
         assert rep["conservation_asserted"]
         assert max(rep["charpoly_drift"].values()) < 1e-6
         assert rep["moment_deviation_max"] < 1e-8
@@ -102,7 +112,7 @@ class TestMonitor:
         spec = spec_for(SystemKind.P_II)
         x0 = random_reduced(rng, 2, 1.0, spread=1.0, jitter=0.1)
         traj = integrate(spec, embed(x0), 0.0, 0.5, 1e-3, g=1.0)
-        rep = monitor_invariants(spec, traj, [1.0], g=1.0)
+        rep = monitor_invariants(spec, traj, [1.0])
         assert not rep["conservation_asserted"]
         assert rep["moment_deviation_max"] < 1e-8
 
@@ -110,14 +120,14 @@ class TestMonitor:
         spec = spec_for(SystemKind.FREE)
         x0 = random_reduced(rng, 2, 1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-2, g=1.0)
-        rep = monitor_invariants(spec, traj, [1.0], g=1.0)
+        rep = monitor_invariants(spec, traj, [1.0])
         assert max(rep["charpoly_drift"].values()) < 1e-12
         assert rep["energy_drift"] < 1e-12
 
 
 def per_state_monitor(spec, traj, lams, g):
     """The monitor as a loop over states: embed, lax_pair, np.poly of eigvals."""
-    points = [s if isinstance(s, MatrixPhasePoint) else embed(s) for s in traj.states]
+    points = [matrix_point(s) for s in traj.states]
     target = 0.0 if g is None else level_set_target(points[0].n, g)
     dev = max(float(np.abs(moment_map(pt) - target).max()) for pt in points)
     drift = {}
@@ -163,7 +173,7 @@ class TestStackedMonitor:
                                       "reduced_nonautonomous"])
     def test_matches_per_state_charpoly(self, monitored, case):
         spec, traj, g = monitored[case]
-        rep = monitor_invariants(spec, traj, self.LAMS, g=g)
+        rep = monitor_invariants(spec, traj, self.LAMS)
         dev, drift = per_state_monitor(spec, traj, self.LAMS,
                                        g if g is not None else traj.g)
         assert abs(rep["moment_deviation_max"] - dev) <= 1e-12
@@ -182,7 +192,7 @@ class TestStackedMonitor:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        monitor_invariants(spec, traj, self.LAMS, g=g)
+        monitor_invariants(spec, traj, self.LAMS)
         assert len(calls) == len(self.LAMS)
         assert all(shape[0] == len(traj.states) for shape in calls)
 
@@ -201,17 +211,23 @@ class TestBatchedDiagnostics:
     def _assert_per_state(spec, traj, g):
         energy = traj.diagnostics["energy"]
         assert len(energy) == len(traj.states)
-        ref = np.array([matrix_hamiltonian(spec, s) for s in traj.states])
+        matrix_states = isinstance(traj.states[0], MatrixPhasePoint)
+        hamiltonian = matrix_hamiltonian if matrix_states else reduced_hamiltonian
+        ref = np.array([hamiltonian(spec, s) for s in traj.states])
         assert (np.abs(energy - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))).all()
         target = level_set_target(traj.states[0].n, g)
-        ref_dev = [np.abs(moment_map(s) - target).max() for s in traj.states]
+        ref_dev = [np.abs(moment_map(matrix_point(s)) - target).max()
+                   for s in traj.states]
         assert np.array_equal(traj.diagnostics["moment_deviation"], ref_dev)
 
     @pytest.mark.parametrize("kind", list(SystemKind))
     @pytest.mark.parametrize("autonomous", [False, True])
-    def test_energies_equal_per_state_hamiltonian(self, rng, kind, autonomous):
+    @pytest.mark.parametrize("form", ["matrix", "q_slice", "p_slice"])
+    def test_energies_equal_per_state_hamiltonian(self, rng, kind, autonomous, form):
         spec = spec_for(kind, autonomous=autonomous, tau=0.8 if autonomous else None)
-        start = embed(random_reduced(rng, 3, 1.0, t=0.1, mom_scale=0.3))
+        sl = Slice.P_DIAG if form == "p_slice" else Slice.Q_DIAG
+        x0 = random_reduced(rng, 3, 1.0, sl, t=0.1, mom_scale=0.3)
+        start = embed(x0) if form == "matrix" else x0
         traj = integrate(spec, start, 0.1, 0.15, 1e-2, g=1.0)
         self._assert_per_state(spec, traj, 1.0)
 
@@ -228,16 +244,16 @@ class TestBatchedDiagnostics:
 class TestEquivariance:
     def test_free_n3(self, rng):
         x0 = random_reduced(rng, 3, 1.0)
-        assert equivariance_check(spec_for(SystemKind.FREE), x0, 1.0, 1e-3) < 1e-6
+        assert equivariance_check(spec_for(SystemKind.FREE), x0, 1.0) < 1e-6
 
     def test_p4_n2(self, rng):
         x0 = random_reduced(rng, 2, 1.0)
-        assert equivariance_check(spec_for(SystemKind.P_IV), x0, 0.3, 1e-3) < 1e-6
+        assert equivariance_check(spec_for(SystemKind.P_IV), x0, 0.3) < 1e-6
 
     def test_p2_dual_slice(self, rng):
         x0 = ReducedPoint([0.1 + 0.2j, 1.4 - 0.1j], [0.4 - 0.3j, -0.2 + 0.1j],
                           1.0, 0.0, Slice.P_DIAG)
-        assert equivariance_check(spec_for(SystemKind.P_II), x0, 0.3, 1e-3) < 1e-6
+        assert equivariance_check(spec_for(SystemKind.P_II), x0, 0.3) < 1e-6
 
 
 class TestRuijsenaars:
