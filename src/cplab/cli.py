@@ -249,7 +249,7 @@ def cmd_spectral(cfg, rng, out):
     table = spectral_table(spec, obj, grid)
     return {
         "operation": "char_poly over lambda grid",
-        "samples": [{"lambda": s.lam, "coeffs": list(s.coeffs)} for s in table],
+        "samples": [{"lambda": lam, "coeffs": list(c)} for lam, c in zip(grid, table)],
     }, True
 
 

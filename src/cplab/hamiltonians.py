@@ -1,10 +1,10 @@
 """Hamiltonians and equations of motion at the matrix and particle levels.
 
 The normative value of every reduced/dual Hamiltonian is the matrix trace
-evaluated at the embedded point; the closed forms below are re-derived
-from that oracle (printed variants in the literature differ in coupling
-normalizations, see CONVENTIONS.md) and must agree with it to 1e-10
-relative.
+evaluated at the embedded point.  The closed form evaluates that same
+trace formula with the traces of the Calogero matrix in closed form
+(printed variants in the literature differ in coupling normalizations,
+see CONVENTIONS.md) and must agree with it to 1e-10 relative.
 
 Matrix gradients use the pairing dH = Tr(G_q dq) + Tr(G_p dp); Hamilton's
 equations are qdot = G_p, pdot = -G_q.  On the p-diagonal slice the stored
@@ -20,9 +20,9 @@ import numpy as np
 
 from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
-from .reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
-                        embed, inverse_square_kernel, offdiag_sign)
-from .traces import a4_pair_sum, a4_quad_sum, a4_total, a4_triple_sum
+from .reduction import (ReducedPoint, Slice, collision_guard, embed,
+                        embedded_matrices, inverse_square_kernel, offdiag_sign)
+from .traces import calogero_traces
 
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
@@ -110,86 +110,44 @@ def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
 def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
     """Closed-form fast path; agrees with the trace oracle to 1e-10 relative.
 
-    Pair sums contract W_ij = 1/(a_i - a_j)^2 and its row sums S:
-    sum_{i<j} 1/D^2 = sum W / 2 and sum_{i<j} (c_i + c_j)/D^2 = c.S.
+    trace_hamiltonian's formula at the embedded pair of one diagonal
+    D = diag(a) and one Calogero matrix C with diagonal b and denominators
+    a: (q, p) = (D, C) on Q_DIAG and (C, D) on P_DIAG.  q[k] and p[k] hold
+    Tr q^k and Tr p^k, those of C from traces.calogero_traces; the mixed
+    traces are Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
+    Tr(D C^2) = Tr(C D C) = a.diag C^2.
     """
-    a, b, g = x.positions, x.momenta, x.g
+    a, b = x.positions, x.momenta
+    c2, tr_c3, tr_c4 = calogero_traces(b, inverse_square_kernel(a), x.g)
+    # Tr D^k and Tr C^k for k = 0..4
+    a2 = a * a
+    tr_d = (a.size, a.sum(), a2.sum(), (a2 * a).sum(), (a2 * a2).sum())
+    tr_c = (a.size, b.sum(), c2.sum(), tr_c3, tr_c4)
+    d2c, dc2 = a2 @ b, a @ c2
+    if x.slice is Slice.Q_DIAG:
+        q, p, pqq, pqp = tr_d, tr_c, d2c, dc2
+    else:
+        q, p, pqq, pqp = tr_c, tr_d, dc2, d2c
+    pq = a @ b
     T = spec.time(x.t)
     k = spec.kind
-    red = x.slice is Slice.Q_DIAG
-    g2 = g * g
-    W = inverse_square_kernel(a)
-    S = W.sum(axis=1)
-    calogero = g2 * S.sum() / 2
-
     if k is SystemKind.FREE:
-        if red:
-            return complex(np.sum(b ** 2) / 2 + calogero)
-        return complex(np.sum(a ** 2) / 2)
-
-    if k is SystemKind.HARM_OSC:
-        om2 = spec.omega ** 2
-        if red:
-            return complex(np.sum(b ** 2 + om2 * a ** 2) / 2 + calogero)
-        return complex(np.sum(a ** 2 + om2 * b ** 2) / 2 + om2 * calogero)
-
-    if k is SystemKind.P_I:
-        if red:
-            return complex(np.sum(b ** 2 / 2 - a ** 3 / 2 - (T / 4) * a) + calogero)
-        diag = np.sum(a ** 2 / 2 - b ** 3 / 2 - (T / 4) * b)
-        return complex(diag - 1.5 * g2 * (b @ S))
-
-    if k is SystemKind.P_II:
-        if red:
-            diag = np.sum(b ** 2 / 2 - (a ** 2 + T / 2) ** 2 / 2 - spec.theta * a)
-            return complex(diag + calogero)
-        diag = np.sum(a ** 2 / 2 - (b ** 2 + T / 2) ** 2 / 2 - spec.theta * b)
-        return complex(diag + _dual_p2_g2_block(b, W, T, g2)
-                       - (g2 * g2 / 2) * a4_total(W))
-
-    if k is SystemKind.P_II_POLY:
-        if red:
-            diag = np.sum(b ** 2 / 2 - a ** 2 * b - (T / 2) * b - spec.theta * a)
-            return complex(diag + calogero)
-        diag = np.sum(a ** 2 / 2 - a * b ** 2 - (T / 2) * a - spec.theta * b)
-        return complex(diag - g2 * (a @ S))
-
-    if k is SystemKind.P_IV:
-        th0, th1 = spec.theta0, spec.theta1
-        if red:
-            diag = np.sum(a * b ** 2 - b * a ** 2 - T * a * b
-                          + th0 * b - (th0 + th1) * a)
-            return complex(diag + g2 * (a @ S))
-        diag = np.sum(b * a ** 2 - a * b ** 2 - T * a * b
-                      + th0 * a - (th0 + th1) * b)
-        return complex(diag - g2 * (a @ S))
-
-    raise UnsupportedSystem(str(k))  # pragma: no cover
-
-
-def _dual_p2_g2_block(b, W, T, g2) -> complex:
-    """-2 g^2 sum_{i<j} (b_i^2 + b_i b_j + b_j^2 + T/2) / (a_i - a_j)^2."""
-    S = W.sum(axis=1)
-    return -2 * g2 * ((b * b) @ S + (b @ W @ b) / 2 + T * S.sum() / 4)
-
-
-def dual_p2_interaction_blocks(x: ReducedPoint, spec: SystemSpec) -> dict:
-    """The g^2 and g^4 blocks of the dual P_II Hamiltonian, split by class.
-
-    These are exactly the Tr Q^4 / Tr Q^2 interaction blocks of the traces
-    module evaluated on (positions as denominators, momenta as diagonal).
-    The quadruple block is identically zero and is left out of the closed
-    form; it is kept here as the witness of that cancellation.
-    """
-    a, b, g = x.positions, x.momenta, x.g
-    g2, g4 = g * g, g ** 4
-    return {
-        "g2_pair": complex(_dual_p2_g2_block(b, inverse_square_kernel(a),
-                                             spec.time(x.t), g2)),
-        "g4_pair": complex(-(g4 / 2) * a4_pair_sum(a)),
-        "g4_triple": complex(-(g4 / 2) * a4_triple_sum(a)),
-        "g4_quadruple": complex(-(g4 / 2) * a4_quad_sum(a)),
-    }
+        h = p[2] / 2
+    elif k is SystemKind.HARM_OSC:
+        h = p[2] / 2 + spec.omega ** 2 * q[2] / 2
+    elif k is SystemKind.P_I:
+        h = p[2] / 2 - q[3] / 2 - (T / 4) * q[1]
+    elif k is SystemKind.P_II:
+        # Tr w^2 for w = q^2 + T/2
+        h = p[2] / 2 - (q[4] + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
+    elif k is SystemKind.P_II_POLY:
+        h = p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
+    elif k is SystemKind.P_IV:
+        h = (pqp - pqq - T * pq + spec.theta0 * p[1]
+             - (spec.theta0 + spec.theta1) * q[1])
+    else:  # pragma: no cover
+        raise UnsupportedSystem(str(k))
+    return complex(h)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +168,14 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     P_DIAG: omega = sum dI ^ dphi, so the roles swap.
     """
     collision_guard(positions)
-    sgn = offdiag_sign(slice)
-    K = calogero_block(positions, g, sgn)
-    diag, resolved = np.diag(positions), np.diag(momenta) + K
+    q, p = embedded_matrices(positions, momenta, g, slice)
+    g_q, g_p = matrix_gradients(spec, q, p, t)
     if slice is Slice.Q_DIAG:
-        g_diag, g_res = matrix_gradients(spec, diag, resolved, t)
+        g_diag, g_res, K = g_q, g_p, p
     else:
-        g_res, g_diag = matrix_gradients(spec, resolved, diag, t)
+        g_diag, g_res, K = g_p, g_q, q
+    # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T
+    sgn = offdiag_sign(slice)
     dH_da = np.diag(g_diag) + (K * K * (g_res - g_res.T)).sum(axis=1) / (sgn * 1j * g)
     dH_db = np.diag(g_res).copy()
     if slice is Slice.Q_DIAG:

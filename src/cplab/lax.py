@@ -51,20 +51,6 @@ class LaxSample:
             object.__setattr__(self, "M", np.asarray(self.M, dtype=complex))
 
 
-@dataclass(frozen=True)
-class SpectralSample:
-    """lambda with the monic char-poly coefficients of L(lambda) in mu."""
-
-    lam: complex
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
-        if abs(c[0] - 1.0) > 1e-12:
-            raise ValueError("coefficients must be monic (leading 1)")
-        object.__setattr__(self, "coeffs", c)
-
-
 def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
                  p4_variant: str = "corrected") -> tuple[np.ndarray, np.ndarray]:
     """The pair (L, M) over stacked points and spectral parameters.
@@ -133,15 +119,18 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         _p2_m(M, q, lam)
     elif k is SystemKind.P_IV:
         th0, th1 = spec.theta0, spec.theta1
-        X = add_to_diagonal(q @ p, th0 + th1)
-        L11[...] = p @ q / l
+        qp, pq = q @ p, p @ q
+        L22[...] = qp
+        add_to_diagonal(L22, th0)
+        L22 /= l
+        add_to_diagonal(L22, T - lam)
+        X = add_to_diagonal(qp, th0 + th1)
+        L11[...] = pq / l
         if p4_variant == "corrected":
             np.negative(L11, out=L11)
-        L12[...] = X - (p @ q @ p + th0 * p) / l
+        L12[...] = X - (pq @ p + th0 * p) / l
         L21[...] = q / l
         add_to_diagonal(L21, 1.0)
-        L22[...] = add_to_diagonal(q @ p, th0) / l
-        add_to_diagonal(L22, T - lam)
         if p4_variant == "corrected":
             add_to_diagonal(M11, T / 2)
             M12[...] = -X
@@ -187,25 +176,29 @@ def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex,
     return lax_pair(spec, embed(x), lam, p4_variant)
 
 
-def char_poly(L: np.ndarray, method: str = "eig") -> np.ndarray:
+def char_poly(L: np.ndarray) -> np.ndarray:
     """Monic characteristic polynomial coefficients in mu, leading first."""
     L = np.asarray(L, dtype=complex)
     if L.ndim != 2 or L.shape[0] != L.shape[1]:
         raise ValueError("char_poly needs a square matrix")
+    return charpoly_coefficients(L)
+
+
+def faddeev_charpoly(L: np.ndarray) -> np.ndarray:
+    """char_poly by the Faddeev-LeVerrier recurrence.
+
+    Exact in rational arithmetic; here a float cross-check of the
+    eigenvalue route.
+    """
+    L = np.asarray(L, dtype=complex)
     k = L.shape[0]
-    if method == "eig":
-        return charpoly_coefficients(L)
-    if method == "faddeev":
-        # Faddeev-LeVerrier recurrence: exact in rational arithmetic,
-        # here a float cross-check of the eigenvalue route
-        coeffs = np.empty(k + 1, dtype=complex)
-        coeffs[0] = 1.0
-        M = np.zeros_like(L)
-        for m in range(1, k + 1):
-            M = L @ M + coeffs[m - 1] * np.eye(k)
-            coeffs[m] = -np.trace(L @ M) / m
-        return coeffs
-    raise ValueError(f"unknown method {method!r}")
+    coeffs = np.empty(k + 1, dtype=complex)
+    coeffs[0] = 1.0
+    M = np.zeros_like(L)
+    for m in range(1, k + 1):
+        M = L @ M + coeffs[m - 1] * np.eye(k)
+        coeffs[m] = -np.trace(L @ M) / m
+    return coeffs
 
 
 def charpoly_coefficients(L: np.ndarray) -> np.ndarray:
@@ -268,11 +261,11 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
     return worst < tol, worst
 
 
-def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> list[SpectralSample]:
+def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> np.ndarray:
+    """The monic char-poly coefficients in mu of L(lambda), one row per lambda."""
     grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
     pt = matrix_point(obj)
-    L = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), grid)[0]
-    return [SpectralSample(lam, c) for lam, c in zip(grid, charpoly_coefficients(L))]
+    return charpoly_coefficients(lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), grid)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ from .dynamics import (dual_position_drift, equivariance_check, integrate,
                        monitor_invariants)
 from .hamiltonians import (matrix_vector_field, p4_involution,
                            reduced_hamiltonian, reduced_hamiltonian_oracle)
-from .lax import (char_poly, default_lambda_grid, spectral_match,
-                  zero_curvature_residual)
+from .lax import (char_poly, default_lambda_grid, faddeev_charpoly,
+                  spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                     level_set_target, moment_deviation, moment_map,
                     symplectic_pairing)
@@ -394,14 +394,14 @@ def check_charpoly_cross(rng):
     worst = 0.0
     for _ in range(10):
         L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = char_poly(L, "eig")
-        b = char_poly(L, "faddeev")
+        a = char_poly(L)
+        b = faddeev_charpoly(L)
         scale = np.maximum(1.0, np.abs(b))
         worst = max(worst, float((np.abs(a - b) / scale).max()))
         # unitary conjugator: a draw with cond(G) ~ 1e4 would measure the
         # roundoff of forming G^-1 L G, not char_poly
         G = np.linalg.qr(np.eye(8) + 0.3 * rng.normal(size=(8, 8)))[0]
-        c = char_poly(G.T @ L @ G, "eig")
+        c = char_poly(G.T @ L @ G)
         worst = max(worst, float((np.abs(a - c) / scale).max()))
     return _check("charpoly_cross_check",
                   "eig vs Faddeev-LeVerrier + conjugation invariance", 1e-8,

@@ -1,15 +1,17 @@
 """Closed-form trace expansions for the Calogero Lax-type matrix.
 
 Q = diag(d_i) + (1-delta_ij) i g / (x_i - x_j) is linear in g, and Tr Q^l
-is an even polynomial in g of degree <= l.  Closed forms are provided for
-l = 3, 4; brute-force matrix powers serve as the oracle.  The l = 4
-quartic block Tr(A^4) splits into pair, triple and quadruple index
-classes; for each unordered triple all three pinch choices contribute, and
-for each unordered quadruple all three cyclic orders do.  The quadruple
-class sums to zero identically (see CONVENTIONS.md): a4_quad_sum is kept
-as the witness of that cancellation and enters no closed form.  Every other
-pair and triple sum contracts W_ij = 1/(x_i - x_j)^2 and its row sums
-S = W.1 (reduction.inverse_square_kernel).
+is an even polynomial in g of degree <= l.  calogero_traces is the one
+closed form of diag Q^2, Tr Q^3 and Tr Q^4: the reduced and dual
+Hamiltonians read their traces from it, and brute-force matrix powers
+serve as the oracle.  The l = 4 quartic block Tr(A^4) splits into pair,
+triple and quadruple index classes; for each unordered triple all three
+pinch choices contribute, and for each unordered quadruple all three
+cyclic orders do.  The quadruple class sums to zero identically (see
+CONVENTIONS.md): a4_quad_sum is kept as the witness of that cancellation
+and enters no closed form.  Every other pair and triple sum contracts
+W_ij = 1/(x_i - x_j)^2 and its row sums S = W.1
+(reduction.inverse_square_kernel).
 """
 from __future__ import annotations
 
@@ -97,24 +99,36 @@ def a4_total(W: np.ndarray) -> complex:
     return complex(2.0 * (S @ S) - (W * W).sum())
 
 
-def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
-    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2.
+def calogero_traces(d: np.ndarray, W: np.ndarray, g: float) -> tuple:
+    """(diag C^2, Tr C^3, Tr C^4) of C = diag(d) +- i g / (x_i - x_j).
 
-    The pair sum is d.S.
+    W = inverse_square_kernel(x) is built once by the caller, S = W.1:
+
+        diag C^2 = d^2 + g^2 S,
+        Tr C^3   = sum d^3 + 3 g^2 d.S,
+        Tr C^4   = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total(W).
+
+    All three are even in g, so the sign of the off-diagonal block drops
+    out and one kernel serves both slices.  This is the one closed form of
+    the traces of C; Tr C^2 is the sum of diag C^2.
     """
-    d, g = spec.diag, spec.g
-    S = inverse_square_kernel(spec.denom).sum(axis=1)
-    return complex(np.sum(d ** 3) + 3.0 * g ** 2 * (d @ S))
+    S = W.sum(axis=1)
+    d2 = d * d
+    diag_c2 = d2 + g ** 2 * S
+    tr_c3 = (d ** 3).sum() + 3.0 * g ** 2 * (d @ S)
+    tr_c4 = ((d ** 4).sum() + 2.0 * g ** 2 * (2.0 * (d2 @ S) + d @ W @ d)
+             + g ** 4 * a4_total(W))
+    return diag_c2, tr_c3, tr_c4
+
+
+def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
+    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2."""
+    return complex(calogero_traces(spec.diag, inverse_square_kernel(spec.denom), spec.g)[1])
 
 
 def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
     """Tr Q^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total."""
-    d, x, g = spec.diag, spec.denom, spec.g
-    W = inverse_square_kernel(x)
-    tr_d2a2 = (d * d) @ W.sum(axis=1)
-    tr_dada = d @ W @ d
-    return complex(np.sum(d ** 4) + 2.0 * g ** 2 * (2.0 * tr_d2a2 + tr_dada)
-                   + g ** 4 * a4_total(W))
+    return complex(calogero_traces(spec.diag, inverse_square_kernel(spec.denom), spec.g)[2])
 
 
 def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:

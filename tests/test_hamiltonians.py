@@ -3,15 +3,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cplab.hamiltonians import (dual_p2_interaction_blocks, harmosc_selfduality,
-                                matrix_gradients, matrix_hamiltonian,
-                                matrix_vector_field, p4_involution,
-                                reduced_hamiltonian, reduced_hamiltonian_oracle,
-                                reduced_vector_field)
+from cplab.hamiltonians import (harmosc_selfduality, matrix_gradients,
+                                matrix_hamiltonian, matrix_vector_field,
+                                p4_involution, reduced_hamiltonian,
+                                reduced_hamiltonian_oracle, reduced_vector_field)
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
-from cplab.traces import a4_pair_sum, a4_quad_sum, a4_triple_sum
+from cplab.traces import a4_quad_sum
 
 ALL_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
              SystemKind.P_II, SystemKind.P_II_POLY, SystemKind.P_IV)
@@ -138,20 +137,10 @@ class TestReducedHamiltonian:
         b = reduced_hamiltonian_oracle(spec, x)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
-    def test_dual_p2_blocks_match_traces(self, rng):
-        # the g^2/g^4 interaction blocks are the quartic-trace blocks
-        spec = spec_for(SystemKind.P_II)
-        x = random_reduced(rng, 4, 1.1, Slice.P_DIAG, t=0.2)
-        blocks = dual_p2_interaction_blocks(x, spec)
-        g4 = x.g ** 4
-        assert abs(blocks["g4_pair"] + (g4 / 2) * a4_pair_sum(x.positions)) < 1e-12
-        assert abs(blocks["g4_triple"] + (g4 / 2) * a4_triple_sum(x.positions)) < 1e-12
-        assert abs(blocks["g4_quadruple"] + (g4 / 2) * a4_quad_sum(x.positions)) < 1e-12
-
     def test_quadruple_block_vanishes_identically(self, rng):
         spec = spec_for(SystemKind.P_II)
         x = random_reduced(rng, 5, 1.0, Slice.P_DIAG)
-        quadruple = dual_p2_interaction_blocks(x, spec)["g4_quadruple"]
+        quadruple = -(x.g ** 4 / 2) * a4_quad_sum(x.positions)
         assert abs(quadruple) < 1e-12
         # the closed form leaves the class out; putting it back moves nothing
         oracle = reduced_hamiltonian_oracle(spec, x)

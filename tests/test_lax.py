@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
-                       gauge_F, lax_matrices, lax_pair, reduced_lax, reduced_m,
-                       spectral_match, zero_curvature_residual)
+                       faddeev_charpoly, gauge_F, lax_matrices, lax_pair,
+                       reduced_lax, reduced_m, spectral_match,
+                       zero_curvature_residual)
 from cplab.dynamics import integrate
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from cplab.reduction import ReducedPoint, Slice, embed, reduce
@@ -182,8 +183,8 @@ class TestCharPoly:
     def test_methods_agree(self, seed):
         rng = np.random.default_rng(seed)
         L = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a = char_poly(L, "eig")
-        b = char_poly(L, "faddeev")
+        a = char_poly(L)
+        b = faddeev_charpoly(L)
         scale = np.maximum(1.0, np.abs(b))
         assert (np.abs(a - b) / scale).max() < 1e-10
 

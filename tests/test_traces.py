@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from cplab import selfcheck
 from cplab.errors import ParticleCollision
+from cplab.reduction import inverse_square_kernel
 from cplab.traces import (CalogeroMatrixSpec, a4_pair_sum, a4_quad_sum,
-                          a4_triple_sum, assemble, evenness_check,
-                          tr_q3_closed, tr_q4_closed, trace_power_oracle)
+                          a4_triple_sum, assemble, calogero_traces,
+                          evenness_check, tr_q3_closed, tr_q4_closed,
+                          trace_power_oracle)
 
 WORKED = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
 
@@ -73,6 +75,21 @@ class TestClosedForms:
         for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
             oracle = trace_power_oracle(spec, l)
             assert abs(closed(spec) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+
+
+class TestCalogeroTraces:
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_against_matrix_powers(self, rng, n, sign):
+        # sign -1 is the p-slice off-diagonal: even in g, one kernel serves both
+        spec = random_spec(rng, n)
+        diag_c2, tr_c3, tr_c4 = calogero_traces(
+            spec.diag, inverse_square_kernel(spec.denom), spec.g)
+        Q = assemble(spec, g=sign * spec.g)
+        Q2 = Q @ Q
+        for got, ref in ((diag_c2, np.diagonal(Q2)), (tr_c3, np.trace(Q2 @ Q)),
+                         (tr_c4, np.trace(Q2 @ Q2))):
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
 class TestQuadrupleClassCancellation:
