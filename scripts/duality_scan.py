@@ -12,9 +12,8 @@ import argparse
 
 import numpy as np
 
-from cplab.lax import spectral_match
+from cplab.lax import spectral_duality
 from cplab.phase import SystemKind
-from cplab.reduction import Slice, reduce
 from cplab.sampling import random_level_set_point, spec_for
 
 KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV, SystemKind.HARM_OSC)
@@ -26,12 +25,9 @@ def scan(seed: int, g: float, ns):
     for kind in KINDS:
         spec = spec_for(kind, autonomous=True, tau=1.0)
         for n in ns:
-            pt = random_level_set_point(rng, n, g)
-            xq = reduce(pt, Slice.Q_DIAG, g, tol=1e-5)
-            xp = reduce(pt, Slice.P_DIAG, g, tol=1e-5)
-            devs = [spectral_match(spec, a, b)[1]
-                    for a, b in ((pt, xq), (pt, xp), (xq, xp))]
-            print(f"{kind.value:10s} {n:2d}  " + "  ".join(f"{d:.3e}" for d in devs))
+            devs = spectral_duality(spec, random_level_set_point(rng, n, g), g)
+            print(f"{kind.value:10s} {n:2d}  "
+                  + "  ".join(f"{d:.3e}" for d in devs.values()))
 
 
 if __name__ == "__main__":

@@ -1,7 +1,6 @@
 """Numerical laboratory for matrix Painlevé systems and their reductions."""
 
 from .phase import (
-    Coupling,
     MatrixPhasePoint,
     SystemKind,
     SystemSpec,
@@ -22,7 +21,6 @@ from .reduction import (
 )
 
 __all__ = [
-    "Coupling",
     "Diagonalizer",
     "MatrixPhasePoint",
     "ReducedPoint",

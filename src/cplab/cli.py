@@ -22,11 +22,12 @@ import jsonschema
 import numpy as np
 
 from .dynamics import integrate, monitor_invariants, step_count
-from .errors import (CplabError, ConfigError, NonConvergedEigensolve, Overflow,
-                     ParticleCollision, PoleAtLambda, UnsupportedSystem)
-from .lax import default_lambda_grid, spectral_match, spectral_table
+from .errors import (CplabError, ConfigError, DimensionMismatch,
+                     NonConvergedEigensolve, Overflow, ParticleCollision,
+                     PoleAtLambda, UnsupportedSystem)
+from .lax import default_lambda_grid, spectral_duality, spectral_table
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
-from .reduction import ReducedPoint, Slice, reduce
+from .reduction import ReducedPoint, Slice
 from .sampling import random_level_set_point, random_reduced
 from .selfcheck import (check_appendix_traces, check_confluence, check_mmkdv,
                         run_selfcheck)
@@ -110,13 +111,16 @@ def initial_state(cfg: dict, rng: np.random.Generator):
     g = cfg.get("g", 1.0)
     t = cfg.get("t", 0.0)
     sl = Slice(cfg.get("slice", "Q_DIAG"))
-    if "reduced" in init:
-        red = init["reduced"]
-        return ReducedPoint(cvector(red["positions"]), cvector(red["momenta"]),
-                            g, t, sl)
-    if "matrix" in init:
-        return MatrixPhasePoint(cmatrix(init["matrix"]["q"]),
-                                cmatrix(init["matrix"]["p"]), t)
+    try:
+        if "reduced" in init:
+            red = init["reduced"]
+            return ReducedPoint(cvector(red["positions"]), cvector(red["momenta"]),
+                                g, t, sl)
+        if "matrix" in init:
+            return MatrixPhasePoint(cmatrix(init["matrix"]["q"]),
+                                    cmatrix(init["matrix"]["p"]), t)
+    except (ValueError, DimensionMismatch) as exc:
+        raise ConfigError(f"initial state rejected: {exc}") from exc
     n = cfg.get("n")
     if n is None:
         raise ConfigError("random initial data needs 'n'")
@@ -223,13 +227,7 @@ def cmd_verify_duality(cfg, rng, out):
     tol = cfg.get("tolerances", {}).get("duality", 1e-8)
     grid = lambda_grid(cfg)
     pt = random_level_set_point(rng, n, g, t=cfg.get("t", 0.0))
-    xq = reduce(pt, Slice.Q_DIAG, g, tol=1e-5)
-    xp = reduce(pt, Slice.P_DIAG, g, tol=1e-5)
-    devs = {}
-    for name, a, b in (("unreduced_vs_reduced", pt, xq),
-                       ("unreduced_vs_dual", pt, xp),
-                       ("reduced_vs_dual", xq, xp)):
-        _, devs[name] = spectral_match(spec, a, b, grid, tol)
+    devs = spectral_duality(spec, pt, g, grid)
     worst = max(devs.values())
     report = {
         "operation": "spectral_match: det(mu - L) ratios on a mu circle",

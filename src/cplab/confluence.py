@@ -117,16 +117,17 @@ def _image_hamiltonian(point, cp: ConfluenceParams, kind: str) -> complex:
     return _hamiltonian(p4_spec(cp), mapper(point, cp, kind))
 
 
-def confluence_residual(point, cp: ConfluenceParams, kind: str = "conf") -> float:
-    """|H_target - (-eps H_IV(image) + n theta/(2 eps^2))|, which is |eps^2 R|.
+def _confluence_difference(point, h_target: complex, cp: ConfluenceParams,
+                           kind: str) -> tuple:
+    """H_target - (image + shift), which the identity makes -eps^2 R, and its terms.
 
-    A matrix point goes through the traces, a reduced (Q_DIAG) point
-    through the closed forms; both lose digits as eps -> 0.
+    image = -eps H_IV(image point) and shift = n theta/(2 eps^2).  A matrix
+    point goes through the traces, a reduced (Q_DIAG) point through the
+    closed forms.
     """
-    h_target = _target_hamiltonian(point, cp.theta, kind)
-    h_iv = _image_hamiltonian(point, cp, kind)
+    image = -cp.eps * _image_hamiltonian(point, cp, kind)
     shift = point.n * cp.theta / (2 * cp.eps ** 2)
-    return float(abs(h_target - (-cp.eps * h_iv + shift)))
+    return h_target - (image + shift), image, shift
 
 
 def remainder(pt: MatrixPhasePoint, kind: str = "conf") -> complex:
@@ -147,9 +148,10 @@ def identity_defect(point, theta: complex, kind: str = "conf") -> float:
     R = remainder(matrix_point(point), kind)
     worst = scale = 0.0
     for e in UNIT_CIRCLE_EPS:
-        h_iv = _image_hamiltonian(point, ConfluenceParams(e, theta), kind)
-        image, shift, r = -e * h_iv, point.n * theta / (2 * e ** 2), e ** 2 * R
-        worst = max(worst, abs(h_target - (image + shift) + r))
+        diff, image, shift = _confluence_difference(
+            point, h_target, ConfluenceParams(e, theta), kind)
+        r = e ** 2 * R
+        worst = max(worst, abs(diff + r))
         scale = max(scale, abs(h_target), abs(image), abs(shift), abs(r))
     return float(worst / scale)
 
@@ -158,10 +160,13 @@ def residual_ratio_sweep(point, cp_theta: complex, eps_values,
                          kind: str = "conf") -> dict:
     """Residuals |eps^2 R| over an eps sweep and their halving ratios.
 
-    Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms.
+    Each residual is |H_target - (-eps H_IV(image) + n theta/(2 eps^2))|.
+    Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms
+    and lose digits.
     """
-    residuals = [confluence_residual(point, ConfluenceParams(e, cp_theta), kind)
-                 for e in eps_values]
+    h_target = _target_hamiltonian(point, cp_theta, kind)
+    residuals = [float(abs(_confluence_difference(
+        point, h_target, ConfluenceParams(e, cp_theta), kind)[0])) for e in eps_values]
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
     return {"eps": list(eps_values), "residuals": residuals, "ratios": ratios}

@@ -21,6 +21,9 @@ from .reduction import ReducedPoint, Slice, embed, embedded_matrices, \
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
 EQUIVARIANCE_STEP = 1e-3  # RK4 step of both legs of equivariance_check
+# states per stacked diagnostic evaluation: bounds the (chunk, n, n) stacks of
+# a long flow's energies and moment deviations
+DIAGNOSTIC_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,8 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     overflow check, which the start state passes too.  Collisions are
     caught where they are guarded: in the reduced vector field at every
     stage and in ReducedPoint at every step.  Energies and moment
-    deviations are evaluated once, over the stacked (embedded) states of
-    the finished or partial trajectory.
+    deviations are evaluated over the stacked (embedded) states of the
+    finished or partial trajectory, DIAGNOSTIC_CHUNK states at a time.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -90,12 +93,14 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     times, states = [], []
 
     def so_far():
-        diagnostics = {"energy": np.array([]), "moment_deviation": np.array([])}
-        if states:
-            q, p = stacked_matrices(states)
-            diagnostics = {
-                "energy": trace_hamiltonian(spec, q, p, spec.time(np.array(times))),
-                "moment_deviation": moment_deviation(q, p, g_monitor)}
+        energy, deviation = [np.array([])], [np.array([])]
+        for i in range(0, len(states), DIAGNOSTIC_CHUNK):
+            q, p = stacked_matrices(states[i:i + DIAGNOSTIC_CHUNK])
+            T = spec.time(np.array(times[i:i + DIAGNOSTIC_CHUNK]))
+            energy.append(trace_hamiltonian(spec, q, p, T))
+            deviation.append(moment_deviation(q, p, g_monitor))
+        diagnostics = {"energy": np.concatenate(energy),
+                       "moment_deviation": np.concatenate(deviation)}
         return Trajectory(np.array(times), states, diagnostics, g_monitor)
 
     t = t0

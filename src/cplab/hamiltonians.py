@@ -22,7 +22,7 @@ from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
 from .reduction import (ReducedPoint, Slice, collision_guard, embed,
                         embedded_matrices, inverse_square_kernel, offdiag_sign)
-from .traces import calogero_traces
+from .traces import diag_c2, tr_c3, tr_c4
 
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
@@ -113,18 +113,20 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
     trace_hamiltonian's formula at the embedded pair of one diagonal
     D = diag(a) and one Calogero matrix C with diagonal b and denominators
     a: (q, p) = (D, C) on Q_DIAG and (C, D) on P_DIAG.  q[k] and p[k] hold
-    Tr q^k and Tr p^k, those of C from traces.calogero_traces; the mixed
+    Tr q^k and Tr p^k for k <= 2, those of C from traces.diag_c2; the mixed
     traces are Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
-    Tr(D C^2) = Tr(C D C) = a.diag C^2.
+    Tr(D C^2) = Tr(C D C) = a.diag C^2.  Tr q^3 and Tr q^4 are formed by the
+    kinds that read them, with traces.tr_c3 and tr_c4 on P_DIAG.
     """
     a, b = x.positions, x.momenta
-    c2, tr_c3, tr_c4 = calogero_traces(b, inverse_square_kernel(a), x.g)
-    # Tr D^k and Tr C^k for k = 0..4
+    W = inverse_square_kernel(a)
+    c2 = diag_c2(b, W, x.g)
     a2 = a * a
-    tr_d = (a.size, a.sum(), a2.sum(), (a2 * a).sum(), (a2 * a2).sum())
-    tr_c = (a.size, b.sum(), c2.sum(), tr_c3, tr_c4)
+    tr_d = (a.size, a.sum(), a2.sum())
+    tr_c = (a.size, b.sum(), c2.sum())
     d2c, dc2 = a2 @ b, a @ c2
-    if x.slice is Slice.Q_DIAG:
+    q_diag = x.slice is Slice.Q_DIAG
+    if q_diag:
         q, p, pqq, pqp = tr_d, tr_c, d2c, dc2
     else:
         q, p, pqq, pqp = tr_c, tr_d, dc2, d2c
@@ -136,10 +138,12 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
     elif k is SystemKind.HARM_OSC:
         h = p[2] / 2 + spec.omega ** 2 * q[2] / 2
     elif k is SystemKind.P_I:
-        h = p[2] / 2 - q[3] / 2 - (T / 4) * q[1]
+        q3 = (a2 * a).sum() if q_diag else tr_c3(b, W, x.g)
+        h = p[2] / 2 - q3 / 2 - (T / 4) * q[1]
     elif k is SystemKind.P_II:
+        q4 = (a2 * a2).sum() if q_diag else tr_c4(b, W, x.g)
         # Tr w^2 for w = q^2 + T/2
-        h = p[2] / 2 - (q[4] + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
+        h = p[2] / 2 - (q4 + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
     elif k is SystemKind.P_II_POLY:
         h = p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
     elif k is SystemKind.P_IV:

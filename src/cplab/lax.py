@@ -17,7 +17,7 @@ which reproduces the P_IV equations of motion exactly (see CONVENTIONS.md).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,28 +27,16 @@ from .hamiltonians import matrix_vector_field
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                     add_to_diagonal)
 from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
-                        matrix_point)
+                        matrix_point, reduce)
 
 POLE_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class LaxSample:
-    """Value of the pair (L, M) at one spectral parameter."""
+class LaxPair(NamedTuple):
+    """The pair (L, M) at one point and one spectral parameter."""
 
-    lam: complex
     L: np.ndarray
-    M: np.ndarray | None = None
-
-    def __post_init__(self):
-        L = np.asarray(self.L, dtype=complex)
-        if L.shape[0] != L.shape[1] or L.shape[0] % 2:
-            raise ValueError("L must be square of even dimension 2n")
-        if not np.all(np.isfinite(L)):
-            raise ValueError("non-finite entries in L")
-        object.__setattr__(self, "L", L)
-        if self.M is not None:
-            object.__setattr__(self, "M", np.asarray(self.M, dtype=complex))
+    M: np.ndarray
 
 
 def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
@@ -155,18 +143,17 @@ def _p2_m(M: np.ndarray, q: np.ndarray, lam: np.ndarray):
 
 
 def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
-             p4_variant: str = "corrected") -> LaxSample:
+             p4_variant: str = "corrected") -> LaxPair:
     """The isomonodromic/isospectral pair at spectral parameter lam.
 
     One point of lax_matrices; autonomous specs substitute tau for t
     inside both matrices.
     """
-    L, M = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), lam, p4_variant)
-    return LaxSample(complex(lam), L, M)
+    return LaxPair(*lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), lam, p4_variant))
 
 
 def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex,
-                p4_variant: str = "corrected") -> LaxSample:
+                p4_variant: str = "corrected") -> LaxPair:
     """Pair assembled from reduced coordinates.
 
     The embedded point is the slice-diagonal orbit representative, so
@@ -259,6 +246,21 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
         ratio = sign_a / sign_b * np.exp(log_a - log_b)
         worst = max(worst, float(np.abs(ratio - 1).max()))
     return worst < tol, worst
+
+
+def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float,
+                     lam_grid=None) -> dict[str, float]:
+    """spectral_match deviations of one level-set point and its two reductions.
+
+    pt is reduced at the q-diagonal slice (reduced) and at the p-diagonal
+    slice (dual); the three pairs of their Lax matrices are compared.
+    """
+    xq = reduce(pt, Slice.Q_DIAG, g, tol=1e-5)
+    xp = reduce(pt, Slice.P_DIAG, g, tol=1e-5)
+    pairs = {"unreduced_vs_reduced": (pt, xq), "unreduced_vs_dual": (pt, xp),
+             "reduced_vs_dual": (xq, xp)}
+    return {name: spectral_match(spec, a, b, lam_grid)[1]
+            for name, (a, b) in pairs.items()}
 
 
 def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> np.ndarray:

@@ -71,24 +71,12 @@ class TangentPair:
         object.__setattr__(self, "dp", dp)
 
 
-@dataclass(frozen=True)
-class Coupling:
-    """Calogero coupling constant g > 0."""
-
-    g: float
-
-    def __post_init__(self):
-        g = float(self.g)
-        if not np.isfinite(g) or g <= 0:
-            raise ValueError(f"coupling must be finite and positive, got {g}")
-        object.__setattr__(self, "g", g)
-
-
 def coupling_value(g) -> float:
-    """Accept either a Coupling or a bare positive float."""
-    if isinstance(g, Coupling):
-        return g.g
-    return Coupling(float(g)).g
+    """The Calogero coupling g as a float, checked finite and positive."""
+    g = float(g)
+    if not np.isfinite(g) or g <= 0:
+        raise ValueError(f"coupling must be finite and positive, got {g}")
+    return g
 
 
 class SystemKind(Enum):

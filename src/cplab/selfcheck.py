@@ -18,7 +18,7 @@ from .dynamics import (dual_position_drift, equivariance_check, integrate,
                        monitor_invariants)
 from .hamiltonians import (matrix_vector_field, p4_involution,
                            reduced_hamiltonian, reduced_hamiltonian_oracle)
-from .lax import (char_poly, default_lambda_grid, faddeev_charpoly,
+from .lax import (char_poly, faddeev_charpoly, spectral_duality,
                   spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                     level_set_target, moment_deviation, moment_map,
@@ -119,20 +119,11 @@ def check_appendix_traces(rng, n_max=8, trials=50, max_l=12):
 
 def check_spectral_duality(rng):
     worst = {}
-    grid = default_lambda_grid()
     for kind in FOUR_KINDS:
         spec = spec_for(kind, autonomous=True, tau=1.0)
-        w = 0.0
-        for n in (2, 3, 4, 8):
-            pt = random_level_set_point(rng, n, 1.0)
-            xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-5)
-            xp = reduce(pt, Slice.P_DIAG, 1.0, tol=1e-5)
-            for other in (xq, xp):
-                _, dev = spectral_match(spec, pt, other, grid)
-                w = max(w, dev)
-            _, dev = spectral_match(spec, xq, xp, grid)
-            w = max(w, dev)
-        worst[kind.value] = w
+        worst[kind.value] = max(
+            max(spectral_duality(spec, random_level_set_point(rng, n, 1.0), 1.0).values())
+            for n in (2, 3, 4, 8))
     spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
     a = random_reduced(rng, 3, 1.0)
     b = random_reduced(rng, 3, 1.0)

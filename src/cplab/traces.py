@@ -1,10 +1,10 @@
 """Closed-form trace expansions for the Calogero Lax-type matrix.
 
 Q = diag(d_i) + (1-delta_ij) i g / (x_i - x_j) is linear in g, and Tr Q^l
-is an even polynomial in g of degree <= l.  calogero_traces is the one
-closed form of diag Q^2, Tr Q^3 and Tr Q^4: the reduced and dual
-Hamiltonians read their traces from it, and brute-force matrix powers
-serve as the oracle.  The l = 4 quartic block Tr(A^4) splits into pair,
+is an even polynomial in g of degree <= l.  diag_c2, tr_c3 and tr_c4 are
+the one closed form each of diag Q^2, Tr Q^3 and Tr Q^4: the reduced and
+dual Hamiltonians read their traces from them, each forming only the
+traces its kind reads, and brute-force matrix powers serve as the oracle.  The l = 4 quartic block Tr(A^4) splits into pair,
 triple and quadruple index classes; for each unordered triple all three
 pinch choices contribute, and for each unordered quadruple all three
 cyclic orders do.  The quadruple class sums to zero identically (see
@@ -99,36 +99,37 @@ def a4_total(W: np.ndarray) -> complex:
     return complex(2.0 * (S @ S) - (W * W).sum())
 
 
-def calogero_traces(d: np.ndarray, W: np.ndarray, g: float) -> tuple:
-    """(diag C^2, Tr C^3, Tr C^4) of C = diag(d) +- i g / (x_i - x_j).
+def diag_c2(d: np.ndarray, W: np.ndarray, g: float) -> np.ndarray:
+    """diag C^2 = d^2 + g^2 S of C = diag(d) +- i g / (x_i - x_j).
 
-    W = inverse_square_kernel(x) is built once by the caller, S = W.1:
-
-        diag C^2 = d^2 + g^2 S,
-        Tr C^3   = sum d^3 + 3 g^2 d.S,
-        Tr C^4   = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total(W).
-
-    All three are even in g, so the sign of the off-diagonal block drops
-    out and one kernel serves both slices.  This is the one closed form of
-    the traces of C; Tr C^2 is the sum of diag C^2.
+    W = inverse_square_kernel(x) is built once by the caller, S = W.1.
+    This and the two traces below are even in g, so the sign of the
+    off-diagonal block drops out and one kernel serves both slices;
+    Tr C^2 is the sum of diag C^2.
     """
+    return d * d + g ** 2 * W.sum(axis=1)
+
+
+def tr_c3(d: np.ndarray, W: np.ndarray, g: float) -> complex:
+    """Tr C^3 = sum d^3 + 3 g^2 d.S."""
+    return (d ** 3).sum() + 3.0 * g ** 2 * (d @ W.sum(axis=1))
+
+
+def tr_c4(d: np.ndarray, W: np.ndarray, g: float) -> complex:
+    """Tr C^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total(W)."""
     S = W.sum(axis=1)
-    d2 = d * d
-    diag_c2 = d2 + g ** 2 * S
-    tr_c3 = (d ** 3).sum() + 3.0 * g ** 2 * (d @ S)
-    tr_c4 = ((d ** 4).sum() + 2.0 * g ** 2 * (2.0 * (d2 @ S) + d @ W @ d)
-             + g ** 4 * a4_total(W))
-    return diag_c2, tr_c3, tr_c4
+    return ((d ** 4).sum() + 2.0 * g ** 2 * (2.0 * ((d * d) @ S) + d @ W @ d)
+            + g ** 4 * a4_total(W))
 
 
 def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
     """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2."""
-    return complex(calogero_traces(spec.diag, inverse_square_kernel(spec.denom), spec.g)[1])
+    return complex(tr_c3(spec.diag, inverse_square_kernel(spec.denom), spec.g))
 
 
 def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
     """Tr Q^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total."""
-    return complex(calogero_traces(spec.diag, inverse_square_kernel(spec.denom), spec.g)[2])
+    return complex(tr_c4(spec.diag, inverse_square_kernel(spec.denom), spec.g))
 
 
 def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:

@@ -1,12 +1,26 @@
-"""The benchmark's tracer wraps cplab functions by name; every name must resolve.
+"""The benchmark's calls into cplab: every name must resolve, every contract hold.
 
-bench/tracer.py is loaded by path and only read: a refactor that renames or
-deletes a traced function or a counted point class fails here instead of in
-a traced benchmark run.
+bench/tracer.py is loaded by path and only read, and bench/workloads.py is
+parsed, not imported: a refactor that renames or deletes a traced function
+or a counted point class, or changes what the workloads read of a Lax pair,
+of spectral_match or of the selfcheck battery, fails here instead of in a
+benchmark run.
 """
+import ast
 import importlib
 import importlib.util
+import inspect
+import re
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from cplab import selfcheck
+from cplab.lax import lax_pair, reduced_lax, spectral_match
+from cplab.phase import SystemKind
+from cplab.reduction import embed
+from cplab.sampling import random_reduced, spec_for
 
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -32,3 +46,46 @@ def test_constructor_targets_resolve():
                if not hasattr(getattr(importlib.import_module(f"cplab.{mod}"),
                                       name, None), "__post_init__")]
     assert not missing
+
+
+# what bench/workloads.py reads of the program, besides the traced names
+WORKLOADS = TRACER.parent / "workloads.py"
+
+
+def workloads_constant(name):
+    """A literal module-level constant of bench/workloads.py, read unimported."""
+    for node in ast.parse(WORKLOADS.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+@pytest.mark.parametrize("kind", ["Free", "HarmOsc", "P_I", "P_II", "P_IV"])
+def test_lax_pairs_are_square_of_size_2n(kind):
+    spec = spec_for(SystemKind(kind), autonomous=True, tau=1.0)
+    x = random_reduced(np.random.default_rng(0), 3, 1.0)
+    for pair in (lax_pair(spec, embed(x), 0.7), reduced_lax(spec, x, 0.7)):
+        L, M = pair
+        assert pair.L is L and isinstance(L, np.ndarray) and L.shape == (6, 6)
+        assert isinstance(M, np.ndarray) and M.shape == (6, 6)
+
+
+def test_spectral_match_returns_verdict_and_deviation():
+    spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    rng = np.random.default_rng(0)
+    verdict = spectral_match(spec, random_reduced(rng, 2, 1.0),
+                             random_reduced(rng, 2, 1.0))
+    assert isinstance(verdict, tuple) and len(verdict) == 2
+    ok, dev = verdict
+    assert type(ok) is bool and type(dev) is float
+
+
+def test_selfcheck_battery_is_named_as_the_bench_names_it():
+    # each check names its report entry by the literal first argument of _check
+    expected = workloads_constant("SELFCHECK_CHECKS")
+    names = [(fn.__name__,
+              re.search(r'_check\(\s*"(\w+)"', inspect.getsource(fn)).group(1))
+             for fn in selfcheck.ALL_CHECKS]
+    assert len(names) == 15
+    assert names == [tuple(pair) for pair in expected]

@@ -35,6 +35,32 @@ class TestConfigHandling:
         assert main(["selfcheck", "--config", cfg]) == 2
 
 
+    @pytest.mark.parametrize("initial", [
+        {"reduced": {"positions": [0.0, 1.0], "momenta": [0.0]}},
+        {"matrix": {"q": [[0.0, 1.0]], "p": [[0.0, 1.0]]}},
+        {"random": False},
+        {"reduced": {"positions": [0.0, 1.0], "momenta": [0.0, 0.0]},
+         "matrix": {"q": [[0.0]], "p": [[0.0]]}},
+    ], ids=["reduced_lengths", "non_square_matrix", "random_false",
+            "reduced_and_matrix"])
+    def test_bad_initial_state_is_config_error(self, tmp_path, capsys, initial):
+        cfg = write(tmp_path, "sim.json", {
+            "command": "simulate", "system": {"kind": "Free"}, "n": 2,
+            "initial": initial, "time": {"t0": 0.0, "t1": 1.0, "h": 0.1},
+        })
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["level_set", "reduce"])
+    def test_unread_tolerances_rejected(self, tmp_path, key):
+        cfg = write(tmp_path, "c.json", {
+            "command": "verify-duality",
+            "system": {"kind": "P_II", "autonomous": True, "tau": 1.0},
+            "tolerances": {key: 1e-30},
+        })
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+
 class TestSimulate:
     def test_free_trajectory_csv(self, tmp_path, rng):
         q = rng.normal(size=(2, 2))

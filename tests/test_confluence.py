@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cplab.confluence import (ConfluenceParams, canonical_shift, conf_map,
-                              confluence_residual, dual_confluence_breakdown,
+                              dual_confluence_breakdown,
                               identity_defect, map_time, particle_conf_map,
                               p4_spec, remainder, residual_ratio_sweep)
 from cplab.hamiltonians import matrix_hamiltonian
@@ -120,16 +120,18 @@ class TestCanonicalShift:
 class TestResiduals:
     def test_scalar_ratio(self):
         pt = MatrixPhasePoint([[0.3]], [[-0.2]], 0.1)
-        res = [confluence_residual(pt, ConfluenceParams(e, 1.0)) for e in EPS_SWEEP]
-        for r_big, r_small in zip(res, res[1:]):
+        sweep = residual_ratio_sweep(pt, 1.0, EPS_SWEEP)
+        assert len(sweep["ratios"]) == len(EPS_SWEEP) - 1
+        for r_big, r_small in zip(sweep["residuals"], sweep["residuals"][1:]):
             assert 3.5 < r_big / r_small < 4.5
 
     def test_vacuum_residual_tiny(self):
         pt = MatrixPhasePoint([[0.0]], [[0.0]], 0.0)
-        for e in EPS_SWEEP:
-            # all matter terms vanish; only roundoff from the parameter
-            # cancellations remains, far below the eps^2 scale
-            assert confluence_residual(pt, ConfluenceParams(e, 1.0)) < e ** 2
+        # all matter terms vanish; only roundoff from the parameter
+        # cancellations remains, far below the eps^2 scale
+        sweep = residual_ratio_sweep(pt, 1.0, EPS_SWEEP)
+        for e, r in zip(EPS_SWEEP, sweep["residuals"]):
+            assert r < e ** 2
 
     def test_matrix_and_reduced_sweeps(self, rng):
         # the identity holds at roundoff on both paths and for both maps; the
@@ -162,9 +164,8 @@ class TestResiduals:
         # conf commutes with the Q_DIAG embedding, so the two residual code
         # paths (closed forms vs traces) must agree
         x = random_reduced(rng, 2, 1.0, t=0.1)
-        cp = ConfluenceParams(0.1, 0.7)
-        a = confluence_residual(x, cp, "conf")
-        b = confluence_residual(embed(x), cp, "conf")
+        (a,) = residual_ratio_sweep(x, 0.7, [0.1], "conf")["residuals"]
+        (b,) = residual_ratio_sweep(embed(x), 0.7, [0.1], "conf")["residuals"]
         assert abs(a - b) < 1e-8 * max(1.0, abs(b))
 
     def test_interaction_term_limit(self, rng):
@@ -187,7 +188,8 @@ class TestResiduals:
         with pytest.raises(ValueError, match="kind"):
             conf_map(generic_point(rng), cp, "conf2")
         with pytest.raises(ValueError, match="Q_DIAG"):
-            confluence_residual(random_reduced(rng, 2, 1.0, Slice.P_DIAG), cp)
+            residual_ratio_sweep(random_reduced(rng, 2, 1.0, Slice.P_DIAG), 0.7,
+                                 [0.1])
 
     def test_image_time(self):
         cp = ConfluenceParams(0.1, 0.0)

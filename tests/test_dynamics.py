@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cplab.dynamics import (dual_position_drift, equivariance_check, integrate,
-                            monitor_invariants)
+from cplab.dynamics import (DIAGNOSTIC_CHUNK, dual_position_drift,
+                            equivariance_check, integrate, monitor_invariants)
 from cplab.errors import Overflow, ParticleCollision
 from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from cplab.lax import lax_pair
@@ -230,6 +232,28 @@ class TestBatchedDiagnostics:
         start = embed(x0) if form == "matrix" else x0
         traj = integrate(spec, start, 0.1, 0.15, 1e-2, g=1.0)
         self._assert_per_state(spec, traj, 1.0)
+
+    @pytest.mark.parametrize("form", ["matrix", "p_slice"])
+    def test_diagnostics_span_chunk_boundaries(self, rng, form):
+        # 151 states: two full chunks of DIAGNOSTIC_CHUNK and a partial one
+        spec = spec_for(SystemKind.P_II, autonomous=True, tau=0.8)
+        x0 = random_reduced(rng, 3, 1.0, Slice.P_DIAG, mom_scale=0.3)
+        start = embed(x0) if form == "matrix" else x0
+        traj = integrate(spec, start, 0.0, 0.15, 1e-3, g=1.0)
+        assert len(traj.states) > 2 * DIAGNOSTIC_CHUNK
+        self._assert_per_state(spec, traj, 1.0)
+
+    def test_long_reduced_flow_memory_is_bounded(self):
+        # unchunked, the stacked (1001, 12, 12) diagnostics peaked at 9.7 MiB
+        x0 = random_reduced(np.random.default_rng(0), 12, 1.0, mom_scale=0.1)
+        tracemalloc.start()
+        try:
+            traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 0.1, 1e-4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 1001
+        assert peak < 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
 
     def test_overflow_partial_carries_a_value_per_state(self):
         spec = spec_for(SystemKind.P_II)

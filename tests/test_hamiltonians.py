@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cplab import hamiltonians
 from cplab.hamiltonians import (harmosc_selfduality, matrix_gradients,
                                 matrix_hamiltonian, matrix_vector_field,
                                 p4_involution, reduced_hamiltonian,
@@ -136,6 +139,22 @@ class TestReducedHamiltonian:
         a = reduced_hamiltonian(spec, x)
         b = reduced_hamiltonian_oracle(spec, x)
         assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
+
+    def test_only_dual_p1_and_p2_form_higher_traces(self, rng, monkeypatch):
+        # Tr C^3 is read by dual P_I only, Tr C^4 by dual P_II only
+        counted = {name: mock.Mock(wraps=getattr(hamiltonians, name))
+                   for name in ("tr_c3", "tr_c4")}
+        for name, counter in counted.items():
+            monkeypatch.setattr(hamiltonians, name, counter)
+        readers = {(SystemKind.P_I, Slice.P_DIAG): {"tr_c3": 1},
+                   (SystemKind.P_II, Slice.P_DIAG): {"tr_c4": 1}}
+        for kind in ALL_KINDS:
+            for sl in Slice:
+                for counter in counted.values():
+                    counter.reset_mock()
+                reduced_hamiltonian(spec_for(kind), random_reduced(rng, 3, 1.0, sl))
+                calls = {name: c.call_count for name, c in counted.items() if c.call_count}
+                assert calls == readers.get((kind, sl), {}), (kind, sl)
 
     def test_quadruple_block_vanishes_identically(self, rng):
         spec = spec_for(SystemKind.P_II)

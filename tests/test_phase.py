@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cplab.errors import DimensionMismatch
-from cplab.phase import (Coupling, MatrixPhasePoint, SystemKind, SystemSpec,
-                         TangentPair, add_to_diagonal, fill_diagonal,
-                         level_set_target, moment_map, on_level_set,
-                         symplectic_pairing)
+from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec,
+                         TangentPair, add_to_diagonal, coupling_value,
+                         fill_diagonal, level_set_target, moment_map,
+                         on_level_set, symplectic_pairing)
 from cplab.reduction import ReducedPoint
 
 
@@ -90,7 +90,7 @@ class TestLevelSet:
         assert np.abs(level_set_target(2, 1.0) - expected).max() == 0
 
     def test_n3_entries(self):
-        target = level_set_target(3, Coupling(2.0))
+        target = level_set_target(3, 2)
         assert np.all(np.diag(target) == 0)
         off = target[~np.eye(3, dtype=bool)]
         assert np.all(off == -2j)
@@ -147,7 +147,8 @@ class TestSystemSpec:
         assert spec.theta == 3.0
 
     def test_coupling_positive(self):
-        with pytest.raises(ValueError):
-            Coupling(-1.0)
-        with pytest.raises(ValueError):
-            Coupling(0.0)
+        for bad in (-1.0, 0.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                coupling_value(bad)
+        g = coupling_value(2)
+        assert type(g) is float and g == 2.0
