@@ -111,12 +111,6 @@ def _target_hamiltonian(point, theta: complex, kind: str) -> complex:
                    theta=theta), point)
 
 
-def _image_hamiltonian(point, cp: ConfluenceParams, kind: str) -> complex:
-    """H_IV at the confluence image of a matrix or a reduced point."""
-    mapper = particle_conf_map if isinstance(point, ReducedPoint) else conf_map
-    return _hamiltonian(p4_spec(cp), mapper(point, cp, kind))
-
-
 def _confluence_difference(point, h_target: complex, cp: ConfluenceParams,
                            kind: str) -> tuple:
     """H_target - (image + shift), which the identity makes -eps^2 R, and its terms.
@@ -125,7 +119,8 @@ def _confluence_difference(point, h_target: complex, cp: ConfluenceParams,
     point goes through the traces, a reduced (Q_DIAG) point through the
     closed forms.
     """
-    image = -cp.eps * _image_hamiltonian(point, cp, kind)
+    mapper = particle_conf_map if isinstance(point, ReducedPoint) else conf_map
+    image = -cp.eps * _hamiltonian(p4_spec(cp), mapper(point, cp, kind))
     shift = point.n * cp.theta / (2 * cp.eps ** 2)
     return h_target - (image + shift), image, shift
 
@@ -190,14 +185,12 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
     diag = normalized_diagonalizer(image.p, tol=1e-8)
     C = diag.C
     n = x.n
-    col_order = np.empty(n, dtype=int)
-    for j in range(n):
-        col_order[j] = int(np.argmax(np.abs(C[:, j])))
+    col_order = np.abs(C).argmax(axis=0)
     if len(set(col_order.tolist())) == n:
-        P = np.zeros((n, n))
-        for j, i in enumerate(col_order):
-            P[j, i] = 1.0
-        misalignment = float(np.abs(C @ P - np.eye(n)).max())
+        # column j peaks on axis col_order[j]: put it in column col_order[j]
+        inverse = np.empty(n, dtype=int)
+        inverse[col_order] = np.arange(n)
+        misalignment = float(np.abs(C[:, inverse] - np.eye(n)).max())
     else:  # eigenbasis too scrambled to pair with coordinate axes
         misalignment = float(np.abs(C - np.eye(n)).max())
 

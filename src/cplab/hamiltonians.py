@@ -207,14 +207,3 @@ def p4_involution(x: ReducedPoint, theta0: complex, theta1: complex):
     """
     sx = ReducedPoint(-x.positions, -x.momenta, x.g, x.t, x.slice.other)
     return sx, theta0 + theta1, -theta1
-
-
-def harmosc_selfduality(x: ReducedPoint, omega: float) -> ReducedPoint:
-    """Self-duality map of the reduced harmonic oscillator: I = w q, phi = -p/w."""
-    if omega == 0:
-        raise ValueError("omega must be nonzero")
-    if x.slice is not Slice.Q_DIAG:
-        raise ValueError("self-duality map starts from the Q_DIAG slice")
-    return ReducedPoint(omega * x.positions, -x.momenta / omega, x.g, x.t,
-                        Slice.P_DIAG)
-

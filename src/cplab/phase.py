@@ -123,7 +123,7 @@ def fill_diagonal(a: np.ndarray, value) -> np.ndarray:
 
     value is a scalar or the diagonal entries (..., n).  Returns a.
     """
-    if a.ndim == 2:
+    if a.ndim == 2:  # einsum's view is several times slower per call at small n
         np.fill_diagonal(a, value)
     else:
         np.einsum("...ii->...i", a)[...] = value
@@ -136,7 +136,7 @@ def add_to_diagonal(a: np.ndarray, s) -> np.ndarray:
     s is a scalar or broadcasts over the leading axes.  Adding s * eye(n)
     would change the off-diagonal entries by an exact 0 only.
     """
-    if a.ndim == 2:
+    if a.ndim == 2:  # einsum's view is several times slower per call at small n
         a.flat[:: a.shape[-1] + 1] += s
     else:
         np.einsum("...ii->...i", a)[...] += np.asarray(s)[..., None]

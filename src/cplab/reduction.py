@@ -181,7 +181,7 @@ def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedP
     ok, dev = on_level_set(pt, gv, tol)
     if not ok:
         raise NotOnLevelSet(f"moment-map deviation {dev:.3e} exceeds tol {tol:.3e}")
-    if pt.n == 1:
+    if pt.n == 1:  # the eigensolve path is several times slower for one particle
         pos = pt.q[0, 0] if slice is Slice.Q_DIAG else pt.p[0, 0]
         mom = pt.p[0, 0] if slice is Slice.Q_DIAG else pt.q[0, 0]
         return ReducedPoint([pos], [mom], gv, pt.t, slice)

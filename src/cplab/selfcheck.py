@@ -26,9 +26,8 @@ from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
 from .reduction import ReducedPoint, Slice, embed, normalized_diagonalizer, \
     permuted_deviation, reduce
 from .sampling import random_level_set_point, random_reduced, spec_for
-from .traces import (CalogeroMatrixSpec, a4_quad_sum, a4_triple_sum,
-                     evenness_check, tr_q3_closed, tr_q4_closed,
-                     trace_power_oracle)
+from .traces import (a4_quad_sum, a4_triple_sum, evenness_check, tr_q3_closed,
+                     tr_q4_closed, trace_power_oracle)
 
 FOUR_KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV, SystemKind.HARM_OSC)
 TRIALS = 100  # random points per grid cell or kind of the sampled criteria
@@ -93,19 +92,19 @@ def check_appendix_traces(rng, n_max=8, trials=50, max_l=12):
     worst = 0.0
     for n in range(1, n_max + 1):
         for _ in range(trials):
-            spec = CalogeroMatrixSpec(rng.normal(size=n) + 1j * rng.normal(size=n),
-                                      np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n),
-                                      float(rng.uniform(0.5, 2.0)))
+            diag = rng.normal(size=n) + 1j * rng.normal(size=n)
+            denom = np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n)
+            x = ReducedPoint(denom, diag, float(rng.uniform(0.5, 2.0)))
             for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-                oracle = trace_power_oracle(spec, l)
-                worst = max(worst, abs(closed(spec) - oracle) / max(1.0, abs(oracle)))
-    worked = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
+                oracle = trace_power_oracle(x, l)
+                worst = max(worst, abs(closed(x) - oracle) / max(1.0, abs(oracle)))
+    worked = ReducedPoint([1.0, 0.0], [1.0, 2.0], 1.0)
     worked3 = tr_q3_closed(worked)
     worked4 = tr_q4_closed(worked)
     evenness = {}
     for l in range(1, max_l + 1):
-        spec3 = CalogeroMatrixSpec(rng.normal(size=3), [0.0, 1.3, 2.9], 1.0)
-        evenness[l] = evenness_check(spec3, l, [0.5, 1.0, 2.0])
+        x3 = ReducedPoint([0.0, 1.3, 2.9], rng.normal(size=3), 1.0)
+        evenness[l] = evenness_check(x3, l, [0.5, 1.0, 2.0])
     even_ok = all(r["symmetry_deviation"] < 1e-11 and r["odd_over_even"] < 1e-9
                   for r in evenness.values())
     even_worst = max(max(r["symmetry_deviation"], r["odd_over_even"])

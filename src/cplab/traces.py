@@ -1,13 +1,15 @@
 """Closed-form trace expansions for the Calogero Lax-type matrix.
 
 Q = diag(d_i) + (1-delta_ij) i g / (x_i - x_j) is linear in g, and Tr Q^l
-is an even polynomial in g of degree <= l.  diag_c2, tr_c3 and tr_c4 are
-the one closed form each of diag Q^2, Tr Q^3 and Tr Q^4: the reduced and
-dual Hamiltonians read their traces from them, each forming only the
-traces its kind reads, and brute-force matrix powers serve as the oracle.  The l = 4 quartic block Tr(A^4) splits into pair,
-triple and quadruple index classes; for each unordered triple all three
-pinch choices contribute, and for each unordered quadruple all three
-cyclic orders do.  The quadruple class sums to zero identically (see
+is an even polynomial in g of degree <= l.  The record of Q is a
+ReducedPoint: its positions are the x_i, its momenta the d_i.  diag_c2,
+tr_c3 and tr_c4 are the one closed form each of diag Q^2, Tr Q^3 and
+Tr Q^4: the reduced and dual Hamiltonians read their traces from them,
+each forming only the traces its kind reads, and brute-force matrix
+powers serve as the oracle.  The l = 4 quartic block Tr(A^4) splits into
+pair, triple and quadruple index classes; for each unordered triple all
+three pinch choices contribute, and for each unordered quadruple all
+three cyclic orders do.  The quadruple class sums to zero identically (see
 CONVENTIONS.md): a4_quad_sum is kept as the witness of that cancellation
 and enters no closed form.  Every other pair and triple sum contracts
 W_ij = 1/(x_i - x_j)^2 and its row sums S = W.1
@@ -16,54 +18,20 @@ W_ij = 1/(x_i - x_j)^2 and its row sums S = W.1
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .phase import coupling_value
-from .reduction import calogero_block, collision_guard, inverse_square_kernel
+from .phase import fill_diagonal
+from .reduction import ReducedPoint, calogero_block, inverse_square_kernel
 
 
-@dataclass(frozen=True)
-class CalogeroMatrixSpec:
-    """Diagonal entries, off-diagonal denominators, and the coupling."""
-
-    diag: np.ndarray
-    denom: np.ndarray
-    g: float
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.diag, dtype=complex))
-        x = np.atleast_1d(np.asarray(self.denom, dtype=complex))
-        if d.shape != x.shape or d.ndim != 1:
-            raise ValueError("diag and denom must be equal-length vectors")
-        collision_guard(x)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "denom", x)
-        object.__setattr__(self, "g", coupling_value(self.g))
-
-    @property
-    def n(self) -> int:
-        return self.diag.shape[0]
-
-
-def assemble(spec: CalogeroMatrixSpec, g: float | None = None) -> np.ndarray:
-    """The matrix Q; an explicit g overrides the stored coupling."""
-    gv = spec.g if g is None else float(g)
-    return np.diag(spec.diag) + calogero_block(spec.denom, gv)
-
-
-def trace_power_oracle(spec: CalogeroMatrixSpec, l: int, g: float | None = None) -> complex:
-    """Tr(Q^l) by repeated matrix multiplication."""
+def trace_power_oracle(x: ReducedPoint, l: int, g: float | None = None) -> complex:
+    """Tr(Q^l) by matrix powers; an explicit g, even negative, overrides x.g unchecked."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    return complex(np.trace(np.linalg.matrix_power(assemble(spec, g), l)))
-
-
-def a4_pair_sum(x: np.ndarray) -> complex:
-    """Pair class of Tr(A^4): sum over i<j of 2 / (x_i - x_j)^4 = sum W o W."""
-    W = inverse_square_kernel(x)
-    return complex((W * W).sum())
+    Q = fill_diagonal(calogero_block(x.positions, x.g if g is None else float(g)),
+                      x.momenta)
+    return complex(np.trace(np.linalg.matrix_power(Q, l)))
 
 
 def a4_triple_sum(x: np.ndarray) -> complex:
@@ -122,17 +90,17 @@ def tr_c4(d: np.ndarray, W: np.ndarray, g: float) -> complex:
             + g ** 4 * a4_total(W))
 
 
-def tr_q3_closed(spec: CalogeroMatrixSpec) -> complex:
-    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2."""
-    return complex(tr_c3(spec.diag, inverse_square_kernel(spec.denom), spec.g))
+def tr_q3_closed(x: ReducedPoint) -> complex:
+    """Tr Q^3 = sum d_i^3 + 3 g^2 sum_{i<j} (d_i + d_j)/(x_i - x_j)^2, d the momenta."""
+    return complex(tr_c3(x.momenta, inverse_square_kernel(x.positions), x.g))
 
 
-def tr_q4_closed(spec: CalogeroMatrixSpec) -> complex:
-    """Tr Q^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total."""
-    return complex(tr_c4(spec.diag, inverse_square_kernel(spec.denom), spec.g))
+def tr_q4_closed(x: ReducedPoint) -> complex:
+    """Tr Q^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total, d the momenta."""
+    return complex(tr_c4(x.momenta, inverse_square_kernel(x.positions), x.g))
 
 
-def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:
+def evenness_check(x: ReducedPoint, l: int, g_values) -> dict:
     """Verify Tr Q^l(g) = Tr Q^l(-g) and the absence of odd powers of g.
 
     Fits a degree-l polynomial in g through 2(l + 3) sampled couplings and
@@ -145,13 +113,13 @@ def evenness_check(spec: CalogeroMatrixSpec, l: int, g_values) -> dict:
         raise ValueError("evenness check is desk-scale only (l <= 12)")
     sym_dev = 0.0
     for gv in g_values:
-        plus = trace_power_oracle(spec, l, g=gv)
-        minus = trace_power_oracle(spec, l, g=-gv)
+        plus = trace_power_oracle(x, l, g=gv)
+        minus = trace_power_oracle(x, l, g=-gv)
         sym_dev = max(sym_dev, abs(plus - minus) / max(1.0, abs(plus)))
 
     half = np.linspace(0.35, 1.25, l + 3)
     gs = np.concatenate([-half[::-1], half])
-    vals = np.array([trace_power_oracle(spec, l, g=gv) for gv in gs])
+    vals = np.array([trace_power_oracle(x, l, g=gv) for gv in gs])
     V = np.vander(gs, l + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     even = np.abs(coeffs[0::2]).max()

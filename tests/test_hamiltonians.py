@@ -1,15 +1,14 @@
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab import hamiltonians
-from cplab.hamiltonians import (harmosc_selfduality, matrix_gradients,
-                                matrix_hamiltonian, matrix_vector_field,
-                                p4_involution, reduced_hamiltonian,
-                                reduced_hamiltonian_oracle, reduced_vector_field)
+from cplab.hamiltonians import (matrix_gradients, matrix_hamiltonian,
+                                matrix_vector_field, p4_involution,
+                                reduced_hamiltonian, reduced_hamiltonian_oracle,
+                                reduced_vector_field)
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
@@ -262,34 +261,3 @@ class TestP4Involution:
         h2 = reduced_hamiltonian(
             SystemSpec(SystemKind.P_IV, theta0=th1, theta1=th0 - th1), sx)
         assert abs(h1 - h2) > 1e-3
-
-
-class TestHarmOscSelfDuality:
-    def test_worked_n1(self):
-        y = harmosc_selfduality(ReducedPoint([1.0], [4.0], 1.0), 2.0)
-        assert y.slice is Slice.P_DIAG
-        assert y.positions[0] == 2.0 and y.momenta[0] == -2.0
-
-    def test_energy_match(self, rng):
-        spec = SystemSpec(SystemKind.HARM_OSC, omega=1.7)
-        x = random_reduced(rng, 2, 0.8)
-        y = harmosc_selfduality(x, 1.7)
-        assert abs(reduced_hamiltonian(spec, x)
-                   - reduced_hamiltonian(spec, y)) < 1e-10
-
-    def test_double_application_negates(self, rng):
-        # composing the map with the canonical re-basing of the image gives
-        # (q, p) -> (-q, -p)
-        om = 1.3
-        x = random_reduced(rng, 2, 0.8)
-        y = harmosc_selfduality(x, om)
-        # on P_DIAG the canonical pair is (momenta, positions); re-base to Q_DIAG
-        y_q = ReducedPoint(y.momenta, y.positions, y.g, y.t, Slice.Q_DIAG)
-        z = harmosc_selfduality(y_q, om)
-        q_final, p_final = z.momenta, z.positions
-        assert np.abs(q_final + x.positions).max() < 1e-12
-        assert np.abs(p_final + x.momenta).max() < 1e-12
-
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            harmosc_selfduality(ReducedPoint([1.0], [1.0], 1.0), 0.0)

@@ -6,45 +6,47 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab import selfcheck
-from cplab.errors import ParticleCollision
-from cplab.reduction import inverse_square_kernel
-from cplab.traces import (CalogeroMatrixSpec, a4_pair_sum, a4_quad_sum,
-                          a4_triple_sum, assemble, diag_c2, evenness_check,
-                          tr_c3, tr_c4, tr_q3_closed, tr_q4_closed,
-                          trace_power_oracle)
+from cplab.reduction import ReducedPoint, calogero_block, inverse_square_kernel
+from cplab.traces import (a4_quad_sum, a4_total, a4_triple_sum, diag_c2,
+                          evenness_check, tr_c3, tr_c4, tr_q3_closed,
+                          tr_q4_closed, trace_power_oracle)
 
-WORKED = CalogeroMatrixSpec([1.0, 2.0], [1.0, 0.0], 1.0)
+WORKED = ReducedPoint([1.0, 0.0], [1.0, 2.0], 1.0)
 
 
-def random_spec(rng, n, g=None):
-    return CalogeroMatrixSpec(rng.normal(size=n) + 1j * rng.normal(size=n),
-                              np.arange(n) * 1.3 + rng.uniform(-0.3, 0.3, n),
-                              g if g is not None else float(rng.uniform(0.5, 2.0)))
-
-
-class TestAssemble:
-    def test_n1(self):
-        assert assemble(CalogeroMatrixSpec([2.0], [0.0], 1.0))[0, 0] == 2.0
-
-    def test_worked_n2(self):
-        Q = assemble(WORKED)
-        assert np.abs(Q - np.array([[1.0, 1j], [-1j, 2.0]])).max() == 0
-
-    def test_zero_coupling_is_diagonal(self, rng):
-        spec = random_spec(rng, 4)
-        Q = assemble(spec, g=0.0)
-        assert np.abs(Q - np.diag(spec.diag)).max() == 0
-
-    def test_collision(self):
-        with pytest.raises(ParticleCollision):
-            CalogeroMatrixSpec([1.0, 2.0], [0.5, 0.5], 1.0)
+def random_point(rng, n, g=None):
+    diag = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return ReducedPoint(np.arange(n) * 1.3 + rng.uniform(-0.3, 0.3, n), diag,
+                        g if g is not None else float(rng.uniform(0.5, 2.0)))
 
 
 class TestOracle:
+    def test_n1(self):
+        assert trace_power_oracle(ReducedPoint([0.0], [2.0], 1.0), 1) == 2.0
+
+    def test_worked_n2_matrix(self):
+        # Q = [[1, i], [-i, 2]]: Tr Q^2 = 1 + 4 + 2
+        assert abs(trace_power_oracle(WORKED, 2) - 7) < 1e-12
+
+    def test_zero_coupling_is_diagonal(self, rng):
+        x = random_point(rng, 4)
+        for l in (1, 2, 3, 4):
+            ref = np.sum(x.momenta ** l)
+            got = trace_power_oracle(x, l, g=0.0)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_explicit_negative_coupling(self, rng):
+        # the oracle takes -g unvalidated; Tr Q^l is even in g
+        x = random_point(rng, 4)
+        for l in (2, 3, 4):
+            ref = trace_power_oracle(x, l)
+            got = trace_power_oracle(x, l, g=-x.g)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
     def test_q_cubed_reduces(self):
-        # diag = 0 makes Q^2 = 1, so Tr Q^3 = Tr Q = 0
-        spec = CalogeroMatrixSpec([0.0, 0.0], [1.0, 0.0], 1.0)
-        assert abs(trace_power_oracle(spec, 3)) < 1e-15
+        # zero momenta make Q^2 = 1, so Tr Q^3 = Tr Q = 0
+        x = ReducedPoint([1.0, 0.0], [0.0, 0.0], 1.0)
+        assert abs(trace_power_oracle(x, 3)) < 1e-15
 
     def test_worked_values(self):
         assert abs(trace_power_oracle(WORKED, 3) - 18) < 1e-12
@@ -59,22 +61,22 @@ class TestClosedForms:
         assert abs(tr_q4_closed(WORKED) - 47) < 1e-12
 
     def test_n1(self):
-        spec = CalogeroMatrixSpec([1.5 + 0.5j], [0.0], 1.0)
-        assert tr_q3_closed(spec) == (1.5 + 0.5j) ** 3
-        assert tr_q4_closed(spec) == (1.5 + 0.5j) ** 4
+        x = ReducedPoint([0.0], [1.5 + 0.5j], 1.0)
+        assert tr_q3_closed(x) == (1.5 + 0.5j) ** 3
+        assert tr_q4_closed(x) == (1.5 + 0.5j) ** 4
 
     def test_zero_coupling(self, rng):
-        spec = random_spec(rng, 5, g=1e-12)
-        assert abs(tr_q3_closed(spec) - np.sum(spec.diag ** 3)) < 1e-9
+        x = random_point(rng, 5, g=1e-12)
+        assert abs(tr_q3_closed(x) - np.sum(x.momenta ** 3)) < 1e-9
 
     @given(seed=st.integers(0, 10 ** 6), n=st.integers(1, 12))
     @example(seed=0, n=12)
     def test_matches_oracle(self, seed, n):
         rng = np.random.default_rng(seed)
-        spec = random_spec(rng, n)
+        x = random_point(rng, n)
         for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-            oracle = trace_power_oracle(spec, l)
-            assert abs(closed(spec) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+            oracle = trace_power_oracle(x, l)
+            assert abs(closed(x) - oracle) <= 1e-10 * max(1.0, abs(oracle))
 
 
 class TestCalogeroTraces:
@@ -82,13 +84,13 @@ class TestCalogeroTraces:
     @pytest.mark.parametrize("sign", [1, -1])
     def test_against_matrix_powers(self, rng, n, sign):
         # sign -1 is the p-slice off-diagonal: even in g, one kernel serves both
-        spec = random_spec(rng, n)
-        W = inverse_square_kernel(spec.denom)
-        Q = assemble(spec, g=sign * spec.g)
+        x = random_point(rng, n)
+        W = inverse_square_kernel(x.positions)
+        Q = calogero_block(x.positions, x.g, sign) + np.diag(x.momenta)
         for trace, ref in ((diag_c2, np.diagonal(Q @ Q)),
                            (tr_c3, np.trace(np.linalg.matrix_power(Q, 3))),
                            (tr_c4, np.trace(np.linalg.matrix_power(Q, 4)))):
-            got = trace(spec.diag, W, spec.g)
+            got = trace(x.momenta, W, x.g)
             assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
 
 
@@ -112,13 +114,13 @@ class TestQuadrupleClassCancellation:
         s = 1 / chain(0, 1, 2, 3) + 1 / chain(0, 1, 3, 2) + 1 / chain(0, 2, 1, 3)
         assert abs(s) < 1e-10
 
-    def test_pair_plus_triple_equals_brute_force(self, rng):
+    def test_a4_total_equals_brute_force(self, rng):
         for n in (4, 5, 6, 12):
             x = np.arange(n) * 1.2 + 1j * rng.normal(size=n) * 0.4
             A = 1j / (x[:, None] - x[None, :] + np.eye(n))
             np.fill_diagonal(A, 0)
             brute = np.trace(np.linalg.matrix_power(A, 4))
-            closed = a4_pair_sum(x) + a4_triple_sum(x)
+            closed = a4_total(inverse_square_kernel(x))
             assert abs(brute - closed) < 1e-10 * max(1.0, abs(brute))
             assert abs(a4_quad_sum(x)) < 1e-12
 
@@ -131,7 +133,8 @@ class TestQuadrupleClassCancellation:
             triples = sum(4 / ((x[a] - x[b]) ** 2 * (x[a] - x[c]) ** 2)
                           for i, j, k in itertools.combinations(range(n), 3)
                           for a, b, c in ((i, j, k), (j, i, k), (k, i, j)))
-            assert abs(a4_pair_sum(x) - pairs) <= 1e-12 * max(1.0, abs(pairs))
+            pair_class = a4_total(inverse_square_kernel(x)) - a4_triple_sum(x)
+            assert abs(pair_class - pairs) <= 1e-12 * max(1.0, abs(pairs))
             assert abs(a4_triple_sum(x) - triples) <= 1e-12 * max(1.0, abs(triples))
 
     def test_triple_class_is_essential(self, rng):
@@ -139,36 +142,37 @@ class TestQuadrupleClassCancellation:
         A = 1j / (x[:, None] - x[None, :] + np.eye(4))
         np.fill_diagonal(A, 0)
         brute = np.trace(np.linalg.matrix_power(A, 4))
-        assert abs(brute - a4_pair_sum(x)) > 1e-3
+        pair_class = a4_total(inverse_square_kernel(x)) - a4_triple_sum(x)
+        assert abs(brute - pair_class) > 1e-3
 
 
 class TestEvenness:
     @given(l=st.integers(1, 12))
     def test_symmetry_and_fit(self, l):
         rng = np.random.default_rng(l)
-        spec = random_spec(rng, 3, g=1.0)
-        rep = evenness_check(spec, l, [0.5, 1.0, 2.0])
+        x = random_point(rng, 3, g=1.0)
+        rep = evenness_check(x, l, [0.5, 1.0, 2.0])
         assert rep["symmetry_deviation"] < 1e-11
         assert rep["odd_over_even"] < 1e-9
 
     def test_appendix_gate_sees_symmetry_deviation(self, monkeypatch):
         # 1e-10 passes an odd/even bound of 1e-9 but breaks the 1e-11 g -> -g gate
-        def skewed(spec, l, g_values):
-            return {**evenness_check(spec, l, g_values), "symmetry_deviation": 1e-10}
+        def skewed(x, l, g_values):
+            return {**evenness_check(x, l, g_values), "symmetry_deviation": 1e-10}
 
         monkeypatch.setattr(selfcheck, "evenness_check", skewed)
         entry = selfcheck.check_appendix_traces(np.random.default_rng(4))
         assert not entry["pass"]
 
     def test_l1_independent_of_g(self):
-        spec = CalogeroMatrixSpec([1.0, 2.0, 3.0], [0.0, 1.0, 2.5], 1.0)
-        vals = {g: trace_power_oracle(spec, 1, g=g) for g in (0.5, 1.0, 2.0)}
+        x = ReducedPoint([0.0, 1.0, 2.5], [1.0, 2.0, 3.0], 1.0)
+        vals = {g: trace_power_oracle(x, 1, g=g) for g in (0.5, 1.0, 2.0)}
         assert max(abs(v - 6.0) for v in vals.values()) < 1e-13
 
     def test_l2_pure_g_squared(self, rng):
         # Tr Q^2 = sum d^2 + 2 g^2 sum_{i<j} 1/dx^2
-        spec = random_spec(rng, 4, g=1.3)
-        expected = np.sum(spec.diag ** 2) + 2 * 1.3 ** 2 * sum(
-            1.0 / (spec.denom[i] - spec.denom[j]) ** 2
+        x = random_point(rng, 4, g=1.3)
+        expected = np.sum(x.momenta ** 2) + 2 * 1.3 ** 2 * sum(
+            1.0 / (x.positions[i] - x.positions[j]) ** 2
             for i in range(4) for j in range(i + 1, 4))
-        assert abs(trace_power_oracle(spec, 2) - expected) < 1e-10
+        assert abs(trace_power_oracle(x, 2) - expected) < 1e-10
