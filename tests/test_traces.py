@@ -6,6 +6,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab import selfcheck
+from cplab.errors import ParticleCollision
+from cplab.phase import fill_diagonal
 from cplab.reduction import ReducedPoint, calogero_block, inverse_square_kernel
 from cplab.traces import (a4_quad_sum, a4_total, a4_triple_sum, diag_c2,
                           evenness_check, tr_c3, tr_c4, tr_q3_closed,
@@ -18,6 +20,30 @@ def random_point(rng, n, g=None):
     diag = rng.normal(size=n) + 1j * rng.normal(size=n)
     return ReducedPoint(np.arange(n) * 1.3 + rng.uniform(-0.3, 0.3, n), diag,
                         g if g is not None else float(rng.uniform(0.5, 2.0)))
+
+
+def assemble(x, g=None):
+    # the Q that trace_power_oracle takes powers of
+    return fill_diagonal(calogero_block(x.positions, x.g if g is None else g),
+                         x.momenta)
+
+
+class TestAssemble:
+    def test_n1(self):
+        assert assemble(ReducedPoint([0.0], [2.0], 1.0))[0, 0] == 2.0
+
+    def test_worked_n2(self):
+        Q = assemble(WORKED)
+        assert np.abs(Q - np.array([[1.0, 1j], [-1j, 2.0]])).max() == 0
+
+    def test_zero_coupling_is_diagonal(self, rng):
+        x = random_point(rng, 4)
+        Q = assemble(x, g=0.0)
+        assert np.abs(Q - np.diag(x.momenta)).max() == 0
+
+    def test_collision(self):
+        with pytest.raises(ParticleCollision):
+            ReducedPoint([0.5, 0.5], [1.0, 2.0], 1.0)
 
 
 class TestOracle:
