@@ -13,7 +13,7 @@ import numpy as np
 from .errors import Overflow, ParticleCollision
 from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
-from .lax import charpoly_coefficients, lax_matrices
+from .lax import charpoly_coefficients, lax_l
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
 from .reduction import ReducedPoint, Slice, embed, embedded_matrices, \
     match_permutation, permuted_deviation, reduce
@@ -159,7 +159,7 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor) -> dict:
                         float(traj.diagnostics["moment_deviation"].max())}
     drift = {}
     for lam in lam_monitor:
-        coeffs = charpoly_coefficients(lax_matrices(spec, q, p, T, lam)[0])
+        coeffs = charpoly_coefficients(lax_l(spec, q, p, T, lam))
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
     report["charpoly_drift"] = drift

@@ -171,7 +171,7 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     Q_DIAG: positions are canonical coordinates, momenta their conjugates.
     P_DIAG: omega = sum dI ^ dphi, so the roles swap.
     """
-    collision_guard(positions)
+    collision_guard(positions)  # the input check, and the only guard of RK4 stages 2-4
     q, p = embedded_matrices(positions, momenta, g, slice)
     g_q, g_p = matrix_gradients(spec, q, p, t)
     if slice is Slice.Q_DIAG:

@@ -30,6 +30,7 @@ from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
                         matrix_point, reduce)
 
 POLE_EPS = 1e-12
+SPECTRAL_TOL = 1e-8  # spectral_match's verdict: largest det ratio deviation accepted
 
 
 class LaxPair(NamedTuple):
@@ -39,13 +40,25 @@ class LaxPair(NamedTuple):
     M: np.ndarray
 
 
-def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
-                 p4_variant: str = "corrected") -> tuple[np.ndarray, np.ndarray]:
-    """The pair (L, M) over stacked points and spectral parameters.
+def _zero_stack(spec: SystemSpec, q, p, T, lam, p4_variant: str):
+    """The inputs as arrays, a zero (..., 2n, 2n) stack over their leading axes, its blocks."""
+    if spec.kind is SystemKind.P_IV and p4_variant not in ("corrected", "printed"):
+        raise ValueError(f"unknown P_IV variant {p4_variant!r}")
+    q, p, T = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex), np.asarray(T)
+    lam = np.asarray(lam, dtype=complex)
+    n = q.shape[-1]
+    shape = np.broadcast_shapes(q.shape[:-2], p.shape[:-2], lam.shape, T.shape)
+    A = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
+    return q, p, T, lam, A, (A[..., :n, :n], A[..., :n, n:], A[..., n:, :n], A[..., n:, n:])
+
+
+def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
+          p4_variant: str = "corrected") -> np.ndarray:
+    """L over stacked points and spectral parameters.
 
     q and p are (..., n, n); the effective time T = spec.time(t) and lam
-    broadcast over the leading axes.  L and M come back as (..., 2n, 2n)
-    arrays, filled block by block.  The coefficients lam^2 and theta/lam
+    broadcast over the leading axes, and L comes back as a (..., 2n, 2n)
+    array, filled block by block.  The coefficients lam^2 and theta/lam
     are formed in Python complex arithmetic, one lambda at a time: numpy's
     vectorised complex loops round them differently, and this way every
     point of a stack is bitwise the matrix of its own lax_pair call.
@@ -54,15 +67,7 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
     lam = np.asarray(lam, dtype=complex)
     if k in (SystemKind.P_II, SystemKind.P_IV) and np.any(np.abs(lam) < POLE_EPS):
         raise PoleAtLambda(f"{k.value} pair has a pole at lambda = 0")
-    if k is SystemKind.P_IV and p4_variant not in ("corrected", "printed"):
-        raise ValueError(f"unknown P_IV variant {p4_variant!r}")
-    q, p, T = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex), np.asarray(T)
-    n = q.shape[-1]
-    shape = np.broadcast_shapes(q.shape[:-2], p.shape[:-2], lam.shape, T.shape)
-    L = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
-    M = np.zeros_like(L)
-    L11, L12, L21, L22 = L[..., :n, :n], L[..., :n, n:], L[..., n:, :n], L[..., n:, n:]
-    M11, M12, M21, M22 = M[..., :n, :n], M[..., :n, n:], M[..., n:, :n], M[..., n:, n:]
+    q, p, T, lam, L, (L11, L12, L21, L22) = _zero_stack(spec, q, p, T, lam, p4_variant)
     l = lam[..., None, None]
 
     def per_lambda(f):
@@ -73,13 +78,10 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         L11[...] = p
         L22[...] = -p
     elif k is SystemKind.HARM_OSC:
-        om = spec.omega
         L11[...] = p
-        L12[...] = om * q
+        L12[...] = spec.omega * q
         L21[...] = L12
         L22[...] = -p
-        add_to_diagonal(M12, -(om / 2))
-        add_to_diagonal(M21, om / 2)
     elif k is SystemKind.P_I:
         L11[...] = p
         L12[...] = -q
@@ -89,9 +91,6 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         L21 += q @ q
         add_to_diagonal(L21, T / 2)
         L22[...] = -p
-        add_to_diagonal(M12, 0.5)
-        M21[...] = q
-        add_to_diagonal(M21, lam / 2)
     elif k is SystemKind.P_II:
         L11[...] = 1j * q @ q
         add_to_diagonal(L11, 1j * (per_lambda(lambda z: z ** 2) / 2))
@@ -104,7 +103,6 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         L21[...] = l * q
         L21 += 1j * p
         add_to_diagonal(L21, -theta_over_lam)
-        _p2_m(M, q, lam)
     elif k is SystemKind.P_IV:
         th0, th1 = spec.theta0, spec.theta1
         qp, pq = q @ p, p @ q
@@ -119,48 +117,59 @@ def lax_matrices(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         L12[...] = X - (pq @ p + th0 * p) / l
         L21[...] = q / l
         add_to_diagonal(L21, 1.0)
-        if p4_variant == "corrected":
-            add_to_diagonal(M11, T / 2)
-            M12[...] = -X
-            add_to_diagonal(M21, -1.0)
-            M22[...] = -q
-            add_to_diagonal(M22, lam)
-            add_to_diagonal(M22, -(T / 2))
-        else:
-            _p2_m(M, q, lam)
     else:
         raise UnsupportedSystem(f"no printed pair for {k}")
-    return L, M
+    return L
 
 
-def _p2_m(M: np.ndarray, q: np.ndarray, lam: np.ndarray):
-    """M = [[i lam/2, q], [q, -i lam/2]] of the P_II pair (and printed P_IV)."""
-    n = q.shape[-1]
-    add_to_diagonal(M[..., :n, :n], 1j * (lam / 2))
-    M[..., :n, n:] = q
-    M[..., n:, :n] = q
-    add_to_diagonal(M[..., n:, n:], -1j * (lam / 2))
+def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
+          p4_variant: str = "corrected") -> np.ndarray:
+    """M over the stacks of lax_l; polynomial in lambda, so it has no pole check."""
+    k = spec.kind
+    q, p, T, lam, M, (M11, M12, M21, M22) = _zero_stack(spec, q, p, T, lam, p4_variant)
+    if k is SystemKind.HARM_OSC:
+        add_to_diagonal(M12, -(spec.omega / 2))
+        add_to_diagonal(M21, spec.omega / 2)
+    elif k is SystemKind.P_I:
+        add_to_diagonal(M12, 0.5)
+        M21[...] = q
+        add_to_diagonal(M21, lam / 2)
+    elif k is SystemKind.P_IV and p4_variant == "corrected":
+        add_to_diagonal(M11, T / 2)
+        M12[...] = -add_to_diagonal(q @ p, spec.theta0 + spec.theta1)
+        add_to_diagonal(M21, -1.0)
+        M22[...] = -q
+        add_to_diagonal(M22, lam)
+        add_to_diagonal(M22, -(T / 2))
+    elif k in (SystemKind.P_II, SystemKind.P_IV):
+        # [[i lam/2, q], [q, -i lam/2]]: the P_II pair's M, and the printed P_IV one
+        add_to_diagonal(M11, 1j * (lam / 2))
+        M12[...] = q
+        M21[...] = q
+        add_to_diagonal(M22, -1j * (lam / 2))
+    elif k is not SystemKind.FREE:  # the free M is 0
+        raise UnsupportedSystem(f"no printed pair for {k}")
+    return M
 
 
-def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
-             p4_variant: str = "corrected") -> LaxPair:
+def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex) -> LaxPair:
     """The isomonodromic/isospectral pair at spectral parameter lam.
 
-    One point of lax_matrices; autonomous specs substitute tau for t
+    One point of lax_l and lax_m; autonomous specs substitute tau for t
     inside both matrices.
     """
-    return LaxPair(*lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), lam, p4_variant))
+    T = spec.time(pt.t)
+    return LaxPair(lax_l(spec, pt.q, pt.p, T, lam), lax_m(spec, pt.q, pt.p, T, lam))
 
 
-def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex,
-                p4_variant: str = "corrected") -> LaxPair:
+def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex) -> LaxPair:
     """Pair assembled from reduced coordinates.
 
     The embedded point is the slice-diagonal orbit representative, so
     direct substitution realizes the (C (x) Id_2) gauge of the unreduced
     pair; the conjugation identity is exercised by spectral_match.
     """
-    return lax_pair(spec, embed(x), lam, p4_variant)
+    return lax_pair(spec, embed(x), lam)
 
 
 def char_poly(L: np.ndarray) -> np.ndarray:
@@ -216,8 +225,7 @@ def default_lambda_grid(n_per_circle: int = 10,
     return grid
 
 
-def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
-                   tol: float = 1e-8) -> tuple[bool, float]:
+def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
     At each lambda both sides are monic of degree 2n in mu, so they are
@@ -235,8 +243,8 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
     k = 2 * pa.n
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
-    La = lax_matrices(spec, pa.q, pa.p, spec.time(pa.t), grid)[0]
-    Lb = lax_matrices(spec, pb.q, pb.p, spec.time(pb.t), grid)[0]
+    La = lax_l(spec, pa.q, pa.p, spec.time(pa.t), grid)
+    Lb = lax_l(spec, pb.q, pb.p, spec.time(pb.t), grid)
     worst = 0.0
     for la, lb in zip(La, Lb):
         radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
@@ -245,7 +253,7 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None,
         sign_b, log_b = np.linalg.slogdet(mu - lb)
         ratio = sign_a / sign_b * np.exp(log_a - log_b)
         worst = max(worst, float(np.abs(ratio - 1).max()))
-    return worst < tol, worst
+    return worst < SPECTRAL_TOL, worst
 
 
 def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float,
@@ -267,7 +275,7 @@ def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> np.ndarray:
     """The monic char-poly coefficients in mu of L(lambda), one row per lambda."""
     grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
     pt = matrix_point(obj)
-    return charpoly_coefficients(lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), grid)[0])
+    return charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t), grid))
 
 
 # ---------------------------------------------------------------------------
@@ -295,16 +303,16 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     # the point itself, then the stencil points s = 1, -1, 2, -2 of the ray
     s = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
     ray = s[:, None, None]
-    L, M = lax_matrices(spec, pt.q + ray * qdot, pt.p + ray * pdot,
-                        spec.time(pt.t + s), lam, p4_variant)
+    L = lax_l(spec, pt.q + ray * qdot, pt.p + ray * pdot, spec.time(pt.t + s), lam,
+              p4_variant)
+    # M at the point, and at lam +- d for B_lam (d > 0 also at lam = 0)
+    d = abs(lam) / 2 or 0.5
+    M = lax_m(spec, pt.q, pt.p, spec.time(pt.t), [lam, lam + d, lam - d], p4_variant)
     At = (8 * (L[1] - L[2]) - (L[3] - L[4])) / 12
     commutator = L[0] @ M[0] - M[0] @ L[0]
     residual = At + commutator
     if not spec.autonomous:
-        d = abs(lam) / 2 or 0.5  # keeps lam +- d off the pole at 0
-        M_pm = lax_matrices(spec, pt.q, pt.p, spec.time(pt.t), [lam + d, lam - d],
-                            p4_variant)[1]
-        residual -= (M_pm[0] - M_pm[1]) / (2 * d)
+        residual -= (M[1] - M[2]) / (2 * d)
     scale = max(np.abs(At).max(), np.abs(commutator).max()) or 1.0
     return float(np.abs(residual).max() / scale)
 
@@ -334,13 +342,12 @@ def gauge_F(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
     return F
 
 
-def reduced_m(spec: SystemSpec, x: ReducedPoint, lam: complex,
-              p4_variant: str = "corrected") -> np.ndarray:
+def reduced_m(spec: SystemSpec, x: ReducedPoint, lam: complex) -> np.ndarray:
     """M of the reduced pair: M(embedded coordinates) - F (x) Id_2."""
-    sample = reduced_lax(spec, x, lam, p4_variant)
+    pt = embed(x)
+    M = lax_m(spec, pt.q, pt.p, spec.time(pt.t), lam)
     F = gauge_F(spec, x)
     n = x.n
-    shift = np.zeros((2 * n, 2 * n), dtype=complex)
-    shift[:n, :n] = F
-    shift[n:, n:] = F
-    return sample.M - shift
+    M[:n, :n] -= F
+    M[n:, n:] -= F
+    return M

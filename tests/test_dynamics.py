@@ -12,6 +12,7 @@ from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_tar
                          moment_map)
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
 from cplab.sampling import random_reduced, spec_for
+from cplab.selfcheck import tame_flow_start
 
 
 class TestIntegrate:
@@ -197,6 +198,20 @@ class TestStackedMonitor:
         monitor_invariants(spec, traj, self.LAMS)
         assert len(calls) == len(self.LAMS)
         assert all(shape[0] == len(traj.states) for shape in calls)
+
+    def test_monitor_peak_memory_is_l_only(self):
+        # criterion 7's P_I flow: the stacked L, not M, is the monitor's to hold
+        x0 = tame_flow_start()
+        spec = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+        traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
+        tracemalloc.start()
+        try:
+            monitor_invariants(spec, traj, [1.0, 2.0j])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj.states) == 1001
+        assert peak <= 1.6 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
 
     def test_dual_position_drift_one_eigensolve(self, monkeypatch, monitored):
         _, traj, _ = monitored["reduced_q_slice"]

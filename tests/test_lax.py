@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cplab.dynamics
+import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
-                       faddeev_charpoly, gauge_F, lax_matrices, lax_pair,
-                       reduced_lax, reduced_m, spectral_match,
-                       zero_curvature_residual)
-from cplab.dynamics import integrate
+                       faddeev_charpoly, gauge_F, lax_l, lax_m, lax_pair,
+                       reduced_lax, reduced_m, spectral_duality, spectral_match,
+                       spectral_table, zero_curvature_residual)
+from cplab.dynamics import integrate, monitor_invariants
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
 from cplab.reduction import ReducedPoint, Slice, embed, reduce
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
@@ -63,7 +65,7 @@ class TestLaxPair:
 
 
 def reference_pair(spec, pt, lam, p4_variant="corrected"):
-    """The point-level np.block formulas that lax_matrices replaced."""
+    """The point-level np.block formulas that lax_l and lax_m replaced."""
     q, p, n = pt.q, pt.p, pt.n
     I = np.eye(n, dtype=complex)
     Z = np.zeros((n, n), dtype=complex)
@@ -123,14 +125,15 @@ class TestLaxMatrices:
         p = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
         t = rng.normal(size=5)
         lams = np.array([0.8 + 0.3j, -1.7j, 2.1])
-        L, M = lax_matrices(spec, q, p, spec.time(t), lams[:, None], variant)
+        L = lax_l(spec, q, p, spec.time(t), lams[:, None], variant)
+        M = lax_m(spec, q, p, spec.time(t), lams[:, None], variant)
         assert L.shape == M.shape == (3, 5, 2 * n, 2 * n)
         for i, lam in enumerate(lams):
             for j in range(5):
-                ref = lax_pair(spec, MatrixPhasePoint(q[j], p[j], t[j]), lam, variant)
-                for got, want in ((L[i, j], ref.L), (M[i, j], ref.M)):
+                for build, stack in ((lax_l, L), (lax_m, M)):
+                    want = build(spec, q[j], p[j], spec.time(t[j]), lam, variant)
                     scale = max(np.abs(want).max(), 1e-300)
-                    assert np.abs(got - want).max() <= 1e-15 * scale
+                    assert np.abs(stack[i, j] - want).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("kind,variant", PAIR_CASES)
     def test_lax_pair_bitwise_as_before(self, kind, variant):
@@ -144,27 +147,48 @@ class TestLaxMatrices:
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), t)
                     lam = complex(*rng.normal(size=2))
-                    sample = lax_pair(spec, pt, lam, variant)
+                    T = spec.time(pt.t)
                     L, M = reference_pair(spec, pt, lam, variant)
-                    assert np.array_equal(sample.L, L)
-                    assert np.array_equal(sample.M, M)
+                    assert np.array_equal(lax_l(spec, pt.q, pt.p, T, lam, variant), L)
+                    assert np.array_equal(lax_m(spec, pt.q, pt.p, T, lam, variant), M)
+                    if variant == "corrected":
+                        sample = lax_pair(spec, pt, lam)
+                        assert np.array_equal(sample.L, L)
+                        assert np.array_equal(sample.M, M)
 
     @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
     def test_stacked_lambda_at_the_pole_raises(self, rng, kind):
         q = rng.normal(size=(4, 2, 2))
         with pytest.raises(PoleAtLambda):
-            lax_matrices(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
+            lax_l(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
+
+    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
+    def test_m_has_no_pole_at_lambda_zero(self, rng, kind):
+        # M is polynomial in lambda; only L has the pole
+        q = rng.normal(size=(4, 2, 2))
+        lams = np.array([[1.0], [0.0], [2j]])
+        M = lax_m(spec_for(kind), q, q, 0.0, lams)
+        assert M.shape == (3, 4, 4, 4) and np.all(np.isfinite(M))
+        with pytest.raises(PoleAtLambda):
+            lax_l(spec_for(kind), q, q, 0.0, lams)
 
     def test_entire_pairs_accept_lambda_zero(self, rng):
         q = rng.normal(size=(4, 2, 2))
         for kind in (SystemKind.P_I, SystemKind.HARM_OSC):
-            L, _ = lax_matrices(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
+            L = lax_l(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
             assert L.shape == (3, 4, 4, 4)
 
     def test_kinds_without_a_pair_raise(self):
         q = np.zeros((2, 1, 1))
-        with pytest.raises(UnsupportedSystem):
-            lax_matrices(spec_for(SystemKind.P_II_POLY), q, q, 0.0, 1.0)
+        for build in (lax_l, lax_m):
+            with pytest.raises(UnsupportedSystem):
+                build(spec_for(SystemKind.P_II_POLY), q, q, 0.0, 1.0)
+
+    def test_unknown_p4_variant_raises(self):
+        q = np.zeros((1, 1))
+        for build in (lax_l, lax_m):
+            with pytest.raises(ValueError, match="variant"):
+                build(spec_for(SystemKind.P_IV), q, q, 0.0, 1.0, "misprinted")
 
 
 class TestCharPoly:
@@ -292,6 +316,32 @@ class TestSpectralMatch:
                            random_reduced(rng, 3, 1.0))
 
 
+class TestLOnlyReaders:
+    """The spectral curve det(mu - L) reads L only: no reader builds M."""
+
+    @pytest.fixture(autouse=True)
+    def no_m(self, monkeypatch):
+        def stub(*args, **kwargs):
+            raise AssertionError("lax_m called by a reader of L only")
+        monkeypatch.setattr(cplab.lax, "lax_m", stub)
+        monkeypatch.setattr(cplab.dynamics, "lax_m", stub, raising=False)
+
+    def test_spectral_readers(self, rng):
+        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        pt = random_level_set_point(rng, 3, 1.0)
+        xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-6)
+        assert spectral_match(spec, pt, xq)[0]
+        assert spectral_table(spec, xq).shape == (20, 7)
+        assert max(spectral_duality(spec, pt, 1.0).values()) < 1e-8
+
+    def test_monitor(self, rng):
+        spec = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+        x0 = random_reduced(rng, 2, 1.0)
+        traj = integrate(spec, embed(x0), 0.0, 0.05, 1e-2, g=1.0)
+        rep = monitor_invariants(spec, traj, [1.0, 2.0j])
+        assert max(rep["charpoly_drift"].values()) < 1e-6
+
+
 PAIR_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
               SystemKind.P_II, SystemKind.P_IV)
 
@@ -319,6 +369,24 @@ class TestZeroCurvature:
         pert = TangentPair([[0.0]], [[1e-3]])
         r = zero_curvature_residual(spec, pt, 1.1, perturb=pert)
         assert r > 1e-4
+
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_one_l_build_on_the_ray_and_one_m_build_at_the_point(
+            self, rng, monkeypatch, autonomous):
+        calls = []
+        for name in ("lax_l", "lax_m"):
+            build = getattr(cplab.lax, name)
+
+            def counting(spec, q, p, T, lam, p4_variant, _name=name, _build=build):
+                out = _build(spec, q, p, T, lam, p4_variant)
+                calls.append((_name, out.shape))
+                return out
+            monkeypatch.setattr(cplab.lax, name, counting)
+        spec = spec_for(SystemKind.P_II, autonomous=autonomous,
+                        tau=1.0 if autonomous else None)
+        pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.3)
+        assert zero_curvature_residual(spec, pt, 0.9 + 0.2j) <= 1e-12
+        assert calls == [("lax_l", (5, 4, 4)), ("lax_m", (3, 4, 4))]
 
     def test_p4_printed_fails_corrected_passes(self, rng):
         spec = spec_for(SystemKind.P_IV)
