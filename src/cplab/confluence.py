@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import matrix_hamiltonian, reduced_hamiltonian
+from .hamiltonians import (closed_form_hamiltonian, matrix_hamiltonian,
+                           reduced_hamiltonian, trace_hamiltonian)
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, matrix_point, \
     normalized_diagonalizer, permuted_deviation, reduce
@@ -32,15 +33,20 @@ UNIT_CIRCLE_EPS = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
 
 @dataclass(frozen=True)
 class ConfluenceParams:
-    """eps in (0, 1], or a non-real eps with 0 < |eps| <= 1."""
+    """eps in (0, 1], or a non-real eps with 0 < |eps| <= 1.
 
-    eps: float | complex
+    eps may also be a stack (k,) of such values; theta0, theta1, p4_spec and
+    the maps are then stacked alike, with the stack axis leading.
+    """
+
+    eps: float | complex | np.ndarray
     theta: complex = 0.0
 
     def __post_init__(self):
-        e = complex(self.eps)
-        if not (0 < abs(e) <= 1 and (e.imag or e.real > 0)):
-            raise ValueError("eps must lie in (0, 1], or be non-real with |eps| <= 1")
+        for e in np.atleast_1d(self.eps):
+            e = complex(e)
+            if not (0 < abs(e) <= 1 and (e.imag or e.real > 0)):
+                raise ValueError("eps must lie in (0, 1], or be non-real with |eps| <= 1")
 
     @property
     def theta0(self) -> complex:
@@ -70,6 +76,21 @@ def canonical_shift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
     return MatrixPhasePoint(pt.q, pt.p + pt.q @ pt.q + (pt.t / 2) * I, pt.t)
 
 
+def _leading(eps, ndim: int):
+    """eps as it broadcasts against arrays of ndim axes: a stack of eps leads."""
+    return eps if np.ndim(eps) == 0 else np.reshape(eps, np.shape(eps) + (1,) * ndim)
+
+
+def conf_matrices(pt: MatrixPhasePoint, cp: ConfluenceParams,
+                  kind: str = "conf") -> tuple:
+    """(q, p, t) of conf_map's image, each stacked over a stack of eps."""
+    _check_kind(kind)
+    e = _leading(cp.eps, 2)
+    w = canonical_shift(pt).p if kind == "conf" else pt.p
+    q4 = -(0.5 * np.eye(pt.n, dtype=complex) + e ** 2 * pt.q) / e ** 3
+    return q4, -e * w, map_time(pt.t, cp)
+
+
 def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams,
              kind: str = "conf") -> MatrixPhasePoint:
     """The confluence symplectomorphism onto P_IV with parameters p4_spec(cp).
@@ -78,21 +99,24 @@ def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams,
     targets P_II and is conf1 after canonical_shift (quadratic in q on the
     p-side).
     """
+    return MatrixPhasePoint(*conf_matrices(pt, cp, kind))
+
+
+def particle_conf_coordinates(x: ReducedPoint, cp: ConfluenceParams,
+                              kind: str = "conf") -> tuple:
+    """(positions, momenta, t) of particle_conf_map's image, stacked over eps."""
     _check_kind(kind)
-    e = cp.eps
-    w = canonical_shift(pt).p if kind == "conf" else pt.p
-    q4 = -(0.5 * np.eye(pt.n, dtype=complex) + e ** 2 * pt.q) / e ** 3
-    return MatrixPhasePoint(q4, -e * w, map_time(pt.t, cp))
+    e = _leading(cp.eps, 1)
+    w = x.momenta + x.positions ** 2 + x.t / 2 if kind == "conf" else x.momenta
+    a4 = -(0.5 + e ** 2 * x.positions) / e ** 3
+    return a4, -e * w, map_time(x.t, cp)
 
 
 def particle_conf_map(x: ReducedPoint, cp: ConfluenceParams,
                       kind: str = "conf") -> ReducedPoint:
     """Particle-wise confluence on the Q_DIAG slice coordinates."""
-    _check_kind(kind)
-    e = cp.eps
-    w = x.momenta + x.positions ** 2 + x.t / 2 if kind == "conf" else x.momenta
-    a4 = -(0.5 + e ** 2 * x.positions) / e ** 3
-    return ReducedPoint(a4, -e * w, x.g, map_time(x.t, cp), x.slice)
+    a4, b4, t4 = particle_conf_coordinates(x, cp, kind)
+    return ReducedPoint(a4, b4, x.g, t4, x.slice)
 
 
 def _hamiltonian(spec: SystemSpec, point) -> complex:
@@ -115,12 +139,19 @@ def _confluence_difference(point, h_target: complex, cp: ConfluenceParams,
                            kind: str) -> tuple:
     """H_target - (image + shift), which the identity makes -eps^2 R, and its terms.
 
-    image = -eps H_IV(image point) and shift = n theta/(2 eps^2).  A matrix
-    point goes through the traces, a reduced (Q_DIAG) point through the
+    image = -eps H_IV(image point) and shift = n theta/(2 eps^2), stacked
+    over a stack of eps.  A matrix point goes through the traces, a
+    reduced (Q_DIAG) point, checked by _target_hamiltonian, through the
     closed forms.
     """
-    mapper = particle_conf_map if isinstance(point, ReducedPoint) else conf_map
-    image = -cp.eps * _hamiltonian(p4_spec(cp), mapper(point, cp, kind))
+    spec = p4_spec(cp)
+    if isinstance(point, ReducedPoint):
+        a4, b4, t4 = particle_conf_coordinates(point, cp, kind)
+        h4 = closed_form_hamiltonian(spec, a4, b4, point.g, spec.time(t4), Slice.Q_DIAG)
+    else:
+        q4, p4, t4 = conf_matrices(point, cp, kind)
+        h4 = trace_hamiltonian(spec, q4, p4, spec.time(t4))
+    image = -cp.eps * h4
     shift = point.n * cp.theta / (2 * cp.eps ** 2)
     return h_target - (image + shift), image, shift
 
@@ -141,14 +172,11 @@ def identity_defect(point, theta: complex, kind: str = "conf") -> float:
     """
     h_target = _target_hamiltonian(point, theta, kind)
     R = remainder(matrix_point(point), kind)
-    worst = scale = 0.0
-    for e in UNIT_CIRCLE_EPS:
-        diff, image, shift = _confluence_difference(
-            point, h_target, ConfluenceParams(e, theta), kind)
-        r = e ** 2 * R
-        worst = max(worst, abs(diff + r))
-        scale = max(scale, abs(h_target), abs(image), abs(shift), abs(r))
-    return float(worst / scale)
+    diff, image, shift = _confluence_difference(
+        point, h_target, ConfluenceParams(UNIT_CIRCLE_EPS, theta), kind)
+    r = UNIT_CIRCLE_EPS ** 2 * R
+    scale = max(abs(h_target), np.abs(image).max(), np.abs(shift).max(), np.abs(r).max())
+    return float(np.abs(diff + r).max() / scale)
 
 
 def residual_ratio_sweep(point, cp_theta: complex, eps_values,

@@ -187,8 +187,6 @@ def dual_position_drift(traj: Trajectory) -> float:
     q, p = stacked_matrices(traj.states)
     partner = p if x.slice is Slice.Q_DIAG else q
     eigs = np.sort_complex(np.linalg.eigvals(partner))
-    worst = 0.0
-    for e in eigs[1:]:
-        perm = match_permutation(eigs[0], e)
-        worst = max(worst, float(np.abs(e[perm] - eigs[0]).max()))
-    return worst
+    later = eigs[1:]
+    perm = match_permutation(np.broadcast_to(eigs[0], later.shape), later)
+    return float(np.abs(np.take_along_axis(later, perm, -1) - eigs[0]).max(initial=0.0))

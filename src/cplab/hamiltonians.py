@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedSystem
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
-from .reduction import (ReducedPoint, Slice, collision_guard, embed,
-                        embedded_matrices, inverse_square_kernel, offdiag_sign)
+from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal, row_dot
+from .reduction import (ReducedPoint, Slice, collision_guard, embedded_matrices,
+                        inverse_square_kernel, offdiag_sign)
 from .traces import diag_c2, tr_c3, tr_c4
 
 
@@ -104,11 +104,25 @@ def rk4_step(field, y: tuple, t: float, h: float) -> tuple:
 
 def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
     """Normative definition: the matrix trace at the embedded point."""
-    return matrix_hamiltonian(spec, embed(x))
+    return complex(embedded_trace_hamiltonian(spec, x.positions, x.momenta, x.g,
+                                              spec.time(x.t), x.slice))
+
+
+def embedded_trace_hamiltonian(spec: SystemSpec, positions: np.ndarray,
+                               momenta: np.ndarray, g: float, T, slice: Slice):
+    """reduced_hamiltonian_oracle at each point of a stack (..., n) of coordinates."""
+    return trace_hamiltonian(spec, *embedded_matrices(positions, momenta, g, slice), T)
 
 
 def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
-    """Closed-form fast path; agrees with the trace oracle to 1e-10 relative.
+    """Closed-form fast path; agrees with the trace oracle to 1e-10 relative."""
+    return complex(closed_form_hamiltonian(spec, x.positions, x.momenta, x.g,
+                                           spec.time(x.t), x.slice))
+
+
+def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np.ndarray,
+                            g: float, T, slice: Slice):
+    """reduced_hamiltonian at each point of a stack (..., n) of coordinates.
 
     trace_hamiltonian's formula at the embedded pair of one diagonal
     D = diag(a) and one Calogero matrix C with diagonal b and denominators
@@ -116,42 +130,42 @@ def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
     Tr q^k and Tr p^k for k <= 2, those of C from traces.diag_c2; the mixed
     traces are Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
     Tr(D C^2) = Tr(C D C) = a.diag C^2.  Tr q^3 and Tr q^4 are formed by the
-    kinds that read them, with traces.tr_c3 and tr_c4 on P_DIAG.
+    kinds that read them, with traces.tr_c3 and tr_c4 on P_DIAG.  The
+    effective time T = spec.time(t) and the parameters of spec broadcast
+    over the leading axes.
     """
-    a, b = x.positions, x.momenta
+    a, b = positions, momenta
     W = inverse_square_kernel(a)
-    c2 = diag_c2(b, W, x.g)
+    c2 = diag_c2(b, W, g)
     a2 = a * a
-    tr_d = (a.size, a.sum(), a2.sum())
-    tr_c = (a.size, b.sum(), c2.sum())
-    d2c, dc2 = a2 @ b, a @ c2
-    q_diag = x.slice is Slice.Q_DIAG
+    n = a.shape[-1]
+    tr_d = (n, a.sum(axis=-1), a2.sum(axis=-1))
+    tr_c = (n, b.sum(axis=-1), c2.sum(axis=-1))
+    d2c, dc2 = row_dot(a2, b), row_dot(a, c2)
+    q_diag = slice is Slice.Q_DIAG
     if q_diag:
         q, p, pqq, pqp = tr_d, tr_c, d2c, dc2
     else:
         q, p, pqq, pqp = tr_c, tr_d, dc2, d2c
-    pq = a @ b
-    T = spec.time(x.t)
+    pq = row_dot(a, b)
     k = spec.kind
     if k is SystemKind.FREE:
-        h = p[2] / 2
-    elif k is SystemKind.HARM_OSC:
-        h = p[2] / 2 + spec.omega ** 2 * q[2] / 2
-    elif k is SystemKind.P_I:
-        q3 = (a2 * a).sum() if q_diag else tr_c3(b, W, x.g)
-        h = p[2] / 2 - q3 / 2 - (T / 4) * q[1]
-    elif k is SystemKind.P_II:
-        q4 = (a2 * a2).sum() if q_diag else tr_c4(b, W, x.g)
+        return p[2] / 2
+    if k is SystemKind.HARM_OSC:
+        return p[2] / 2 + spec.omega ** 2 * q[2] / 2
+    if k is SystemKind.P_I:
+        q3 = (a2 * a).sum(axis=-1) if q_diag else tr_c3(b, W, g)
+        return p[2] / 2 - q3 / 2 - (T / 4) * q[1]
+    if k is SystemKind.P_II:
+        q4 = (a2 * a2).sum(axis=-1) if q_diag else tr_c4(b, W, g)
         # Tr w^2 for w = q^2 + T/2
-        h = p[2] / 2 - (q4 + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
-    elif k is SystemKind.P_II_POLY:
-        h = p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
-    elif k is SystemKind.P_IV:
-        h = (pqp - pqq - T * pq + spec.theta0 * p[1]
-             - (spec.theta0 + spec.theta1) * q[1])
-    else:  # pragma: no cover
-        raise UnsupportedSystem(str(k))
-    return complex(h)
+        return p[2] / 2 - (q4 + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
+    if k is SystemKind.P_II_POLY:
+        return p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
+    if k is SystemKind.P_IV:
+        return (pqp - pqq - T * pq + spec.theta0 * p[1]
+                - (spec.theta0 + spec.theta1) * q[1])
+    raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +208,28 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
 def p4_involution(x: ReducedPoint, theta0: complex, theta1: complex):
     """Anti-symplectic involution of the P_IV pair of reduced systems.
 
+    The one-point call of p4_involution_coordinates: returns the image
+    point and the relabeled (theta0*, theta1*).
+    """
+    a, b, sl, th0, th1 = p4_involution_coordinates(x.positions, x.momenta, x.slice,
+                                                   theta0, theta1)
+    return ReducedPoint(a, b, x.g, x.t, sl), th0, th1
+
+
+def p4_involution_coordinates(positions: np.ndarray, momenta: np.ndarray, slice: Slice,
+                              theta0: complex, theta1: complex):
+    """The P_IV involution on coordinates (..., n) at a slice.
+
     In canonical coordinates this is q -> -p, p -> -q with the slice roles
-    swapped, so at the level of the stored arrays both are negated.  The
-    parameter relabeling (theta0 + theta1, -theta1) is derived from the
-    n=1 polynomial identity and makes
+    swapped, so at the level of the stored arrays both are negated and the
+    slice flips.  The parameter relabeling (theta0 + theta1, -theta1) is
+    derived from the n=1 polynomial identity and makes
 
         H_IV(x; th0, th1) = H_IV(sigma(x); th0*, th1*)
 
     exact for every n (the relabeling printed alongside it in reports,
     theta0 -> theta1, theta1 -> theta0 - theta1, does not satisfy the
-    identity; see CONVENTIONS.md).
+    identity; see CONVENTIONS.md).  Returns (positions, momenta, slice,
+    theta0*, theta1*) of the image.
     """
-    sx = ReducedPoint(-x.positions, -x.momenta, x.g, x.t, x.slice.other)
-    return sx, theta0 + theta1, -theta1
+    return -positions, -momenta, slice.other, theta0 + theta1, -theta1

@@ -93,7 +93,9 @@ class SystemSpec:
     """Which Hamiltonian system, with its parameter record.
 
     Parameters not used by `kind` are stored but ignored.  Autonomous forms
-    freeze the time dependence at tau.
+    freeze the time dependence at tau.  The theta parameters may be stacks
+    (k,) that broadcast over the leading axis of a stack of points, as the
+    P_IV images of a stack of confluence parameters need.
     """
 
     kind: SystemKind
@@ -108,7 +110,7 @@ class SystemSpec:
         if self.autonomous and self.tau is None:
             raise ValueError("autonomous systems require tau")
         for name in ("theta", "theta0", "theta1"):
-            if not np.isfinite(complex(getattr(self, name))):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
         if self.kind is SystemKind.HARM_OSC and not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
@@ -141,6 +143,16 @@ def add_to_diagonal(a: np.ndarray, s) -> np.ndarray:
     else:
         np.einsum("...ii->...i", a)[...] += np.asarray(s)[..., None]
     return a
+
+
+def row_dot(a: np.ndarray, b: np.ndarray):
+    """sum_i a_i b_i of each row of the stacks (..., n), unconjugated.
+
+    A matrix product, so one row rounds exactly as the vector product a @ b.
+    """
+    if a.ndim == 1:  # the stacked product is several times slower per call at small n
+        return a @ b
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def moment_map(pt: MatrixPhasePoint) -> np.ndarray:

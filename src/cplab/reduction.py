@@ -27,7 +27,7 @@ from .errors import (
     ZeroColumnSum,
 )
 from .phase import (MatrixPhasePoint, as_time, coupling_value, fill_diagonal,
-                    on_level_set)
+                    moment_deviation)
 
 # relative guards against 1/(x_i - x_j) blowups and near-degenerate spectra;
 # the eigensolve guard sits above sqrt(eps), where defective pairs land
@@ -87,15 +87,12 @@ class ReducedPoint:
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.positions, dtype=complex))
         b = np.atleast_1d(np.asarray(self.momenta, dtype=complex))
-        if a.ndim != 1 or a.shape != b.shape:
+        if a.ndim != 1:
             raise ValueError("positions and momenta must be equal-length vectors")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("non-finite particle coordinates")
-        g = coupling_value(self.g)
-        collision_guard(a)
+        particle_guard(a, b)
         object.__setattr__(self, "positions", a)
         object.__setattr__(self, "momenta", b)
-        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "g", coupling_value(self.g))
         object.__setattr__(self, "t", as_time(self.t))
 
     @property
@@ -105,104 +102,171 @@ class ReducedPoint:
 
 @dataclass(frozen=True)
 class Diagonalizer:
-    """Eigen decomposition with columns scaled to unit entry sum (v C = v)."""
+    """Eigen decomposition with columns scaled to unit entry sum (v C = v).
+
+    For a stack of matrices every field is stacked alike.
+    """
 
     C: np.ndarray
     eigenvalues: np.ndarray
-    residual: float
-    rank_one_residual: float
+    residual: np.ndarray
+    rank_one_residual: np.ndarray
 
 
-def collision_threshold(x: np.ndarray) -> float:
-    return COLLISION_RTOL * (1.0 + float(np.abs(x).max(initial=0.0)))
+def _first(bad: np.ndarray) -> tuple[tuple, str]:
+    """Index of the first failing row of a stack check, and the message prefix naming it.
+
+    One point (bad of shape ()) gets the empty prefix.
+    """
+    i = np.unravel_index(np.argmax(bad), np.shape(bad))
+    return i, f"row {', '.join(str(k) for k in i)}: " if i else ""
 
 
-def min_gap(x: np.ndarray) -> float:
-    if x.size < 2:
-        return np.inf
-    diff = x[:, None] - x[None, :]
-    np.fill_diagonal(diff, np.inf)
-    return float(np.abs(diff).min())
+def collision_threshold(x: np.ndarray) -> np.ndarray:
+    """COLLISION_RTOL (1 + max |x|) of each row of the stack x (..., n)."""
+    return COLLISION_RTOL * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
+
+
+def min_gap(x: np.ndarray) -> np.ndarray:
+    """min over i != j of |x_i - x_j| for each row of the stack x (..., n); inf if n < 2."""
+    n = x.shape[-1]
+    if n < 2:
+        return np.full(x.shape[:-1], np.inf)
+    # each row's n x n distances, flattened: the diagonal is every (n + 1)-th entry
+    dist = np.abs(x[..., :, None] - x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
+    dist[..., :: n + 1] = np.inf
+    return dist.min(axis=-1)
 
 
 def collision_guard(x: np.ndarray):
+    """ParticleCollision, naming the first failing row, if two coordinates of a row meet."""
     gap, threshold = min_gap(x), collision_threshold(x)
-    if gap < threshold:
-        raise ParticleCollision(f"particle gap {gap:.3e} below threshold {threshold:.3e}")
+    close = gap < threshold
+    if np.count_nonzero(close):
+        i, row = _first(close)
+        raise ParticleCollision(
+            f"{row}particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
+
+
+def particle_guard(positions: np.ndarray, momenta: np.ndarray):
+    """The checks of a ReducedPoint on stacks (..., n) of coordinates.
+
+    Equal shapes, at least one particle, finite entries, and no collision.
+    """
+    if positions.shape != momenta.shape:
+        raise ValueError("positions and momenta must be equal-length vectors")
+    if positions.shape[-1] < 1:
+        raise ValueError("a reduced point needs at least one particle")
+    _finite_guard(positions, momenta)
+    collision_guard(positions)
+
+
+def _finite_guard(positions: np.ndarray, momenta: np.ndarray):
+    """ValueError, naming the first failing row, for a non-finite coordinate."""
+    if not (np.isfinite(positions).all() and np.isfinite(momenta).all()):
+        finite = np.isfinite(positions).all(axis=-1) & np.isfinite(momenta).all(axis=-1)
+        _, row = _first(~finite)
+        raise ValueError(f"{row}non-finite particle coordinates")
 
 
 def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     """Diagonalize A with eigenvectors scaled to unit column sums.
 
-    Eigenvalues are sorted lexicographically by (Re, Im) so that particle
-    labels are deterministic; all comparisons elsewhere are made up to
-    permutation anyway.
+    A is one matrix or a stack (..., n, n); a failed check names the first
+    failing matrix of a stack.  Eigenvalues are sorted lexicographically
+    by (Re, Im) so that particle labels are deterministic; all comparisons
+    elsewhere are made up to permutation anyway.
     """
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0]
+    n = A.shape[-1]
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
         raise NonConvergedEigensolve(str(exc)) from exc
-    order = np.lexsort((w.imag, w.real))
-    w, V = w[order], V[:, order]
+    # each row's sort order, offset by the row's start in the flattened stack
+    flat = (np.lexsort((w.imag, w.real), axis=-1)
+            + n * np.arange(w.size // n).reshape(w.shape[:-1] + (1,)))
+    w = w.reshape(-1)[flat]
+    # the eigenvectors are gathered as rows of the transpose and stay
+    # contiguous, so the column sums below add in one order at any stack shape
+    V = np.swapaxes(np.swapaxes(V, -1, -2).reshape(-1, n)[flat], -1, -2)
 
     gap = min_gap(w)
-    gap_thr = DEGENERACY_RTOL * (1.0 + float(np.abs(w).max(initial=0.0)))
-    if gap < gap_thr:
-        raise DegenerateSpectrum(f"eigenvalue gap {gap:.3e} below {gap_thr:.3e}")
+    gap_thr = DEGENERACY_RTOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
+    degenerate = gap < gap_thr
+    if np.count_nonzero(degenerate):
+        i, row = _first(degenerate)
+        raise DegenerateSpectrum(f"{row}eigenvalue gap {gap[i]:.3e} below {gap_thr[i]:.3e}")
 
-    sums = V.sum(axis=0)
-    if np.any(np.abs(sums) < ZERO_SUM_RTOL):
-        raise ZeroColumnSum("an eigenvector has near-zero entry sum")
-    C = V / sums
+    sums = V.sum(axis=-2)
+    zero = (np.abs(sums) < ZERO_SUM_RTOL).any(axis=-1)
+    if np.count_nonzero(zero):
+        _, row = _first(zero)
+        raise ZeroColumnSum(f"{row}an eigenvector has near-zero entry sum")
+    C = V / sums[..., None, :]
 
-    scale = 1.0 + float(np.abs(A).max())
+    scale = 1.0 + np.abs(A).max(axis=(-2, -1))
     D = np.linalg.solve(C, A @ C)
-    residual = float(np.abs(D - np.diag(w)).max())
-    if residual > max(tol, 1e-12) * scale:
+    residual = np.abs(fill_diagonal(D, np.diagonal(D, 0, -2, -1) - w)).max(axis=(-2, -1))
+    failed = residual > max(tol, 1e-12) * scale
+    if np.count_nonzero(failed):
+        i, row = _first(failed)
         raise NonConvergedEigensolve(
-            f"diagonalization residual {residual:.3e} exceeds tolerance"
-        )
-    ones = np.ones((n, n), dtype=complex)
-    proj = np.eye(n) - ones
-    rank_one_residual = float(np.abs(np.linalg.solve(C, proj @ C) - proj).max())
+            f"{row}diagonalization residual {residual[i]:.3e} exceeds tolerance")
+    proj = np.eye(n) - np.ones((n, n), dtype=complex)
+    rank_one_residual = np.abs(np.linalg.solve(C, proj @ C) - proj).max(axis=(-2, -1))
     return Diagonalizer(C=C, eigenvalues=w, residual=residual,
                         rank_one_residual=rank_one_residual)
 
 
-def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedPoint:
-    """Reduce a level-set point at the chosen slice.
+def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
+                        tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, momenta) of the level-set points (q, p) at the chosen slice.
 
-    Checks the off-diagonal Calogero structure of the resolved matrix; a
-    mismatch signals a wrong coupling or an off-level-set input.
+    q and p are (..., n, n): one point or a stack of them; the coordinates
+    are (..., n).  Each point passes the level-set test, a non-degenerate
+    unit-column-sum eigensolve of the slice matrix (a degenerate spectrum
+    is a ParticleCollision) and the off-diagonal Calogero check of the
+    resolved partner, which signals a wrong coupling or an off-level-set
+    input; its coordinates are checked finite.  They need no collision
+    guard: the degeneracy threshold lies above it.  A failure names the
+    first failing row of a stack.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     gv = coupling_value(g)
-    ok, dev = on_level_set(pt, gv, tol)
-    if not ok:
-        raise NotOnLevelSet(f"moment-map deviation {dev:.3e} exceeds tol {tol:.3e}")
-    if pt.n == 1:  # the eigensolve path is several times slower for one particle
-        pos = pt.q[0, 0] if slice is Slice.Q_DIAG else pt.p[0, 0]
-        mom = pt.p[0, 0] if slice is Slice.Q_DIAG else pt.q[0, 0]
-        return ReducedPoint([pos], [mom], gv, pt.t, slice)
+    dev = moment_deviation(q, p, gv)
+    off = ~(dev < tol)
+    if np.count_nonzero(off):
+        i, row = _first(off)
+        raise NotOnLevelSet(f"{row}moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
+    target, partner = (q, p) if slice is Slice.Q_DIAG else (p, q)
+    if q.shape[-1] == 1:  # the eigensolve path is several times slower for one particle
+        pos, mom = target[..., 0].astype(complex), partner[..., 0].astype(complex)
+    else:
+        try:
+            diag = normalized_diagonalizer(target, tol)
+        except DegenerateSpectrum as exc:
+            raise ParticleCollision(str(exc)) from exc
+        pos = diag.eigenvalues
+        M = np.linalg.solve(diag.C, partner @ diag.C)
+        miss = np.abs(M - calogero_block(pos, gv, offdiag_sign(slice)))
+        mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
+        wrong = mismatch > tol
+        if np.count_nonzero(wrong):
+            i, row = _first(wrong)
+            raise OffDiagonalMismatch(
+                f"{row}off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
+                f"(tol {tol:.3e}); wrong coupling or off-level-set input")
+        mom = np.diagonal(M, 0, -2, -1).copy()
+    _finite_guard(pos, mom)
+    return pos, mom
 
-    target, partner = (pt.q, pt.p) if slice is Slice.Q_DIAG else (pt.p, pt.q)
-    try:
-        diag = normalized_diagonalizer(target, tol)
-    except DegenerateSpectrum as exc:
-        raise ParticleCollision(str(exc)) from exc
-    pos = diag.eigenvalues
-    M = np.linalg.solve(diag.C, partner @ diag.C)
 
-    expect = calogero_block(pos, gv, offdiag_sign(slice))
-    mask = ~np.eye(pt.n, dtype=bool)
-    mismatch = float(np.abs((M - expect)[mask]).max())
-    if mismatch > tol:
-        raise OffDiagonalMismatch(
-            f"off-diagonal deviates from i*g/dx by {mismatch:.3e} (tol {tol:.3e}); "
-            "wrong coupling or off-level-set input"
-        )
-    return ReducedPoint(pos, np.diag(M).copy(), gv, pt.t, slice)
+def reduce(pt: MatrixPhasePoint, slice: Slice, g, tol: float = 1e-8) -> ReducedPoint:
+    """Reduce a level-set point at the chosen slice (see reduced_coordinates)."""
+    pos, mom = reduced_coordinates(pt.q, pt.p, g, slice, tol)
+    return ReducedPoint(pos, mom, g, pt.t, slice)
 
 
 def embed(x: ReducedPoint) -> MatrixPhasePoint:
@@ -241,26 +305,37 @@ def dual_of(x: ReducedPoint) -> ReducedPoint:
 
 
 def match_permutation(reference: np.ndarray, candidate: np.ndarray) -> np.ndarray:
-    """Greedy nearest-value assignment; adequate at desk scale (n <= 8).
+    """Greedy nearest-value assignment, row by row of stacks (..., n); adequate at desk scale.
 
-    Returns indices perm with candidate[perm] ~ reference.
+    Each reference value in turn takes the nearest free candidate (the
+    first of equals).  Returns indices perm with
+    take_along_axis(candidate, perm, -1) ~ reference.
     """
     reference = np.asarray(reference)
     candidate = np.asarray(candidate)
     if reference.shape != candidate.shape:
         raise ValueError("permutation matching needs equal-length vectors")
-    free = list(range(candidate.size))
-    perm = np.empty(candidate.size, dtype=int)
-    for i, r in enumerate(reference):
-        j = min(free, key=lambda k: abs(candidate[k] - r))
-        perm[i] = j
-        free.remove(j)
+    dist = np.abs(candidate[..., None, :] - reference[..., :, None])
+    perm = np.empty(candidate.shape, dtype=int)
+    for i in range(candidate.shape[-1]):
+        j = dist[..., i, :].argmin(axis=-1)
+        perm[..., i] = j
+        np.put_along_axis(dist, j[..., None, None], np.inf, axis=-1)  # candidate j is taken
     return perm
+
+
+def matched_deviation(positions: np.ndarray, momenta: np.ndarray,
+                      other_positions: np.ndarray, other_momenta: np.ndarray) -> np.ndarray:
+    """Max-norm distance of each row of two stacks (..., n) of coordinates.
+
+    The other coordinates are relabeled by match_permutation of the positions.
+    """
+    perm = match_permutation(positions, other_positions)
+    dp = np.abs(np.take_along_axis(other_positions, perm, -1) - positions).max(axis=-1)
+    dm = np.abs(np.take_along_axis(other_momenta, perm, -1) - momenta).max(axis=-1)
+    return np.maximum(dp, dm)
 
 
 def permuted_deviation(x: ReducedPoint, y: ReducedPoint) -> float:
     """Max-norm distance between reduced points up to particle relabeling."""
-    perm = match_permutation(x.positions, y.positions)
-    dp = np.abs(y.positions[perm] - x.positions).max()
-    dm = np.abs(y.momenta[perm] - x.momenta).max()
-    return float(max(dp, dm))
+    return float(matched_deviation(x.positions, x.momenta, y.positions, y.momenta))

@@ -11,7 +11,35 @@ from __future__ import annotations
 import numpy as np
 
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
-from .reduction import ReducedPoint, Slice, embed
+from .reduction import ReducedPoint, Slice, embed, particle_guard
+
+
+def random_particles(rng: np.random.Generator, trials: int, n: int,
+                     spread: float = 1.5, jitter: float = 0.3,
+                     complex_positions: bool = True,
+                     mom_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, momenta) of `trials` random reduced points, each (trials, n).
+
+    Each trial draws, in this order, the real jitter, the imaginary jitter
+    (complex positions only), then the real and imaginary momentum
+    normals, so a stack of trials consumes the generator exactly as that
+    many single draws do.  The rows pass the checks of a ReducedPoint.
+    """
+    if n < 1:
+        raise ValueError("a reduced point needs at least one particle")
+    shape = (trials, n)
+    re_jit, im_jit = np.zeros(shape), np.zeros(shape)
+    re_mom, im_mom = np.empty(shape), np.empty(shape)
+    for k in range(trials):
+        re_jit[k] = rng.uniform(-jitter, jitter, n)
+        if complex_positions:
+            im_jit[k] = rng.uniform(-jitter, jitter, n)
+        re_mom[k] = rng.normal(size=n)
+        im_mom[k] = rng.normal(size=n)
+    pos = spread * np.arange(n) + re_jit + 1j * im_jit
+    mom = mom_scale * (re_mom + 1j * im_mom)
+    particle_guard(pos, mom)
+    return pos, mom
 
 
 def random_reduced(rng: np.random.Generator, n: int, g: float,
@@ -19,12 +47,9 @@ def random_reduced(rng: np.random.Generator, n: int, g: float,
                    spread: float = 1.5, jitter: float = 0.3,
                    complex_positions: bool = True,
                    mom_scale: float = 1.0) -> ReducedPoint:
-    base = spread * np.arange(n)
-    pos = base + rng.uniform(-jitter, jitter, n)
-    if complex_positions:
-        pos = pos + 1j * rng.uniform(-jitter, jitter, n)
-    mom = mom_scale * (rng.normal(size=n) + 1j * rng.normal(size=n))
-    return ReducedPoint(pos, mom, g, t, slice)
+    """One random reduced point: a one-trial draw of random_particles."""
+    pos, mom = random_particles(rng, 1, n, spread, jitter, complex_positions, mom_scale)
+    return ReducedPoint(pos[0], mom[0], g, t, slice)
 
 
 def stabilizer_element(rng: np.random.Generator, n: int) -> np.ndarray:

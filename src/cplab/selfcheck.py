@@ -16,16 +16,16 @@ from . import confluence as cf
 from . import mmkdv
 from .dynamics import (dual_position_drift, equivariance_check, integrate,
                        monitor_invariants)
-from .hamiltonians import (matrix_vector_field, p4_involution,
-                           reduced_hamiltonian, reduced_hamiltonian_oracle)
+from .hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
+                           matrix_vector_field, p4_involution_coordinates)
 from .lax import (char_poly, faddeev_charpoly, spectral_duality,
                   spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                     level_set_target, moment_deviation, moment_map,
                     symplectic_pairing)
-from .reduction import ReducedPoint, Slice, embed, normalized_diagonalizer, \
-    permuted_deviation, reduce
-from .sampling import random_level_set_point, random_reduced, spec_for
+from .reduction import (ReducedPoint, Slice, embed, embedded_matrices,
+                        matched_deviation, normalized_diagonalizer, reduced_coordinates)
+from .sampling import random_level_set_point, random_particles, random_reduced, spec_for
 from .traces import (a4_quad_sum, a4_triple_sum, evenness_check, tr_q3_closed,
                      tr_q4_closed, trace_power_oracle)
 
@@ -44,9 +44,8 @@ def check_level_set_embedding(rng):
     worst = 0.0
     for n in range(1, 7):
         for g in (0.5, 1.0, 2.0):
-            for _ in range(TRIALS):
-                pt = embed(random_reduced(rng, n, g))
-                worst = max(worst, float(moment_deviation(pt.q, pt.p, g)) / g)
+            q, p = embedded_matrices(*random_particles(rng, TRIALS, n), g, Slice.Q_DIAG)
+            worst = max(worst, float(moment_deviation(q, p, g).max()) / g)
     return _check("level_set_embedding", "embed + moment_map", 1e-11, worst,
                   worst < 1e-11, grid="n in 1..6, g in {0.5,1,2}",
                   trials_per_cell=TRIALS)
@@ -56,26 +55,37 @@ def check_round_trip(rng):
     worst = 0.0
     for n in range(1, 7):
         for g in (0.5, 1.0, 2.0):
-            for k in range(TRIALS):
-                sl = Slice.Q_DIAG if k % 2 == 0 else Slice.P_DIAG
-                x = random_reduced(rng, n, g, sl)
-                worst = max(worst, permuted_deviation(x, reduce(embed(x), sl, g)))
+            pos, mom = random_particles(rng, TRIALS, n)
+            # even trials reduce at Q_DIAG, odd ones at P_DIAG
+            for first, sl in ((0, Slice.Q_DIAG), (1, Slice.P_DIAG)):
+                a, b = pos[first::2], mom[first::2]
+                back = reduced_coordinates(*embedded_matrices(a, b, g, sl), g, sl)
+                worst = max(worst, float(matched_deviation(a, b, *back).max()))
     return _check("round_trip", "reduce(embed(x))", 1e-10, worst, worst < 1e-10)
+
+
+def _relative_gap(a, b):
+    """max |a - b| / max(1, |b|) over a stack of values."""
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
 
 
 def check_hamiltonian_oracle(rng):
     worst = {}
     kinds = FOUR_KINDS + (SystemKind.P_II_POLY,)
+    g = 0.8
     for kind in kinds:
         spec = spec_for(kind)
+        T = spec.time(0.4)
         w = 0.0
         for sl in (Slice.Q_DIAG, Slice.P_DIAG):
-            for k in range(TRIALS):
-                n = 1 + (k % 6)
-                x = random_reduced(rng, n, 0.8, sl, t=0.4)
-                a = reduced_hamiltonian(spec, x)
-                b = reduced_hamiltonian_oracle(spec, x)
-                w = max(w, abs(a - b) / max(1.0, abs(b)))
+            # trial k has 1 + k % 6 particles: draw in trial order, then
+            # evaluate the trials of each size as one stack
+            draws = [random_particles(rng, 1, 1 + k % 6) for k in range(TRIALS)]
+            for n in range(1, 7):
+                pos, mom = (np.concatenate(c) for c in zip(*draws[n - 1::6]))
+                a = closed_form_hamiltonian(spec, pos, mom, g, T, sl)
+                b = embedded_trace_hamiltonian(spec, pos, mom, g, T, sl)
+                w = max(w, _relative_gap(a, b))
         worst[kind.value] = w
     measured = max(worst.values())
     return _check("hamiltonian_oracle_equivalence",
@@ -214,16 +224,18 @@ def check_ruijsenaars(rng):
 
 def check_p4_selfduality(rng):
     spec = spec_for(SystemKind.P_IV)
+    T = spec.time(0.3)
     worst = 0.0
     for n in range(1, 6):
-        for _ in range(20):
-            sl = Slice.P_DIAG if n % 2 else Slice.Q_DIAG
-            x = random_reduced(rng, n, 1.0, sl, t=0.3)
-            sx, th0s, th1s = p4_involution(x, spec.theta0, spec.theta1)
-            h1 = reduced_hamiltonian(spec, x)
-            h2 = reduced_hamiltonian(
-                SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s, tau=None), sx)
-            worst = max(worst, abs(h1 - h2) / max(1.0, abs(h1)))
+        sl = Slice.P_DIAG if n % 2 else Slice.Q_DIAG
+        pos, mom = random_particles(rng, 20, n)
+        spos, smom, ssl, th0s, th1s = p4_involution_coordinates(
+            pos, mom, sl, spec.theta0, spec.theta1)
+        h1 = closed_form_hamiltonian(spec, pos, mom, 1.0, T, sl)
+        h2 = closed_form_hamiltonian(
+            SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s, tau=None),
+            spos, smom, 1.0, T, ssl)
+        worst = max(worst, _relative_gap(h2, h1))
     return _check("p4_selfduality", "p4_involution H-identity", 1e-10, worst,
                   worst < 1e-10,
                   derived_relabeling="theta0 -> theta0 + theta1, theta1 -> -theta1",
@@ -245,22 +257,17 @@ def check_dual_p2_interaction_structure(rng):
     CONVENTIONS.md for the write-up.
     """
     spec = spec_for(SystemKind.P_II)
-    quad_effect = 0.0
-    quad_class_max = 0.0
-    quad_broken = triple_broken = 0
-    for _ in range(TRIALS):
-        x = random_reduced(rng, 4, 1.0, Slice.P_DIAG, t=0.2)
-        oracle = reduced_hamiltonian_oracle(spec, x)
-        scale = max(1.0, abs(oracle))
-        closed = reduced_hamiltonian(spec, x)
-        effect = abs(closed - oracle) / scale
-        quad_effect = max(quad_effect, effect)
-        if effect > 1e-6:
-            quad_broken += 1
-        quad_class_max = max(quad_class_max, abs(a4_quad_sum(x.positions)))
-        triple_ablated = closed + (x.g ** 4 / 2) * a4_triple_sum(x.positions)
-        if abs(triple_ablated - oracle) / scale > 1e-6:
-            triple_broken += 1
+    g, T = 1.0, spec.time(0.2)
+    pos, mom = random_particles(rng, TRIALS, 4)
+    oracle = embedded_trace_hamiltonian(spec, pos, mom, g, T, Slice.P_DIAG)
+    scale = np.maximum(1.0, np.abs(oracle))
+    closed = closed_form_hamiltonian(spec, pos, mom, g, T, Slice.P_DIAG)
+    effect = np.abs(closed - oracle) / scale
+    quad_effect = float(effect.max())
+    quad_broken = int(np.count_nonzero(effect > 1e-6))
+    quad_class_max = float(np.abs(a4_quad_sum(pos)).max())
+    triple_ablated = closed + (g ** 4 / 2) * a4_triple_sum(pos)
+    triple_broken = int(np.count_nonzero(np.abs(triple_ablated - oracle) / scale > 1e-6))
     ok = quad_class_max < 1e-10 and quad_effect < 1e-10 and triple_broken >= 95
     return _check("dual_p2_interaction_structure",
                   "Tr(A^4) index classes vs trace oracle at n=4",

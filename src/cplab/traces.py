@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .phase import fill_diagonal
+from .phase import fill_diagonal, row_dot
 from .reduction import ReducedPoint, calogero_block, inverse_square_kernel
 
 
@@ -34,59 +34,65 @@ def trace_power_oracle(x: ReducedPoint, l: int, g: float | None = None) -> compl
     return complex(np.trace(np.linalg.matrix_power(Q, l)))
 
 
-def a4_triple_sum(x: np.ndarray) -> complex:
+def a4_triple_sum(x: np.ndarray):
     """Triple class of Tr(A^4): 4 / (d_ab^2 d_ac^2) for each pinch a of each triple.
 
     Summed over ordered pairs b != c at each pinch a: 2 (S.S - sum W o W).
+    x is (..., n), one value per row.
     """
     W = inverse_square_kernel(x)
-    S = W.sum(axis=1)
-    return complex(2.0 * (S @ S - (W * W).sum()))
+    S = W.sum(axis=-1)
+    return 2.0 * (row_dot(S, S) - (W * W).sum(axis=(-2, -1)))
 
 
-def a4_quad_sum(x: np.ndarray) -> complex:
-    """Quadruple class of Tr(A^4): 8 / chain for each cyclic order of each 4-set."""
+def a4_quad_sum(x: np.ndarray):
+    """Quadruple class of Tr(A^4): 8 / chain for each cyclic order of each 4-set.
+
+    x is (..., n), one value per row.
+    """
     def chain(a, b, c, d):
-        return ((x[a] - x[b]) * (x[b] - x[c]) * (x[c] - x[d]) * (x[d] - x[a]))
+        return ((x[..., a] - x[..., b]) * (x[..., b] - x[..., c])
+                * (x[..., c] - x[..., d]) * (x[..., d] - x[..., a]))
 
-    total = 0.0 + 0.0j
-    for i, j, k, l in itertools.combinations(range(x.size), 4):
+    total = np.zeros(x.shape[:-1], dtype=complex)
+    for i, j, k, l in itertools.combinations(range(x.shape[-1]), 4):
         total += 8.0 * (1.0 / chain(i, j, k, l)
                         + 1.0 / chain(i, j, l, k)
                         + 1.0 / chain(i, k, j, l))
     return total
 
 
-def a4_total(W: np.ndarray) -> complex:
+def a4_total(W: np.ndarray):
     """Tr(A^4) = 2 S.S - sum W o W: the pair and triple classes.
 
-    Takes the kernel W = inverse_square_kernel(x) that the caller holds.
-    The quadruple class is zero and left out.
+    Takes the kernel W = inverse_square_kernel(x) (..., n, n) that the
+    caller holds.  The quadruple class is zero and left out.
     """
-    S = W.sum(axis=1)
-    return complex(2.0 * (S @ S) - (W * W).sum())
+    S = W.sum(axis=-1)
+    return 2.0 * row_dot(S, S) - (W * W).sum(axis=(-2, -1))
 
 
 def diag_c2(d: np.ndarray, W: np.ndarray, g: float) -> np.ndarray:
     """diag C^2 = d^2 + g^2 S of C = diag(d) +- i g / (x_i - x_j).
 
-    W = inverse_square_kernel(x) is built once by the caller, S = W.1.
-    This and the two traces below are even in g, so the sign of the
-    off-diagonal block drops out and one kernel serves both slices;
-    Tr C^2 is the sum of diag C^2.
+    d is (..., n) and W = inverse_square_kernel(x) (..., n, n), built once
+    by the caller; S = W.1.  This and the two traces below are even in g,
+    so the sign of the off-diagonal block drops out and one kernel serves
+    both slices; Tr C^2 is the sum of diag C^2.  The traces are (...).
     """
-    return d * d + g ** 2 * W.sum(axis=1)
+    return d * d + g ** 2 * W.sum(axis=-1)
 
 
-def tr_c3(d: np.ndarray, W: np.ndarray, g: float) -> complex:
+def tr_c3(d: np.ndarray, W: np.ndarray, g: float):
     """Tr C^3 = sum d^3 + 3 g^2 d.S."""
-    return (d ** 3).sum() + 3.0 * g ** 2 * (d @ W.sum(axis=1))
+    return (d ** 3).sum(axis=-1) + 3.0 * g ** 2 * row_dot(d, W.sum(axis=-1))
 
 
-def tr_c4(d: np.ndarray, W: np.ndarray, g: float) -> complex:
+def tr_c4(d: np.ndarray, W: np.ndarray, g: float):
     """Tr C^4 = sum d^4 + 2 g^2 (2 d^2.S + d.W.d) + g^4 a4_total(W)."""
-    S = W.sum(axis=1)
-    return ((d ** 4).sum() + 2.0 * g ** 2 * (2.0 * ((d * d) @ S) + d @ W @ d)
+    S = W.sum(axis=-1)
+    dWd = (d[..., None, :] @ W @ d[..., :, None])[..., 0, 0]
+    return ((d ** 4).sum(axis=-1) + 2.0 * g ** 2 * (2.0 * row_dot(d * d, S) + dWd)
             + g ** 4 * a4_total(W))
 
 

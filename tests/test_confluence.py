@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from cplab.confluence import (ConfluenceParams, canonical_shift, conf_map,
-                              dual_confluence_breakdown,
-                              identity_defect, map_time, particle_conf_map,
-                              p4_spec, remainder, residual_ratio_sweep)
+from cplab import confluence
+from cplab.confluence import (UNIT_CIRCLE_EPS, ConfluenceParams, canonical_shift,
+                              conf_map, conf_matrices, dual_confluence_breakdown,
+                              identity_defect, map_time, particle_conf_coordinates,
+                              particle_conf_map, p4_spec, remainder,
+                              residual_ratio_sweep)
 from cplab.hamiltonians import matrix_hamiltonian
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                          moment_map, symplectic_pairing)
@@ -230,3 +234,43 @@ class TestDualBreakdown:
         assert spec.kind is SystemKind.P_IV
         assert abs(spec.theta0 + 1.0 / (4 * 0.1 ** 6)) < 1e-6
         assert abs((spec.theta0 + spec.theta1) - 0.7) < 1e-9
+
+
+class TestEpsStack:
+    def test_maps_equal_the_per_eps_maps(self, rng):
+        eps = UNIT_CIRCLE_EPS[::4]
+        cp = ConfluenceParams(eps, 0.7)
+        pt, x = generic_point(rng, 3), random_reduced(rng, 3, 1.0, t=0.1)
+        for kind in ("conf", "conf1"):
+            q4, p4, t4 = conf_matrices(pt, cp, kind)
+            a4, b4, s4 = particle_conf_coordinates(x, cp, kind)
+            assert q4.shape == p4.shape == (len(eps), 3, 3) and a4.shape == (len(eps), 3)
+            for k, e in enumerate(eps):
+                one = ConfluenceParams(e, 0.7)
+                image, y = conf_map(pt, one, kind), particle_conf_map(x, one, kind)
+                # the stack squares eps as an array, which may round differently
+                for a, b in ((q4[k], image.q), (p4[k], image.p), (a4[k], y.positions),
+                             (b4[k], y.momenta)):
+                    assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
+                assert t4[k] == image.t == y.t
+
+    def test_stacked_parameters(self):
+        cp = ConfluenceParams(UNIT_CIRCLE_EPS, 0.3)
+        spec = p4_spec(cp)
+        assert spec.theta0.shape == spec.theta1.shape == (32,)
+        assert np.abs(spec.theta0 + spec.theta1 - 0.3).max() < 1e-12
+        with pytest.raises(ValueError):
+            ConfluenceParams(np.array([0.5, 1.5]))
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_identity_defect_evaluates_one_stack(self, rng, monkeypatch, reduced):
+        # the 32 image Hamiltonians of the eps circle are one stacked call
+        name = "closed_form_hamiltonian" if reduced else "trace_hamiltonian"
+        counter = mock.Mock(wraps=getattr(confluence, name))
+        monkeypatch.setattr(confluence, name, counter)
+        point = random_reduced(rng, 3, 1.0, t=0.1) if reduced else generic_point(rng, 3)
+        for kind in ("conf", "conf1"):
+            counter.reset_mock()
+            assert identity_defect(point, 0.7 + 0.1j, kind) <= 1e-12
+            assert counter.call_count == 1
+            assert counter.call_args.args[1].shape[0] == len(UNIT_CIRCLE_EPS)

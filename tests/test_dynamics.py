@@ -10,7 +10,7 @@ from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from cplab.lax import lax_pair
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
                          moment_map)
-from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
+from cplab.reduction import ReducedPoint, Slice, embed, match_permutation, matrix_point
 from cplab.sampling import random_reduced, spec_for
 from cplab.selfcheck import tame_flow_start
 
@@ -301,6 +301,14 @@ class TestRuijsenaars:
         traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 1.0, 1e-3)
         assert dual_position_drift(traj) < 1e-8
         assert np.abs(traj.final.positions - x0.positions).max() > 0.1
+
+    def test_drift_matches_all_states_at_once_as_one_by_one(self, rng):
+        x0 = random_reduced(rng, 3, 1.0, Slice.P_DIAG)
+        traj = integrate(spec_for(SystemKind.P_II), x0, 0.0, 0.05, 1e-2)
+        eigs = [np.sort_complex(np.linalg.eigvals(embed(x).q)) for x in traj.states]
+        loop = max(float(np.abs(e[match_permutation(eigs[0], e)] - eigs[0]).max())
+                   for e in eigs[1:])
+        assert dual_position_drift(traj) == loop > 0
 
 
 class TestPointsAtStepBoundaries:

@@ -1,17 +1,20 @@
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cplab import hamiltonians
-from cplab.hamiltonians import (matrix_gradients, matrix_hamiltonian,
+from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
+                                matrix_gradients, matrix_hamiltonian,
                                 matrix_vector_field, p4_involution,
-                                reduced_hamiltonian, reduced_hamiltonian_oracle,
-                                reduced_vector_field)
+                                p4_involution_coordinates, reduced_hamiltonian,
+                                reduced_hamiltonian_oracle, reduced_vector_field)
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice
-from cplab.sampling import random_level_set_point, random_reduced, spec_for
+from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
+                            spec_for)
 from cplab.traces import a4_quad_sum
 
 ALL_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
@@ -164,6 +167,52 @@ class TestReducedHamiltonian:
         oracle = reduced_hamiltonian_oracle(spec, x)
         assert abs(reduced_hamiltonian(spec, x) + quadruple - oracle) \
             <= 1e-10 * max(1.0, abs(oracle))
+
+
+class TestStackedReducedHamiltonian:
+    @pytest.mark.parametrize("sl", list(Slice))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_stack_against_oracle_and_point_loop(self, rng, kind, sl):
+        spec = spec_for(kind)
+        T = spec.time(0.4)
+        for n in range(1, 13):
+            pos, mom = random_particles(rng, 8, n)
+            closed = closed_form_hamiltonian(spec, pos, mom, 0.9, T, sl)
+            oracle = embedded_trace_hamiltonian(spec, pos, mom, 0.9, T, sl)
+            assert closed.shape == oracle.shape == (8,)
+            assert (np.abs(closed - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle))).all()
+            for i in range(8):
+                x = ReducedPoint(pos[i], mom[i], 0.9, 0.4, sl)
+                # a stack multiplies complex arrays, which may round differently
+                # from the scalar products of one point
+                for stacked, h in ((closed[i], reduced_hamiltonian(spec, x)),
+                                   (oracle[i], reduced_hamiltonian_oracle(spec, x))):
+                    assert abs(stacked - h) <= 1e-14 * max(1.0, abs(h)), (n, i)
+
+    def test_zero_row_stack(self):
+        rows = np.zeros((0, 3), dtype=complex)
+        for kind in ALL_KINDS:
+            for sl in Slice:
+                h = closed_form_hamiltonian(spec_for(kind), rows, rows, 1.0, 0.0, sl)
+                assert h.shape == (0,)
+
+    def test_stacked_parameters_broadcast_over_rows(self, rng):
+        pos, mom = random_particles(rng, 3, 2)
+        theta0 = np.array([0.1, 0.2 + 0.3j, -0.5])
+        stacked = closed_form_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=theta0),
+                                          pos, mom, 1.0, 0.2, Slice.Q_DIAG)
+        for i in range(3):
+            one = closed_form_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=theta0[i]),
+                                          pos[i], mom[i], 1.0, 0.2, Slice.Q_DIAG)
+            assert abs(stacked[i] - one) <= 1e-14 * max(1.0, abs(one))
+
+    def test_involution_coordinates_are_the_point_map(self, rng):
+        pos, mom = random_particles(rng, 4, 3)
+        a, b, sl, th0, th1 = p4_involution_coordinates(pos, mom, Slice.Q_DIAG, 0.3, 0.7)
+        assert sl is Slice.P_DIAG and (th0, th1) == (1.0, -0.7)
+        for i in range(4):
+            sx, *_ = p4_involution(ReducedPoint(pos[i], mom[i], 1.0), 0.3, 0.7)
+            assert np.array_equal(sx.positions, a[i]) and np.array_equal(sx.momenta, b[i])
 
 
 class TestReducedVectorField:

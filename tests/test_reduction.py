@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from cplab.errors import (DegenerateSpectrum, NotOnLevelSet,
                           OffDiagonalMismatch, ParticleCollision, ZeroColumnSum)
 from cplab.phase import MatrixPhasePoint, moment_map, level_set_target
-from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed,
-                             embedded_matrices, match_permutation, min_gap,
-                             normalized_diagonalizer, permuted_deviation, reduce)
-from cplab.sampling import random_level_set_point, random_reduced
+from cplab.reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
+                             dual_of, embed, embedded_matrices, match_permutation,
+                             matched_deviation, min_gap, normalized_diagonalizer,
+                             permuted_deviation, reduce, reduced_coordinates)
+from cplab.sampling import random_level_set_point, random_particles, random_reduced
 
 
 class TestNormalizedDiagonalizer:
@@ -179,3 +180,145 @@ class TestPermutationMatching:
         assert np.array_equal(match_permutation(ref, ref[perm]), np.argsort(perm)
                               ) or np.abs(ref[perm][match_permutation(ref, ref[perm])]
                                           - ref).max() < 1e-12
+
+
+def level_set_stack(rng, n, g, count):
+    """(q, p) stacks of `count` generic level-set points and the points themselves."""
+    points = [random_level_set_point(rng, n, g) for _ in range(count)]
+    return np.array([pt.q for pt in points]), np.array([pt.p for pt in points]), points
+
+
+class TestStackedReduce:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_stack_equals_point_loop(self, rng, n):
+        q, p, points = level_set_stack(rng, n, 0.9, 6)
+        for sl in Slice:
+            pos, mom = reduced_coordinates(q, p, 0.9, sl)
+            assert pos.shape == mom.shape == (6, n)
+            for i, pt in enumerate(points):
+                x = reduce(pt, sl, 0.9)
+                assert np.array_equal(pos[i], x.positions)
+                if n <= 6:
+                    assert np.array_equal(mom[i], x.momenta)
+                else:
+                    # a batched solve may round differently from a 2-D one
+                    # (it does not with this numpy and BLAS): allow roundoff
+                    scale = max(1.0, float(np.abs(x.momenta).max()))
+                    assert np.abs(mom[i] - x.momenta).max() <= 1e-12 * scale
+
+    def test_round_trip_of_a_sampled_stack(self, rng):
+        pos, mom = random_particles(rng, 20, 5)
+        for sl in Slice:
+            back = reduced_coordinates(*embedded_matrices(pos, mom, 1.3, sl), 1.3, sl)
+            assert matched_deviation(pos, mom, *back).max() < 1e-10
+
+    def test_not_on_level_set_names_the_row(self, rng):
+        q, p, _ = level_set_stack(rng, 3, 1.0, 4)
+        p[2] += 1e-3 * np.eye(3)[::-1]
+        with pytest.raises(NotOnLevelSet, match="^row 2: moment-map deviation"):
+            reduced_coordinates(q, p, 1.0, Slice.Q_DIAG)
+
+    def test_degenerate_spectrum_is_a_collision_and_names_the_row(self, rng):
+        # p-eigenvalues of this point collide: (b1-b2)^2 = -4 g^2/(a1-a2)^2
+        pt = embed(ReducedPoint([0.0, 1.0], [0.0, 2.0j], 1.0))
+        q, p, _ = level_set_stack(rng, 2, 1.0, 3)
+        q[1], p[1] = pt.q, pt.p
+        with pytest.raises(ParticleCollision, match="^row 1: eigenvalue gap"):
+            reduced_coordinates(q, p, 1.0, Slice.P_DIAG)
+
+    def test_zero_column_sum_names_the_row(self, rng):
+        # eigenvector (1, -1) of q has zero entry sum; the loose level-set
+        # tolerance lets the point reach the diagonalizer
+        q, p, _ = level_set_stack(rng, 2, 1.0, 3)
+        q[2], p[2] = [[0.0, 1.0], [1.0, 0.0]], np.eye(2)
+        with pytest.raises(ZeroColumnSum, match="^row 2: an eigenvector"):
+            reduced_coordinates(q, p, 1.0, Slice.Q_DIAG, tol=10.0)
+
+    def test_off_diagonal_mismatch_names_the_row(self, rng):
+        # a slightly wrong g passes the loose level-set test but not the
+        # 1/(q_i - q_j) structure check (see TestReduce)
+        q, p, _ = level_set_stack(rng, 2, 1.02, 3)
+        pt = embed(ReducedPoint([0.0, 0.2], [0.3, -0.4], 1.0))
+        q[1], p[1] = pt.q, pt.p
+        with pytest.raises(OffDiagonalMismatch, match="^row 1: off-diagonal"):
+            reduced_coordinates(q, p, 1.02, Slice.Q_DIAG, tol=0.05)
+
+    def test_one_point_message_has_no_row(self):
+        pt = MatrixPhasePoint(np.eye(2), np.eye(2))
+        with pytest.raises(NotOnLevelSet, match="^moment-map deviation"):
+            reduce(pt, Slice.Q_DIAG, 1.0)
+
+    def test_zero_row_stack(self):
+        for n in (1, 3):
+            empty = np.zeros((0, n, n), dtype=complex)
+            for sl in Slice:
+                pos, mom = reduced_coordinates(empty, empty, 1.0, sl)
+                assert pos.shape == mom.shape == (0, n)
+            rows = np.zeros((0, n), dtype=complex)
+            assert min_gap(rows).shape == (0,)
+            collision_guard(rows)
+            q, p = embedded_matrices(rows, rows, 1.0, Slice.Q_DIAG)
+            assert q.shape == p.shape == (0, n, n)
+            assert matched_deviation(rows, rows, rows, rows).shape == (0,)
+
+    def test_stacked_diagonalizer_fields(self, rng):
+        q, _, points = level_set_stack(rng, 4, 1.0, 3)
+        diag = normalized_diagonalizer(q)
+        for i, pt in enumerate(points):
+            one = normalized_diagonalizer(pt.q)
+            assert np.array_equal(diag.C[i], one.C)
+            assert diag.residual[i] == one.residual
+            assert diag.rank_one_residual[i] == one.rank_one_residual
+
+
+class TestStackedMatching:
+    def test_stack_equals_row_loop(self, rng):
+        ref = rng.normal(size=(50, 5)) + 1j * rng.normal(size=(50, 5))
+        cand = np.array([r[rng.permutation(5)] for r in ref]) + 1e-3
+        perm = match_permutation(ref, cand)
+        for i in range(50):
+            assert np.array_equal(perm[i], match_permutation(ref[i], cand[i]))
+        assert np.abs(np.take_along_axis(cand, perm, -1) - ref).max() < 2e-3
+
+    def test_greedy_order_and_first_of_equals(self):
+        # reference 0 takes its nearest candidate first, even if reference 1
+        # is nearer to it; equal distances go to the first candidate
+        assert match_permutation(np.array([0.0, 0.1]), np.array([0.2, 0.05])).tolist() == [1, 0]
+        assert match_permutation(np.array([0.0]), np.array([0.0])).tolist() == [0]
+        assert match_permutation(np.array([0.0, 5.0]), np.array([1.0, -1.0])).tolist() == [0, 1]
+
+
+class TestParticleCount:
+    def test_no_particles_rejected(self, rng):
+        with pytest.raises(ValueError, match="at least one particle"):
+            ReducedPoint([], [], 1.0)
+        with pytest.raises(ValueError, match="at least one particle"):
+            random_particles(rng, 3, 0)
+        with pytest.raises(ValueError, match="at least one particle"):
+            random_reduced(rng, 0, 1.0)
+
+
+class TestStackedSampler:
+    @pytest.mark.parametrize("complex_positions", [True, False])
+    def test_stack_draws_as_single_draws(self, complex_positions):
+        a, b = np.random.default_rng(5), np.random.default_rng(5)
+        pos, mom = random_particles(a, 7, 4, complex_positions=complex_positions,
+                                    mom_scale=0.5)
+        for i in range(7):
+            x = random_reduced(b, 4, 1.0, complex_positions=complex_positions,
+                               mom_scale=0.5)
+            assert np.array_equal(pos[i], x.positions)
+            assert np.array_equal(mom[i], x.momenta)
+        assert a.uniform() == b.uniform()  # the generators stay in step
+
+    def test_zero_trials(self, rng):
+        pos, mom = random_particles(rng, 0, 3)
+        assert pos.shape == mom.shape == (0, 3)
+
+    def test_collision_in_a_sampled_stack(self, rng):
+        with pytest.raises(ParticleCollision, match="^row 0: particle gap"):
+            random_particles(rng, 4, 3, spread=0.0, jitter=0.0)
+        pos, _ = random_particles(rng, 5, 3)
+        pos[3, 2] = pos[3, 0] + 1e-12
+        with pytest.raises(ParticleCollision, match="^row 3: particle gap"):
+            collision_guard(pos)

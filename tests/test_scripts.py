@@ -28,3 +28,12 @@ def test_duality_scan(capsys):
     assert len(rows) == 1 + 4  # header, then one row per kind
     for row in rows[1:]:
         assert all(float(d) < 1e-8 for d in row.split()[2:])
+
+
+def test_bench_layers():
+    table = load_script("bench_layers").measure(sizes=(2, 3), points=4, repeats=1)
+    assert set(table["layers"]) == {"embed_reduce", "closed_form_oracle"}
+    for layer in table["layers"].values():
+        assert set(layer) == {"n2", "n3"}
+        for row in layer.values():
+            assert row["point_loop_us"] > 0 and row["stack_us"] > 0
