@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Per-point cost of two layers, a point loop against one stack: BENCH_layers.json.
+"""Per-point cost of the layers of the lab: BENCH_layers.json.
 
     python scripts/bench_layers.py
 
-The layers are
+Two layers compare a point loop against one stack:
   * embed_reduce: embed a reduced point and reduce it back at its slice,
     point by point (`reduce(embed(x))`) against one stack
     (`reduced_coordinates(*embedded_matrices(...))`);
@@ -11,6 +11,11 @@ The layers are
     oracle of each of the six kinds at both slices, point by point
     (`reduced_hamiltonian`, `reduced_hamiltonian_oracle`) against one stack
     each (`closed_form_hamiltonian`, `embedded_trace_hamiltonian`).
+The others are one-point calls, looped over the points:
+  * reduce: `reduce` of an embedded point at the q-slice;
+  * reduced_vector_field_q / _p: `reduced_vector_field` of P_II at either slice;
+  * rk4_step_matrix / rk4_step_reduced: one `rk4_step` of the P_II flow,
+    on the embedded matrix pair and on the q-slice particles.
 Each entry is the best of REPEATS timings of POINTS sampled points per n,
 in microseconds per point (per point, kind and slice for the closed forms),
 on one BLAS thread.  The result goes to BENCH_layers.json at the root of
@@ -30,8 +35,9 @@ import time  # noqa: E402
 import numpy as np  # noqa: E402
 
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
-                                embedded_trace_hamiltonian, reduced_hamiltonian,
-                                reduced_hamiltonian_oracle)
+                                embedded_trace_hamiltonian, matrix_vector_field,
+                                reduced_hamiltonian, reduced_hamiltonian_oracle,
+                                reduced_vector_field, rk4_step)
 from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
                              embedded_matrices, reduce, reduced_coordinates)
@@ -42,6 +48,7 @@ SIZES = (2, 4, 8, 12)
 POINTS = 100
 REPEATS = 5
 G, T = 0.9, 0.4
+H = 1e-3  # the RK4 step
 
 
 def best_us(fn, repeats: int, per: int) -> float:
@@ -90,14 +97,57 @@ def layer_times(n: int, points: int, repeats: int) -> dict:
     }
 
 
+def call_times(n: int, points: int, repeats: int) -> dict:
+    """{layer: {"us_per_call"}} of the one-point layers at n particles."""
+    pos, mom = random_particles(np.random.default_rng(n), points, n)
+    spec = spec_for(SystemKind.P_II)
+    sl = Slice.Q_DIAG
+    pts = [embed(ReducedPoint(a, b, G, T, sl)) for a, b in zip(pos, mom)]
+
+    def reduce_loop():
+        for pt in pts:
+            reduce(pt, sl, G)
+
+    def field_loop(s):
+        def loop():
+            for a, b in zip(pos, mom):
+                reduced_vector_field(spec, a, b, G, T, s)
+        return loop
+
+    def matrix_field(q, p, t):
+        return matrix_vector_field(spec, q, p, t)
+
+    def reduced_field(a, b, t):
+        return reduced_vector_field(spec, a, b, G, t, sl)
+
+    def step_loop(field, states):
+        def loop():
+            for y0, y1 in states:
+                rk4_step(field, y0, y1, T, H)
+        return loop
+
+    loops = {
+        "reduce": reduce_loop,
+        "reduced_vector_field_q": field_loop(Slice.Q_DIAG),
+        "reduced_vector_field_p": field_loop(Slice.P_DIAG),
+        "rk4_step_matrix": step_loop(matrix_field, [(pt.q, pt.p) for pt in pts]),
+        "rk4_step_reduced": step_loop(reduced_field, list(zip(pos, mom))),
+    }
+    return {layer: {"us_per_call": best_us(loop, repeats, points)}
+            for layer, loop in loops.items()}
+
+
 def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
     layers: dict = {}
     for n in sizes:
         for layer, t in layer_times(n, points, repeats).items():
             t["speedup"] = t["point_loop_us"] / t["stack_us"]
             layers.setdefault(layer, {})[f"n{n}"] = {k: round(v, 2) for k, v in t.items()}
+        for layer, t in call_times(n, points, repeats).items():
+            layers.setdefault(layer, {})[f"n{n}"] = {k: round(v, 2) for k, v in t.items()}
     return {
-        "unit": "us per point (per point, kind and slice for closed_form_oracle)",
+        "unit": "us per point (per point, kind and slice for closed_form_oracle; "
+                "per call for the us_per_call layers)",
         "method": f"best of {repeats} timings of {points} sampled points per n, "
                   "one process, one BLAS thread",
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "

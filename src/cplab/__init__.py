@@ -7,7 +7,6 @@ from .phase import (
     TangentPair,
     level_set_target,
     moment_map,
-    on_level_set,
     symplectic_pairing,
 )
 from .reduction import (
@@ -33,7 +32,6 @@ __all__ = [
     "level_set_target",
     "moment_map",
     "normalized_diagonalizer",
-    "on_level_set",
     "reduce",
     "symplectic_pairing",
 ]

@@ -73,21 +73,21 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     h = (t1 - t0) / steps
 
     if isinstance(start, MatrixPhasePoint):
-        y = (start.q.copy(), start.p.copy())
+        q, p = start.q.copy(), start.p.copy()
 
-        def rhs(y, t):
-            return matrix_vector_field(spec, y[0], y[1], t)
+        def rhs(q, p, t):
+            return matrix_vector_field(spec, q, p, t)
 
-        def point(y, t):
-            return MatrixPhasePoint(y[0], y[1], t)
+        def point(q, p, t):
+            return MatrixPhasePoint(q, p, t)
     else:
-        y = (start.positions.copy(), start.momenta.copy())
+        q, p = start.positions.copy(), start.momenta.copy()
 
-        def rhs(y, t):
-            return reduced_vector_field(spec, y[0], y[1], start.g, t, start.slice)
+        def rhs(a, b, t):
+            return reduced_vector_field(spec, a, b, start.g, t, start.slice)
 
-        def point(y, t):
-            return ReducedPoint(y[0], y[1], start.g, t, start.slice)
+        def point(a, b, t):
+            return ReducedPoint(a, b, start.g, t, start.slice)
 
     g_monitor = g if g is not None else getattr(start, "g", None)
     times, states = [], []
@@ -109,15 +109,15 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
             if k > 0:
                 # a stage may overflow; the state check below reports it
                 with np.errstate(over="ignore", invalid="ignore"):
-                    y = rk4_step(rhs, y, t, h)
+                    q, p = rk4_step(rhs, q, p, t, h)
                 t = t0 + k * h
-            norm = max(float(np.abs(y[0]).max()), float(np.abs(y[1]).max()))
+            norm = max(float(np.abs(q).max()), float(np.abs(p).max()))
             if not np.isfinite(norm):
                 raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
             if norm > OVERFLOW_NORM:
                 raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
                                partial=so_far())
-            state = point(y, t)
+            state = point(q, p, t)
         except ParticleCollision as exc:
             exc.partial = so_far()
             raise

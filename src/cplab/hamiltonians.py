@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal, row_dot
-from .reduction import (ReducedPoint, Slice, collision_guard, embedded_matrices,
-                        inverse_square_kernel, offdiag_sign)
+from .reduction import (ReducedPoint, Slice, embedded_matrices, inverse_square_kernel,
+                        offdiag_sign)
 from .traces import diag_c2, tr_c3, tr_c4
 
 
@@ -88,14 +88,16 @@ def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float
     return gp, -gq
 
 
-def rk4_step(field, y: tuple, t: float, h: float) -> tuple:
-    """One classical RK4 step of dy/dt = field(y, t) for a tuple y of arrays."""
-    k1 = field(y, t)
-    k2 = field(tuple(a + (h / 2) * b for a, b in zip(y, k1)), t + h / 2)
-    k3 = field(tuple(a + (h / 2) * b for a, b in zip(y, k2)), t + h / 2)
-    k4 = field(tuple(a + h * b for a, b in zip(y, k3)), t + h)
-    return tuple(a + (h / 6) * (b1 + 2 * b2 + 2 * b3 + b4)
-                 for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4))
+def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float) -> tuple:
+    """One classical RK4 step of (q, p)' = field(q, p, t); returns the new (q, p)."""
+    half = h / 2
+    k1q, k1p = field(q, p, t)
+    k2q, k2p = field(q + half * k1q, p + half * k1p, t + half)
+    k3q, k3p = field(q + half * k2q, p + half * k2p, t + half)
+    k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
+    sixth = h / 6
+    return (q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q),
+            p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +187,8 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     Q_DIAG: positions are canonical coordinates, momenta their conjugates.
     P_DIAG: omega = sum dI ^ dphi, so the roles swap.
     """
-    collision_guard(positions)  # the input check, and the only guard of RK4 stages 2-4
+    # the embedding guards the differences x_i - x_j it divides by: the
+    # field's input check, and the only collision guard of RK4 stages 2-4
     q, p = embedded_matrices(positions, momenta, g, slice)
     g_q, g_p = matrix_gradients(spec, q, p, t)
     if slice is Slice.Q_DIAG:
@@ -194,8 +197,8 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
         g_diag, g_res, K = g_p, g_q, q
     # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T
     sgn = offdiag_sign(slice)
-    dH_da = np.diag(g_diag) + (K * K * (g_res - g_res.T)).sum(axis=1) / (sgn * 1j * g)
-    dH_db = np.diag(g_res).copy()
+    dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (sgn * 1j * g)
+    dH_db = g_res.diagonal().copy()
     if slice is Slice.Q_DIAG:
         return dH_db, -dH_da
     return -dH_db, dH_da

@@ -126,7 +126,7 @@ def fill_diagonal(a: np.ndarray, value) -> np.ndarray:
     value is a scalar or the diagonal entries (..., n).  Returns a.
     """
     if a.ndim == 2:  # einsum's view is several times slower per call at small n
-        np.fill_diagonal(a, value)
+        a.flat[:: a.shape[-1] + 1] = value
     else:
         np.einsum("...ii->...i", a)[...] = value
     return a
@@ -179,14 +179,6 @@ def moment_deviation(q: np.ndarray, p: np.ndarray, g=None):
     if g is not None:
         mu -= level_set_target(q.shape[-1], g)
     return np.abs(mu).max(axis=(-2, -1))
-
-
-def on_level_set(pt: MatrixPhasePoint, g, tol: float) -> tuple[bool, float]:
-    """Max-norm test of the moment-map constraint; returns (ok, deviation)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dev = float(moment_deviation(pt.q, pt.p, g))
-    return dev < tol, dev
 
 
 def symplectic_pairing(u: TangentPair, w: TangentPair) -> complex:

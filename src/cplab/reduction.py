@@ -53,10 +53,10 @@ def offdiag_sign(s: Slice) -> int:
 def calogero_block(x: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
     """sign * i g / (x_i - x_j) off the diagonal, zero on it.
 
-    x is one vector of n coordinates or a stack (..., n) of them.
+    x is one vector of n coordinates or a stack (..., n) of them; the
+    differences it divides by pass the collision guard first.
     """
-    diff = fill_diagonal(x[..., :, None] - x[..., None, :], 1.0)
-    return fill_diagonal(sign * 1j * g / diff, 0.0)
+    return sign * 1j * g / guarded_differences(x)  # 1/inf = 0 on the diagonal
 
 
 def inverse_square_kernel(x: np.ndarray) -> np.ndarray:
@@ -122,30 +122,40 @@ def _first(bad: np.ndarray) -> tuple[tuple, str]:
     return i, f"row {', '.join(str(k) for k in i)}: " if i else ""
 
 
-def collision_threshold(x: np.ndarray) -> np.ndarray:
-    """COLLISION_RTOL (1 + max |x|) of each row of the stack x (..., n)."""
-    return COLLISION_RTOL * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
+def pair_differences(x: np.ndarray) -> np.ndarray:
+    """x_i - x_j of each row of the stack x (..., n), with inf on the diagonal."""
+    n = x.shape[-1]
+    diff = x[..., :, None] - x[..., None, :]
+    # each row's n x n differences, flattened: the diagonal is every (n + 1)-th entry
+    diff.reshape(x.shape[:-1] + (n * n,))[..., :: n + 1] = np.inf
+    return diff
 
 
 def min_gap(x: np.ndarray) -> np.ndarray:
     """min over i != j of |x_i - x_j| for each row of the stack x (..., n); inf if n < 2."""
-    n = x.shape[-1]
-    if n < 2:
-        return np.full(x.shape[:-1], np.inf)
-    # each row's n x n distances, flattened: the diagonal is every (n + 1)-th entry
-    dist = np.abs(x[..., :, None] - x[..., None, :]).reshape(x.shape[:-1] + (n * n,))
-    dist[..., :: n + 1] = np.inf
-    return dist.min(axis=-1)
+    return np.abs(pair_differences(x)).min(axis=(-2, -1), initial=np.inf)
+
+
+def guarded_differences(x: np.ndarray) -> np.ndarray:
+    """pair_differences(x), once no gap of a row lies below COLLISION_RTOL (1 + max |x|).
+
+    The one collision test: ParticleCollision, naming the first failing row
+    of a stack, if two coordinates of a row meet.
+    """
+    diff = pair_differences(x)
+    gap = np.abs(diff).min(axis=(-2, -1), initial=np.inf)
+    threshold = COLLISION_RTOL * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
+    close = gap < threshold
+    if (close.any() if x.ndim > 1 else close):  # one row compares two scalars
+        i, row = _first(close)
+        raise ParticleCollision(
+            f"{row}particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
+    return diff
 
 
 def collision_guard(x: np.ndarray):
     """ParticleCollision, naming the first failing row, if two coordinates of a row meet."""
-    gap, threshold = min_gap(x), collision_threshold(x)
-    close = gap < threshold
-    if np.count_nonzero(close):
-        i, row = _first(close)
-        raise ParticleCollision(
-            f"{row}particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
+    guarded_differences(x)
 
 
 def particle_guard(positions: np.ndarray, momenta: np.ndarray):
@@ -289,7 +299,7 @@ def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
     """(q, p) of the slice-diagonal representatives, as arrays.
 
     positions and momenta are (..., n): one reduced point or a stack of
-    them (guarded against collisions by their ReducedPoints).
+    them; calogero_block guards the differences it divides by.
     """
     n = positions.shape[-1]
     diagonal = fill_diagonal(np.zeros(positions.shape + (n,), dtype=complex), positions)

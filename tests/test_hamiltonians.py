@@ -5,12 +5,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cplab import hamiltonians
+from cplab import hamiltonians, reduction
+from cplab.errors import ParticleCollision
 from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
                                 matrix_gradients, matrix_hamiltonian,
                                 matrix_vector_field, p4_involution,
                                 p4_involution_coordinates, reduced_hamiltonian,
-                                reduced_hamiltonian_oracle, reduced_vector_field)
+                                reduced_hamiltonian_oracle, reduced_vector_field,
+                                rk4_step)
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice
 from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
@@ -117,6 +119,31 @@ class TestVectorFields:
             qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
             mu_dot = (pdot @ pt.q - pt.q @ pdot) + (pt.p @ qdot - qdot @ pt.p)
             assert np.abs(mu_dot).max() < 1e-10
+
+
+class TestRK4Step:
+    def test_linear_field_gives_the_degree_4_taylor_polynomial(self):
+        lam_q, lam_p, h = -0.7 + 0.4j, 1.3 - 0.2j, 0.1
+        q0, p0 = np.array([1.0 + 0.5j, -2.0]), np.array([0.3j])
+        q, p = rk4_step(lambda q, p, t: (lam_q * q, lam_p * p), q0, p0, 0.2, h)
+        for y, y0, lam in ((q, q0, lam_q), (p, p0, lam_p)):
+            z = lam * h
+            expected = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) * y0
+            assert np.abs(y - expected).max() <= 4e-16 * np.abs(expected).max()
+
+    def test_time_dependent_field_is_integrated_exactly(self):
+        # y' = t^3 is Simpson's rule over the stage times t, t + h/2, t + h:
+        # exact for a cubic, and every number below is exact in floating point
+        times = []
+
+        def field(q, p, t):
+            times.append(t)
+            return np.full_like(q, t ** 3), np.full_like(p, -t ** 3)
+
+        q, p = rk4_step(field, np.array([2.0]), np.array([-1.0, 0.5]), 1.0, 3.0)
+        assert times == [1.0, 2.5, 2.5, 4.0]
+        assert q.tolist() == [2.0 + 63.75]  # (4^4 - 1^4) / 4
+        assert p.tolist() == [-1.0 - 63.75, 0.5 - 63.75]
 
 
 class TestReducedHamiltonian:
@@ -269,6 +296,31 @@ class TestReducedVectorField:
                     else:
                         assert abs(da[i] + dmom) < 1e-6
                         assert abs(db[i] - dpos) < 1e-6
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_collision_guard_at_the_threshold(self, sl):
+        # the threshold is COLLISION_RTOL (1 + max |x|) = 1e-9 (1 + gap)
+        spec = spec_for(SystemKind.P_II)
+        with pytest.raises(ParticleCollision,
+                           match=r"^particle gap 9\.900e-10 below threshold 1\.000e-09$"):
+            reduced_vector_field(spec, np.array([0.0, 0.99e-9]), np.zeros(2), 1.0, 0.0, sl)
+        da, db = reduced_vector_field(spec, np.array([0.0, 1.01e-9]), np.zeros(2),
+                                      1.0, 0.0, sl)
+        assert np.isfinite(da).all() and np.isfinite(db).all()
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_one_pass_over_the_differences(self, rng, monkeypatch, sl):
+        calls = []
+        differences = reduction.pair_differences
+
+        def counting(x):
+            calls.append(x.shape)
+            return differences(x)
+        monkeypatch.setattr(reduction, "pair_differences", counting)
+        x = random_reduced(rng, 4, 0.8, sl, t=0.3)
+        calls.clear()  # the point's own guard ran while it was built
+        reduced_vector_field(spec_for(SystemKind.P_IV), x.positions, x.momenta, x.g, x.t, sl)
+        assert calls == [(4,)]
 
 
 class TestP4Involution:

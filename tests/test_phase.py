@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from cplab.errors import DimensionMismatch
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec,
                          TangentPair, add_to_diagonal, coupling_value,
-                         fill_diagonal, level_set_target, moment_map,
-                         on_level_set, symplectic_pairing)
+                         fill_diagonal, level_set_target, moment_deviation,
+                         moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint
 
 
@@ -104,13 +104,11 @@ class TestLevelSet:
             sv = np.linalg.svd(target - 1j * np.eye(n), compute_uv=False)
             assert np.all(sv[1:] < 1e-12) and sv[0] > 1.0
 
-    def test_on_level_set(self):
+    def test_moment_deviation(self):
         pt = MatrixPhasePoint(np.eye(2), np.eye(2))
-        ok, dev = on_level_set(pt, 1.0, 1e-8)
-        assert not ok and abs(dev - 1.0) < 1e-15
+        assert abs(moment_deviation(pt.q, pt.p, 1.0) - 1.0) < 1e-15
         pt1 = MatrixPhasePoint([[0.3]], [[0.8]])
-        ok, dev = on_level_set(pt1, 5.0, 1e-12)
-        assert ok and dev == 0.0
+        assert moment_deviation(pt1.q, pt1.p, 5.0) == 0.0
 
 
 class TestSymplecticPairing:

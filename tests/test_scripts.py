@@ -32,8 +32,14 @@ def test_duality_scan(capsys):
 
 def test_bench_layers():
     table = load_script("bench_layers").measure(sizes=(2, 3), points=4, repeats=1)
-    assert set(table["layers"]) == {"embed_reduce", "closed_form_oracle"}
-    for layer in table["layers"].values():
+    stacked = {"embed_reduce", "closed_form_oracle"}
+    one_point = {"reduce", "reduced_vector_field_q", "reduced_vector_field_p",
+                 "rk4_step_matrix", "rk4_step_reduced"}
+    assert set(table["layers"]) == stacked | one_point
+    for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
         for row in layer.values():
-            assert row["point_loop_us"] > 0 and row["stack_us"] > 0
+            if name in stacked:
+                assert row["point_loop_us"] > 0 and row["stack_us"] > 0
+            else:
+                assert set(row) == {"us_per_call"} and row["us_per_call"] > 0
