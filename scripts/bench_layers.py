@@ -16,10 +16,13 @@ The others are one-point calls, looped over the points:
   * reduced_vector_field_q / _p: `reduced_vector_field` of P_II at either slice;
   * rk4_step_matrix / rk4_step_reduced: one `rk4_step` of the P_II flow,
     on the embedded matrix pair and on the q-slice particles.
-Each entry is the best of REPEATS timings of POINTS sampled points per n,
-in microseconds per point (per point, kind and slice for the closed forms),
-on one BLAS thread.  The result goes to BENCH_layers.json at the root of
-the checkout.
+Each entry times one loop over POINTS sampled points per n, in
+microseconds per point (per point, kind and slice for the closed forms), on
+one BLAS thread.  The loops are timed in REPEATS rounds, each round running
+every loop of every layer and n once, so that a slow phase of the host
+touches every entry alike.  Each entry reports the median of its rounds and
+their interquartile range (the `_iqr` field beside it).  The result goes to
+BENCH_layers.json at the root of the checkout.
 """
 import os
 
@@ -46,23 +49,13 @@ from cplab.sampling import random_particles, spec_for  # noqa: E402
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_layers.json"
 SIZES = (2, 4, 8, 12)
 POINTS = 100
-REPEATS = 5
+REPEATS = 21
 G, T = 0.9, 0.4
 H = 1e-3  # the RK4 step
 
 
-def best_us(fn, repeats: int, per: int) -> float:
-    """Best of `repeats` wall times of fn(), in microseconds per unit of work."""
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best / per * 1e6
-
-
-def layer_times(n: int, points: int, repeats: int) -> dict:
-    """{layer: {"point_loop_us", "stack_us"}} at n particles."""
+def layer_loops(n: int, points: int) -> dict:
+    """{(layer, field): (loop, units of work)} of the stacked layers at n particles."""
     pos, mom = random_particles(np.random.default_rng(n), points, n)
     sl = Slice.Q_DIAG
     xs = [ReducedPoint(a, b, G, T, sl) for a, b in zip(pos, mom)]
@@ -90,15 +83,15 @@ def layer_times(n: int, points: int, repeats: int) -> dict:
 
     per_h = points * len(cases)
     return {
-        "embed_reduce": {"point_loop_us": best_us(reduce_loop, repeats, points),
-                         "stack_us": best_us(reduce_stack, repeats, points)},
-        "closed_form_oracle": {"point_loop_us": best_us(hamiltonian_loop, repeats, per_h),
-                               "stack_us": best_us(hamiltonian_stack, repeats, per_h)},
+        ("embed_reduce", "point_loop_us"): (reduce_loop, points),
+        ("embed_reduce", "stack_us"): (reduce_stack, points),
+        ("closed_form_oracle", "point_loop_us"): (hamiltonian_loop, per_h),
+        ("closed_form_oracle", "stack_us"): (hamiltonian_stack, per_h),
     }
 
 
-def call_times(n: int, points: int, repeats: int) -> dict:
-    """{layer: {"us_per_call"}} of the one-point layers at n particles."""
+def call_loops(n: int, points: int) -> dict:
+    """{(layer, "us_per_call"): (loop, units of work)} of the one-point layers at n."""
     pos, mom = random_particles(np.random.default_rng(n), points, n)
     spec = spec_for(SystemKind.P_II)
     sl = Slice.Q_DIAG
@@ -133,23 +126,36 @@ def call_times(n: int, points: int, repeats: int) -> dict:
         "rk4_step_matrix": step_loop(matrix_field, [(pt.q, pt.p) for pt in pts]),
         "rk4_step_reduced": step_loop(reduced_field, list(zip(pos, mom))),
     }
-    return {layer: {"us_per_call": best_us(loop, repeats, points)}
-            for layer, loop in loops.items()}
+    return {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
 
 
 def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
+    entries = {(layer, f"n{n}", field): timed
+               for n in sizes
+               for loops in (layer_loops(n, points), call_loops(n, points))
+               for (layer, field), timed in loops.items()}
+    rounds = {key: [] for key in entries}
+    for _ in range(repeats):
+        for key, (loop, per) in entries.items():
+            start = time.perf_counter()
+            loop()
+            rounds[key].append((time.perf_counter() - start) / per * 1e6)
     layers: dict = {}
-    for n in sizes:
-        for layer, t in layer_times(n, points, repeats).items():
-            t["speedup"] = t["point_loop_us"] / t["stack_us"]
-            layers.setdefault(layer, {})[f"n{n}"] = {k: round(v, 2) for k, v in t.items()}
-        for layer, t in call_times(n, points, repeats).items():
-            layers.setdefault(layer, {})[f"n{n}"] = {k: round(v, 2) for k, v in t.items()}
+    for (layer, n, field), us in rounds.items():
+        q1, median, q3 = np.percentile(us, [25, 50, 75])
+        row = layers.setdefault(layer, {}).setdefault(n, {})
+        row[field], row[f"{field}_iqr"] = median, q3 - q1
+        if field == "stack_us":  # the point loop's entry comes first
+            row["speedup"] = row["point_loop_us"] / median
+    layers = {layer: {n: {k: round(float(v), 2) for k, v in row.items()}
+                      for n, row in rows.items()}
+              for layer, rows in layers.items()}
     return {
         "unit": "us per point (per point, kind and slice for closed_form_oracle; "
                 "per call for the us_per_call layers)",
-        "method": f"best of {repeats} timings of {points} sampled points per n, "
-                  "one process, one BLAS thread",
+        "method": f"median and interquartile range of {repeats} rounds, each timing every "
+                  f"entry once, of {points} sampled points per n; one process, "
+                  "one BLAS thread",
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"python {platform.python_version()}, numpy {np.__version__}",
         "layers": layers,

@@ -208,20 +208,9 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
 # duality maps
 # ---------------------------------------------------------------------------
 
-def p4_involution(x: ReducedPoint, theta0: complex, theta1: complex):
-    """Anti-symplectic involution of the P_IV pair of reduced systems.
-
-    The one-point call of p4_involution_coordinates: returns the image
-    point and the relabeled (theta0*, theta1*).
-    """
-    a, b, sl, th0, th1 = p4_involution_coordinates(x.positions, x.momenta, x.slice,
-                                                   theta0, theta1)
-    return ReducedPoint(a, b, x.g, x.t, sl), th0, th1
-
-
 def p4_involution_coordinates(positions: np.ndarray, momenta: np.ndarray, slice: Slice,
                               theta0: complex, theta1: complex):
-    """The P_IV involution on coordinates (..., n) at a slice.
+    """Anti-symplectic involution of the P_IV pair, on coordinates (..., n) at a slice.
 
     In canonical coordinates this is q -> -p, p -> -q with the slice roles
     swapped, so at the level of the stored arrays both are negated and the

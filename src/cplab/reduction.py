@@ -50,13 +50,13 @@ def offdiag_sign(s: Slice) -> int:
     return 1 if s is Slice.Q_DIAG else -1
 
 
-def calogero_block(x: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
+def calogero_block(diff: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
     """sign * i g / (x_i - x_j) off the diagonal, zero on it.
 
-    x is one vector of n coordinates or a stack (..., n) of them; the
-    differences it divides by pass the collision guard first.
+    diff is pair_differences of one vector or a stack (..., n) of
+    coordinates, divided by unchecked (see guarded_differences).
     """
-    return sign * 1j * g / guarded_differences(x)  # 1/inf = 0 on the diagonal
+    return sign * 1j * g / diff  # 1/inf = 0 on the diagonal
 
 
 def inverse_square_kernel(x: np.ndarray) -> np.ndarray:
@@ -64,8 +64,9 @@ def inverse_square_kernel(x: np.ndarray) -> np.ndarray:
 
     Every pair sum of the closed forms contracts W or its row sums
     S = W.1: sum_{i<j} c_ij / (x_i - x_j)^2 = sum(c * W) / 2 for symmetric c.
+    x holds checked coordinates (see calogero_block), so W is not guarded.
     """
-    return -calogero_block(x, 1.0) ** 2
+    return -calogero_block(pair_differences(x), 1.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -113,13 +114,14 @@ class Diagonalizer:
     rank_one_residual: np.ndarray
 
 
-def _first(bad: np.ndarray) -> tuple[tuple, str]:
-    """Index of the first failing row of a stack check, and the message prefix naming it.
+def _reject(error: type, bad: np.ndarray, text):
+    """Raise error("row i: " + text(i)) for the first failing row i of a stack check.
 
-    One point (bad of shape ()) gets the empty prefix.
+    One point (bad of shape ()) gets no prefix.
     """
     i = np.unravel_index(np.argmax(bad), np.shape(bad))
-    return i, f"row {', '.join(str(k) for k in i)}: " if i else ""
+    row = f"row {', '.join(str(k) for k in i)}: " if i else ""
+    raise error(row + text(i))
 
 
 def pair_differences(x: np.ndarray) -> np.ndarray:
@@ -131,31 +133,20 @@ def pair_differences(x: np.ndarray) -> np.ndarray:
     return diff
 
 
-def min_gap(x: np.ndarray) -> np.ndarray:
-    """min over i != j of |x_i - x_j| for each row of the stack x (..., n); inf if n < 2."""
-    return np.abs(pair_differences(x)).min(axis=(-2, -1), initial=np.inf)
-
-
 def guarded_differences(x: np.ndarray) -> np.ndarray:
     """pair_differences(x), once no gap of a row lies below COLLISION_RTOL (1 + max |x|).
 
-    The one collision test: ParticleCollision, naming the first failing row
-    of a stack, if two coordinates of a row meet.
+    The one collision test, run where unchecked coordinates come in:
+    ParticleCollision, naming the first failing row, if two coordinates meet.
     """
     diff = pair_differences(x)
     gap = np.abs(diff).min(axis=(-2, -1), initial=np.inf)
     threshold = COLLISION_RTOL * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
     close = gap < threshold
     if (close.any() if x.ndim > 1 else close):  # one row compares two scalars
-        i, row = _first(close)
-        raise ParticleCollision(
-            f"{row}particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
+        _reject(ParticleCollision, close,
+                lambda i: f"particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
     return diff
-
-
-def collision_guard(x: np.ndarray):
-    """ParticleCollision, naming the first failing row, if two coordinates of a row meet."""
-    guarded_differences(x)
 
 
 def particle_guard(positions: np.ndarray, momenta: np.ndarray):
@@ -168,15 +159,14 @@ def particle_guard(positions: np.ndarray, momenta: np.ndarray):
     if positions.shape[-1] < 1:
         raise ValueError("a reduced point needs at least one particle")
     _finite_guard(positions, momenta)
-    collision_guard(positions)
+    guarded_differences(positions)
 
 
 def _finite_guard(positions: np.ndarray, momenta: np.ndarray):
     """ValueError, naming the first failing row, for a non-finite coordinate."""
     if not (np.isfinite(positions).all() and np.isfinite(momenta).all()):
         finite = np.isfinite(positions).all(axis=-1) & np.isfinite(momenta).all(axis=-1)
-        _, row = _first(~finite)
-        raise ValueError(f"{row}non-finite particle coordinates")
+        _reject(ValueError, ~finite, lambda i: "non-finite particle coordinates")
 
 
 def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
@@ -201,18 +191,17 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     # contiguous, so the column sums below add in one order at any stack shape
     V = np.swapaxes(np.swapaxes(V, -1, -2).reshape(-1, n)[flat], -1, -2)
 
-    gap = min_gap(w)
+    gap = np.abs(pair_differences(w)).min(axis=(-2, -1), initial=np.inf)
     gap_thr = DEGENERACY_RTOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
     degenerate = gap < gap_thr
     if np.count_nonzero(degenerate):
-        i, row = _first(degenerate)
-        raise DegenerateSpectrum(f"{row}eigenvalue gap {gap[i]:.3e} below {gap_thr[i]:.3e}")
+        _reject(DegenerateSpectrum, degenerate,
+                lambda i: f"eigenvalue gap {gap[i]:.3e} below {gap_thr[i]:.3e}")
 
     sums = V.sum(axis=-2)
     zero = (np.abs(sums) < ZERO_SUM_RTOL).any(axis=-1)
     if np.count_nonzero(zero):
-        _, row = _first(zero)
-        raise ZeroColumnSum(f"{row}an eigenvector has near-zero entry sum")
+        _reject(ZeroColumnSum, zero, lambda i: "an eigenvector has near-zero entry sum")
     C = V / sums[..., None, :]
 
     scale = 1.0 + np.abs(A).max(axis=(-2, -1))
@@ -220,9 +209,8 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     residual = np.abs(fill_diagonal(D, np.diagonal(D, 0, -2, -1) - w)).max(axis=(-2, -1))
     failed = residual > max(tol, 1e-12) * scale
     if np.count_nonzero(failed):
-        i, row = _first(failed)
-        raise NonConvergedEigensolve(
-            f"{row}diagonalization residual {residual[i]:.3e} exceeds tolerance")
+        _reject(NonConvergedEigensolve, failed,
+                lambda i: f"diagonalization residual {residual[i]:.3e} exceeds tolerance")
     proj = np.eye(n) - np.ones((n, n), dtype=complex)
     rank_one_residual = np.abs(np.linalg.solve(C, proj @ C) - proj).max(axis=(-2, -1))
     return Diagonalizer(C=C, eigenvalues=w, residual=residual,
@@ -248,8 +236,8 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
     dev = moment_deviation(q, p, gv)
     off = ~(dev < tol)
     if np.count_nonzero(off):
-        i, row = _first(off)
-        raise NotOnLevelSet(f"{row}moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
+        _reject(NotOnLevelSet, off,
+                lambda i: f"moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
     target, partner = (q, p) if slice is Slice.Q_DIAG else (p, q)
     if q.shape[-1] == 1:  # the eigensolve path is several times slower for one particle
         pos, mom = target[..., 0].astype(complex), partner[..., 0].astype(complex)
@@ -260,14 +248,13 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
             raise ParticleCollision(str(exc)) from exc
         pos = diag.eigenvalues
         M = np.linalg.solve(diag.C, partner @ diag.C)
-        miss = np.abs(M - calogero_block(pos, gv, offdiag_sign(slice)))
+        miss = np.abs(M - calogero_block(pair_differences(pos), gv, offdiag_sign(slice)))
         mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
         wrong = mismatch > tol
         if np.count_nonzero(wrong):
-            i, row = _first(wrong)
-            raise OffDiagonalMismatch(
-                f"{row}off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
-                f"(tol {tol:.3e}); wrong coupling or off-level-set input")
+            _reject(OffDiagonalMismatch, wrong,
+                    lambda i: f"off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
+                              f"(tol {tol:.3e}); wrong coupling or off-level-set input")
         mom = np.diagonal(M, 0, -2, -1).copy()
     _finite_guard(pos, mom)
     return pos, mom
@@ -299,11 +286,13 @@ def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
     """(q, p) of the slice-diagonal representatives, as arrays.
 
     positions and momenta are (..., n): one reduced point or a stack of
-    them; calogero_block guards the differences it divides by.
+    them, perhaps unchecked (RK4 stage states, sampled stacks): the
+    Calogero block divides by guarded_differences.
     """
     n = positions.shape[-1]
     diagonal = fill_diagonal(np.zeros(positions.shape + (n,), dtype=complex), positions)
-    resolved = fill_diagonal(calogero_block(positions, g, offdiag_sign(slice)), momenta)
+    resolved = fill_diagonal(
+        calogero_block(guarded_differences(positions), g, offdiag_sign(slice)), momenta)
     if slice is Slice.Q_DIAG:
         return diagonal, resolved
     return resolved, diagonal

@@ -22,15 +22,15 @@ import itertools
 import numpy as np
 
 from .phase import fill_diagonal, row_dot
-from .reduction import ReducedPoint, calogero_block, inverse_square_kernel
+from .reduction import ReducedPoint, calogero_block, inverse_square_kernel, pair_differences
 
 
 def trace_power_oracle(x: ReducedPoint, l: int, g: float | None = None) -> complex:
     """Tr(Q^l) by matrix powers; an explicit g, even negative, overrides x.g unchecked."""
     if l < 1:
         raise ValueError("l must be >= 1")
-    Q = fill_diagonal(calogero_block(x.positions, x.g if g is None else float(g)),
-                      x.momenta)
+    Q = fill_diagonal(calogero_block(pair_differences(x.positions),
+                                     x.g if g is None else float(g)), x.momenta)
     return complex(np.trace(np.linalg.matrix_power(Q, l)))
 
 

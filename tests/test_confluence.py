@@ -9,7 +9,7 @@ from cplab.confluence import (UNIT_CIRCLE_EPS, ConfluenceParams, canonical_shift
                               identity_defect, map_time, particle_conf_coordinates,
                               particle_conf_map, p4_spec, remainder,
                               residual_ratio_sweep)
-from cplab.hamiltonians import matrix_hamiltonian
+from cplab.hamiltonians import closed_form_hamiltonian, matrix_hamiltonian
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                          moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
@@ -186,6 +186,20 @@ class TestResiduals:
             errs.append(abs(val - target) / abs(target))
         assert errs[0] < 0.1
         assert 3.5 < errs[0] / errs[1] < 4.5
+
+    def test_a_close_legal_pair_keeps_its_image(self):
+        # the image differences are -(x_i - x_j)/eps, so the image gap is never
+        # below the source gap, while a collision threshold relative to the
+        # image's size, ~1/eps^3, would reject it: the image is not guarded
+        x = ReducedPoint([0.0, 1e-7, 1.5], [0.3, -0.2, 0.5], 1.0, t=0.1)
+        sweep = residual_ratio_sweep(x, 0.7, EPS_SWEEP)
+        assert len(sweep["residuals"]) == len(EPS_SWEEP)
+        assert np.isfinite(sweep["residuals"]).all()
+        cp = ConfluenceParams(0.05, 0.7)
+        a4, b4, t4 = particle_conf_coordinates(x, cp)
+        spec = p4_spec(cp)
+        h = closed_form_hamiltonian(spec, a4, b4, x.g, spec.time(t4), Slice.Q_DIAG)
+        assert np.isfinite(h)
 
     def test_kind_and_slice_are_checked(self, rng):
         cp = ConfluenceParams(0.1, 0.7)

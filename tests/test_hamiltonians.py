@@ -9,8 +9,7 @@ from cplab import hamiltonians, reduction
 from cplab.errors import ParticleCollision
 from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
                                 matrix_gradients, matrix_hamiltonian,
-                                matrix_vector_field, p4_involution,
-                                p4_involution_coordinates, reduced_hamiltonian,
+                                matrix_vector_field, p4_involution_coordinates, reduced_hamiltonian,
                                 reduced_hamiltonian_oracle, reduced_vector_field,
                                 rk4_step)
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
@@ -238,8 +237,8 @@ class TestStackedReducedHamiltonian:
         a, b, sl, th0, th1 = p4_involution_coordinates(pos, mom, Slice.Q_DIAG, 0.3, 0.7)
         assert sl is Slice.P_DIAG and (th0, th1) == (1.0, -0.7)
         for i in range(4):
-            sx, *_ = p4_involution(ReducedPoint(pos[i], mom[i], 1.0), 0.3, 0.7)
-            assert np.array_equal(sx.positions, a[i]) and np.array_equal(sx.momenta, b[i])
+            sa, sb, *_ = p4_involution_coordinates(pos[i], mom[i], Slice.Q_DIAG, 0.3, 0.7)
+            assert np.array_equal(sa, a[i]) and np.array_equal(sb, b[i])
 
 
 class TestReducedVectorField:
@@ -323,20 +322,25 @@ class TestReducedVectorField:
         assert calls == [(4,)]
 
 
+def involution_image(x, theta0, theta1):
+    """(positions, momenta, slice, theta0*, theta1*) of the P_IV involution of x."""
+    return p4_involution_coordinates(x.positions, x.momenta, x.slice, theta0, theta1)
+
+
 class TestP4Involution:
     def test_algebra(self, rng):
         x = random_reduced(rng, 3, 1.0, Slice.P_DIAG)
-        sx, *_ = p4_involution(x, 0.3, 0.7)
-        assert sx.slice is Slice.Q_DIAG
-        ssx, *_ = p4_involution(sx, 0.3, 0.7)
-        assert ssx.slice is x.slice
-        assert np.abs(ssx.positions - x.positions).max() == 0
-        assert np.abs(ssx.momenta - x.momenta).max() == 0
+        a, b, sl, *_ = involution_image(x, 0.3, 0.7)
+        assert sl is Slice.Q_DIAG
+        aa, bb, ssl, *_ = p4_involution_coordinates(a, b, sl, 0.3, 0.7)
+        assert ssl is x.slice
+        assert np.abs(aa - x.positions).max() == 0
+        assert np.abs(bb - x.momenta).max() == 0
 
     def test_relabeling_is_involutive(self):
         th0, th1 = 0.3 + 0.1j, -0.8
-        _, a, b = p4_involution(ReducedPoint([1.0], [2.0], 1.0), th0, th1)
-        _, a2, b2 = p4_involution(ReducedPoint([1.0], [2.0], 1.0), a, b)
+        *_, a, b = involution_image(ReducedPoint([1.0], [2.0], 1.0), th0, th1)
+        *_, a2, b2 = involution_image(ReducedPoint([1.0], [2.0], 1.0), a, b)
         assert abs(a2 - th0) < 1e-15 and abs(b2 - th1) < 1e-15
 
     def test_hamiltonian_identity(self, rng):
@@ -345,10 +349,10 @@ class TestP4Involution:
         for n in (1, 2, 3, 5):
             for sl in Slice:
                 x = random_reduced(rng, n, 1.1, sl, t=0.5)
-                sx, th0s, th1s = p4_involution(x, th0, th1)
+                a, b, ssl, th0s, th1s = involution_image(x, th0, th1)
                 h1 = reduced_hamiltonian(spec, x)
-                h2 = reduced_hamiltonian(
-                    SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s), sx)
+                h2 = reduced_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s),
+                                         ReducedPoint(a, b, x.g, x.t, ssl))
                 assert abs(h1 - h2) <= 1e-10 * max(1.0, abs(h1))
 
     def test_published_relabeling_fails(self, rng):
@@ -357,8 +361,8 @@ class TestP4Involution:
         th0, th1 = 0.37, -0.64
         spec = SystemSpec(SystemKind.P_IV, theta0=th0, theta1=th1)
         x = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.5)
-        sx, *_ = p4_involution(x, th0, th1)
+        a, b, ssl, *_ = involution_image(x, th0, th1)
         h1 = reduced_hamiltonian(spec, x)
-        h2 = reduced_hamiltonian(
-            SystemSpec(SystemKind.P_IV, theta0=th1, theta1=th0 - th1), sx)
+        h2 = reduced_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=th1, theta1=th0 - th1),
+                                 ReducedPoint(a, b, x.g, x.t, ssl))
         assert abs(h1 - h2) > 1e-3

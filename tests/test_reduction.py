@@ -3,14 +3,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cplab.errors import (DegenerateSpectrum, NotOnLevelSet,
+from cplab import reduction
+from cplab.errors import (DegenerateSpectrum, NonConvergedEigensolve, NotOnLevelSet,
                           OffDiagonalMismatch, ParticleCollision, ZeroColumnSum)
-from cplab.phase import MatrixPhasePoint, moment_map, level_set_target
-from cplab.reduction import (ReducedPoint, Slice, calogero_block, collision_guard,
-                             dual_of, embed, embedded_matrices, match_permutation,
-                             matched_deviation, min_gap, normalized_diagonalizer,
-                             permuted_deviation, reduce, reduced_coordinates)
-from cplab.sampling import random_level_set_point, random_particles, random_reduced
+from cplab.hamiltonians import closed_form_hamiltonian, reduced_vector_field
+from cplab.phase import MatrixPhasePoint, SystemKind, moment_map, level_set_target
+from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed,
+                             embedded_matrices, guarded_differences, match_permutation,
+                             matched_deviation, normalized_diagonalizer, pair_differences,
+                             particle_guard, permuted_deviation, reduce,
+                             reduced_coordinates)
+from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
+                            spec_for)
+from cplab.traces import tr_q3_closed, tr_q4_closed, trace_power_oracle
+
+
+def smallest_gap(x):
+    """min over i != j of |x_i - x_j| for each row of a stack (..., n); inf if n < 2."""
+    return np.abs(pair_differences(x)).min(axis=(-2, -1), initial=np.inf)
 
 
 class TestNormalizedDiagonalizer:
@@ -85,16 +95,17 @@ class TestEmbed:
 
     def test_calogero_block_worked_and_stacked(self):
         x = np.array([0.0, 1.0, 3.0])
-        K = calogero_block(x, 2.0, -1)
+        K = calogero_block(pair_differences(x), 2.0, -1)
         expect = -2j / (x[:, None] - x[None, :] + np.eye(3))
         np.fill_diagonal(expect, 0.0)
         assert np.array_equal(K, expect)
-        assert np.array_equal(calogero_block(np.array([x, x + 1.0]), 2.0, -1),
+        assert np.array_equal(calogero_block(pair_differences(np.array([x, x + 1.0])),
+                                             2.0, -1),
                               np.array([K, K]))
 
-    def test_min_gap_ignores_the_diagonal(self):
-        assert min_gap(np.array([0.0, 2.5, 1.0 + 1j])) == np.sqrt(2.0)
-        assert min_gap(np.array([4.0])) == np.inf
+    def test_smallest_gap_ignores_the_diagonal(self):
+        assert smallest_gap(np.array([0.0, 2.5, 1.0 + 1j])) == np.sqrt(2.0)
+        assert smallest_gap(np.array([4.0])) == np.inf
 
 
 class TestReduce:
@@ -188,6 +199,73 @@ def level_set_stack(rng, n, g, count):
     return np.array([pt.q for pt in points]), np.array([pt.p for pt in points]), points
 
 
+# each rejection of a stack check: (call, stacked arguments, the failing row k,
+# error, start of its text); the arguments' row k alone is the one point
+
+
+def bad_level_set(rng):
+    q, p, _ = level_set_stack(rng, 3, 1.0, 4)
+    p[2] += 1e-3 * np.eye(3)[::-1]
+    return (lambda q, p: reduced_coordinates(q, p, 1.0, Slice.Q_DIAG), (q, p), 2,
+            NotOnLevelSet, "moment-map deviation")
+
+
+def degenerate_spectrum(rng):
+    # p-eigenvalues of this point collide: (b1-b2)^2 = -4 g^2/(a1-a2)^2
+    pt = embed(ReducedPoint([0.0, 1.0], [0.0, 2.0j], 1.0))
+    q, p, _ = level_set_stack(rng, 2, 1.0, 3)
+    q[1], p[1] = pt.q, pt.p
+    return (lambda q, p: reduced_coordinates(q, p, 1.0, Slice.P_DIAG), (q, p), 1,
+            ParticleCollision, "eigenvalue gap")
+
+
+def zero_column_sum(rng):
+    # eigenvector (1, -1) of q has zero entry sum; the loose level-set
+    # tolerance lets the point reach the diagonalizer
+    q, p, _ = level_set_stack(rng, 2, 1.0, 3)
+    q[2], p[2] = [[0.0, 1.0], [1.0, 0.0]], np.eye(2)
+    return (lambda q, p: reduced_coordinates(q, p, 1.0, Slice.Q_DIAG, tol=10.0), (q, p), 2,
+            ZeroColumnSum, "an eigenvector")
+
+
+def diagonalization_residual(rng):
+    # eigenvalues 1 and 1 + 1e-6 of a Jordan-like block: the ill-conditioned
+    # eigenvectors leave a residual above the tightest tolerance
+    G = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+    A = np.linalg.solve(G, np.array([[1.0, 1.0, 0.0], [0.0, 1.0 + 1e-6, 0.0],
+                                     [0.0, 0.0, 3.0]]) @ G)
+    stack = np.array([np.diag([1.0, 2.0, 3.0]), A, np.diag([4.0, 5.0, 6.0])])
+    return (lambda A: normalized_diagonalizer(A, 1e-12), (stack,), 1,
+            NonConvergedEigensolve, "diagonalization residual")
+
+
+def off_diagonal(rng):
+    # a slightly wrong g passes the loose level-set test but not the
+    # 1/(q_i - q_j) structure check (see TestReduce)
+    q, p, _ = level_set_stack(rng, 2, 1.02, 3)
+    pt = embed(ReducedPoint([0.0, 0.2], [0.3, -0.4], 1.0))
+    q[1], p[1] = pt.q, pt.p
+    return (lambda q, p: reduced_coordinates(q, p, 1.02, Slice.Q_DIAG, tol=0.05), (q, p), 1,
+            OffDiagonalMismatch, "off-diagonal deviates")
+
+
+def collision(rng):
+    pos, _ = random_particles(rng, 5, 3)
+    pos[3, 2] = pos[3, 0] + 1e-12
+    return guarded_differences, (pos,), 3, ParticleCollision, "particle gap"
+
+
+def non_finite(rng):
+    pos, mom = random_particles(rng, 4, 3)
+    mom[1, 0] = np.nan
+    return particle_guard, (pos, mom), 1, ValueError, "non-finite particle coordinates"
+
+
+REJECTIONS = {f.__name__: f for f in (bad_level_set, degenerate_spectrum, zero_column_sum,
+                                      diagonalization_residual, off_diagonal, collision,
+                                      non_finite)}
+
+
 class TestStackedReduce:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_stack_equals_point_loop(self, rng, n):
@@ -212,41 +290,16 @@ class TestStackedReduce:
             back = reduced_coordinates(*embedded_matrices(pos, mom, 1.3, sl), 1.3, sl)
             assert matched_deviation(pos, mom, *back).max() < 1e-10
 
-    def test_not_on_level_set_names_the_row(self, rng):
-        q, p, _ = level_set_stack(rng, 3, 1.0, 4)
-        p[2] += 1e-3 * np.eye(3)[::-1]
-        with pytest.raises(NotOnLevelSet, match="^row 2: moment-map deviation"):
-            reduced_coordinates(q, p, 1.0, Slice.Q_DIAG)
-
-    def test_degenerate_spectrum_is_a_collision_and_names_the_row(self, rng):
-        # p-eigenvalues of this point collide: (b1-b2)^2 = -4 g^2/(a1-a2)^2
-        pt = embed(ReducedPoint([0.0, 1.0], [0.0, 2.0j], 1.0))
-        q, p, _ = level_set_stack(rng, 2, 1.0, 3)
-        q[1], p[1] = pt.q, pt.p
-        with pytest.raises(ParticleCollision, match="^row 1: eigenvalue gap"):
-            reduced_coordinates(q, p, 1.0, Slice.P_DIAG)
-
-    def test_zero_column_sum_names_the_row(self, rng):
-        # eigenvector (1, -1) of q has zero entry sum; the loose level-set
-        # tolerance lets the point reach the diagonalizer
-        q, p, _ = level_set_stack(rng, 2, 1.0, 3)
-        q[2], p[2] = [[0.0, 1.0], [1.0, 0.0]], np.eye(2)
-        with pytest.raises(ZeroColumnSum, match="^row 2: an eigenvector"):
-            reduced_coordinates(q, p, 1.0, Slice.Q_DIAG, tol=10.0)
-
-    def test_off_diagonal_mismatch_names_the_row(self, rng):
-        # a slightly wrong g passes the loose level-set test but not the
-        # 1/(q_i - q_j) structure check (see TestReduce)
-        q, p, _ = level_set_stack(rng, 2, 1.02, 3)
-        pt = embed(ReducedPoint([0.0, 0.2], [0.3, -0.4], 1.0))
-        q[1], p[1] = pt.q, pt.p
-        with pytest.raises(OffDiagonalMismatch, match="^row 1: off-diagonal"):
-            reduced_coordinates(q, p, 1.02, Slice.Q_DIAG, tol=0.05)
-
-    def test_one_point_message_has_no_row(self):
-        pt = MatrixPhasePoint(np.eye(2), np.eye(2))
-        with pytest.raises(NotOnLevelSet, match="^moment-map deviation"):
-            reduce(pt, Slice.Q_DIAG, 1.0)
+    @pytest.mark.parametrize("case", list(REJECTIONS))
+    def test_a_rejection_names_the_row_of_a_stack(self, rng, case):
+        # the stack's row k is the one point: the same text, prefixed `row k: `
+        call, stack, k, error, text = REJECTIONS[case](rng)
+        with pytest.raises(error) as one:
+            call(*(a[k] for a in stack))
+        with pytest.raises(error) as rows:
+            call(*stack)
+        assert str(one.value).startswith(text)
+        assert str(rows.value) == f"row {k}: {one.value}"
 
     def test_zero_row_stack(self):
         for n in (1, 3):
@@ -255,8 +308,8 @@ class TestStackedReduce:
                 pos, mom = reduced_coordinates(empty, empty, 1.0, sl)
                 assert pos.shape == mom.shape == (0, n)
             rows = np.zeros((0, n), dtype=complex)
-            assert min_gap(rows).shape == (0,)
-            collision_guard(rows)
+            assert smallest_gap(rows).shape == (0,)
+            guarded_differences(rows)
             q, p = embedded_matrices(rows, rows, 1.0, Slice.Q_DIAG)
             assert q.shape == p.shape == (0, n, n)
             assert matched_deviation(rows, rows, rows, rows).shape == (0,)
@@ -315,10 +368,61 @@ class TestStackedSampler:
         pos, mom = random_particles(rng, 0, 3)
         assert pos.shape == mom.shape == (0, 3)
 
-    def test_collision_in_a_sampled_stack(self, rng):
-        with pytest.raises(ParticleCollision, match="^row 0: particle gap"):
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_a_true_collision_keeps_its_message(self, rng, sl):
+        with pytest.raises(ParticleCollision) as point:
+            ReducedPoint([1.0, 1.0], [0.0, 0.0], 1.0, slice=sl)
+        with pytest.raises(ParticleCollision) as sampled:
             random_particles(rng, 4, 3, spread=0.0, jitter=0.0)
-        pos, _ = random_particles(rng, 5, 3)
-        pos[3, 2] = pos[3, 0] + 1e-12
-        with pytest.raises(ParticleCollision, match="^row 3: particle gap"):
-            collision_guard(pos)
+        with pytest.raises(ParticleCollision) as field:
+            reduced_vector_field(spec_for(SystemKind.P_II), np.array([1.0, 1.0]),
+                                 np.zeros(2), 1.0, 0.0, sl)
+        message = "particle gap 0.000e+00 below threshold 2.000e-09"
+        assert str(point.value) == str(field.value) == message
+        assert str(sampled.value) == "row 0: particle gap 0.000e+00 below threshold 1.000e-09"
+
+
+@pytest.fixture
+def guard_calls(monkeypatch):
+    """Shapes of the inputs of every guarded_differences call made from now on."""
+    calls = []
+    guard = reduction.guarded_differences
+
+    def counting(x):
+        calls.append(x.shape)
+        return guard(x)
+    monkeypatch.setattr(reduction, "guarded_differences", counting)
+    return calls
+
+
+class TestGuardPlacement:
+    """The collision test runs where unchecked coordinates come in, once."""
+
+    def test_checked_coordinates_are_not_guarded_again(self, rng, guard_calls):
+        x = random_reduced(rng, 4, 0.9, Slice.P_DIAG, t=0.2)
+        pos, mom = random_particles(rng, 5, 4)
+        q, p = embedded_matrices(pos, mom, 0.9, Slice.Q_DIAG)
+        guard_calls.clear()
+        for kind in SystemKind:
+            spec = spec_for(kind)
+            for sl in Slice:
+                closed_form_hamiltonian(spec, pos, mom, 0.9, spec.time(0.2), sl)
+        trace_power_oracle(x, 4)
+        tr_q3_closed(x)
+        tr_q4_closed(x)
+        for sl in Slice:
+            reduced_coordinates(q, p, 0.9, sl)
+        assert guard_calls == []
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_unchecked_coordinates_are_guarded_once(self, rng, guard_calls, sl):
+        pos, mom = random_particles(rng, 5, 4)
+        guard_calls.clear()
+        embedded_matrices(pos, mom, 0.9, sl)
+        assert guard_calls == [(5, 4)]
+        guard_calls.clear()
+        reduced_vector_field(spec_for(SystemKind.P_IV), pos[0], mom[0], 0.9, 0.2, sl)
+        assert guard_calls == [(4,)]
+        guard_calls.clear()
+        ReducedPoint(pos[1], mom[1], 0.9, 0.2, sl)
+        assert guard_calls == [(4,)]

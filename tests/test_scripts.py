@@ -39,7 +39,8 @@ def test_bench_layers():
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
         for row in layer.values():
-            if name in stacked:
-                assert row["point_loop_us"] > 0 and row["stack_us"] > 0
-            else:
-                assert set(row) == {"us_per_call"} and row["us_per_call"] > 0
+            timed = {"point_loop_us", "stack_us"} if name in stacked else {"us_per_call"}
+            extra = {"speedup"} if name in stacked else set()
+            assert set(row) == timed | {f"{f}_iqr" for f in timed} | extra
+            for field in timed:
+                assert row[field] > 0 and row[f"{field}_iqr"] >= 0

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from cplab import selfcheck
 from cplab.errors import ParticleCollision
 from cplab.phase import fill_diagonal
-from cplab.reduction import ReducedPoint, calogero_block, inverse_square_kernel
+from cplab.reduction import (ReducedPoint, calogero_block, inverse_square_kernel,
+                             pair_differences)
 from cplab.traces import (a4_quad_sum, a4_total, a4_triple_sum, diag_c2,
                           evenness_check, tr_c3, tr_c4, tr_q3_closed,
                           tr_q4_closed, trace_power_oracle)
@@ -24,8 +25,8 @@ def random_point(rng, n, g=None):
 
 def assemble(x, g=None):
     # the Q that trace_power_oracle takes powers of
-    return fill_diagonal(calogero_block(x.positions, x.g if g is None else g),
-                         x.momenta)
+    return fill_diagonal(calogero_block(pair_differences(x.positions),
+                                        x.g if g is None else g), x.momenta)
 
 
 class TestAssemble:
@@ -112,7 +113,7 @@ class TestCalogeroTraces:
         # sign -1 is the p-slice off-diagonal: even in g, one kernel serves both
         x = random_point(rng, n)
         W = inverse_square_kernel(x.positions)
-        Q = calogero_block(x.positions, x.g, sign) + np.diag(x.momenta)
+        Q = calogero_block(pair_differences(x.positions), x.g, sign) + np.diag(x.momenta)
         for trace, ref in ((diag_c2, np.diagonal(Q @ Q)),
                            (tr_c3, np.trace(np.linalg.matrix_power(Q, 3))),
                            (tr_c4, np.trace(np.linalg.matrix_power(Q, 4)))):
