@@ -102,58 +102,46 @@ def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams,
     return MatrixPhasePoint(*conf_matrices(pt, cp, kind))
 
 
-def particle_conf_coordinates(x: ReducedPoint, cp: ConfluenceParams,
-                              kind: str = "conf") -> tuple:
-    """(positions, momenta, t) of particle_conf_map's image, stacked over eps."""
+def particle_conf_coordinates(positions: np.ndarray, momenta: np.ndarray, t,
+                              cp: ConfluenceParams, kind: str = "conf") -> tuple:
+    """(positions, momenta, t) of the particle-wise confluence image.
+
+    The map of conf_matrices on Q_DIAG slice coordinates; a stack of eps
+    leads the image's axes.  The image is not collision-checked: its
+    differences are -(x_i - x_j)/eps.
+    """
     _check_kind(kind)
     e = _leading(cp.eps, 1)
-    w = x.momenta + x.positions ** 2 + x.t / 2 if kind == "conf" else x.momenta
-    a4 = -(0.5 + e ** 2 * x.positions) / e ** 3
-    return a4, -e * w, map_time(x.t, cp)
+    w = momenta + positions ** 2 + t / 2 if kind == "conf" else momenta
+    a4 = -(0.5 + e ** 2 * positions) / e ** 3
+    return a4, -e * w, map_time(t, cp)
 
 
-def particle_conf_map(x: ReducedPoint, cp: ConfluenceParams,
-                      kind: str = "conf") -> ReducedPoint:
-    """Particle-wise confluence on the Q_DIAG slice coordinates."""
-    a4, b4, t4 = particle_conf_coordinates(x, cp, kind)
-    return ReducedPoint(a4, b4, x.g, t4, x.slice)
+def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
+    """(H_target, image, shift) of the confluence identity at a point.
 
-
-def _hamiltonian(spec: SystemSpec, point) -> complex:
-    """Closed form at a reduced point, trace at a matrix point."""
+    H_target is H_II (conf) or the polynomial H_II (conf1) at theta =
+    cp.theta, image = -eps H_IV(image point) and shift = n theta/(2 eps^2),
+    the last two stacked over a stack of eps; the identity makes
+    H_target - (image + shift) = -eps^2 R.  A matrix point goes through the
+    traces, a reduced point, which must lie on the Q_DIAG slice, through the
+    closed forms.
+    """
+    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
+                        theta=cp.theta)
+    spec = p4_spec(cp)
     if isinstance(point, ReducedPoint):
         if point.slice is not Slice.Q_DIAG:
             raise ValueError("reduced confluence lives on the Q_DIAG slice")
-        return reduced_hamiltonian(spec, point)
-    return matrix_hamiltonian(spec, point)
-
-
-def _target_hamiltonian(point, theta: complex, kind: str) -> complex:
-    """H_target(point): P_II (conf) or polynomial P_II (conf1); no eps in it."""
-    return _hamiltonian(
-        SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
-                   theta=theta), point)
-
-
-def _confluence_difference(point, h_target: complex, cp: ConfluenceParams,
-                           kind: str) -> tuple:
-    """H_target - (image + shift), which the identity makes -eps^2 R, and its terms.
-
-    image = -eps H_IV(image point) and shift = n theta/(2 eps^2), stacked
-    over a stack of eps.  A matrix point goes through the traces, a
-    reduced (Q_DIAG) point, checked by _target_hamiltonian, through the
-    closed forms.
-    """
-    spec = p4_spec(cp)
-    if isinstance(point, ReducedPoint):
-        a4, b4, t4 = particle_conf_coordinates(point, cp, kind)
+        h_target = reduced_hamiltonian(target, point)
+        a4, b4, t4 = particle_conf_coordinates(point.positions, point.momenta,
+                                               point.t, cp, kind)
         h4 = closed_form_hamiltonian(spec, a4, b4, point.g, spec.time(t4), Slice.Q_DIAG)
     else:
+        h_target = matrix_hamiltonian(target, point)
         q4, p4, t4 = conf_matrices(point, cp, kind)
         h4 = trace_hamiltonian(spec, q4, p4, spec.time(t4))
-    image = -cp.eps * h4
-    shift = point.n * cp.theta / (2 * cp.eps ** 2)
-    return h_target - (image + shift), image, shift
+    return h_target, -cp.eps * h4, point.n * cp.theta / (2 * cp.eps ** 2)
 
 
 def remainder(pt: MatrixPhasePoint, kind: str = "conf") -> complex:
@@ -170,13 +158,11 @@ def identity_defect(point, theta: complex, kind: str = "conf") -> float:
     identity makes zero.  The DFT over the 32 points is unitary, so the
     maximum bounds every Laurent coefficient: every order is checked at once.
     """
-    h_target = _target_hamiltonian(point, theta, kind)
-    R = remainder(matrix_point(point), kind)
-    diff, image, shift = _confluence_difference(
-        point, h_target, ConfluenceParams(UNIT_CIRCLE_EPS, theta), kind)
-    r = UNIT_CIRCLE_EPS ** 2 * R
+    h_target, image, shift = _identity_terms(
+        point, ConfluenceParams(UNIT_CIRCLE_EPS, theta), kind)
+    r = UNIT_CIRCLE_EPS ** 2 * remainder(matrix_point(point), kind)
     scale = max(abs(h_target), np.abs(image).max(), np.abs(shift).max(), np.abs(r).max())
-    return float(np.abs(diff + r).max() / scale)
+    return float(np.abs(h_target - (image + shift) + r).max() / scale)
 
 
 def residual_ratio_sweep(point, cp_theta: complex, eps_values,
@@ -187,9 +173,10 @@ def residual_ratio_sweep(point, cp_theta: complex, eps_values,
     Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms
     and lose digits.
     """
-    h_target = _target_hamiltonian(point, cp_theta, kind)
-    residuals = [float(abs(_confluence_difference(
-        point, h_target, ConfluenceParams(e, cp_theta), kind)[0])) for e in eps_values]
+    residuals = []
+    for e in eps_values:
+        h_target, image, shift = _identity_terms(point, ConfluenceParams(e, cp_theta), kind)
+        residuals.append(float(abs(h_target - (image + shift))))
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
     return {"eps": list(eps_values), "residuals": residuals, "ratios": ratios}
@@ -203,7 +190,9 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
     so for the full map the image reduces from a different orbit point.
     Reported: the misalignment of the p_IV eigenbasis against the p_II one
     (the standard basis at the embedded point), and the failure of the
-    naive particle-wise map to reproduce the actual reduced image.  Both
+    naive particle-wise map to reproduce the actual reduced image.  The
+    naive map is particle_conf_coordinates with the slice roles swapped, on
+    coordinates, so only its P_DIAG image is checked as a point.  Both
     collapse to ~0 for the linear map (conf1) and for g -> 0.
     """
     if x.slice is not Slice.P_DIAG:
@@ -223,11 +212,9 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
         misalignment = float(np.abs(C - np.eye(n)).max())
 
     actual = reduce(image, Slice.P_DIAG, x.g, tol=1e-6)
-    naive = particle_conf_map(
-        ReducedPoint(x.momenta, x.positions, x.g, x.t, Slice.Q_DIAG), cp, kind)
     # naive guess in dual terms: positions from the p-map, momenta from q-map
-    naive_dual = ReducedPoint(naive.momenta, naive.positions, x.g,
-                              naive.t, Slice.P_DIAG)
+    a4, b4, t4 = particle_conf_coordinates(x.momenta, x.positions, x.t, cp, kind)
+    naive_dual = ReducedPoint(b4, a4, x.g, t4, Slice.P_DIAG)
     naive_deviation = permuted_deviation(naive_dual, actual)
     return {
         "eigenbasis_misalignment": misalignment,

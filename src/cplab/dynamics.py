@@ -44,16 +44,16 @@ def step_count(t0: float, t1: float, h: float) -> int:
     """Number of uniform steps of size at most h from t0 to t1 (> t0).
 
     Raises ValueError for a non-positive h, an empty or reversed span, or
-    more than MAX_STEPS steps.
+    a step count above MAX_STEPS or not finite.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     if t1 <= t0:
         raise ValueError(f"t1 = {t1} must exceed t0 = {t0}")
-    steps = max(1, int(np.ceil((t1 - t0) / h - 1e-12)))
-    if steps > MAX_STEPS:
-        raise ValueError(f"step count {steps} exceeds {MAX_STEPS}")
-    return steps
+    ratio = (t1 - t0) / h - 1e-12
+    if not ratio <= MAX_STEPS:  # a non-finite ratio fails this too
+        raise ValueError(f"step count {np.ceil(ratio):.0f} exceeds {MAX_STEPS}")
+    return max(1, int(np.ceil(ratio)))
 
 
 def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
@@ -62,12 +62,14 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
 
     The requested step is shrunk to the nearest exact divisor of the
     interval so the endpoint lands on t1 with uniform steps.  Stages run on
-    plain arrays; a point is built once per accepted step, after the
-    overflow check, which the start state passes too.  Collisions are
-    caught where they are guarded: in the reduced vector field at every
-    stage and in ReducedPoint at every step.  Energies and moment
-    deviations are evaluated over the stacked (embedded) states of the
-    finished or partial trajectory, DIAGNOSTIC_CHUNK states at a time.
+    plain arrays under one floating-point error state; a point is built
+    once per accepted step, after the overflow check, which the start state
+    passes too.  Collisions are caught where they are guarded: in the
+    reduced vector field at every stage and in ReducedPoint at every step.
+    An Overflow or ParticleCollision leaves with the partial trajectory as
+    its `partial`.  Energies and moment deviations are evaluated over the
+    stacked (embedded) states of the finished or partial trajectory,
+    DIAGNOSTIC_CHUNK states at a time.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -104,26 +106,23 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
         return Trajectory(np.array(times), states, diagnostics, g_monitor)
 
     t = t0
-    for k in range(steps + 1):
-        try:
-            if k > 0:
-                # a stage may overflow; the state check below reports it
-                with np.errstate(over="ignore", invalid="ignore"):
+    try:
+        # a stage may overflow; the state check below reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(steps + 1):
+                if k > 0:
                     q, p = rk4_step(rhs, q, p, t, h)
-                t = t0 + k * h
-            norm = max(float(np.abs(q).max()), float(np.abs(p).max()))
-            if not np.isfinite(norm):
-                raise Overflow(f"non-finite state at t={t:.6g}", partial=so_far())
-            if norm > OVERFLOW_NORM:
-                raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}",
-                               partial=so_far())
-            state = point(q, p, t)
-        except ParticleCollision as exc:
-            exc.partial = so_far()
-            raise
-        times.append(t)
-        states.append(state)
-
+                    t = t0 + k * h
+                norm = max(float(np.abs(q).max()), float(np.abs(p).max()))
+                if not np.isfinite(norm):
+                    raise Overflow(f"non-finite state at t={t:.6g}")
+                if norm > OVERFLOW_NORM:
+                    raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}")
+                times.append(t)
+                states.append(point(q, p, t))
+    except (Overflow, ParticleCollision) as exc:
+        exc.partial = so_far()
+        raise
     return so_far()
 
 

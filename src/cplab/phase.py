@@ -112,6 +112,8 @@ class SystemSpec:
         for name in ("theta", "theta0", "theta1"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+        if self.tau is not None and not np.isfinite(self.tau):
+            raise ValueError("tau must be finite")
         if self.kind is SystemKind.HARM_OSC and not np.isfinite(self.omega):
             raise ValueError("omega must be finite")
 

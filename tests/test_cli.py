@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import cplab.mmkdv as mmkdv
-from cplab import selfcheck
+from cplab import cli, selfcheck
 from cplab.cli import main
+from cplab.errors import NotOnLevelSet
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -50,6 +51,28 @@ class TestConfigHandling:
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, block, literal", [
+        ("simulate", "time", "Infinity"), ("simulate", "time", "1e999"),
+        ("simulate", "time", "1" * 401), ("simulate", "time", "NaN"),
+        ("verify-duality", "g", "Infinity"), ("verify-duality", "g", "-Infinity"),
+        ("verify-duality", "system", "NaN"), ("verify-duality", "t", "NaN"),
+    ], ids=["t1_inf", "t1_1e999", "t1_401_digits", "t1_nan", "g_inf", "g_minus_inf",
+            "tau_nan", "t_nan"])
+    def test_non_finite_numbers_are_config_errors(self, tmp_path, capsys, command,
+                                                  block, literal):
+        # json parses these as inf, NaN or an int beyond float range
+        text = {
+            "time": '"system": {"kind": "Free"}, "n": 2, '
+                    '"time": {"t0": 0.0, "t1": %s, "h": 0.1}',
+            "g": '"system": {"kind": "P_II"}, "g": %s',
+            "system": '"system": {"kind": "P_II", "autonomous": true, "tau": %s}',
+            "t": '"system": {"kind": "P_II"}, "t": %s',
+        }[block] % literal
+        path = tmp_path / "c.json"
+        path.write_text('{"command": "%s", %s}' % (command, text))
+        assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert "is not a finite float" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["level_set", "reduce"])
     def test_unread_tolerances_rejected(self, tmp_path, key):
@@ -127,6 +150,18 @@ class TestSimulate:
         })
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestNumericalErrors:
+    def test_every_package_error_of_a_computation_exits_3(self, tmp_path, capsys,
+                                                          monkeypatch):
+        def off_level_set(cfg, rng, out):
+            raise NotOnLevelSet("moment map off by 1")
+        monkeypatch.setitem(cli.COMMANDS, "mmkdv", off_level_set)
+        cfg = write(tmp_path, "m.json", {"command": "mmkdv"})
+        assert main(["mmkdv", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == \
+            "numerical error in mmkdv: NotOnLevelSet: moment map off by 1\n"
 
 
 class TestVerifyDuality:

@@ -7,8 +7,7 @@ from cplab import confluence
 from cplab.confluence import (UNIT_CIRCLE_EPS, ConfluenceParams, canonical_shift,
                               conf_map, conf_matrices, dual_confluence_breakdown,
                               identity_defect, map_time, particle_conf_coordinates,
-                              particle_conf_map, p4_spec, remainder,
-                              residual_ratio_sweep)
+                              p4_spec, remainder, residual_ratio_sweep)
 from cplab.hamiltonians import closed_form_hamiltonian, matrix_hamiltonian
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
                          moment_map, symplectic_pairing)
@@ -179,9 +178,9 @@ class TestResiduals:
                      for i in range(3) for j in range(i + 1, 3))
         errs = []
         for e in (0.1, 0.05):
-            y = particle_conf_map(x, ConfluenceParams(e, 0.0), "conf")
-            val = -e * sum((y.positions[i] + y.positions[j])
-                           / (y.positions[i] - y.positions[j]) ** 2
+            a4, _, _ = particle_conf_coordinates(x.positions, x.momenta, x.t,
+                                                 ConfluenceParams(e, 0.0), "conf")
+            val = -e * sum((a4[i] + a4[j]) / (a4[i] - a4[j]) ** 2
                            for i in range(3) for j in range(i + 1, 3))
             errs.append(abs(val - target) / abs(target))
         assert errs[0] < 0.1
@@ -196,7 +195,7 @@ class TestResiduals:
         assert len(sweep["residuals"]) == len(EPS_SWEEP)
         assert np.isfinite(sweep["residuals"]).all()
         cp = ConfluenceParams(0.05, 0.7)
-        a4, b4, t4 = particle_conf_coordinates(x, cp)
+        a4, b4, t4 = particle_conf_coordinates(x.positions, x.momenta, x.t, cp)
         spec = p4_spec(cp)
         h = closed_form_hamiltonian(spec, a4, b4, x.g, spec.time(t4), Slice.Q_DIAG)
         assert np.isfinite(h)
@@ -234,6 +233,15 @@ class TestDualBreakdown:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-2
 
+    @pytest.mark.parametrize("kind", ["conf", "conf1"])
+    def test_equal_dual_momenta_are_legal(self, kind):
+        # on P_DIAG only the positions are collision-tested; equal momenta
+        # [0.5, 0.5] are a legal point and the naive map takes them as they are
+        xd = ReducedPoint([0.3, 1.7], [0.5, 0.5], 1.0, 0.1, Slice.P_DIAG)
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), kind)
+        assert all(np.isfinite(v) for v in rep.values())
+        assert (rep["deviation"] > 1e-3) if kind == "conf" else (rep["deviation"] < 1e-8)
+
     def test_linear_map_keeps_p_eigenbasis(self, rng):
         # eigenvectors of p_IV coincide with those of p_II under the linear map
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
@@ -257,16 +265,16 @@ class TestEpsStack:
         pt, x = generic_point(rng, 3), random_reduced(rng, 3, 1.0, t=0.1)
         for kind in ("conf", "conf1"):
             q4, p4, t4 = conf_matrices(pt, cp, kind)
-            a4, b4, s4 = particle_conf_coordinates(x, cp, kind)
+            a4, b4, s4 = particle_conf_coordinates(x.positions, x.momenta, x.t, cp, kind)
             assert q4.shape == p4.shape == (len(eps), 3, 3) and a4.shape == (len(eps), 3)
             for k, e in enumerate(eps):
                 one = ConfluenceParams(e, 0.7)
-                image, y = conf_map(pt, one, kind), particle_conf_map(x, one, kind)
+                image = conf_map(pt, one, kind)
+                a, b, s = particle_conf_coordinates(x.positions, x.momenta, x.t, one, kind)
                 # the stack squares eps as an array, which may round differently
-                for a, b in ((q4[k], image.q), (p4[k], image.p), (a4[k], y.positions),
-                             (b4[k], y.momenta)):
-                    assert np.abs(a - b).max() <= 1e-14 * max(1.0, np.abs(b).max())
-                assert t4[k] == image.t == y.t
+                for u, v in ((q4[k], image.q), (p4[k], image.p), (a4[k], a), (b4[k], b)):
+                    assert np.abs(u - v).max() <= 1e-14 * max(1.0, np.abs(v).max())
+                assert t4[k] == image.t == s
 
     def test_stacked_parameters(self):
         cp = ConfluenceParams(UNIT_CIRCLE_EPS, 0.3)

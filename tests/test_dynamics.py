@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cplab.dynamics import (DIAGNOSTIC_CHUNK, dual_position_drift,
-                            equivariance_check, integrate, monitor_invariants)
+                            equivariance_check, integrate, monitor_invariants,
+                            step_count)
 from cplab.errors import Overflow, ParticleCollision
 from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian
 from cplab.lax import lax_pair
@@ -41,6 +42,13 @@ class TestIntegrate:
         ratio = endpoint_error(2e-2) / endpoint_error(1e-2)
         assert 16 * 0.8 < ratio < 16 * 1.2
 
+    @pytest.mark.parametrize("t0, t1, h", [(0.0, 1.0, 1e-320), (-1e308, 1e308, 1.0),
+                                           (0.0, 1.0, np.nan), (0.0, np.inf, 1.0)])
+    def test_step_count_rejects_non_finite_ratio(self, t0, t1, h):
+        # the step ratio overflows or is NaN: ValueError, not OverflowError
+        with pytest.raises(ValueError, match="step count"):
+            step_count(t0, t1, h)
+
     @pytest.mark.parametrize("t1", [0.0, 1.0])
     def test_rejects_reversed_or_empty_span(self, t1):
         with pytest.raises(ValueError, match="must exceed"):
@@ -63,10 +71,18 @@ class TestIntegrate:
     def test_overflow_aborts_with_partial(self):
         spec = SystemSpec(SystemKind.P_I, autonomous=True, tau=0.0)
         start = MatrixPhasePoint([[50.0]], [[500.0]], 0.0)
+        errstate = np.geterr()
         with pytest.raises(Overflow) as exc_info:
             integrate(spec, start, 0.0, 5.0, 1e-2)
-        assert exc_info.value.partial is not None
-        assert len(exc_info.value.partial.states) >= 1
+        partial = exc_info.value.partial
+        assert partial is not None
+        assert len(partial.states) >= 1
+        # every accepted step is kept with its diagnostics, all finite
+        assert len(partial.times) == len(partial.diagnostics["energy"]) \
+            == len(partial.diagnostics["moment_deviation"]) == len(partial.states)
+        assert np.allclose(partial.times, np.arange(len(partial.states)) * 1e-2)
+        assert np.isfinite(partial.diagnostics["energy"]).all()
+        assert np.geterr() == errstate  # the error state is restored on the way out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflow_inside_a_stage_raises_overflow(self):
@@ -98,6 +114,8 @@ class TestIntegrate:
         assert np.allclose(partial.times, [0.0, 0.1, 0.2, 0.3, 0.4])
         assert len(partial.states) == 5
         assert len(partial.diagnostics["energy"]) == 5
+        assert len(partial.diagnostics["moment_deviation"]) == 5
+        assert partial.g == start.g
 
 
 class TestMonitor:

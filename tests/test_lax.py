@@ -309,6 +309,14 @@ class TestSpectralMatch:
         with pytest.raises(ValueError, match="non-empty"):
             spectral_match(spec, x, x, [])
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_lax_matrices_fail(self, rng):
+        # a NaN time makes every L NaN: the deviation is NaN and the verdict False
+        spec = spec_for(SystemKind.P_II)
+        x = random_reduced(rng, 2, 1.0, t=np.nan)
+        ok, dev = spectral_match(spec, x, x)
+        assert not ok and np.isnan(dev)
+
     def test_different_sizes_raise(self, rng):
         spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
         with pytest.raises(DimensionMismatch):

@@ -140,6 +140,12 @@ class TestSystemSpec:
         non = SystemSpec(SystemKind.P_II)
         assert non.time(17.0) == 17.0
 
+    @pytest.mark.parametrize("name", ["theta", "theta0", "theta1", "tau"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameters_rejected(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SystemSpec(SystemKind.P_II, autonomous=True, **{"tau": 0.0, name: bad})
+
     def test_irrelevant_params_stored(self):
         spec = SystemSpec(SystemKind.FREE, theta=3.0, omega=2.0)
         assert spec.theta == 3.0

@@ -44,3 +44,16 @@ def test_bench_layers():
             assert set(row) == timed | {f"{f}_iqr" for f in timed} | extra
             for field in timed:
                 assert row[field] > 0 and row[f"{field}_iqr"] >= 0
+
+
+def test_report_digest():
+    digest = load_script("report_digest")
+    config = digest.CONFIGS / "simulate_free.json"
+    lines = digest.digests(1, [config])
+    assert [line.rsplit(" ", 1)[0] for line in lines] == [
+        "selfcheck seed 0", "simulate_free.json free_n3.csv",
+        "simulate_free.json simulate_free.json", "simulate_free.json exit"]
+    assert all(len(line.split()[-1]) == 64 for line in lines[:-1])
+    assert lines[-1] == "simulate_free.json exit 0"
+    # the report is digested without its meta block, so a rerun digests alike
+    assert digest.config_digests(config) == lines[1:]
