@@ -8,10 +8,8 @@ directory.  Run it in both checkouts and diff the outputs:
 
     PYTHONPATH=src python3 scripts/report_digest.py > digest.txt
 
-Usage: report_digest.py [--seeds N] [config.json ...]  (defaults: 10 seeds,
-every example config).
+It covers seeds 0..9 and every example config.
 """
-import argparse
 import contextlib
 import hashlib
 import io
@@ -57,8 +55,4 @@ def digests(seeds: int, configs: list[pathlib.Path]) -> list[str]:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, default=10)
-    parser.add_argument("configs", nargs="*", type=pathlib.Path)
-    args = parser.parse_args()
-    print("\n".join(digests(args.seeds, args.configs or sorted(CONFIGS.glob("*.json")))))
+    print("\n".join(digests(10, sorted(CONFIGS.glob("*.json")))))

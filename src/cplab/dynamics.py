@@ -118,8 +118,9 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
                     raise Overflow(f"non-finite state at t={t:.6g}")
                 if norm > OVERFLOW_NORM:
                     raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}")
+                state = point(q, p, t)
                 times.append(t)
-                states.append(point(q, p, t))
+                states.append(state)
     except (Overflow, ParticleCollision) as exc:
         exc.partial = so_far()
         raise

@@ -117,6 +117,28 @@ class TestIntegrate:
         assert len(partial.diagnostics["moment_deviation"]) == 5
         assert partial.g == start.g
 
+    def test_collision_in_accepted_state_keeps_times_and_states_paired(self, monkeypatch):
+        # the fourth accepted state fails the ReducedPoint guard itself; a
+        # non-autonomous kind evaluates energies at the partial's times
+        import cplab.dynamics as dynamics
+        real, calls = dynamics.ReducedPoint, []
+
+        def guarded(*args):
+            calls.append(args)
+            if len(calls) == 4:
+                raise ParticleCollision("particle gap below threshold")
+            return real(*args)
+
+        start = ReducedPoint([-1.0, 1.0], [0.0, 0.0], 0.3)
+        monkeypatch.setattr(dynamics, "ReducedPoint", guarded)
+        with pytest.raises(ParticleCollision) as exc_info:
+            integrate(spec_for(SystemKind.P_II), start, 0.0, 1.0, 0.1)
+        partial = exc_info.value.partial
+        assert len(partial.times) == len(partial.states) == 3
+        assert np.allclose(partial.times, [0.0, 0.1, 0.2])
+        assert len(partial.diagnostics["energy"]) == 3
+        assert np.isfinite(partial.diagnostics["energy"]).all()
+
 
 class TestMonitor:
     def test_autonomous_isospectral(self, rng):
