@@ -1,4 +1,4 @@
-"""Fixed-step RK4 flows with conservation monitors.
+"""Fixed-step RK4 flows with conservation monitors, and the flow/reduce commutation.
 
 Reproducibility beats efficiency at desk scale: no adaptivity, collisions
 abort with the partial trajectory attached to the exception, and every
@@ -15,12 +15,15 @@ from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
 from .lax import charpoly_coefficients, lax_l
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
-from .reduction import ReducedPoint, Slice, embed, embedded_matrices, \
-    match_permutation, permuted_deviation, reduce
+from .reduction import ReducedPoint, Slice, embedded_matrices, match_permutation, \
+    pair_differences, resolve_at_slice
 
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
-EQUIVARIANCE_STEP = 1e-3  # RK4 step of both legs of equivariance_check
+# trapezoidal node counts of contour_pushforward: the second shows that the
+# first has converged
+CONTOUR_NODES = (32, 64)
+CONTOUR_RADIUS = 0.1  # contour radius, in (smallest particle gap) / max(1, max|V|)
 # states per stacked diagnostic evaluation: bounds the (chunk, n, n) stacks of
 # a long flow's energies and moment deviations
 DIAGNOSTIC_CHUNK = 64
@@ -168,13 +171,57 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor) -> dict:
     return report
 
 
-def equivariance_check(spec: SystemSpec, x0: ReducedPoint, dt: float) -> float:
-    """Flow-then-reduce versus reduce-then-flow, permutation matched."""
-    t1 = x0.t + dt
-    matrix_end = integrate(spec, embed(x0), x0.t, t1, EQUIVARIANCE_STEP, g=x0.g).final
-    reduced_end = integrate(spec, x0, x0.t, t1, EQUIVARIANCE_STEP).final
-    back = reduce(matrix_end, x0.slice, x0.g, tol=1e-5)
-    return permuted_deviation(reduced_end, back)
+def contour_pushforward(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
+    """d/ds of the slice coordinates of embed(x) + s V at s = 0, V the matrix field.
+
+    Cauchy's integral on |s| = r by the trapezoidal rule,
+    (1/N) sum_k c(r z_k) / (r z_k) with z_k = exp(2 pi i (k + 1/2) / N):
+    exact for c's s^0 .. s^N terms, and geometric in N beyond them.
+    r = CONTOUR_RADIUS * (smallest particle gap, at most 1 + max|x|) /
+    max(1, max|V|).  The nodes of every N of CONTOUR_NODES are resolved as
+    one stack by the eigen core resolve_at_slice, and each row is relabeled
+    to the centre's particles.  The ray leaves the level set at O(s^2),
+    where reduce would refuse it; V is tangent to the level set, so the s^1
+    term is the derivative of reduce along the flow (see CONVENTIONS.md).
+    Returns the (len(CONTOUR_NODES), 2, n) readings: for each N,
+    d positions/ds and d momenta/ds.
+    """
+    q0, p0 = embedded_matrices(x.positions, x.momenta, x.g, x.slice)
+    dq, dp = matrix_vector_field(spec, q0, p0, x.t)
+    gap = np.abs(pair_differences(x.positions)).min(
+        initial=1.0 + np.abs(x.positions).max())
+    r = CONTOUR_RADIUS * gap / max(1.0, float(np.abs(dq).max()), float(np.abs(dp).max()))
+    z = np.concatenate([np.exp(2j * np.pi * (np.arange(N) + 0.5) / N)
+                        for N in CONTOUR_NODES])
+    s = (r * z)[:, None, None]
+    pos, M = resolve_at_slice(q0 + s * dq, p0 + s * dp, x.slice)
+    perm = match_permutation(np.broadcast_to(x.positions, pos.shape), pos)
+    c = np.stack([np.take_along_axis(pos, perm, -1),
+                  np.take_along_axis(np.diagonal(M, 0, -2, -1), perm, -1)], axis=1)
+    return np.array([terms.mean(axis=0)
+                     for terms in np.split(c / s, np.cumsum(CONTOUR_NODES)[:-1])])
+
+
+def field_deviation(derivative: np.ndarray, field) -> float:
+    """max |derivative - field| / max(1, max |field|) over every reading.
+
+    field is a (positions, momenta) pair of a reduced vector field, and
+    derivative stacks readings of it as contour_pushforward returns them.
+    """
+    f = np.array(field)
+    return float(np.abs(derivative - f).max() / max(1.0, float(np.abs(f).max())))
+
+
+def equivariance_check(spec: SystemSpec, x: ReducedPoint) -> float:
+    """Relative gap between the pushforward of the matrix field and the reduced field at x.
+
+    The flow/reduce commutation, measured at one point: field_deviation of
+    the contour_pushforward readings (every N of CONTOUR_NODES, so a
+    quadrature that has not converged shows) from reduced_vector_field at x.
+    Zero up to roundoff wherever reducing commutes with the flow.
+    """
+    field = reduced_vector_field(spec, x.positions, x.momenta, x.g, x.t, x.slice)
+    return field_deviation(contour_pushforward(spec, x), field)
 
 
 def dual_position_drift(traj: Trajectory) -> float:

@@ -10,6 +10,7 @@ whose right-hand side has zeros on the diagonal and -i g elsewhere.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -28,8 +29,15 @@ def _as_square_complex(m, name: str) -> np.ndarray:
 
 
 def as_time(t) -> float | complex:
-    """A real time as a float; complex times serve the confluence identity."""
+    """A real time as a float; complex times serve the confluence identity.
+
+    ValueError if the real or the imaginary part is not finite.
+    """
     t = complex(t)
+    # math, not cmath: numpy has imported math already, while cmath would load
+    # an extension module for this one test
+    if not (math.isfinite(t.real) and math.isfinite(t.imag)):
+        raise ValueError(f"time must be finite, got {t}")
     return t if t.imag else t.real
 
 

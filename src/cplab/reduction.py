@@ -217,14 +217,35 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
                         rank_one_residual=rank_one_residual)
 
 
+def resolve_at_slice(q: np.ndarray, p: np.ndarray, slice: Slice,
+                     tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, resolved partner) of (q, p) at the chosen slice: the eigen core.
+
+    The positions (..., n) are the eigenvalues of the slice matrix, and the
+    resolved partner (..., n, n), whose diagonal holds the momenta, is the
+    partner matrix in the unit-column-sum eigenbasis; every check of
+    normalized_diagonalizer applies, and a degenerate spectrum is a
+    ParticleCollision.  Nothing asks for the level set, so the off-level-set
+    nodes of dynamics.contour_pushforward resolve too.
+    """
+    target, partner = (q, p) if slice is Slice.Q_DIAG else (p, q)
+    if q.shape[-1] == 1:  # the eigensolve path is several times slower for one particle
+        return target[..., 0].astype(complex), partner.astype(complex)
+    try:
+        diag = normalized_diagonalizer(target, tol)
+    except DegenerateSpectrum as exc:
+        raise ParticleCollision(str(exc)) from exc
+    return diag.eigenvalues, np.linalg.solve(diag.C, partner @ diag.C)
+
+
 def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
                         tol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
     """(positions, momenta) of the level-set points (q, p) at the chosen slice.
 
     q and p are (..., n, n): one point or a stack of them; the coordinates
-    are (..., n).  Each point passes the level-set test, a non-degenerate
-    unit-column-sum eigensolve of the slice matrix (a degenerate spectrum
-    is a ParticleCollision) and the off-diagonal Calogero check of the
+    are (..., n).  Each point passes the level-set test, the eigen core
+    resolve_at_slice (a non-degenerate unit-column-sum eigensolve of the
+    slice matrix) and, for n > 1, the off-diagonal Calogero check of the
     resolved partner, which signals a wrong coupling or an off-level-set
     input; its coordinates are checked finite.  They need no collision
     guard: the degeneracy threshold lies above it.  A failure names the
@@ -238,16 +259,8 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
     if np.count_nonzero(off):
         _reject(NotOnLevelSet, off,
                 lambda i: f"moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
-    target, partner = (q, p) if slice is Slice.Q_DIAG else (p, q)
-    if q.shape[-1] == 1:  # the eigensolve path is several times slower for one particle
-        pos, mom = target[..., 0].astype(complex), partner[..., 0].astype(complex)
-    else:
-        try:
-            diag = normalized_diagonalizer(target, tol)
-        except DegenerateSpectrum as exc:
-            raise ParticleCollision(str(exc)) from exc
-        pos = diag.eigenvalues
-        M = np.linalg.solve(diag.C, partner @ diag.C)
+    pos, M = resolve_at_slice(q, p, slice, tol)
+    if q.shape[-1] > 1:  # a 1 x 1 partner has no off-diagonal
         miss = np.abs(M - calogero_block(pair_differences(pos), gv, offdiag_sign(slice)))
         mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
         wrong = mismatch > tol
@@ -255,7 +268,7 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
             _reject(OffDiagonalMismatch, wrong,
                     lambda i: f"off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
                               f"(tol {tol:.3e}); wrong coupling or off-level-set input")
-        mom = np.diagonal(M, 0, -2, -1).copy()
+    mom = np.diagonal(M, 0, -2, -1).copy()
     _finite_guard(pos, mom)
     return pos, mom
 

@@ -75,17 +75,31 @@ def test_criterion_11_quadruple_interaction_as_stated():
     assert entry["acceptance_criterion_11_as_stated"]
 
 
+def seed_sweep(checks, seeds=range(100)):
+    """(failed (check, seed) pairs, CPU seconds of this process) over the seeds.
+
+    The budget is CPU time of this process, so the load of the machine does
+    not move it.
+    """
+    t0 = time.process_time()
+    failed = [(check.__name__, s) for check in checks for s in seeds
+              if not check(np.random.default_rng(s))["pass"]]
+    return failed, time.process_time() - t0
+
+
 def test_identity_gates_hold_on_seeds_0_to_99():
     # criteria 6 and 12 measure exact identities at roundoff, so their
-    # verdicts do not move with the sampled point; the budget is CPU time of
-    # this process, so the load of the machine does not move it either
-    t0 = time.process_time()
-    failed = [(check.__name__, s)
-              for check in (sc.check_zero_curvature, sc.check_confluence)
-              for s in range(100) if not check(np.random.default_rng(s))["pass"]]
-    elapsed = time.process_time() - t0
+    # verdicts do not move with the sampled point
+    failed, elapsed = seed_sweep((sc.check_zero_curvature, sc.check_confluence))
     assert not failed
     assert elapsed < 3.0, f"{elapsed:.2f}s of CPU time over the 3s budget"
+
+
+def test_equivariance_gate_holds_on_seeds_0_to_99():
+    # criterion 8 measures the flow/reduce commutation at roundoff too
+    failed, elapsed = seed_sweep((sc.check_equivariance,))
+    assert not failed
+    assert elapsed < 4.0, f"{elapsed:.2f}s of CPU time over the 4s budget"
 
 
 def test_criterion_14_determinism():

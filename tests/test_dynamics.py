@@ -3,17 +3,31 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cplab.dynamics import (DIAGNOSTIC_CHUNK, dual_position_drift,
-                            equivariance_check, integrate, monitor_invariants,
-                            step_count)
+from cplab.dynamics import (CONTOUR_NODES, DIAGNOSTIC_CHUNK, contour_pushforward,
+                            dual_position_drift, equivariance_check, field_deviation,
+                            integrate, monitor_invariants, step_count)
 from cplab.errors import Overflow, ParticleCollision
-from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian
+from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian, reduced_vector_field
 from cplab.lax import lax_pair
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
                          moment_map)
-from cplab.reduction import ReducedPoint, Slice, embed, match_permutation, matrix_point
+from cplab.reduction import (ReducedPoint, Slice, dual_of, embed, match_permutation,
+                             matrix_point, permuted_deviation, reduce)
 from cplab.sampling import random_reduced, spec_for
-from cplab.selfcheck import tame_flow_start
+from cplab.selfcheck import equivariance_control, tame_flow_start
+
+
+def two_leg_deviation(spec, x0, dt, h=1e-3):
+    """Flow-then-reduce versus reduce-then-flow over [t, t + dt], permutation matched.
+
+    The finite-time form of the commutation that equivariance_check measures
+    at one instant; the RK4 error of the matrix leg takes it off the level
+    set, so its endpoint reduces with tol 1e-5.
+    """
+    t1 = x0.t + dt
+    matrix_end = integrate(spec, embed(x0), x0.t, t1, h, g=x0.g).final
+    reduced_end = integrate(spec, x0, x0.t, t1, h).final
+    return permuted_deviation(reduced_end, reduce(matrix_end, x0.slice, x0.g, tol=1e-5))
 
 
 class TestIntegrate:
@@ -66,7 +80,7 @@ class TestIntegrate:
         # n=1: both paths integrate the same scalar ODE
         spec = SystemSpec(SystemKind.P_IV, theta0=0.2, theta1=-0.4)
         x0 = ReducedPoint([0.3], [0.1], 1.0, 0.0)
-        assert equivariance_check(spec, x0, 0.5) < 1e-10
+        assert two_leg_deviation(spec, x0, 0.5) < 1e-10
 
     def test_overflow_aborts_with_partial(self):
         spec = SystemSpec(SystemKind.P_I, autonomous=True, tau=0.0)
@@ -323,16 +337,88 @@ class TestBatchedDiagnostics:
 class TestEquivariance:
     def test_free_n3(self, rng):
         x0 = random_reduced(rng, 3, 1.0)
-        assert equivariance_check(spec_for(SystemKind.FREE), x0, 1.0) < 1e-6
+        assert two_leg_deviation(spec_for(SystemKind.FREE), x0, 1.0) < 1e-6
 
     def test_p4_n2(self, rng):
         x0 = random_reduced(rng, 2, 1.0)
-        assert equivariance_check(spec_for(SystemKind.P_IV), x0, 0.3) < 1e-6
+        assert two_leg_deviation(spec_for(SystemKind.P_IV), x0, 0.3) < 1e-6
 
     def test_p2_dual_slice(self, rng):
         x0 = ReducedPoint([0.1 + 0.2j, 1.4 - 0.1j], [0.4 - 0.3j, -0.2 + 0.1j],
                           1.0, 0.0, Slice.P_DIAG)
-        assert equivariance_check(spec_for(SystemKind.P_II), x0, 0.3) < 1e-6
+        assert two_leg_deviation(spec_for(SystemKind.P_II), x0, 0.3) < 1e-6
+
+
+CONTOUR_CASES = [(SystemKind.FREE, 3), (SystemKind.P_IV, 2), (SystemKind.P_II, 2),
+                 (SystemKind.P_I, 3), (SystemKind.HARM_OSC, 4), (SystemKind.P_II_POLY, 3)]
+
+
+def both_slices(rng, n):
+    x0 = random_reduced(rng, n, 1.0, t=0.3)
+    return x0, dual_of(x0)
+
+
+class TestContourPushforward:
+    @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
+    def test_commutes_at_roundoff_on_both_slices(self, rng, kind, n):
+        for x in both_slices(rng, n):
+            assert equivariance_check(spec_for(kind), x) < 1e-12
+
+    @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
+    def test_controls_fail(self, rng, kind, n):
+        spec = spec_for(kind)
+        for x in both_slices(rng, n):
+            assert field_deviation(contour_pushforward(spec, x),
+                                   equivariance_control(spec, x)) > 1e-6
+
+    def test_free_p_slice_control_is_the_role_swap(self, rng):
+        spec = spec_for(SystemKind.FREE)
+        x = dual_of(random_reduced(rng, 3, 1.0))
+        field = reduced_vector_field(spec, x.positions, x.momenta, x.g, x.t, x.slice)
+        rescaled = reduced_vector_field(spec, x.positions, x.momenta, 1.05 * x.g,
+                                        x.t, x.slice)
+        # H = sum I^2 / 2 does not see g: a rescaled coupling is no control here
+        assert np.array_equal(np.array(field), np.array(rescaled))
+        swapped = reduced_vector_field(spec, x.positions, x.momenta, x.g, x.t,
+                                       Slice.Q_DIAG)
+        assert np.array_equal(np.array(equivariance_control(spec, x)), np.array(swapped))
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_one_particle_reading_is_finite_and_exact(self, sl):
+        spec = SystemSpec(SystemKind.P_IV, theta0=0.2, theta1=-0.4)
+        x = ReducedPoint([0.3 - 0.1j], [0.1 + 0.2j], 1.0, 0.2, sl)
+        D = contour_pushforward(spec, x)
+        assert D.shape == (len(CONTOUR_NODES), 2, 1) and np.isfinite(D).all()
+        assert equivariance_check(spec, x) < 1e-13
+
+    def test_resting_point_reads_zero(self):
+        # a zero matrix field still defines the contour radius
+        x = ReducedPoint([0.0], [0.0], 1.0)
+        assert equivariance_check(SystemSpec(SystemKind.HARM_OSC, omega=1.0), x) == 0.0
+
+    @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
+    def test_node_counts_agree_to_roundoff(self, rng, kind, n):
+        assert CONTOUR_NODES == (32, 64)
+        for x in both_slices(rng, n):
+            D = contour_pushforward(spec_for(kind), x)
+            assert np.abs(D[0] - D[1]).max() / max(1.0, np.abs(D[1]).max()) < 1e-12
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_reading_is_the_derivative_of_reduce_along_the_matrix_flow(self, rng, sl):
+        # one-sided second-order difference of reduce over two RK4 steps of h
+        spec = spec_for(SystemKind.P_II)
+        x = random_reduced(rng, 2, 1.0, sl, t=0.3)
+        h = 1e-4
+        traj = integrate(spec, embed(x), 0.3, 0.3 + 2 * h, h, g=x.g)
+        c = []
+        for pt in traj.states:
+            y = reduce(pt, sl, x.g)
+            perm = match_permutation(x.positions, y.positions)
+            c.append(np.array([y.positions[perm], y.momenta[perm]]))
+        difference = (-3 * c[0] + 4 * c[1] - c[2]) / (2 * h)
+        D = contour_pushforward(spec, x)
+        # the O(h^2) truncation reads 6e-8 to 3e-6 on sampled points at this h
+        assert np.abs(D - difference).max() < 1e-4 * max(1.0, np.abs(D).max())
 
 
 class TestRuijsenaars:

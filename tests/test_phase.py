@@ -9,6 +9,7 @@ from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec,
                          fill_diagonal, level_set_target, moment_deviation,
                          moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint
+from cplab.sampling import random_reduced
 
 
 def cmat(rng, n):
@@ -156,3 +157,23 @@ class TestSystemSpec:
                 coupling_value(bad)
         g = coupling_value(2)
         assert type(g) is float and g == 2.0
+
+
+class TestTime:
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf, complex(0.1, np.nan),
+                                   complex(np.inf, 0.0), complex(0.0, -np.inf)])
+    def test_points_reject_non_finite_time(self, t):
+        with pytest.raises(ValueError, match="time must be finite"):
+            MatrixPhasePoint([[1.0]], [[0.0]], t)
+        with pytest.raises(ValueError, match="time must be finite"):
+            ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, t)
+
+    def test_sampler_rejects_nan_time(self):
+        with pytest.raises(ValueError, match="time must be finite"):
+            random_reduced(np.random.default_rng(0), 2, 1.0, t=np.nan)
+
+    def test_real_and_complex_times_kept(self):
+        assert type(MatrixPhasePoint([[1.0]], [[0.0]], 1).t) is float
+        assert type(ReducedPoint([0.0], [0.0], 1.0, 0.3 + 0j).t) is float
+        assert ReducedPoint([0.0], [0.0], 1.0, 0.3 - 0.2j).t == 0.3 - 0.2j
+        assert MatrixPhasePoint([[1.0]], [[0.0]], 1e300j).t == 1e300j

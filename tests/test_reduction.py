@@ -12,7 +12,7 @@ from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed
                              embedded_matrices, guarded_differences, match_permutation,
                              matched_deviation, normalized_diagonalizer, pair_differences,
                              particle_guard, permuted_deviation, reduce,
-                             reduced_coordinates)
+                             reduced_coordinates, resolve_at_slice)
 from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
                             spec_for)
 from cplab.traces import tr_q3_closed, tr_q4_closed, trace_power_oracle
@@ -154,6 +154,22 @@ class TestReduce:
                 ca, cb = np.poly(a), np.poly(b)
                 scale = np.maximum(1.0, np.abs(ca))
                 assert (np.abs(ca - cb) / scale).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_eigen_core_is_reduce_on_the_level_set_and_needs_no_level_set(self, rng, n):
+        pt = random_level_set_point(rng, n, 1.0)
+        for sl in Slice:
+            pos, M = resolve_at_slice(pt.q, pt.p, sl)
+            x = reduce(pt, sl, 1.0)
+            assert np.array_equal(pos, x.positions)
+            assert np.array_equal(np.diagonal(M), x.momenta)
+            # off the level set: reduce refuses, the core still resolves
+            off = MatrixPhasePoint(pt.q + 0.01 * rng.normal(size=(n, n)), pt.p)
+            if n > 1:  # [p, q] = 0 = i g (1 - v^T v) for every 1 x 1 pair
+                with pytest.raises(NotOnLevelSet):
+                    reduce(off, sl, 1.0)
+            pos, M = resolve_at_slice(off.q, off.p, sl)
+            assert np.isfinite(pos).all() and M.shape == (n, n)
 
     def test_positions_are_exact_eigenvalues(self, rng):
         x = random_reduced(rng, 4, 1.0)
