@@ -3,19 +3,26 @@
 
     python scripts/bench_layers.py
 
-Two layers compare a point loop against one stack:
+Three layers compare a point loop against one stack:
   * embed_reduce: embed a reduced point and reduce it back at its slice,
     point by point (`reduce(embed(x))`) against one stack
     (`reduced_coordinates(*embedded_matrices(...))`);
   * closed_form_oracle: the closed-form reduced Hamiltonian and its trace
     oracle of each of the six kinds at both slices, point by point
     (`reduced_hamiltonian`, `reduced_hamiltonian_oracle`) against one stack
-    each (`closed_form_hamiltonian`, `embedded_trace_hamiltonian`).
+    each (`closed_form_hamiltonian`, `embedded_trace_hamiltonian`);
+  * trace_oracle: criterion 4's check of Tr Q^3 and Tr Q^4 against matrix
+    powers, point by point (`ReducedPoint`, `tr_q3_closed`, `tr_q4_closed`
+    and the one-row `trace_power_oracle`) against one stack (`particle_guard`,
+    `tr_c3`, `tr_c4` and `trace_power_oracle`).
 The others are one-point calls, looped over the points:
   * reduce: `reduce` of an embedded point at the q-slice;
   * reduced_vector_field_q / _p: `reduced_vector_field` of P_II at either slice;
   * rk4_step_matrix / rk4_step_reduced: one `rk4_step` of the P_II flow,
-    on the embedded matrix pair and on the q-slice particles.
+    on the embedded matrix pair and on the q-slice particles;
+  * spectral_match: `spectral_match` of the autonomous P_II curves of an
+    embedded point and of its p-slice reduction, embedded, on the default
+    20-point lambda grid, over POINTS // 10 of the points.
 Each entry times one loop over POINTS sampled points per n, in
 microseconds per point (per point, kind and slice for the closed forms), on
 one BLAS thread.  The loops are timed in REPEATS rounds, each round running
@@ -41,10 +48,15 @@ from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_hamiltonian_oracle,
                                 reduced_vector_field, rk4_step)
+from cplab.lax import spectral_match  # noqa: E402
 from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
-                             embedded_matrices, reduce, reduced_coordinates)
+                             embedded_matrices, inverse_square_kernel, particle_guard,
+                             reduce, reduced_coordinates)
 from cplab.sampling import random_particles, spec_for  # noqa: E402
+from cplab.selfcheck import appendix_trace_points  # noqa: E402
+from cplab.traces import (tr_c3, tr_c4, tr_q3_closed, tr_q4_closed,  # noqa: E402
+                          trace_power_oracle)
 
 OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_layers.json"
 SIZES = (2, 4, 8, 12)
@@ -81,12 +93,32 @@ def layer_loops(n: int, points: int) -> dict:
             closed_form_hamiltonian(spec, pos, mom, G, spec.time(T), s)
             embedded_trace_hamiltonian(spec, pos, mom, G, spec.time(T), s)
 
+    tpos, tmom, tg = appendix_trace_points(np.random.default_rng(n), n, points)
+
+    def trace_loop():
+        for a, b, g in zip(tpos, tmom, tg):
+            x = ReducedPoint(a, b, g)
+            tr_q3_closed(x)
+            trace_power_oracle(x.positions, x.momenta, x.g, 3)
+            tr_q4_closed(x)
+            trace_power_oracle(x.positions, x.momenta, x.g, 4)
+
+    def trace_stack():
+        particle_guard(tpos, tmom)
+        W = inverse_square_kernel(tpos)
+        tr_c3(tmom, W, tg)
+        trace_power_oracle(tpos, tmom, tg, 3)
+        tr_c4(tmom, W, tg)
+        trace_power_oracle(tpos, tmom, tg, 4)
+
     per_h = points * len(cases)
     return {
         ("embed_reduce", "point_loop_us"): (reduce_loop, points),
         ("embed_reduce", "stack_us"): (reduce_stack, points),
         ("closed_form_oracle", "point_loop_us"): (hamiltonian_loop, per_h),
         ("closed_form_oracle", "stack_us"): (hamiltonian_stack, per_h),
+        ("trace_oracle", "point_loop_us"): (trace_loop, points),
+        ("trace_oracle", "stack_us"): (trace_stack, points),
     }
 
 
@@ -119,6 +151,14 @@ def call_loops(n: int, points: int) -> dict:
                 rk4_step(field, y0, y1, T, H)
         return loop
 
+    curve_spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    curves = [(pt, embed(reduce(pt, Slice.P_DIAG, G, tol=1e-5)))
+              for pt in pts[:max(1, points // 10)]]
+
+    def match_loop():
+        for a, b in curves:
+            spectral_match(curve_spec, a, b)
+
     loops = {
         "reduce": reduce_loop,
         "reduced_vector_field_q": field_loop(Slice.Q_DIAG),
@@ -126,7 +166,9 @@ def call_loops(n: int, points: int) -> dict:
         "rk4_step_matrix": step_loop(matrix_field, [(pt.q, pt.p) for pt in pts]),
         "rk4_step_reduced": step_loop(reduced_field, list(zip(pos, mom))),
     }
-    return {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
+    timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
+    timed["spectral_match", "us_per_call"] = (match_loop, len(curves))
+    return timed
 
 
 def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:

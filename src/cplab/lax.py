@@ -31,6 +31,8 @@ from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
 
 POLE_EPS = 1e-12
 SPECTRAL_TOL = 1e-8  # spectral_match's verdict: largest det ratio deviation accepted
+# entries of spectral_match's largest slogdet stack: 2n + 1 matrices 2n x 2n at n = 12
+SLOGDET_ENTRIES = 25 * 24 * 24
 
 
 class LaxPair(NamedTuple):
@@ -233,7 +235,11 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
     |det(mu - L_a) / det(mu - L_b) - 1| over 2n + 1 points of the circle
     |mu| = 2 max(||L_a||_inf, ||L_b||_inf), where every factor mu - eigenvalue
     is at least half the radius, so the ratio is well conditioned at any n.
-    One slogdet call per side and lambda covers the 2n + 1 points.
+    L is built once, for both sides over the grid.  Each slogdet call covers
+    the 2n + 1 points of as many (lambda, side) pairs as fit in
+    SLOGDET_ENTRIES matrix entries (every pair in one call up to n = 3, one
+    pair per call at n = 12), so the stack never outgrows that of one pair
+    at n = 12, and each pair's determinants are those of a call of its own.
     """
     grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
     if not grid:
@@ -243,17 +249,21 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
     k = 2 * pa.n
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
-    La = lax_l(spec, pa.q, pa.p, spec.time(pa.t), grid)
-    Lb = lax_l(spec, pb.q, pb.p, spec.time(pb.t), grid)
-    devs = []
-    for la, lb in zip(La, Lb):
-        radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
-        mu = (radius or 1.0) * circle
-        sign_a, log_a = np.linalg.slogdet(mu - la)
-        sign_b, log_b = np.linalg.slogdet(mu - lb)
-        ratio = sign_a / sign_b * np.exp(log_a - log_b)
-        devs.append(np.abs(ratio - 1).max())
-    worst = float(np.max(devs))  # a NaN deviation, from non-finite L, fails
+    # (lambda, side, 2n, 2n): the sides on the second axis, a before b
+    L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]),
+              np.array([spec.time(pa.t), spec.time(pb.t)]), np.array(grid)[:, None])
+    radius = 2 * np.abs(L).sum(axis=-1).max(axis=(1, 2))
+    scale = np.repeat(np.where(radius == 0, 1.0, radius), 2)  # one per (lambda, side)
+    L = L.reshape(-1, k, k)
+    sign = np.empty((len(L), k + 1), dtype=complex)
+    logdet = np.empty((len(L), k + 1))
+    step = max(1, SLOGDET_ENTRIES // ((k + 1) * k * k))
+    for i in range(0, len(L), step):
+        shifted = scale[i:i + step, None, None, None] * circle
+        shifted -= L[i:i + step, None]  # mu - L
+        sign[i:i + step], logdet[i:i + step] = np.linalg.slogdet(shifted)
+    ratio = sign[0::2] / sign[1::2] * np.exp(logdet[0::2] - logdet[1::2])
+    worst = float(np.abs(ratio - 1).max())  # a NaN deviation, from non-finite L, fails
     return worst < SPECTRAL_TOL, worst
 
 

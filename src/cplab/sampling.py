@@ -14,32 +14,51 @@ from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, particle_guard
 
 
+def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
+                           jitter: float = 0.3, complex_positions: bool = True,
+                           mom_scale: float = 1.0) -> dict:
+    """{n: (positions, momenta)}: one random reduced point per entry of sizes.
+
+    Trial k has sizes[k] particles.  The trials are drawn in order, each
+    drawing, in this order, the real jitter, the imaginary jitter (complex
+    positions only), then the real and imaginary momentum normals, so the
+    generator moves exactly as under one one-trial call per trial.  The
+    trials of each size n form one (trials of size n, n) stack, its rows in
+    trial order, that passes the checks of a ReducedPoint; the keys are the
+    sizes in increasing order.
+    """
+    if min(sizes, default=1) < 1:
+        raise ValueError("a reduced point needs at least one particle")
+    draws = {n: [] for n in sorted(set(sizes))}
+    for n in sizes:
+        re_jit = rng.uniform(-jitter, jitter, n)
+        im_jit = rng.uniform(-jitter, jitter, n) if complex_positions else np.zeros(n)
+        re_mom = rng.normal(size=n)
+        draws[n].append((re_jit, im_jit, re_mom, rng.normal(size=n)))
+    stacks = {}
+    for n, rows in draws.items():
+        re_jit, im_jit, re_mom, im_mom = np.moveaxis(np.array(rows), 1, 0)
+        pos = spread * np.arange(n) + re_jit + 1j * im_jit
+        mom = mom_scale * (re_mom + 1j * im_mom)
+        particle_guard(pos, mom)
+        stacks[n] = pos, mom
+    return stacks
+
+
 def random_particles(rng: np.random.Generator, trials: int, n: int,
                      spread: float = 1.5, jitter: float = 0.3,
                      complex_positions: bool = True,
                      mom_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
     """(positions, momenta) of `trials` random reduced points, each (trials, n).
 
-    Each trial draws, in this order, the real jitter, the imaginary jitter
-    (complex positions only), then the real and imaginary momentum
-    normals, so a stack of trials consumes the generator exactly as that
-    many single draws do.  The rows pass the checks of a ReducedPoint.
+    The one-size call of random_particle_stacks.
     """
     if n < 1:
         raise ValueError("a reduced point needs at least one particle")
-    shape = (trials, n)
-    re_jit, im_jit = np.zeros(shape), np.zeros(shape)
-    re_mom, im_mom = np.empty(shape), np.empty(shape)
-    for k in range(trials):
-        re_jit[k] = rng.uniform(-jitter, jitter, n)
-        if complex_positions:
-            im_jit[k] = rng.uniform(-jitter, jitter, n)
-        re_mom[k] = rng.normal(size=n)
-        im_mom[k] = rng.normal(size=n)
-    pos = spread * np.arange(n) + re_jit + 1j * im_jit
-    mom = mom_scale * (re_mom + 1j * im_mom)
-    particle_guard(pos, mom)
-    return pos, mom
+    if not trials:
+        return np.zeros((0, n), dtype=complex), np.zeros((0, n), dtype=complex)
+    return random_particle_stacks(rng, [n] * trials, spread, jitter,
+                                  complex_positions, mom_scale)[n]
 
 
 def random_reduced(rng: np.random.Generator, n: int, g: float,

@@ -23,16 +23,19 @@ from .hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
 from .lax import (char_poly, faddeev_charpoly, spectral_duality,
                   spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
-                    level_set_target, moment_deviation, moment_map,
+                    coupling_value, level_set_target, moment_deviation, moment_map,
                     symplectic_pairing)
 from .reduction import (ReducedPoint, Slice, dual_of, embed, embedded_matrices,
-                        matched_deviation, normalized_diagonalizer, reduced_coordinates)
-from .sampling import random_level_set_point, random_particles, random_reduced, spec_for
-from .traces import (a4_quad_sum, a4_triple_sum, evenness_check, tr_q3_closed,
-                     tr_q4_closed, trace_power_oracle)
+                        inverse_square_kernel, matched_deviation, normalized_diagonalizer,
+                        particle_guard, reduced_coordinates)
+from .sampling import (random_level_set_point, random_particle_stacks, random_particles,
+                       random_reduced, spec_for)
+from .traces import (a4_quad_sum, a4_triple_sum, evenness_check, tr_c3, tr_c4,
+                     tr_q3_closed, tr_q4_closed, trace_power_oracle)
 
 FOUR_KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV, SystemKind.HARM_OSC)
 TRIALS = 100  # random points per grid cell or kind of the sampled criteria
+TRACE_BLOCK = 100  # trials of one size evaluated as one stack by criterion 4
 
 
 def _check(name, operation, tolerance, measured, passed, **extra):
@@ -80,11 +83,9 @@ def check_hamiltonian_oracle(rng):
         T = spec.time(0.4)
         w = 0.0
         for sl in (Slice.Q_DIAG, Slice.P_DIAG):
-            # trial k has 1 + k % 6 particles: draw in trial order, then
-            # evaluate the trials of each size as one stack
-            draws = [random_particles(rng, 1, 1 + k % 6) for k in range(TRIALS)]
-            for n in range(1, 7):
-                pos, mom = (np.concatenate(c) for c in zip(*draws[n - 1::6]))
+            # trial k has 1 + k % 6 particles; each size is one stack
+            sizes = [1 + k % 6 for k in range(TRIALS)]
+            for pos, mom in random_particle_stacks(rng, sizes).values():
                 a = closed_form_hamiltonian(spec, pos, mom, g, T, sl)
                 b = embedded_trace_hamiltonian(spec, pos, mom, g, T, sl)
                 w = max(w, _relative_gap(a, b))
@@ -100,16 +101,35 @@ def _pair(z) -> list:
     return [float(z.real), float(z.imag)]
 
 
+def appendix_trace_points(rng, n: int, rows: int):
+    """(positions, momenta, g) of `rows` random records of n particles, each a stack.
+
+    Each trial draws, in this order, the real and imaginary momentum
+    normals, the position jitter and the coupling, and the rows pass the
+    checks of a ReducedPoint: finite coordinates, no collision, and a
+    finite positive g.
+    """
+    pos = np.empty((rows, n), dtype=complex)
+    mom = np.empty((rows, n), dtype=complex)
+    g = np.empty(rows)
+    for k in range(rows):
+        mom[k] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        pos[k] = np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n)
+        g[k] = coupling_value(rng.uniform(0.5, 2.0))
+    particle_guard(pos, mom)
+    return pos, mom, g
+
+
 def check_appendix_traces(rng, n_max=8, trials=50, max_l=12):
     worst = 0.0
     for n in range(1, n_max + 1):
-        for _ in range(trials):
-            diag = rng.normal(size=n) + 1j * rng.normal(size=n)
-            denom = np.arange(n) * 1.4 + rng.uniform(-0.3, 0.3, n)
-            x = ReducedPoint(denom, diag, float(rng.uniform(0.5, 2.0)))
-            for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-                oracle = trace_power_oracle(x, l)
-                worst = max(worst, abs(closed(x) - oracle) / max(1.0, abs(oracle)))
+        # blocks of TRACE_BLOCK trials, in trial order, bound the memory at any trials
+        for start in range(0, trials, TRACE_BLOCK):
+            pos, mom, g = appendix_trace_points(rng, n, min(TRACE_BLOCK, trials - start))
+            W = inverse_square_kernel(pos)
+            for l, closed in ((3, tr_c3), (4, tr_c4)):
+                worst = max(worst, _relative_gap(closed(mom, W, g),
+                                                 trace_power_oracle(pos, mom, g, l)))
     worked = ReducedPoint([1.0, 0.0], [1.0, 2.0], 1.0)
     worked3 = tr_q3_closed(worked)
     worked4 = tr_q4_closed(worked)

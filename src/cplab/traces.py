@@ -25,13 +25,17 @@ from .phase import fill_diagonal, row_dot
 from .reduction import ReducedPoint, calogero_block, inverse_square_kernel, pair_differences
 
 
-def trace_power_oracle(x: ReducedPoint, l: int, g: float | None = None) -> complex:
-    """Tr(Q^l) by matrix powers; an explicit g, even negative, overrides x.g unchecked."""
+def trace_power_oracle(positions: np.ndarray, momenta: np.ndarray, g, l: int):
+    """Tr(Q^l) by matrix powers, one value per row of the stacks (..., n).
+
+    g is not checked, so a negative g is taken as given, and it broadcasts
+    over the leading axes: one row at several couplings is one stack.
+    """
     if l < 1:
         raise ValueError("l must be >= 1")
-    Q = fill_diagonal(calogero_block(pair_differences(x.positions),
-                                     x.g if g is None else float(g)), x.momenta)
-    return complex(np.trace(np.linalg.matrix_power(Q, l)))
+    g = np.asarray(g, dtype=float)[..., None, None]
+    Q = fill_diagonal(calogero_block(pair_differences(positions), g), momenta)
+    return np.trace(np.linalg.matrix_power(Q, l), axis1=-2, axis2=-1)
 
 
 def a4_triple_sum(x: np.ndarray):
@@ -78,7 +82,8 @@ def diag_c2(d: np.ndarray, W: np.ndarray, g: float) -> np.ndarray:
     d is (..., n) and W = inverse_square_kernel(x) (..., n, n), built once
     by the caller; S = W.1.  This and the two traces below are even in g,
     so the sign of the off-diagonal block drops out and one kernel serves
-    both slices; Tr C^2 is the sum of diag C^2.  The traces are (...).
+    both slices; Tr C^2 is the sum of diag C^2.  The traces are (...), and
+    their g may be a float or a (...) stack, one coupling per row.
     """
     return d * d + g ** 2 * W.sum(axis=-1)
 
@@ -113,19 +118,19 @@ def evenness_check(x: ReducedPoint, l: int, g_values) -> dict:
     compares odd against even coefficients.  The sample grid is symmetric
     about zero: with a symmetric design the fitted odd coefficients depend
     only on the antisymmetric part of the data, which keeps the Vandermonde
-    conditioning out of the verdict.
+    conditioning out of the verdict.  The oracle takes g_values, their
+    negatives and the fit's couplings as one stack.
     """
     if l > 12:
         raise ValueError("evenness check is desk-scale only (l <= 12)")
-    sym_dev = 0.0
-    for gv in g_values:
-        plus = trace_power_oracle(x, l, g=gv)
-        minus = trace_power_oracle(x, l, g=-gv)
-        sym_dev = max(sym_dev, abs(plus - minus) / max(1.0, abs(plus)))
-
+    g_values = np.asarray(g_values, dtype=float)
     half = np.linspace(0.35, 1.25, l + 3)
     gs = np.concatenate([-half[::-1], half])
-    vals = np.array([trace_power_oracle(x, l, g=gv) for gv in gs])
+    k = len(g_values)
+    traces = trace_power_oracle(x.positions, x.momenta,
+                                np.concatenate([g_values, -g_values, gs]), l)
+    plus, minus, vals = traces[:k], traces[k:2 * k], traces[2 * k:]
+    sym_dev = (np.abs(plus - minus) / np.maximum(1.0, np.abs(plus))).max(initial=0.0)
     V = np.vander(gs, l + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     even = np.abs(coeffs[0::2]).max()

@@ -12,7 +12,7 @@ from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
                        spectral_table, zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
-from cplab.reduction import ReducedPoint, Slice, embed, reduce
+from cplab.reduction import ReducedPoint, Slice, embed, matrix_point, reduce
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
 
 
@@ -323,6 +323,81 @@ class TestSpectralMatch:
         with pytest.raises(DimensionMismatch):
             spectral_match(spec, random_reduced(rng, 2, 1.0),
                            random_reduced(rng, 3, 1.0))
+
+
+def reference_match(spec, a, b):
+    """spectral_match's deviation by a loop over lambda: one slogdet per side and lambda."""
+    pa, pb = matrix_point(a), matrix_point(b)
+    k = 2 * pa.n
+    circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
+    grid = default_lambda_grid()
+    La = lax_l(spec, pa.q, pa.p, spec.time(pa.t), grid)
+    Lb = lax_l(spec, pb.q, pb.p, spec.time(pb.t), grid)
+    devs = []
+    for la, lb in zip(La, Lb):
+        radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
+        mu = (radius or 1.0) * circle
+        sign_a, log_a = np.linalg.slogdet(mu - la)
+        sign_b, log_b = np.linalg.slogdet(mu - lb)
+        devs.append(np.abs(sign_a / sign_b * np.exp(log_a - log_b) - 1).max())
+    return float(np.max(devs))
+
+
+class TestStackedSpectralMatch:
+    """One L build for both sides; slogdet over bounded stacks of (lambda, side) pairs."""
+
+    @pytest.fixture
+    def slogdet_sizes(self, monkeypatch):
+        sizes = []
+        slogdet = np.linalg.slogdet
+
+        def counting(a):
+            sizes.append(a.size)
+            return slogdet(a)
+
+        monkeypatch.setattr(np.linalg, "slogdet", counting)
+        return sizes
+
+    def cases(self, n):
+        rng = np.random.default_rng(n)
+        pt = random_level_set_point(rng, n, 1.0, t=0.3)
+        xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-5)
+        control = random_reduced(rng, n, 1.0, t=0.5)  # another time: T differs by side
+        for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
+                     SystemKind.HARM_OSC):
+            for autonomous in (False, True):
+                spec = spec_for(kind, autonomous=autonomous,
+                                tau=1.0 if autonomous else None)
+                yield spec, pt, xq
+                yield spec, xq, control
+
+    @pytest.mark.parametrize("n, calls", [(2, 1), (12, 40)])
+    def test_bitwise_the_per_lambda_loop(self, n, calls, slogdet_sizes):
+        for spec, a, b in self.cases(n):
+            slogdet_sizes.clear()
+            ok, dev = spectral_match(spec, a, b)
+            assert len(slogdet_sizes) == calls  # at n = 12 the grid splits across calls
+            assert max(slogdet_sizes) <= 25 * 24 * 24
+            assert dev == reference_match(spec, a, b)
+            assert ok == (dev < 1e-8)
+
+    def test_zero_radius(self):
+        # the n = 1 free L at rest is 0, so the mu circle takes radius 1
+        spec = spec_for(SystemKind.FREE)
+        rest = ReducedPoint([0.0], [0.0], 1.0)
+        assert spectral_match(spec, rest, MatrixPhasePoint([[0.0]], [[0.0]])) == (True, 0.0)
+        moving = ReducedPoint([0.0], [0.7], 1.0)
+        ok, dev = spectral_match(spec, rest, moving)
+        assert not ok and dev == reference_match(spec, rest, moving)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_non_finite_side_fails(self):
+        spec = spec_for(SystemKind.P_II)
+        x = ReducedPoint([0.0, 1e200], [0.3, -0.2], 1.0)
+        y = ReducedPoint([0.0, 1.0], [0.3, -0.2], 1.0)
+        for a, b in ((x, y), (y, x)):
+            ok, dev = spectral_match(spec, a, b)
+            assert not ok and np.isnan(dev)
 
 
 class TestLOnlyReaders:

@@ -13,8 +13,8 @@ from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed
                              matched_deviation, normalized_diagonalizer, pair_differences,
                              particle_guard, permuted_deviation, reduce,
                              reduced_coordinates, resolve_at_slice)
-from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
-                            spec_for)
+from cplab.sampling import (random_level_set_point, random_particle_stacks,
+                            random_particles, random_reduced, spec_for)
 from cplab.traces import tr_q3_closed, tr_q4_closed, trace_power_oracle
 
 
@@ -380,6 +380,31 @@ class TestStackedSampler:
             assert np.array_equal(mom[i], x.momenta)
         assert a.uniform() == b.uniform()  # the generators stay in step
 
+    @pytest.mark.parametrize("complex_positions", [True, False])
+    def test_per_size_stacks_draw_as_one_trial_draws(self, complex_positions):
+        sizes = [1 + k % 6 for k in range(40)] + [12, 3]
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        stacks = random_particle_stacks(a, sizes, spread=1.2, jitter=0.2,
+                                        complex_positions=complex_positions, mom_scale=0.5)
+        rows = {n: ([], []) for n in sizes}
+        for n in sizes:  # one trial at a time, as the one-trial sampler drew them
+            re_jit = b.uniform(-0.2, 0.2, n)
+            im_jit = b.uniform(-0.2, 0.2, n) if complex_positions else np.zeros(n)
+            re_mom, im_mom = b.normal(size=n), b.normal(size=n)
+            rows[n][0].append(1.2 * np.arange(n) + re_jit + 1j * im_jit)
+            rows[n][1].append(0.5 * (re_mom + 1j * im_mom))
+        assert list(stacks) == sorted(rows)
+        for n, (pos, mom) in stacks.items():
+            assert np.array_equal(pos, rows[n][0]) and np.array_equal(mom, rows[n][1])
+        assert a.bit_generator.state == b.bit_generator.state
+
+    def test_per_size_stacks_are_guarded_per_size(self, rng):
+        assert random_particle_stacks(rng, []) == {}
+        with pytest.raises(ValueError, match="at least one particle"):
+            random_particle_stacks(rng, [2, 0])
+        with pytest.raises(ParticleCollision, match="^row 0: "):
+            random_particle_stacks(rng, [1, 3, 1], spread=0.0, jitter=0.0)
+
     def test_zero_trials(self, rng):
         pos, mom = random_particles(rng, 0, 3)
         assert pos.shape == mom.shape == (0, 3)
@@ -423,7 +448,7 @@ class TestGuardPlacement:
             spec = spec_for(kind)
             for sl in Slice:
                 closed_form_hamiltonian(spec, pos, mom, 0.9, spec.time(0.2), sl)
-        trace_power_oracle(x, 4)
+        trace_power_oracle(x.positions, x.momenta, x.g, 4)
         tr_q3_closed(x)
         tr_q4_closed(x)
         for sl in Slice:

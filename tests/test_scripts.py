@@ -32,9 +32,9 @@ def test_duality_scan(capsys):
 
 def test_bench_layers():
     table = load_script("bench_layers").measure(sizes=(2, 3), points=4, repeats=1)
-    stacked = {"embed_reduce", "closed_form_oracle"}
+    stacked = {"embed_reduce", "closed_form_oracle", "trace_oracle"}
     one_point = {"reduce", "reduced_vector_field_q", "reduced_vector_field_p",
-                 "rk4_step_matrix", "rk4_step_reduced"}
+                 "rk4_step_matrix", "rk4_step_reduced", "spectral_match"}
     assert set(table["layers"]) == stacked | one_point
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}

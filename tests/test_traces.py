@@ -23,6 +23,11 @@ def random_point(rng, n, g=None):
                         g if g is not None else float(rng.uniform(0.5, 2.0)))
 
 
+def oracle(x, l, g=None):
+    # the one-row call of the stacked oracle; an explicit g overrides x.g
+    return trace_power_oracle(x.positions, x.momenta, x.g if g is None else g, l)
+
+
 def assemble(x, g=None):
     # the Q that trace_power_oracle takes powers of
     return fill_diagonal(calogero_block(pair_differences(x.positions),
@@ -49,35 +54,69 @@ class TestAssemble:
 
 class TestOracle:
     def test_n1(self):
-        assert trace_power_oracle(ReducedPoint([0.0], [2.0], 1.0), 1) == 2.0
+        assert oracle(ReducedPoint([0.0], [2.0], 1.0), 1) == 2.0
 
     def test_worked_n2_matrix(self):
         # Q = [[1, i], [-i, 2]]: Tr Q^2 = 1 + 4 + 2
-        assert abs(trace_power_oracle(WORKED, 2) - 7) < 1e-12
+        assert abs(oracle(WORKED, 2) - 7) < 1e-12
 
     def test_zero_coupling_is_diagonal(self, rng):
         x = random_point(rng, 4)
         for l in (1, 2, 3, 4):
             ref = np.sum(x.momenta ** l)
-            got = trace_power_oracle(x, l, g=0.0)
+            got = oracle(x, l, g=0.0)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_explicit_negative_coupling(self, rng):
         # the oracle takes -g unvalidated; Tr Q^l is even in g
         x = random_point(rng, 4)
         for l in (2, 3, 4):
-            ref = trace_power_oracle(x, l)
-            got = trace_power_oracle(x, l, g=-x.g)
+            ref = oracle(x, l)
+            got = oracle(x, l, g=-x.g)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_q_cubed_reduces(self):
         # zero momenta make Q^2 = 1, so Tr Q^3 = Tr Q = 0
         x = ReducedPoint([1.0, 0.0], [0.0, 0.0], 1.0)
-        assert abs(trace_power_oracle(x, 3)) < 1e-15
+        assert abs(oracle(x, 3)) < 1e-15
 
     def test_worked_values(self):
-        assert abs(trace_power_oracle(WORKED, 3) - 18) < 1e-12
-        assert abs(trace_power_oracle(WORKED, 4) - 47) < 1e-12
+        assert abs(oracle(WORKED, 3) - 18) < 1e-12
+        assert abs(oracle(WORKED, 4) - 47) < 1e-12
+
+
+class TestStackedOracle:
+    @pytest.mark.parametrize("l", [1, 3, 4, 7])
+    def test_rows_are_one_row_calls(self, rng, l):
+        pos = np.arange(4) * 1.3 + rng.uniform(-0.3, 0.3, (2, 3, 4)) + 0.1j
+        mom = rng.normal(size=(2, 3, 4)) + 1j * rng.normal(size=(2, 3, 4))
+        g = rng.uniform(0.5, 2.0, (2, 3))
+        got = trace_power_oracle(pos, mom, g, l)
+        assert got.shape == (2, 3)
+        for i in np.ndindex(2, 3):
+            assert got[i] == trace_power_oracle(pos[i], mom[i], g[i], l)
+        # the g override broadcasts over one row, negative couplings taken as given
+        gs = np.array([0.5, -0.5, 1.3, -2.0, 0.0])
+        row = trace_power_oracle(pos[0, 0], mom[0, 0], gs, l)
+        assert row.shape == (5,)
+        for j, gv in enumerate(gs):
+            assert row[j] == trace_power_oracle(pos[0, 0], mom[0, 0], gv, l)
+        assert row[1] == pytest.approx(row[0], rel=1e-12)  # even in g
+
+    def test_appendix_entry_is_independent_of_the_block(self, monkeypatch):
+        entry = selfcheck.check_appendix_traces(np.random.default_rng(3), trials=7)
+        rows = []
+
+        def recording(positions, momenta, g, l):
+            rows.append(positions.shape[0] if positions.ndim == 2 else None)
+            return trace_power_oracle(positions, momenta, g, l)
+
+        monkeypatch.setattr(selfcheck, "trace_power_oracle", recording)
+        for block in (1, 3):
+            monkeypatch.setattr(selfcheck, "TRACE_BLOCK", block)
+            assert selfcheck.check_appendix_traces(np.random.default_rng(3), trials=7) == entry
+        # blocks of 1 and 3 rows, at l = 3 and 4, for each of the 8 particle numbers
+        assert rows == [1] * 7 * 2 * 8 + [3, 3, 3, 3, 1, 1] * 8
 
 
 class TestClosedForms:
@@ -102,8 +141,8 @@ class TestClosedForms:
         rng = np.random.default_rng(seed)
         x = random_point(rng, n)
         for l, closed in ((3, tr_q3_closed), (4, tr_q4_closed)):
-            oracle = trace_power_oracle(x, l)
-            assert abs(closed(x) - oracle) <= 1e-10 * max(1.0, abs(oracle))
+            ref = oracle(x, l)
+            assert abs(closed(x) - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
 class TestCalogeroTraces:
@@ -193,7 +232,7 @@ class TestEvenness:
 
     def test_l1_independent_of_g(self):
         x = ReducedPoint([0.0, 1.0, 2.5], [1.0, 2.0, 3.0], 1.0)
-        vals = {g: trace_power_oracle(x, 1, g=g) for g in (0.5, 1.0, 2.0)}
+        vals = {g: oracle(x, 1, g=g) for g in (0.5, 1.0, 2.0)}
         assert max(abs(v - 6.0) for v in vals.values()) < 1e-13
 
     def test_l2_pure_g_squared(self, rng):
@@ -202,4 +241,4 @@ class TestEvenness:
         expected = np.sum(x.momenta ** 2) + 2 * 1.3 ** 2 * sum(
             1.0 / (x.positions[i] - x.positions[j]) ** 2
             for i in range(4) for j in range(i + 1, 4))
-        assert abs(trace_power_oracle(x, 2) - expected) < 1e-10
+        assert abs(oracle(x, 2) - expected) < 1e-10
