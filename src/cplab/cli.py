@@ -26,7 +26,8 @@ import numpy as np
 
 from .dynamics import integrate, monitor_invariants, step_count
 from .errors import CplabError, ConfigError, DimensionMismatch, UnsupportedSystem
-from .lax import default_lambda_grid, spectral_duality, spectral_table
+from .lax import (SPECTRAL_TOL, default_lambda_grid, spectral_duality, spectral_match,
+                  spectral_table)
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice
 from .sampling import random_level_set_point, random_reduced
@@ -101,16 +102,6 @@ def system_spec(cfg: dict) -> SystemSpec:
                           autonomous=sy.get("autonomous", False), **kw)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def lambda_grid(cfg: dict) -> list[complex]:
-    lg = cfg.get("lambda_grid")
-    if lg is None:
-        return default_lambda_grid()
-    if "values" in lg:
-        return [as_complex(v) for v in lg["values"]]
-    return default_lambda_grid(lg.get("points_per_circle", 10),
-                               tuple(lg.get("radii", (0.5, 2.0))))
 
 
 def initial_state(cfg: dict, rng: np.random.Generator):
@@ -211,7 +202,6 @@ def cmd_simulate(cfg, rng, out):
     start = initial_state(cfg, rng)
     traj = integrate(spec, start, tm["t0"], tm["t1"], tm["h"],
                      g=cfg.get("g"))
-    monitors = [as_complex(v) for v in cfg.get("monitor_lambdas", [])]
     report = {
         "operation": "integrate (RK4, fixed step)",
         "steps": len(traj.times) - 1,
@@ -219,8 +209,8 @@ def cmd_simulate(cfg, rng, out):
         "energy_initial": traj.diagnostics["energy"][0],
         "energy_final": traj.diagnostics["energy"][-1],
     }
-    if monitors and spec.kind is not SystemKind.P_II_POLY:
-        report["invariants"] = monitor_invariants(spec, traj, monitors)
+    if spec.kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
+        report["invariants"] = monitor_invariants(spec, traj)
     csv_name = cfg.get("output", {}).get("trajectory_csv", "trajectory.csv")
     write_trajectory_csv(traj, out, csv_name)
     report["trajectory_csv"] = csv_name
@@ -231,50 +221,51 @@ def cmd_verify_duality(cfg, rng, out):
     spec = system_spec(cfg)
     n = cfg.get("n", 3)
     g = cfg.get("g", 1.0)
-    tol = cfg.get("tolerances", {}).get("duality", 1e-8)
-    grid = lambda_grid(cfg)
-    pt = random_level_set_point(rng, n, g, t=cfg.get("t", 0.0))
-    devs = spectral_duality(spec, pt, g, grid)
+    t = cfg.get("t", 0.0)
+    pt = random_level_set_point(rng, n, g, t=t)
+    # a second point of the same n, g and t, whose curve must differ: without
+    # it, a deviation swamped to 0 (say by a huge time) would pass
+    other = random_level_set_point(rng, n, g, t=t)
+    devs = spectral_duality(spec, pt, g)
     worst = float(np.max(list(devs.values())))  # a NaN deviation is the worst
+    control = spectral_match(spec, pt, other)[1]
     report = {
         "operation": "spectral_match: det(mu - L) ratios on a mu circle",
-        "tolerance": tol,
-        "lambda_grid_size": len(grid),
+        "tolerance": SPECTRAL_TOL,
+        "lambda_grid_size": len(default_lambda_grid()),
         "max_deviation": worst,
         "deviations": devs,
-        "pass": worst < tol,
+        "negative_control": control,
+        "pass": worst < SPECTRAL_TOL and control > SPECTRAL_TOL,
     }
     return report, report["pass"]
 
 
 def cmd_spectral(cfg, rng, out):
     spec = system_spec(cfg)
-    obj = initial_state(cfg, rng)
-    grid = lambda_grid(cfg)
-    table = spectral_table(spec, obj, grid)
+    table = spectral_table(spec, initial_state(cfg, rng))
     return {
         "operation": "char_poly over lambda grid",
-        "samples": [{"lambda": lam, "coeffs": list(c)} for lam, c in zip(grid, table)],
+        "samples": [{"lambda": lam, "coeffs": list(c)}
+                    for lam, c in zip(default_lambda_grid(), table)],
     }, True
 
 
-def run_check(check, rng, **sizes):
-    """A selfcheck entry as the report; sizes left unset keep their defaults."""
-    entry = check(rng, **{k: v for k, v in sizes.items() if v is not None})
+def run_check(check, rng, **point):
+    """A selfcheck entry as the report; arguments left unset keep their defaults."""
+    entry = check(rng, **{k: v for k, v in point.items() if v is not None})
     return entry, entry["pass"]
 
 
 def cmd_confluence(cfg, rng, out):
     theta = cfg.get("conf_theta")
-    return run_check(check_confluence, rng, eps=cfg.get("eps_sweep"),
+    return run_check(check_confluence, rng,
                      theta=None if theta is None else as_complex(theta),
                      n=cfg.get("n"), g=cfg.get("g"))
 
 
 def cmd_traces(cfg, rng, out):
-    tr = cfg.get("trace", {})
-    return run_check(check_appendix_traces, rng, n_max=tr.get("n_max"),
-                     trials=tr.get("trials"), max_l=tr.get("max_even_l"))
+    return run_check(check_appendix_traces, rng)
 
 
 def cmd_mmkdv(cfg, rng, out):

@@ -27,6 +27,8 @@ CONTOUR_RADIUS = 0.1  # contour radius, in (smallest particle gap) / max(1, max|
 # states per stacked diagnostic evaluation: bounds the (chunk, n, n) stacks of
 # a long flow's energies and moment deviations
 DIAGNOSTIC_CHUNK = 64
+# spectral parameters of monitor_invariants; a drift is reported under str(lambda)
+MONITOR_LAMBDAS = (1 + 0j, 2j)
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,8 @@ def stacked_matrices(states: list) -> tuple[np.ndarray, np.ndarray]:
                              np.array([s.momenta for s in states]), x.g, x.slice)
 
 
-def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor) -> dict:
-    """Per-step moment-map deviation and char-poly coefficient drift.
+def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
+    """Per-step moment-map deviation and char-poly coefficient drift at MONITOR_LAMBDAS.
 
     The moment deviations and energies are the trajectory's own
     diagnostics (against its coupling traj.g).  The states are stacked
@@ -161,7 +163,7 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory, lam_monitor) -> dict:
                     "moment_deviation_max":
                         float(traj.diagnostics["moment_deviation"].max())}
     drift = {}
-    for lam in lam_monitor:
+    for lam in MONITOR_LAMBDAS:
         coeffs = charpoly_coefficients(lax_l(spec, q, p, T, lam))
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())

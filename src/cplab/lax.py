@@ -217,33 +217,27 @@ def charpoly_coefficients(L: np.ndarray) -> np.ndarray:
     return c
 
 
-def default_lambda_grid(n_per_circle: int = 10,
-                        radii: tuple[float, float] = (0.5, 2.0)) -> list[complex]:
-    """20 pole-free points on two circles around the origin."""
-    grid = []
-    for r in radii:
-        for k in range(n_per_circle):
-            grid.append(r * np.exp(1j * (2 * np.pi * k / n_per_circle + 0.37)))
-    return grid
+def default_lambda_grid() -> list[complex]:
+    """20 pole-free points, 10 on each of the circles |lambda| = 0.5 and 2."""
+    return [r * np.exp(1j * (2 * np.pi * k / 10 + 0.37)) for r in (0.5, 2.0)
+            for k in range(10)]
 
 
-def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
+def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
-    At each lambda both sides are monic of degree 2n in mu, so they are
-    equal iff they agree at 2n points.  The deviation is the largest
-    |det(mu - L_a) / det(mu - L_b) - 1| over 2n + 1 points of the circle
-    |mu| = 2 max(||L_a||_inf, ||L_b||_inf), where every factor mu - eigenvalue
-    is at least half the radius, so the ratio is well conditioned at any n.
+    At each lambda of default_lambda_grid both sides are monic of degree 2n
+    in mu, so they are equal iff they agree at 2n points.  The deviation is
+    the largest |det(mu - L_a) / det(mu - L_b) - 1| over 2n + 1 points of
+    the circle |mu| = 2 max(||L_a||_inf, ||L_b||_inf), where every factor
+    mu - eigenvalue is at least half the radius, so the ratio is well
+    conditioned at any n.
     L is built once, for both sides over the grid.  Each slogdet call covers
     the 2n + 1 points of as many (lambda, side) pairs as fit in
     SLOGDET_ENTRIES matrix entries (every pair in one call up to n = 3, one
     pair per call at n = 12), so the stack never outgrows that of one pair
     at n = 12, and each pair's determinants are those of a call of its own.
     """
-    grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
-    if not grid:
-        raise ValueError("spectral_match needs a non-empty lambda grid")
     pa, pb = matrix_point(a), matrix_point(b)
     if pa.n != pb.n:
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
@@ -251,7 +245,8 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     # (lambda, side, 2n, 2n): the sides on the second axis, a before b
     L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]),
-              np.array([spec.time(pa.t), spec.time(pb.t)]), np.array(grid)[:, None])
+              np.array([spec.time(pa.t), spec.time(pb.t)]),
+              np.array(default_lambda_grid())[:, None])
     radius = 2 * np.abs(L).sum(axis=-1).max(axis=(1, 2))
     scale = np.repeat(np.where(radius == 0, 1.0, radius), 2)  # one per (lambda, side)
     L = L.reshape(-1, k, k)
@@ -267,8 +262,7 @@ def spectral_match(spec: SystemSpec, a, b, lam_grid=None) -> tuple[bool, float]:
     return worst < SPECTRAL_TOL, worst
 
 
-def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float,
-                     lam_grid=None) -> dict[str, float]:
+def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float) -> dict[str, float]:
     """spectral_match deviations of one level-set point and its two reductions.
 
     pt is reduced at the q-diagonal slice (reduced) and at the p-diagonal
@@ -278,15 +272,14 @@ def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float,
     xp = reduce(pt, Slice.P_DIAG, g, tol=1e-5)
     pairs = {"unreduced_vs_reduced": (pt, xq), "unreduced_vs_dual": (pt, xp),
              "reduced_vs_dual": (xq, xp)}
-    return {name: spectral_match(spec, a, b, lam_grid)[1]
-            for name, (a, b) in pairs.items()}
+    return {name: spectral_match(spec, a, b)[1] for name, (a, b) in pairs.items()}
 
 
-def spectral_table(spec: SystemSpec, obj, lam_grid=None) -> np.ndarray:
-    """The monic char-poly coefficients in mu of L(lambda), one row per lambda."""
-    grid = default_lambda_grid() if lam_grid is None else list(lam_grid)
+def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
+    """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda."""
     pt = matrix_point(obj)
-    return charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t), grid))
+    return charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t),
+                                       default_lambda_grid()))
 
 
 # ---------------------------------------------------------------------------

@@ -134,7 +134,7 @@ def evenness_check(x: ReducedPoint, l: int, g_values) -> dict:
     V = np.vander(gs, l + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     even = np.abs(coeffs[0::2]).max()
-    odd = np.abs(coeffs[1::2]).max() if l >= 1 else 0.0
+    odd = np.abs(coeffs[1::2]).max()
     return {
         "l": l,
         "symmetry_deviation": float(sym_dev),

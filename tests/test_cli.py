@@ -9,6 +9,8 @@ import cplab.mmkdv as mmkdv
 from cplab import cli, selfcheck
 from cplab.cli import main
 from cplab.errors import NotOnLevelSet
+from cplab.lax import default_lambda_grid, spectral_match
+from cplab.sampling import random_level_set_point
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "scripts" / "configs"
@@ -74,14 +76,43 @@ class TestConfigHandling:
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "is not a finite float" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["level_set", "reduce"])
+    @pytest.mark.parametrize("key", ["level_set", "reduce", "duality"])
     def test_unread_tolerances_rejected(self, tmp_path, key):
+        # the duality gate is lax.SPECTRAL_TOL: no tolerance is settable
         cfg = write(tmp_path, "c.json", {
             "command": "verify-duality",
             "system": {"kind": "P_II", "autonomous": True, "tau": 1.0},
             "tolerances": {key: 1e-30},
         })
         assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("config, key, value", [
+        ({"command": "spectral", "system": {"kind": "P_I"}, "n": 2},
+         "lambda_grid", {"points_per_circle": 10, "radii": [0.5, 2.0]}),
+        ({"command": "traces"},
+         "trace", {"n_max": 8, "trials": 50, "max_even_l": 12}),
+        ({"command": "confluence"}, "eps_sweep", [0.1, 0.05, 0.025]),
+        ({"command": "simulate", "system": {"kind": "Free"}, "n": 2,
+          "time": {"t0": 0.0, "t1": 0.01, "h": 0.01}},
+         "monitor_lambdas", [1.0, [0.0, 2.0]]),
+    ], ids=["lambda_grid", "trace", "eps_sweep", "monitor_lambdas"])
+    def test_removed_keys_rejected(self, tmp_path, config, key, value):
+        # each key once set a size, grid or list at its default; the same
+        # config without it runs
+        command = config["command"]
+        without = write(tmp_path, "ok.json", config)
+        assert main([command, "--config", without, "--out", str(tmp_path)]) == 0
+        cfg = write(tmp_path, "c.json", {**config, key: value})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_every_schema_key_is_read(self):
+        # a key the schema accepts but no command reads would be silently ignored
+        schema = json.loads((Path(cli.__file__).parent / "config_schema.json").read_text())
+        source = Path(cli.__file__).read_text()
+        props = schema["properties"]
+        keys = (list(props) + list(props["system"]["properties"])
+                + list(props["time"]["properties"]))
+        assert [k for k in keys if f'"{k}"' not in source] == []
 
 
 class TestSimulate:
@@ -177,7 +208,34 @@ class TestVerifyDuality:
                      "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "verify-duality.json").read_text())
         assert report["report"]["max_deviation"] < 1e-8
+        assert report["report"]["negative_control"] > 1e-8
         assert report["report"]["pass"] is True
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_negative_control_reads_other_point(self, tmp_path, n):
+        cfg = write(tmp_path, "dual.json", {
+            "command": "verify-duality", "seed": 11,
+            "system": {"kind": "P_II", "autonomous": True, "tau": 1.0},
+            "n": n, "g": 1.0, "t": 0.2,
+        })
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rep = json.loads((tmp_path / "verify-duality.json").read_text())["report"]
+        rng = np.random.default_rng(11)
+        pt = random_level_set_point(rng, n, 1.0, t=0.2)
+        other = random_level_set_point(rng, n, 1.0, t=0.2)
+        spec = cli.system_spec(json.loads(Path(cfg).read_text()))
+        assert rep["negative_control"] == spectral_match(spec, pt, other)[1]
+
+    def test_huge_time_fails_by_its_negative_control(self, tmp_path):
+        # tau = 1e300 swamps L: every curve, the unrelated one too, matches
+        cfg = write(tmp_path, "dual.json", {
+            "command": "verify-duality",
+            "system": {"kind": "P_II", "autonomous": True, "tau": 1e300},
+        })
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 1
+        rep = json.loads((tmp_path / "verify-duality.json").read_text())["report"]
+        assert rep["max_deviation"] == 0.0 and rep["negative_control"] == 0.0
+        assert rep["pass"] is False
 
 
 class TestSelfcheckDeterminism:
@@ -208,13 +266,11 @@ class TestOtherCommands:
             "system": {"kind": "HarmOsc", "omega": 1.0},
             "initial": {"reduced": {"positions": [1.0], "momenta": [2.0]}},
             "g": 1.0182,
-            "lambda_grid": {"values": [1.0, [0.0, 2.0]]},
         })
         assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rep = json.loads((tmp_path / "spectral.json").read_text())
-        assert len(rep["report"]["samples"]) == 2
-        coeffs = rep["report"]["samples"][0]["coeffs"]
-        assert coeffs[0] == [1.0, 0.0]
+        samples = json.loads((tmp_path / "spectral.json").read_text())["report"]["samples"]
+        assert [complex(*s["lambda"]) for s in samples] == default_lambda_grid()
+        assert all(s["coeffs"][0] == [1.0, 0.0] for s in samples)
 
     def test_spectral_without_lax_pair_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.json", {
@@ -228,7 +284,6 @@ class TestOtherCommands:
     def test_traces_command(self, tmp_path):
         cfg = write(tmp_path, "t.json", {
             "command": "traces", "seed": 5,
-            "trace": {"n_max": 4, "trials": 5, "max_even_l": 6},
         })
         assert main(["traces", "--config", cfg, "--out", str(tmp_path)]) == 0
         rep = json.loads((tmp_path / "traces.json").read_text())
@@ -243,8 +298,7 @@ class TestOtherCommands:
 
     def test_confluence_command(self, tmp_path):
         cfg = write(tmp_path, "c.json", {
-            "command": "confluence", "seed": 3,
-            "eps_sweep": [0.1, 0.05, 0.025], "conf_theta": 0.7,
+            "command": "confluence", "seed": 3, "conf_theta": 0.7,
             "n": 2, "g": 1.0,
         })
         assert main(["confluence", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -270,21 +324,18 @@ class TestOtherCommands:
 class TestRegistryAgreement:
     """The traces/mmkdv/confluence reports are the selfcheck entries."""
 
-    @pytest.mark.parametrize("command, config, check, sizes", [
-        ("traces", {"trace": {"n_max": 4, "trials": 5, "max_even_l": 6}},
-         selfcheck.check_appendix_traces, {"n_max": 4, "trials": 5, "max_l": 6}),
+    @pytest.mark.parametrize("command, config, check, point", [
+        ("traces", {}, selfcheck.check_appendix_traces, {}),
         ("mmkdv", {}, selfcheck.check_mmkdv, {}),
-        ("confluence", {"eps_sweep": [0.1, 0.05], "conf_theta": [0.5, 0.2],
-                        "n": 3, "g": 0.8},
-         selfcheck.check_confluence,
-         {"eps": [0.1, 0.05], "theta": 0.5 + 0.2j, "n": 3, "g": 0.8}),
+        ("confluence", {"conf_theta": [0.5, 0.2], "n": 3, "g": 0.8},
+         selfcheck.check_confluence, {"theta": 0.5 + 0.2j, "n": 3, "g": 0.8}),
     ], ids=["traces", "mmkdv", "confluence"])
     def test_cli_report_is_registry_entry(self, tmp_path, command, config,
-                                          check, sizes):
+                                          check, point):
         cfg = write(tmp_path, "c.json", {"command": command, "seed": 6, **config})
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         report = json.loads((tmp_path / f"{command}.json").read_text())["report"]
-        entry = check(np.random.default_rng(6), **sizes)
+        entry = check(np.random.default_rng(6), **point)
         assert code == (0 if entry["pass"] else 1)
         assert report.pop("seed") == 6
         assert report == json.loads(json.dumps(entry))

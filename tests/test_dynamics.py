@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cplab.dynamics import (CONTOUR_NODES, DIAGNOSTIC_CHUNK, contour_pushforward,
-                            dual_position_drift, equivariance_check, field_deviation,
-                            integrate, monitor_invariants, step_count)
+from cplab.dynamics import (CONTOUR_NODES, DIAGNOSTIC_CHUNK, MONITOR_LAMBDAS,
+                            contour_pushforward, dual_position_drift, equivariance_check,
+                            field_deviation, integrate, monitor_invariants, step_count)
 from cplab.errors import Overflow, ParticleCollision
 from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian, reduced_vector_field
 from cplab.lax import lax_pair
@@ -160,7 +160,7 @@ class TestMonitor:
         x0 = ReducedPoint(0.6 * np.array([-1.0, 0.0, 1.0]) + 0.05j,
                           0.2 * rng.normal(size=3), 0.3, 0.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=0.3)
-        rep = monitor_invariants(spec, traj, [1.0, 2.0j])
+        rep = monitor_invariants(spec, traj)
         assert rep["conservation_asserted"]
         assert max(rep["charpoly_drift"].values()) < 1e-6
         assert rep["moment_deviation_max"] < 1e-8
@@ -169,7 +169,7 @@ class TestMonitor:
         spec = spec_for(SystemKind.P_II)
         x0 = random_reduced(rng, 2, 1.0, spread=1.0, jitter=0.1)
         traj = integrate(spec, embed(x0), 0.0, 0.5, 1e-3, g=1.0)
-        rep = monitor_invariants(spec, traj, [1.0])
+        rep = monitor_invariants(spec, traj)
         assert not rep["conservation_asserted"]
         assert rep["moment_deviation_max"] < 1e-8
 
@@ -177,7 +177,7 @@ class TestMonitor:
         spec = spec_for(SystemKind.FREE)
         x0 = random_reduced(rng, 2, 1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-2, g=1.0)
-        rep = monitor_invariants(spec, traj, [1.0])
+        rep = monitor_invariants(spec, traj)
         assert max(rep["charpoly_drift"].values()) < 1e-12
         assert rep["energy_drift"] < 1e-12
 
@@ -223,15 +223,13 @@ def monitored():
 
 
 class TestStackedMonitor:
-    LAMS = (1.0, 2.0j, 0.7 - 0.4j)
-
     @pytest.mark.parametrize("case", ["matrix_autonomous", "reduced_q_slice",
                                       "reduced_p_slice", "matrix_nonautonomous",
                                       "reduced_nonautonomous"])
     def test_matches_per_state_charpoly(self, monitored, case):
         spec, traj, g = monitored[case]
-        rep = monitor_invariants(spec, traj, self.LAMS)
-        dev, drift = per_state_monitor(spec, traj, self.LAMS,
+        rep = monitor_invariants(spec, traj)
+        dev, drift = per_state_monitor(spec, traj, MONITOR_LAMBDAS,
                                        g if g is not None else traj.g)
         assert abs(rep["moment_deviation_max"] - dev) <= 1e-12
         assert rep["charpoly_drift"].keys() == drift.keys()
@@ -249,8 +247,8 @@ class TestStackedMonitor:
             return eigvals(a)
 
         monkeypatch.setattr(np.linalg, "eigvals", counting)
-        monitor_invariants(spec, traj, self.LAMS)
-        assert len(calls) == len(self.LAMS)
+        monitor_invariants(spec, traj)
+        assert len(calls) == len(MONITOR_LAMBDAS)
         assert all(shape[0] == len(traj.states) for shape in calls)
 
     def test_monitor_peak_memory_is_l_only(self):
@@ -260,7 +258,7 @@ class TestStackedMonitor:
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
         tracemalloc.start()
         try:
-            monitor_invariants(spec, traj, [1.0, 2.0j])
+            monitor_invariants(spec, traj)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -103,20 +103,22 @@ class TestStackedOracle:
             assert row[j] == trace_power_oracle(pos[0, 0], mom[0, 0], gv, l)
         assert row[1] == pytest.approx(row[0], rel=1e-12)  # even in g
 
-    def test_appendix_entry_is_independent_of_the_block(self, monkeypatch):
-        entry = selfcheck.check_appendix_traces(np.random.default_rng(3), trials=7)
-        rows = []
+    def test_appendix_entry_evaluates_one_stack_per_n(self, monkeypatch):
+        stacks = []
 
         def recording(positions, momenta, g, l):
-            rows.append(positions.shape[0] if positions.ndim == 2 else None)
+            stacks.append(positions)
             return trace_power_oracle(positions, momenta, g, l)
 
         monkeypatch.setattr(selfcheck, "trace_power_oracle", recording)
-        for block in (1, 3):
-            monkeypatch.setattr(selfcheck, "TRACE_BLOCK", block)
-            assert selfcheck.check_appendix_traces(np.random.default_rng(3), trials=7) == entry
-        # blocks of 1 and 3 rows, at l = 3 and 4, for each of the 8 particle numbers
-        assert rows == [1] * 7 * 2 * 8 + [3, 3, 3, 3, 1, 1] * 8
+        selfcheck.check_appendix_traces(np.random.default_rng(3))
+        # one 50-row stack per particle number, at l = 3 and 4, drawn in order n = 1..8
+        ref = np.random.default_rng(3)
+        assert len(stacks) == 2 * 8
+        for n in range(1, 9):
+            pos = selfcheck.appendix_trace_points(ref, n, 50)[0]
+            for got in stacks[2 * n - 2:2 * n]:
+                assert np.array_equal(got, pos)
 
 
 class TestClosedForms:
