@@ -23,7 +23,12 @@ The others are one-point calls, looped over the points:
   * spectral_match: `spectral_match` of the autonomous P_II curves of an
     embedded point and of its p-slice reduction, embedded, on the default
     20-point lambda grid, over POINTS // 10 of the points.
-Each entry times one loop over POINTS sampled points per n, in
+One layer times a whole flow:
+  * integrate_matrix / integrate_reduced: one `integrate` call of the P_II
+    flow over POINTS steps from the first point, turned onto the imaginary
+    axis about its mean (where the quartic potential confines), embedded
+    and on the q-slice, in microseconds per accepted step (`us_per_step`).
+Each other entry times one loop over POINTS sampled points per n, in
 microseconds per point (per point, kind and slice for the closed forms), on
 one BLAS thread.  The loops are timed in REPEATS rounds, each round running
 every loop of every layer and n once, so that a slow phase of the host
@@ -44,6 +49,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
+from cplab.dynamics import integrate  # noqa: E402
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_hamiltonian_oracle,
@@ -145,10 +151,15 @@ def call_loops(n: int, points: int) -> dict:
     def reduced_field(a, b, t):
         return reduced_vector_field(spec, a, b, G, t, sl)
 
+    def integrate_loop(start):
+        def loop():
+            integrate(spec, start, T, T + points * H, H, g=G)
+        return loop
+
     def step_loop(field, states):
         def loop():
             for y0, y1 in states:
-                rk4_step(field, y0, y1, T, H)
+                rk4_step(field, y0, y1, T, H, field(y0, y1, T))
         return loop
 
     curve_spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
@@ -168,6 +179,9 @@ def call_loops(n: int, points: int) -> dict:
     }
     timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
     timed["spectral_match", "us_per_call"] = (match_loop, len(curves))
+    flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
+    timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)
+    timed["integrate_reduced", "us_per_step"] = (integrate_loop(flow_start), points)
     return timed
 
 
@@ -194,7 +208,8 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
               for layer, rows in layers.items()}
     return {
         "unit": "us per point (per point, kind and slice for closed_form_oracle; "
-                "per call for the us_per_call layers)",
+                "per call for the us_per_call layers; per accepted step for the "
+                "us_per_step layers)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n; one process, "
                   "one BLAS thread",

@@ -166,23 +166,13 @@ def write_trajectory_csv(traj, out_dir: Path, name: str) -> Path:
     path = out_dir / name
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        first = traj.states[0]
-        if isinstance(first, ReducedPoint):
-            def flatten(s):
-                return np.concatenate([s.positions, s.momenta])
-        else:
-            def flatten(s):
-                return np.concatenate([s.q.ravel(), s.p.ravel()])
-        k = flatten(first).size
-        header = ["t"]
-        for i in range(1, k + 1):
-            header += [f"re(x_{i})", f"im(x_{i})"]
-        writer.writerow(header)
-        for t, s in zip(traj.times, traj.states):
-            row = [repr(float(t))]
-            for z in flatten(s):
-                row += [repr(float(z.real)), repr(float(z.imag))]
-            writer.writerow(row)
+        st = traj.states
+        rows = np.concatenate([st.a.reshape(len(st), -1), st.b.reshape(len(st), -1)], axis=1)
+        writer.writerow(["t"] + [f"{part}(x_{i})" for i in range(1, rows.shape[1] + 1)
+                                 for part in ("re", "im")])
+        # a complex row viewed as floats reads re, im of each entry in turn
+        writer.writerows([repr(t)] + [repr(v) for v in row]
+                         for t, row in zip(traj.times.tolist(), rows.view(float).tolist()))
     return path
 
 

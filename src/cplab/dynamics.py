@@ -15,8 +15,8 @@ from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
 from .lax import charpoly_coefficients, lax_l
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
-from .reduction import ReducedPoint, Slice, embedded_matrices, match_permutation, \
-    pair_differences, resolve_at_slice
+from .reduction import ReducedPoint, Slice, embedded_matrices, guarded_differences, \
+    match_permutation, pair_differences, resolve_at_slice
 
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
@@ -33,16 +33,48 @@ MONITOR_LAMBDAS = (1 + 0j, 2j)
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Times, states, and per-step diagnostics of one integration."""
+    """Times, states (States, or a list of points), and per-step diagnostics of a flow."""
 
     times: np.ndarray
-    states: list
+    states: States | list
     diagnostics: dict = field(default_factory=dict)
     g: float | None = None
 
     @property
     def final(self):
         return self.states[-1]
+
+
+class States:
+    """A flow's states as arrays a, b of shape (len(times),) + start shape: its stored pair.
+
+    An index builds a validated point (with a reduced start's g and slice),
+    a slice a list of them; the states compare with a list as their points.
+    """
+
+    def __init__(self, start, times: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.start, self.times, self.a, self.b = start, times, a, b
+
+    def __len__(self):
+        return len(self.times)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(len(self))[i]]
+        x, a, b, t = self.start, self.a[i], self.b[i], self.times[i]
+        if isinstance(x, MatrixPhasePoint):
+            return MatrixPhasePoint(a, b, t)
+        return ReducedPoint(a, b, x.g, t, x.slice)
+
+    def __eq__(self, other):
+        return list(self) == other
+
+    def matrices(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """(q, p) of the states in rows as (k, n, n) stacks; reduced states embedded."""
+        a, b, x = self.a[rows], self.b[rows], self.start
+        if isinstance(x, MatrixPhasePoint):
+            return a, b
+        return embedded_matrices(a, b, x.g, x.slice)
 
 
 def step_count(t0: float, t1: float, h: float) -> int:
@@ -63,99 +95,78 @@ def step_count(t0: float, t1: float, h: float) -> int:
 
 def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
               g: float | None = None) -> Trajectory:
-    """Classical RK4 from t0 to t1.
+    """Classical RK4 from t0 to t1, recorded as States arrays; no point is built.
 
     The requested step is shrunk to the nearest exact divisor of the
-    interval so the endpoint lands on t1 with uniform steps.  Stages run on
-    plain arrays under one floating-point error state; a point is built
-    once per accepted step, after the overflow check, which the start state
-    passes too.  Collisions are caught where they are guarded: in the
-    reduced vector field at every stage and in ReducedPoint at every step.
+    interval so the endpoint lands on t1 with uniform steps.  A state is
+    recorded after the overflow check and, if reduced, one collision guard:
+    the stage-1 field evaluation that reads it (handed to rk4_step), or
+    guarded_differences for the final state; the field guards stages 2-4.
     An Overflow or ParticleCollision leaves with the partial trajectory as
-    its `partial`.  Energies and moment deviations are evaluated over the
-    stacked (embedded) states of the finished or partial trajectory,
-    DIAGNOSTIC_CHUNK states at a time.
+    its `partial`.  Energies and moment deviations are evaluated
+    DIAGNOSTIC_CHUNK embedded states at a time.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
-
     if isinstance(start, MatrixPhasePoint):
-        q, p = start.q.copy(), start.p.copy()
-
         def rhs(q, p, t):
             return matrix_vector_field(spec, q, p, t)
-
-        def point(q, p, t):
-            return MatrixPhasePoint(q, p, t)
+        q, p = start.q, start.p
     else:
-        q, p = start.positions.copy(), start.momenta.copy()
-
         def rhs(a, b, t):
             return reduced_vector_field(spec, a, b, start.g, t, start.slice)
-
-        def point(a, b, t):
-            return ReducedPoint(a, b, start.g, t, start.slice)
+        q, p = start.positions, start.momenta
 
     g_monitor = g if g is not None else getattr(start, "g", None)
-    times, states = [], []
+    a, b = np.empty((2, steps + 1) + q.shape, dtype=complex)
 
-    def so_far():
+    def so_far(m):
+        states = States(start, t0 + np.arange(m) * h, a[:m], b[:m])
         energy, deviation = [np.array([])], [np.array([])]
-        for i in range(0, len(states), DIAGNOSTIC_CHUNK):
-            q, p = stacked_matrices(states[i:i + DIAGNOSTIC_CHUNK])
-            T = spec.time(np.array(times[i:i + DIAGNOSTIC_CHUNK]))
-            energy.append(trace_hamiltonian(spec, q, p, T))
+        for i in range(0, m, DIAGNOSTIC_CHUNK):
+            rows = slice(i, i + DIAGNOSTIC_CHUNK)
+            q, p = states.matrices(rows)
+            energy.append(trace_hamiltonian(spec, q, p, spec.time(states.times[rows])))
             deviation.append(moment_deviation(q, p, g_monitor))
         diagnostics = {"energy": np.concatenate(energy),
                        "moment_deviation": np.concatenate(deviation)}
-        return Trajectory(np.array(times), states, diagnostics, g_monitor)
+        return Trajectory(states.times, states, diagnostics, g_monitor)
 
-    t = t0
     try:
         # a stage may overflow; the state check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps + 1):
                 if k > 0:
-                    q, p = rk4_step(rhs, q, p, t, h)
-                    t = t0 + k * h
+                    q, p = rk4_step(rhs, q, p, t, h, k1)
+                t = t0 + k * h
                 norm = max(float(np.abs(q).max()), float(np.abs(p).max()))
                 if not np.isfinite(norm):
                     raise Overflow(f"non-finite state at t={t:.6g}")
                 if norm > OVERFLOW_NORM:
                     raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}")
-                state = point(q, p, t)
-                times.append(t)
-                states.append(state)
+                if k < steps:
+                    k1 = rhs(q, p, t)
+                elif isinstance(start, ReducedPoint):
+                    guarded_differences(q)
+                a[k], b[k] = q, p
     except (Overflow, ParticleCollision) as exc:
-        exc.partial = so_far()
+        exc.partial = so_far(k)  # states 0 .. k - 1
         raise
-    return so_far()
-
-
-def stacked_matrices(states: list) -> tuple[np.ndarray, np.ndarray]:
-    """(q, p) of a non-empty list of points as (len(states), n, n) arrays.
-
-    Reduced points are embedded at their slice, all in one array expression.
-    """
-    if isinstance(states[0], MatrixPhasePoint):
-        return np.array([s.q for s in states]), np.array([s.p for s in states])
-    x = states[0]
-    return embedded_matrices(np.array([s.positions for s in states]),
-                             np.array([s.momenta for s in states]), x.g, x.slice)
+    return so_far(steps + 1)
 
 
 def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     """Per-step moment-map deviation and char-poly coefficient drift at MONITOR_LAMBDAS.
 
     The moment deviations and energies are the trajectory's own
-    diagnostics (against its coupling traj.g).  The states are stacked
+    diagnostics (against its coupling traj.g).  The states are embedded
     once; each lambda costs one Lax build over the stack and one batched
     eigensolve.  For autonomous specs the drifts are conserved-quantity
     checks; for non-autonomous ones they are reported as diagnostics only.
     """
     if not traj.states:
         raise ValueError("empty trajectory")
-    q, p = stacked_matrices(traj.states)
+    q, p = traj.states.matrices()
     T = spec.time(traj.times)
 
     report: dict = {"autonomous": spec.autonomous,
@@ -232,9 +243,8 @@ def dual_position_drift(traj: Trajectory) -> float:
     Along the free reduced flow these are the action variables: positions
     of the dual system, constant while the reduced positions move.
     """
-    x = traj.states[0]
-    q, p = stacked_matrices(traj.states)
-    partner = p if x.slice is Slice.Q_DIAG else q
+    q, p = traj.states.matrices()
+    partner = p if traj.states.start.slice is Slice.Q_DIAG else q
     eigs = np.sort_complex(np.linalg.eigvals(partner))
     later = eigs[1:]
     perm = match_permutation(np.broadcast_to(eigs[0], later.shape), later)

@@ -11,8 +11,8 @@ equations are qdot = G_p, pdot = -G_q.  On the p-diagonal slice the stored
 (positions, momenta) are canonically conjugate with the roles swapped
 (omega = sum dI ^ dphi), which the reduced vector field accounts for.
 
-The vector fields and the RK4 step work on plain arrays: flows build a
-point only where they hand one out.
+The vector fields and the RK4 step work on plain arrays, and a flow
+records its states as arrays: no point is built at a stage or a step.
 """
 from __future__ import annotations
 
@@ -88,10 +88,10 @@ def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float
     return gp, -gq
 
 
-def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float) -> tuple:
-    """One classical RK4 step of (q, p)' = field(q, p, t); returns the new (q, p)."""
+def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float, k1) -> tuple:
+    """One RK4 step of (q, p)' = field(q, p, t) given k1 = field(q, p, t); the new (q, p)."""
     half = h / 2
-    k1q, k1p = field(q, p, t)
+    k1q, k1p = k1
     k2q, k2p = field(q + half * k1q, p + half * k1p, t + half)
     k3q, k3p = field(q + half * k2q, p + half * k2p, t + half)
     k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)

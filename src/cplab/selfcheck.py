@@ -257,7 +257,7 @@ def check_ruijsenaars(rng):
                         mom_scale=0.5)
     traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 1.0, 1e-3)
     drift = dual_position_drift(traj)
-    moved = float(np.abs(traj.final.positions - x0.positions).max())
+    moved = float(np.abs(traj.states.a[-1] - x0.positions).max())
     return _check("ruijsenaars_demo", "dual_position_drift on free flow", 1e-8,
                   drift, drift < 1e-8 and moved > 0.1, positions_moved=moved)
 

@@ -3,8 +3,8 @@
 bench/tracer.py is loaded by path and only read, and bench/workloads.py is
 parsed, not imported: a refactor that renames or deletes a traced function
 or a counted point class, or changes what the workloads read of a Lax pair,
-of spectral_match or of the selfcheck battery, fails here instead of in a
-benchmark run.
+of spectral_match, of a trajectory or of the selfcheck battery, fails here
+instead of in a benchmark run.
 """
 import ast
 import importlib
@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from cplab import selfcheck
+from cplab.dynamics import integrate
 from cplab.lax import lax_pair, reduced_lax, spectral_match
 from cplab.phase import SystemKind
 from cplab.reduction import embed
@@ -89,3 +90,29 @@ def test_selfcheck_battery_is_named_as_the_bench_names_it():
              for fn in selfcheck.ALL_CHECKS]
     assert len(names) == 15
     assert names == [tuple(pair) for pair in expected]
+
+
+@pytest.mark.parametrize("form", ["matrix", "reduced"])
+def test_flow_reads_of_a_trajectory(form):
+    # the flow workload reads len(states), times[-1], states[0] and the
+    # fields of states[::10] + [final]: points of the start's class
+    h, steps = workloads_constant("FLOW_STEPS")[3]
+    x0 = selfcheck.tame_flow_start()
+    start = embed(x0) if form == "matrix" else x0
+    t1 = h * steps
+    traj = integrate(spec_for(SystemKind.P_II, autonomous=True, tau=1.0), start,
+                     0.0, t1, h, g=x0.g)
+    assert len(traj.states) == steps + 1 and abs(traj.times[-1] - t1) <= 1e-12
+    points = traj.states[::10] + [traj.final]
+    assert type(points) is list
+    assert [type(s) for s in points] == [type(start)] * len(points)
+    names = ("q", "p") if form == "matrix" else ("positions", "momenta")
+    rows = list(range(0, steps + 1, 10)) + [steps]
+    for k, s in zip(rows, points):
+        for name, record in zip(names, (traj.states.a, traj.states.b)):
+            assert getattr(s, name).tobytes() == record[k].tobytes()
+        assert s.t == traj.times[k]
+        if form == "reduced":
+            assert (s.g, s.slice) == (x0.g, x0.slice)
+    assert all(getattr(points[0], name).tobytes() == getattr(start, name).tobytes()
+               for name in names)

@@ -132,19 +132,22 @@ class TestIntegrate:
         assert partial.g == start.g
 
     def test_collision_in_accepted_state_keeps_times_and_states_paired(self, monkeypatch):
-        # the fourth accepted state fails the ReducedPoint guard itself; a
-        # non-autonomous kind evaluates energies at the partial's times
-        import cplab.dynamics as dynamics
-        real, calls = dynamics.ReducedPoint, []
+        # the guard of the fourth accepted state fails: one-row guard calls
+        # 1, 5, 9 and 13 are the stage-1 field evaluations that read the
+        # accepted states, the others guard stage states; a non-autonomous
+        # kind evaluates energies at the partial's times
+        import cplab.reduction as reduction
+        real, calls = reduction.guarded_differences, []
 
-        def guarded(*args):
-            calls.append(args)
-            if len(calls) == 4:
-                raise ParticleCollision("particle gap below threshold")
-            return real(*args)
+        def guarded(x):
+            if x.ndim == 1:
+                calls.append(x)
+                if len(calls) == 13:
+                    raise ParticleCollision("particle gap below threshold")
+            return real(x)
 
         start = ReducedPoint([-1.0, 1.0], [0.0, 0.0], 0.3)
-        monkeypatch.setattr(dynamics, "ReducedPoint", guarded)
+        monkeypatch.setattr(reduction, "guarded_differences", guarded)
         with pytest.raises(ParticleCollision) as exc_info:
             integrate(spec_for(SystemKind.P_II), start, 0.0, 1.0, 0.1)
         partial = exc_info.value.partial
@@ -435,8 +438,8 @@ class TestRuijsenaars:
         assert dual_position_drift(traj) == loop > 0
 
 
-class TestPointsAtStepBoundaries:
-    """Stages run on arrays: integrate builds one point per step, plus t0."""
+class TestArrayRecord:
+    """Stages and steps run on arrays: integrate builds no point, states one per read."""
 
     @staticmethod
     def _count_constructions(monkeypatch):
@@ -449,12 +452,34 @@ class TestPointsAtStepBoundaries:
         return counts
 
     @pytest.mark.parametrize("form", ["matrix", "reduced"])
-    def test_one_point_per_step(self, monkeypatch, rng, form):
+    def test_points_are_built_on_access_only(self, monkeypatch, rng, form):
         spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
         x0 = random_reduced(rng, 3, 1.0, mom_scale=0.5)
         start = embed(x0) if form == "matrix" else x0
         counts = self._count_constructions(monkeypatch)
         traj = integrate(spec, start, 0.0, 0.05, 1e-2, g=1.0)
         assert len(traj.states) == 6
-        assert len(counts) == len(traj.states)
+        assert counts == []
+        assert isinstance(traj.final, type(start)) and len(counts) == 1
+        points = list(traj.states)
+        assert len(counts) == 1 + len(points) == 7
         assert set(counts) == {type(start).__name__}
+
+    def test_each_reduced_state_is_guarded_once(self, monkeypatch):
+        # 10 steps: 40 field evaluations, each stage 1 the guard of the state
+        # it reads, one guard of the final state, and one stacked call as the
+        # diagnostics embed the 11 states
+        import cplab.dynamics as dynamics
+        import cplab.reduction as reduction
+        real, rows = reduction.guarded_differences, []
+
+        def counting(x):
+            rows.append(x.shape[:-1])
+            return real(x)
+
+        x0 = random_reduced(np.random.default_rng(0), 3, 1.0, mom_scale=0.5)
+        for module in (reduction, dynamics):
+            monkeypatch.setattr(module, "guarded_differences", counting)
+        integrate(spec_for(SystemKind.P_II), x0, 0.0, 0.1, 1e-2)
+        assert rows.count(()) == 41
+        assert [r for r in rows if r] == [(11,)]

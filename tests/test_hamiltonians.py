@@ -124,7 +124,11 @@ class TestRK4Step:
     def test_linear_field_gives_the_degree_4_taylor_polynomial(self):
         lam_q, lam_p, h = -0.7 + 0.4j, 1.3 - 0.2j, 0.1
         q0, p0 = np.array([1.0 + 0.5j, -2.0]), np.array([0.3j])
-        q, p = rk4_step(lambda q, p, t: (lam_q * q, lam_p * p), q0, p0, 0.2, h)
+
+        def field(q, p, t):
+            return lam_q * q, lam_p * p
+
+        q, p = rk4_step(field, q0, p0, 0.2, h, field(q0, p0, 0.2))
         for y, y0, lam in ((q, q0, lam_q), (p, p0, lam_p)):
             z = lam * h
             expected = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) * y0
@@ -139,7 +143,8 @@ class TestRK4Step:
             times.append(t)
             return np.full_like(q, t ** 3), np.full_like(p, -t ** 3)
 
-        q, p = rk4_step(field, np.array([2.0]), np.array([-1.0, 0.5]), 1.0, 3.0)
+        q0, p0 = np.array([2.0]), np.array([-1.0, 0.5])
+        q, p = rk4_step(field, q0, p0, 1.0, 3.0, field(q0, p0, 1.0))
         assert times == [1.0, 2.5, 2.5, 4.0]
         assert q.tolist() == [2.0 + 63.75]  # (4^4 - 1^4) / 4
         assert p.tolist() == [-1.0 - 63.75, 0.5 - 63.75]
