@@ -26,6 +26,7 @@ import numpy as np
 
 from .dynamics import integrate, monitor_invariants, step_count
 from .errors import CplabError, ConfigError, DimensionMismatch, UnsupportedSystem
+from .hamiltonians import trace_hamiltonian
 from .lax import (SPECTRAL_TOL, default_lambda_grid, spectral_duality, spectral_match,
                   spectral_table)
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
@@ -38,10 +39,17 @@ from .selfcheck import (check_appendix_traces, check_confluence, check_mmkdv,
 # config handling
 # ---------------------------------------------------------------------------
 
-def _schema() -> dict:
-    text = importlib.resources.files("cplab").joinpath("config_schema.json") \
-        .read_text()
-    return json.loads(text)
+def _validate(cfg) -> None:
+    """Check cfg against config_schema.json; an integer is an int, not 3.0."""
+    schema = json.loads(importlib.resources.files("cplab")
+                        .joinpath("config_schema.json").read_text())
+    base = jsonschema.Draft202012Validator
+    ints = base.TYPE_CHECKER.redefine(
+        "integer", lambda _, x: isinstance(x, int) and not isinstance(x, bool))
+    try:
+        jsonschema.validators.extend(base, type_checker=ints)(schema).validate(cfg)
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config rejected: {exc.message}") from exc
 
 
 def _finite(parse):
@@ -60,10 +68,7 @@ def load_config(path: str, command: str) -> dict:
                             parse_constant=_finite(float))
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config rejected: {exc.message}") from exc
+    _validate(cfg)
     if cfg["command"] != command:
         raise ConfigError(
             f"config command {cfg['command']!r} does not match subcommand "
@@ -192,12 +197,14 @@ def cmd_simulate(cfg, rng, out):
     start = initial_state(cfg, rng)
     traj = integrate(spec, start, tm["t0"], tm["t1"], tm["h"],
                      g=cfg.get("g"))
+    q, p = traj.states.matrices([0, -1])
+    energy = trace_hamiltonian(spec, q, p, spec.time(traj.times[[0, -1]]))
     report = {
         "operation": "integrate (RK4, fixed step)",
         "steps": len(traj.times) - 1,
         "final_time": traj.times[-1],
-        "energy_initial": traj.diagnostics["energy"][0],
-        "energy_final": traj.diagnostics["energy"][-1],
+        "energy_initial": energy[0],
+        "energy_final": energy[1],
     }
     if spec.kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
         report["invariants"] = monitor_invariants(spec, traj)
@@ -296,6 +303,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.command)
         if args.seed is not None:
             cfg["seed"] = args.seed
+            _validate(cfg)
         rng = np.random.default_rng(cfg.get("seed", 0))
         report, ok = COMMANDS[args.command](cfg, rng, Path(args.out))
     except (ConfigError, UnsupportedSystem) as exc:

@@ -6,7 +6,7 @@ non-autonomous stage evaluates the field at its stage time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,20 +24,16 @@ OVERFLOW_NORM = 1e12
 # first has converged
 CONTOUR_NODES = (32, 64)
 CONTOUR_RADIUS = 0.1  # contour radius, in (smallest particle gap) / max(1, max|V|)
-# states per stacked diagnostic evaluation: bounds the (chunk, n, n) stacks of
-# a long flow's energies and moment deviations
-DIAGNOSTIC_CHUNK = 64
 # spectral parameters of monitor_invariants; a drift is reported under str(lambda)
 MONITOR_LAMBDAS = (1 + 0j, 2j)
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Times, states (States, or a list of points), and per-step diagnostics of a flow."""
+    """Times, states (States or a list of points) and the monitored coupling g of a flow."""
 
     times: np.ndarray
     states: States | list
-    diagnostics: dict = field(default_factory=dict)
     g: float | None = None
 
     @property
@@ -49,7 +45,7 @@ class States:
     """A flow's states as arrays a, b of shape (len(times),) + start shape: its stored pair.
 
     An index builds a validated point (with a reduced start's g and slice),
-    a slice a list of them; the states compare with a list as their points.
+    a slice a list of them.
     """
 
     def __init__(self, start, times: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -65,9 +61,6 @@ class States:
         if isinstance(x, MatrixPhasePoint):
             return MatrixPhasePoint(a, b, t)
         return ReducedPoint(a, b, x.g, t, x.slice)
-
-    def __eq__(self, other):
-        return list(self) == other
 
     def matrices(self, rows=slice(None)) -> tuple[np.ndarray, np.ndarray]:
         """(q, p) of the states in rows as (k, n, n) stacks; reduced states embedded."""
@@ -102,9 +95,10 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     recorded after the overflow check and, if reduced, one collision guard:
     the stage-1 field evaluation that reads it (handed to rk4_step), or
     guarded_differences for the final state; the field guards stages 2-4.
-    An Overflow or ParticleCollision leaves with the partial trajectory as
-    its `partial`.  Energies and moment deviations are evaluated
-    DIAGNOSTIC_CHUNK embedded states at a time.
+    An Overflow or ParticleCollision leaves with the recorded prefix as its
+    `partial`.  Nothing is evaluated on the record: its readers (monitors,
+    reports) embed what they read.  g, else the start's coupling, is kept
+    as the trajectory's g.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
@@ -117,20 +111,12 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
             return reduced_vector_field(spec, a, b, start.g, t, start.slice)
         q, p = start.positions, start.momenta
 
-    g_monitor = g if g is not None else getattr(start, "g", None)
+    g = g if g is not None else getattr(start, "g", None)
     a, b = np.empty((2, steps + 1) + q.shape, dtype=complex)
 
     def so_far(m):
-        states = States(start, t0 + np.arange(m) * h, a[:m], b[:m])
-        energy, deviation = [np.array([])], [np.array([])]
-        for i in range(0, m, DIAGNOSTIC_CHUNK):
-            rows = slice(i, i + DIAGNOSTIC_CHUNK)
-            q, p = states.matrices(rows)
-            energy.append(trace_hamiltonian(spec, q, p, spec.time(states.times[rows])))
-            deviation.append(moment_deviation(q, p, g_monitor))
-        diagnostics = {"energy": np.concatenate(energy),
-                       "moment_deviation": np.concatenate(deviation)}
-        return Trajectory(states.times, states, diagnostics, g_monitor)
+        times = t0 + np.arange(m) * h
+        return Trajectory(times, States(start, times, a[:m], b[:m]), g)
 
     try:
         # a stage may overflow; the state check below reports it
@@ -156,11 +142,11 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
 
 
 def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
-    """Per-step moment-map deviation and char-poly coefficient drift at MONITOR_LAMBDAS.
+    """Per-step moment-map deviation, energy drift and char-poly drift at MONITOR_LAMBDAS.
 
-    The moment deviations and energies are the trajectory's own
-    diagnostics (against its coupling traj.g).  The states are embedded
-    once; each lambda costs one Lax build over the stack and one batched
+    The states are embedded once; that stack gives the energies
+    (trace_hamiltonian), the moment deviations (against the trajectory's
+    coupling traj.g), and for each lambda one Lax build and one batched
     eigensolve.  For autonomous specs the drifts are conserved-quantity
     checks; for non-autonomous ones they are reported as diagnostics only.
     """
@@ -172,15 +158,15 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     report: dict = {"autonomous": spec.autonomous,
                     "conservation_asserted": bool(spec.autonomous),
                     "moment_deviation_max":
-                        float(traj.diagnostics["moment_deviation"].max())}
+                        float(moment_deviation(q, p, traj.g).max())}
     drift = {}
     for lam in MONITOR_LAMBDAS:
         coeffs = charpoly_coefficients(lax_l(spec, q, p, T, lam))
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
     report["charpoly_drift"] = drift
-    report["energy_drift"] = float(np.abs(traj.diagnostics["energy"]
-                                          - traj.diagnostics["energy"][0]).max())
+    energy = trace_hamiltonian(spec, q, p, T)
+    report["energy_drift"] = float(np.abs(energy - energy[0]).max())
     return report
 
 
@@ -242,9 +228,13 @@ def dual_position_drift(traj: Trajectory) -> float:
 
     Along the free reduced flow these are the action variables: positions
     of the dual system, constant while the reduced positions move.
+    Raises TypeError unless the flow starts at a ReducedPoint.
     """
+    start = traj.states.start
+    if not isinstance(start, ReducedPoint):
+        raise TypeError(f"expected a flow from a reduced point, got {type(start)!r}")
     q, p = traj.states.matrices()
-    partner = p if traj.states.start.slice is Slice.Q_DIAG else q
+    partner = p if start.slice is Slice.Q_DIAG else q
     eigs = np.sort_complex(np.linalg.eigvals(partner))
     later = eigs[1:]
     perm = match_permutation(np.broadcast_to(eigs[0], later.shape), later)

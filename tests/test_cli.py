@@ -76,6 +76,19 @@ class TestConfigHandling:
         assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
         assert "is not a finite float" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, flags", [
+        ({"command": "selfcheck"}, ["--seed", "-1"]),
+        ({"command": "selfcheck", "seed": 3.0}, []),
+        ({"command": "verify-duality", "system": {"kind": "P_II"}, "n": 3.0}, []),
+    ], ids=["seed_flag_negative", "seed_float", "n_float"])
+    def test_integer_inputs_are_validated(self, tmp_path, capsys, config, flags):
+        # the --seed override meets the schema's minimum, and JSON Schema's
+        # integer type (which counts 3.0) is narrowed to ints
+        cfg = write(tmp_path, "c.json", config)
+        command = config["command"]
+        assert main([command, "--config", cfg, "--out", str(tmp_path)] + flags) == 2
+        assert "config rejected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", ["level_set", "reduce", "duality"])
     def test_unread_tolerances_rejected(self, tmp_path, key):
         # the duality gate is lax.SPECTRAL_TOL: no tolerance is settable

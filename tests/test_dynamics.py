@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cplab.dynamics import (CONTOUR_NODES, DIAGNOSTIC_CHUNK, MONITOR_LAMBDAS,
-                            contour_pushforward, dual_position_drift, equivariance_check,
+from cplab.dynamics import (CONTOUR_NODES, MONITOR_LAMBDAS, contour_pushforward,
+                            dual_position_drift, equivariance_check,
                             field_deviation, integrate, monitor_invariants, step_count)
 from cplab.errors import Overflow, ParticleCollision
-from cplab.hamiltonians import matrix_hamiltonian, reduced_hamiltonian, reduced_vector_field
+from cplab.hamiltonians import (matrix_hamiltonian, reduced_hamiltonian,
+                                reduced_vector_field, trace_hamiltonian)
 from cplab.lax import lax_pair
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
-                         moment_map)
+                         moment_deviation, moment_map)
 from cplab.reduction import (ReducedPoint, Slice, dual_of, embed, match_permutation,
                              matrix_point, permuted_deviation, reduce)
 from cplab.sampling import random_reduced, spec_for
@@ -72,9 +73,7 @@ class TestIntegrate:
     def test_autonomous_energy_conserved(self):
         spec = SystemSpec(SystemKind.P_II, autonomous=True, tau=0.0, theta=0.0)
         traj = integrate(spec, MatrixPhasePoint([[0.0]], [[1.0]]), 0.0, 1.0, 1e-3)
-        drift = np.abs(traj.diagnostics["energy"]
-                       - traj.diagnostics["energy"][0]).max()
-        assert drift < 1e-9
+        assert monitor_invariants(spec, traj)["energy_drift"] < 1e-9
 
     def test_reduced_and_matrix_agree_scalar(self):
         # n=1: both paths integrate the same scalar ODE
@@ -91,11 +90,10 @@ class TestIntegrate:
         partial = exc_info.value.partial
         assert partial is not None
         assert len(partial.states) >= 1
-        # every accepted step is kept with its diagnostics, all finite
-        assert len(partial.times) == len(partial.diagnostics["energy"]) \
-            == len(partial.diagnostics["moment_deviation"]) == len(partial.states)
+        # every accepted step is kept with its time, all finite
+        assert len(partial.times) == len(partial.states)
         assert np.allclose(partial.times, np.arange(len(partial.states)) * 1e-2)
-        assert np.isfinite(partial.diagnostics["energy"]).all()
+        assert np.isfinite(partial.states.a).all() and np.isfinite(partial.states.b).all()
         assert np.geterr() == errstate  # the error state is restored on the way out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -113,7 +111,7 @@ class TestIntegrate:
         spec = SystemSpec(SystemKind.P_II)
         with pytest.raises(Overflow, match="exceeds") as exc_info:
             integrate(spec, MatrixPhasePoint([[q0]], [[0.0]]), 0.0, 1.0, 0.5)
-        assert exc_info.value.partial.states == []
+        assert len(exc_info.value.partial.states) == 0
 
     def test_collision_guard_on_construction(self):
         with pytest.raises(ParticleCollision):
@@ -127,15 +125,13 @@ class TestIntegrate:
         partial = exc_info.value.partial
         assert np.allclose(partial.times, [0.0, 0.1, 0.2, 0.3, 0.4])
         assert len(partial.states) == 5
-        assert len(partial.diagnostics["energy"]) == 5
-        assert len(partial.diagnostics["moment_deviation"]) == 5
         assert partial.g == start.g
 
     def test_collision_in_accepted_state_keeps_times_and_states_paired(self, monkeypatch):
         # the guard of the fourth accepted state fails: one-row guard calls
         # 1, 5, 9 and 13 are the stage-1 field evaluations that read the
-        # accepted states, the others guard stage states; a non-autonomous
-        # kind evaluates energies at the partial's times
+        # accepted states, the others guard stage states; a reader of a
+        # non-autonomous kind evaluates energies at the partial's times
         import cplab.reduction as reduction
         real, calls = reduction.guarded_differences, []
 
@@ -147,14 +143,14 @@ class TestIntegrate:
             return real(x)
 
         start = ReducedPoint([-1.0, 1.0], [0.0, 0.0], 0.3)
+        spec = spec_for(SystemKind.P_II)
         monkeypatch.setattr(reduction, "guarded_differences", guarded)
         with pytest.raises(ParticleCollision) as exc_info:
-            integrate(spec_for(SystemKind.P_II), start, 0.0, 1.0, 0.1)
+            integrate(spec, start, 0.0, 1.0, 0.1)
         partial = exc_info.value.partial
         assert len(partial.times) == len(partial.states) == 3
         assert np.allclose(partial.times, [0.0, 0.1, 0.2])
-        assert len(partial.diagnostics["energy"]) == 3
-        assert np.isfinite(partial.diagnostics["energy"]).all()
+        assert np.isfinite(monitor_invariants(spec, partial)["energy_drift"])
 
 
 class TestMonitor:
@@ -186,17 +182,18 @@ class TestMonitor:
 
 
 def per_state_monitor(spec, traj, lams, g):
-    """The monitor as a loop over states: embed, lax_pair, np.poly of eigvals."""
+    """The monitor as a loop over states: embed, Tr H, lax_pair, np.poly of eigvals."""
     points = [matrix_point(s) for s in traj.states]
     target = 0.0 if g is None else level_set_target(points[0].n, g)
     dev = max(float(np.abs(moment_map(pt) - target).max()) for pt in points)
+    energy = np.array([matrix_hamiltonian(spec, pt) for pt in points])
     drift = {}
     for lam in lams:
         coeffs = np.array([np.poly(np.linalg.eigvals(lax_pair(spec, pt, lam).L))
                            for pt in points])
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
-    return dev, drift
+    return dev, drift, float(np.abs(energy - energy[0]).max())
 
 
 def monitor_cases():
@@ -232,9 +229,10 @@ class TestStackedMonitor:
     def test_matches_per_state_charpoly(self, monitored, case):
         spec, traj, g = monitored[case]
         rep = monitor_invariants(spec, traj)
-        dev, drift = per_state_monitor(spec, traj, MONITOR_LAMBDAS,
-                                       g if g is not None else traj.g)
+        dev, drift, energy_drift = per_state_monitor(spec, traj, MONITOR_LAMBDAS,
+                                                     g if g is not None else traj.g)
         assert abs(rep["moment_deviation_max"] - dev) <= 1e-12
+        assert abs(rep["energy_drift"] - energy_drift) <= 1e-12
         assert rep["charpoly_drift"].keys() == drift.keys()
         for lam in drift:
             assert abs(rep["charpoly_drift"][lam] - drift[lam]) <= 1e-12, lam
@@ -279,9 +277,12 @@ class TestStackedMonitor:
 
 
 class TestBatchedDiagnostics:
+    """The readers' stacked energies and moment deviations of a record, state by state."""
+
     @staticmethod
     def _assert_per_state(spec, traj, g):
-        energy = traj.diagnostics["energy"]
+        q, p = traj.states.matrices()
+        energy = trace_hamiltonian(spec, q, p, spec.time(traj.times))
         assert len(energy) == len(traj.states)
         matrix_states = isinstance(traj.states[0], MatrixPhasePoint)
         hamiltonian = matrix_hamiltonian if matrix_states else reduced_hamiltonian
@@ -290,7 +291,7 @@ class TestBatchedDiagnostics:
         target = level_set_target(traj.states[0].n, g)
         ref_dev = [np.abs(moment_map(matrix_point(s)) - target).max()
                    for s in traj.states]
-        assert np.array_equal(traj.diagnostics["moment_deviation"], ref_dev)
+        assert np.array_equal(moment_deviation(q, p, g), ref_dev)
 
     @pytest.mark.parametrize("kind", list(SystemKind))
     @pytest.mark.parametrize("autonomous", [False, True])
@@ -303,18 +304,9 @@ class TestBatchedDiagnostics:
         traj = integrate(spec, start, 0.1, 0.15, 1e-2, g=1.0)
         self._assert_per_state(spec, traj, 1.0)
 
-    @pytest.mark.parametrize("form", ["matrix", "p_slice"])
-    def test_diagnostics_span_chunk_boundaries(self, rng, form):
-        # 151 states: two full chunks of DIAGNOSTIC_CHUNK and a partial one
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=0.8)
-        x0 = random_reduced(rng, 3, 1.0, Slice.P_DIAG, mom_scale=0.3)
-        start = embed(x0) if form == "matrix" else x0
-        traj = integrate(spec, start, 0.0, 0.15, 1e-3, g=1.0)
-        assert len(traj.states) > 2 * DIAGNOSTIC_CHUNK
-        self._assert_per_state(spec, traj, 1.0)
-
     def test_long_reduced_flow_memory_is_bounded(self):
-        # unchunked, the stacked (1001, 12, 12) diagnostics peaked at 9.7 MiB
+        # the record holds (1001, 12) arrays; embedding them as one
+        # (1001, 12, 12) stack would peak at 9.7 MiB
         x0 = random_reduced(np.random.default_rng(0), 12, 1.0, mom_scale=0.1)
         tracemalloc.start()
         try:
@@ -437,6 +429,12 @@ class TestRuijsenaars:
                    for e in eigs[1:])
         assert dual_position_drift(traj) == loop > 0
 
+    def test_matrix_flow_is_a_type_error(self, rng):
+        x0 = random_reduced(rng, 3, 1.0)
+        traj = integrate(spec_for(SystemKind.FREE), embed(x0), 0.0, 0.05, 1e-2, g=x0.g)
+        with pytest.raises(TypeError, match="reduced point.*MatrixPhasePoint"):
+            dual_position_drift(traj)
+
 
 class TestArrayRecord:
     """Stages and steps run on arrays: integrate builds no point, states one per read."""
@@ -467,8 +465,7 @@ class TestArrayRecord:
 
     def test_each_reduced_state_is_guarded_once(self, monkeypatch):
         # 10 steps: 40 field evaluations, each stage 1 the guard of the state
-        # it reads, one guard of the final state, and one stacked call as the
-        # diagnostics embed the 11 states
+        # it reads, and one guard of the final state; nothing embeds the record
         import cplab.dynamics as dynamics
         import cplab.reduction as reduction
         real, rows = reduction.guarded_differences, []
@@ -482,4 +479,36 @@ class TestArrayRecord:
             monkeypatch.setattr(module, "guarded_differences", counting)
         integrate(spec_for(SystemKind.P_II), x0, 0.0, 0.1, 1e-2)
         assert rows.count(()) == 41
-        assert [r for r in rows if r] == [(11,)]
+        assert [r for r in rows if r] == []
+
+    @pytest.mark.parametrize("form", ["matrix", "q_slice", "p_slice"])
+    def test_integrate_only_records(self, monkeypatch, form):
+        # no Hamiltonian, no moment map, no embedding of the record: its
+        # readers compute what they read
+        import cplab.dynamics as dynamics
+        import cplab.hamiltonians as hamiltonians
+        import cplab.phase as phase
+        import cplab.reduction as reduction
+
+        def unread(*args, **kwargs):
+            raise AssertionError("integrate evaluated a diagnostic")
+
+        for module, name in ((dynamics, "trace_hamiltonian"),
+                             (hamiltonians, "trace_hamiltonian"),
+                             (dynamics, "moment_deviation"), (phase, "moment_deviation")):
+            monkeypatch.setattr(module, name, unread)
+        real, stacked = reduction.guarded_differences, []
+
+        def counting(x):
+            if x.ndim > 1:
+                stacked.append(x.shape)
+            return real(x)
+
+        sl = Slice.P_DIAG if form == "p_slice" else Slice.Q_DIAG
+        x0 = random_reduced(np.random.default_rng(0), 3, 1.0, sl, mom_scale=0.5)
+        start = embed(x0) if form == "matrix" else x0
+        for module in (reduction, dynamics):
+            monkeypatch.setattr(module, "guarded_differences", counting)
+        traj = integrate(spec_for(SystemKind.P_II), start, 0.0, 0.1, 1e-2, g=1.0)
+        assert len(traj.states) == 11 and traj.g == 1.0
+        assert stacked == []
