@@ -13,16 +13,14 @@ import argparse
 import numpy as np
 
 from cplab.lax import spectral_duality
-from cplab.phase import SystemKind
 from cplab.sampling import random_level_set_point, spec_for
-
-KINDS = (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV, SystemKind.HARM_OSC)
+from cplab.selfcheck import FOUR_KINDS
 
 
 def scan(seed: int, g: float, ns):
     rng = np.random.default_rng(seed)
     print(f"{'kind':10s} {'n':>2s}  unred/red    unred/dual   red/dual")
-    for kind in KINDS:
+    for kind in FOUR_KINDS:
         spec = spec_for(kind, autonomous=True, tau=1.0)
         for n in ns:
             devs = spectral_duality(spec, random_level_set_point(rng, n, g), g)

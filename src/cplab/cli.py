@@ -7,7 +7,8 @@ reports apart from the "meta" block (timestamp/runtime), which determinism
 comparisons must drop.
 
 Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 numerical error
-(every other package error: each comes from a failed computation).
+(every other package error or Python ArithmeticError: each comes from a
+failed computation).
 """
 from __future__ import annotations
 
@@ -309,7 +310,7 @@ def main(argv=None) -> int:
     except (ConfigError, UnsupportedSystem) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except CplabError as exc:  # every other package error is a failed computation
+    except (CplabError, ArithmeticError) as exc:  # a failed computation
         print(f"numerical error in {args.command}: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -212,9 +212,10 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
         misalignment = float(np.abs(C - np.eye(n)).max())
 
     actual = reduce(image, Slice.P_DIAG, x.g, tol=1e-6)
-    # naive guess in dual terms: positions from the p-map, momenta from q-map
-    a4, b4, t4 = particle_conf_coordinates(x.momenta, x.positions, x.t, cp, kind)
-    naive_dual = ReducedPoint(b4, a4, x.g, t4, Slice.P_DIAG)
+    # naive guess: the particle map on canonical coordinates, stored at the slice
+    a4, b4, t4 = particle_conf_coordinates(*x.slice.order(x.positions, x.momenta), x.t,
+                                           cp, kind)
+    naive_dual = ReducedPoint(*x.slice.order(a4, b4), x.g, t4, x.slice)
     naive_deviation = permuted_deviation(naive_dual, actual)
     return {
         "eigenbasis_misalignment": misalignment,

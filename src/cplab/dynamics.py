@@ -15,7 +15,7 @@ from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
 from .lax import charpoly_coefficients, lax_l
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
-from .reduction import ReducedPoint, Slice, embedded_matrices, guarded_differences, \
+from .reduction import ReducedPoint, embedded_matrices, guarded_differences, \
     match_permutation, pair_differences, resolve_at_slice
 
 MAX_STEPS = 10_000_000
@@ -211,16 +211,18 @@ def field_deviation(derivative: np.ndarray, field) -> float:
     return float(np.abs(derivative - f).max() / max(1.0, float(np.abs(f).max())))
 
 
-def equivariance_check(spec: SystemSpec, x: ReducedPoint) -> float:
+def equivariance_check(spec: SystemSpec, x: ReducedPoint) -> tuple[float, np.ndarray]:
     """Relative gap between the pushforward of the matrix field and the reduced field at x.
 
     The flow/reduce commutation, measured at one point: field_deviation of
     the contour_pushforward readings (every N of CONTOUR_NODES, so a
     quadrature that has not converged shows) from reduced_vector_field at x.
-    Zero up to roundoff wherever reducing commutes with the flow.
+    Zero up to roundoff wherever reducing commutes with the flow.  Returns
+    the gap and the readings, on which a control field can be measured too.
     """
     field = reduced_vector_field(spec, x.positions, x.momenta, x.g, x.t, x.slice)
-    return field_deviation(contour_pushforward(spec, x), field)
+    readings = contour_pushforward(spec, x)
+    return field_deviation(readings, field), readings
 
 
 def dual_position_drift(traj: Trajectory) -> float:
@@ -234,7 +236,7 @@ def dual_position_drift(traj: Trajectory) -> float:
     if not isinstance(start, ReducedPoint):
         raise TypeError(f"expected a flow from a reduced point, got {type(start)!r}")
     q, p = traj.states.matrices()
-    partner = p if start.slice is Slice.Q_DIAG else q
+    partner = start.slice.order(q, p)[1]
     eigs = np.sort_complex(np.linalg.eigvals(partner))
     later = eigs[1:]
     perm = match_permutation(np.broadcast_to(eigs[0], later.shape), later)

@@ -7,9 +7,9 @@ trace formula with the traces of the Calogero matrix in closed form
 see CONVENTIONS.md) and must agree with it to 1e-10 relative.
 
 Matrix gradients use the pairing dH = Tr(G_q dq) + Tr(G_p dp); Hamilton's
-equations are qdot = G_p, pdot = -G_q.  On the p-diagonal slice the stored
-(positions, momenta) are canonically conjugate with the roles swapped
-(omega = sum dI ^ dphi), which the reduced vector field accounts for.
+equations are qdot = G_p, pdot = -G_q.  Every slice-dependent choice (which
+of q, p is diagonal, the Calogero sign, which stored coordinate is the
+canonical one) is read from reduction.Slice: its sign and its order.
 
 The vector fields and the RK4 step work on plain arrays, and a flow
 records its states as arrays: no point is built at a stage or a step.
@@ -20,8 +20,7 @@ import numpy as np
 
 from .errors import UnsupportedSystem
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal, row_dot
-from .reduction import (ReducedPoint, Slice, embedded_matrices, inverse_square_kernel,
-                        offdiag_sign)
+from .reduction import ReducedPoint, Slice, embedded_matrices, inverse_square_kernel
 from .traces import diag_c2, tr_c3, tr_c4
 
 
@@ -128,11 +127,11 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
 
     trace_hamiltonian's formula at the embedded pair of one diagonal
     D = diag(a) and one Calogero matrix C with diagonal b and denominators
-    a: (q, p) = (D, C) on Q_DIAG and (C, D) on P_DIAG.  q[k] and p[k] hold
-    Tr q^k and Tr p^k for k <= 2, those of C from traces.diag_c2; the mixed
-    traces are Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
+    a: (q, p) = slice.order(D, C).  q[k] and p[k] hold Tr q^k and Tr p^k
+    for k <= 2, those of C from traces.diag_c2; the mixed traces are
+    Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
     Tr(D C^2) = Tr(C D C) = a.diag C^2.  Tr q^3 and Tr q^4 are formed by the
-    kinds that read them, with traces.tr_c3 and tr_c4 on P_DIAG.  The
+    kinds that read them, with traces.tr_c3 and tr_c4 where q = C.  The
     effective time T = spec.time(t) and the parameters of spec broadcast
     over the leading axes.
     """
@@ -143,12 +142,11 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
     n = a.shape[-1]
     tr_d = (n, a.sum(axis=-1), a2.sum(axis=-1))
     tr_c = (n, b.sum(axis=-1), c2.sum(axis=-1))
-    d2c, dc2 = row_dot(a2, b), row_dot(a, c2)
-    q_diag = slice is Slice.Q_DIAG
-    if q_diag:
-        q, p, pqq, pqp = tr_d, tr_c, d2c, dc2
-    else:
-        q, p, pqq, pqp = tr_c, tr_d, dc2, d2c
+    q, p = slice.order(tr_d, tr_c)
+    pqq, pqp = slice.order(row_dot(a2, b), row_dot(a, c2))
+    # Tr q^3 and Tr q^4, each formed only by the kind that reads it
+    q3, q4 = slice.order((lambda: (a2 * a).sum(axis=-1), lambda: (a2 * a2).sum(axis=-1)),
+                         (lambda: tr_c3(b, W, g), lambda: tr_c4(b, W, g)))[0]
     pq = row_dot(a, b)
     k = spec.kind
     if k is SystemKind.FREE:
@@ -156,12 +154,10 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
     if k is SystemKind.HARM_OSC:
         return p[2] / 2 + spec.omega ** 2 * q[2] / 2
     if k is SystemKind.P_I:
-        q3 = (a2 * a).sum(axis=-1) if q_diag else tr_c3(b, W, g)
-        return p[2] / 2 - q3 / 2 - (T / 4) * q[1]
+        return p[2] / 2 - q3() / 2 - (T / 4) * q[1]
     if k is SystemKind.P_II:
-        q4 = (a2 * a2).sum(axis=-1) if q_diag else tr_c4(b, W, g)
         # Tr w^2 for w = q^2 + T/2
-        return p[2] / 2 - (q4 + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
+        return p[2] / 2 - (q4() + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
     if k is SystemKind.P_II_POLY:
         return p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
     if k is SystemKind.P_IV:
@@ -184,24 +180,20 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     chain rule through K_ij = s i g/(a_i - a_j), whose a_i-derivative is
     -K_ij^2/(s i g) (and that of K_ji = -K_ij the opposite).
 
-    Q_DIAG: positions are canonical coordinates, momenta their conjugates.
-    P_DIAG: omega = sum dI ^ dphi, so the roles swap.
+    These are Hamilton's equations in canonical (coordinate, momentum)
+    order, slice.order of the stored (positions, momenta): on P_DIAG,
+    omega = sum dI ^ dphi, so the roles swap.
     """
     # the embedding guards the differences x_i - x_j it divides by: the
     # field's input check, and the only collision guard of RK4 stages 2-4
     q, p = embedded_matrices(positions, momenta, g, slice)
-    g_q, g_p = matrix_gradients(spec, q, p, t)
-    if slice is Slice.Q_DIAG:
-        g_diag, g_res, K = g_q, g_p, p
-    else:
-        g_diag, g_res, K = g_p, g_q, q
+    g_diag, g_res = slice.order(*matrix_gradients(spec, q, p, t))
+    K = slice.order(q, p)[1]  # the resolved block
     # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T
-    sgn = offdiag_sign(slice)
-    dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (sgn * 1j * g)
+    dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (slice.sign * 1j * g)
     dH_db = g_res.diagonal().copy()
-    if slice is Slice.Q_DIAG:
-        return dH_db, -dH_da
-    return -dH_db, dH_da
+    dH_dc, dH_dm = slice.order(dH_da, dH_db)
+    return slice.order(dH_dm, -dH_dc)
 
 
 # ---------------------------------------------------------------------------

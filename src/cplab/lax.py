@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonConvergedEigensolve, PoleAtLambda,
+from .errors import (DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda,
                      UnsupportedSystem)
 from .hamiltonians import matrix_vector_field
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
@@ -276,10 +276,14 @@ def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float) -> dict[s
 
 
 def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
-    """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda."""
+    """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda; finite."""
     pt = matrix_point(obj)
-    return charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t),
-                                       default_lambda_grid()))
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t),
+                                            default_lambda_grid()))
+    if not np.isfinite(table).all():
+        raise Overflow("char-poly coefficients are not finite")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +341,7 @@ def gauge_F(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
     of the Lax equation.
     """
     pt = embed(x)
-    qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
-    R = qdot if x.slice is Slice.Q_DIAG else pdot
+    R = x.slice.order(*matrix_vector_field(spec, pt.q, pt.p, pt.t))[0]
     D = np.diag(x.positions)
     F = (R @ D - D @ R) * inverse_square_kernel(x.positions)
     # printed completion: row sums plus the mean off-diagonal mass

@@ -8,8 +8,8 @@ map then forces the conjugated partner matrix into Calogero form:
     q-slice:  p -> diag(p_i) + i g / (q_i - q_j)   off the diagonal,
     p-slice:  q -> diag(q_i) - i g / (I_i - I_j)   off the diagonal.
 
-The sign difference between the slices comes from the antisymmetry of
-[p, q]; both embeddings land exactly on the same level set.
+The sign difference between the slices (Slice.sign) comes from the
+antisymmetry of [p, q]; both embeddings land exactly on the same level set.
 """
 from __future__ import annotations
 
@@ -37,17 +37,26 @@ ZERO_SUM_RTOL = 1e-10
 
 
 class Slice(Enum):
+    """The slice convention, known here only.
+
+    sign: that of i g/(x_i - x_j) in the resolved block, +1 on Q_DIAG and -1
+    on P_DIAG.  order(a, b): (a, b) on Q_DIAG, (b, a) on P_DIAG; this one
+    involution maps (diagonal, resolved) matrices to (q, p), and stored
+    (positions, momenta) to canonical (coordinate, momentum), and back.
+    """
+
     Q_DIAG = "Q_DIAG"
     P_DIAG = "P_DIAG"
+
+    def __init__(self, value):
+        self.sign = 1 if value == "Q_DIAG" else -1  # an attribute: no member lookup
 
     @property
     def other(self) -> "Slice":
         return Slice.P_DIAG if self is Slice.Q_DIAG else Slice.Q_DIAG
 
-
-def offdiag_sign(s: Slice) -> int:
-    """Sign of i*g/(x_i - x_j) in the resolved off-diagonal block."""
-    return 1 if s is Slice.Q_DIAG else -1
+    def order(self, a, b) -> tuple:
+        return (a, b) if self.sign > 0 else (b, a)
 
 
 def calogero_block(diff: np.ndarray, g: float, sign: int = 1) -> np.ndarray:
@@ -228,9 +237,7 @@ def resolve_at_slice(q: np.ndarray, p: np.ndarray, slice: Slice,
     ParticleCollision.  Nothing asks for the level set, so the off-level-set
     nodes of dynamics.contour_pushforward resolve too.
     """
-    target, partner = (q, p) if slice is Slice.Q_DIAG else (p, q)
-    if q.shape[-1] == 1:  # the eigensolve path is several times slower for one particle
-        return target[..., 0].astype(complex), partner.astype(complex)
+    target, partner = slice.order(q, p)
     try:
         diag = normalized_diagonalizer(target, tol)
     except DegenerateSpectrum as exc:
@@ -245,11 +252,11 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
     q and p are (..., n, n): one point or a stack of them; the coordinates
     are (..., n).  Each point passes the level-set test, the eigen core
     resolve_at_slice (a non-degenerate unit-column-sum eigensolve of the
-    slice matrix) and, for n > 1, the off-diagonal Calogero check of the
-    resolved partner, which signals a wrong coupling or an off-level-set
-    input; its coordinates are checked finite.  They need no collision
-    guard: the degeneracy threshold lies above it.  A failure names the
-    first failing row of a stack.
+    slice matrix) and the off-diagonal Calogero check of the resolved
+    partner (vacuous at n = 1), which signals a wrong coupling or an
+    off-level-set input; its coordinates are checked finite.  They need no
+    collision guard: the degeneracy threshold lies above it.  A failure
+    names the first failing row of a stack.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -260,14 +267,13 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
         _reject(NotOnLevelSet, off,
                 lambda i: f"moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
     pos, M = resolve_at_slice(q, p, slice, tol)
-    if q.shape[-1] > 1:  # a 1 x 1 partner has no off-diagonal
-        miss = np.abs(M - calogero_block(pair_differences(pos), gv, offdiag_sign(slice)))
-        mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
-        wrong = mismatch > tol
-        if np.count_nonzero(wrong):
-            _reject(OffDiagonalMismatch, wrong,
-                    lambda i: f"off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
-                              f"(tol {tol:.3e}); wrong coupling or off-level-set input")
+    miss = np.abs(M - calogero_block(pair_differences(pos), gv, slice.sign))
+    mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
+    wrong = mismatch > tol
+    if np.count_nonzero(wrong):
+        _reject(OffDiagonalMismatch, wrong,
+                lambda i: f"off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
+                          f"(tol {tol:.3e}); wrong coupling or off-level-set input")
     mom = np.diagonal(M, 0, -2, -1).copy()
     _finite_guard(pos, mom)
     return pos, mom
@@ -305,10 +311,8 @@ def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,
     n = positions.shape[-1]
     diagonal = fill_diagonal(np.zeros(positions.shape + (n,), dtype=complex), positions)
     resolved = fill_diagonal(
-        calogero_block(guarded_differences(positions), g, offdiag_sign(slice)), momenta)
-    if slice is Slice.Q_DIAG:
-        return diagonal, resolved
-    return resolved, diagonal
+        calogero_block(guarded_differences(positions), g, slice.sign), momenta)
+    return slice.order(diagonal, resolved)
 
 
 def dual_of(x: ReducedPoint) -> ReducedPoint:

@@ -207,6 +207,21 @@ class TestNumericalErrors:
         assert capsys.readouterr().err == \
             "numerical error in mmkdv: NotOnLevelSet: moment map off by 1\n"
 
+    @pytest.mark.parametrize("command, config", [
+        ("simulate", {"system": {"kind": "HarmOsc", "omega": 1e200}, "n": 2,
+                      "time": {"t0": 0.0, "t1": 0.01, "h": 0.001}}),
+        ("simulate", {"system": {"kind": "HarmOsc", "omega": 1e160},
+                      "initial": {"matrix": {"q": [[0.0, 0.0], [0.0, 1.0]],
+                                             "p": [[0.5, -1.0], [1.0, 0.2]]}},
+                      "time": {"t0": 0.0, "t1": 0.01, "h": 0.001}}),
+        ("confluence", {"g": 1e300}),
+    ], ids=["omega_reduced", "omega_matrix", "confluence_g"])
+    def test_float_overflow_exits_3(self, tmp_path, capsys, command, config):
+        # omega ** 2 and g ** 2 of Python floats raise, where numpy gives inf
+        cfg = write(tmp_path, "c.json", {"command": command, **config})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "OverflowError" in capsys.readouterr().err
+
 
 class TestVerifyDuality:
     def test_seeded_p2_point(self, tmp_path):
@@ -284,6 +299,15 @@ class TestOtherCommands:
         samples = json.loads((tmp_path / "spectral.json").read_text())["report"]["samples"]
         assert [complex(*s["lambda"]) for s in samples] == default_lambda_grid()
         assert all(s["coeffs"][0] == [1.0, 0.0] for s in samples)
+
+    def test_spectral_overflow_exits_3_without_a_report(self, tmp_path, capsys):
+        cfg = write(tmp_path, "s.json", {
+            "command": "spectral", "system": {"kind": "HarmOsc", "omega": 1e300}, "n": 2,
+        })
+        assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == ("numerical error in spectral: Overflow: "
+                                           "char-poly coefficients are not finite\n")
+        assert not (tmp_path / "spectral.json").exists()
 
     def test_spectral_without_lax_pair_is_config_error(self, tmp_path, capsys):
         cfg = write(tmp_path, "s.json", {

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cplab import dynamics
 from cplab.dynamics import (CONTOUR_NODES, MONITOR_LAMBDAS, contour_pushforward,
                             dual_position_drift, equivariance_check,
                             field_deviation, integrate, monitor_invariants, step_count)
@@ -13,9 +14,9 @@ from cplab.lax import lax_pair
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
                          moment_deviation, moment_map)
 from cplab.reduction import (ReducedPoint, Slice, dual_of, embed, match_permutation,
-                             matrix_point, permuted_deviation, reduce)
+                             matrix_point, permuted_deviation, reduce, resolve_at_slice)
 from cplab.sampling import random_reduced, spec_for
-from cplab.selfcheck import equivariance_control, tame_flow_start
+from cplab.selfcheck import check_equivariance, equivariance_control, tame_flow_start
 
 
 def two_leg_deviation(spec, x0, dt, h=1e-3):
@@ -355,7 +356,7 @@ class TestContourPushforward:
     @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
     def test_commutes_at_roundoff_on_both_slices(self, rng, kind, n):
         for x in both_slices(rng, n):
-            assert equivariance_check(spec_for(kind), x) < 1e-12
+            assert equivariance_check(spec_for(kind), x)[0] < 1e-12
 
     @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
     def test_controls_fail(self, rng, kind, n):
@@ -363,6 +364,19 @@ class TestContourPushforward:
         for x in both_slices(rng, n):
             assert field_deviation(contour_pushforward(spec, x),
                                    equivariance_control(spec, x)) > 1e-6
+
+    def test_criterion_evaluates_each_contour_once(self, rng, monkeypatch):
+        # three cases on both slices: one contour, one node stack resolved,
+        # each for deviation and control
+        calls = []
+
+        def counted(q, p, sl):
+            calls.append(sl)
+            return resolve_at_slice(q, p, sl)
+
+        monkeypatch.setattr(dynamics, "resolve_at_slice", counted)
+        check_equivariance(rng)
+        assert calls == [Slice.Q_DIAG, Slice.P_DIAG] * 3
 
     def test_free_p_slice_control_is_the_role_swap(self, rng):
         spec = spec_for(SystemKind.FREE)
@@ -382,12 +396,12 @@ class TestContourPushforward:
         x = ReducedPoint([0.3 - 0.1j], [0.1 + 0.2j], 1.0, 0.2, sl)
         D = contour_pushforward(spec, x)
         assert D.shape == (len(CONTOUR_NODES), 2, 1) and np.isfinite(D).all()
-        assert equivariance_check(spec, x) < 1e-13
+        assert equivariance_check(spec, x)[0] < 1e-13
 
     def test_resting_point_reads_zero(self):
         # a zero matrix field still defines the contour radius
         x = ReducedPoint([0.0], [0.0], 1.0)
-        assert equivariance_check(SystemSpec(SystemKind.HARM_OSC, omega=1.0), x) == 0.0
+        assert equivariance_check(SystemSpec(SystemKind.HARM_OSC, omega=1.0), x)[0] == 0.0
 
     @pytest.mark.parametrize("kind, n", CONTOUR_CASES)
     def test_node_counts_agree_to_roundoff(self, rng, kind, n):

@@ -108,6 +108,35 @@ class TestEmbed:
         assert smallest_gap(np.array([4.0])) == np.inf
 
 
+class TestSliceConvention:
+    def test_sign_and_order(self):
+        assert (Slice.Q_DIAG.sign, Slice.P_DIAG.sign) == (1, -1)
+        assert Slice("P_DIAG").sign == -1
+        assert Slice.Q_DIAG.order("a", "b") == ("a", "b")
+        assert Slice.P_DIAG.order("a", "b") == ("b", "a")
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_order_is_an_involution(self, sl):
+        a, b = object(), object()
+        assert sl.order(*sl.order(a, b)) == (a, b)
+        assert sl.order(*sl.order(b, a)) == (b, a)
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_sign_and_order_reproduce_the_embedding(self, rng, sl):
+        pos, mom = random_particles(rng, 5, 4)
+        diagonal = np.zeros((5, 4, 4), dtype=complex)
+        resolved = calogero_block(pair_differences(pos), 0.7, sl.sign)
+        for i in range(4):
+            diagonal[:, i, i] = pos[:, i]
+            resolved[:, i, i] = mom[:, i]
+        q, p = embedded_matrices(pos, mom, 0.7, sl)
+        want_q, want_p = sl.order(diagonal, resolved)
+        assert np.array_equal(q, want_q) and np.array_equal(p, want_p)
+        # the resolved block's off-diagonal is sign * i g / (x_i - x_j)
+        K = sl.order(q, p)[1]
+        assert K[0, 0, 1] == sl.sign * 0.7j / (pos[0, 0] - pos[0, 1])
+
+
 class TestReduce:
     def test_round_trip(self, rng):
         for sl in Slice:
@@ -125,6 +154,15 @@ class TestReduce:
         pt = MatrixPhasePoint([[0.2 + 0.1j]], [[0.9]])
         x = reduce(pt, Slice.P_DIAG, 3.0)
         assert x.positions[0] == 0.9 and x.momenta[0] == 0.2 + 0.1j
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_n1_stack_passes_its_entries_through(self, rng, sl):
+        # one particle runs the eigen core and the (empty) off-diagonal check
+        q = rng.normal(size=(7, 1, 1)) + 1j * rng.normal(size=(7, 1, 1))
+        p = rng.normal(size=(7, 1, 1)) + 1j * rng.normal(size=(7, 1, 1))
+        pos, mom = reduced_coordinates(q, p, 2.5, sl)
+        target, partner = sl.order(q[:, 0, 0], p[:, 0, 0])
+        assert pos.tobytes() == target.tobytes() and mom.tobytes() == partner.tobytes()
 
     def test_not_on_level_set(self):
         pt = MatrixPhasePoint(np.eye(2), np.eye(2))
