@@ -96,8 +96,8 @@ def layer_loops(n: int, points: int) -> dict:
 
     def hamiltonian_stack():
         for spec, s in cases:
-            closed_form_hamiltonian(spec, pos, mom, G, spec.time(T), s)
-            embedded_trace_hamiltonian(spec, pos, mom, G, spec.time(T), s)
+            closed_form_hamiltonian(spec, pos, mom, G, T, s)
+            embedded_trace_hamiltonian(spec, pos, mom, G, T, s)
 
     tpos, tmom, tg = appendix_trace_points(np.random.default_rng(n), n, points)
 
@@ -162,7 +162,7 @@ def call_loops(n: int, points: int) -> dict:
                 rk4_step(field, y0, y1, T, H, field(y0, y1, T))
         return loop
 
-    curve_spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    curve_spec = spec_for(SystemKind.P_II, tau=1.0)
     curves = [(pt, embed(reduce(pt, Slice.P_DIAG, G, tol=1e-5)))
               for pt in pts[:max(1, points // 10)]]
 

@@ -21,7 +21,7 @@ def scan(seed: int, g: float, ns):
     rng = np.random.default_rng(seed)
     print(f"{'kind':10s} {'n':>2s}  unred/red    unred/dual   red/dual")
     for kind in FOUR_KINDS:
-        spec = spec_for(kind, autonomous=True, tau=1.0)
+        spec = spec_for(kind, tau=1.0)
         for n in ns:
             devs = spectral_duality(spec, random_level_set_point(rng, n, g), g)
             print(f"{kind.value:10s} {n:2d}  "

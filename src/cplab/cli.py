@@ -6,9 +6,9 @@ pairs, trajectories CSV.  Identical config + seed produce byte-identical
 reports apart from the "meta" block (timestamp/runtime), which determinism
 comparisons must drop.
 
-Exit codes: 0 pass, 1 assertion failure, 2 config error, 3 numerical error
-(every other package error or Python ArithmeticError: each comes from a
-failed computation).
+Exit codes: 0 pass, 1 assertion failure, 2 config error (an output that
+cannot be written included), 3 numerical error (every other package error
+or Python ArithmeticError: each comes from a failed computation).
 """
 from __future__ import annotations
 
@@ -161,14 +161,12 @@ def write_report(report: dict, out_dir: Path, name: str, runtime: float) -> Path
         },
         "report": _jsonable(report),
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def write_trajectory_csv(traj, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -199,7 +197,7 @@ def cmd_simulate(cfg, rng, out):
     traj = integrate(spec, start, tm["t0"], tm["t1"], tm["h"],
                      g=cfg.get("g"))
     q, p = traj.states.matrices([0, -1])
-    energy = trace_hamiltonian(spec, q, p, spec.time(traj.times[[0, -1]]))
+    energy = trace_hamiltonian(spec, q, p, traj.times[[0, -1]])
     report = {
         "operation": "integrate (RK4, fixed step)",
         "steps": len(traj.times) - 1,
@@ -306,8 +304,17 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
             _validate(cfg)
         rng = np.random.default_rng(cfg.get("seed", 0))
-        report, ok = COMMANDS[args.command](cfg, rng, Path(args.out))
-    except (ConfigError, UnsupportedSystem) as exc:
+        # an output that cannot be written fails here, before the computation
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name in cfg.get("output", {}).values():
+            if not (out / name).parent.is_dir():
+                raise ConfigError(f"output {name!r} names no directory under {out}")
+        report, ok = COMMANDS[args.command](cfg, rng, out)
+        report.setdefault("seed", cfg.get("seed", 0))
+        name = cfg.get("output", {}).get("report_json", f"{args.command}.json")
+        path = write_report(report, out, name, time.perf_counter() - t0)
+    except (ConfigError, UnsupportedSystem, OSError) as exc:  # OSError: making an output
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CplabError, ArithmeticError) as exc:  # a failed computation
@@ -315,9 +322,6 @@ def main(argv=None) -> int:
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    report.setdefault("seed", cfg.get("seed", 0))
-    name = cfg.get("output", {}).get("report_json", f"{args.command}.json")
-    path = write_report(report, Path(args.out), name, time.perf_counter() - t0)
     print(f"{'PASS' if ok else 'FAIL'} {args.command} -> {path}")
     return 0 if ok else 1
 

@@ -136,11 +136,11 @@ def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
         h_target = reduced_hamiltonian(target, point)
         a4, b4, t4 = particle_conf_coordinates(point.positions, point.momenta,
                                                point.t, cp, kind)
-        h4 = closed_form_hamiltonian(spec, a4, b4, point.g, spec.time(t4), Slice.Q_DIAG)
+        h4 = closed_form_hamiltonian(spec, a4, b4, point.g, t4, Slice.Q_DIAG)
     else:
         h_target = matrix_hamiltonian(target, point)
         q4, p4, t4 = conf_matrices(point, cp, kind)
-        h4 = trace_hamiltonian(spec, q4, p4, spec.time(t4))
+        h4 = trace_hamiltonian(spec, q4, p4, t4)
     return h_target, -cp.eps * h4, point.n * cp.theta / (2 * cp.eps ** 2)
 
 

@@ -153,7 +153,6 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     if not traj.states:
         raise ValueError("empty trajectory")
     q, p = traj.states.matrices()
-    T = spec.time(traj.times)
 
     report: dict = {"autonomous": spec.autonomous,
                     "conservation_asserted": bool(spec.autonomous),
@@ -161,11 +160,11 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
                         float(moment_deviation(q, p, traj.g).max())}
     drift = {}
     for lam in MONITOR_LAMBDAS:
-        coeffs = charpoly_coefficients(lax_l(spec, q, p, T, lam))
+        coeffs = charpoly_coefficients(lax_l(spec, q, p, traj.times, lam))
         scale = np.maximum(1.0, np.abs(coeffs[0]))
         drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
     report["charpoly_drift"] = drift
-    energy = trace_hamiltonian(spec, q, p, T)
+    energy = trace_hamiltonian(spec, q, p, traj.times)
     report["energy_drift"] = float(np.abs(energy - energy[0]).max())
     return report
 

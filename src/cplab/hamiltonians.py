@@ -26,18 +26,18 @@ from .traces import diag_c2, tr_c3, tr_c4
 
 def matrix_hamiltonian(spec: SystemSpec, pt: MatrixPhasePoint) -> complex:
     """Tr H(q, p, t) with the operator ordering of the matrix systems."""
-    return complex(trace_hamiltonian(spec, pt.q, pt.p, spec.time(pt.t)))
+    return complex(trace_hamiltonian(spec, pt.q, pt.p, pt.t))
 
 
-def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T):
+def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t):
     """Tr H at each point of a stack, with matrix_hamiltonian's ordering.
 
-    q and p are (..., n, n); the effective time T = spec.time(t) broadcasts
-    over the leading axes.
+    q and p are (..., n, n); t broadcasts over the leading axes.
     """
     def tr(a):
         return np.trace(a, axis1=-2, axis2=-1)
 
+    T = spec.time(t)
     k = spec.kind
     if k is SystemKind.FREE:
         return tr(p @ p) / 2
@@ -106,23 +106,23 @@ def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float, k1) -> tup
 def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
     """Normative definition: the matrix trace at the embedded point."""
     return complex(embedded_trace_hamiltonian(spec, x.positions, x.momenta, x.g,
-                                              spec.time(x.t), x.slice))
+                                              x.t, x.slice))
 
 
 def embedded_trace_hamiltonian(spec: SystemSpec, positions: np.ndarray,
-                               momenta: np.ndarray, g: float, T, slice: Slice):
+                               momenta: np.ndarray, g: float, t, slice: Slice):
     """reduced_hamiltonian_oracle at each point of a stack (..., n) of coordinates."""
-    return trace_hamiltonian(spec, *embedded_matrices(positions, momenta, g, slice), T)
+    return trace_hamiltonian(spec, *embedded_matrices(positions, momenta, g, slice), t)
 
 
 def reduced_hamiltonian(spec: SystemSpec, x: ReducedPoint) -> complex:
     """Closed-form fast path; agrees with the trace oracle to 1e-10 relative."""
     return complex(closed_form_hamiltonian(spec, x.positions, x.momenta, x.g,
-                                           spec.time(x.t), x.slice))
+                                           x.t, x.slice))
 
 
 def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np.ndarray,
-                            g: float, T, slice: Slice):
+                            g: float, t, slice: Slice):
     """reduced_hamiltonian at each point of a stack (..., n) of coordinates.
 
     trace_hamiltonian's formula at the embedded pair of one diagonal
@@ -131,10 +131,10 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
     for k <= 2, those of C from traces.diag_c2; the mixed traces are
     Tr(D C) = a.b, Tr(D^2 C) = Tr(D C D) = a^2.b and
     Tr(D C^2) = Tr(C D C) = a.diag C^2.  Tr q^3 and Tr q^4 are formed by the
-    kinds that read them, with traces.tr_c3 and tr_c4 where q = C.  The
-    effective time T = spec.time(t) and the parameters of spec broadcast
-    over the leading axes.
+    kinds that read them, with traces.tr_c3 and tr_c4 where q = C.  t and
+    the parameters of spec broadcast over the leading axes.
     """
+    T = spec.time(t)
     a, b = positions, momenta
     W = inverse_square_kernel(a)
     c2 = diag_c2(b, W, g)

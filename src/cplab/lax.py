@@ -42,11 +42,12 @@ class LaxPair(NamedTuple):
     M: np.ndarray
 
 
-def _zero_stack(spec: SystemSpec, q, p, T, lam, p4_variant: str):
-    """The inputs as arrays, a zero (..., 2n, 2n) stack over their leading axes, its blocks."""
+def _zero_stack(spec: SystemSpec, q, p, t, lam, p4_variant: str):
+    """The inputs as arrays (t as spec.time(t)), a zero (..., 2n, 2n) stack, its blocks."""
     if spec.kind is SystemKind.P_IV and p4_variant not in ("corrected", "printed"):
         raise ValueError(f"unknown P_IV variant {p4_variant!r}")
-    q, p, T = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex), np.asarray(T)
+    q, p = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex)
+    T = np.asarray(spec.time(t))
     lam = np.asarray(lam, dtype=complex)
     n = q.shape[-1]
     shape = np.broadcast_shapes(q.shape[:-2], p.shape[:-2], lam.shape, T.shape)
@@ -54,22 +55,22 @@ def _zero_stack(spec: SystemSpec, q, p, T, lam, p4_variant: str):
     return q, p, T, lam, A, (A[..., :n, :n], A[..., :n, n:], A[..., n:, :n], A[..., n:, n:])
 
 
-def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
+def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
     """L over stacked points and spectral parameters.
 
-    q and p are (..., n, n); the effective time T = spec.time(t) and lam
-    broadcast over the leading axes, and L comes back as a (..., 2n, 2n)
-    array, filled block by block.  The coefficients lam^2 and theta/lam
-    are formed in Python complex arithmetic, one lambda at a time: numpy's
-    vectorised complex loops round them differently, and this way every
-    point of a stack is bitwise the matrix of its own lax_pair call.
+    q and p are (..., n, n); t and lam broadcast over the leading axes,
+    and L comes back as a (..., 2n, 2n) array, filled block by block.
+    The coefficients lam^2 and theta/lam are formed in Python complex
+    arithmetic, one lambda at a time: numpy's vectorised complex loops
+    round them differently, and this way every point of a stack is
+    bitwise the matrix of its own lax_pair call.
     """
     k = spec.kind
     lam = np.asarray(lam, dtype=complex)
     if k in (SystemKind.P_II, SystemKind.P_IV) and np.any(np.abs(lam) < POLE_EPS):
         raise PoleAtLambda(f"{k.value} pair has a pole at lambda = 0")
-    q, p, T, lam, L, (L11, L12, L21, L22) = _zero_stack(spec, q, p, T, lam, p4_variant)
+    q, p, T, lam, L, (L11, L12, L21, L22) = _zero_stack(spec, q, p, t, lam, p4_variant)
     l = lam[..., None, None]
 
     def per_lambda(f):
@@ -120,15 +121,15 @@ def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         L21[...] = q / l
         add_to_diagonal(L21, 1.0)
     else:
-        raise UnsupportedSystem(f"no printed pair for {k}")
+        raise UnsupportedSystem(f"no printed pair for {k.value}")
     return L
 
 
-def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
+def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
     """M over the stacks of lax_l; polynomial in lambda, so it has no pole check."""
     k = spec.kind
-    q, p, T, lam, M, (M11, M12, M21, M22) = _zero_stack(spec, q, p, T, lam, p4_variant)
+    q, p, T, lam, M, (M11, M12, M21, M22) = _zero_stack(spec, q, p, t, lam, p4_variant)
     if k is SystemKind.HARM_OSC:
         add_to_diagonal(M12, -(spec.omega / 2))
         add_to_diagonal(M21, spec.omega / 2)
@@ -150,7 +151,7 @@ def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T, lam,
         M21[...] = q
         add_to_diagonal(M22, -1j * (lam / 2))
     elif k is not SystemKind.FREE:  # the free M is 0
-        raise UnsupportedSystem(f"no printed pair for {k}")
+        raise UnsupportedSystem(f"no printed pair for {k.value}")
     return M
 
 
@@ -160,8 +161,7 @@ def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex) -> LaxPair:
     One point of lax_l and lax_m; autonomous specs substitute tau for t
     inside both matrices.
     """
-    T = spec.time(pt.t)
-    return LaxPair(lax_l(spec, pt.q, pt.p, T, lam), lax_m(spec, pt.q, pt.p, T, lam))
+    return LaxPair(lax_l(spec, pt.q, pt.p, pt.t, lam), lax_m(spec, pt.q, pt.p, pt.t, lam))
 
 
 def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex) -> LaxPair:
@@ -244,8 +244,7 @@ def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     k = 2 * pa.n
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     # (lambda, side, 2n, 2n): the sides on the second axis, a before b
-    L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]),
-              np.array([spec.time(pa.t), spec.time(pb.t)]),
+    L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]), np.array([pa.t, pb.t]),
               np.array(default_lambda_grid())[:, None])
     radius = 2 * np.abs(L).sum(axis=-1).max(axis=(1, 2))
     scale = np.repeat(np.where(radius == 0, 1.0, radius), 2)  # one per (lambda, side)
@@ -279,8 +278,7 @@ def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
     """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda; finite."""
     pt = matrix_point(obj)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = charpoly_coefficients(lax_l(spec, pt.q, pt.p, spec.time(pt.t),
-                                            default_lambda_grid()))
+        table = charpoly_coefficients(lax_l(spec, pt.q, pt.p, pt.t, default_lambda_grid()))
     if not np.isfinite(table).all():
         raise Overflow("char-poly coefficients are not finite")
     return table
@@ -311,11 +309,10 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     # the point itself, then the stencil points s = 1, -1, 2, -2 of the ray
     s = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
     ray = s[:, None, None]
-    L = lax_l(spec, pt.q + ray * qdot, pt.p + ray * pdot, spec.time(pt.t + s), lam,
-              p4_variant)
+    L = lax_l(spec, pt.q + ray * qdot, pt.p + ray * pdot, pt.t + s, lam, p4_variant)
     # M at the point, and at lam +- d for B_lam (d > 0 also at lam = 0)
     d = abs(lam) / 2 or 0.5
-    M = lax_m(spec, pt.q, pt.p, spec.time(pt.t), [lam, lam + d, lam - d], p4_variant)
+    M = lax_m(spec, pt.q, pt.p, pt.t, [lam, lam + d, lam - d], p4_variant)
     At = (8 * (L[1] - L[2]) - (L[3] - L[4])) / 12
     commutator = L[0] @ M[0] - M[0] @ L[0]
     residual = At + commutator
@@ -352,7 +349,7 @@ def gauge_F(spec: SystemSpec, x: ReducedPoint) -> np.ndarray:
 def reduced_m(spec: SystemSpec, x: ReducedPoint, lam: complex) -> np.ndarray:
     """M of the reduced pair: M(embedded coordinates) - F (x) Id_2."""
     pt = embed(x)
-    M = lax_m(spec, pt.q, pt.p, spec.time(pt.t), lam)
+    M = lax_m(spec, pt.q, pt.p, pt.t, lam)
     F = gauge_F(spec, x)
     n = x.n
     M[:n, :n] -= F

@@ -100,10 +100,10 @@ class SystemKind(Enum):
 class SystemSpec:
     """Which Hamiltonian system, with its parameter record.
 
-    Parameters not used by `kind` are stored but ignored.  Autonomous forms
-    freeze the time dependence at tau.  The theta parameters may be stacks
-    (k,) that broadcast over the leading axis of a stack of points, as the
-    P_IV images of a stack of confluence parameters need.
+    Parameters not used by `kind` are stored but ignored.  Autonomous forms,
+    and they alone, freeze the time at tau.  The theta parameters may be
+    stacks (k,) that broadcast over the leading axis of a stack of points,
+    as the P_IV images of a stack of confluence parameters need.
     """
 
     kind: SystemKind
@@ -115,8 +115,8 @@ class SystemSpec:
     omega: float = 1.0        # harmonic oscillator frequency
 
     def __post_init__(self):
-        if self.autonomous and self.tau is None:
-            raise ValueError("autonomous systems require tau")
+        if self.autonomous != (self.tau is not None):
+            raise ValueError("tau is given exactly when the system is autonomous")
         for name in ("theta", "theta0", "theta1"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
@@ -126,7 +126,7 @@ class SystemSpec:
             raise ValueError("omega must be finite")
 
     def time(self, t: float) -> float:
-        """Effective time entering Hamiltonians and Lax matrices."""
+        """The time the formulas read: tau for autonomous forms, else t."""
         return self.tau if self.autonomous else t
 
 

@@ -96,9 +96,8 @@ def random_level_set_point(rng: np.random.Generator, n: int, g: float,
     return MatrixPhasePoint(Gi @ pt.q @ G, Gi @ pt.p @ G, t)
 
 
-def spec_for(kind: SystemKind, autonomous: bool = False,
-             tau: float | None = None) -> SystemSpec:
-    """Generic nonzero parameters for each kind, used by randomized checks."""
+def spec_for(kind: SystemKind, tau: float | None = None) -> SystemSpec:
+    """Generic nonzero parameters for each kind, autonomous exactly when tau is given."""
     params = {
         SystemKind.FREE: {},
         SystemKind.HARM_OSC: {"omega": 1.3},
@@ -107,4 +106,4 @@ def spec_for(kind: SystemKind, autonomous: bool = False,
         SystemKind.P_II_POLY: {"theta": 0.27 - 0.09j},
         SystemKind.P_IV: {"theta0": 0.41 + 0.05j, "theta1": -0.63 + 0.21j},
     }[kind]
-    return SystemSpec(kind, autonomous=autonomous, tau=tau, **params)
+    return SystemSpec(kind, autonomous=tau is not None, tau=tau, **params)

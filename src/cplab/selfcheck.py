@@ -78,14 +78,13 @@ def check_hamiltonian_oracle(rng):
     g = 0.8
     for kind in kinds:
         spec = spec_for(kind)
-        T = spec.time(0.4)
         w = 0.0
         for sl in (Slice.Q_DIAG, Slice.P_DIAG):
             # trial k has 1 + k % 6 particles; each size is one stack
             sizes = [1 + k % 6 for k in range(TRIALS)]
             for pos, mom in random_particle_stacks(rng, sizes).values():
-                a = closed_form_hamiltonian(spec, pos, mom, g, T, sl)
-                b = embedded_trace_hamiltonian(spec, pos, mom, g, T, sl)
+                a = closed_form_hamiltonian(spec, pos, mom, g, 0.4, sl)
+                b = embedded_trace_hamiltonian(spec, pos, mom, g, 0.4, sl)
                 w = max(w, _relative_gap(a, b))
         worst[kind.value] = w
     measured = max(worst.values())
@@ -147,11 +146,11 @@ def check_appendix_traces(rng):
 def check_spectral_duality(rng):
     worst = {}
     for kind in FOUR_KINDS:
-        spec = spec_for(kind, autonomous=True, tau=1.0)
+        spec = spec_for(kind, tau=1.0)
         worst[kind.value] = max(
             max(spectral_duality(spec, random_level_set_point(rng, n, 1.0), 1.0).values())
             for n in (2, 3, 4, 8))
-    spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    spec = spec_for(SystemKind.P_II, tau=1.0)
     a = random_reduced(rng, 3, 1.0)
     b = random_reduced(rng, 3, 1.0)
     _, neg = spectral_match(spec, a, b)
@@ -166,15 +165,14 @@ def check_zero_curvature(rng):
     detail = {}
     pert = TangentPair(1e-3 * np.eye(2), 1e-3 * np.eye(2))
     for kind in FOUR_KINDS:
-        for autonomous in (False, True):
-            spec = spec_for(kind, autonomous=autonomous,
-                            tau=1.0 if autonomous else None)
+        for tau in (None, 1.0):
+            spec = spec_for(kind, tau)
             pt = MatrixPhasePoint(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                                   rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                                   0.3)
             r = zero_curvature_residual(spec, pt, 0.9 + 0.2j)
             rp = zero_curvature_residual(spec, pt, 0.9 + 0.2j, perturb=pert)
-            detail[f"{kind.value}{'_aut' if autonomous else ''}"] = {
+            detail[f"{kind.value}{'_aut' if spec.autonomous else ''}"] = {
                 "residual": r, "perturbed": rp, "pass": r <= 1e-12 and rp >= 1e-6}
     spec4 = spec_for(SystemKind.P_IV)
     pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.2)
@@ -204,7 +202,7 @@ def check_isospectral_conservation(rng):
     worst = 0.0
     x0 = tame_flow_start()
     for kind in (SystemKind.P_I, SystemKind.P_II):
-        spec = spec_for(kind, autonomous=True, tau=1.0)
+        spec = spec_for(kind, tau=1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
         rep = monitor_invariants(spec, traj)
         worst = max(worst, max(rep["charpoly_drift"].values()))
@@ -262,17 +260,15 @@ def check_ruijsenaars(rng):
 
 def check_p4_selfduality(rng):
     spec = spec_for(SystemKind.P_IV)
-    T = spec.time(0.3)
     worst = 0.0
     for n in range(1, 6):
         sl = Slice.P_DIAG if n % 2 else Slice.Q_DIAG
         pos, mom = random_particles(rng, 20, n)
         spos, smom, ssl, th0s, th1s = p4_involution_coordinates(
             pos, mom, sl, spec.theta0, spec.theta1)
-        h1 = closed_form_hamiltonian(spec, pos, mom, 1.0, T, sl)
-        h2 = closed_form_hamiltonian(
-            SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s, tau=None),
-            spos, smom, 1.0, T, ssl)
+        h1 = closed_form_hamiltonian(spec, pos, mom, 1.0, 0.3, sl)
+        h2 = closed_form_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s),
+                                     spos, smom, 1.0, 0.3, ssl)
         worst = max(worst, _relative_gap(h2, h1))
     return _check("p4_selfduality", "p4_involution H-identity", 1e-10, worst,
                   worst < 1e-10,
@@ -295,11 +291,11 @@ def check_dual_p2_interaction_structure(rng):
     CONVENTIONS.md for the write-up.
     """
     spec = spec_for(SystemKind.P_II)
-    g, T = 1.0, spec.time(0.2)
+    g, t = 1.0, 0.2
     pos, mom = random_particles(rng, TRIALS, 4)
-    oracle = embedded_trace_hamiltonian(spec, pos, mom, g, T, Slice.P_DIAG)
+    oracle = embedded_trace_hamiltonian(spec, pos, mom, g, t, Slice.P_DIAG)
     scale = np.maximum(1.0, np.abs(oracle))
-    closed = closed_form_hamiltonian(spec, pos, mom, g, T, Slice.P_DIAG)
+    closed = closed_form_hamiltonian(spec, pos, mom, g, t, Slice.P_DIAG)
     effect = np.abs(closed - oracle) / scale
     quad_effect = float(effect.max())
     quad_broken = int(np.count_nonzero(effect > 1e-6))

@@ -64,7 +64,7 @@ def workloads_constant(name):
 
 @pytest.mark.parametrize("kind", ["Free", "HarmOsc", "P_I", "P_II", "P_IV"])
 def test_lax_pairs_are_square_of_size_2n(kind):
-    spec = spec_for(SystemKind(kind), autonomous=True, tau=1.0)
+    spec = spec_for(SystemKind(kind), tau=1.0)
     x = random_reduced(np.random.default_rng(0), 3, 1.0)
     for pair in (lax_pair(spec, embed(x), 0.7), reduced_lax(spec, x, 0.7)):
         L, M = pair
@@ -73,7 +73,7 @@ def test_lax_pairs_are_square_of_size_2n(kind):
 
 
 def test_spectral_match_returns_verdict_and_deviation():
-    spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    spec = spec_for(SystemKind.P_II, tau=1.0)
     rng = np.random.default_rng(0)
     verdict = spectral_match(spec, random_reduced(rng, 2, 1.0),
                              random_reduced(rng, 2, 1.0))
@@ -100,7 +100,7 @@ def test_flow_reads_of_a_trajectory(form):
     x0 = selfcheck.tame_flow_start()
     start = embed(x0) if form == "matrix" else x0
     t1 = h * steps
-    traj = integrate(spec_for(SystemKind.P_II, autonomous=True, tau=1.0), start,
+    traj = integrate(spec_for(SystemKind.P_II, tau=1.0), start,
                      0.0, t1, h, g=x0.g)
     assert len(traj.states) == steps + 1 and abs(traj.times[-1] - t1) <= 1e-12
     points = traj.states[::10] + [traj.final]

@@ -118,6 +118,14 @@ class TestConfigHandling:
         cfg = write(tmp_path, "c.json", {**config, key: value})
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_tau_without_autonomous_is_config_error(self, tmp_path, capsys):
+        # tau alone would be stored and never read: the non-autonomous system would run
+        cfg = write(tmp_path, "c.json", {"command": "verify-duality",
+                                         "system": {"kind": "P_II", "tau": 1.0}})
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            "config error: tau is given exactly when the system is autonomous\n"
+
     def test_every_schema_key_is_read(self):
         # a key the schema accepts but no command reads would be silently ignored
         schema = json.loads((Path(cli.__file__).parent / "config_schema.json").read_text())
@@ -126,6 +134,44 @@ class TestConfigHandling:
         keys = (list(props) + list(props["system"]["properties"])
                 + list(props["time"]["properties"]))
         assert [k for k in keys if f'"{k}"' not in source] == []
+
+
+SIMULATE_FREE = {"command": "simulate", "system": {"kind": "Free"}, "n": 2,
+                 "time": {"t0": 0.0, "t1": 0.01, "h": 0.01}}
+
+
+class TestUnwritableOutput:
+    """An output that cannot be written is a config error, found before any computation."""
+
+    @pytest.fixture
+    def no_computation(self, monkeypatch):
+        def computed(cfg, rng, out):
+            raise AssertionError("computed before the output was checked")
+        for name in cli.COMMANDS:
+            monkeypatch.setitem(cli.COMMANDS, name, computed)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify-duality"])
+    def test_out_under_a_regular_file(self, tmp_path, capsys, no_computation, command):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = write(tmp_path, "c.json", {**SIMULATE_FREE, "command": command})
+        assert main([command, "--config", cfg, "--out", str(blocker / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: [Errno 20] Not a directory")
+
+    @pytest.mark.parametrize("key", ["report_json", "trajectory_csv"])
+    def test_output_in_a_missing_directory(self, tmp_path, capsys, no_computation, key):
+        cfg = write(tmp_path, "c.json", {**SIMULATE_FREE, "output": {key: "missing/x"}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: output 'missing/x' names no directory under {tmp_path}\n"
+
+    @pytest.mark.parametrize("key", ["report_json", "trajectory_csv"])
+    def test_failed_write_is_config_error(self, tmp_path, capsys, key):
+        # a name that is a directory passes the check and fails at the write
+        (tmp_path / "taken").mkdir()
+        cfg = write(tmp_path, "c.json", {**SIMULATE_FREE, "output": {key: "taken"}})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config error: [Errno" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -316,7 +362,7 @@ class TestOtherCommands:
             "initial": {"reduced": {"positions": [1.0], "momenta": [2.0]}},
         })
         assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: no printed pair for P_II_poly\n"
 
     def test_traces_command(self, tmp_path):
         cfg = write(tmp_path, "t.json", {

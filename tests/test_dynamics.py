@@ -156,7 +156,7 @@ class TestIntegrate:
 
 class TestMonitor:
     def test_autonomous_isospectral(self, rng):
-        spec = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_I, tau=1.0)
         x0 = ReducedPoint(0.6 * np.array([-1.0, 0.0, 1.0]) + 0.05j,
                           0.2 * rng.normal(size=3), 0.3, 0.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=0.3)
@@ -200,8 +200,8 @@ def per_state_monitor(spec, traj, lams, g):
 def monitor_cases():
     """(spec, trajectory, g): matrix and reduced states, autonomous or not."""
     rng = np.random.default_rng(7)
-    aut_p1 = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
-    aut_p2 = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+    aut_p1 = spec_for(SystemKind.P_I, tau=1.0)
+    aut_p2 = spec_for(SystemKind.P_II, tau=1.0)
     x0 = random_reduced(rng, 3, 0.6, mom_scale=0.3)
     xp = random_reduced(rng, 3, 0.6, Slice.P_DIAG, mom_scale=0.3)
     return {
@@ -256,7 +256,7 @@ class TestStackedMonitor:
     def test_monitor_peak_memory_is_l_only(self):
         # criterion 7's P_I flow: the stacked L, not M, is the monitor's to hold
         x0 = tame_flow_start()
-        spec = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_I, tau=1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
         tracemalloc.start()
         try:
@@ -283,7 +283,7 @@ class TestBatchedDiagnostics:
     @staticmethod
     def _assert_per_state(spec, traj, g):
         q, p = traj.states.matrices()
-        energy = trace_hamiltonian(spec, q, p, spec.time(traj.times))
+        energy = trace_hamiltonian(spec, q, p, traj.times)
         assert len(energy) == len(traj.states)
         matrix_states = isinstance(traj.states[0], MatrixPhasePoint)
         hamiltonian = matrix_hamiltonian if matrix_states else reduced_hamiltonian
@@ -298,7 +298,7 @@ class TestBatchedDiagnostics:
     @pytest.mark.parametrize("autonomous", [False, True])
     @pytest.mark.parametrize("form", ["matrix", "q_slice", "p_slice"])
     def test_energies_equal_per_state_hamiltonian(self, rng, kind, autonomous, form):
-        spec = spec_for(kind, autonomous=autonomous, tau=0.8 if autonomous else None)
+        spec = spec_for(kind, tau=0.8 if autonomous else None)
         sl = Slice.P_DIAG if form == "p_slice" else Slice.Q_DIAG
         x0 = random_reduced(rng, 3, 1.0, sl, t=0.1, mom_scale=0.3)
         start = embed(x0) if form == "matrix" else x0
@@ -465,7 +465,7 @@ class TestArrayRecord:
 
     @pytest.mark.parametrize("form", ["matrix", "reduced"])
     def test_points_are_built_on_access_only(self, monkeypatch, rng, form):
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_II, tau=1.0)
         x0 = random_reduced(rng, 3, 1.0, mom_scale=0.5)
         start = embed(x0) if form == "matrix" else x0
         counts = self._count_constructions(monkeypatch)

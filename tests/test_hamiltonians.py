@@ -11,7 +11,8 @@ from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamilton
                                 matrix_gradients, matrix_hamiltonian,
                                 matrix_vector_field, p4_involution_coordinates, reduced_hamiltonian,
                                 reduced_hamiltonian_oracle, reduced_vector_field,
-                                rk4_step)
+                                rk4_step, trace_hamiltonian)
+from cplab.lax import lax_l, lax_m
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice
 from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
@@ -205,11 +206,10 @@ class TestStackedReducedHamiltonian:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_stack_against_oracle_and_point_loop(self, rng, kind, sl):
         spec = spec_for(kind)
-        T = spec.time(0.4)
         for n in range(1, 13):
             pos, mom = random_particles(rng, 8, n)
-            closed = closed_form_hamiltonian(spec, pos, mom, 0.9, T, sl)
-            oracle = embedded_trace_hamiltonian(spec, pos, mom, 0.9, T, sl)
+            closed = closed_form_hamiltonian(spec, pos, mom, 0.9, 0.4, sl)
+            oracle = embedded_trace_hamiltonian(spec, pos, mom, 0.9, 0.4, sl)
             assert closed.shape == oracle.shape == (8,)
             assert (np.abs(closed - oracle) <= 1e-10 * np.maximum(1.0, np.abs(oracle))).all()
             for i in range(8):
@@ -371,3 +371,33 @@ class TestP4Involution:
         h2 = reduced_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=th1, theta1=th0 - th1),
                                  ReducedPoint(a, b, x.g, x.t, ssl))
         assert abs(h1 - h2) > 1e-3
+
+
+class TestOneTimeConvention:
+    """Every function that takes a spec takes the physical time t."""
+
+    @pytest.mark.parametrize("kind", [SystemKind.P_I, SystemKind.P_II,
+                                      SystemKind.P_II_POLY, SystemKind.P_IV])
+    def test_autonomous_arrays_are_those_at_tau(self, rng, kind):
+        # frozen at tau = 0.7, every t gives the non-autonomous arrays at t = 0.7
+        q = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        p = rng.normal(size=(4, 3, 3)) + 1j * rng.normal(size=(4, 3, 3))
+        pos, mom = random_particles(rng, 4, 3)
+        builders = {
+            "trace_hamiltonian": lambda spec, t: trace_hamiltonian(spec, q, p, t),
+            "embedded_trace_hamiltonian": lambda spec, t: embedded_trace_hamiltonian(
+                spec, pos, mom, 0.9, t, Slice.P_DIAG),
+            "closed_form_hamiltonian": lambda spec, t: closed_form_hamiltonian(
+                spec, pos, mom, 0.9, t, Slice.P_DIAG),
+            "matrix_vector_field": lambda spec, t: matrix_vector_field(spec, q, p, t),
+            "reduced_vector_field": lambda spec, t: reduced_vector_field(
+                spec, pos[0], mom[0], 0.9, t, Slice.Q_DIAG),
+        }
+        if kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
+            builders["lax_l"] = lambda spec, t: lax_l(spec, q, p, t, 0.8 + 0.3j)
+            builders["lax_m"] = lambda spec, t: lax_m(spec, q, p, t, 0.8 + 0.3j)
+        frozen, moving = spec_for(kind, tau=0.7), spec_for(kind)
+        for name, build in builders.items():
+            want = np.asarray(build(moving, 0.7))
+            for t in (0.1, 3.0):
+                assert np.array_equal(build(frozen, t), want), (name, t)

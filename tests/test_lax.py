@@ -125,13 +125,13 @@ class TestLaxMatrices:
         p = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
         t = rng.normal(size=5)
         lams = np.array([0.8 + 0.3j, -1.7j, 2.1])
-        L = lax_l(spec, q, p, spec.time(t), lams[:, None], variant)
-        M = lax_m(spec, q, p, spec.time(t), lams[:, None], variant)
+        L = lax_l(spec, q, p, t, lams[:, None], variant)
+        M = lax_m(spec, q, p, t, lams[:, None], variant)
         assert L.shape == M.shape == (3, 5, 2 * n, 2 * n)
         for i, lam in enumerate(lams):
             for j in range(5):
                 for build, stack in ((lax_l, L), (lax_m, M)):
-                    want = build(spec, q[j], p[j], spec.time(t[j]), lam, variant)
+                    want = build(spec, q[j], p[j], t[j], lam, variant)
                     scale = max(np.abs(want).max(), 1e-300)
                     assert np.abs(stack[i, j] - want).max() <= 1e-15 * scale
 
@@ -147,10 +147,9 @@ class TestLaxMatrices:
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), t)
                     lam = complex(*rng.normal(size=2))
-                    T = spec.time(pt.t)
                     L, M = reference_pair(spec, pt, lam, variant)
-                    assert np.array_equal(lax_l(spec, pt.q, pt.p, T, lam, variant), L)
-                    assert np.array_equal(lax_m(spec, pt.q, pt.p, T, lam, variant), M)
+                    assert np.array_equal(lax_l(spec, pt.q, pt.p, pt.t, lam, variant), L)
+                    assert np.array_equal(lax_m(spec, pt.q, pt.p, pt.t, lam, variant), M)
                     if variant == "corrected":
                         sample = lax_pair(spec, pt, lam)
                         assert np.array_equal(sample.L, L)
@@ -255,7 +254,7 @@ class TestSpectralMatch:
     def test_reduction_preserves_curve(self, rng):
         for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
                      SystemKind.HARM_OSC):
-            spec = spec_for(kind, autonomous=True, tau=1.0)
+            spec = spec_for(kind, tau=1.0)
             pt = random_level_set_point(rng, 3, 1.0)
             xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-6)
             xp = reduce(pt, Slice.P_DIAG, 1.0, tol=1e-6)
@@ -265,7 +264,7 @@ class TestSpectralMatch:
             assert ok, (kind, dev)
 
     def test_negative_control(self, rng):
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_II, tau=1.0)
         a = random_reduced(rng, 3, 1.0)
         b = random_reduced(rng, 3, 1.0)
         ok, dev = spectral_match(spec, a, b)
@@ -295,7 +294,7 @@ class TestSpectralMatch:
         rng = np.random.default_rng(n)
         for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
                      SystemKind.HARM_OSC):
-            spec = spec_for(kind, autonomous=True, tau=1.0)
+            spec = spec_for(kind, tau=1.0)
             pt = random_level_set_point(rng, n, 1.0)
             xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-5)
             xp = reduce(pt, Slice.P_DIAG, 1.0, tol=1e-5)
@@ -313,7 +312,7 @@ class TestSpectralMatch:
         assert not ok and np.isnan(dev)
 
     def test_different_sizes_raise(self, rng):
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_II, tau=1.0)
         with pytest.raises(DimensionMismatch):
             spectral_match(spec, random_reduced(rng, 2, 1.0),
                            random_reduced(rng, 3, 1.0))
@@ -325,8 +324,8 @@ def reference_match(spec, a, b):
     k = 2 * pa.n
     circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     grid = default_lambda_grid()
-    La = lax_l(spec, pa.q, pa.p, spec.time(pa.t), grid)
-    Lb = lax_l(spec, pb.q, pb.p, spec.time(pb.t), grid)
+    La = lax_l(spec, pa.q, pa.p, pa.t, grid)
+    Lb = lax_l(spec, pb.q, pb.p, pb.t, grid)
     devs = []
     for la, lb in zip(La, Lb):
         radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
@@ -359,9 +358,8 @@ class TestStackedSpectralMatch:
         control = random_reduced(rng, n, 1.0, t=0.5)  # another time: T differs by side
         for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV,
                      SystemKind.HARM_OSC):
-            for autonomous in (False, True):
-                spec = spec_for(kind, autonomous=autonomous,
-                                tau=1.0 if autonomous else None)
+            for tau in (None, 1.0):
+                spec = spec_for(kind, tau)
                 yield spec, pt, xq
                 yield spec, xq, control
 
@@ -405,7 +403,7 @@ class TestLOnlyReaders:
         monkeypatch.setattr(cplab.dynamics, "lax_m", stub, raising=False)
 
     def test_spectral_readers(self, rng):
-        spec = spec_for(SystemKind.P_II, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_II, tau=1.0)
         pt = random_level_set_point(rng, 3, 1.0)
         xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-6)
         assert spectral_match(spec, pt, xq)[0]
@@ -413,7 +411,7 @@ class TestLOnlyReaders:
         assert max(spectral_duality(spec, pt, 1.0).values()) < 1e-8
 
     def test_monitor(self, rng):
-        spec = spec_for(SystemKind.P_I, autonomous=True, tau=1.0)
+        spec = spec_for(SystemKind.P_I, tau=1.0)
         x0 = random_reduced(rng, 2, 1.0)
         traj = integrate(spec, embed(x0), 0.0, 0.05, 1e-2, g=1.0)
         rep = monitor_invariants(spec, traj)
@@ -427,14 +425,13 @@ PAIR_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
 class TestZeroCurvature:
     def test_exact_pairs_at_roundoff(self, rng):
         for kind in PAIR_KINDS:
-            for autonomous in (False, True):
-                spec = spec_for(kind, autonomous=autonomous,
-                                tau=1.0 if autonomous else None)
+            for tau in (None, 1.0):
+                spec = spec_for(kind, tau)
                 pt = MatrixPhasePoint(
                     rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
                     rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0.3)
                 r = zero_curvature_residual(spec, pt, 0.9 + 0.2j)
-                assert r <= 1e-12, (kind, autonomous, r)
+                assert r <= 1e-12, (kind, tau, r)
 
     def test_harmosc_exact(self, rng):
         spec = spec_for(SystemKind.HARM_OSC)
@@ -455,13 +452,12 @@ class TestZeroCurvature:
         for name in ("lax_l", "lax_m"):
             build = getattr(cplab.lax, name)
 
-            def counting(spec, q, p, T, lam, p4_variant, _name=name, _build=build):
-                out = _build(spec, q, p, T, lam, p4_variant)
+            def counting(spec, q, p, t, lam, p4_variant, _name=name, _build=build):
+                out = _build(spec, q, p, t, lam, p4_variant)
                 calls.append((_name, out.shape))
                 return out
             monkeypatch.setattr(cplab.lax, name, counting)
-        spec = spec_for(SystemKind.P_II, autonomous=autonomous,
-                        tau=1.0 if autonomous else None)
+        spec = spec_for(SystemKind.P_II, tau=1.0 if autonomous else None)
         pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.3)
         assert zero_curvature_residual(spec, pt, 0.9 + 0.2j) <= 1e-12
         assert calls == [("lax_l", (5, 4, 4)), ("lax_m", (3, 4, 4))]

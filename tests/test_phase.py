@@ -135,6 +135,11 @@ class TestSystemSpec:
         with pytest.raises(ValueError):
             SystemSpec(SystemKind.P_II, autonomous=True)
 
+    def test_tau_requires_autonomous(self):
+        # no formula reads tau of a non-autonomous spec
+        with pytest.raises(ValueError, match="exactly when the system is autonomous"):
+            SystemSpec(SystemKind.P_II, tau=1.0)
+
     def test_time_dispatch(self):
         aut = SystemSpec(SystemKind.P_II, autonomous=True, tau=2.5)
         assert aut.time(17.0) == 2.5

@@ -485,7 +485,7 @@ class TestGuardPlacement:
         for kind in SystemKind:
             spec = spec_for(kind)
             for sl in Slice:
-                closed_form_hamiltonian(spec, pos, mom, 0.9, spec.time(0.2), sl)
+                closed_form_hamiltonian(spec, pos, mom, 0.9, 0.2, sl)
         trace_power_oracle(x.positions, x.momenta, x.g, 4)
         tr_q3_closed(x)
         tr_q4_closed(x)
