@@ -207,9 +207,8 @@ def cmd_simulate(cfg, rng, out):
     }
     if spec.kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
         report["invariants"] = monitor_invariants(spec, traj)
-    csv_name = cfg.get("output", {}).get("trajectory_csv", "trajectory.csv")
-    write_trajectory_csv(traj, out, csv_name)
-    report["trajectory_csv"] = csv_name
+    report["trajectory_csv"] = cfg["output"]["trajectory_csv"]
+    write_trajectory_csv(traj, out, report["trajectory_csv"])
     return report, True
 
 
@@ -304,16 +303,20 @@ def main(argv=None) -> int:
             cfg["seed"] = args.seed
             _validate(cfg)
         rng = np.random.default_rng(cfg.get("seed", 0))
-        # an output that cannot be written fails here, before the computation
+        # every name the run writes, defaults included, is checked before the computation
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        for name in cfg.get("output", {}).values():
+        cfg["output"] = {"report_json": f"{args.command}.json", **cfg.get("output", {})}
+        if args.command == "simulate":
+            cfg["output"].setdefault("trajectory_csv", "trajectory.csv")
+        for name in cfg["output"].values():
+            if (out / name).is_dir():
+                raise ConfigError(f"output {name!r} is a directory under {out}")
             if not (out / name).parent.is_dir():
                 raise ConfigError(f"output {name!r} names no directory under {out}")
         report, ok = COMMANDS[args.command](cfg, rng, out)
         report.setdefault("seed", cfg.get("seed", 0))
-        name = cfg.get("output", {}).get("report_json", f"{args.command}.json")
-        path = write_report(report, out, name, time.perf_counter() - t0)
+        path = write_report(report, out, cfg["output"]["report_json"], time.perf_counter() - t0)
     except (ConfigError, UnsupportedSystem, OSError) as exc:  # OSError: making an output
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -42,9 +42,6 @@ class ConventionSwitch:
             raise ValueError(f"s_comm must be one of {COMM_CHOICES}")
 
 
-CALIBRATED = ConventionSwitch(s_cubic=-1, s_comm="UX_U", s_linear=1.0, s_z=-1)
-
-
 def _as_matrix(u, name="u") -> np.ndarray:
     a = np.asarray(u, dtype=complex)
     if a.ndim == 0:

@@ -114,23 +114,24 @@ class ReducedPoint:
 class Diagonalizer:
     """Eigen decomposition with columns scaled to unit entry sum (v C = v).
 
-    For a stack of matrices every field is stacked alike.
+    residual: max |C^-1 A C - diag(eigenvalues)|; a stack stacks every field.
     """
 
     C: np.ndarray
     eigenvalues: np.ndarray
     residual: np.ndarray
-    rank_one_residual: np.ndarray
 
 
-def _reject(error: type, bad: np.ndarray, text):
-    """Raise error("row i: " + text(i)) for the first failing row i of a stack check.
+def _reject(error: type, bad: np.ndarray, text: str, *rows):
+    """Raise error("row i: " + text.format(row i of rows)) for the first failing row i.
 
-    One point (bad of shape ()) gets no prefix.
+    Return if no row of bad fails; one point's mask (a numpy bool) gets no prefix.
     """
-    i = np.unravel_index(np.argmax(bad), np.shape(bad))
+    if not (np.count_nonzero(bad) if bad.shape else bad):
+        return
+    i = np.unravel_index(np.argmax(bad), bad.shape)
     row = f"row {', '.join(str(k) for k in i)}: " if i else ""
-    raise error(row + text(i))
+    raise error(row + text.format(*(r[i] for r in rows)))
 
 
 def pair_differences(x: np.ndarray) -> np.ndarray:
@@ -142,20 +143,23 @@ def pair_differences(x: np.ndarray) -> np.ndarray:
     return diff
 
 
+def _gap_test(x: np.ndarray, rtol: float, error: type, what: str) -> np.ndarray:
+    """pair_differences(x), once no row's gap lies below rtol (1 + max |x|); else error."""
+    diff = pair_differences(x)
+    # the ufunc reductions skip the ndarray method wrappers on this hot path
+    gap = np.minimum.reduce(np.abs(diff), axis=(-2, -1), initial=np.inf)
+    threshold = rtol * (1.0 + np.maximum.reduce(np.abs(x), axis=-1, initial=0.0))
+    _reject(error, gap < threshold, what + " gap {:.3e} below threshold {:.3e}",
+            gap, threshold)
+    return diff
+
+
 def guarded_differences(x: np.ndarray) -> np.ndarray:
     """pair_differences(x), once no gap of a row lies below COLLISION_RTOL (1 + max |x|).
 
-    The one collision test, run where unchecked coordinates come in:
-    ParticleCollision, naming the first failing row, if two coordinates meet.
+    The collision test, run where unchecked coordinates come in: ParticleCollision.
     """
-    diff = pair_differences(x)
-    gap = np.abs(diff).min(axis=(-2, -1), initial=np.inf)
-    threshold = COLLISION_RTOL * (1.0 + np.abs(x).max(axis=-1, initial=0.0))
-    close = gap < threshold
-    if (close.any() if x.ndim > 1 else close):  # one row compares two scalars
-        _reject(ParticleCollision, close,
-                lambda i: f"particle gap {gap[i]:.3e} below threshold {threshold[i]:.3e}")
-    return diff
+    return _gap_test(x, COLLISION_RTOL, ParticleCollision, "particle")
 
 
 def particle_guard(positions: np.ndarray, momenta: np.ndarray):
@@ -175,16 +179,16 @@ def _finite_guard(positions: np.ndarray, momenta: np.ndarray):
     """ValueError, naming the first failing row, for a non-finite coordinate."""
     if not (np.isfinite(positions).all() and np.isfinite(momenta).all()):
         finite = np.isfinite(positions).all(axis=-1) & np.isfinite(momenta).all(axis=-1)
-        _reject(ValueError, ~finite, lambda i: "non-finite particle coordinates")
+        _reject(ValueError, ~finite, "non-finite particle coordinates")
 
 
 def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     """Diagonalize A with eigenvectors scaled to unit column sums.
 
-    A is one matrix or a stack (..., n, n); a failed check names the first
-    failing matrix of a stack.  Eigenvalues are sorted lexicographically
-    by (Re, Im) so that particle labels are deterministic; all comparisons
-    elsewhere are made up to permutation anyway.
+    A is one matrix or a stack (..., n, n).  Three checks, each naming the
+    first failing matrix of a stack: the gap test at DEGENERACY_RTOL, zero
+    column sums, and the residual of the one solve C^-1 A C.  Eigenvalues
+    are sorted by (Re, Im) so that particle labels are deterministic.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
@@ -199,31 +203,19 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     # the eigenvectors are gathered as rows of the transpose and stay
     # contiguous, so the column sums below add in one order at any stack shape
     V = np.swapaxes(np.swapaxes(V, -1, -2).reshape(-1, n)[flat], -1, -2)
-
-    gap = np.abs(pair_differences(w)).min(axis=(-2, -1), initial=np.inf)
-    gap_thr = DEGENERACY_RTOL * (1.0 + np.abs(w).max(axis=-1, initial=0.0))
-    degenerate = gap < gap_thr
-    if np.count_nonzero(degenerate):
-        _reject(DegenerateSpectrum, degenerate,
-                lambda i: f"eigenvalue gap {gap[i]:.3e} below {gap_thr[i]:.3e}")
+    _gap_test(w, DEGENERACY_RTOL, DegenerateSpectrum, "eigenvalue")
 
     sums = V.sum(axis=-2)
-    zero = (np.abs(sums) < ZERO_SUM_RTOL).any(axis=-1)
-    if np.count_nonzero(zero):
-        _reject(ZeroColumnSum, zero, lambda i: "an eigenvector has near-zero entry sum")
+    _reject(ZeroColumnSum, (np.abs(sums) < ZERO_SUM_RTOL).any(axis=-1),
+            "an eigenvector has near-zero entry sum")
     C = V / sums[..., None, :]
 
     scale = 1.0 + np.abs(A).max(axis=(-2, -1))
     D = np.linalg.solve(C, A @ C)
     residual = np.abs(fill_diagonal(D, np.diagonal(D, 0, -2, -1) - w)).max(axis=(-2, -1))
-    failed = residual > max(tol, 1e-12) * scale
-    if np.count_nonzero(failed):
-        _reject(NonConvergedEigensolve, failed,
-                lambda i: f"diagonalization residual {residual[i]:.3e} exceeds tolerance")
-    proj = np.eye(n) - np.ones((n, n), dtype=complex)
-    rank_one_residual = np.abs(np.linalg.solve(C, proj @ C) - proj).max(axis=(-2, -1))
-    return Diagonalizer(C=C, eigenvalues=w, residual=residual,
-                        rank_one_residual=rank_one_residual)
+    _reject(NonConvergedEigensolve, residual > max(tol, 1e-12) * scale,
+            "diagonalization residual {:.3e} exceeds tolerance", residual)
+    return Diagonalizer(C=C, eigenvalues=w, residual=residual)
 
 
 def resolve_at_slice(q: np.ndarray, p: np.ndarray, slice: Slice,
@@ -262,18 +254,14 @@ def reduced_coordinates(q: np.ndarray, p: np.ndarray, g, slice: Slice,
         raise ValueError("tol must be positive")
     gv = coupling_value(g)
     dev = moment_deviation(q, p, gv)
-    off = ~(dev < tol)
-    if np.count_nonzero(off):
-        _reject(NotOnLevelSet, off,
-                lambda i: f"moment-map deviation {dev[i]:.3e} exceeds tol {tol:.3e}")
+    _reject(NotOnLevelSet, ~(dev < tol),
+            f"moment-map deviation {{:.3e}} exceeds tol {tol:.3e}", dev)
     pos, M = resolve_at_slice(q, p, slice, tol)
     miss = np.abs(M - calogero_block(pair_differences(pos), gv, slice.sign))
     mismatch = fill_diagonal(miss, 0.0).max(axis=(-2, -1))
-    wrong = mismatch > tol
-    if np.count_nonzero(wrong):
-        _reject(OffDiagonalMismatch, wrong,
-                lambda i: f"off-diagonal deviates from i*g/dx by {mismatch[i]:.3e} "
-                          f"(tol {tol:.3e}); wrong coupling or off-level-set input")
+    _reject(OffDiagonalMismatch, mismatch > tol,
+            f"off-diagonal deviates from i*g/dx by {{:.3e}} (tol {tol:.3e}); "
+            "wrong coupling or off-level-set input", mismatch)
     mom = np.diagonal(M, 0, -2, -1).copy()
     _finite_guard(pos, mom)
     return pos, mom

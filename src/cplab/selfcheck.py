@@ -401,13 +401,14 @@ def check_core_invariants(rng):
         sv = np.linalg.svd(target - 1j * np.eye(n), compute_uv=False)
         if not (np.all(sv[1:] < 1e-12) and sv[0] > 1.0):
             worst = max(worst, 1.0)
-    # diagonalizer row identity on level-set matrices
+    # level-set diagonalizer identities: C v = v and C^-1 (1-J) C = 1-J, J all ones
+    proj = np.eye(4) - np.ones((4, 4), dtype=complex)
     for _ in range(5):
         pt = random_level_set_point(rng, 4, 1.0)
-        diag = normalized_diagonalizer(pt.q)
+        C = normalized_diagonalizer(pt.q).C
         v = np.ones(4)
-        worst = max(worst, float(np.abs(diag.C @ v - v).max()))
-        worst = max(worst, diag.rank_one_residual)
+        worst = max(worst, float(np.abs(C @ v - v).max()))
+        worst = max(worst, np.abs(np.linalg.solve(C, proj @ C) - proj).max())
     # moment-map conservation direction for every kind at a level-set point
     for kind in FOUR_KINDS + (SystemKind.FREE, SystemKind.P_II_POLY):
         spec = spec_for(kind)

@@ -166,12 +166,31 @@ class TestUnwritableOutput:
             f"config error: output 'missing/x' names no directory under {tmp_path}\n"
 
     @pytest.mark.parametrize("key", ["report_json", "trajectory_csv"])
-    def test_failed_write_is_config_error(self, tmp_path, capsys, key):
-        # a name that is a directory passes the check and fails at the write
+    def test_failed_write_is_config_error(self, tmp_path, capsys, no_computation, key):
+        # a name that is a directory cannot be written: found before the computation
         (tmp_path / "taken").mkdir()
         cfg = write(tmp_path, "c.json", {**SIMULATE_FREE, "output": {key: "taken"}})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "config error: [Errno" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"config error: output 'taken' is a directory under {tmp_path}\n"
+
+    @pytest.mark.parametrize("command, name", [("simulate", "simulate.json"),
+                                               ("simulate", "trajectory.csv"),
+                                               ("verify-duality", "verify-duality.json")])
+    def test_default_name_that_is_a_directory(self, tmp_path, capsys, no_computation,
+                                              command, name):
+        # the names a run writes when the config sets none are checked too
+        (tmp_path / name).mkdir()
+        cfg = write(tmp_path, "c.json", {**SIMULATE_FREE, "command": command})
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: output {name!r} is a directory under {tmp_path}\n"
+
+    def test_trajectory_default_only_for_simulate(self, tmp_path, capsys):
+        # a command that writes no trajectory ignores a directory of that name
+        (tmp_path / "trajectory.csv").mkdir()
+        cfg = write(tmp_path, "c.json", {"command": "traces"})
+        assert main(["traces", "--config", cfg, "--out", str(tmp_path)]) == 0
 
 
 class TestSimulate:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -50,13 +52,29 @@ class TestNormalizedDiagonalizer:
             normalized_diagonalizer(A)
 
     def test_level_set_row_identity(self, rng):
-        # C v^T = v^T is a consequence of the level-set constraint
+        # C v^T = v^T is a consequence of the level-set constraint, and with
+        # v C = v it gives C^-1 (1 - J) C = 1 - J for the all-ones matrix J
         pt = random_level_set_point(rng, 5, 1.0)
+        proj = np.eye(5) - np.ones((5, 5))
         for target in (pt.q, pt.p):
-            diag = normalized_diagonalizer(target)
+            C = normalized_diagonalizer(target).C
             v = np.ones(5)
-            assert np.abs(diag.C @ v - v).max() < 1e-8
-            assert diag.rank_one_residual < 1e-8
+            assert np.abs(C @ v - v).max() < 1e-8
+            assert np.abs(np.linalg.solve(C, proj @ C) - proj).max() < 1e-8
+
+    @pytest.mark.parametrize("shape", [(), (3,)])
+    def test_one_solve_per_call(self, rng, monkeypatch, shape):
+        # the residual's solve C^-1 A C is the only one, for a point and a stack
+        q, _, _ = level_set_stack(rng, 4, 1.0, 3)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        normalized_diagonalizer(q if shape else q[0])
+        assert len(calls) == 1
 
 
 class TestEmbed:
@@ -254,7 +272,9 @@ def level_set_stack(rng, n, g, count):
 
 
 # each rejection of a stack check: (call, stacked arguments, the failing row k,
-# error, start of its text); the arguments' row k alone is the one point
+# error, a pattern matching the start of its text); the arguments' row k alone
+# is the one point
+FLOAT = r"\d\.\d{3}e[+-]\d{2}"  # a value formatted :.3e
 
 
 def bad_level_set(rng):
@@ -270,7 +290,7 @@ def degenerate_spectrum(rng):
     q, p, _ = level_set_stack(rng, 2, 1.0, 3)
     q[1], p[1] = pt.q, pt.p
     return (lambda q, p: reduced_coordinates(q, p, 1.0, Slice.P_DIAG), (q, p), 1,
-            ParticleCollision, "eigenvalue gap")
+            ParticleCollision, rf"eigenvalue gap {FLOAT} below threshold {FLOAT}$")
 
 
 def zero_column_sum(rng):
@@ -306,7 +326,8 @@ def off_diagonal(rng):
 def collision(rng):
     pos, _ = random_particles(rng, 5, 3)
     pos[3, 2] = pos[3, 0] + 1e-12
-    return guarded_differences, (pos,), 3, ParticleCollision, "particle gap"
+    return (guarded_differences, (pos,), 3, ParticleCollision,
+            rf"particle gap {FLOAT} below threshold {FLOAT}$")
 
 
 def non_finite(rng):
@@ -352,7 +373,7 @@ class TestStackedReduce:
             call(*(a[k] for a in stack))
         with pytest.raises(error) as rows:
             call(*stack)
-        assert str(one.value).startswith(text)
+        assert re.match(text, str(one.value))
         assert str(rows.value) == f"row {k}: {one.value}"
 
     def test_zero_row_stack(self):
@@ -374,8 +395,8 @@ class TestStackedReduce:
         for i, pt in enumerate(points):
             one = normalized_diagonalizer(pt.q)
             assert np.array_equal(diag.C[i], one.C)
+            assert np.array_equal(diag.eigenvalues[i], one.eigenvalues)
             assert diag.residual[i] == one.residual
-            assert diag.rank_one_residual[i] == one.rank_one_residual
 
 
 class TestStackedMatching:
