@@ -9,8 +9,9 @@ Three layers compare a point loop against one stack:
     (`reduced_coordinates(*embedded_matrices(...))`);
   * closed_form_oracle: the closed-form reduced Hamiltonian and its trace
     oracle of each of the six kinds at both slices, point by point
-    (`reduced_hamiltonian`, `reduced_hamiltonian_oracle`) against one stack
-    each (`closed_form_hamiltonian`, `embedded_trace_hamiltonian`);
+    (`reduced_hamiltonian`, and `embedded_trace_hamiltonian` of the point's
+    fields) against one stack each (`closed_form_hamiltonian`,
+    `embedded_trace_hamiltonian`);
   * trace_oracle: criterion 4's check of Tr Q^3 and Tr Q^4 against matrix
     powers, point by point (`ReducedPoint`, `tr_q3_closed`, `tr_q4_closed`
     and the one-row `trace_power_oracle`) against one stack (`particle_guard`,
@@ -52,8 +53,7 @@ import numpy as np  # noqa: E402
 from cplab.dynamics import integrate  # noqa: E402
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
-                                reduced_hamiltonian, reduced_hamiltonian_oracle,
-                                reduced_vector_field, rk4_step)
+                                reduced_hamiltonian, reduced_vector_field, rk4_step)
 from cplab.lax import spectral_match  # noqa: E402
 from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
@@ -92,7 +92,8 @@ def layer_loops(n: int, points: int) -> dict:
         for spec, s in cases:
             for x in points_at[s]:
                 reduced_hamiltonian(spec, x)
-                reduced_hamiltonian_oracle(spec, x)
+                embedded_trace_hamiltonian(spec, x.positions, x.momenta, x.g, x.t,
+                                           x.slice)
 
     def hamiltonian_stack():
         for spec, s in cases:

@@ -4,7 +4,6 @@ from .phase import (
     MatrixPhasePoint,
     SystemKind,
     SystemSpec,
-    TangentPair,
     level_set_target,
     moment_map,
     symplectic_pairing,
@@ -26,7 +25,6 @@ __all__ = [
     "Slice",
     "SystemKind",
     "SystemSpec",
-    "TangentPair",
     "dual_of",
     "embed",
     "level_set_target",

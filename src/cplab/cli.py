@@ -135,22 +135,15 @@ def initial_state(cfg: dict, rng: np.random.Generator):
 # report plumbing
 # ---------------------------------------------------------------------------
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _json_default(obj):
+    """json.dumps' hook for the values of a report that JSON has no type for."""
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, np.complexfloating):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _jsonable(obj.tolist())
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     if isinstance(obj, (Slice, SystemKind)):
         return obj.value
-    return obj
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, out_dir: Path, name: str, runtime: float) -> Path:
@@ -159,10 +152,11 @@ def write_report(report: dict, out_dir: Path, name: str, runtime: float) -> Path
             "timestamp": datetime.now(timezone.utc).isoformat(),
             "runtime_seconds": round(runtime, 3),
         },
-        "report": _jsonable(report),
+        "report": report,
     }
     path = out_dir / name
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               default=_json_default) + "\n")
     return path
 
 

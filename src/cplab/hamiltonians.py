@@ -103,15 +103,10 @@ def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float, k1) -> tup
 # closed-form reduced/dual Hamiltonians
 # ---------------------------------------------------------------------------
 
-def reduced_hamiltonian_oracle(spec: SystemSpec, x: ReducedPoint) -> complex:
-    """Normative definition: the matrix trace at the embedded point."""
-    return complex(embedded_trace_hamiltonian(spec, x.positions, x.momenta, x.g,
-                                              x.t, x.slice))
-
-
 def embedded_trace_hamiltonian(spec: SystemSpec, positions: np.ndarray,
                                momenta: np.ndarray, g: float, t, slice: Slice):
-    """reduced_hamiltonian_oracle at each point of a stack (..., n) of coordinates."""
+    """Normative definition of the reduced Hamiltonian: the matrix trace at the
+    embedded point, at each point of a stack (..., n) of coordinates."""
     return trace_hamiltonian(spec, *embedded_matrices(positions, momenta, g, slice), t)
 
 

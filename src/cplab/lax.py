@@ -24,8 +24,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda,
                      UnsupportedSystem)
 from .hamiltonians import matrix_vector_field
-from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
-                    add_to_diagonal)
+from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
 from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
                         matrix_point, reduce)
 
@@ -289,22 +288,24 @@ def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex,
-                            perturb: TangentPair | None = None,
+                            perturb: tuple | None = None,
                             p4_variant: str = "corrected") -> float:
     """Max-norm of A_t - B_lam + [A, B] (isomonodromic) or L_t + [L, M],
     relative to max(|A_t|, |[A, B]|).
 
     A_t is the derivative of the L-builder along the straight ray
-    (q, p, t) + s (qdot, pdot, 1), the equations of motion optionally
-    perturbed to show that a wrong flow is detected.  The builders are
-    polynomials of degree <= 3 there, so the 5-point central stencil is
-    exact, as is one central difference of M (affine in lambda) for B_lam:
-    an exact pair leaves roundoff only.  Autonomous specs freeze tau, drop
-    the B_lam term, and check the Lax equation.
+    (q, p, t) + s (qdot, pdot, 1).  A plain pair perturb = (dq, dp) of
+    n x n arrays is added to the equations of motion, to show that a wrong
+    flow is detected.  The builders are polynomials of degree <= 3 there,
+    so the 5-point central stencil is exact, as is one central difference
+    of M (affine in lambda) for B_lam: an exact pair leaves roundoff only.
+    Autonomous specs freeze tau, drop the B_lam term, and check the Lax
+    equation.
     """
     qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
     if perturb is not None:
-        qdot, pdot = qdot + perturb.dq, pdot + perturb.dp
+        dq, dp = perturb
+        qdot, pdot = qdot + dq, pdot + dp
 
     # the point itself, then the stencil points s = 1, -1, 2, -2 of the ray
     s = np.array([0.0, 1.0, -1.0, 2.0, -2.0])

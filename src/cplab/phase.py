@@ -63,22 +63,6 @@ class MatrixPhasePoint:
         return self.q.shape[0]
 
 
-@dataclass(frozen=True)
-class TangentPair:
-    """Tangent vector (dq, dp) at a matrix phase point."""
-
-    dq: np.ndarray
-    dp: np.ndarray
-
-    def __post_init__(self):
-        dq = _as_square_complex(self.dq, "dq")
-        dp = _as_square_complex(self.dp, "dp")
-        if dq.shape != dp.shape:
-            raise DimensionMismatch("dq and dp must share a shape")
-        object.__setattr__(self, "dq", dq)
-        object.__setattr__(self, "dp", dp)
-
-
 def coupling_value(g) -> float:
     """The Calogero coupling g as a float, checked finite and positive."""
     g = float(g)
@@ -163,9 +147,12 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def moment_map(pt: MatrixPhasePoint) -> np.ndarray:
-    """mu = [p, q] = p q - q p; traceless by construction."""
-    return pt.p @ pt.q - pt.q @ pt.p
+def moment_map(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """mu = [p, q] = p q - q p of each point of the stack (..., n, n).
+
+    Traceless by construction; one point gives one matrix.
+    """
+    return p @ q - q @ p
 
 
 def level_set_target(n: int, g) -> np.ndarray:
@@ -183,14 +170,15 @@ def moment_deviation(q: np.ndarray, p: np.ndarray, g=None):
 
     Without g the target is 0.  One point gives a numpy scalar.
     """
-    mu = p @ q - q @ p
+    mu = moment_map(q, p)
     if g is not None:
         mu -= level_set_target(q.shape[-1], g)
     return np.abs(mu).max(axis=(-2, -1))
 
 
-def symplectic_pairing(u: TangentPair, w: TangentPair) -> complex:
-    """omega(u, w) = Tr(dp_u dq_w) - Tr(dp_w dq_u)."""
-    if u.dq.shape != w.dq.shape:
-        raise DimensionMismatch("tangent pairs live at different dimensions")
-    return complex(np.trace(u.dp @ w.dq) - np.trace(w.dp @ u.dq))
+def symplectic_pairing(u: tuple, w: tuple) -> complex:
+    """omega(u, w) = Tr(dp_u dq_w) - Tr(dp_w dq_u) of tangent vectors (dq, dp)."""
+    (dq_u, dp_u), (dq_w, dp_w) = u, w
+    if dq_u.shape != dq_w.shape:
+        raise DimensionMismatch("tangent vectors live at different dimensions")
+    return complex(np.trace(dp_u @ dq_w) - np.trace(dp_w @ dq_u))

@@ -192,6 +192,8 @@ def normalized_diagonalizer(A: np.ndarray, tol: float = 1e-9) -> Diagonalizer:
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[-1]
+    if n < 1:
+        raise ValueError("n must be >= 1")
     try:
         w, V = np.linalg.eig(A)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails

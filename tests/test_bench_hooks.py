@@ -116,3 +116,42 @@ def test_flow_reads_of_a_trajectory(form):
             assert (s.g, s.slice) == (x0.g, x0.slice)
     assert all(getattr(points[0], name).tobytes() == getattr(start, name).tobytes()
                for name in names)
+
+
+BENCH_SOURCES = ("workloads.py", "run.py", "test_bench.py")
+
+
+def cplab_reads(source):
+    """(module, name) for each `from cplab[.X] import Y`, and for each attribute
+    read on a name bound to a cplab module, in a bench source parsed unimported."""
+    tree = ast.parse((TRACER.parent / source).read_text())
+    modules, reads = {}, []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((a.asname or a.name, a.name) for a in node.names
+                           if a.name == "cplab" or a.name.startswith("cplab."))
+        elif isinstance(node, ast.ImportFrom) and node.module and (
+                node.module == "cplab" or node.module.startswith("cplab.")):
+            for a in node.names:
+                reads.append((node.module, a.name))
+                if node.module == "cplab" and importlib.util.find_spec(f"cplab.{a.name}"):
+                    modules[a.asname or a.name] = f"cplab.{a.name}"
+    reads += [(modules[node.value.id], node.attr) for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules]
+    return reads
+
+
+def resolves(module, name):
+    """Whether `from module import name` finds an attribute or a submodule."""
+    return hasattr(importlib.import_module(module), name) or (
+        module == "cplab" and importlib.util.find_spec(f"cplab.{name}") is not None)
+
+
+@pytest.mark.parametrize("source", BENCH_SOURCES)
+def test_every_cplab_name_the_bench_reads_resolves(source):
+    reads = cplab_reads(source)
+    assert reads
+    missing = sorted({f"{module}.{name}" for module, name in reads
+                      if not resolves(module, name)})
+    assert not missing

@@ -10,6 +10,7 @@ from cplab import cli, selfcheck
 from cplab.cli import main
 from cplab.errors import NotOnLevelSet
 from cplab.lax import default_lambda_grid, spectral_match
+from cplab.reduction import Slice
 from cplab.sampling import random_level_set_point
 
 
@@ -421,6 +422,47 @@ class TestOtherCommands:
             ("s_cubic", "s_z", "s_linear", "s_comm"), 1e-4))
         cfg = write(tmp_path, "m.json", {"command": "mmkdv", "seed": 3})
         assert main(["mmkdv", "--config", cfg, "--out", str(tmp_path)]) == 1
+
+
+class TestReportEncoding:
+    REPORT_TEXT = """\
+  "report": {
+    "arr": [
+      [
+        1.0,
+        2.0
+      ],
+      [
+        0.1,
+        0.0
+      ]
+    ],
+    "count": 7,
+    "nan": NaN,
+    "ok": true,
+    "slice": "P_DIAG",
+    "x": 0.1,
+    "z": [
+      1.5,
+      -0.25
+    ]
+  }
+}
+"""
+
+    def test_write_report_text(self, tmp_path):
+        report = {"z": np.complex128(1.5 - 0.25j), "ok": np.bool_(True),
+                  "count": np.int64(7), "arr": np.array([1 + 2j, 0.1]),
+                  "nan": np.float64("nan"), "slice": Slice.P_DIAG, "x": np.float64(0.1)}
+        text = cli.write_report(report, tmp_path, "r.json", 0.25).read_text()
+        stamp = json.loads(text)["meta"]["timestamp"]
+        head = ('{\n  "meta": {\n    "runtime_seconds": 0.25,\n'
+                f'    "timestamp": "{stamp}"\n  }},\n')
+        assert text == head + self.REPORT_TEXT
+
+    def test_unknown_value_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError, match="object is not JSON serializable"):
+            cli.write_report({"x": object()}, tmp_path, "r.json", 0.0)
 
 
 class TestRegistryAgreement:

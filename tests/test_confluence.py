@@ -9,8 +9,8 @@ from cplab.confluence import (UNIT_CIRCLE_EPS, ConfluenceParams, canonical_shift
                               identity_defect, map_time, particle_conf_coordinates,
                               p4_spec, remainder, residual_ratio_sweep)
 from cplab.hamiltonians import closed_form_hamiltonian, matrix_hamiltonian
-from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, TangentPair,
-                         moment_map, symplectic_pairing)
+from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, moment_map,
+                         symplectic_pairing)
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point
 from cplab.sampling import random_reduced
 
@@ -49,7 +49,7 @@ class TestConfMap:
         pt = generic_point(rng)
         for kind in ("conf", "conf1"):
             image = conf_map(pt, ConfluenceParams(0.1, 0.4), kind)
-            assert np.abs(moment_map(image) - moment_map(pt)).max() < 1e-10
+            assert np.abs(moment_map(image.q, image.p) - moment_map(pt.q, pt.p)).max() < 1e-10
 
     def test_composition_identity(self, rng):
         pt = generic_point(rng)
@@ -61,32 +61,32 @@ class TestConfMap:
 
 
 def _pushforward(mapper, pt, tangent, step=1e-4):
-    """Finite-difference Jacobian action on a tangent pair (Richardson).
+    """Finite-difference Jacobian action on a tangent vector (dq, dp) (Richardson).
 
     Both confluence maps are quadratic in (q, p), so central differences
     carry no truncation error at any step; 1e-4 keeps the roundoff of the
     eps^-3-sized image entries at ~1e-12 (a 1e-6 step would be
     roundoff-dominated).
     """
+    dq, dp = tangent
+
     def moved(s):
-        shifted = MatrixPhasePoint(pt.q + s * tangent.dq, pt.p + s * tangent.dp,
-                                   pt.t)
-        return mapper(shifted)
+        return mapper(MatrixPhasePoint(pt.q + s * dq, pt.p + s * dp, pt.t))
 
     def diff(s):
         a, b = moved(s), moved(-s)
-        return TangentPair((a.q - b.q) / (2 * s), (a.p - b.p) / (2 * s))
+        return (a.q - b.q) / (2 * s), (a.p - b.p) / (2 * s)
 
-    d1, d2 = diff(step), diff(step / 2)
-    return TangentPair((4 * d2.dq - d1.dq) / 3, (4 * d2.dp - d1.dp) / 3)
+    (dq1, dp1), (dq2, dp2) = diff(step), diff(step / 2)
+    return (4 * dq2 - dq1) / 3, (4 * dp2 - dp1) / 3
 
 
 class TestSymplectomorphisms:
     def test_confluence_maps_preserve_pairing(self, rng):
         pt = generic_point(rng, 2)
         cp = ConfluenceParams(0.1, 0.3)
-        u = TangentPair(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
-        w = TangentPair(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+        u = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
+        w = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         before = symplectic_pairing(u, w)
         for kind in ("conf", "conf1"):
             def mapper(p):
@@ -98,8 +98,8 @@ class TestSymplectomorphisms:
 
     def test_canonical_shift_preserves_pairing(self, rng):
         pt = generic_point(rng, 3)
-        u = TangentPair(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
-        w = TangentPair(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        u = (rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+        w = (rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
         pu = _pushforward(canonical_shift, pt, u)
         pw = _pushforward(canonical_shift, pt, w)
         assert abs(symplectic_pairing(pu, pw) - symplectic_pairing(u, w)) < 1e-10

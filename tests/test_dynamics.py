@@ -186,7 +186,7 @@ def per_state_monitor(spec, traj, lams, g):
     """The monitor as a loop over states: embed, Tr H, lax_pair, np.poly of eigvals."""
     points = [matrix_point(s) for s in traj.states]
     target = 0.0 if g is None else level_set_target(points[0].n, g)
-    dev = max(float(np.abs(moment_map(pt) - target).max()) for pt in points)
+    dev = max(float(np.abs(moment_map(pt.q, pt.p) - target).max()) for pt in points)
     energy = np.array([matrix_hamiltonian(spec, pt) for pt in points])
     drift = {}
     for lam in lams:
@@ -290,8 +290,8 @@ class TestBatchedDiagnostics:
         ref = np.array([hamiltonian(spec, s) for s in traj.states])
         assert (np.abs(energy - ref) <= 1e-14 * np.maximum(1.0, np.abs(ref))).all()
         target = level_set_target(traj.states[0].n, g)
-        ref_dev = [np.abs(moment_map(matrix_point(s)) - target).max()
-                   for s in traj.states]
+        ref_dev = [np.abs(moment_map(pt.q, pt.p) - target).max()
+                   for pt in map(matrix_point, traj.states)]
         assert np.array_equal(moment_deviation(q, p, g), ref_dev)
 
     @pytest.mark.parametrize("kind", list(SystemKind))

@@ -11,7 +11,7 @@ from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
                        reduced_lax, reduced_m, spectral_duality, spectral_match,
                        spectral_table, zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
-from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec, TangentPair
+from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point, reduce
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
 
@@ -441,9 +441,19 @@ class TestZeroCurvature:
     def test_perturbation_detector(self):
         spec = SystemSpec(SystemKind.P_II, theta=0.0)
         pt = MatrixPhasePoint([[0.4]], [[0.3]], 0.2)
-        pert = TangentPair([[0.0]], [[1e-3]])
+        pert = (np.array([[0.0]]), np.array([[1e-3]]))
         r = zero_curvature_residual(spec, pt, 1.1, perturb=pert)
         assert r > 1e-4
+
+    @pytest.mark.parametrize("kind", ["P_I", "P_II", "P_IV", "HarmOsc"])
+    def test_plain_pair_perturbation_fails_the_gate(self, rng, kind):
+        # criterion 6's control: the flow moved by (1e-3 1, 1e-3 1)
+        spec = spec_for(SystemKind(kind))
+        pt = MatrixPhasePoint(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                              rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0.3)
+        pert = (1e-3 * np.eye(2), 1e-3 * np.eye(2))
+        assert zero_curvature_residual(spec, pt, 0.9 + 0.2j) <= 1e-12
+        assert zero_curvature_residual(spec, pt, 0.9 + 0.2j, perturb=pert) > 1e-6
 
     @pytest.mark.parametrize("autonomous", [False, True])
     def test_one_l_build_on_the_ray_and_one_m_build_at_the_point(

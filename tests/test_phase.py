@@ -4,10 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cplab.errors import DimensionMismatch
-from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec,
-                         TangentPair, add_to_diagonal, coupling_value,
-                         fill_diagonal, level_set_target, moment_deviation,
-                         moment_map, symplectic_pairing)
+from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal,
+                         coupling_value, fill_diagonal, level_set_target,
+                         moment_deviation, moment_map, symplectic_pairing)
 from cplab.reduction import ReducedPoint
 from cplab.sampling import random_reduced
 
@@ -19,28 +18,45 @@ def cmat(rng, n):
 class TestMomentMap:
     def test_scalars_commute(self):
         pt = MatrixPhasePoint([[2.0 + 1j]], [[-0.3]], 0.0)
-        assert moment_map(pt)[0, 0] == 0
+        assert moment_map(pt.q, pt.p)[0, 0] == 0
 
     def test_worked_2x2(self):
         pt = MatrixPhasePoint(np.diag([1.0, 2.0]),
                               [[3.0, -1j], [1j, 4.0]])
         expected = np.array([[0, -1j], [-1j, 0]])
-        assert np.abs(moment_map(pt) - expected).max() < 1e-15
+        assert np.abs(moment_map(pt.q, pt.p) - expected).max() < 1e-15
 
     def test_traceless(self, rng):
         for n in range(1, 6):
             pt = MatrixPhasePoint(cmat(rng, n), cmat(rng, n))
             scale = np.abs(pt.p).max() * np.abs(pt.q).max()
-            assert abs(np.trace(moment_map(pt))) < 1e-13 * max(1.0, scale)
+            assert abs(np.trace(moment_map(pt.q, pt.p))) < 1e-13 * max(1.0, scale)
 
     @given(a=st.complex_numbers(max_magnitude=5, allow_nan=False,
                                 allow_infinity=False))
     def test_bilinear_in_q(self, a):
         rng = np.random.default_rng(7)
-        pt = MatrixPhasePoint(cmat(rng, 4), cmat(rng, 4))
-        scaled = MatrixPhasePoint(a * pt.q, pt.p)
-        dev = np.abs(moment_map(scaled) - a * moment_map(pt)).max()
+        q, p = cmat(rng, 4), cmat(rng, 4)
+        dev = np.abs(moment_map(a * q, p) - a * moment_map(q, p)).max()
         assert dev < 1e-12 * max(1.0, abs(a)) * 50
+
+    def test_stack_rows_equal_single_calls(self, rng):
+        q = np.stack([cmat(rng, 3) for _ in range(4)])
+        p = np.stack([cmat(rng, 3) for _ in range(4)])
+        mu = moment_map(q, p)
+        assert mu.shape == (4, 3, 3)
+        for k in range(4):
+            assert mu[k].tobytes() == moment_map(q[k], p[k]).tobytes()
+
+    def test_moment_deviation_is_max_of_moment_map(self, rng):
+        q = np.stack([cmat(rng, 3) for _ in range(5)])
+        p = np.stack([cmat(rng, 3) for _ in range(5)])
+        target = level_set_target(3, 0.7)
+        dev = moment_deviation(q, p, 0.7)
+        for k in range(5):
+            assert dev[k] == np.abs(moment_map(q[k], p[k]) - target).max()
+        assert np.array_equal(moment_deviation(q, p),
+                              np.abs(moment_map(q, p)).max(axis=(-2, -1)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -114,19 +130,23 @@ class TestLevelSet:
 
 class TestSymplecticPairing:
     def test_self_pairing_vanishes(self, rng):
-        u = TangentPair(cmat(rng, 3), cmat(rng, 3))
+        u = (cmat(rng, 3), cmat(rng, 3))
         assert symplectic_pairing(u, u) == 0
 
     def test_canonical_n1(self):
-        u = TangentPair([[1.0]], [[0.0]])
-        w = TangentPair([[0.0]], [[1.0]])
+        u = (np.array([[1.0]]), np.array([[0.0]]))
+        w = (np.array([[0.0]]), np.array([[1.0]]))
         assert symplectic_pairing(u, w) == -1
+
+    def test_dimension_mismatch(self, rng):
+        with pytest.raises(DimensionMismatch):
+            symplectic_pairing((cmat(rng, 2), cmat(rng, 2)), (cmat(rng, 3), cmat(rng, 3)))
 
     @given(seed=st.integers(0, 10 ** 6))
     def test_antisymmetry(self, seed):
         rng = np.random.default_rng(seed)
-        u = TangentPair(cmat(rng, 3), cmat(rng, 3))
-        w = TangentPair(cmat(rng, 3), cmat(rng, 3))
+        u = (cmat(rng, 3), cmat(rng, 3))
+        w = (cmat(rng, 3), cmat(rng, 3))
         assert abs(symplectic_pairing(u, w) + symplectic_pairing(w, u)) < 1e-15 * 100
 
 

@@ -45,6 +45,11 @@ class TestNormalizedDiagonalizer:
         with pytest.raises(DegenerateSpectrum):
             normalized_diagonalizer(A)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0)])
+    def test_no_particles_is_a_value_error(self, shape):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            normalized_diagonalizer(np.zeros(shape))
+
     def test_zero_column_sum(self):
         # eigenvector (1, -1) of a symmetric matrix has zero entry sum
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -84,17 +89,18 @@ class TestEmbed:
         assert np.abs(pt.q - np.diag([1.0, 2.0])).max() == 0
         assert np.abs(pt.p - np.array([[3.0, -1j], [1j, 4.0]])).max() < 1e-15
         expected = np.array([[0, -1j], [-1j, 0]])
-        assert np.abs(moment_map(pt) - expected).max() < 1e-15
+        assert np.abs(moment_map(pt.q, pt.p) - expected).max() < 1e-15
 
     def test_n1(self):
         pt = embed(ReducedPoint([0.3], [0.7], 2.0))
         assert pt.q[0, 0] == 0.3 and pt.p[0, 0] == 0.7
-        assert moment_map(pt)[0, 0] == 0
+        assert moment_map(pt.q, pt.p)[0, 0] == 0
 
     def test_level_set_n5(self, rng):
         for sl in Slice:
             x = random_reduced(rng, 5, 1.7, sl)
-            dev = np.abs(moment_map(embed(x)) - level_set_target(5, 1.7)).max()
+            pt = embed(x)
+            dev = np.abs(moment_map(pt.q, pt.p) - level_set_target(5, 1.7)).max()
             assert dev < 1e-12 * 1.7
 
     def test_collision_guard(self):
