@@ -20,7 +20,8 @@ The others are one-point calls, looped over the points:
   * reduce: `reduce` of an embedded point at the q-slice;
   * reduced_vector_field_q / _p: `reduced_vector_field` of P_II at either slice;
   * rk4_step_matrix / rk4_step_reduced: one `rk4_step` of the P_II flow,
-    on the embedded matrix pair and on the q-slice particles;
+    on the embedded matrix pair and on the q-slice particles, each packed
+    as one (2, ...) state;
   * spectral_match: `spectral_match` of the autonomous P_II curves of an
     embedded point and of its p-slice reduction, embedded, on the default
     20-point lambda grid, over POINTS // 10 of the points.
@@ -146,11 +147,11 @@ def call_loops(n: int, points: int) -> dict:
                 reduced_vector_field(spec, a, b, G, T, s)
         return loop
 
-    def matrix_field(q, p, t):
-        return matrix_vector_field(spec, q, p, t)
+    def matrix_field(y, t):
+        return matrix_vector_field(spec, y[0], y[1], t)
 
-    def reduced_field(a, b, t):
-        return reduced_vector_field(spec, a, b, G, t, sl)
+    def reduced_field(y, t):
+        return reduced_vector_field(spec, y[0], y[1], G, t, sl)
 
     def integrate_loop(start):
         def loop():
@@ -159,8 +160,8 @@ def call_loops(n: int, points: int) -> dict:
 
     def step_loop(field, states):
         def loop():
-            for y0, y1 in states:
-                rk4_step(field, y0, y1, T, H, field(y0, y1, T))
+            for y in states:
+                rk4_step(field, y, T, H, field(y, T))
         return loop
 
     curve_spec = spec_for(SystemKind.P_II, tau=1.0)
@@ -175,8 +176,8 @@ def call_loops(n: int, points: int) -> dict:
         "reduce": reduce_loop,
         "reduced_vector_field_q": field_loop(Slice.Q_DIAG),
         "reduced_vector_field_p": field_loop(Slice.P_DIAG),
-        "rk4_step_matrix": step_loop(matrix_field, [(pt.q, pt.p) for pt in pts]),
-        "rk4_step_reduced": step_loop(reduced_field, list(zip(pos, mom))),
+        "rk4_step_matrix": step_loop(matrix_field, [np.stack((pt.q, pt.p)) for pt in pts]),
+        "rk4_step_reduced": step_loop(reduced_field, list(np.stack((pos, mom), axis=1))),
     }
     timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
     timed["spectral_match", "us_per_call"] = (match_loop, len(curves))

@@ -6,6 +6,7 @@ non-autonomous stage evaluates the field at its stage time.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,51 +91,54 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
               g: float | None = None) -> Trajectory:
     """Classical RK4 from t0 to t1, recorded as States arrays; no point is built.
 
-    The requested step is shrunk to the nearest exact divisor of the
-    interval so the endpoint lands on t1 with uniform steps.  A state is
-    recorded after the overflow check and, if reduced, one collision guard:
-    the stage-1 field evaluation that reads it (handed to rk4_step), or
-    guarded_differences for the final state; the field guards stages 2-4.
-    An Overflow or ParticleCollision leaves with the recorded prefix as its
-    `partial`.  Nothing is evaluated on the record: its readers (monitors,
-    reports) embed what they read.  g, else the start's coupling, is kept
-    as the trajectory's g.
+    The state is one (2, ...) array y, q over p (positions over momenta
+    for a reduced start), stepped by rk4_step; each step makes one norm
+    check on y and one record write.  The requested step is shrunk to the
+    nearest exact divisor of the interval so the endpoint lands on t1 with
+    uniform steps.  A state is recorded after the overflow check and, if
+    reduced, one collision guard: the stage-1 field evaluation that reads
+    it (handed to rk4_step), or guarded_differences for the final state;
+    the field guards stages 2-4.  An Overflow or ParticleCollision leaves
+    with the recorded prefix as its `partial`.  Nothing is evaluated on the
+    record: its readers (monitors, reports) embed what they read.  g, else
+    the start's coupling, is kept as the trajectory's g.
     """
     steps = step_count(t0, t1, h)
     h = (t1 - t0) / steps
+    # the fields take q (the positions) first: the bench sizes a span by it
     if isinstance(start, MatrixPhasePoint):
-        def rhs(q, p, t):
-            return matrix_vector_field(spec, q, p, t)
-        q, p = start.q, start.p
+        def rhs(y, t):
+            return matrix_vector_field(spec, y[0], y[1], t)
+        y = np.stack((start.q, start.p))
     else:
-        def rhs(a, b, t):
-            return reduced_vector_field(spec, a, b, start.g, t, start.slice)
-        q, p = start.positions, start.momenta
+        def rhs(y, t):
+            return reduced_vector_field(spec, y[0], y[1], start.g, t, start.slice)
+        y = np.stack((start.positions, start.momenta))
 
     g = g if g is not None else getattr(start, "g", None)
-    a, b = np.empty((2, steps + 1) + q.shape, dtype=complex)
+    ab = np.empty((2, steps + 1) + y.shape[1:], dtype=complex)
 
     def so_far(m):
         times = t0 + np.arange(m) * h
-        return Trajectory(times, States(start, times, a[:m], b[:m]), g)
+        return Trajectory(times, States(start, times, ab[0, :m], ab[1, :m]), g)
 
     try:
         # a stage may overflow; the state check below reports it
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(steps + 1):
                 if k > 0:
-                    q, p = rk4_step(rhs, q, p, t, h, k1)
+                    y = rk4_step(rhs, y, t, h, k1)
                 t = t0 + k * h
-                norm = max(float(np.abs(q).max()), float(np.abs(p).max()))
-                if not np.isfinite(norm):
+                norm = float(np.abs(y).max())
+                if not math.isfinite(norm):
                     raise Overflow(f"non-finite state at t={t:.6g}")
                 if norm > OVERFLOW_NORM:
                     raise Overflow(f"state norm {norm:.3e} exceeds {OVERFLOW_NORM:.0e}")
                 if k < steps:
-                    k1 = rhs(q, p, t)
+                    k1 = rhs(y, t)
                 elif isinstance(start, ReducedPoint):
-                    guarded_differences(q)
-                a[k], b[k] = q, p
+                    guarded_differences(y[0])
+                ab[:, k] = y
     except (Overflow, ParticleCollision) as exc:
         exc.partial = so_far(k)  # states 0 .. k - 1
         raise

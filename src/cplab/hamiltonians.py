@@ -11,8 +11,10 @@ equations are qdot = G_p, pdot = -G_q.  Every slice-dependent choice (which
 of q, p is diagonal, the Calogero sign, which stored coordinate is the
 canonical one) is read from reduction.Slice: its sign and its order.
 
-The vector fields and the RK4 step work on plain arrays, and a flow
-records its states as arrays: no point is built at a stage or a step.
+The vector fields and the RK4 step work on plain arrays: a state is one
+(2, ...) array, q over p, and a field returns (qdot, pdot) stacked the same
+way.  A flow records its states as arrays: no point is built at a stage or
+a step.
 """
 from __future__ import annotations
 
@@ -81,22 +83,27 @@ def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
     raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
-def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
-    """(qdot, pdot) = (G_p, -G_q)."""
+def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
+    """(qdot, pdot) = (G_p, -G_q), stacked as one (2, ...) array."""
     gq, gp = matrix_gradients(spec, q, p, t)
-    return gp, -gq
+    out = np.empty((2,) + gp.shape, np.promote_types(gp.dtype, gq.dtype))
+    out[0] = gp
+    np.negative(gq, out=out[1])
+    return out
 
 
-def rk4_step(field, q: np.ndarray, p: np.ndarray, t: float, h: float, k1) -> tuple:
-    """One RK4 step of (q, p)' = field(q, p, t) given k1 = field(q, p, t); the new (q, p)."""
+def rk4_step(field, y: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarray:
+    """One RK4 step of y' = field(y, t) given k1 = field(y, t); the new y.
+
+    y is a phase-space state packed as one (2, ...) array, q over p (or
+    positions over momenta), and field returns its derivative in the same
+    layout, so each stage is one array expression.
+    """
     half = h / 2
-    k1q, k1p = k1
-    k2q, k2p = field(q + half * k1q, p + half * k1p, t + half)
-    k3q, k3p = field(q + half * k2q, p + half * k2p, t + half)
-    k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
-    sixth = h / 6
-    return (q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q),
-            p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p))
+    k2 = field(y + half * k1, t + half)
+    k3 = field(y + half * k2, t + half)
+    k4 = field(y + h * k3, t + h)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +173,8 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
 # ---------------------------------------------------------------------------
 
 def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.ndarray,
-                         g: float, t: float, slice: Slice):
-    """(d positions/dt, d momenta/dt) of the reduced canonical flow.
+                         g: float, t: float, slice: Slice) -> np.ndarray:
+    """(d positions/dt, d momenta/dt) of the reduced canonical flow, stacked as (2, n).
 
     The matrix gradient at the embedded point, pulled back through the
     embedding: dH/d momenta is the diagonal of the resolved block's
@@ -186,9 +193,14 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     K = slice.order(q, p)[1]  # the resolved block
     # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T
     dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (slice.sign * 1j * g)
-    dH_db = g_res.diagonal().copy()
+    dH_db = g_res.diagonal()
     dH_dc, dH_dm = slice.order(dH_da, dH_db)
-    return slice.order(dH_dm, -dH_dc)
+    # the rows of slice.order(dH_dm, -dH_dc)
+    out = np.empty((2,) + dH_da.shape, np.promote_types(dH_da.dtype, dH_db.dtype))
+    i, j = slice.order(0, 1)
+    out[i] = dH_dm
+    np.negative(dH_dc, out=out[j])
+    return out
 
 
 # ---------------------------------------------------------------------------

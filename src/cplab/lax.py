@@ -296,15 +296,19 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     A_t is the derivative of the L-builder along the straight ray
     (q, p, t) + s (qdot, pdot, 1).  A plain pair perturb = (dq, dp) of
     n x n arrays is added to the equations of motion, to show that a wrong
-    flow is detected.  The builders are polynomials of degree <= 3 there,
-    so the 5-point central stencil is exact, as is one central difference
-    of M (affine in lambda) for B_lam: an exact pair leaves roundoff only.
+    flow is detected; a pair of another shape raises DimensionMismatch.
+    The builders are polynomials of degree <= 3 there, so the 5-point
+    central stencil is exact, as is one central difference of M (affine in
+    lambda) for B_lam: an exact pair leaves roundoff only.
     Autonomous specs freeze tau, drop the B_lam term, and check the Lax
     equation.
     """
     qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
     if perturb is not None:
         dq, dp = perturb
+        if np.shape(dq) != pt.q.shape or np.shape(dp) != pt.p.shape:
+            raise DimensionMismatch(f"perturbation of shapes {np.shape(dq)}, "
+                                    f"{np.shape(dp)} at a point of shape {pt.q.shape}")
         qdot, pdot = qdot + dq, pdot + dp
 
     # the point itself, then the stencil points s = 1, -1, 2, -2 of the ray

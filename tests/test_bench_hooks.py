@@ -118,6 +118,24 @@ def test_flow_reads_of_a_trajectory(form):
                for name in names)
 
 
+def test_field_spans_are_sized_by_particle_number():
+    # the tracer sizes a span by shape[0] of its first array argument, so a
+    # field must take q (the positions) first, not a packed (2, ...) state
+    steps, x0 = 5, random_reduced(np.random.default_rng(0), 3, 1.0)
+    spec = spec_for(SystemKind.P_II, tau=1.0)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for start in (x0, embed(x0)):
+            integrate(spec, start, 0.0, steps * 1e-3, 1e-3)
+    finally:
+        tracer.uninstall()
+    fields = ("hamiltonians.reduced_vector_field", "hamiltonians.matrix_vector_field")
+    spans = [span for span in tracer.spans if span[0] in fields]
+    assert [sum(span[0] == name for span in spans) for name in fields] == [4 * steps] * 2
+    assert {span[4] for span in spans} == {3}
+
+
 BENCH_SOURCES = ("workloads.py", "run.py", "test_bench.py")
 
 

@@ -106,6 +106,18 @@ class TestIntegrate:
             integrate(spec, MatrixPhasePoint([[0.0]], [[0.0]]), 0.0, 1.0, 0.5)
         assert len(exc_info.value.partial.states) == 1
 
+    def test_non_finite_momenta_alone_raise_overflow(self, monkeypatch):
+        # a field that leaves q at rest and sends p to NaN: the one norm check
+        # of the packed state sees it at the first step
+        def nan_momenta(spec, q, p, t):
+            return np.stack((np.zeros_like(q), np.full_like(p, np.nan)))
+
+        monkeypatch.setattr(dynamics, "matrix_vector_field", nan_momenta)
+        start = MatrixPhasePoint([[0.5]], [[0.1]])
+        with pytest.raises(Overflow, match="non-finite") as exc_info:
+            integrate(spec_for(SystemKind.FREE), start, 0.0, 1.0, 0.25)
+        assert len(exc_info.value.partial.states) == 1
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("q0", [1e13, 1e80])
     def test_start_state_overflow_raises_before_any_step(self, q0):

@@ -120,34 +120,74 @@ class TestVectorFields:
             assert np.abs(mu_dot).max() < 1e-10
 
 
+def pair_step(field, q, p, t, h):
+    """RK4 written out on a separate (q, p) pair, stage by stage."""
+    half = h / 2
+    k1q, k1p = field(q, p, t)
+    k2q, k2p = field(q + half * k1q, p + half * k1p, t + half)
+    k3q, k3p = field(q + half * k2q, p + half * k2p, t + half)
+    k4q, k4p = field(q + h * k3q, p + h * k3p, t + h)
+    sixth = h / 6
+    return (q + sixth * (k1q + 2 * k2q + 2 * k3q + k4q),
+            p + sixth * (k1p + 2 * k2p + 2 * k3p + k4p))
+
+
 class TestRK4Step:
     def test_linear_field_gives_the_degree_4_taylor_polynomial(self):
         lam_q, lam_p, h = -0.7 + 0.4j, 1.3 - 0.2j, 0.1
-        q0, p0 = np.array([1.0 + 0.5j, -2.0]), np.array([0.3j])
+        y0 = np.array([[1.0 + 0.5j, -2.0], [0.3j, 0.8 - 0.1j]])
 
-        def field(q, p, t):
-            return lam_q * q, lam_p * p
+        def field(y, t):
+            return np.stack((lam_q * y[0], lam_p * y[1]))
 
-        q, p = rk4_step(field, q0, p0, 0.2, h, field(q0, p0, 0.2))
-        for y, y0, lam in ((q, q0, lam_q), (p, p0, lam_p)):
+        y = rk4_step(field, y0, 0.2, h, field(y0, 0.2))
+        for row, row0, lam in zip(y, y0, (lam_q, lam_p)):
             z = lam * h
-            expected = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) * y0
-            assert np.abs(y - expected).max() <= 4e-16 * np.abs(expected).max()
+            expected = (1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24) * row0
+            assert np.abs(row - expected).max() <= 4e-16 * np.abs(expected).max()
 
     def test_time_dependent_field_is_integrated_exactly(self):
         # y' = t^3 is Simpson's rule over the stage times t, t + h/2, t + h:
         # exact for a cubic, and every number below is exact in floating point
         times = []
 
-        def field(q, p, t):
+        def field(y, t):
             times.append(t)
-            return np.full_like(q, t ** 3), np.full_like(p, -t ** 3)
+            return np.stack((np.full_like(y[0], t ** 3), np.full_like(y[1], -t ** 3)))
 
-        q0, p0 = np.array([2.0]), np.array([-1.0, 0.5])
-        q, p = rk4_step(field, q0, p0, 1.0, 3.0, field(q0, p0, 1.0))
+        y0 = np.array([[2.0, -3.0], [-1.0, 0.5]])
+        q, p = rk4_step(field, y0, 1.0, 3.0, field(y0, 1.0))
         assert times == [1.0, 2.5, 2.5, 4.0]
-        assert q.tolist() == [2.0 + 63.75]  # (4^4 - 1^4) / 4
+        assert q.tolist() == [2.0 + 63.75, -3.0 + 63.75]  # (4^4 - 1^4) / 4
         assert p.tolist() == [-1.0 - 63.75, 0.5 - 63.75]
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_packed_matrix_step_is_the_pair_step_bitwise(self, rng, kind):
+        spec = spec_for(kind)
+        pt = random_level_set_point(rng, 3, 1.0, t=0.2)
+
+        def field(q, p, t):
+            return matrix_vector_field(spec, q, p, t)
+
+        y0 = np.stack((pt.q, pt.p))
+        y = rk4_step(lambda y, t: field(y[0], y[1], t), y0, pt.t, 0.05,
+                     field(pt.q, pt.p, pt.t))
+        assert y.tobytes() == np.stack(pair_step(field, pt.q, pt.p, pt.t, 0.05)).tobytes()
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_packed_reduced_step_is_the_pair_step_bitwise(self, rng, kind, sl):
+        spec = spec_for(kind)
+        x = random_reduced(rng, 3, 1.0, slice=sl, t=0.2)
+
+        def field(a, b, t):
+            return reduced_vector_field(spec, a, b, x.g, t, sl)
+
+        y0 = np.stack((x.positions, x.momenta))
+        y = rk4_step(lambda y, t: field(y[0], y[1], t), y0, x.t, 0.01,
+                     field(x.positions, x.momenta, x.t))
+        expected = np.stack(pair_step(field, x.positions, x.momenta, x.t, 0.01))
+        assert y.tobytes() == expected.tobytes()
 
 
 class TestReducedHamiltonian:

@@ -455,6 +455,17 @@ class TestZeroCurvature:
         assert zero_curvature_residual(spec, pt, 0.9 + 0.2j) <= 1e-12
         assert zero_curvature_residual(spec, pt, 0.9 + 0.2j, perturb=pert) > 1e-6
 
+    @pytest.mark.parametrize("shapes", [((1, 1), (1, 1)), ((2, 2), (1, 1)),
+                                        ((2, 2), (2,)), ((3, 3), (3, 3))])
+    def test_perturbation_of_another_shape_is_a_dimension_mismatch(self, shapes):
+        spec = spec_for(SystemKind.P_II)
+        rng = np.random.default_rng(0)
+        pt = MatrixPhasePoint(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)),
+                              rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), 0.3)
+        pert = tuple(1e-3 * np.ones(shape) for shape in shapes)
+        with pytest.raises(DimensionMismatch, match="perturbation of shapes"):
+            zero_curvature_residual(spec, pt, 0.9 + 0.2j, perturb=pert)
+
     @pytest.mark.parametrize("autonomous", [False, True])
     def test_one_l_build_on_the_ray_and_one_m_build_at_the_point(
             self, rng, monkeypatch, autonomous):
