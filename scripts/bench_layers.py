@@ -34,9 +34,13 @@ Each other entry times one loop over POINTS sampled points per n, in
 microseconds per point (per point, kind and slice for the closed forms), on
 one BLAS thread.  The loops are timed in REPEATS rounds, each round running
 every loop of every layer and n once, so that a slow phase of the host
-touches every entry alike.  Each entry reports the median of its rounds and
-their interquartile range (the `_iqr` field beside it).  The result goes to
-BENCH_layers.json at the root of the checkout.
+touches every entry alike.  Each round also times bench/speed.py's reference
+kernel once and rescales its entries by REF_NOMINAL_S over the kernel's
+seconds, as bench/run.py rescales a pass, so that tables written at different
+times, of different commits, compare; `reference_kernel_s` is the kernel's
+median.  Each entry reports the median of its rounds and their interquartile
+range (the `_iqr` field beside it).  The result goes to BENCH_layers.json at
+the root of the checkout.
 """
 import os
 
@@ -44,6 +48,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import pathlib  # noqa: E402
 import platform  # noqa: E402
@@ -65,12 +70,21 @@ from cplab.selfcheck import appendix_trace_points  # noqa: E402
 from cplab.traces import (tr_c3, tr_c4, tr_q3_closed, tr_q4_closed,  # noqa: E402
                           trace_power_oracle)
 
-OUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_layers.json"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_layers.json"
 SIZES = (2, 4, 8, 12)
 POINTS = 100
 REPEATS = 21
 G, T = 0.9, 0.4
 H = 1e-3  # the RK4 step
+
+
+def load_speed():
+    """bench/speed.py, loaded by path: the reference kernel and its nominal time."""
+    spec = importlib.util.spec_from_file_location("speed", ROOT / "bench" / "speed.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def layer_loops(n: int, points: int) -> dict:
@@ -192,12 +206,18 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
                for n in sizes
                for loops in (layer_loops(n, points), call_loops(n, points))
                for (layer, field), timed in loops.items()}
+    speed = load_speed()
     rounds = {key: [] for key in entries}
+    kernel_s = []
     for _ in range(repeats):
+        start = time.perf_counter()
+        speed.reference_kernel()
+        kernel_s.append(time.perf_counter() - start)
+        scale = speed.REF_NOMINAL_S / kernel_s[-1]
         for key, (loop, per) in entries.items():
             start = time.perf_counter()
             loop()
-            rounds[key].append((time.perf_counter() - start) / per * 1e6)
+            rounds[key].append((time.perf_counter() - start) / per * 1e6 * scale)
     layers: dict = {}
     for (layer, n, field), us in rounds.items():
         q1, median, q3 = np.percentile(us, [25, 50, 75])
@@ -209,12 +229,15 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
                       for n, row in rows.items()}
               for layer, rows in layers.items()}
     return {
-        "unit": "us per point (per point, kind and slice for closed_form_oracle; "
+        "unit": "us at the reference kernel's nominal speed, per point (per point, "
+                "kind and slice for closed_form_oracle; "
                 "per call for the us_per_call layers; per accepted step for the "
                 "us_per_step layers)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
-                  f"entry once, of {points} sampled points per n; one process, "
+                  f"entry once, of {points} sampled points per n, rescaled by "
+                  "REF_NOMINAL_S over the round's reference kernel seconds; one process, "
                   "one BLAS thread",
+        "reference_kernel_s": round(float(np.median(kernel_s)), 6),
         "machine": f"{platform.machine()}, {os.cpu_count()} cpus, "
                    f"python {platform.python_version()}, numpy {np.__version__}",
         "layers": layers,

@@ -61,17 +61,21 @@ def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t):
 
 
 def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
-    """(G_q, G_p) under dH = Tr(G_q dq) + Tr(G_p dp)."""
+    """(G_q, G_p) under dH = Tr(G_q dq) + Tr(G_p dp).
+
+    Where G_p = p (Free, HarmOsc, P_I, P_II) the input p itself is returned:
+    a caller reads the gradients and never writes into them.
+    """
     T = spec.time(t)
     k = spec.kind
     if k is SystemKind.FREE:
-        return np.zeros_like(q), p.copy()
+        return np.zeros(q.shape, q.dtype), p
     if k is SystemKind.HARM_OSC:
-        return spec.omega ** 2 * q, p.copy()
+        return spec.omega ** 2 * q, p
     if k is SystemKind.P_I:
-        return add_to_diagonal(-1.5 * q @ q, -(T / 4)), p.copy()
+        return add_to_diagonal(-1.5 * q @ q, -(T / 4)), p
     if k is SystemKind.P_II:
-        return add_to_diagonal(-(2 * q @ q @ q + T * q), -spec.theta), p.copy()
+        return add_to_diagonal(-(2 * q @ q @ q + T * q), -spec.theta), p
     if k is SystemKind.P_II_POLY:
         gq = add_to_diagonal(-(q @ p + p @ q), -spec.theta)
         gp = add_to_diagonal(p - q @ q, -(T / 2))
@@ -191,12 +195,18 @@ def reduced_vector_field(spec: SystemSpec, positions: np.ndarray, momenta: np.nd
     q, p = embedded_matrices(positions, momenta, g, slice)
     g_diag, g_res = slice.order(*matrix_gradients(spec, q, p, t))
     K = slice.order(q, p)[1]  # the resolved block
-    # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T
-    dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (slice.sign * 1j * g)
+    # K's diagonal (the momenta) only meets the zero diagonal of g_res - g_res.T;
+    # the row g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (s i g),
+    # formed in place by the same operations in the same order
+    row = K * K
+    row *= g_res - g_res.T
+    dH_da = np.add.reduce(row, axis=1)
+    dH_da /= slice.sign * 1j * g
+    dH_da += g_diag.diagonal()
     dH_db = g_res.diagonal()
     dH_dc, dH_dm = slice.order(dH_da, dH_db)
-    # the rows of slice.order(dH_dm, -dH_dc)
-    out = np.empty((2,) + dH_da.shape, np.promote_types(dH_da.dtype, dH_db.dtype))
+    # the rows of slice.order(dH_dm, -dH_dc); the embedded matrices are complex
+    out = np.empty((2,) + dH_da.shape, complex)
     i, j = slice.order(0, 1)
     out[i] = dH_dm
     np.negative(dH_dc, out=out[j])

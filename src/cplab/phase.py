@@ -130,10 +130,14 @@ def add_to_diagonal(a: np.ndarray, s) -> np.ndarray:
     """a + s * 1 in place on each matrix of the stack a (..., n, n); returns a.
 
     s is a scalar or broadcasts over the leading axes.  Adding s * eye(n)
-    would change the off-diagonal entries by an exact 0 only.
+    would change the off-diagonal entries by an exact 0 only.  A C-contiguous
+    matrix adds through one strided view of its buffer.
     """
     if a.ndim == 2:  # einsum's view is several times slower per call at small n
-        a.flat[:: a.shape[-1] + 1] += s
+        if a.flags.c_contiguous:  # a.flat indexes through a slower iterator
+            a.reshape(-1)[:: a.shape[-1] + 1] += s
+        else:
+            a.flat[:: a.shape[-1] + 1] += s
     else:
         np.einsum("...ii->...i", a)[...] += np.asarray(s)[..., None]
     return a

@@ -22,7 +22,9 @@ def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
     Trial k has sizes[k] particles.  The trials are drawn in order, each
     drawing, in this order, the real jitter, the imaginary jitter (complex
     positions only), then the real and imaginary momentum normals, so the
-    generator moves exactly as under one one-trial call per trial.  The
+    generator moves exactly as under one one-trial call per trial.  A trial
+    draws its jitter rows in one call and its momentum rows in another: the
+    generator fills an array of 2n values as it would two arrays of n.  The
     trials of each size n form one (trials of size n, n) stack, its rows in
     trial order, that passes the checks of a ReducedPoint; the keys are the
     sizes in increasing order.
@@ -30,16 +32,17 @@ def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
     if min(sizes, default=1) < 1:
         raise ValueError("a reduced point needs at least one particle")
     draws = {n: [] for n in sorted(set(sizes))}
+    jitter_rows = 2 if complex_positions else 1
     for n in sizes:
-        re_jit = rng.uniform(-jitter, jitter, n)
-        im_jit = rng.uniform(-jitter, jitter, n) if complex_positions else np.zeros(n)
-        re_mom = rng.normal(size=n)
-        draws[n].append((re_jit, im_jit, re_mom, rng.normal(size=n)))
+        jit = rng.uniform(-jitter, jitter, jitter_rows * n)
+        draws[n].append((jit, rng.normal(size=2 * n)))
     stacks = {}
     for n, rows in draws.items():
-        re_jit, im_jit, re_mom, im_mom = np.moveaxis(np.array(rows), 1, 0)
-        pos = spread * np.arange(n) + re_jit + 1j * im_jit
-        mom = mom_scale * (re_mom + 1j * im_mom)
+        # (trials, rows, n): the jitter rows (re, im) and the momentum rows (re, im)
+        jit, nrm = (np.array(d).reshape(len(rows), -1, n) for d in zip(*rows))
+        im_jit = jit[:, 1] if complex_positions else np.zeros(n)
+        pos = spread * np.arange(n) + jit[:, 0] + 1j * im_jit
+        mom = mom_scale * (nrm[:, 0] + 1j * nrm[:, 1])
         particle_guard(pos, mom)
         stacks[n] = pos, mom
     return stacks

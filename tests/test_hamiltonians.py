@@ -13,7 +13,7 @@ from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamilton
                                 reduced_vector_field, rk4_step, trace_hamiltonian)
 from cplab.lax import lax_l, lax_m
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
-from cplab.reduction import ReducedPoint, Slice
+from cplab.reduction import ReducedPoint, Slice, embedded_matrices
 from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
                             spec_for)
 from cplab.traces import a4_quad_sum
@@ -118,6 +118,24 @@ class TestVectorFields:
             qdot, pdot = matrix_vector_field(spec, pt.q, pt.p, pt.t)
             mu_dot = (pdot @ pt.q - pt.q @ pdot) + (pt.p @ qdot - qdot @ pt.p)
             assert np.abs(mu_dot).max() < 1e-10
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_fields_leave_their_inputs_alone(self, rng, kind):
+        # matrix_gradients may hand back p itself as G_p: neither field writes
+        # into its inputs, and neither output is a view of them
+        spec = spec_for(kind)
+        pt = random_level_set_point(rng, 3, 1.0, t=0.2)
+        q, p = pt.q.copy(), pt.p.copy()
+        out = matrix_vector_field(spec, q, p, pt.t)
+        assert q.tobytes() == pt.q.tobytes() and p.tobytes() == pt.p.tobytes()
+        assert not any(np.shares_memory(row, m) for row in out for m in (q, p))
+        for sl in Slice:
+            x = random_reduced(rng, 3, 1.0, sl, t=0.2)
+            a, b = x.positions.copy(), x.momenta.copy()
+            out = reduced_vector_field(spec, a, b, x.g, x.t, sl)
+            assert a.tobytes() == x.positions.tobytes()
+            assert b.tobytes() == x.momenta.tobytes()
+            assert not any(np.shares_memory(row, m) for row in out for m in (a, b))
 
 
 def pair_step(field, q, p, t, h):
@@ -288,6 +306,24 @@ class TestStackedReducedHamiltonian:
 
 
 class TestReducedVectorField:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("sl", list(Slice))
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_is_the_one_line_chain_rule_bitwise(self, rng, kind, sl, n):
+        # the field forms its chain-rule row in place; the written-out
+        # expression below is the same operations in the same order
+        spec = spec_for(kind)
+        x = random_reduced(rng, n, 0.9, sl, t=0.3)
+        q, p = embedded_matrices(x.positions, x.momenta, x.g, sl)
+        g_diag, g_res = sl.order(*matrix_gradients(spec, q, p, x.t))
+        K = sl.order(q, p)[1]
+        dH_da = g_diag.diagonal() + (K * K * (g_res - g_res.T)).sum(axis=1) / (sl.sign * 1j * x.g)
+        dH_dc, dH_dm = sl.order(dH_da, g_res.diagonal())
+        expected = np.stack(sl.order(dH_dm, -dH_dc))
+        out = reduced_vector_field(spec, x.positions, x.momenta, x.g, x.t, sl)
+        assert out.dtype == expected.dtype and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_scalar_painleve(self):
         spec = SystemSpec(SystemKind.P_II, theta=0.2)
         x = ReducedPoint([0.5], [0.8], 1.0, t=0.1)

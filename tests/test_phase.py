@@ -92,6 +92,25 @@ class TestDiagonalHelpers:
         assert (big[1, 0, 0], big[1, 1, 1]) == (7.0, 8.0)
         assert np.count_nonzero(big) == 2 + 6 + 2
 
+    @pytest.mark.parametrize("layout", ["C", "F", "block", "1x1", "1x1 block"])
+    def test_one_matrix_adds_as_a_stack_of_one_in_place(self, rng, layout):
+        big = cmat(rng, 6)
+        a, contiguous = {"C": (cmat(rng, 3), True),
+                         "F": (np.asfortranarray(cmat(rng, 3)), False),
+                         "block": (big[1:6:2, 0:3], False),
+                         "1x1": (cmat(rng, 1), True),
+                         "1x1 block": (big[2:3, 4:5], True)}[layout]
+        assert a.flags.c_contiguous == contiguous  # the path under test
+        before, big_before = a.copy(), big.copy()
+        s = 0.3 - 0.7j
+        stacked = add_to_diagonal(before[None].copy(), s)[0]
+        out = add_to_diagonal(a, s)
+        assert out is a
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(stacked).tobytes()
+        assert np.count_nonzero(a != before) == a.shape[0]
+        if layout.endswith("block"):  # the write lands in the matrix viewed
+            assert np.count_nonzero(big != big_before) == a.shape[0]
+
     def test_fill_diagonal_on_stacks(self):
         a = fill_diagonal(np.ones((2, 3, 3)), np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
         assert np.array_equal(np.diagonal(a, axis1=-2, axis2=-1), [[1, 2, 3], [4, 5, 6]])

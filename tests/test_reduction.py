@@ -460,7 +460,8 @@ class TestStackedSampler:
             rows[n][1].append(0.5 * (re_mom + 1j * im_mom))
         assert list(stacks) == sorted(rows)
         for n, (pos, mom) in stacks.items():
-            assert np.array_equal(pos, rows[n][0]) and np.array_equal(mom, rows[n][1])
+            assert pos.tobytes() == np.array(rows[n][0]).tobytes()
+            assert mom.tobytes() == np.array(rows[n][1]).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
 
     def test_per_size_stacks_are_guarded_per_size(self, rng):

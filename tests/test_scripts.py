@@ -37,6 +37,7 @@ def test_bench_layers():
                  "rk4_step_matrix", "rk4_step_reduced", "spectral_match"}
     per_step = {"integrate_matrix", "integrate_reduced"}
     assert set(table["layers"]) == stacked | one_point | per_step
+    assert table["reference_kernel_s"] > 0  # the speed that rescaled the rounds
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
         for row in layer.values():
