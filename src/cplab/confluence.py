@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonians import (closed_form_hamiltonian, matrix_hamiltonian,
-                           reduced_hamiltonian, trace_hamiltonian)
+from .hamiltonians import closed_form_hamiltonian, trace_hamiltonian
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, matrix_point, \
     normalized_diagonalizer, permuted_deviation, reduce
@@ -133,12 +132,13 @@ def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
     if isinstance(point, ReducedPoint):
         if point.slice is not Slice.Q_DIAG:
             raise ValueError("reduced confluence lives on the Q_DIAG slice")
-        h_target = reduced_hamiltonian(target, point)
+        h_target = closed_form_hamiltonian(target, point.positions, point.momenta,
+                                           point.g, point.t, Slice.Q_DIAG)
         a4, b4, t4 = particle_conf_coordinates(point.positions, point.momenta,
                                                point.t, cp, kind)
         h4 = closed_form_hamiltonian(spec, a4, b4, point.g, t4, Slice.Q_DIAG)
     else:
-        h_target = matrix_hamiltonian(target, point)
+        h_target = trace_hamiltonian(target, point.q, point.p, point.t)
         q4, p4, t4 = conf_matrices(point, cp, kind)
         h4 = trace_hamiltonian(spec, q4, p4, t4)
     return h_target, -cp.eps * h4, point.n * cp.theta / (2 * cp.eps ** 2)

@@ -32,9 +32,7 @@ class OffDiagonalMismatch(CplabError):
 class ParticleCollision(CplabError):
     """Two particle coordinates closer than the collision threshold."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial  # trajectory prefix, when aborting a flow
+    partial = None  # trajectory prefix, when aborting a flow
 
 
 class PoleAtLambda(CplabError):
@@ -42,9 +40,7 @@ class PoleAtLambda(CplabError):
 
 
 class Overflow(CplabError):
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    partial = None  # trajectory prefix, when aborting a flow
 
 
 class UnsupportedSystem(CplabError):

@@ -13,9 +13,11 @@ import numpy as np
 from .phase import MatrixPhasePoint, SystemKind, SystemSpec
 from .reduction import ReducedPoint, Slice, embed, particle_guard
 
+JITTER = 0.3  # half-width of the uniform position jitter about the grid
+
 
 def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
-                           jitter: float = 0.3, complex_positions: bool = True,
+                           complex_positions: bool = True,
                            mom_scale: float = 1.0) -> dict:
     """{n: (positions, momenta)}: one random reduced point per entry of sizes.
 
@@ -34,7 +36,7 @@ def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
     draws = {n: [] for n in sorted(set(sizes))}
     jitter_rows = 2 if complex_positions else 1
     for n in sizes:
-        jit = rng.uniform(-jitter, jitter, jitter_rows * n)
+        jit = rng.uniform(-JITTER, JITTER, jitter_rows * n)
         draws[n].append((jit, rng.normal(size=2 * n)))
     stacks = {}
     for n, rows in draws.items():
@@ -48,29 +50,25 @@ def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
     return stacks
 
 
-def random_particles(rng: np.random.Generator, trials: int, n: int,
-                     spread: float = 1.5, jitter: float = 0.3,
-                     complex_positions: bool = True,
-                     mom_scale: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
+def random_particles(rng: np.random.Generator, trials: int,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
     """(positions, momenta) of `trials` random reduced points, each (trials, n).
 
-    The one-size call of random_particle_stacks.
+    The one-size call of random_particle_stacks, with its default draw.
     """
     if n < 1:
         raise ValueError("a reduced point needs at least one particle")
     if not trials:
         return np.zeros((0, n), dtype=complex), np.zeros((0, n), dtype=complex)
-    return random_particle_stacks(rng, [n] * trials, spread, jitter,
-                                  complex_positions, mom_scale)[n]
+    return random_particle_stacks(rng, [n] * trials)[n]
 
 
 def random_reduced(rng: np.random.Generator, n: int, g: float,
                    slice: Slice = Slice.Q_DIAG, t: float = 0.0,
-                   spread: float = 1.5, jitter: float = 0.3,
-                   complex_positions: bool = True,
+                   spread: float = 1.5, complex_positions: bool = True,
                    mom_scale: float = 1.0) -> ReducedPoint:
-    """One random reduced point: a one-trial draw of random_particles."""
-    pos, mom = random_particles(rng, 1, n, spread, jitter, complex_positions, mom_scale)
+    """One random reduced point: a one-trial draw of random_particle_stacks."""
+    pos, mom = random_particle_stacks(rng, [n], spread, complex_positions, mom_scale)[n]
     return ReducedPoint(pos[0], mom[0], g, t, slice)
 
 

@@ -11,6 +11,7 @@ true structural statements (quadruple class zero, triple class essential)
 are the gate of the criterion-11 entry itself.
 """
 import json
+import math
 import time
 
 import numpy as np
@@ -100,6 +101,26 @@ def test_equivariance_gate_holds_on_seeds_0_to_99():
     failed, elapsed = seed_sweep((sc.check_equivariance,))
     assert not failed
     assert elapsed < 4.0, f"{elapsed:.2f}s of CPU time over the 4s budget"
+
+
+@pytest.mark.parametrize("measured, conditions, passed", [
+    (0.5, (), True),
+    (0.5, (True, True), True),
+    (1.0, (), False),  # equality fails: the rule is strict
+    (float("nan"), (), False),
+    (0.5, (True, False), False),
+])
+def test_one_verdict_rule(measured, conditions, passed):
+    entry = sc._check("name", "operation", 1.0, measured, *conditions, extra=7)
+    assert entry["pass"] is passed
+    assert (entry["tolerance"], entry["extra"]) == (1.0, 7)
+
+
+def test_every_tolerance_is_a_finite_number():
+    for seed in range(3):
+        for entry in sc.run_selfcheck(seed)["checks"]:
+            tol = entry["tolerance"]
+            assert isinstance(tol, float) and math.isfinite(tol), entry["name"]
 
 
 def test_criterion_14_determinism():

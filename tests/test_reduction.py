@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cplab import reduction
+from cplab import reduction, sampling
 from cplab.errors import (DegenerateSpectrum, NonConvergedEigensolve, NotOnLevelSet,
                           OffDiagonalMismatch, ParticleCollision, ZeroColumnSum)
 from cplab.hamiltonians import closed_form_hamiltonian, reduced_vector_field
@@ -15,7 +15,7 @@ from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed
                              matched_deviation, normalized_diagonalizer, pair_differences,
                              particle_guard, permuted_deviation, reduce,
                              reduced_coordinates, resolve_at_slice)
-from cplab.sampling import (random_level_set_point, random_particle_stacks,
+from cplab.sampling import (JITTER, random_level_set_point, random_particle_stacks,
                             random_particles, random_reduced, spec_for)
 from cplab.traces import tr_q3_closed, tr_q4_closed, trace_power_oracle
 
@@ -436,8 +436,8 @@ class TestStackedSampler:
     @pytest.mark.parametrize("complex_positions", [True, False])
     def test_stack_draws_as_single_draws(self, complex_positions):
         a, b = np.random.default_rng(5), np.random.default_rng(5)
-        pos, mom = random_particles(a, 7, 4, complex_positions=complex_positions,
-                                    mom_scale=0.5)
+        pos, mom = random_particle_stacks(a, [4] * 7, complex_positions=complex_positions,
+                                          mom_scale=0.5)[4]
         for i in range(7):
             x = random_reduced(b, 4, 1.0, complex_positions=complex_positions,
                                mom_scale=0.5)
@@ -449,12 +449,12 @@ class TestStackedSampler:
     def test_per_size_stacks_draw_as_one_trial_draws(self, complex_positions):
         sizes = [1 + k % 6 for k in range(40)] + [12, 3]
         a, b = np.random.default_rng(9), np.random.default_rng(9)
-        stacks = random_particle_stacks(a, sizes, spread=1.2, jitter=0.2,
+        stacks = random_particle_stacks(a, sizes, spread=1.2,
                                         complex_positions=complex_positions, mom_scale=0.5)
         rows = {n: ([], []) for n in sizes}
         for n in sizes:  # one trial at a time, as the one-trial sampler drew them
-            re_jit = b.uniform(-0.2, 0.2, n)
-            im_jit = b.uniform(-0.2, 0.2, n) if complex_positions else np.zeros(n)
+            re_jit = b.uniform(-JITTER, JITTER, n)
+            im_jit = b.uniform(-JITTER, JITTER, n) if complex_positions else np.zeros(n)
             re_mom, im_mom = b.normal(size=n), b.normal(size=n)
             rows[n][0].append(1.2 * np.arange(n) + re_jit + 1j * im_jit)
             rows[n][1].append(0.5 * (re_mom + 1j * im_mom))
@@ -464,23 +464,25 @@ class TestStackedSampler:
             assert mom.tobytes() == np.array(rows[n][1]).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
 
-    def test_per_size_stacks_are_guarded_per_size(self, rng):
+    def test_per_size_stacks_are_guarded_per_size(self, rng, monkeypatch):
         assert random_particle_stacks(rng, []) == {}
         with pytest.raises(ValueError, match="at least one particle"):
             random_particle_stacks(rng, [2, 0])
+        monkeypatch.setattr(sampling, "JITTER", 0.0)
         with pytest.raises(ParticleCollision, match="^row 0: "):
-            random_particle_stacks(rng, [1, 3, 1], spread=0.0, jitter=0.0)
+            random_particle_stacks(rng, [1, 3, 1], spread=0.0)
 
     def test_zero_trials(self, rng):
         pos, mom = random_particles(rng, 0, 3)
         assert pos.shape == mom.shape == (0, 3)
 
     @pytest.mark.parametrize("sl", list(Slice))
-    def test_a_true_collision_keeps_its_message(self, rng, sl):
+    def test_a_true_collision_keeps_its_message(self, rng, sl, monkeypatch):
+        monkeypatch.setattr(sampling, "JITTER", 0.0)
         with pytest.raises(ParticleCollision) as point:
             ReducedPoint([1.0, 1.0], [0.0, 0.0], 1.0, slice=sl)
         with pytest.raises(ParticleCollision) as sampled:
-            random_particles(rng, 4, 3, spread=0.0, jitter=0.0)
+            random_particle_stacks(rng, [3] * 4, spread=0.0)
         with pytest.raises(ParticleCollision) as field:
             reduced_vector_field(spec_for(SystemKind.P_II), np.array([1.0, 1.0]),
                                  np.zeros(2), 1.0, 0.0, sl)
