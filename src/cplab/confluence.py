@@ -220,5 +220,5 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
     return {
         "eigenbasis_misalignment": misalignment,
         "naive_map_deviation": naive_deviation,
-        "deviation": max(misalignment, naive_deviation),
+        "deviation": float(np.max([misalignment, naive_deviation])),
     }

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonScalarInput
+from .errors import CplabError, DimensionMismatch, NonScalarInput
 
 COMM_CHOICES = ("UX_U", "U_UXX", "NONE")
 
@@ -126,16 +126,14 @@ def calibrate() -> tuple[ConventionSwitch, dict]:
     tw_winners, ss_winners = [], []
     for s_cubic in (1, -1):
         sw = ConventionSwitch(s_cubic=s_cubic)
-        worst = max(tw_residual(v, p, z, th, sw) for v, p, z, th in samples)
-        if worst < 1e-12:
+        if np.max([tw_residual(v, p, z, th, sw) for v, p, z, th in samples]) < 1e-12:
             tw_winners.append(s_cubic)
     for s_z, s_linear in itertools.product((1, -1), (1.0, 2.0)):
         sw = ConventionSwitch(s_z=s_z, s_linear=s_linear)
-        worst = max(ss_residual(v, p, z, th, sw) for v, p, z, th in samples)
-        if worst < 1e-12:
+        if np.max([ss_residual(v, p, z, th, sw) for v, p, z, th in samples]) < 1e-12:
             ss_winners.append((s_z, s_linear))
     if len(tw_winners) != 1 or len(ss_winners) != 1:
-        raise RuntimeError(
+        raise CplabError(
             f"calibration not unique: tw={tw_winners}, ss={ss_winners}")
     chosen = ConventionSwitch(s_cubic=tw_winners[0], s_comm="UX_U",
                               s_z=ss_winners[0][0], s_linear=ss_winners[0][1])
@@ -165,20 +163,19 @@ def switch_sensitivity(sw: ConventionSwitch) -> dict:
     samples = list(_scalar_samples(rng))
     out = {}
     flipped = replace(sw, s_cubic=-sw.s_cubic)
-    out["s_cubic"] = max(tw_residual(v, p, z, th, flipped)
-                         for v, p, z, th in samples)
+    out["s_cubic"] = float(np.max([tw_residual(v, p, z, th, flipped)
+                                   for v, p, z, th in samples]))
     for name, value in (("s_z", -sw.s_z),
                         ("s_linear", 3.0 - sw.s_linear)):
         flipped = replace(sw, **{name: value})
-        out[name] = max(ss_residual(v, p, z, th, flipped)
-                        for v, p, z, th in samples)
+        out[name] = float(np.max([ss_residual(v, p, z, th, flipped)
+                                  for v, p, z, th in samples]))
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             for _ in range(4)]
     alternatives = [c for c in COMM_CHOICES if c != sw.s_comm]
-    out["s_comm"] = min(
-        float(np.abs(mmkdv_rhs(*mats, sw)
-                     - mmkdv_rhs(*mats, replace(sw, s_comm=alt))).max())
-        for alt in alternatives)
+    out["s_comm"] = float(np.min(
+        [np.abs(mmkdv_rhs(*mats, sw) - mmkdv_rhs(*mats, replace(sw, s_comm=alt))).max()
+         for alt in alternatives]))
     return out
 
 
@@ -192,16 +189,14 @@ def deformation_check(sw: ConventionSwitch, samples) -> dict:
     control skips the identification (w = z), which must fail whenever
     s_z = -1.
     """
-    worst = 0.0
-    smallest_gap = np.inf
+    deviations, gaps = [], []
     for v, _p, z, const in samples:
         if np.ndim(v) != 0:
             raise NonScalarInput("deformation check is a scalar identity")
         vm = np.array([[v]], dtype=complex)
         ss = ss_closure(vm, z, const, sw)[0, 0]
         tw = tw_closure(vm, sw.s_z * z, const)[0, 0]
-        worst = max(worst, abs(ss - tw))
-        unidentified = tw_closure(vm, z, const)[0, 0]
-        smallest_gap = min(smallest_gap, abs(ss - unidentified))
-    return {"max_deviation": float(worst),
-            "min_unidentified_gap": float(smallest_gap)}
+        deviations.append(abs(ss - tw))
+        gaps.append(abs(ss - tw_closure(vm, z, const)[0, 0]))
+    return {"max_deviation": float(np.max(deviations, initial=0.0)),
+            "min_unidentified_gap": float(np.min(gaps, initial=np.inf))}

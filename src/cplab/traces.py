@@ -140,5 +140,5 @@ def evenness_check(x: ReducedPoint, l: int, g_values) -> dict:
         "symmetry_deviation": float(sym_dev),
         "max_even_coeff": float(even),
         "max_odd_coeff": float(odd),
-        "odd_over_even": float(odd / even) if even > 0 else 0.0,
+        "odd_over_even": float(odd / even) if even != 0 else 0.0,
     }

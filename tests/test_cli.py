@@ -417,6 +417,15 @@ class TestOtherCommands:
         for kind in ("conf", "conf1"):
             assert rep["report"]["breakdown"][kind]["deviation"] < 1e-8
 
+    def test_failed_mmkdv_calibration_exits_3_without_a_report(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(mmkdv, "tw_residual", lambda *args: np.nan)
+        cfg = str(CONFIG_DIR / "mmkdv.json")
+        assert main(["mmkdv", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical error in mmkdv: CplabError: calibration not unique")
+        assert not (tmp_path / "mmkdv.json").exists()
+
     def test_mmkdv_enforces_switch_sensitivity(self, tmp_path, monkeypatch):
         monkeypatch.setattr(mmkdv, "switch_sensitivity", lambda sw: dict.fromkeys(
             ("s_cubic", "s_z", "s_linear", "s_comm"), 1e-4))

@@ -233,6 +233,12 @@ class TestDualBreakdown:
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 1e-2
 
+    def test_a_nan_naive_deviation_is_the_deviation(self, rng, monkeypatch):
+        monkeypatch.setattr(confluence, "permuted_deviation", lambda a, b: np.nan)
+        xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), "conf1")
+        assert np.isnan(rep["deviation"])
+
     @pytest.mark.parametrize("kind", ["conf", "conf1"])
     def test_equal_dual_momenta_are_legal(self, kind):
         # on P_DIAG only the positions are collision-tested; equal momenta

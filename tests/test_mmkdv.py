@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cplab.errors import NonScalarInput
+from cplab import mmkdv
+from cplab.errors import CplabError, NonScalarInput
 from cplab.mmkdv import (ConventionSwitch, calibrate, deformation_check, mmkdv_rhs,
                          ss_residual, switch_sensitivity, tw_residual)
 
@@ -96,6 +99,16 @@ class TestCalibration:
         assert set(sens) == {"s_cubic", "s_comm", "s_linear", "s_z"}
         assert min(sens.values()) > 1e-3
 
+    def test_a_nan_residual_disqualifies_a_switch(self, nan_on_call):
+        # the second of the 24 samples of the winning s_cubic = -1 reads NaN
+        nan_on_call(mmkdv, "tw_residual", 26)
+        with pytest.raises(CplabError, match=r"calibration not unique: tw=\[\]"):
+            calibrate()
+
+    def test_a_nan_residual_is_the_sensitivity(self, nan_on_call):
+        nan_on_call(mmkdv, "tw_residual", 2)
+        assert math.isnan(switch_sensitivity(CALIBRATED)["s_cubic"])
+
 
 class TestDeformation:
     def test_identification_matches(self, rng):
@@ -113,6 +126,13 @@ class TestDeformation:
                    for _ in range(10)]
         rep = deformation_check(CALIBRATED, samples)
         assert rep["min_unidentified_gap"] > 1e-3
+
+    def test_a_nan_closure_is_the_deviation(self, nan_on_call, rng):
+        # the third call is the identified side of the second sample
+        nan_on_call(mmkdv, "tw_closure", 3)
+        samples = [(rng.normal(), rng.normal(), float(rng.normal()), rng.normal())
+                   for _ in range(5)]
+        assert math.isnan(deformation_check(CALIBRATED, samples)["max_deviation"])
 
     def test_rejects_matrices(self):
         with pytest.raises(NonScalarInput):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from cplab import selfcheck
+from cplab import selfcheck, traces
 from cplab.errors import ParticleCollision
 from cplab.phase import fill_diagonal
 from cplab.reduction import (ReducedPoint, calogero_block, inverse_square_kernel,
@@ -231,6 +231,20 @@ class TestEvenness:
         monkeypatch.setattr(selfcheck, "evenness_check", skewed)
         entry = selfcheck.check_appendix_traces(np.random.default_rng(4))
         assert not entry["pass"]
+
+    def test_a_nan_even_coefficient_is_not_read_as_zero(self, monkeypatch):
+        # NaN traces at the fit's couplings, after the three g_values and their
+        # negatives, make every fitted coefficient NaN
+        def nan_fit(pos, mom, g, l):
+            out = trace_power_oracle(pos, mom, g, l)
+            out[6:] = np.nan
+            return out
+
+        monkeypatch.setattr(traces, "trace_power_oracle", nan_fit)
+        rep = evenness_check(ReducedPoint([0.0, 1.3, 2.9], [0.4, -1.0, 0.7], 1.0), 4,
+                             [0.5, 1.0, 2.0])
+        assert rep["symmetry_deviation"] < 1e-11
+        assert np.isnan(rep["odd_over_even"])
 
     def test_l1_independent_of_g(self):
         x = ReducedPoint([0.0, 1.0, 2.5], [1.0, 2.0, 3.0], 1.0)
