@@ -25,11 +25,15 @@ The others are one-point calls, looped over the points:
   * spectral_match: `spectral_match` of the autonomous P_II curves of an
     embedded point and of its p-slice reduction, embedded, on the default
     20-point lambda grid, over POINTS // 10 of the points.
-One layer times a whole flow:
+These layers time a whole flow:
   * integrate_matrix / integrate_reduced: one `integrate` call of the P_II
     flow over POINTS steps from the first point, turned onto the imaginary
     axis about its mean (where the quartic potential confines), embedded
-    and on the q-slice, in microseconds per accepted step (`us_per_step`).
+    and on the q-slice, in microseconds per accepted step (`us_per_step`);
+  * monitor_invariants: `monitor_invariants` of the autonomous P_II
+    matrix flow from that start over 10 * POINTS steps (1001 recorded
+    states, as criterion 7 records), in microseconds per recorded state
+    (`us_per_state`).
 Each other entry times one loop over POINTS sampled points per n, in
 microseconds per point (per point, kind and slice for the closed forms), on
 one BLAS thread.  The loops are timed in REPEATS rounds, each round running
@@ -56,7 +60,7 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cplab.dynamics import integrate  # noqa: E402
+from cplab.dynamics import integrate, monitor_invariants  # noqa: E402
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_vector_field, rk4_step)
@@ -198,6 +202,9 @@ def call_loops(n: int, points: int) -> dict:
     flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
     timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)
     timed["integrate_reduced", "us_per_step"] = (integrate_loop(flow_start), points)
+    monitored = integrate(curve_spec, embed(flow_start), T, T + 10 * points * H, H, g=G)
+    timed["monitor_invariants", "us_per_state"] = (
+        lambda: monitor_invariants(curve_spec, monitored), len(monitored.states))
     return timed
 
 
@@ -232,7 +239,7 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
         "unit": "us at the reference kernel's nominal speed, per point (per point, "
                 "kind and slice for closed_form_oracle; "
                 "per call for the us_per_call layers; per accepted step for the "
-                "us_per_step layers)",
+                "us_per_step layers; per recorded state for the us_per_state layer)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n, rescaled by "
                   "REF_NOMINAL_S over the round's reference kernel seconds; one process, "

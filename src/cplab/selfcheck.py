@@ -210,7 +210,9 @@ def check_isospectral_conservation(rng):
     for kind in (SystemKind.P_I, SystemKind.P_II):
         spec = spec_for(kind, tau=1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=x0.g)
-        readings += monitor_invariants(spec, traj)["charpoly_drift"].values()
+        monitored = monitor_invariants(spec, traj)
+        readings += monitored["power_trace_drift"].values()
+        readings += [monitored["energy_drift"], monitored["moment_deviation_max"]]
     return _check("isospectral_conservation",
                   "monitor_invariants on autonomous matrix flows", 1e-6, readings)
 
@@ -365,7 +367,8 @@ def check_mmkdv(rng):
     sens = mmkdv.switch_sensitivity(sw)
     return _check("mmkdv", "tw/ss residuals under calibrated convention",
                   1e-12, readings, deform["max_deviation"] < 1e-10,
-                  commuting < 1e-10, all(s > 1e-3 for s in sens.values()),
+                  deform["max_unidentified_gap"] > 1e-3, commuting < 1e-10,
+                  all(s > 1e-3 for s in sens.values()),
                   calibration=calib_report, deformation=deform,
                   commuting_matrix_residual=commuting,
                   switch_sensitivity=sens)

@@ -154,6 +154,22 @@ def test_a_nan_reading_fails_its_criterion(nan_on_call, case, check, module, nam
     assert entry["pass"] is False
 
 
+@pytest.mark.parametrize("key", ["energy_drift", "moment_deviation_max"])
+def test_criterion_07_gates_the_monitor_drifts(monkeypatch, key):
+    real = sc.monitor_invariants
+    monkeypatch.setattr(sc, "monitor_invariants",
+                        lambda spec, traj: {**real(spec, traj), key: 1e-5})
+    assert sc.check_isospectral_conservation(np.random.default_rng(7))["pass"] is False
+
+
+@pytest.mark.parametrize("gap", [float("nan"), 0.0])
+def test_criterion_13_gates_its_deformation_control(monkeypatch, gap):
+    real = sc.mmkdv.deformation_check
+    monkeypatch.setattr(sc.mmkdv, "deformation_check",
+                        lambda sw, samples: {**real(sw, samples), "max_unidentified_gap": gap})
+    assert sc.check_mmkdv(np.random.default_rng(13))["pass"] is False
+
+
 @pytest.fixture(scope="module")
 def reports():
     """The run_selfcheck reports of seeds 0..2, computed once for this module."""

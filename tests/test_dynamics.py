@@ -6,7 +6,8 @@ import pytest
 from cplab import dynamics
 from cplab.dynamics import (CONTOUR_NODES, MONITOR_LAMBDAS, contour_pushforward,
                             dual_position_drift, equivariance_check,
-                            field_deviation, integrate, monitor_invariants, step_count)
+                            field_deviation, integrate, monitor_invariants, power_traces,
+                            step_count)
 from cplab.errors import Overflow, ParticleCollision
 from cplab.hamiltonians import (matrix_hamiltonian, reduced_hamiltonian,
                                 reduced_vector_field, trace_hamiltonian)
@@ -185,7 +186,7 @@ class TestMonitor:
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-3, g=0.3)
         rep = monitor_invariants(spec, traj)
         assert rep["conservation_asserted"]
-        assert max(rep["charpoly_drift"].values()) < 1e-6
+        assert max(rep["power_trace_drift"].values()) < 1e-6
         assert rep["moment_deviation_max"] < 1e-8
 
     def test_nonautonomous_moment_map_still_conserved(self, rng):
@@ -201,22 +202,43 @@ class TestMonitor:
         x0 = random_reduced(rng, 2, 1.0)
         traj = integrate(spec, embed(x0), 0.0, 1.0, 1e-2, g=1.0)
         rep = monitor_invariants(spec, traj)
-        assert max(rep["charpoly_drift"].values()) < 1e-12
+        assert max(rep["power_trace_drift"].values()) < 1e-12
         assert rep["energy_drift"] < 1e-12
+
+    def test_zero_lax_matrix_is_scaled_by_one(self, rng):
+        # the free L is diag(p, -p): 0 along a flow from rest, so the
+        # row-sum norm is 0 and the scale falls back to 1
+        q0 = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        traj = integrate(spec_for(SystemKind.FREE),
+                         MatrixPhasePoint(q0, np.zeros((2, 2))), 0.0, 0.1, 1e-2)
+        drift = monitor_invariants(spec_for(SystemKind.FREE), traj)["power_trace_drift"]
+        assert list(drift.values()) == [0.0] * len(MONITOR_LAMBDAS)
+
+
+class TestPowerTraces:
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_match_matrix_powers(self, rng, K):
+        A = rng.normal(size=(5, K, K)) + 1j * rng.normal(size=(5, K, K))
+        A /= np.abs(A).sum(axis=-1).max()
+        ref = np.array([[np.trace(np.linalg.matrix_power(a, k)) for k in range(1, K + 1)]
+                        for a in A])
+        assert np.abs(power_traces(A) - ref).max() < 1e-14
 
 
 def per_state_monitor(spec, traj, lams, g):
-    """The monitor as a loop over states: embed, Tr H, lax_pair, np.poly of eigvals."""
+    """The monitor as a loop over states: embed, Tr H, lax_pair, traces of matrix_power."""
     points = [matrix_point(s) for s in traj.states]
     target = 0.0 if g is None else level_set_target(points[0].n, g)
     dev = max(float(np.abs(moment_map(pt.q, pt.p) - target).max()) for pt in points)
     energy = np.array([matrix_hamiltonian(spec, pt) for pt in points])
     drift = {}
     for lam in lams:
-        coeffs = np.array([np.poly(np.linalg.eigvals(lax_pair(spec, pt, lam).L))
-                           for pt in points])
-        scale = np.maximum(1.0, np.abs(coeffs[0]))
-        drift[str(lam)] = float((np.abs(coeffs - coeffs[0]) / scale).max())
+        Ls = [lax_pair(spec, pt, lam).L for pt in points]
+        norm = np.abs(Ls[0]).sum(axis=1).max()
+        scale = norm if norm > 0 else 1.0
+        traces = np.array([[np.trace(np.linalg.matrix_power(L / scale, k))
+                            for k in range(1, len(L) + 1)] for L in Ls])
+        drift[str(lam)] = float(np.abs(traces - traces[0]).max())
     return dev, drift, float(np.abs(energy - energy[0]).max())
 
 
@@ -250,31 +272,45 @@ class TestStackedMonitor:
     @pytest.mark.parametrize("case", ["matrix_autonomous", "reduced_q_slice",
                                       "reduced_p_slice", "matrix_nonautonomous",
                                       "reduced_nonautonomous"])
-    def test_matches_per_state_charpoly(self, monitored, case):
+    def test_matches_per_state_power_traces(self, monitored, case):
         spec, traj, g = monitored[case]
         rep = monitor_invariants(spec, traj)
         dev, drift, energy_drift = per_state_monitor(spec, traj, MONITOR_LAMBDAS,
                                                      g if g is not None else traj.g)
         assert abs(rep["moment_deviation_max"] - dev) <= 1e-12
         assert abs(rep["energy_drift"] - energy_drift) <= 1e-12
-        assert rep["charpoly_drift"].keys() == drift.keys()
+        assert rep["power_trace_drift"].keys() == drift.keys()
         for lam in drift:
-            assert abs(rep["charpoly_drift"][lam] - drift[lam]) <= 1e-12, lam
+            assert abs(rep["power_trace_drift"][lam] - drift[lam]) <= 1e-12, lam
 
     @pytest.mark.parametrize("case", ["matrix_autonomous", "reduced_p_slice"])
-    def test_one_eigensolve_per_lambda(self, monkeypatch, monitored, case):
+    def test_makes_no_eigensolve(self, monkeypatch, monitored, case):
         spec, traj, g = monitored[case]
-        calls = []
-        eigvals = np.linalg.eigvals
 
-        def counting(a):
-            calls.append(np.shape(a))
-            return eigvals(a)
+        def refuse(*args, **kwargs):
+            raise AssertionError("monitor_invariants made an eigensolve")
 
-        monkeypatch.setattr(np.linalg, "eigvals", counting)
-        monitor_invariants(spec, traj)
-        assert len(calls) == len(MONITOR_LAMBDAS)
-        assert all(shape[0] == len(traj.states) for shape in calls)
+        for solver in ("eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, solver, refuse)
+        assert monitor_invariants(spec, traj)["power_trace_drift"]
+
+    def test_lax_stack_is_built_in_blocks(self, monkeypatch, monitored):
+        # the first state's L for the scale, then one stack per block
+        spec, traj, _ = monitored["matrix_autonomous"]
+        monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 40)
+        rows, real = [], dynamics.lax_l
+
+        def counting(spec, q, *rest):
+            rows.append(q.shape[:-2])
+            return real(spec, q, *rest)
+
+        monkeypatch.setattr(dynamics, "lax_l", counting)
+        rep = monitor_invariants(spec, traj)
+        assert len(traj.states) == 101
+        assert rows == [(), (40,), (40,), (21,)] * len(MONITOR_LAMBDAS)
+        monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 256)
+        assert monitor_invariants(spec, traj)["power_trace_drift"] == \
+            rep["power_trace_drift"]
 
     def test_monitor_peak_memory_is_l_only(self):
         # criterion 7's P_I flow: the stacked L, not M, is the monitor's to hold
@@ -298,6 +334,41 @@ class TestStackedMonitor:
                             lambda a: calls.append(1) or eigvals(a))
         dual_position_drift(traj)
         assert len(calls) == 1
+
+
+def scaled_momentum_field(factor):
+    """matrix_vector_field with pdot scaled by factor: a flow that is not isospectral."""
+    real = dynamics.matrix_vector_field
+
+    def field(spec, q, p, t):
+        out = real(spec, q, p, t)
+        out[1] *= factor
+        return out
+    return field
+
+
+class TestIsospectralResolution:
+    """Criterion 7's 1e-6 gate passes true autonomous flows and fails a control.
+
+    The control scales pdot by 1 + 1e-3.  At n = 12 the char-poly
+    coefficients of the eigenvalues drift by up to 2.2e-5 along the true
+    P_II flows, above the gate; the power traces stay near roundoff.
+    """
+
+    @pytest.mark.parametrize("n, seed", [(3, 0), (3, 1), (12, 0)])
+    @pytest.mark.parametrize("kind", [SystemKind.P_I, SystemKind.P_II])
+    def test_true_flow_passes_and_control_fails(self, monkeypatch, kind, n, seed):
+        spec = spec_for(kind, tau=1.0)
+        x0 = random_reduced(np.random.default_rng(seed), n, 0.3, spread=1.0, mom_scale=0.2)
+
+        def drift():
+            traj = integrate(spec, embed(x0), 0.0, 0.05, 0.05 / 200, g=x0.g)
+            assert len(traj.states) == 201
+            return max(monitor_invariants(spec, traj)["power_trace_drift"].values())
+
+        assert drift() < 1e-6
+        monkeypatch.setattr(dynamics, "matrix_vector_field", scaled_momentum_field(1 + 1e-3))
+        assert drift() > 1e-6
 
 
 class TestBatchedDiagnostics:

@@ -125,7 +125,7 @@ class TestDeformation:
         samples = [(1.0 + rng.normal(), 0.0, 1.0 + abs(rng.normal()), 0.3)
                    for _ in range(10)]
         rep = deformation_check(CALIBRATED, samples)
-        assert rep["min_unidentified_gap"] > 1e-3
+        assert rep["max_unidentified_gap"] > 1e-3
 
     def test_a_nan_closure_is_the_deviation(self, nan_on_call, rng):
         # the third call is the identified side of the second sample
