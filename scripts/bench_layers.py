@@ -22,6 +22,8 @@ The others are one-point calls, looped over the points:
   * rk4_step_matrix / rk4_step_reduced: one `rk4_step` of the P_II flow,
     on the embedded matrix pair and on the q-slice particles, each packed
     as one (2, ...) state;
+  * zero_curvature_residual: `zero_curvature_residual` of the P_II pair at
+    an embedded point, at lambda = ZC_LAMBDA (criterion 6's);
   * spectral_match: `spectral_match` of the autonomous P_II curves of an
     embedded point and of its p-slice reduction, embedded, on the default
     20-point lambda grid, over POINTS // 10 of the points.
@@ -64,7 +66,7 @@ from cplab.dynamics import integrate, monitor_invariants  # noqa: E402
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_vector_field, rk4_step)
-from cplab.lax import spectral_match  # noqa: E402
+from cplab.lax import spectral_match, zero_curvature_residual  # noqa: E402
 from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
                              embedded_matrices, inverse_square_kernel, particle_guard,
@@ -81,6 +83,7 @@ POINTS = 100
 REPEATS = 21
 G, T = 0.9, 0.4
 H = 1e-3  # the RK4 step
+ZC_LAMBDA = 0.9 + 0.2j
 
 
 def load_speed():
@@ -165,6 +168,10 @@ def call_loops(n: int, points: int) -> dict:
                 reduced_vector_field(spec, a, b, G, T, s)
         return loop
 
+    def zero_curvature_loop():
+        for pt in pts:
+            zero_curvature_residual(spec, pt, ZC_LAMBDA)
+
     def matrix_field(y, t):
         return matrix_vector_field(spec, y[0], y[1], t)
 
@@ -196,6 +203,7 @@ def call_loops(n: int, points: int) -> dict:
         "reduced_vector_field_p": field_loop(Slice.P_DIAG),
         "rk4_step_matrix": step_loop(matrix_field, [np.stack((pt.q, pt.p)) for pt in pts]),
         "rk4_step_reduced": step_loop(reduced_field, list(np.stack((pos, mom), axis=1))),
+        "zero_curvature_residual": zero_curvature_loop,
     }
     timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
     timed["spectral_match", "us_per_call"] = (match_loop, len(curves))

@@ -4,9 +4,9 @@
 For each kind and n, draws a generic level-set point (diagonal in neither
 q nor p), reduces it at both slices, and prints the spectral_match
 deviation between the unreduced, reduced, and dual Lax matrices over the
-default 20-point lambda grid: the largest |det(mu - L_a)/det(mu - L_b) - 1|
-on a circle in mu enclosing both spectra, at roundoff for exact dualities
-at any n.
+default 20-point lambda grid: the largest |Tr A_a^k - Tr A_b^k|, k = 1..2n,
+with A = L / s and s the larger row-sum norm of the two sides, at roundoff
+for exact dualities.
 """
 import argparse
 

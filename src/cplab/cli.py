@@ -219,7 +219,7 @@ def cmd_verify_duality(cfg, rng, out):
     worst = float(np.max(list(devs.values())))  # a NaN deviation is the worst
     control = spectral_match(spec, pt, other)[1]
     report = {
-        "operation": "spectral_match: det(mu - L) ratios on a mu circle",
+        "operation": "spectral_match: power traces Tr (L / s)^k, k = 1..2n",
         "tolerance": SPECTRAL_TOL,
         "lambda_grid_size": len(default_lambda_grid()),
         "max_deviation": worst,

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import Overflow, ParticleCollision
 from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
-from .lax import lax_l
+from .lax import lax_l, power_traces
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
 from .reduction import ReducedPoint, embedded_matrices, guarded_differences, \
     match_permutation, pair_differences, resolve_at_slice
@@ -146,26 +146,6 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
     return so_far(steps + 1)
 
 
-def power_traces(A: np.ndarray) -> np.ndarray:
-    """Tr A^k for k = 1 .. K of each K x K matrix of a stack (..., K, K), as (..., K).
-
-    Only A .. A^ceil(K/2) are formed: Tr A^(a+b) is the sum of the entries
-    of A^a times those of the transpose of A^b.  By Newton's identities the
-    K traces fix the characteristic polynomial (faddeev_charpoly runs that
-    recurrence).
-    """
-    K = A.shape[-1]
-    powers = [A]
-    while 2 * len(powers) < K:
-        powers.append(powers[-1] @ A)
-    traces = np.empty(A.shape[:-2] + (K,), dtype=complex)
-    traces[..., 0] = np.trace(A, axis1=-2, axis2=-1)
-    for k in range(2, K + 1):
-        traces[..., k - 1] = np.einsum("...ij,...ji->...", powers[(k + 1) // 2 - 1],
-                                       powers[k // 2 - 1])
-    return traces
-
-
 def power_trace_drift(spec: SystemSpec, q: np.ndarray, p: np.ndarray, times: np.ndarray,
                       lam: complex) -> float:
     """max over k = 1 .. 2n and the states of |Tr A^k - Tr A^k at the first state|.
@@ -173,8 +153,8 @@ def power_trace_drift(spec: SystemSpec, q: np.ndarray, p: np.ndarray, times: np.
     A = L(lam) / ||L(lam) at the first state||_inf, the row-sum norm, with
     the scale 1 where that norm is 0, as spectral_match scales; so every
     eigenvalue of the first A lies in the unit disc.  The (states, n, n) stacks
-    q, p are read MONITOR_BLOCK states at a time, one lax_l build each, and
-    no eigensolve is made.
+    q, p are read MONITOR_BLOCK states at a time, one lax_l build each, into
+    lax.power_traces, and no eigensolve is made.
     """
     norm = np.abs(lax_l(spec, q[0], p[0], times[0], lam)).sum(axis=-1).max()
     scale = 1.0 if norm == 0 else norm
@@ -192,7 +172,8 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     """Per-step moment-map deviation, energy drift and power-trace drift at MONITOR_LAMBDAS.
 
     The states are embedded once; that stack gives the energies
-    (trace_hamiltonian), the moment deviations (against the trajectory's
+    (trace_hamiltonian, whose drift |E - E0| is read relative to
+    max(1, |E0|)), the moment deviations (against the trajectory's
     coupling traj.g), and for each lambda the power_trace_drift of L, which
     is conserved exactly when det(mu - L(lambda)) is.  For autonomous specs
     the drifts are conserved-quantity checks; for non-autonomous ones they
@@ -209,7 +190,8 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     report["power_trace_drift"] = {str(lam): power_trace_drift(spec, q, p, traj.times, lam)
                                    for lam in MONITOR_LAMBDAS}
     energy = trace_hamiltonian(spec, q, p, traj.times)
-    report["energy_drift"] = float(np.abs(energy - energy[0]).max())
+    report["energy_drift"] = float(np.max(np.abs(energy - energy[0])
+                                          / np.maximum(1.0, np.abs(energy[0]))))
     return report
 
 

@@ -29,9 +29,8 @@ from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
                         matrix_point, reduce)
 
 POLE_EPS = 1e-12
-SPECTRAL_TOL = 1e-8  # spectral_match's verdict: largest det ratio deviation accepted
-# entries of spectral_match's largest slogdet stack: 2n + 1 matrices 2n x 2n at n = 12
-SLOGDET_ENTRIES = 25 * 24 * 24
+# spectral_match's verdict: largest scaled power-trace difference accepted
+SPECTRAL_TOL = 1e-8
 
 
 class LaxPair(NamedTuple):
@@ -222,41 +221,52 @@ def default_lambda_grid() -> list[complex]:
             for k in range(10)]
 
 
+def power_traces(A: np.ndarray) -> np.ndarray:
+    """Tr A^k for k = 1 .. K of each K x K matrix of a stack (..., K, K), as (..., K).
+
+    The powers are formed one factor at a time, P <- P A, up to
+    A^ceil(K/2), and each is read twice: Tr A^(2j-1) is the entrywise
+    product of A^j with the transpose of A^(j-1), Tr A^(2j) that of A^j
+    with its own transpose.  So ceil(K/2) - 1 batched matmuls give all K
+    traces, and at most three stacks of A's size are alive: A and the two
+    buffers the products alternate between.  By Newton's identities the K
+    traces fix the characteristic polynomial (faddeev_charpoly runs that
+    recurrence).
+    """
+    K = A.shape[-1]
+    traces = np.empty(A.shape[:-2] + (K,), dtype=complex)
+    traces[..., 0] = np.trace(A, axis1=-2, axis2=-1)
+    buffers = (np.empty_like(A), np.empty_like(A))
+    previous, P = None, A
+    for k in range(2, K + 1):
+        if k % 2:  # k = 2j - 1: A^j, written over A^(j-2), which is read no more
+            previous, P = P, np.matmul(P, A, out=buffers[k // 2 % 2])
+        traces[..., k - 1] = np.einsum("...ij,...ji->...", P, previous if k % 2 else P)
+    return traces
+
+
 def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
     At each lambda of default_lambda_grid both sides are monic of degree 2n
-    in mu, so they are equal iff they agree at 2n points.  The deviation is
-    the largest |det(mu - L_a) / det(mu - L_b) - 1| over 2n + 1 points of
-    the circle |mu| = 2 max(||L_a||_inf, ||L_b||_inf), where every factor
-    mu - eigenvalue is at least half the radius, so the ratio is well
-    conditioned at any n.
-    L is built once, for both sides over the grid.  Each slogdet call covers
-    the 2n + 1 points of as many (lambda, side) pairs as fit in
-    SLOGDET_ENTRIES matrix entries (every pair in one call up to n = 3, one
-    pair per call at n = 12), so the stack never outgrows that of one pair
-    at n = 12, and each pair's determinants are those of a call of its own.
+    in mu, so by Newton's identities they are equal iff their power traces
+    Tr L^k, k = 1 .. 2n, agree.  Both sides are scaled by one s, the larger
+    row-sum norm ||L_a||_inf, ||L_b||_inf (1 where that is 0), so every
+    eigenvalue of A = L / s lies in the unit disc and each trace is at most
+    2n in modulus.  The deviation is the largest |Tr A_a^k - Tr A_b^k| over
+    the grid and k; a NaN, from non-finite L, fails.  L is built once, for
+    both sides over the grid, and no determinant or eigensolve is made.
     """
     pa, pb = matrix_point(a), matrix_point(b)
     if pa.n != pb.n:
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
-    k = 2 * pa.n
-    circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     # (lambda, side, 2n, 2n): the sides on the second axis, a before b
     L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]), np.array([pa.t, pb.t]),
               np.array(default_lambda_grid())[:, None])
-    radius = 2 * np.abs(L).sum(axis=-1).max(axis=(1, 2))
-    scale = np.repeat(np.where(radius == 0, 1.0, radius), 2)  # one per (lambda, side)
-    L = L.reshape(-1, k, k)
-    sign = np.empty((len(L), k + 1), dtype=complex)
-    logdet = np.empty((len(L), k + 1))
-    step = max(1, SLOGDET_ENTRIES // ((k + 1) * k * k))
-    for i in range(0, len(L), step):
-        shifted = scale[i:i + step, None, None, None] * circle
-        shifted -= L[i:i + step, None]  # mu - L
-        sign[i:i + step], logdet[i:i + step] = np.linalg.slogdet(shifted)
-    ratio = sign[0::2] / sign[1::2] * np.exp(logdet[0::2] - logdet[1::2])
-    worst = float(np.abs(ratio - 1).max())  # a NaN deviation, from non-finite L, fails
+    norm = np.abs(L).sum(axis=-1).max(axis=(1, 2))
+    L /= np.where(norm == 0, 1.0, norm)[:, None, None, None]
+    traces = power_traces(L)
+    worst = float(np.abs(traces[:, 0] - traces[:, 1]).max())
     return worst < SPECTRAL_TOL, worst
 
 

@@ -162,7 +162,7 @@ def check_spectral_duality(rng):
     b = random_reduced(rng, 3, 1.0)
     _, neg = spectral_match(spec, a, b)
     return _check("spectral_duality",
-                  "spectral_match (det(mu - L) ratios) over 20-pt grid",
+                  "spectral_match (power traces of L / s, k = 1..2n) over 20-pt grid",
                   SPECTRAL_TOL, list(per_kind.values()), neg > SPECTRAL_TOL,
                   per_kind=per_kind, negative_control=neg)
 

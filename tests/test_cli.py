@@ -9,7 +9,7 @@ import cplab.mmkdv as mmkdv
 from cplab import cli, selfcheck
 from cplab.cli import main
 from cplab.errors import NotOnLevelSet
-from cplab.lax import default_lambda_grid, spectral_match
+from cplab.lax import SPECTRAL_TOL, default_lambda_grid, spectral_match
 from cplab.reduction import Slice
 from cplab.sampling import random_level_set_point
 
@@ -322,13 +322,14 @@ class TestVerifyDuality:
 
     def test_huge_time_fails_by_its_negative_control(self, tmp_path):
         # tau = 1e300 swamps L: every curve, the unrelated one too, matches
+        # (both scaled power traces differ by a denormal, about 6.4e-314)
         cfg = write(tmp_path, "dual.json", {
             "command": "verify-duality",
             "system": {"kind": "P_II", "autonomous": True, "tau": 1e300},
         })
         assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 1
         rep = json.loads((tmp_path / "verify-duality.json").read_text())["report"]
-        assert rep["max_deviation"] == 0.0 and rep["negative_control"] == 0.0
+        assert rep["max_deviation"] < SPECTRAL_TOL and rep["negative_control"] < SPECTRAL_TOL
         assert rep["pass"] is False
 
 

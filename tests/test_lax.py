@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,7 +9,7 @@ import cplab.dynamics
 import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
-                       faddeev_charpoly, gauge_F, lax_l, lax_m, lax_pair,
+                       faddeev_charpoly, gauge_F, lax_l, lax_m, lax_pair, power_traces,
                        reduced_lax, reduced_m, spectral_duality, spectral_match,
                        spectral_table, zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
@@ -319,37 +321,37 @@ class TestSpectralMatch:
 
 
 def reference_match(spec, a, b):
-    """spectral_match's deviation by a loop over lambda: one slogdet per side and lambda."""
+    """spectral_match's deviation by a loop over lambda: traces of np.linalg.matrix_power."""
     pa, pb = matrix_point(a), matrix_point(b)
     k = 2 * pa.n
-    circle = np.exp(2j * np.pi * np.arange(k + 1) / (k + 1))[:, None, None] * np.eye(k)
     grid = default_lambda_grid()
     La = lax_l(spec, pa.q, pa.p, pa.t, grid)
     Lb = lax_l(spec, pb.q, pb.p, pb.t, grid)
     devs = []
     for la, lb in zip(La, Lb):
-        radius = 2 * max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max())
-        mu = (radius or 1.0) * circle
-        sign_a, log_a = np.linalg.slogdet(mu - la)
-        sign_b, log_b = np.linalg.slogdet(mu - lb)
-        devs.append(np.abs(sign_a / sign_b * np.exp(log_a - log_b) - 1).max())
+        s = max(np.abs(la).sum(axis=1).max(), np.abs(lb).sum(axis=1).max()) or 1.0
+        ta, tb = ([np.trace(np.linalg.matrix_power(m / s, j)) for j in range(1, k + 1)]
+                  for m in (la, lb))
+        devs.append(np.abs(np.subtract(ta, tb)).max())
     return float(np.max(devs))
 
 
+class TestPowerTraces:
+    @pytest.mark.parametrize("K", range(1, 8))
+    def test_match_matrix_powers(self, rng, K):
+        A = rng.normal(size=(5, K, K)) + 1j * rng.normal(size=(5, K, K))
+        A /= np.abs(A).sum(axis=-1).max()
+        ref = np.array([[np.trace(np.linalg.matrix_power(a, k)) for k in range(1, K + 1)]
+                        for a in A])
+        assert np.abs(power_traces(A) - ref).max() < 1e-14
+
+    def test_one_kernel(self):
+        # the monitor reads the traces through this kernel, not one of its own
+        assert cplab.dynamics.power_traces is power_traces
+
+
 class TestStackedSpectralMatch:
-    """One L build for both sides; slogdet over bounded stacks of (lambda, side) pairs."""
-
-    @pytest.fixture
-    def slogdet_sizes(self, monkeypatch):
-        sizes = []
-        slogdet = np.linalg.slogdet
-
-        def counting(a):
-            sizes.append(a.size)
-            return slogdet(a)
-
-        monkeypatch.setattr(np.linalg, "slogdet", counting)
-        return sizes
+    """One L build for both sides; sequential power traces of the (lambda, side) stack."""
 
     def cases(self, n):
         rng = np.random.default_rng(n)
@@ -363,24 +365,58 @@ class TestStackedSpectralMatch:
                 yield spec, pt, xq
                 yield spec, xq, control
 
-    @pytest.mark.parametrize("n, calls", [(2, 1), (12, 40)])
-    def test_bitwise_the_per_lambda_loop(self, n, calls, slogdet_sizes):
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_matches_the_per_lambda_loop(self, n):
+        # matrix_power multiplies by repeated squaring, spectral_match one
+        # factor at a time: the same traces up to roundoff, not bitwise
         for spec, a, b in self.cases(n):
-            slogdet_sizes.clear()
             ok, dev = spectral_match(spec, a, b)
-            assert len(slogdet_sizes) == calls  # at n = 12 the grid splits across calls
-            assert max(slogdet_sizes) <= 25 * 24 * 24
-            assert dev == reference_match(spec, a, b)
+            assert abs(dev - reference_match(spec, a, b)) <= 1e-14
             assert ok == (dev < 1e-8)
 
+    def test_makes_no_determinant_or_eigensolve(self, monkeypatch):
+        cases = list(self.cases(4))  # reduce diagonalizes: draw the points first
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_match made a determinant or an eigensolve")
+
+        for solver in ("slogdet", "det", "eig", "eigvals"):
+            monkeypatch.setattr(np.linalg, solver, refuse)
+        for spec, a, b in cases:
+            spectral_match(spec, a, b)
+
+    def test_peak_memory_at_n12(self):
+        # the (lambda, side) stack of L, 0.35 MiB at n = 12, and two stacks of
+        # power_traces: no stack of the power sequence outlives its trace
+        spec = spec_for(SystemKind.P_II, tau=1.0)
+        _, a, b = next(self.cases(12))
+        tracemalloc.start()
+        try:
+            spectral_match(spec, a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 2 ** 20, f"peak {peak / 2 ** 20:.2f} MiB"
+
+    @pytest.mark.parametrize("kind", [SystemKind.P_I, SystemKind.P_II])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dressed_control_resolved_at_n12(self, kind, seed):
+        # two level-set points of one n, g and t, each conjugated by a
+        # stabilizer element, as verify-duality draws its control
+        rng = np.random.default_rng(seed)
+        a, b = (random_level_set_point(rng, 12, 1.0) for _ in range(2))
+        ok, dev = spectral_match(spec_for(kind, tau=1.0), a, b)
+        assert not ok and dev > 1e-6
+
     def test_zero_radius(self):
-        # the n = 1 free L at rest is 0, so the mu circle takes radius 1
+        # the n = 1 free L at rest is 0, so the scale is 1
         spec = spec_for(SystemKind.FREE)
         rest = ReducedPoint([0.0], [0.0], 1.0)
         assert spectral_match(spec, rest, MatrixPhasePoint([[0.0]], [[0.0]])) == (True, 0.0)
+        # the moving side scales to diag(1, -1): Tr A^2 reads 2 against 0
         moving = ReducedPoint([0.0], [0.7], 1.0)
-        ok, dev = spectral_match(spec, rest, moving)
-        assert not ok and dev == reference_match(spec, rest, moving)
+        assert spectral_match(spec, rest, moving) == (False, 2.0)
+        assert reference_match(spec, rest, moving) == 2.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_non_finite_side_fails(self):

@@ -34,7 +34,8 @@ def test_bench_layers():
     table = load_script("bench_layers").measure(sizes=(2, 3), points=4, repeats=1)
     stacked = {"embed_reduce", "closed_form_oracle", "trace_oracle"}
     one_point = {"reduce", "reduced_vector_field_q", "reduced_vector_field_p",
-                 "rk4_step_matrix", "rk4_step_reduced", "spectral_match"}
+                 "rk4_step_matrix", "rk4_step_reduced", "zero_curvature_residual",
+                 "spectral_match"}
     per_step = {"integrate_matrix", "integrate_reduced"}
     per_state = {"monitor_invariants"}
     assert set(table["layers"]) == stacked | one_point | per_step | per_state
