@@ -173,36 +173,15 @@ def reduced_lax(spec: SystemSpec, x: ReducedPoint, lam: complex) -> LaxPair:
 
 
 def char_poly(L: np.ndarray) -> np.ndarray:
-    """Monic characteristic polynomial coefficients in mu, leading first."""
-    L = np.asarray(L, dtype=complex)
-    if L.ndim != 2 or L.shape[0] != L.shape[1]:
-        raise ValueError("char_poly needs a square matrix")
-    return charpoly_coefficients(L)
+    """Monic characteristic polynomial coefficients in mu, leading first.
 
-
-def faddeev_charpoly(L: np.ndarray) -> np.ndarray:
-    """char_poly by the Faddeev-LeVerrier recurrence.
-
-    Exact in rational arithmetic; here a float cross-check of the
-    eigenvalue route.
+    L is one k x k matrix or a stack (..., k, k); one batched eigensolve,
+    then the np.poly product recurrence c -> c * (mu - w_j) on all rows at
+    once, so the result is (k + 1,) or (..., k + 1).
     """
     L = np.asarray(L, dtype=complex)
-    k = L.shape[0]
-    coeffs = np.empty(k + 1, dtype=complex)
-    coeffs[0] = 1.0
-    M = np.zeros_like(L)
-    for m in range(1, k + 1):
-        M = L @ M + coeffs[m - 1] * np.eye(k)
-        coeffs[m] = -np.trace(L @ M) / m
-    return coeffs
-
-
-def charpoly_coefficients(L: np.ndarray) -> np.ndarray:
-    """Monic char-poly coefficients, leading first, of each matrix of a stack.
-
-    One batched eigensolve over L (..., k, k), then the np.poly product
-    recurrence c -> c * (mu - w_j) on all rows at once.
-    """
+    if L.ndim < 2 or L.shape[-2] != L.shape[-1]:
+        raise ValueError("char_poly needs a square matrix or a stack of them")
     try:
         w = np.linalg.eigvals(L)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -212,6 +191,22 @@ def charpoly_coefficients(L: np.ndarray) -> np.ndarray:
     c[..., 0] = 1.0
     for j in range(k):
         c[..., 1:j + 2] -= w[..., j:j + 1] * c[..., :j + 1]
+    return c
+
+
+def newton_charpoly(L: np.ndarray) -> np.ndarray:
+    """char_poly by Newton's identities on power_traces(L).
+
+    m c_m = -sum_{j=1..m} c_{m-j} Tr L^j, so the coefficients come from the
+    kernel that spectral_match and the isospectral monitor read; here a
+    float cross-check of the eigen route.
+    """
+    traces = power_traces(np.asarray(L, dtype=complex))
+    k = traces.shape[-1]
+    c = np.empty(traces.shape[:-1] + (k + 1,), dtype=complex)
+    c[..., 0] = 1.0
+    for m in range(1, k + 1):
+        c[..., m] = -(c[..., m - 1::-1] * traces[..., :m]).sum(axis=-1) / m
     return c
 
 
@@ -230,11 +225,13 @@ def power_traces(A: np.ndarray) -> np.ndarray:
     with its own transpose.  So ceil(K/2) - 1 batched matmuls give all K
     traces, and at most three stacks of A's size are alive: A and the two
     buffers the products alternate between.  By Newton's identities the K
-    traces fix the characteristic polynomial (faddeev_charpoly runs that
-    recurrence).
+    traces fix the characteristic polynomial (newton_charpoly runs that
+    recurrence).  A stack of 0 x 0 matrices gives an empty (..., 0).
     """
     K = A.shape[-1]
     traces = np.empty(A.shape[:-2] + (K,), dtype=complex)
+    if K == 0:
+        return traces
     traces[..., 0] = np.trace(A, axis1=-2, axis2=-1)
     buffers = (np.empty_like(A), np.empty_like(A))
     previous, P = None, A
@@ -287,7 +284,7 @@ def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
     """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda; finite."""
     pt = matrix_point(obj)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = charpoly_coefficients(lax_l(spec, pt.q, pt.p, pt.t, default_lambda_grid()))
+        table = char_poly(lax_l(spec, pt.q, pt.p, pt.t, default_lambda_grid()))
     if not np.isfinite(table).all():
         raise Overflow("char-poly coefficients are not finite")
     return table

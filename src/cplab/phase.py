@@ -23,6 +23,8 @@ def _as_square_complex(m, name: str) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be a square matrix, got shape {a.shape}")
+    if a.shape[0] == 0:
+        raise ValueError(f"{name} is 0 x 0: a point needs at least one particle")
     if not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
     return a

@@ -19,7 +19,7 @@ from .dynamics import (CONTOUR_NODES, dual_position_drift, equivariance_check,
 from .hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
                            matrix_vector_field, p4_involution_coordinates,
                            reduced_vector_field)
-from .lax import (SPECTRAL_TOL, char_poly, faddeev_charpoly, spectral_duality,
+from .lax import (SPECTRAL_TOL, char_poly, newton_charpoly, spectral_duality,
                   spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, coupling_value,
                     level_set_target, moment_deviation, moment_map, symplectic_pairing)
@@ -424,7 +424,7 @@ def check_charpoly_cross(rng):
     for _ in range(10):
         L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a = char_poly(L)
-        b = faddeev_charpoly(L)
+        b = newton_charpoly(L)
         scale = np.maximum(1.0, np.abs(b))
         readings.append(float((np.abs(a - b) / scale).max()))
         # unitary conjugator: a draw with cond(G) ~ 1e4 would measure the
@@ -433,7 +433,7 @@ def check_charpoly_cross(rng):
         c = char_poly(G.T @ L @ G)
         readings.append(float((np.abs(a - c) / scale).max()))
     return _check("charpoly_cross_check",
-                  "eig vs Faddeev-LeVerrier + conjugation invariance", 1e-8,
+                  "eig vs Newton's identities on power_traces + conjugation invariance", 1e-8,
                   readings)
 
 

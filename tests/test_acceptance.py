@@ -17,7 +17,9 @@ import time
 import numpy as np
 import pytest
 
+import cplab.lax
 from cplab import selfcheck as sc
+from cplab.lax import power_traces
 
 
 def report(criterion, passed, detail):
@@ -141,7 +143,7 @@ FAULTS = [
     ("13_deformation", sc.check_mmkdv, sc.mmkdv, "deformation_check", 1),
     ("13_sensitivity", sc.check_mmkdv, sc.mmkdv, "switch_sensitivity", 1),
     ("15", sc.check_core_invariants, sc, "symplectic_pairing", 2),
-    ("16", sc.check_charpoly_cross, sc, "faddeev_charpoly", 1),
+    ("16", sc.check_charpoly_cross, sc, "newton_charpoly", 1),
 ]
 
 
@@ -152,6 +154,37 @@ def test_a_nan_reading_fails_its_criterion(nan_on_call, case, check, module, nam
     entry = check(np.random.default_rng(int(case[:2])))
     assert len(calls) >= call
     assert entry["pass"] is False
+
+
+def _odd_read_as_even(A):
+    """Tr A^(k+1) in place of each odd Tr A^k, k >= 3."""
+    powers = [1] + [k + k % 2 for k in range(2, A.shape[-1] + 1)]
+    return np.stack([np.trace(np.linalg.matrix_power(A, k), axis1=-2, axis2=-1)
+                     for k in powers], axis=-1)
+
+
+def _with_zero(index):
+    def mutant(A):
+        traces = power_traces(A)
+        traces[..., index] = 0
+        return traces
+    return mutant
+
+
+# faults of the power-trace kernel that spectral_match and the monitor read
+KERNEL_MUTANTS = {
+    "odd_read_as_even": _odd_read_as_even,
+    "first_trace_zero": _with_zero(0),
+    "last_trace_zero": _with_zero(-1),
+}
+
+
+@pytest.mark.parametrize("mutant", [None, *KERNEL_MUTANTS], ids=str)
+def test_criterion_16_sees_the_power_trace_kernel(monkeypatch, mutant):
+    if mutant is not None:
+        monkeypatch.setattr(cplab.lax, "power_traces", KERNEL_MUTANTS[mutant])
+    entry = sc.check_charpoly_cross(np.random.default_rng(16))
+    assert entry["pass"] is (mutant is None)
 
 
 @pytest.mark.parametrize("key", ["energy_drift", "moment_deviation_max"])

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 import cplab.dynamics
 import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
-from cplab.lax import (char_poly, charpoly_coefficients, default_lambda_grid,
-                       faddeev_charpoly, gauge_F, lax_l, lax_m, lax_pair, power_traces,
-                       reduced_lax, reduced_m, spectral_duality, spectral_match,
-                       spectral_table, zero_curvature_residual)
+from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_l, lax_m, lax_pair,
+                       newton_charpoly, power_traces, reduced_lax, reduced_m,
+                       spectral_duality, spectral_match, spectral_table,
+                       zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point, reduce
@@ -199,17 +199,27 @@ class TestCharPoly:
 
     def test_stack_matches_np_poly(self, rng):
         L = rng.normal(size=(7, 6, 6)) + 1j * rng.normal(size=(7, 6, 6))
-        coeffs = charpoly_coefficients(L)
+        coeffs = char_poly(L)
+        assert coeffs.shape == (7, 7)
         for c, Li in zip(coeffs, L):
             ref = np.poly(np.linalg.eigvals(Li))
             assert (np.abs(c - ref) / np.maximum(1.0, np.abs(ref))).max() < 1e-13
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (5, 2, 3)])
+    def test_non_square_raises(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            char_poly(np.zeros(shape))
+
+    def test_empty_matrix(self):
+        for charpoly in (char_poly, newton_charpoly):
+            assert np.array_equal(charpoly(np.zeros((0, 0))), [1.0])
 
     @given(seed=st.integers(0, 10 ** 6))
     def test_methods_agree(self, seed):
         rng = np.random.default_rng(seed)
         L = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a = char_poly(L)
-        b = faddeev_charpoly(L)
+        b = newton_charpoly(L)
         scale = np.maximum(1.0, np.abs(b))
         assert (np.abs(a - b) / scale).max() < 1e-10
 
@@ -345,9 +355,18 @@ class TestPowerTraces:
                         for a in A])
         assert np.abs(power_traces(A) - ref).max() < 1e-14
 
-    def test_one_kernel(self):
-        # the monitor reads the traces through this kernel, not one of its own
+    def test_no_trace_at_K0(self):
+        assert power_traces(np.zeros((5, 2, 0, 0), dtype=complex)).shape == (5, 2, 0)
+
+    def test_one_kernel(self, monkeypatch):
+        # the monitor reads the traces through this kernel, not one of its own,
+        # and so does criterion 16's reference
         assert cplab.dynamics.power_traces is power_traces
+        calls = []
+        monkeypatch.setattr(cplab.lax, "power_traces",
+                            lambda A: calls.append(A.shape) or power_traces(A))
+        newton_charpoly(np.eye(3))
+        assert calls == [(3, 3)]
 
 
 class TestStackedSpectralMatch:

@@ -62,6 +62,10 @@ class TestMomentMap:
         with pytest.raises(DimensionMismatch):
             MatrixPhasePoint(np.eye(2), np.eye(3))
 
+    def test_no_particle_is_rejected(self):
+        with pytest.raises(ValueError, match="at least one particle"):
+            MatrixPhasePoint(np.zeros((0, 0)), np.zeros((0, 0)))
+
     def test_time_real_or_complex(self):
         # a real time stays a Python float (reports unchanged); the
         # confluence identity at complex eps needs complex times
