@@ -17,9 +17,8 @@ def demo(eps: float, theta: float):
           f"{'misalign (linear)':>18s}")
     for g in (1.0, 0.3, 0.1, 0.03, 0.01):
         xd = ReducedPoint([0.3, 1.7], [-0.2, 0.6], g, 0.1, Slice.P_DIAG)
-        cp = ConfluenceParams(eps, theta)
-        full = dual_confluence_breakdown(xd, cp)
-        lin = dual_confluence_breakdown(xd, cp, "conf1")
+        full = dual_confluence_breakdown(xd, ConfluenceParams(eps, theta))
+        lin = dual_confluence_breakdown(xd, ConfluenceParams(eps, theta, "conf1"))
         print(f"{g:8.3f}  {full['eigenbasis_misalignment']:16.3e}  "
               f"{full['naive_map_deviation']:17.3e}  "
               f"{lin['eigenbasis_misalignment']:18.3e}")

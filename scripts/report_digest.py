@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Print SHA-256 digests of what cplab reports, to compare two checkouts.
 
-One line per run_selfcheck(seed), and for each example config under
+One line per check entry of run_selfcheck(seed), named by the entry, so a
+moved value shows which criterion moved; and for each example config under
 scripts/configs one line for its report without the "meta" block, one per
 CSV it writes and one for the exit code.  The CLI runs into a temporary
 directory.  Run it in both checkouts and diff the outputs:
 
     PYTHONPATH=src python3 scripts/report_digest.py > digest.txt
 
+The package digested is the one on the path, so this script can digest
+another checkout too: PYTHONPATH=<other>/src python3 scripts/report_digest.py.
 It covers seeds 0..9 and every example config.
 """
 import contextlib
@@ -47,8 +50,8 @@ def config_digests(cfg_path: pathlib.Path) -> list[str]:
 
 
 def digests(seeds: int, configs: list[pathlib.Path]) -> list[str]:
-    lines = [f"selfcheck seed {s} {sha(json.dumps(run_selfcheck(s), sort_keys=True))}"
-             for s in range(seeds)]
+    lines = [f"selfcheck seed {s} {entry['name']} {sha(json.dumps(entry, sort_keys=True))}"
+             for s in range(seeds) for entry in run_selfcheck(s)["checks"]]
     for cfg_path in configs:
         lines += config_digests(cfg_path)
     return lines

@@ -32,7 +32,7 @@ UNIT_CIRCLE_EPS = np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32)
 
 @dataclass(frozen=True)
 class ConfluenceParams:
-    """eps in (0, 1], or a non-real eps with 0 < |eps| <= 1.
+    """eps in (0, 1] or non-real with 0 < |eps| <= 1; the map kind, "conf" or "conf1".
 
     eps may also be a stack (k,) of such values; theta0, theta1, p4_spec and
     the maps are then stacked alike, with the stack axis leading.
@@ -40,8 +40,11 @@ class ConfluenceParams:
 
     eps: float | complex | np.ndarray
     theta: complex = 0.0
+    kind: str = "conf"
 
     def __post_init__(self):
+        if self.kind not in ("conf", "conf1"):
+            raise ValueError(f"unknown confluence kind {self.kind!r}")
         for e in np.atleast_1d(self.eps):
             e = complex(e)
             if not (0 < abs(e) <= 1 and (e.imag or e.real > 0)):
@@ -64,11 +67,6 @@ def map_time(t: float, cp: ConfluenceParams) -> float:
     return (1.0 - cp.eps ** 4 * t) / cp.eps ** 3
 
 
-def _check_kind(kind: str):
-    if kind not in ("conf", "conf1"):
-        raise ValueError(f"unknown confluence kind {kind!r}")
-
-
 def canonical_shift(pt: MatrixPhasePoint) -> MatrixPhasePoint:
     """q -> q, p -> p + q^2 + t/2; links the two P_II normal forms."""
     I = np.eye(pt.n, dtype=complex)
@@ -80,43 +78,39 @@ def _leading(eps, ndim: int):
     return eps if np.ndim(eps) == 0 else np.reshape(eps, np.shape(eps) + (1,) * ndim)
 
 
-def conf_matrices(pt: MatrixPhasePoint, cp: ConfluenceParams,
-                  kind: str = "conf") -> tuple:
+def conf_matrices(pt: MatrixPhasePoint, cp: ConfluenceParams) -> tuple:
     """(q, p, t) of conf_map's image, each stacked over a stack of eps."""
-    _check_kind(kind)
     e = _leading(cp.eps, 2)
-    w = canonical_shift(pt).p if kind == "conf" else pt.p
+    w = canonical_shift(pt).p if cp.kind == "conf" else pt.p
     q4 = -(0.5 * np.eye(pt.n, dtype=complex) + e ** 2 * pt.q) / e ** 3
     return q4, -e * w, map_time(pt.t, cp)
 
 
-def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams,
-             kind: str = "conf") -> MatrixPhasePoint:
+def conf_map(pt: MatrixPhasePoint, cp: ConfluenceParams) -> MatrixPhasePoint:
     """The confluence symplectomorphism onto P_IV with parameters p4_spec(cp).
 
     conf1 is linear in q and p and targets the polynomial P_II form; conf
     targets P_II and is conf1 after canonical_shift (quadratic in q on the
     p-side).
     """
-    return MatrixPhasePoint(*conf_matrices(pt, cp, kind))
+    return MatrixPhasePoint(*conf_matrices(pt, cp))
 
 
 def particle_conf_coordinates(positions: np.ndarray, momenta: np.ndarray, t,
-                              cp: ConfluenceParams, kind: str = "conf") -> tuple:
+                              cp: ConfluenceParams) -> tuple:
     """(positions, momenta, t) of the particle-wise confluence image.
 
     The map of conf_matrices on Q_DIAG slice coordinates; a stack of eps
     leads the image's axes.  The image is not collision-checked: its
     differences are -(x_i - x_j)/eps.
     """
-    _check_kind(kind)
     e = _leading(cp.eps, 1)
-    w = momenta + positions ** 2 + t / 2 if kind == "conf" else momenta
+    w = momenta + positions ** 2 + t / 2 if cp.kind == "conf" else momenta
     a4 = -(0.5 + e ** 2 * positions) / e ** 3
     return a4, -e * w, map_time(t, cp)
 
 
-def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
+def _identity_terms(point, cp: ConfluenceParams) -> tuple:
     """(H_target, image, shift) of the confluence identity at a point.
 
     H_target is H_II (conf) or the polynomial H_II (conf1) at theta =
@@ -126,7 +120,7 @@ def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
     traces, a reduced point, which must lie on the Q_DIAG slice, through the
     closed forms.
     """
-    target = SystemSpec(SystemKind.P_II if kind == "conf" else SystemKind.P_II_POLY,
+    target = SystemSpec(SystemKind.P_II if cp.kind == "conf" else SystemKind.P_II_POLY,
                         theta=cp.theta)
     spec = p4_spec(cp)
     if isinstance(point, ReducedPoint):
@@ -135,18 +129,18 @@ def _identity_terms(point, cp: ConfluenceParams, kind: str) -> tuple:
         h_target = closed_form_hamiltonian(target, point.positions, point.momenta,
                                            point.g, point.t, Slice.Q_DIAG)
         a4, b4, t4 = particle_conf_coordinates(point.positions, point.momenta,
-                                               point.t, cp, kind)
+                                               point.t, cp)
         h4 = closed_form_hamiltonian(spec, a4, b4, point.g, t4, Slice.Q_DIAG)
     else:
         h_target = trace_hamiltonian(target, point.q, point.p, point.t)
-        q4, p4, t4 = conf_matrices(point, cp, kind)
+        q4, p4, t4 = conf_matrices(point, cp)
         h4 = trace_hamiltonian(spec, q4, p4, t4)
     return h_target, -cp.eps * h4, point.n * cp.theta / (2 * cp.eps ** 2)
 
 
-def remainder(pt: MatrixPhasePoint, kind: str = "conf") -> complex:
+def remainder(pt: MatrixPhasePoint, cp: ConfluenceParams) -> complex:
     """R = Tr(w q w) - t Tr(w q): w = p + q^2 + t/2 (conf) or w = p (conf1)."""
-    w = canonical_shift(pt).p if kind == "conf" else pt.p
+    w = canonical_shift(pt).p if cp.kind == "conf" else pt.p
     return complex(np.trace(w @ pt.q @ w) - pt.t * np.trace(w @ pt.q))
 
 
@@ -158,32 +152,30 @@ def identity_defect(point, theta: complex, kind: str = "conf") -> float:
     identity makes zero.  The DFT over the 32 points is unitary, so the
     maximum bounds every Laurent coefficient: every order is checked at once.
     """
-    h_target, image, shift = _identity_terms(
-        point, ConfluenceParams(UNIT_CIRCLE_EPS, theta), kind)
-    r = UNIT_CIRCLE_EPS ** 2 * remainder(matrix_point(point), kind)
+    cp = ConfluenceParams(UNIT_CIRCLE_EPS, theta, kind)
+    h_target, image, shift = _identity_terms(point, cp)
+    r = UNIT_CIRCLE_EPS ** 2 * remainder(matrix_point(point), cp)
     scale = max(abs(h_target), np.abs(image).max(), np.abs(shift).max(), np.abs(r).max())
     return float(np.abs(h_target - (image + shift) + r).max() / scale)
 
 
-def residual_ratio_sweep(point, cp_theta: complex, eps_values,
-                         kind: str = "conf") -> dict:
+def residual_ratio_sweep(point, cp_theta: complex, eps_values, kind: str = "conf") -> dict:
     """Residuals |eps^2 R| over an eps sweep and their halving ratios.
 
     Each residual is |H_target - (-eps H_IV(image) + n theta/(2 eps^2))|.
     Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms
-    and lose digits.
+    and lose digits.  One ConfluenceParams(e, cp_theta, kind) per swept e.
     """
     residuals = []
     for e in eps_values:
-        h_target, image, shift = _identity_terms(point, ConfluenceParams(e, cp_theta), kind)
+        h_target, image, shift = _identity_terms(point, ConfluenceParams(e, cp_theta, kind))
         residuals.append(float(abs(h_target - (image + shift))))
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)
               if residuals[i + 1] > 0]
     return {"eps": list(eps_values), "residuals": residuals, "ratios": ratios}
 
 
-def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
-                              kind: str = "conf") -> dict:
+def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams) -> dict:
     """Quantify how the dual-slice reduction obstructs the confluence.
 
     Diagonalizing p_IV means diagonalizing p_II + q_II^2 (+ t/2), not p_II,
@@ -197,7 +189,7 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
     """
     if x.slice is not Slice.P_DIAG:
         raise ValueError("breakdown analysis starts from a P_DIAG point")
-    image = conf_map(embed(x), cp, kind)
+    image = conf_map(embed(x), cp)
 
     diag = normalized_diagonalizer(image.p, tol=1e-8)
     C = diag.C
@@ -213,8 +205,7 @@ def dual_confluence_breakdown(x: ReducedPoint, cp: ConfluenceParams,
 
     actual = reduce(image, Slice.P_DIAG, x.g, tol=1e-6)
     # naive guess: the particle map on canonical coordinates, stored at the slice
-    a4, b4, t4 = particle_conf_coordinates(*x.slice.order(x.positions, x.momenta), x.t,
-                                           cp, kind)
+    a4, b4, t4 = particle_conf_coordinates(*x.slice.order(x.positions, x.momenta), x.t, cp)
     naive_dual = ReducedPoint(*x.slice.order(a4, b4), x.g, t4, x.slice)
     naive_deviation = permuted_deviation(naive_dual, actual)
     return {

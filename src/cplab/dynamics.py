@@ -14,8 +14,8 @@ import numpy as np
 from .errors import Overflow, ParticleCollision
 from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
     trace_hamiltonian
-from .lax import lax_l, power_traces
-from .phase import MatrixPhasePoint, SystemSpec, moment_deviation
+from .lax import lax_l, power_trace_scale, power_traces
+from .phase import MatrixPhasePoint, SystemSpec, moment_deviation, relative_deviation
 from .reduction import ReducedPoint, embedded_matrices, guarded_differences, \
     match_permutation, pair_differences, resolve_at_slice
 
@@ -150,14 +150,12 @@ def power_trace_drift(spec: SystemSpec, q: np.ndarray, p: np.ndarray, times: np.
                       lam: complex) -> float:
     """max over k = 1 .. 2n and the states of |Tr A^k - Tr A^k at the first state|.
 
-    A = L(lam) / ||L(lam) at the first state||_inf, the row-sum norm, with
-    the scale 1 where that norm is 0, as spectral_match scales; so every
-    eigenvalue of the first A lies in the unit disc.  The (states, n, n) stacks
-    q, p are read MONITOR_BLOCK states at a time, one lax_l build each, into
-    lax.power_traces, and no eigensolve is made.
+    A = L(lam) / s, s the power_trace_scale of L(lam) at the first state,
+    so every eigenvalue of the first A lies in the unit disc.  The
+    (states, n, n) stacks q, p are read MONITOR_BLOCK states at a time, one
+    lax_l build each, into lax.power_traces, and no eigensolve is made.
     """
-    norm = np.abs(lax_l(spec, q[0], p[0], times[0], lam)).sum(axis=-1).max()
-    scale = 1.0 if norm == 0 else norm
+    scale = power_trace_scale(lax_l(spec, q[0], p[0], times[0], lam))
     traces = []
     for i in range(0, len(times), MONITOR_BLOCK):
         rows = slice(i, i + MONITOR_BLOCK)
@@ -172,8 +170,8 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     """Per-step moment-map deviation, energy drift and power-trace drift at MONITOR_LAMBDAS.
 
     The states are embedded once; that stack gives the energies
-    (trace_hamiltonian, whose drift |E - E0| is read relative to
-    max(1, |E0|)), the moment deviations (against the trajectory's
+    (trace_hamiltonian, whose drift is the relative_deviation of E from
+    E0), the moment deviations (against the trajectory's
     coupling traj.g), and for each lambda the power_trace_drift of L, which
     is conserved exactly when det(mu - L(lambda)) is.  For autonomous specs
     the drifts are conserved-quantity checks; for non-autonomous ones they
@@ -190,8 +188,7 @@ def monitor_invariants(spec: SystemSpec, traj: Trajectory) -> dict:
     report["power_trace_drift"] = {str(lam): power_trace_drift(spec, q, p, traj.times, lam)
                                    for lam in MONITOR_LAMBDAS}
     energy = trace_hamiltonian(spec, q, p, traj.times)
-    report["energy_drift"] = float(np.max(np.abs(energy - energy[0])
-                                          / np.maximum(1.0, np.abs(energy[0]))))
+    report["energy_drift"] = float(np.max(relative_deviation(energy, energy[0])))
     return report
 
 

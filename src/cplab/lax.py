@@ -242,17 +242,28 @@ def power_traces(A: np.ndarray) -> np.ndarray:
     return traces
 
 
+def power_trace_scale(L: np.ndarray, axis=None) -> np.ndarray:
+    """s = ||L||_inf, the largest row-sum norm (1 where 0): L / s has its spectrum in |z| <= 1.
+
+    The maximum runs over the rows of each matrix of the stack L (..., K, K)
+    and its leading axes in axis (all when None); those and the last two stay
+    as axes of length 1, so L / s broadcasts.
+    """
+    rows = np.abs(L).sum(axis=-1)
+    lead = tuple(range(rows.ndim - 1)) if axis is None else tuple(np.atleast_1d(axis))
+    norm = rows.max(axis=lead + (-1,), keepdims=True)[..., None]
+    return np.where(norm == 0, 1.0, norm)
+
+
 def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
     At each lambda of default_lambda_grid both sides are monic of degree 2n
     in mu, so by Newton's identities they are equal iff their power traces
-    Tr L^k, k = 1 .. 2n, agree.  Both sides are scaled by one s, the larger
-    row-sum norm ||L_a||_inf, ||L_b||_inf (1 where that is 0), so every
-    eigenvalue of A = L / s lies in the unit disc and each trace is at most
-    2n in modulus.  The deviation is the largest |Tr A_a^k - Tr A_b^k| over
-    the grid and k; a NaN, from non-finite L, fails.  L is built once, for
-    both sides over the grid, and no determinant or eigensolve is made.
+    Tr L^k, k = 1 .. 2n, agree.  Both sides share one power_trace_scale s,
+    so each trace of A = L / s is at most 2n in modulus.  The deviation is
+    the largest |Tr A_a^k - Tr A_b^k| over the grid and k; a NaN, from
+    non-finite L, fails.  L is built once, with no determinant or eigensolve.
     """
     pa, pb = matrix_point(a), matrix_point(b)
     if pa.n != pb.n:
@@ -260,8 +271,7 @@ def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     # (lambda, side, 2n, 2n): the sides on the second axis, a before b
     L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]), np.array([pa.t, pb.t]),
               np.array(default_lambda_grid())[:, None])
-    norm = np.abs(L).sum(axis=-1).max(axis=(1, 2))
-    L /= np.where(norm == 0, 1.0, norm)[:, None, None, None]
+    L /= power_trace_scale(L, axis=1)
     traces = power_traces(L)
     worst = float(np.abs(traces[:, 0] - traces[:, 1]).max())
     return worst < SPECTRAL_TOL, worst

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import CplabError, DimensionMismatch, NonScalarInput
 
 COMM_CHOICES = ("UX_U", "U_UXX", "NONE")
+SCALAR_SAMPLES = 24  # scalar points per residual in calibrate and switch_sensitivity
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class ConventionSwitch:
             raise ValueError(f"s_comm must be one of {COMM_CHOICES}")
 
 
-def _as_matrix(u, name="u") -> np.ndarray:
+def _as_matrix(u, name: str) -> np.ndarray:
     a = np.asarray(u, dtype=complex)
     if a.ndim == 0:
         a = a.reshape(1, 1)
@@ -106,8 +107,8 @@ def ss_residual(v, p, z: float, theta: complex, sw: ConventionSwitch) -> float:
     return float(np.abs(lhs).max())
 
 
-def _scalar_samples(rng, count=24):
-    for _ in range(count):
+def _scalar_samples(rng):
+    for _ in range(SCALAR_SAMPLES):
         v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
         z = float(rng.normal())
         th = complex(rng.normal() + 1j * rng.normal())

@@ -153,6 +153,11 @@ def row_dot(a: np.ndarray, b: np.ndarray):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def relative_deviation(a, b):
+    """|a - b| / max(1, |b|) entry by entry: b is the reference, and NaN stays NaN."""
+    return np.abs(a - b) / np.maximum(1.0, np.abs(b))
+
+
 def moment_map(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     """mu = [p, q] = p q - q p of each point of the stack (..., n, n).
 

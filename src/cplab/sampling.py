@@ -58,6 +58,8 @@ def random_particles(rng: np.random.Generator, trials: int,
     """
     if n < 1:
         raise ValueError("a reduced point needs at least one particle")
+    if trials < 0:
+        raise ValueError(f"the trial count must be >= 0, got {trials}")
     if not trials:
         return np.zeros((0, n), dtype=complex), np.zeros((0, n), dtype=complex)
     return random_particle_stacks(rng, [n] * trials)[n]

@@ -22,7 +22,8 @@ from .hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
 from .lax import (SPECTRAL_TOL, char_poly, newton_charpoly, spectral_duality,
                   spectral_match, zero_curvature_residual)
 from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, coupling_value,
-                    level_set_target, moment_deviation, moment_map, symplectic_pairing)
+                    level_set_target, moment_deviation, moment_map, relative_deviation,
+                    symplectic_pairing)
 from .reduction import (ReducedPoint, Slice, dual_of, embed, embedded_matrices,
                         inverse_square_kernel, matched_deviation, normalized_diagonalizer,
                         particle_guard, reduced_coordinates)
@@ -76,11 +77,6 @@ def check_round_trip(rng):
     return _check("round_trip", "reduce(embed(x))", 1e-10, readings)
 
 
-def _relative_gap(a, b):
-    """max |a - b| / max(1, |b|) over a stack of values."""
-    return float((np.abs(a - b) / np.maximum(1.0, np.abs(b))).max())
-
-
 def check_hamiltonian_oracle(rng):
     per_kind = {}
     kinds = FOUR_KINDS + (SystemKind.P_II_POLY,)
@@ -94,7 +90,7 @@ def check_hamiltonian_oracle(rng):
             for pos, mom in random_particle_stacks(rng, sizes).values():
                 a = closed_form_hamiltonian(spec, pos, mom, g, 0.4, sl)
                 b = embedded_trace_hamiltonian(spec, pos, mom, g, 0.4, sl)
-                readings.append(_relative_gap(a, b))
+                readings.append(_worst(relative_deviation(a, b)))
         per_kind[kind.value] = _worst(readings)
     return _check("hamiltonian_oracle_equivalence",
                   "reduced_hamiltonian vs Tr at embed", 1e-10, list(per_kind.values()),
@@ -131,8 +127,8 @@ def check_appendix_traces(rng):
         pos, mom, g = appendix_trace_points(rng, n, 50)
         W = inverse_square_kernel(pos)
         for l, closed in ((3, tr_c3), (4, tr_c4)):
-            readings.append(_relative_gap(closed(mom, W, g),
-                                          trace_power_oracle(pos, mom, g, l)))
+            readings.append(_worst(relative_deviation(closed(mom, W, g),
+                                                      trace_power_oracle(pos, mom, g, l))))
     worked = ReducedPoint([1.0, 0.0], [1.0, 2.0], 1.0)
     worked3 = tr_q3_closed(worked)
     worked4 = tr_q4_closed(worked)
@@ -274,7 +270,7 @@ def check_p4_selfduality(rng):
         h1 = closed_form_hamiltonian(spec, pos, mom, 1.0, 0.3, sl)
         h2 = closed_form_hamiltonian(SystemSpec(SystemKind.P_IV, theta0=th0s, theta1=th1s),
                                      spos, smom, 1.0, 0.3, ssl)
-        readings.append(_relative_gap(h2, h1))
+        readings.append(_worst(relative_deviation(h2, h1)))
     return _check("p4_selfduality", "p4_involution H-identity", 1e-10, readings,
                   derived_relabeling="theta0 -> theta0 + theta1, theta1 -> -theta1",
                   published_relabeling="theta0 -> theta1, theta1 -> theta0 - theta1")
@@ -299,14 +295,13 @@ def check_dual_p2_interaction_structure(rng):
     g, t = 1.0, 0.2
     pos, mom = random_particles(rng, TRIALS, 4)
     oracle = embedded_trace_hamiltonian(spec, pos, mom, g, t, Slice.P_DIAG)
-    scale = np.maximum(1.0, np.abs(oracle))
     closed = closed_form_hamiltonian(spec, pos, mom, g, t, Slice.P_DIAG)
-    effect = np.abs(closed - oracle) / scale
+    effect = relative_deviation(closed, oracle)
     quad_effect = float(effect.max())
     quad_broken = int(np.count_nonzero(effect > 1e-6))
     quad_class_max = float(np.abs(a4_quad_sum(pos)).max())
     triple_ablated = closed + (g ** 4 / 2) * a4_triple_sum(pos)
-    triple_broken = int(np.count_nonzero(np.abs(triple_ablated - oracle) / scale > 1e-6))
+    triple_broken = int(np.count_nonzero(relative_deviation(triple_ablated, oracle) > 1e-6))
     return _check("dual_p2_interaction_structure",
                   "Tr(A^4) index classes vs trace oracle at n=4", tol,
                   quad_class_max, quad_effect < tol, triple_broken >= 95,
@@ -334,9 +329,8 @@ def check_confluence(rng, theta=0.7 + 0.1j, n=2, g=1.0):
             key = f"{kind}_{label}"
             identity[key] = cf.identity_defect(point, theta, kind)
             sweeps[key] = cf.residual_ratio_sweep(point, theta, eps, kind)
-    cp = cf.ConfluenceParams(eps[0], theta)
-    b_full = cf.dual_confluence_breakdown(xd, cp)
-    b_lin = cf.dual_confluence_breakdown(xd, cp, "conf1")
+    b_full = cf.dual_confluence_breakdown(xd, cf.ConfluenceParams(eps[0], theta))
+    b_lin = cf.dual_confluence_breakdown(xd, cf.ConfluenceParams(eps[0], theta, "conf1"))
     # one particle: no interaction, so nothing obstructs either map
     full_ok = b_full["deviation"] > 1e-3 if n > 1 else b_full["deviation"] < 1e-8
     breakdown = {"conf": {**b_full, "pass": full_ok},
@@ -425,13 +419,12 @@ def check_charpoly_cross(rng):
         L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
         a = char_poly(L)
         b = newton_charpoly(L)
-        scale = np.maximum(1.0, np.abs(b))
-        readings.append(float((np.abs(a - b) / scale).max()))
+        readings.append(_worst(relative_deviation(a, b)))
         # unitary conjugator: a draw with cond(G) ~ 1e4 would measure the
         # roundoff of forming G^-1 L G, not char_poly
         G = np.linalg.qr(np.eye(8) + 0.3 * rng.normal(size=(8, 8)))[0]
         c = char_poly(G.T @ L @ G)
-        readings.append(float((np.abs(a - c) / scale).max()))
+        readings.append(_worst(relative_deviation(c, a)))
     return _check("charpoly_cross_check",
                   "eig vs Newton's identities on power_traces + conjugation invariance", 1e-8,
                   readings)

@@ -21,7 +21,7 @@ import itertools
 
 import numpy as np
 
-from .phase import fill_diagonal, row_dot
+from .phase import fill_diagonal, relative_deviation, row_dot
 from .reduction import ReducedPoint, calogero_block, inverse_square_kernel, pair_differences
 
 
@@ -130,7 +130,7 @@ def evenness_check(x: ReducedPoint, l: int, g_values) -> dict:
     traces = trace_power_oracle(x.positions, x.momenta,
                                 np.concatenate([g_values, -g_values, gs]), l)
     plus, minus, vals = traces[:k], traces[k:2 * k], traces[2 * k:]
-    sym_dev = (np.abs(plus - minus) / np.maximum(1.0, np.abs(plus))).max(initial=0.0)
+    sym_dev = relative_deviation(minus, plus).max(initial=0.0)
     V = np.vander(gs, l + 1, increasing=True)
     coeffs, *_ = np.linalg.lstsq(V, vals, rcond=None)
     even = np.abs(coeffs[0::2]).max()

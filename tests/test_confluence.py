@@ -33,8 +33,8 @@ class TestConfMap:
         assert p4_spec(cp).theta0 == -0.25
 
     def test_linear_vacuum(self):
-        cp = ConfluenceParams(1.0, 0.0)
-        image = conf_map(MatrixPhasePoint([[0.0]], [[1.0]], 0.0), cp, "conf1")
+        cp = ConfluenceParams(1.0, 0.0, "conf1")
+        image = conf_map(MatrixPhasePoint([[0.0]], [[1.0]], 0.0), cp)
         assert image.q[0, 0] == -0.5 and image.p[0, 0] == -1.0
 
     def test_q_image_diverges_as_eps_cubed(self):
@@ -48,14 +48,14 @@ class TestConfMap:
     def test_moment_map_preserved_exactly(self, rng):
         pt = generic_point(rng)
         for kind in ("conf", "conf1"):
-            image = conf_map(pt, ConfluenceParams(0.1, 0.4), kind)
+            image = conf_map(pt, ConfluenceParams(0.1, 0.4, kind))
             assert np.abs(moment_map(image.q, image.p) - moment_map(pt.q, pt.p)).max() < 1e-10
 
     def test_composition_identity(self, rng):
         pt = generic_point(rng)
         cp = ConfluenceParams(0.1, 1.0)
         im1 = conf_map(pt, cp)
-        im2 = conf_map(canonical_shift(pt), cp, "conf1")
+        im2 = conf_map(canonical_shift(pt), ConfluenceParams(0.1, 1.0, "conf1"))
         assert np.abs(im1.q - im2.q).max() < 1e-12
         assert np.abs(im1.p - im2.p).max() < 1e-12
 
@@ -84,13 +84,12 @@ def _pushforward(mapper, pt, tangent, step=1e-4):
 class TestSymplectomorphisms:
     def test_confluence_maps_preserve_pairing(self, rng):
         pt = generic_point(rng, 2)
-        cp = ConfluenceParams(0.1, 0.3)
         u = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         w = (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
         before = symplectic_pairing(u, w)
         for kind in ("conf", "conf1"):
             def mapper(p):
-                return conf_map(p, cp, kind)
+                return conf_map(p, ConfluenceParams(0.1, 0.3, kind))
 
             pu = _pushforward(mapper, pt, u)
             pw = _pushforward(mapper, pt, w)
@@ -145,7 +144,7 @@ class TestResiduals:
             for point in (pt, xq):
                 assert identity_defect(point, 0.7 + 0.1j, kind) <= 1e-12
                 sweep = residual_ratio_sweep(point, 0.7 + 0.1j, EPS_SWEEP, kind)
-                R = remainder(matrix_point(point), kind)
+                R = remainder(matrix_point(point), ConfluenceParams(0.1, 0.7 + 0.1j, kind))
                 assert abs(sweep["residuals"][0] - 0.01 * abs(R)) < 1e-6 * abs(R)
 
     def test_printed_theta1_breaks_identity(self, rng, monkeypatch):
@@ -179,7 +178,7 @@ class TestResiduals:
         errs = []
         for e in (0.1, 0.05):
             a4, _, _ = particle_conf_coordinates(x.positions, x.momenta, x.t,
-                                                 ConfluenceParams(e, 0.0), "conf")
+                                                 ConfluenceParams(e, 0.0))
             val = -e * sum((a4[i] + a4[j]) / (a4[i] - a4[j]) ** 2
                            for i in range(3) for j in range(i + 1, 3))
             errs.append(abs(val - target) / abs(target))
@@ -201,12 +200,23 @@ class TestResiduals:
         assert np.isfinite(h)
 
     def test_kind_and_slice_are_checked(self, rng):
-        cp = ConfluenceParams(0.1, 0.7)
         with pytest.raises(ValueError, match="kind"):
-            conf_map(generic_point(rng), cp, "conf2")
+            ConfluenceParams(0.1, 0.7, "conf2")
         with pytest.raises(ValueError, match="Q_DIAG"):
             residual_ratio_sweep(random_reduced(rng, 2, 1.0, Slice.P_DIAG), 0.7,
                                  [0.1])
+
+    @pytest.mark.parametrize("kind", ["bogus", "conf2", "CONF"])
+    def test_an_unknown_kind_is_refused_by_the_record(self, rng, kind):
+        # every map and identity reads the kind from ConfluenceParams, so an
+        # unknown kind fails there and no entry point can take it for conf1
+        pt = generic_point(rng)
+        with pytest.raises(ValueError, match="unknown confluence kind"):
+            ConfluenceParams(0.1, 0.7, kind)
+        with pytest.raises(ValueError, match="unknown confluence kind"):
+            identity_defect(pt, 0.7, kind)
+        with pytest.raises(ValueError, match="unknown confluence kind"):
+            residual_ratio_sweep(pt, 0.7, EPS_SWEEP, kind)
 
     def test_image_time(self):
         cp = ConfluenceParams(0.1, 0.0)
@@ -221,7 +231,7 @@ class TestDualBreakdown:
 
     def test_linear_map_aligns(self, rng):
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
-        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), "conf1")
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5, "conf1"))
         assert rep["deviation"] < 1e-8
 
     def test_small_coupling_alignment(self):
@@ -236,7 +246,7 @@ class TestDualBreakdown:
     def test_a_nan_naive_deviation_is_the_deviation(self, rng, monkeypatch):
         monkeypatch.setattr(confluence, "permuted_deviation", lambda a, b: np.nan)
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
-        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), "conf1")
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5, "conf1"))
         assert np.isnan(rep["deviation"])
 
     @pytest.mark.parametrize("kind", ["conf", "conf1"])
@@ -244,7 +254,7 @@ class TestDualBreakdown:
         # on P_DIAG only the positions are collision-tested; equal momenta
         # [0.5, 0.5] are a legal point and the naive map takes them as they are
         xd = ReducedPoint([0.3, 1.7], [0.5, 0.5], 1.0, 0.1, Slice.P_DIAG)
-        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5), kind)
+        rep = dual_confluence_breakdown(xd, ConfluenceParams(0.1, 0.5, kind))
         assert all(np.isfinite(v) for v in rep.values())
         assert (rep["deviation"] > 1e-3) if kind == "conf" else (rep["deviation"] < 1e-8)
 
@@ -252,7 +262,7 @@ class TestDualBreakdown:
         # eigenvectors of p_IV coincide with those of p_II under the linear map
         xd = random_reduced(rng, 2, 1.0, Slice.P_DIAG, t=0.1)
         pt = embed(xd)
-        image = conf_map(pt, ConfluenceParams(0.1, 0.5), "conf1")
+        image = conf_map(pt, ConfluenceParams(0.1, 0.5, "conf1"))
         comm = image.p @ pt.p - pt.p @ image.p
         assert np.abs(comm).max() < 1e-10
 
@@ -267,16 +277,16 @@ class TestDualBreakdown:
 class TestEpsStack:
     def test_maps_equal_the_per_eps_maps(self, rng):
         eps = UNIT_CIRCLE_EPS[::4]
-        cp = ConfluenceParams(eps, 0.7)
         pt, x = generic_point(rng, 3), random_reduced(rng, 3, 1.0, t=0.1)
         for kind in ("conf", "conf1"):
-            q4, p4, t4 = conf_matrices(pt, cp, kind)
-            a4, b4, s4 = particle_conf_coordinates(x.positions, x.momenta, x.t, cp, kind)
+            cp = ConfluenceParams(eps, 0.7, kind)
+            q4, p4, t4 = conf_matrices(pt, cp)
+            a4, b4, s4 = particle_conf_coordinates(x.positions, x.momenta, x.t, cp)
             assert q4.shape == p4.shape == (len(eps), 3, 3) and a4.shape == (len(eps), 3)
             for k, e in enumerate(eps):
-                one = ConfluenceParams(e, 0.7)
-                image = conf_map(pt, one, kind)
-                a, b, s = particle_conf_coordinates(x.positions, x.momenta, x.t, one, kind)
+                one = ConfluenceParams(e, 0.7, kind)
+                image = conf_map(pt, one)
+                a, b, s = particle_conf_coordinates(x.positions, x.momenta, x.t, one)
                 # the stack squares eps as an array, which may round differently
                 for u, v in ((q4[k], image.q), (p4[k], image.p), (a4[k], a), (b4[k], b)):
                     assert np.abs(u - v).max() <= 1e-14 * max(1.0, np.abs(v).max())

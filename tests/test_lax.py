@@ -9,8 +9,8 @@ import cplab.dynamics
 import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_l, lax_m, lax_pair,
-                       newton_charpoly, power_traces, reduced_lax, reduced_m,
-                       spectral_duality, spectral_match, spectral_table,
+                       newton_charpoly, power_trace_scale, power_traces, reduced_lax,
+                       reduced_m, spectral_duality, spectral_match, spectral_table,
                        zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
@@ -367,6 +367,43 @@ class TestPowerTraces:
                             lambda A: calls.append(A.shape) or power_traces(A))
         newton_charpoly(np.eye(3))
         assert calls == [(3, 3)]
+
+    def test_one_scale(self, monkeypatch):
+        # the monitor scales its traces by this function, as spectral_match does
+        assert cplab.dynamics.power_trace_scale is power_trace_scale
+        calls = []
+        monkeypatch.setattr(cplab.lax, "power_trace_scale",
+                            lambda L, axis=None: calls.append((L.shape, axis))
+                            or power_trace_scale(L, axis))
+        pt = MatrixPhasePoint(np.eye(2), np.eye(2), 0.3)
+        spectral_match(spec_for(SystemKind.P_I), pt, pt)
+        assert calls == [((len(default_lambda_grid()), 2, 4, 4), 1)]
+
+    def test_scale_is_the_largest_row_sum_norm(self):
+        L = np.array([[1.0, -2j], [0.5, 0.25]])
+        assert power_trace_scale(L).tolist() == [[3.0]]
+        assert power_trace_scale(np.stack([L, 2 * L, -L])).shape == (1, 1, 1)
+        assert power_trace_scale(np.stack([L, 2 * L, -L]))[0, 0, 0] == 6.0
+        L[1, 1] = np.nan
+        assert np.isnan(power_trace_scale(L)).all()
+
+    def test_scale_of_a_zero_stack_is_one(self):
+        assert power_trace_scale(np.zeros((3, 4, 4))).tolist() == [[[1.0]]]
+        sides = np.zeros((5, 2, 4, 4), dtype=complex)
+        assert (power_trace_scale(sides, axis=1) == 1.0).all()
+
+    def test_scale_per_lambda_is_the_larger_side(self, rng):
+        # (lambda, side, K, K), as spectral_match builds it: one scale per lambda
+        L = rng.normal(size=(6, 2, 4, 4)) + 1j * rng.normal(size=(6, 2, 4, 4))
+        L[2] = 0.0          # both sides zero at one lambda: the scale is 1 there
+        L[4, 0] = 0.0       # one zero side: the other one's norm
+        s = power_trace_scale(L, axis=1)
+        assert s.shape == (6, 1, 1, 1)
+        norms = np.abs(L).sum(axis=-1).max(axis=-1)  # (lambda, side)
+        for k in range(6):
+            expect = max(norms[k]) if k != 2 else 1.0
+            assert s[k, 0, 0, 0] == expect
+        assert s[4, 0, 0, 0] == norms[4, 1]
 
 
 class TestStackedSpectralMatch:

@@ -3,10 +3,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import cplab.dynamics
+import cplab.phase
+import cplab.selfcheck
+import cplab.traces
 from cplab.errors import DimensionMismatch
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal,
                          coupling_value, fill_diagonal, level_set_target,
-                         moment_deviation, moment_map, symplectic_pairing)
+                         moment_deviation, moment_map, relative_deviation,
+                         symplectic_pairing)
 from cplab.reduction import ReducedPoint
 from cplab.sampling import random_reduced
 
@@ -74,6 +79,29 @@ class TestMomentMap:
             assert type(ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, t).t) is float
         assert MatrixPhasePoint(np.eye(2), np.eye(2), 0.3 + 0.2j).t == 0.3 + 0.2j
         assert ReducedPoint([0.0, 1.0], [0.0, 0.0], 1.0, 0.3 + 0.2j).t == 0.3 + 0.2j
+
+
+class TestRelativeDeviation:
+    def test_one_rule(self):
+        # the energy drift, the evenness lemma and the criteria read this rule,
+        # not copies of their own
+        for module in (cplab.dynamics, cplab.selfcheck, cplab.traces):
+            assert module.relative_deviation is cplab.phase.relative_deviation
+
+    def test_entrywise_with_floor_one(self):
+        a = np.array([1.5, 0.25 + 0.5j, 12.0, -3.0])
+        b = np.array([1.0, 0.25, 10.0, 0.0])
+        # |b| below 1 reads absolutely, above 1 relative to |b|
+        assert relative_deviation(a, b).tolist() == [0.5, 0.5, 0.2, 3.0]
+        assert relative_deviation(3.0, -4.0) == 7.0 / 4.0
+        # the second argument is the reference
+        assert relative_deviation(0.0, 4.0) == 1.0
+        assert relative_deviation(4.0, 0.0) == 4.0
+
+    def test_a_nan_entry_propagates(self):
+        for a, b in ((np.nan, 1.0), (1.0, np.nan), (complex(np.nan, 0.0), 0.0)):
+            assert np.isnan(relative_deviation(np.array([0.0, a]), np.array([0.0, b]))[1])
+        assert np.isnan(np.max(relative_deviation(np.array([np.nan, 5.0]), 0.0)))
 
 
 class TestDiagonalHelpers:

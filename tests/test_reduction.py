@@ -431,6 +431,13 @@ class TestParticleCount:
         with pytest.raises(ValueError, match="at least one particle"):
             random_reduced(rng, 0, 1.0)
 
+    def test_a_negative_trial_count_is_rejected(self, rng):
+        # as n < 1 is: before any draw, and as a ValueError
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trial count"):
+            random_particles(rng, -1, 3)
+        assert rng.bit_generator.state == state
+
 
 class TestStackedSampler:
     @pytest.mark.parametrize("complex_positions", [True, False])

@@ -52,14 +52,24 @@ def test_bench_layers():
                 assert row[field] > 0 and row[f"{field}_iqr"] >= 0
 
 
+# the entry names of run_selfcheck, in ALL_CHECKS order
+SELFCHECK_ENTRIES = [
+    "level_set_embedding", "round_trip", "hamiltonian_oracle_equivalence",
+    "appendix_traces", "spectral_duality", "zero_curvature", "isospectral_conservation",
+    "equivariance", "ruijsenaars_demo", "p4_selfduality", "dual_p2_interaction_structure",
+    "confluence", "mmkdv", "core_invariants", "charpoly_cross_check"]
+
+
 def test_report_digest():
     digest = load_script("report_digest")
     config = digest.CONFIGS / "simulate_free.json"
     lines = digest.digests(1, [config])
+    # one line per selfcheck entry, so a moved value names its criterion
     assert [line.rsplit(" ", 1)[0] for line in lines] == [
-        "selfcheck seed 0", "simulate_free.json free_n3.csv",
-        "simulate_free.json simulate_free.json", "simulate_free.json exit"]
+        *(f"selfcheck seed 0 {name}" for name in SELFCHECK_ENTRIES),
+        "simulate_free.json free_n3.csv", "simulate_free.json simulate_free.json",
+        "simulate_free.json exit"]
     assert all(len(line.split()[-1]) == 64 for line in lines[:-1])
     assert lines[-1] == "simulate_free.json exit 0"
     # the report is digested without its meta block, so a rerun digests alike
-    assert digest.config_digests(config) == lines[1:]
+    assert digest.config_digests(config) == lines[len(SELFCHECK_ENTRIES):]
