@@ -26,7 +26,14 @@ The others are one-point calls, looped over the points:
     an embedded point, at lambda = ZC_LAMBDA (criterion 6's);
   * spectral_match: `spectral_match` of the autonomous P_II curves of an
     embedded point and of its p-slice reduction, embedded, on the default
-    20-point lambda grid, over POINTS // 10 of the points.
+    20-point lambda grid, over POINTS // 10 of the points: 2 * POINTS // 10
+    distinct sides, more than lax.SIDE_CACHE_SIZE, so each call powers both
+    of its sides;
+  * spectral_duality: the three `spectral_match` calls of a duality triple
+    (`spectral_duality` less its two `reduce` calls): a level-set point
+    dressed by a stabilizer element against its q- and p-slice reductions,
+    of the autonomous P_II curves, over POINTS // 10 such points, in
+    microseconds per point (`us_per_point`); each triple powers 3 sides.
 These layers time a whole flow:
   * integrate_matrix / integrate_reduced: one `integrate` call of the P_II
     flow over POINTS steps from the first point, turned onto the imaginary
@@ -71,7 +78,7 @@ from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
                              embedded_matrices, inverse_square_kernel, particle_guard,
                              reduce, reduced_coordinates)
-from cplab.sampling import random_particles, spec_for  # noqa: E402
+from cplab.sampling import random_level_set_point, random_particles, spec_for  # noqa: E402
 from cplab.selfcheck import appendix_trace_points  # noqa: E402
 from cplab.traces import (tr_c3, tr_c4, tr_q3_closed, tr_q4_closed,  # noqa: E402
                           trace_power_oracle)
@@ -197,6 +204,18 @@ def call_loops(n: int, points: int) -> dict:
         for a, b in curves:
             spectral_match(curve_spec, a, b)
 
+    rng = np.random.default_rng(n)
+    triples = []
+    for _ in range(max(1, points // 10)):
+        pt = random_level_set_point(rng, n, G)
+        triples.append((pt, reduce(pt, Slice.Q_DIAG, G, tol=1e-5),
+                        reduce(pt, Slice.P_DIAG, G, tol=1e-5)))
+
+    def duality_loop():
+        for pt, xq, xp in triples:
+            for a, b in ((pt, xq), (pt, xp), (xq, xp)):
+                spectral_match(curve_spec, a, b)
+
     loops = {
         "reduce": reduce_loop,
         "reduced_vector_field_q": field_loop(Slice.Q_DIAG),
@@ -207,6 +226,7 @@ def call_loops(n: int, points: int) -> dict:
     }
     timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
     timed["spectral_match", "us_per_call"] = (match_loop, len(curves))
+    timed["spectral_duality", "us_per_point"] = (duality_loop, len(triples))
     flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
     timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)
     timed["integrate_reduced", "us_per_step"] = (integrate_loop(flow_start), points)
@@ -246,7 +266,8 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
     return {
         "unit": "us at the reference kernel's nominal speed, per point (per point, "
                 "kind and slice for closed_form_oracle; "
-                "per call for the us_per_call layers; per accepted step for the "
+                "per call for the us_per_call layers; per level-set point for the "
+                "us_per_point layer; per accepted step for the "
                 "us_per_step layers; per recorded state for the us_per_state layer)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n, rescaled by "

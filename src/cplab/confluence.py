@@ -43,12 +43,17 @@ class ConfluenceParams:
     kind: str = "conf"
 
     def __post_init__(self):
-        if self.kind not in ("conf", "conf1"):
-            raise ValueError(f"unknown confluence kind {self.kind!r}")
+        self.check_kind(self.kind)
         for e in np.atleast_1d(self.eps):
             e = complex(e)
             if not (0 < abs(e) <= 1 and (e.imag or e.real > 0)):
                 raise ValueError("eps must lie in (0, 1], or be non-real with |eps| <= 1")
+
+    @staticmethod
+    def check_kind(kind: str) -> None:
+        """ValueError unless kind names a map, "conf" or "conf1"."""
+        if kind not in ("conf", "conf1"):
+            raise ValueError(f"unknown confluence kind {kind!r}")
 
     @property
     def theta0(self) -> complex:
@@ -164,8 +169,10 @@ def residual_ratio_sweep(point, cp_theta: complex, eps_values, kind: str = "conf
 
     Each residual is |H_target - (-eps H_IV(image) + n theta/(2 eps^2))|.
     Reported, not gated: at small eps they drown in the 1/(4 eps^6) terms
-    and lose digits.  One ConfluenceParams(e, cp_theta, kind) per swept e.
+    and lose digits.  One ConfluenceParams(e, cp_theta, kind) per swept e;
+    the kind is checked first, so an empty sweep refuses an unknown one too.
     """
+    ConfluenceParams.check_kind(kind)
     residuals = []
     for e in eps_values:
         h_target, image, shift = _identity_terms(point, ConfluenceParams(e, cp_theta, kind))

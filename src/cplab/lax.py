@@ -17,6 +17,7 @@ which reproduces the P_IV equations of motion exactly (see CONVENTIONS.md).
 """
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,9 @@ from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
 POLE_EPS = 1e-12
 # spectral_match's verdict: largest scaled power-trace difference accepted
 SPECTRAL_TOL = 1e-8
+# spectral_match's sides held for reuse: one duality triple (a point, its
+# reduction and its dual) and one more side
+SIDE_CACHE_SIZE = 4
 
 
 class LaxPair(NamedTuple):
@@ -227,6 +231,8 @@ def power_traces(A: np.ndarray) -> np.ndarray:
     buffers the products alternate between.  By Newton's identities the K
     traces fix the characteristic polynomial (newton_charpoly runs that
     recurrence).  A stack of 0 x 0 matrices gives an empty (..., 0).
+    spectral_match calls it once per side, on that side's (lambda, 2n, 2n)
+    stack; the isospectral monitor once per block of states and lambda.
     """
     K = A.shape[-1]
     traces = np.empty(A.shape[:-2] + (K,), dtype=complex)
@@ -246,8 +252,10 @@ def power_trace_scale(L: np.ndarray, axis=None) -> np.ndarray:
     """s = ||L||_inf, the largest row-sum norm (1 where 0): L / s has its spectrum in |z| <= 1.
 
     The maximum runs over the rows of each matrix of the stack L (..., K, K)
-    and its leading axes in axis (all when None); those and the last two stay
-    as axes of length 1, so L / s broadcasts.
+    and its leading axes in axis (all when None, none when ()); those and the
+    last two stay as axes of length 1, so L / s broadcasts.  spectral_match
+    takes one scale per lambda of a side (axis=()), the isospectral monitor
+    one for the first state's L.
     """
     rows = np.abs(L).sum(axis=-1)
     lead = tuple(range(rows.ndim - 1)) if axis is None else tuple(np.atleast_1d(axis))
@@ -255,25 +263,58 @@ def power_trace_scale(L: np.ndarray, axis=None) -> np.ndarray:
     return np.where(norm == 0, 1.0, norm)
 
 
+@functools.lru_cache(maxsize=SIDE_CACHE_SIZE)
+def _spectral_side(spec: SystemSpec, n: int, q: bytes, p: bytes,
+                   t) -> tuple[np.ndarray, np.ndarray]:
+    """One side of spectral_match: (nu, traces) of the point (q, p, t), q and p
+    the raw bytes of n x n complex matrices.
+
+    L is built once over default_lambda_grid, a (lambda, 2n, 2n) stack;
+    nu is its row-sum norm per lambda, and the traces are Tr (L / s)^k,
+    k = 1 .. 2n, with s = power_trace_scale per lambda (nu, or 1 where nu
+    is 0).  The arrays are read-only: every call with this key gets them.
+    """
+    q, p = (np.frombuffer(m, dtype=complex).reshape(n, n) for m in (q, p))
+    L = lax_l(spec, q, p, t, default_lambda_grid())
+    scale = power_trace_scale(L, axis=())
+    L /= scale
+    # a zero L keeps the scale 1 but has norm 0 (and no nonzero trace)
+    side = np.where(L.any(axis=(-2, -1)), scale[:, 0, 0], 0.0), power_traces(L)
+    for a in side:
+        a.flags.writeable = False
+    return side
+
+
 def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
     At each lambda of default_lambda_grid both sides are monic of degree 2n
     in mu, so by Newton's identities they are equal iff their power traces
-    Tr L^k, k = 1 .. 2n, agree.  Both sides share one power_trace_scale s,
-    so each trace of A = L / s is at most 2n in modulus.  The deviation is
-    the largest |Tr A_a^k - Tr A_b^k| over the grid and k; a NaN, from
-    non-finite L, fails.  L is built once, with no determinant or eigensolve.
+    Tr L^k, k = 1 .. 2n, agree.  Each side is powered on its own, at its own
+    power_trace_scale (_spectral_side), and held in a cache of
+    SIDE_CACHE_SIZE sides keyed by (spec, q, p, t): the three pairs of a
+    duality triple power three sides, not six.  The sides then meet at one
+    scale per lambda, s = max(nu_a, nu_b) of their row-sum norms (1 where
+    both are 0), each trace moved there by (nu_side / s)^k <= 1, so each
+    trace of A = L / s is at most 2n in modulus.  The deviation is the
+    largest |Tr A_a^k - Tr A_b^k| over the grid and k; a NaN, from
+    non-finite L, fails.  No determinant or eigensolve is made.  A spec
+    whose theta parameters are stacks raises ValueError.
     """
     pa, pb = matrix_point(a), matrix_point(b)
     if pa.n != pb.n:
         raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
-    # (lambda, side, 2n, 2n): the sides on the second axis, a before b
-    L = lax_l(spec, np.stack([pa.q, pb.q]), np.stack([pa.p, pb.p]), np.array([pa.t, pb.t]),
-              np.array(default_lambda_grid())[:, None])
-    L /= power_trace_scale(L, axis=1)
-    traces = power_traces(L)
-    worst = float(np.abs(traces[:, 0] - traces[:, 1]).max())
+    for name in ("theta", "theta0", "theta1"):
+        if not np.isscalar(getattr(spec, name)):
+            raise ValueError(f"spectral_match reads one curve per side: {name} "
+                             f"must be a scalar, not of shape {np.shape(getattr(spec, name))}")
+    (nu_a, traces_a), (nu_b, traces_b) = (
+        _spectral_side(spec, pt.n, pt.q.tobytes(), pt.p.tobytes(), pt.t) for pt in (pa, pb))
+    s = np.maximum(nu_a, nu_b)
+    s[s == 0] = 1.0
+    k = np.arange(1, traces_a.shape[-1] + 1)
+    deviation = traces_a * (nu_a / s)[:, None] ** k - traces_b * (nu_b / s)[:, None] ** k
+    worst = float(np.abs(deviation).max())
     return worst < SPECTRAL_TOL, worst
 
 
@@ -281,7 +322,8 @@ def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float) -> dict[s
     """spectral_match deviations of one level-set point and its two reductions.
 
     pt is reduced at the q-diagonal slice (reduced) and at the p-diagonal
-    slice (dual); the three pairs of their Lax matrices are compared.
+    slice (dual); the three pairs of their Lax matrices are compared, and
+    spectral_match's cache powers each of the three sides once.
     """
     xq = reduce(pt, Slice.Q_DIAG, g, tol=1e-5)
     xp = reduce(pt, Slice.P_DIAG, g, tol=1e-5)

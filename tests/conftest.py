@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import cplab.lax
+
 settings.register_profile(
     "cplab",
     max_examples=25,
@@ -9,6 +11,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("cplab")
+
+
+@pytest.fixture(autouse=True)
+def no_held_spectral_sides():
+    """Each test starts with spectral_match's side cache empty, so no side
+    computed in one test (perhaps under a patched kernel) is read in another."""
+    cplab.lax._spectral_side.cache_clear()
 
 
 @pytest.fixture

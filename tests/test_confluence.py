@@ -217,6 +217,13 @@ class TestResiduals:
             identity_defect(pt, 0.7, kind)
         with pytest.raises(ValueError, match="unknown confluence kind"):
             residual_ratio_sweep(pt, 0.7, EPS_SWEEP, kind)
+        # an empty sweep builds no record, and still checks its kind
+        with pytest.raises(ValueError, match="unknown confluence kind"):
+            residual_ratio_sweep(pt, 0.7, [], kind)
+
+    def test_an_empty_sweep(self, rng):
+        assert residual_ratio_sweep(generic_point(rng), 0.7, [], "conf1") == {
+            "eps": [], "residuals": [], "ratios": []}
 
     def test_image_time(self):
         cp = ConfluenceParams(0.1, 0.0)

@@ -376,8 +376,9 @@ class TestPowerTraces:
                             lambda L, axis=None: calls.append((L.shape, axis))
                             or power_trace_scale(L, axis))
         pt = MatrixPhasePoint(np.eye(2), np.eye(2), 0.3)
-        spectral_match(spec_for(SystemKind.P_I), pt, pt)
-        assert calls == [((len(default_lambda_grid()), 2, 4, 4), 1)]
+        spectral_match(spec_for(SystemKind.P_I), pt, MatrixPhasePoint(pt.q, 2 * pt.p, 0.3))
+        # one call per side, one scale per lambda of its (lambda, 2n, 2n) stack
+        assert calls == [((len(default_lambda_grid()), 4, 4), ())] * 2
 
     def test_scale_is_the_largest_row_sum_norm(self):
         L = np.array([[1.0, -2j], [0.5, 0.25]])
@@ -393,7 +394,7 @@ class TestPowerTraces:
         assert (power_trace_scale(sides, axis=1) == 1.0).all()
 
     def test_scale_per_lambda_is_the_larger_side(self, rng):
-        # (lambda, side, K, K), as spectral_match builds it: one scale per lambda
+        # (lambda, side, K, K): one scale per lambda, the larger side's
         L = rng.normal(size=(6, 2, 4, 4)) + 1j * rng.normal(size=(6, 2, 4, 4))
         L[2] = 0.0          # both sides zero at one lambda: the scale is 1 there
         L[4, 0] = 0.0       # one zero side: the other one's norm
@@ -407,7 +408,7 @@ class TestPowerTraces:
 
 
 class TestStackedSpectralMatch:
-    """One L build for both sides; sequential power traces of the (lambda, side) stack."""
+    """One L build per side; sequential power traces of each side's lambda stack."""
 
     def cases(self, n):
         rng = np.random.default_rng(n)
@@ -442,8 +443,9 @@ class TestStackedSpectralMatch:
             spectral_match(spec, a, b)
 
     def test_peak_memory_at_n12(self):
-        # the (lambda, side) stack of L, 0.35 MiB at n = 12, and two stacks of
-        # power_traces: no stack of the power sequence outlives its trace
+        # one side's lambda stack of L, 0.18 MiB at n = 12, and two stacks of
+        # power_traces: no stack of the power sequence outlives its trace, and
+        # the second side is powered after the first one's stacks are freed
         spec = spec_for(SystemKind.P_II, tau=1.0)
         _, a, b = next(self.cases(12))
         tracemalloc.start()
@@ -464,15 +466,18 @@ class TestStackedSpectralMatch:
         ok, dev = spectral_match(spec_for(kind, tau=1.0), a, b)
         assert not ok and dev > 1e-6
 
-    def test_zero_radius(self):
+    @pytest.mark.parametrize("speed", [0.5, 0.7])
+    def test_zero_radius(self, speed):
         # the n = 1 free L at rest is 0, so the scale is 1
         spec = spec_for(SystemKind.FREE)
         rest = ReducedPoint([0.0], [0.0], 1.0)
         assert spectral_match(spec, rest, MatrixPhasePoint([[0.0]], [[0.0]])) == (True, 0.0)
-        # the moving side scales to diag(1, -1): Tr A^2 reads 2 against 0
-        moving = ReducedPoint([0.0], [0.7], 1.0)
-        assert spectral_match(spec, rest, moving) == (False, 2.0)
-        assert reference_match(spec, rest, moving) == 2.0
+        # the moving side, of norm below 1, sets the scale of both and scales
+        # to diag(1, -1): Tr A^2 reads 2 against 0, in either order
+        moving = ReducedPoint([0.0], [speed], 1.0)
+        for a, b in ((rest, moving), (moving, rest)):
+            assert spectral_match(spec, a, b) == (False, 2.0)
+            assert reference_match(spec, a, b) == 2.0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_one_non_finite_side_fails(self):
@@ -482,6 +487,71 @@ class TestStackedSpectralMatch:
         for a, b in ((x, y), (y, x)):
             ok, dev = spectral_match(spec, a, b)
             assert not ok and np.isnan(dev)
+
+
+class TestSpectralSides:
+    """spectral_match powers each side once and holds SIDE_CACHE_SIZE sides."""
+
+    @pytest.fixture
+    def powered(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cplab.lax, "power_traces",
+                            lambda A: calls.append(A.shape) or power_traces(A))
+        return calls
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_duality_triple_powers_three_sides(self, powered, n):
+        pt = random_level_set_point(np.random.default_rng(n), n, 1.0)
+        spectral_duality(spec_for(SystemKind.P_II, tau=1.0), pt, 1.0)
+        assert powered == [(len(default_lambda_grid()), 2 * n, 2 * n)] * 3
+
+    def test_a_hit_is_the_miss(self, powered, rng):
+        spec = spec_for(SystemKind.P_IV, tau=1.0)
+        pt = random_level_set_point(rng, 3, 1.0)
+        xq = reduce(pt, Slice.Q_DIAG, 1.0, tol=1e-6)
+        key = spec, pt.n, pt.q.tobytes(), pt.p.tobytes(), pt.t
+        miss = spectral_match(spec, pt, xq), cplab.lax._spectral_side(*key)
+        hit = spectral_match(spec, pt, xq), cplab.lax._spectral_side(*key)
+        assert len(powered) == 2
+        cplab.lax._spectral_side.cache_clear()
+        again = spectral_match(spec, pt, xq), cplab.lax._spectral_side(*key)
+        assert len(powered) == 4
+        for match, (nu, traces) in (hit, again):
+            assert match == miss[0]
+            assert nu.tobytes() == miss[1][0].tobytes()
+            assert traces.tobytes() == miss[1][1].tobytes()
+
+    def test_four_other_sides_evict_the_first(self, powered, rng):
+        spec = spec_for(SystemKind.P_I, tau=1.0)
+        p = [random_level_set_point(rng, 2, 1.0) for _ in range(5)]
+        spectral_match(spec, p[0], p[1])
+        spectral_match(spec, p[2], p[3])
+        spectral_match(spec, p[1], p[3])  # held: no side is powered
+        assert len(powered) == 4
+        spectral_match(spec, p[4], p[0])  # p[4] is the fifth side: p[0] goes
+        assert len(powered) == 6
+        assert cplab.lax.SIDE_CACHE_SIZE == 4
+
+    def test_held_sides_are_read_only(self):
+        spec = spec_for(SystemKind.P_II, tau=1.0)
+        pt = MatrixPhasePoint(np.eye(2), np.eye(2), 0.3)
+        spectral_match(spec, pt, pt)
+        nu, traces = cplab.lax._spectral_side(spec, 2, pt.q.tobytes(), pt.p.tobytes(),
+                                               pt.t)
+        for held in (nu, traces):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 1.0
+
+    @pytest.mark.parametrize("kind, name", [(SystemKind.P_II, "theta"),
+                                            (SystemKind.P_IV, "theta0"),
+                                            (SystemKind.P_IV, "theta1")])
+    def test_stacked_parameters_raise(self, kind, name):
+        # a stack of parameters is many curves per side: refused before any
+        # side is looked up
+        spec = SystemSpec(kind, **{name: np.array([0.1, 0.2])})
+        pt = MatrixPhasePoint(np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=f"{name} must be a scalar"):
+            spectral_match(spec, pt, pt)
 
 
 class TestLOnlyReaders:

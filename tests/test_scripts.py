@@ -36,14 +36,16 @@ def test_bench_layers():
     one_point = {"reduce", "reduced_vector_field_q", "reduced_vector_field_p",
                  "rk4_step_matrix", "rk4_step_reduced", "zero_curvature_residual",
                  "spectral_match"}
+    per_point = {"spectral_duality"}
     per_step = {"integrate_matrix", "integrate_reduced"}
     per_state = {"monitor_invariants"}
-    assert set(table["layers"]) == stacked | one_point | per_step | per_state
+    assert set(table["layers"]) == stacked | one_point | per_point | per_step | per_state
     assert table["reference_kernel_s"] > 0  # the speed that rescaled the rounds
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
         for row in layer.values():
             timed = ({"point_loop_us", "stack_us"} if name in stacked
+                     else {"us_per_point"} if name in per_point
                      else {"us_per_step"} if name in per_step
                      else {"us_per_state"} if name in per_state else {"us_per_call"})
             extra = {"speedup"} if name in stacked else set()
