@@ -34,6 +34,14 @@ The others are one-point calls, looped over the points:
     dressed by a stabilizer element against its q- and p-slice reductions,
     of the autonomous P_II curves, over POINTS // 10 such points, in
     microseconds per point (`us_per_point`); each triple powers 3 sides.
+The kernel of both spectral layers and of the monitor, alone:
+  * power_traces: `power_traces` of one spectral side, the autonomous P_II
+    L of the first embedded point on the 20-point lambda grid scaled per
+    lambda as `spectral_match` scales it, a (20, 2n, 2n) stack
+    (`lambda_stack_us`); and of one monitor block, L at lambda = 1 of the
+    first MONITOR_BLOCK = 256 states of the monitor_invariants flow below,
+    scaled by the first state's, a (256, 2n, 2n) stack (`monitor_block_us`);
+    each POINTS times, in microseconds per call.
 These layers time a whole flow:
   * integrate_matrix / integrate_reduced: one `integrate` call of the P_II
     flow over POINTS steps from the first point, turned onto the imaginary
@@ -69,11 +77,13 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cplab.dynamics import integrate, monitor_invariants  # noqa: E402
+from cplab.dynamics import (MONITOR_BLOCK, MONITOR_LAMBDAS, integrate,  # noqa: E402
+                            monitor_invariants)
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_vector_field, rk4_step)
-from cplab.lax import spectral_match, zero_curvature_residual  # noqa: E402
+from cplab.lax import (default_lambda_grid, lax_l, power_trace_scale,  # noqa: E402
+                       power_traces, spectral_match, zero_curvature_residual)
 from cplab.phase import SystemKind  # noqa: E402
 from cplab.reduction import (ReducedPoint, Slice, embed,  # noqa: E402
                              embedded_matrices, inverse_square_kernel, particle_guard,
@@ -85,7 +95,7 @@ from cplab.traces import (tr_c3, tr_c4, tr_q3_closed, tr_q4_closed,  # noqa: E40
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_layers.json"
-SIZES = (2, 4, 8, 12)
+SIZES = (2, 3, 4, 8, 12)
 POINTS = 100
 REPEATS = 21
 G, T = 0.9, 0.4
@@ -190,6 +200,12 @@ def call_loops(n: int, points: int) -> dict:
             integrate(spec, start, T, T + points * H, H, g=G)
         return loop
 
+    def kernel_loop(stack):
+        def loop():
+            for _ in range(points):
+                power_traces(stack)
+        return loop
+
     def step_loop(field, states):
         def loop():
             for y in states:
@@ -233,6 +249,14 @@ def call_loops(n: int, points: int) -> dict:
     monitored = integrate(curve_spec, embed(flow_start), T, T + 10 * points * H, H, g=G)
     timed["monitor_invariants", "us_per_state"] = (
         lambda: monitor_invariants(curve_spec, monitored), len(monitored.states))
+    side = lax_l(curve_spec, pts[0].q, pts[0].p, pts[0].t, default_lambda_grid())
+    side /= power_trace_scale(side, axis=())
+    rows = slice(0, MONITOR_BLOCK)
+    block = lax_l(curve_spec, monitored.states.a[rows], monitored.states.b[rows],
+                  monitored.times[rows], MONITOR_LAMBDAS[0])
+    block /= power_trace_scale(block[0])
+    timed["power_traces", "lambda_stack_us"] = (kernel_loop(side), points)
+    timed["power_traces", "monitor_block_us"] = (kernel_loop(block), points)
     return timed
 
 
@@ -268,7 +292,8 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
                 "kind and slice for closed_form_oracle; "
                 "per call for the us_per_call layers; per level-set point for the "
                 "us_per_point layer; per accepted step for the "
-                "us_per_step layers; per recorded state for the us_per_state layer)",
+                "us_per_step layers; per recorded state for the us_per_state layer; "
+                "per call for the power_traces fields)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n, rescaled by "
                   "REF_NOMINAL_S over the round's reference kernel seconds; one process, "

@@ -35,6 +35,8 @@ SPECTRAL_TOL = 1e-8
 # spectral_match's sides held for reuse: one duality triple (a point, its
 # reduction and its dual) and one more side
 SIDE_CACHE_SIZE = 4
+# power_traces' live stacks of its input's size: r - 1 babies and two giants
+POWER_TRACE_STACKS = 5
 
 
 class LaxPair(NamedTuple):
@@ -214,37 +216,64 @@ def newton_charpoly(L: np.ndarray) -> np.ndarray:
     return c
 
 
+_LAMBDA_GRID = tuple(r * np.exp(1j * (2 * np.pi * k / 10 + 0.37)) for r in (0.5, 2.0)
+                     for k in range(10))
+
+
 def default_lambda_grid() -> list[complex]:
-    """20 pole-free points, 10 on each of the circles |lambda| = 0.5 and 2."""
-    return [r * np.exp(1j * (2 * np.pi * k / 10 + 0.37)) for r in (0.5, 2.0)
-            for k in range(10)]
+    """20 pole-free points, 10 on each of the circles |lambda| = 0.5 and 2.
+
+    The points are computed once, at import; each call returns a new list of them.
+    """
+    return list(_LAMBDA_GRID)
 
 
 def power_traces(A: np.ndarray) -> np.ndarray:
     """Tr A^k for k = 1 .. K of each K x K matrix of a stack (..., K, K), as (..., K).
 
-    The powers are formed one factor at a time, P <- P A, up to
-    A^ceil(K/2), and each is read twice: Tr A^(2j-1) is the entrywise
-    product of A^j with the transpose of A^(j-1), Tr A^(2j) that of A^j
-    with its own transpose.  So ceil(K/2) - 1 batched matmuls give all K
-    traces, and at most three stacks of A's size are alive: A and the two
-    buffers the products alternate between.  By Newton's identities the K
-    traces fix the characteristic polynomial (newton_charpoly runs that
-    recurrence).  A stack of 0 x 0 matrices gives an empty (..., 0).
-    spectral_match calls it once per side, on that side's (lambda, 2n, 2n)
-    stack; the isospectral monitor once per block of states and lambda.
+    Baby steps and giant steps of stride r = min(ceil(K/2), POWER_TRACE_STACKS - 1):
+    the babies A^2 .. A^r, one factor at a time, are held as r - 1 rows of
+    K^2 entries per matrix; the giants A^r, A^2r, ... below A^K are held
+    transposed, each (A^r)^T times the one before, in two buffers that
+    they alternate between.  Since Tr (X Y) = <vec X^T, vec Y>, each giant
+    A^g gives Tr A^(g+1) by one np.matvec against A's row and
+    Tr A^(g+2) .. A^(g+r) by one against the babies' rows; Tr A .. A^r
+    are diagonals.  So r - 1 + max(ceil(K/r) - 2, 0) batched np.matmul
+    products give all K traces (ceil(K/2) - 1 at K <= 8, 5 at K = 16, 7 at
+    K = 24), and besides A at most POWER_TRACE_STACKS stacks of its size
+    are alive (and a flat copy of A if A is not C-contiguous).  By
+    Newton's identities the K traces fix the characteristic polynomial
+    (newton_charpoly runs that recurrence).  A stack of 0 x 0 matrices
+    gives an empty (..., 0).  spectral_match calls it once per side, on
+    that side's (lambda, 2n, 2n) stack; the isospectral monitor once per
+    block of states and lambda.
     """
-    K = A.shape[-1]
-    traces = np.empty(A.shape[:-2] + (K,), dtype=complex)
+    K, lead = A.shape[-1], A.shape[:-2]
+    traces = np.empty(lead + (K,), dtype=complex)
     if K == 0:
         return traces
-    traces[..., 0] = np.trace(A, axis1=-2, axis2=-1)
-    buffers = (np.empty_like(A), np.empty_like(A))
-    previous, P = None, A
-    for k in range(2, K + 1):
-        if k % 2:  # k = 2j - 1: A^j, written over A^(j-2), which is read no more
-            previous, P = P, np.matmul(P, A, out=buffers[k // 2 % 2])
-        traces[..., k - 1] = np.einsum("...ij,...ji->...", P, previous if k % 2 else P)
+    r = min((K + 1) // 2, POWER_TRACE_STACKS - 1)
+    np.einsum("...ii->...", A, out=traces[..., 0])
+    P = A
+    if r > 1:  # the babies A^2 .. A^r, P = A^r
+        babies = np.empty(lead + (r - 1, K, K), dtype=complex)
+        for b in range(r - 1):
+            P = np.matmul(P, A, out=babies[..., b, :, :])
+        np.einsum("...ii->...", babies, out=traces[..., 1:r])
+        rows = babies.reshape(lead + (r - 1, K * K))
+    row = A.reshape(lead + (1, K * K))
+    giants = range(r, K, r)
+    buffers = np.empty((min(len(giants), 2),) + A.shape, dtype=complex)
+    vecs = buffers.reshape(buffers.shape[:-2] + (K * K,))
+    for j, g in enumerate(giants):  # buffers[j % 2] <- (A^g)^T
+        if j:
+            np.matmul(P.mT, buffers[1 - j % 2], out=buffers[j % 2])
+        else:
+            np.copyto(buffers[0], P.mT)
+        top = min(r, K - g)
+        np.matvec(row, vecs[j % 2], out=traces[..., g:g + 1])
+        if top > 1:
+            np.matvec(rows[..., :top - 1, :], vecs[j % 2], out=traces[..., g + 1:g + top])
     return traces
 
 
@@ -272,7 +301,10 @@ def _spectral_side(spec: SystemSpec, n: int, q: bytes, p: bytes,
     L is built once over default_lambda_grid, a (lambda, 2n, 2n) stack;
     nu is its row-sum norm per lambda, and the traces are Tr (L / s)^k,
     k = 1 .. 2n, with s = power_trace_scale per lambda (nu, or 1 where nu
-    is 0).  The arrays are read-only: every call with this key gets them.
+    is 0), from one power_traces call on L / s in place: n - 1 batched
+    products up to n = 4, 7 at n = 12, and at most POWER_TRACE_STACKS
+    stacks of L's size beside L.  The arrays are read-only: every call with
+    this key gets them.
     """
     q, p = (np.frombuffer(m, dtype=complex).reshape(n, n) for m in (q, p))
     L = lax_l(spec, q, p, t, default_lambda_grid())

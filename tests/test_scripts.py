@@ -39,7 +39,9 @@ def test_bench_layers():
     per_point = {"spectral_duality"}
     per_step = {"integrate_matrix", "integrate_reduced"}
     per_state = {"monitor_invariants"}
-    assert set(table["layers"]) == stacked | one_point | per_point | per_step | per_state
+    per_stack = {"power_traces"}
+    assert set(table["layers"]) == (stacked | one_point | per_point | per_step | per_state
+                                     | per_stack)
     assert table["reference_kernel_s"] > 0  # the speed that rescaled the rounds
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
@@ -47,7 +49,9 @@ def test_bench_layers():
             timed = ({"point_loop_us", "stack_us"} if name in stacked
                      else {"us_per_point"} if name in per_point
                      else {"us_per_step"} if name in per_step
-                     else {"us_per_state"} if name in per_state else {"us_per_call"})
+                     else {"us_per_state"} if name in per_state
+                     else {"lambda_stack_us", "monitor_block_us"} if name in per_stack
+                     else {"us_per_call"})
             extra = {"speedup"} if name in stacked else set()
             assert set(row) == timed | {f"{f}_iqr" for f in timed} | extra
             for field in timed:
