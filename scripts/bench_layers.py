@@ -34,7 +34,11 @@ The others are one-point calls, looped over the points:
     dressed by a stabilizer element against its q- and p-slice reductions,
     of the autonomous P_II curves, over POINTS // 10 such points, in
     microseconds per point (`us_per_point`); each triple powers 3 sides.
-The kernel of both spectral layers and of the monitor, alone:
+The two steps of one spectral side, alone:
+  * lax_l: one side's `lax_l` build, the (20, 2n, 2n) stack of an embedded
+    point on the 20-point lambda grid, for each kind with a pair (its
+    autonomous spec), over the POINTS points, in microseconds per call
+    (`<kind>_us`, e.g. `P_II_us`);
   * power_traces: `power_traces` of one spectral side, the autonomous P_II
     L of the first embedded point on the 20-point lambda grid scaled per
     lambda as `spectral_match` scales it, a (20, 2n, 2n) stack
@@ -101,6 +105,7 @@ REPEATS = 21
 G, T = 0.9, 0.4
 H = 1e-3  # the RK4 step
 ZC_LAMBDA = 0.9 + 0.2j
+LAX_KINDS = tuple(k for k in SystemKind if k is not SystemKind.P_II_POLY)  # with a pair
 
 
 def load_speed():
@@ -243,14 +248,24 @@ def call_loops(n: int, points: int) -> dict:
     timed = {(layer, "us_per_call"): (loop, points) for layer, loop in loops.items()}
     timed["spectral_match", "us_per_call"] = (match_loop, len(curves))
     timed["spectral_duality", "us_per_point"] = (duality_loop, len(triples))
+    grid = default_lambda_grid()
+
+    def build_loop(kind_spec):
+        def loop():
+            for pt in pts:
+                lax_l(kind_spec, pt.q, pt.p, pt.t, grid)
+        return loop
+
+    for kind in LAX_KINDS:
+        timed["lax_l", f"{kind.value}_us"] = (build_loop(spec_for(kind, tau=1.0)), points)
     flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
     timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)
     timed["integrate_reduced", "us_per_step"] = (integrate_loop(flow_start), points)
     monitored = integrate(curve_spec, embed(flow_start), T, T + 10 * points * H, H, g=G)
     timed["monitor_invariants", "us_per_state"] = (
         lambda: monitor_invariants(curve_spec, monitored), len(monitored.states))
-    side = lax_l(curve_spec, pts[0].q, pts[0].p, pts[0].t, default_lambda_grid())
-    side /= power_trace_scale(side, axis=())
+    side = lax_l(curve_spec, pts[0].q, pts[0].p, pts[0].t, grid)
+    side *= 1 / power_trace_scale(side, axis=())
     rows = slice(0, MONITOR_BLOCK)
     block = lax_l(curve_spec, monitored.states.a[rows], monitored.states.b[rows],
                   monitored.times[rows], MONITOR_LAMBDAS[0])
@@ -293,7 +308,7 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
                 "per call for the us_per_call layers; per level-set point for the "
                 "us_per_point layer; per accepted step for the "
                 "us_per_step layers; per recorded state for the us_per_state layer; "
-                "per call for the power_traces fields)",
+                "per call for the lax_l and power_traces fields)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n, rescaled by "
                   "REF_NOMINAL_S over the round's reference kernel seconds; one process, "

@@ -151,16 +151,17 @@ def power_trace_drift(spec: SystemSpec, q: np.ndarray, p: np.ndarray, times: np.
     """max over k = 1 .. 2n and the states of |Tr A^k - Tr A^k at the first state|.
 
     A = L(lam) / s, s the power_trace_scale of L(lam) at the first state,
-    so every eigenvalue of the first A lies in the unit disc.  The
+    so every eigenvalue of the first A lies in the unit disc; L is scaled
+    by multiplying with 1 / s, as spectral_match scales.  The
     (states, n, n) stacks q, p are read MONITOR_BLOCK states at a time, one
     lax_l build each, into lax.power_traces, and no eigensolve is made.
     """
-    scale = power_trace_scale(lax_l(spec, q[0], p[0], times[0], lam))
+    inverse_scale = 1 / power_trace_scale(lax_l(spec, q[0], p[0], times[0], lam))
     traces = []
     for i in range(0, len(times), MONITOR_BLOCK):
         rows = slice(i, i + MONITOR_BLOCK)
         A = lax_l(spec, q[rows], p[rows], times[rows], lam)
-        A /= scale
+        A *= inverse_scale
         traces.append(power_traces(A))
     traces = np.concatenate(traces)
     return float(np.abs(traces - traces[0]).max())

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import UnsupportedSystem
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal, row_dot
+from .phase import (FREE, HARM_OSC, P_I, P_II, P_II_POLY, P_IV, MatrixPhasePoint, SystemSpec,
+                    add_to_diagonal, row_dot)
 from .reduction import ReducedPoint, Slice, embedded_matrices, inverse_square_kernel
 from .traces import diag_c2, tr_c3, tr_c4
 
@@ -41,19 +42,19 @@ def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t):
 
     T = spec.time(t)
     k = spec.kind
-    if k is SystemKind.FREE:
+    if k is FREE:
         return tr(p @ p) / 2
-    if k is SystemKind.HARM_OSC:
+    if k is HARM_OSC:
         return tr(p @ p) / 2 + spec.omega ** 2 * tr(q @ q) / 2
-    if k is SystemKind.P_I:
+    if k is P_I:
         return tr(p @ p) / 2 - tr(q @ q @ q) / 2 - (T / 4) * tr(q)
-    if k is SystemKind.P_II:
+    if k is P_II:
         w = add_to_diagonal(q @ q, T / 2)
         return tr(p @ p) / 2 - tr(w @ w) / 2 - spec.theta * tr(q)
-    if k is SystemKind.P_II_POLY:
+    if k is P_II_POLY:
         return (tr(p @ p) / 2 - tr(p @ q @ q)
                 - (T / 2) * tr(p) - spec.theta * tr(q))
-    if k is SystemKind.P_IV:
+    if k is P_IV:
         return (tr(p @ q @ p) - tr(p @ q @ q) - T * tr(p @ q)
                 + spec.theta0 * tr(p)
                 - (spec.theta0 + spec.theta1) * tr(q))
@@ -68,19 +69,19 @@ def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
     """
     T = spec.time(t)
     k = spec.kind
-    if k is SystemKind.FREE:
+    if k is FREE:
         return np.zeros(q.shape, q.dtype), p
-    if k is SystemKind.HARM_OSC:
+    if k is HARM_OSC:
         return spec.omega ** 2 * q, p
-    if k is SystemKind.P_I:
+    if k is P_I:
         return add_to_diagonal(-1.5 * q @ q, -(T / 4)), p
-    if k is SystemKind.P_II:
+    if k is P_II:
         return add_to_diagonal(-(2 * q @ q @ q + T * q), -spec.theta), p
-    if k is SystemKind.P_II_POLY:
+    if k is P_II_POLY:
         gq = add_to_diagonal(-(q @ p + p @ q), -spec.theta)
         gp = add_to_diagonal(p - q @ q, -(T / 2))
         return gq, gp
-    if k is SystemKind.P_IV:
+    if k is P_IV:
         gq = add_to_diagonal(p @ p - q @ p - p @ q - T * p, -(spec.theta0 + spec.theta1))
         gp = add_to_diagonal(q @ p + p @ q - q @ q - T * q, spec.theta0)
         return gq, gp
@@ -155,18 +156,18 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
                          (lambda: tr_c3(b, W, g), lambda: tr_c4(b, W, g)))[0]
     pq = row_dot(a, b)
     k = spec.kind
-    if k is SystemKind.FREE:
+    if k is FREE:
         return p[2] / 2
-    if k is SystemKind.HARM_OSC:
+    if k is HARM_OSC:
         return p[2] / 2 + spec.omega ** 2 * q[2] / 2
-    if k is SystemKind.P_I:
+    if k is P_I:
         return p[2] / 2 - q3() / 2 - (T / 4) * q[1]
-    if k is SystemKind.P_II:
+    if k is P_II:
         # Tr w^2 for w = q^2 + T/2
         return p[2] / 2 - (q4() + T * q[2] + q[0] * T ** 2 / 4) / 2 - spec.theta * q[1]
-    if k is SystemKind.P_II_POLY:
+    if k is P_II_POLY:
         return p[2] / 2 - pqq - (T / 2) * p[1] - spec.theta * q[1]
-    if k is SystemKind.P_IV:
+    if k is P_IV:
         return (pqp - pqq - T * pq + spec.theta0 * p[1]
                 - (spec.theta0 + spec.theta1) * q[1])
     raise UnsupportedSystem(str(k))  # pragma: no cover

@@ -25,9 +25,10 @@ import numpy as np
 from .errors import (DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda,
                      UnsupportedSystem)
 from .hamiltonians import matrix_vector_field
-from .phase import MatrixPhasePoint, SystemKind, SystemSpec, add_to_diagonal
-from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel,
-                        matrix_point, reduce)
+from .phase import (FREE, HARM_OSC, P_I, P_II, P_IV, MatrixPhasePoint, SystemSpec,
+                    add_to_diagonal)
+from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel, point_arrays,
+                        reduce)
 
 POLE_EPS = 1e-12
 # spectral_match's verdict: largest scaled power-trace difference accepted
@@ -48,7 +49,7 @@ class LaxPair(NamedTuple):
 
 def _zero_stack(spec: SystemSpec, q, p, t, lam, p4_variant: str):
     """The inputs as arrays (t as spec.time(t)), a zero (..., 2n, 2n) stack, its blocks."""
-    if spec.kind is SystemKind.P_IV and p4_variant not in ("corrected", "printed"):
+    if spec.kind is P_IV and p4_variant not in ("corrected", "printed"):
         raise ValueError(f"unknown P_IV variant {p4_variant!r}")
     q, p = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex)
     T = np.asarray(spec.time(t))
@@ -59,12 +60,32 @@ def _zero_stack(spec: SystemSpec, q, p, t, lam, p4_variant: str):
     return q, p, T, lam, A, (A[..., :n, :n], A[..., :n, n:], A[..., n:, :n], A[..., n:, n:])
 
 
+def _block_diagonals(A: np.ndarray) -> tuple:
+    """The diagonals (..., n) of the four n x n blocks of a _zero_stack A, as views.
+
+    A is C-contiguous, so a block's diagonal is every (2n + 1)-th entry of
+    a matrix's flat row, n of them from the block's corner: four strided
+    slices of one flat view, made once per build, where an einsum view per
+    write would cost more.
+    """
+    n = A.shape[-1] // 2
+    flat, d = A.reshape(A.shape[:-2] + (4 * n * n,)), 2 * n + 1
+    return (flat[..., :n * d:d], flat[..., n:n * d:d], flat[..., 2 * n * n::d],
+            flat[..., n * d::d])
+
+
+def _column(s) -> np.ndarray:
+    """s with a trailing axis of length 1, to add along block diagonals (..., n)."""
+    return np.asarray(s)[..., None]
+
+
 def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
     """L over stacked points and spectral parameters.
 
     q and p are (..., n, n); t and lam broadcast over the leading axes,
-    and L comes back as a (..., 2n, 2n) array, filled block by block.
+    and L comes back as a (..., 2n, 2n) array, filled block by block; the
+    block diagonals are written in place through _block_diagonals.
     The coefficients lam^2 and theta/lam are formed in Python complex
     arithmetic, one lambda at a time: numpy's vectorised complex loops
     round them differently, and this way every point of a stack is
@@ -72,58 +93,63 @@ def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
     """
     k = spec.kind
     lam = np.asarray(lam, dtype=complex)
-    if k in (SystemKind.P_II, SystemKind.P_IV) and np.any(np.abs(lam) < POLE_EPS):
+    if (k is P_II or k is P_IV) and np.any(np.abs(lam) < POLE_EPS):
         raise PoleAtLambda(f"{k.value} pair has a pole at lambda = 0")
     q, p, T, lam, L, (L11, L12, L21, L22) = _zero_stack(spec, q, p, t, lam, p4_variant)
     l = lam[..., None, None]
 
     def per_lambda(f):
-        return np.reshape([f(z) for z in lam.ravel().tolist()], lam.shape)
+        """f(z) of each lambda z, in Python arithmetic, as a column (..., 1) for the diagonals."""
+        return np.fromiter((f(z) for z in lam.ravel().tolist()), complex,
+                           lam.size).reshape(lam.shape + (1,))
 
     # one block at a time, so that at most one stack-sized temporary is alive
-    if k is SystemKind.FREE:
+    if k is FREE:
         L11[...] = p
         L22[...] = -p
-    elif k is SystemKind.HARM_OSC:
+    elif k is HARM_OSC:
         L11[...] = p
         L12[...] = spec.omega * q
         L21[...] = L12
         L22[...] = -p
-    elif k is SystemKind.P_I:
+    elif k is P_I:
+        _, d12, d21, _ = _block_diagonals(L)
         L11[...] = p
         L12[...] = -q
-        add_to_diagonal(L12, lam)
+        d12 += lam[..., None]
         L21[...] = l * q
-        add_to_diagonal(L21, per_lambda(lambda z: z ** 2))
+        d21 += per_lambda(lambda z: z ** 2)
         L21 += q @ q
-        add_to_diagonal(L21, T / 2)
+        d21 += _column(T / 2)
         L22[...] = -p
-    elif k is SystemKind.P_II:
+    elif k is P_II:
+        d11, d12, d21, _ = _block_diagonals(L)
         L11[...] = 1j * q @ q
-        add_to_diagonal(L11, 1j * (per_lambda(lambda z: z ** 2) / 2))
-        add_to_diagonal(L11, 1j * (T / 2))
+        d11 += 1j * (per_lambda(lambda z: z ** 2) / 2)
+        d11 += _column(1j * (T / 2))
         L22[...] = -L11
         theta_over_lam = per_lambda(lambda z: spec.theta / z)
         L12[...] = l * q
         L12 -= 1j * p
-        add_to_diagonal(L12, -theta_over_lam)
+        d12 -= theta_over_lam
         L21[...] = l * q
         L21 += 1j * p
-        add_to_diagonal(L21, -theta_over_lam)
-    elif k is SystemKind.P_IV:
+        d21 -= theta_over_lam
+    elif k is P_IV:
+        _, _, d21, d22 = _block_diagonals(L)
         th0, th1 = spec.theta0, spec.theta1
         qp, pq = q @ p, p @ q
         L22[...] = qp
-        add_to_diagonal(L22, th0)
+        d22 += _column(th0)
         L22 /= l
-        add_to_diagonal(L22, T - lam)
+        d22 += _column(T - lam)
         X = add_to_diagonal(qp, th0 + th1)
         L11[...] = pq / l
         if p4_variant == "corrected":
             np.negative(L11, out=L11)
         L12[...] = X - (pq @ p + th0 * p) / l
         L21[...] = q / l
-        add_to_diagonal(L21, 1.0)
+        d21 += 1.0
     else:
         raise UnsupportedSystem(f"no printed pair for {k.value}")
     return L
@@ -131,30 +157,32 @@ def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
 
 def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
-    """M over the stacks of lax_l; polynomial in lambda, so it has no pole check."""
+    """M over the stacks of lax_l, its block diagonals written as there; polynomial
+    in lambda, so it has no pole check."""
     k = spec.kind
     q, p, T, lam, M, (M11, M12, M21, M22) = _zero_stack(spec, q, p, t, lam, p4_variant)
-    if k is SystemKind.HARM_OSC:
-        add_to_diagonal(M12, -(spec.omega / 2))
-        add_to_diagonal(M21, spec.omega / 2)
-    elif k is SystemKind.P_I:
-        add_to_diagonal(M12, 0.5)
+    d11, d12, d21, d22 = _block_diagonals(M)
+    if k is HARM_OSC:
+        d12 += -(spec.omega / 2)
+        d21 += spec.omega / 2
+    elif k is P_I:
+        d12 += 0.5
         M21[...] = q
-        add_to_diagonal(M21, lam / 2)
-    elif k is SystemKind.P_IV and p4_variant == "corrected":
-        add_to_diagonal(M11, T / 2)
+        d21 += _column(lam / 2)
+    elif k is P_IV and p4_variant == "corrected":
+        d11 += _column(T / 2)
         M12[...] = -add_to_diagonal(q @ p, spec.theta0 + spec.theta1)
-        add_to_diagonal(M21, -1.0)
+        d21 += -1.0
         M22[...] = -q
-        add_to_diagonal(M22, lam)
-        add_to_diagonal(M22, -(T / 2))
-    elif k in (SystemKind.P_II, SystemKind.P_IV):
+        d22 += lam[..., None]
+        d22 += _column(-(T / 2))
+    elif k is P_II or k is P_IV:
         # [[i lam/2, q], [q, -i lam/2]]: the P_II pair's M, and the printed P_IV one
-        add_to_diagonal(M11, 1j * (lam / 2))
+        d11 += _column(1j * (lam / 2))
         M12[...] = q
         M21[...] = q
-        add_to_diagonal(M22, -1j * (lam / 2))
-    elif k is not SystemKind.FREE:  # the free M is 0
+        d22 += _column(-1j * (lam / 2))
+    elif k is not FREE:  # the free M is 0
         raise UnsupportedSystem(f"no printed pair for {k.value}")
     return M
 
@@ -277,19 +305,37 @@ def power_traces(A: np.ndarray) -> np.ndarray:
     return traces
 
 
-def power_trace_scale(L: np.ndarray, axis=None) -> np.ndarray:
-    """s = ||L||_inf, the largest row-sum norm (1 where 0): L / s has its spectrum in |z| <= 1.
+def row_sum_norm(L: np.ndarray, axis=None) -> np.ndarray:
+    """||L||_inf, the largest row-sum norm, of each matrix of the stack L (..., K, K).
 
-    The maximum runs over the rows of each matrix of the stack L (..., K, K)
-    and its leading axes in axis (all when None, none when ()); those and the
-    last two stay as axes of length 1, so L / s broadcasts.  spectral_match
-    takes one scale per lambda of a side (axis=()), the isospectral monitor
-    one for the first state's L.
+    The maximum runs over the rows of each matrix and over the leading axes
+    in axis (all when None, none when ()); those and the last two stay as
+    axes of length 1, so the norm broadcasts against L.  It is 0 exactly
+    where L is 0, and NaN where L has a NaN.  The one pass over L that
+    power_trace_scale and each spectral_match side make.
     """
     rows = np.abs(L).sum(axis=-1)
     lead = tuple(range(rows.ndim - 1)) if axis is None else tuple(np.atleast_1d(axis))
-    norm = rows.max(axis=lead + (-1,), keepdims=True)[..., None]
+    return rows.max(axis=lead + (-1,), keepdims=True)[..., None]
+
+
+def _unit_where_zero(norm: np.ndarray) -> np.ndarray:
+    """A row-sum norm as a scale: 1 where the norm is 0, the norm elsewhere."""
     return np.where(norm == 0, 1.0, norm)
+
+
+def power_trace_scale(L: np.ndarray, axis=None) -> np.ndarray:
+    """s = row_sum_norm(L, axis), or 1 where it is 0: L / s has its spectrum in |z| <= 1.
+
+    Shaped as the norm, so it broadcasts against L.  L is scaled by
+    multiplying with 1 / s: numpy divides a complex entry by a real s
+    through that reciprocal, so both give equal values (signed zeros
+    aside, which every reader's |.| drops), and the product is about three
+    times faster.  The isospectral monitor takes one scale for the first
+    state's L; a spectral_match side takes one per lambda from the same
+    norm.
+    """
+    return _unit_where_zero(row_sum_norm(L, axis))
 
 
 @functools.lru_cache(maxsize=SIDE_CACHE_SIZE)
@@ -299,19 +345,19 @@ def _spectral_side(spec: SystemSpec, n: int, q: bytes, p: bytes,
     the raw bytes of n x n complex matrices.
 
     L is built once over default_lambda_grid, a (lambda, 2n, 2n) stack;
-    nu is its row-sum norm per lambda, and the traces are Tr (L / s)^k,
-    k = 1 .. 2n, with s = power_trace_scale per lambda (nu, or 1 where nu
-    is 0), from one power_traces call on L / s in place: n - 1 batched
+    nu is its row_sum_norm per lambda, read in one pass over L (0 for a
+    zero L), and the traces are Tr (L / s)^k, k = 1 .. 2n, with s the
+    power_trace_scale of that norm (nu, or 1 where nu is 0), from one
+    power_traces call on L scaled in place by 1 / s: n - 1 batched
     products up to n = 4, 7 at n = 12, and at most POWER_TRACE_STACKS
     stacks of L's size beside L.  The arrays are read-only: every call with
     this key gets them.
     """
     q, p = (np.frombuffer(m, dtype=complex).reshape(n, n) for m in (q, p))
     L = lax_l(spec, q, p, t, default_lambda_grid())
-    scale = power_trace_scale(L, axis=())
-    L /= scale
-    # a zero L keeps the scale 1 but has norm 0 (and no nonzero trace)
-    side = np.where(L.any(axis=(-2, -1)), scale[:, 0, 0], 0.0), power_traces(L)
+    norm = row_sum_norm(L, axis=())
+    L *= 1 / _unit_where_zero(norm)
+    side = norm[:, 0, 0], power_traces(L)
     for a in side:
         a.flags.writeable = False
     return side
@@ -320,30 +366,33 @@ def _spectral_side(spec: SystemSpec, n: int, q: bytes, p: bytes,
 def spectral_match(spec: SystemSpec, a, b) -> tuple[bool, float]:
     """Compare the spectral curves det(mu - L(lambda)) of two descriptions.
 
-    At each lambda of default_lambda_grid both sides are monic of degree 2n
-    in mu, so by Newton's identities they are equal iff their power traces
-    Tr L^k, k = 1 .. 2n, agree.  Each side is powered on its own, at its own
-    power_trace_scale (_spectral_side), and held in a cache of
-    SIDE_CACHE_SIZE sides keyed by (spec, q, p, t): the three pairs of a
-    duality triple power three sides, not six.  The sides then meet at one
-    scale per lambda, s = max(nu_a, nu_b) of their row-sum norms (1 where
-    both are 0), each trace moved there by (nu_side / s)^k <= 1, so each
-    trace of A = L / s is at most 2n in modulus.  The deviation is the
-    largest |Tr A_a^k - Tr A_b^k| over the grid and k; a NaN, from
-    non-finite L, fails.  No determinant or eigensolve is made.  A spec
-    whose theta parameters are stacks raises ValueError.
+    a and b are matrix or reduced points, read as plain (q, p, t) arrays
+    by reduction.point_arrays: a reduced point is embedded with no
+    MatrixPhasePoint built.  At each lambda of default_lambda_grid both
+    sides are monic of degree 2n in mu, so by Newton's identities they are
+    equal iff their power traces Tr L^k, k = 1 .. 2n, agree.  Each side is
+    powered on its own, at its own power_trace_scale (_spectral_side), and
+    held in a cache of SIDE_CACHE_SIZE sides keyed by (spec, q, p, t): the
+    three pairs of a duality triple power three sides, not six.  The sides
+    then meet at one scale per lambda, s = max(nu_a, nu_b) of their
+    row-sum norms (1 where both are 0), each trace moved there by
+    (nu_side / s)^k <= 1, so each trace of A = L / s is at most 2n in
+    modulus.  The deviation is the largest |Tr A_a^k - Tr A_b^k| over the
+    grid and k; a NaN, from non-finite L, fails.  No determinant or
+    eigensolve is made.  A spec whose theta parameters are stacks raises
+    ValueError.
     """
-    pa, pb = matrix_point(a), matrix_point(b)
-    if pa.n != pb.n:
-        raise DimensionMismatch(f"comparing n = {pa.n} against n = {pb.n}")
+    sides = point_arrays(a), point_arrays(b)
+    na, nb = (len(q) for q, _, _ in sides)
+    if na != nb:
+        raise DimensionMismatch(f"comparing n = {na} against n = {nb}")
     for name in ("theta", "theta0", "theta1"):
         if not np.isscalar(getattr(spec, name)):
             raise ValueError(f"spectral_match reads one curve per side: {name} "
                              f"must be a scalar, not of shape {np.shape(getattr(spec, name))}")
     (nu_a, traces_a), (nu_b, traces_b) = (
-        _spectral_side(spec, pt.n, pt.q.tobytes(), pt.p.tobytes(), pt.t) for pt in (pa, pb))
-    s = np.maximum(nu_a, nu_b)
-    s[s == 0] = 1.0
+        _spectral_side(spec, na, q.tobytes(), p.tobytes(), t) for q, p, t in sides)
+    s = _unit_where_zero(np.maximum(nu_a, nu_b))
     k = np.arange(1, traces_a.shape[-1] + 1)
     deviation = traces_a * (nu_a / s)[:, None] ** k - traces_b * (nu_b / s)[:, None] ** k
     worst = float(np.abs(deviation).max())
@@ -366,9 +415,9 @@ def spectral_duality(spec: SystemSpec, pt: MatrixPhasePoint, g: float) -> dict[s
 
 def spectral_table(spec: SystemSpec, obj) -> np.ndarray:
     """The monic char-poly coefficients in mu of L(lambda), one row per grid lambda; finite."""
-    pt = matrix_point(obj)
+    q, p, t = point_arrays(obj)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = char_poly(lax_l(spec, pt.q, pt.p, pt.t, default_lambda_grid()))
+        table = char_poly(lax_l(spec, q, p, t, default_lambda_grid()))
     if not np.isfinite(table).all():
         raise Overflow("char-poly coefficients are not finite")
     return table

@@ -27,7 +27,7 @@ from .errors import (
     ZeroColumnSum,
 )
 from .phase import (MatrixPhasePoint, as_time, coupling_value, fill_diagonal,
-                    moment_deviation)
+                    finite_matrix, moment_deviation)
 
 # relative guards against 1/(x_i - x_j) blowups and near-degenerate spectra;
 # the eigensolve guard sits above sqrt(eps), where defective pairs land
@@ -281,13 +281,26 @@ def embed(x: ReducedPoint) -> MatrixPhasePoint:
     return MatrixPhasePoint(q, p, x.t)
 
 
-def matrix_point(obj) -> MatrixPhasePoint:
-    """The matrix point of obj: a matrix point itself, a reduced point embedded."""
+def point_arrays(obj) -> tuple[np.ndarray, np.ndarray, float | complex]:
+    """(q, p, t) of obj: a matrix point's own, a reduced point's embedded matrices.
+
+    The one dispatch on a description.  A reduced point is embedded as
+    plain arrays, with no MatrixPhasePoint around them: its coordinates are
+    checked finite already, so the one check of a matrix point that can
+    fail is that g / (x_i - x_j) overflows, which raises the same
+    ValueError.  Anything else is a TypeError.
+    """
     if isinstance(obj, MatrixPhasePoint):
-        return obj
+        return obj.q, obj.p, obj.t
     if isinstance(obj, ReducedPoint):
-        return embed(obj)
+        q, p = embedded_matrices(obj.positions, obj.momenta, obj.g, obj.slice)
+        return finite_matrix(q, "q"), finite_matrix(p, "p"), obj.t
     raise TypeError(f"expected a matrix or reduced point, got {type(obj)!r}")
+
+
+def matrix_point(obj) -> MatrixPhasePoint:
+    """The matrix point of obj (see point_arrays): a matrix point itself, else one built."""
+    return obj if isinstance(obj, MatrixPhasePoint) else MatrixPhasePoint(*point_arrays(obj))
 
 
 def embedded_matrices(positions: np.ndarray, momenta: np.ndarray, g: float,

@@ -25,23 +25,35 @@ def random_particle_stacks(rng: np.random.Generator, sizes, spread: float = 1.5,
     drawing, in this order, the real jitter, the imaginary jitter (complex
     positions only), then the real and imaginary momentum normals, so the
     generator moves exactly as under one one-trial call per trial.  A trial
-    draws its jitter rows in one call and its momentum rows in another: the
+    fills its row of a preallocated per-size array with one rng.random call
+    for its jitter and one rng.standard_normal call for its momenta: the
     generator fills an array of 2n values as it would two arrays of n.  The
-    trials of each size n form one (trials of size n, n) stack, its rows in
-    trial order, that passes the checks of a ReducedPoint; the keys are the
-    sizes in increasing order.
+    draws are then formed as uniform and normal form theirs, low + (high -
+    low) u and 0.0 + z (which maps a -0.0 draw to +0.0), so the values are
+    bitwise those of per-trial uniform and normal calls.  The trials of
+    each size n form one (trials of size n, n) stack, its rows in trial
+    order, that passes the checks of a ReducedPoint; the keys are the sizes
+    in increasing order.
     """
     if min(sizes, default=1) < 1:
         raise ValueError("a reduced point needs at least one particle")
-    draws = {n: [] for n in sorted(set(sizes))}
-    jitter_rows = 2 if complex_positions else 1
+    counts = dict.fromkeys(sorted(sizes), 0)
     for n in sizes:
-        jit = rng.uniform(-JITTER, JITTER, jitter_rows * n)
-        draws[n].append((jit, rng.normal(size=2 * n)))
+        counts[n] += 1
+    # per size, (trials, rows, n): the jitter rows (re, im) and the momentum rows (re, im)
+    jitter_rows = 2 if complex_positions else 1
+    uniform = {n: np.empty((c, jitter_rows, n)) for n, c in counts.items()}
+    normal = {n: np.empty((c, 2, n)) for n, c in counts.items()}
+    row = dict.fromkeys(counts, 0)
+    for n in sizes:
+        i = row[n]
+        row[n] = i + 1
+        rng.random(out=uniform[n][i])
+        rng.standard_normal(out=normal[n][i])
     stacks = {}
-    for n, rows in draws.items():
-        # (trials, rows, n): the jitter rows (re, im) and the momentum rows (re, im)
-        jit, nrm = (np.array(d).reshape(len(rows), -1, n) for d in zip(*rows))
+    for n in counts:
+        jit = -JITTER + (JITTER - -JITTER) * uniform[n]
+        nrm = 0.0 + normal[n]
         im_jit = jit[:, 1] if complex_positions else np.zeros(n)
         pos = spread * np.arange(n) + jit[:, 0] + 1j * im_jit
         mom = mom_scale * (nrm[:, 0] + 1j * nrm[:, 1])

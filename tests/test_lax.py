@@ -10,8 +10,8 @@ import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
 from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_l, lax_m, lax_pair,
                        newton_charpoly, power_trace_scale, power_traces, reduced_lax,
-                       reduced_m, spectral_duality, spectral_match, spectral_table,
-                       zero_curvature_residual)
+                       reduced_m, row_sum_norm, spectral_duality, spectral_match,
+                       spectral_table, zero_curvature_residual)
 from cplab.dynamics import integrate, monitor_invariants
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point, reduce
@@ -136,6 +136,19 @@ class TestLaxMatrices:
                     want = build(spec, q[j], p[j], t[j], lam, variant)
                     scale = max(np.abs(want).max(), 1e-300)
                     assert np.abs(stack[i, j] - want).max() <= 1e-15 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_block_diagonals_are_views(self, n):
+        # the four diagonals that lax_l and lax_m write through, as views of
+        # the zero stack, at one point and at a stack of them
+        spec = spec_for(SystemKind.P_I)
+        for lead in ((), (3, 2)):
+            q = np.zeros(lead + (n, n))
+            *_, A, blocks = cplab.lax._zero_stack(spec, q, q, 0.0, 1.0, "corrected")
+            A.real = np.arange(A.size).reshape(A.shape)
+            for block, diagonal in zip(blocks, cplab.lax._block_diagonals(A)):
+                assert np.shares_memory(diagonal, A)
+                assert np.array_equal(diagonal, np.diagonal(block, 0, -2, -1))
 
     @pytest.mark.parametrize("kind,variant", PAIR_CASES)
     def test_lax_pair_bitwise_as_before(self, kind, variant):
@@ -334,6 +347,41 @@ class TestSpectralMatch:
             spectral_match(spec, random_reduced(rng, 2, 1.0),
                            random_reduced(rng, 3, 1.0))
 
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_a_reduced_point_is_its_embedding(self, rng, sl):
+        # both descriptions give one (q, p, t), so one side: an exact 0
+        pt = random_level_set_point(rng, 3, 1.0)
+        x = reduce(pt, sl, 1.0, tol=1e-6)
+        for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV):
+            for spec in (spec_for(kind), spec_for(kind, tau=1.0)):
+                assert spectral_match(spec, x, embed(x)) == (True, 0.0)
+                assert spectral_match(spec, embed(x), x) == (True, 0.0)
+
+    def test_reduced_sides_build_no_point(self, rng, monkeypatch):
+        pt = random_level_set_point(rng, 3, 1.0)
+        built = []
+        check = MatrixPhasePoint.__post_init__
+        monkeypatch.setattr(MatrixPhasePoint, "__post_init__",
+                            lambda self: built.append(self) or check(self))
+        spectral_duality(spec_for(SystemKind.P_II, tau=1.0), pt, 1.0)
+        assert built == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_an_overflowing_embedding_is_refused(self, sl):
+        # g / (x_i - x_j) overflows: the resolved block is not finite, and
+        # spectral_match refuses it with the error a matrix point gives
+        x = ReducedPoint([0.0, 0.5], [0.1, 0.2], 1e308, slice=sl)
+        y = ReducedPoint([0.0, 1.0], [0.1, 0.2], 1.0, slice=sl)
+        resolved = "p" if sl is Slice.Q_DIAG else "q"
+        with pytest.raises(ValueError) as built:
+            embed(x)
+        assert str(built.value) == f"{resolved} contains non-finite entries"
+        for a, b in ((x, y), (y, x)):
+            with pytest.raises(ValueError) as refused:
+                spectral_match(spec_for(SystemKind.P_II), a, b)
+            assert str(refused.value) == str(built.value)
+
 
 def test_lambda_grid_built_once():
     # the points of the expression that built the grid at every call,
@@ -410,17 +458,71 @@ class TestPowerTraces:
         newton_charpoly(np.eye(3))
         assert calls == [(3, 3)]
 
-    def test_one_scale(self, monkeypatch):
-        # the monitor scales its traces by this function, as spectral_match does
+    def test_one_scale(self, monkeypatch, rng):
+        # one scale definition, shared by the monitor and spectral_match: each
+        # side and the monitor make one pass of the row-sum norm, and no other
         assert cplab.dynamics.power_trace_scale is power_trace_scale
         calls = []
-        monkeypatch.setattr(cplab.lax, "power_trace_scale",
+        monkeypatch.setattr(cplab.lax, "row_sum_norm",
                             lambda L, axis=None: calls.append((L.shape, axis))
-                            or power_trace_scale(L, axis))
+                            or row_sum_norm(L, axis))
+        spec = spec_for(SystemKind.P_I)
         pt = MatrixPhasePoint(np.eye(2), np.eye(2), 0.3)
-        spectral_match(spec_for(SystemKind.P_I), pt, MatrixPhasePoint(pt.q, 2 * pt.p, 0.3))
-        # one call per side, one scale per lambda of its (lambda, 2n, 2n) stack
+        spectral_match(spec, pt, MatrixPhasePoint(pt.q, 2 * pt.p, 0.3))
+        # one call per side, one norm per lambda of its (lambda, 2n, 2n) stack
         assert calls == [((len(default_lambda_grid()), 4, 4), ())] * 2
+        calls.clear()
+        q = rng.normal(size=(5, 2, 2)) + 0j
+        cplab.dynamics.power_trace_drift(spec, q, 2 * q, np.linspace(0, 1, 5), 1.0)
+        # the monitor's one scale, of the first state's L
+        assert calls == [((4, 4), None)]
+
+    def test_side_norm_is_the_scale_where_l_is_not_zero(self, rng):
+        # nu is the row-sum norm: 0 for a zero L, where the scale is 1, and
+        # the scale itself wherever L is not zero
+        side = cplab.lax._spectral_side
+        q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        zero = np.zeros((3, 3), dtype=complex)
+        nu, traces = side(spec_for(SystemKind.FREE), 3, q.tobytes(), zero.tobytes(), 0.0)
+        assert nu.tolist() == [0.0] * len(default_lambda_grid())
+        assert not traces.any()
+        for kind in (SystemKind.P_I, SystemKind.P_II, SystemKind.P_IV):
+            spec = spec_for(kind, tau=1.0)
+            nu, _ = side(spec, 3, q.tobytes(), (2 * q).tobytes(), 0.0)
+            L = lax_l(spec, q, 2 * q, 0.0, default_lambda_grid())
+            assert L.any(axis=(-2, -1)).all()
+            assert nu.tobytes() == power_trace_scale(L, axis=())[:, 0, 0].tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scaling_by_the_reciprocal_is_division(self, rng):
+        # L * (1 / s) is L / s: numpy divides a complex entry by a real s
+        # through its reciprocal.  Bitwise on random stacks of every K of the
+        # lab; the lab's own stacks hold exact zeros (the off-diagonal of an
+        # embedded diagonal block, and its negative), whose signs may differ,
+        # and no reader tells them apart: every reading goes through |.|.
+        # A numpy that rounds the two differently fails here.
+        for K in range(2, 25):
+            L = rng.normal(size=(20, K, K)) + 1j * rng.normal(size=(20, K, K))
+            L *= 10.0 ** rng.uniform(-8, 8, size=(20, 1, 1))
+            s = power_trace_scale(L, axis=())
+            assert (L * (1 / s)).tobytes() == (L / s).tobytes()
+        grid = default_lambda_grid()
+        for kind in (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
+                     SystemKind.P_II, SystemKind.P_IV):
+            spec = spec_for(kind, tau=1.0)
+            for n in (1, 2, 4, 12):
+                pt = random_level_set_point(rng, n, 1.0)
+                for x in (pt, *(embed(reduce(pt, sl, 1.0, tol=1e-5)) for sl in Slice)):
+                    L = lax_l(spec, x.q, x.p, x.t, grid)
+                    # a side's scales per lambda, and the monitor's one scale
+                    for stack, s in ((L, power_trace_scale(L, axis=())),
+                                     (L[:5], power_trace_scale(L[0]))):
+                        a, b = stack * (1 / s), stack / s
+                        assert (a + 0.0).tobytes() == (b + 0.0).tobytes()
+        # non-finite entries give the same non-finite values
+        L = np.array([[np.inf + 1j, np.nan], [1e308 + 1e308j, -2.0]])
+        s = np.array([[3.0]])
+        assert np.array_equal(L * (1 / s), L / s, equal_nan=True)
 
     def test_scale_is_the_largest_row_sum_norm(self):
         L = np.array([[1.0, -2j], [0.5, 0.25]])

@@ -12,9 +12,9 @@ from cplab.hamiltonians import closed_form_hamiltonian, reduced_vector_field
 from cplab.phase import MatrixPhasePoint, SystemKind, moment_map, level_set_target
 from cplab.reduction import (ReducedPoint, Slice, calogero_block, dual_of, embed,
                              embedded_matrices, guarded_differences, match_permutation,
-                             matched_deviation, normalized_diagonalizer, pair_differences,
-                             particle_guard, permuted_deviation, reduce,
-                             reduced_coordinates, resolve_at_slice)
+                             matched_deviation, matrix_point, normalized_diagonalizer,
+                             pair_differences, particle_guard, permuted_deviation,
+                             point_arrays, reduce, reduced_coordinates, resolve_at_slice)
 from cplab.sampling import (JITTER, random_level_set_point, random_particle_stacks,
                             random_particles, random_reduced, spec_for)
 from cplab.traces import tr_q3_closed, tr_q4_closed, trace_power_oracle
@@ -130,6 +130,30 @@ class TestEmbed:
     def test_smallest_gap_ignores_the_diagonal(self):
         assert smallest_gap(np.array([0.0, 2.5, 1.0 + 1j])) == np.sqrt(2.0)
         assert smallest_gap(np.array([4.0])) == np.inf
+
+
+class TestPointArrays:
+    """One dispatch on a description: point_arrays, and matrix_point over it."""
+
+    def test_a_matrix_point_gives_its_own_arrays(self, rng):
+        pt = random_level_set_point(rng, 3, 1.0, t=0.2)
+        q, p, t = point_arrays(pt)
+        assert q is pt.q and p is pt.p and t == pt.t
+        assert matrix_point(pt) is pt
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_a_reduced_point_gives_its_embedding(self, rng, sl):
+        x = random_reduced(rng, 4, 1.0, sl, t=0.3 - 0.1j)
+        pt = embed(x)
+        for q, p, t in (point_arrays(x), (lambda m: (m.q, m.p, m.t))(matrix_point(x))):
+            assert q.tobytes() == pt.q.tobytes() and p.tobytes() == pt.p.tobytes()
+            assert t == pt.t and type(t) is type(pt.t)
+
+    def test_anything_else_is_a_type_error(self):
+        for obj in ((np.eye(2), np.eye(2)), np.eye(2)):
+            for read in (point_arrays, matrix_point):
+                with pytest.raises(TypeError, match="matrix or reduced point"):
+                    read(obj)
 
 
 class TestSliceConvention:
@@ -470,6 +494,30 @@ class TestStackedSampler:
             assert pos.tobytes() == np.array(rows[n][0]).tobytes()
             assert mom.tobytes() == np.array(rows[n][1]).tobytes()
         assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize("sizes", [[3] * 9, [2, 5, 1, 5, 2, 12, 3]])
+    @pytest.mark.parametrize("complex_positions", [True, False])
+    def test_draws_are_per_trial_uniform_and_normal_calls(self, sizes, complex_positions):
+        # the batched fills give the values of one uniform call for a trial's
+        # jitter rows and one normal call for its momentum rows, and leave
+        # the generator where those calls leave it
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        stacks = random_particle_stacks(a, sizes, spread=1.1,
+                                        complex_positions=complex_positions, mom_scale=0.7)
+        rows = {n: ([], []) for n in sizes}
+        jitter_rows = 2 if complex_positions else 1
+        for n in sizes:
+            jit = b.uniform(-JITTER, JITTER, jitter_rows * n).reshape(jitter_rows, n)
+            nrm = b.normal(size=2 * n).reshape(2, n)
+            im_jit = jit[1] if complex_positions else np.zeros(n)
+            rows[n][0].append(1.1 * np.arange(n) + jit[0] + 1j * im_jit)
+            rows[n][1].append(0.7 * (nrm[0] + 1j * nrm[1]))
+        assert list(stacks) == sorted(rows)
+        for n, (pos, mom) in stacks.items():
+            assert pos.tobytes() == np.array(rows[n][0]).tobytes()
+            assert mom.tobytes() == np.array(rows[n][1]).tobytes()
+        assert a.standard_normal() == b.standard_normal()
+        assert a.random() == b.random()
 
     def test_per_size_stacks_are_guarded_per_size(self, rng, monkeypatch):
         assert random_particle_stacks(rng, []) == {}

@@ -40,8 +40,9 @@ def test_bench_layers():
     per_step = {"integrate_matrix", "integrate_reduced"}
     per_state = {"monitor_invariants"}
     per_stack = {"power_traces"}
+    per_kind = {"lax_l"}
     assert set(table["layers"]) == (stacked | one_point | per_point | per_step | per_state
-                                     | per_stack)
+                                     | per_stack | per_kind)
     assert table["reference_kernel_s"] > 0  # the speed that rescaled the rounds
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
@@ -51,6 +52,8 @@ def test_bench_layers():
                      else {"us_per_step"} if name in per_step
                      else {"us_per_state"} if name in per_state
                      else {"lambda_stack_us", "monitor_block_us"} if name in per_stack
+                     else {"Free_us", "HarmOsc_us", "P_I_us", "P_II_us", "P_IV_us"}
+                     if name in per_kind
                      else {"us_per_call"})
             extra = {"speedup"} if name in stacked else set()
             assert set(row) == timed | {f"{f}_iqr" for f in timed} | extra
