@@ -51,6 +51,10 @@ These layers time a whole flow:
     flow over POINTS steps from the first point, turned onto the imaginary
     axis about its mean (where the quartic potential confines), embedded
     and on the q-slice, in microseconds per accepted step (`us_per_step`);
+  * free_projection: `free_projection` of the first point at the q-slice
+    (the exact Free reduced flow, criterion 9's reference) at POINTS sample
+    times spaced by the RK4 step, in microseconds per sample time
+    (`us_per_time`), to read beside integrate_reduced's `us_per_step`;
   * monitor_invariants: `monitor_invariants` of the autonomous P_II
     matrix flow from that start over 10 * POINTS steps (1001 recorded
     states, as criterion 7 records), in microseconds per recorded state
@@ -81,8 +85,8 @@ import time  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from cplab.dynamics import (MONITOR_BLOCK, MONITOR_LAMBDAS, integrate,  # noqa: E402
-                            monitor_invariants)
+from cplab.dynamics import (MONITOR_BLOCK, MONITOR_LAMBDAS,  # noqa: E402
+                            free_projection, integrate, monitor_invariants)
 from cplab.hamiltonians import (closed_form_hamiltonian,  # noqa: E402
                                 embedded_trace_hamiltonian, matrix_vector_field,
                                 reduced_hamiltonian, reduced_vector_field, rk4_step)
@@ -261,6 +265,10 @@ def call_loops(n: int, points: int) -> dict:
     flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
     timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)
     timed["integrate_reduced", "us_per_step"] = (integrate_loop(flow_start), points)
+    free_start = ReducedPoint(pos[0], mom[0], G, T, sl)
+    sample_times = T + np.arange(points) * H
+    timed["free_projection", "us_per_time"] = (
+        lambda: free_projection(free_start, sample_times), points)
     monitored = integrate(curve_spec, embed(flow_start), T, T + 10 * points * H, H, g=G)
     timed["monitor_invariants", "us_per_state"] = (
         lambda: monitor_invariants(curve_spec, monitored), len(monitored.states))
@@ -307,7 +315,8 @@ def measure(sizes=SIZES, points: int = POINTS, repeats: int = REPEATS) -> dict:
                 "kind and slice for closed_form_oracle; "
                 "per call for the us_per_call layers; per level-set point for the "
                 "us_per_point layer; per accepted step for the "
-                "us_per_step layers; per recorded state for the us_per_state layer; "
+                "us_per_step layers; per sample time for the us_per_time layer; "
+                "per recorded state for the us_per_state layer; "
                 "per call for the lax_l and power_traces fields)",
         "method": f"median and interquartile range of {repeats} rounds, each timing every "
                   f"entry once, of {points} sampled points per n, rescaled by "

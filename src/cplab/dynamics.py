@@ -1,4 +1,4 @@
-"""Fixed-step RK4 flows with conservation monitors, and the flow/reduce commutation.
+"""Fixed-step RK4 flows and their monitors, the exact Free flow, and flow/reduce commutation.
 
 Reproducibility beats efficiency at desk scale: no adaptivity, collisions
 abort with the partial trajectory attached to the exception, and every
@@ -17,7 +17,7 @@ from .hamiltonians import matrix_vector_field, reduced_vector_field, rk4_step, \
 from .lax import lax_l, power_trace_scale, power_traces
 from .phase import MatrixPhasePoint, SystemSpec, moment_deviation, relative_deviation
 from .reduction import ReducedPoint, embedded_matrices, guarded_differences, \
-    match_permutation, pair_differences, resolve_at_slice
+    match_permutation, pair_differences, reduced_coordinates, resolve_at_slice
 
 MAX_STEPS = 10_000_000
 OVERFLOW_NORM = 1e12
@@ -144,6 +144,26 @@ def integrate(spec: SystemSpec, start, t0: float, t1: float, h: float,
         exc.partial = so_far(k)  # states 0 .. k - 1
         raise
     return so_far(steps + 1)
+
+
+def free_projection(x: ReducedPoint, times) -> Trajectory:
+    """The Free reduced flow from x at the given times, exactly: a reference solution.
+
+    The Free matrix flow is linear, Q(t) = Q0 + (t - x.t) P0 with P = P0
+    constant, and the reduced flow is its projection (Kazhdan, Kostant and
+    Sternberg, CPAM 31 (1978) 481).  x is embedded once, and the stack of
+    Q(t), P0 over the times is reduced at x's slice by one
+    reduced_coordinates call, so every check of reduce applies to each
+    row.  Each row keeps that call's particle labels; a reader matches
+    them.  Raises ValueError unless times is a non-empty 1-D sequence.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or not times.size:
+        raise ValueError("free_projection needs a non-empty 1-D sequence of times")
+    q0, p0 = embedded_matrices(x.positions, x.momenta, x.g, x.slice)
+    q = q0 + (times - x.t)[:, None, None] * p0
+    pos, mom = reduced_coordinates(q, np.broadcast_to(p0, q.shape), x.g, x.slice)
+    return Trajectory(times, States(x, times, pos, mom), x.g)
 
 
 def power_trace_drift(spec: SystemSpec, q: np.ndarray, p: np.ndarray, times: np.ndarray,

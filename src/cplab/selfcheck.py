@@ -15,7 +15,7 @@ import numpy as np
 from . import confluence as cf
 from . import mmkdv
 from .dynamics import (CONTOUR_NODES, dual_position_drift, equivariance_check,
-                       field_deviation, integrate, monitor_invariants)
+                       field_deviation, free_projection, integrate, monitor_invariants)
 from .hamiltonians import (closed_form_hamiltonian, embedded_trace_hamiltonian,
                            matrix_vector_field, p4_involution_coordinates,
                            reduced_vector_field)
@@ -25,8 +25,8 @@ from .phase import (MatrixPhasePoint, SystemKind, SystemSpec, coupling_value,
                     level_set_target, moment_deviation, moment_map, relative_deviation,
                     symplectic_pairing)
 from .reduction import (ReducedPoint, Slice, dual_of, embed, embedded_matrices,
-                        inverse_square_kernel, matched_deviation, normalized_diagonalizer,
-                        particle_guard, reduced_coordinates)
+                        inverse_square_kernel, match_permutation, matched_deviation,
+                        normalized_diagonalizer, particle_guard, reduced_coordinates)
 from .sampling import (random_level_set_point, random_particle_stacks, random_particles,
                        random_reduced, spec_for)
 from .traces import (a4_quad_sum, a4_triple_sum, evenness_check, tr_c3, tr_c4,
@@ -249,14 +249,30 @@ def check_equivariance(rng):
 
 
 def check_ruijsenaars(rng):
-    # gentle momenta: close Calogero encounters would need a finer step
+    # gentle momenta and wide gaps: RK4 truncation on the leg stays below roundoff
     x0 = random_reduced(rng, 3, 1.0, spread=2.0, complex_positions=False,
                         mom_scale=0.5)
-    traj = integrate(spec_for(SystemKind.FREE), x0, 0.0, 1.0, 1e-3)
-    drift = dual_position_drift(traj)
-    moved = float(np.abs(traj.states.a[-1] - x0.positions).max())
-    return _check("ruijsenaars_demo", "dual_position_drift on free flow", 1e-8,
-                  drift, moved > 0.1, positions_moved=moved)
+    times = np.linspace(0.0, 1.0, 101)
+    exact = free_projection(x0, times)
+    drift = dual_position_drift(exact)
+    final = exact.states.a[-1]
+    moved = float(np.abs(np.take_along_axis(final, match_permutation(x0.positions, final), -1)
+                         - x0.positions).max())
+    at = 10  # the leg runs 100 steps of 1e-3 to times[at] = 0.1
+    leg = integrate(spec_for(SystemKind.FREE), x0, 0.0, times[at], 1e-3)
+    end = leg.states.a[-1], leg.states.b[-1]
+    deviation = float(matched_deviation(*end, exact.states.a[at], exact.states.b[at]))
+    # the exact flow at coupling 1.05 g: the leg must not reproduce it
+    wrong = free_projection(ReducedPoint(x0.positions, x0.momenta, 1.05 * x0.g, x0.t,
+                                         x0.slice), times[at:at + 1])
+    control = float(matched_deviation(*end, wrong.states.a[0], wrong.states.b[0]))
+    return _check("ruijsenaars_demo",
+                  "dual_position_drift on the exact free flow + RK4 leg vs the exact flow",
+                  1e-10, [drift, deviation], moved > 0.1, control > 1e-6,
+                  drift=drift, leg_deviation=deviation, control=control,
+                  positions_moved=moved, sample_times=len(times),
+                  leg_steps=len(leg.times) - 1,
+                  note="positions must move > 0.1 and the 1.05 g control exceed 1e-6")
 
 
 def check_p4_selfduality(rng):

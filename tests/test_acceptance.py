@@ -17,6 +17,7 @@ import time
 import numpy as np
 import pytest
 
+import cplab.dynamics
 import cplab.lax
 from cplab import selfcheck as sc
 from cplab.lax import power_traces
@@ -105,6 +106,14 @@ def test_equivariance_gate_holds_on_seeds_0_to_99():
     assert elapsed < 4.0, f"{elapsed:.2f}s of CPU time over the 4s budget"
 
 
+def test_ruijsenaars_gate_holds_on_seeds_0_to_99():
+    # criterion 9 reads the exact free flow and a 100-step RK4 leg at roundoff;
+    # the budget also guards its cost, which a 1000-step flow would exceed
+    failed, elapsed = seed_sweep((sc.check_ruijsenaars,))
+    assert not failed
+    assert elapsed < 4.0, f"{elapsed:.2f}s of CPU time over the 4s budget"
+
+
 @pytest.mark.parametrize("readings, conditions, passed", [
     (0.5, (), True),
     (0.5, (True, True), True),
@@ -134,6 +143,7 @@ FAULTS = [
     ("08", sc.check_equivariance, sc, "equivariance_check", 2),
     ("08_control", sc.check_equivariance, sc, "field_deviation", 2),
     ("09", sc.check_ruijsenaars, sc, "dual_position_drift", 1),
+    ("09_leg", sc.check_ruijsenaars, sc, "matched_deviation", 1),
     ("10", sc.check_p4_selfduality, sc, "closed_form_hamiltonian", 2),
     ("11", sc.check_dual_p2_interaction_structure, sc, "a4_quad_sum", 1),
     ("12", sc.check_confluence, sc.cf, "identity_defect", 2),
@@ -184,6 +194,24 @@ def test_criterion_16_sees_the_power_trace_kernel(monkeypatch, mutant):
     if mutant is not None:
         monkeypatch.setattr(cplab.lax, "power_traces", KERNEL_MUTANTS[mutant])
     entry = sc.check_charpoly_cross(np.random.default_rng(16))
+    assert entry["pass"] is (mutant is None)
+
+
+def _rk4_step_wrong_final_weight(field, y, t, h, k1):
+    """hamiltonians.rk4_step with h/5 in place of h/6 on k4."""
+    half = h / 2
+    k2 = field(y + half * k1, t + half)
+    k3 = field(y + half * k2, t + half)
+    k4 = field(y + h * k3, t + h)
+    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3) + (h / 5) * k4
+
+
+@pytest.mark.parametrize("mutant", [None, "wrong_final_weight"], ids=str)
+def test_criterion_09_sees_the_reduced_integrator(monkeypatch, mutant):
+    # the 100-step leg is the battery's RK4 run of a reduced flow
+    if mutant is not None:
+        monkeypatch.setattr(cplab.dynamics, "rk4_step", _rk4_step_wrong_final_weight)
+    entry = sc.check_ruijsenaars(np.random.default_rng(9))
     assert entry["pass"] is (mutant is None)
 
 

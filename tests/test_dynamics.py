@@ -5,16 +5,18 @@ import pytest
 
 from cplab import dynamics
 from cplab.dynamics import (CONTOUR_NODES, MONITOR_LAMBDAS, contour_pushforward,
-                            dual_position_drift, equivariance_check,
-                            field_deviation, integrate, monitor_invariants, step_count)
+                            dual_position_drift, equivariance_check, field_deviation,
+                            free_projection, integrate, monitor_invariants, step_count)
 from cplab.errors import Overflow, ParticleCollision
 from cplab.hamiltonians import (matrix_hamiltonian, reduced_hamiltonian,
                                 reduced_vector_field, trace_hamiltonian)
 from cplab.lax import lax_pair, spectral_table
 from cplab.phase import (MatrixPhasePoint, SystemKind, SystemSpec, level_set_target,
                          moment_deviation, moment_map)
-from cplab.reduction import (ReducedPoint, Slice, dual_of, embed, match_permutation,
-                             matrix_point, permuted_deviation, reduce, resolve_at_slice)
+from cplab.reduction import (ReducedPoint, Slice, dual_of, embed, embedded_matrices,
+                             match_permutation, matched_deviation, matrix_point,
+                             permuted_deviation, reduce, reduced_coordinates,
+                             resolve_at_slice)
 from cplab.sampling import random_reduced, spec_for
 from cplab.selfcheck import check_equivariance, equivariance_control, tame_flow_start
 
@@ -544,6 +546,48 @@ class TestRuijsenaars:
         traj = integrate(spec_for(SystemKind.FREE), embed(x0), 0.0, 0.05, 1e-2, g=x0.g)
         with pytest.raises(TypeError, match="reduced point.*MatrixPhasePoint"):
             dual_position_drift(traj)
+
+
+class TestFreeProjection:
+    """The exact Free reduced flow: the linear matrix lift, reduced row by row."""
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_rows_are_reductions_of_the_linear_lift(self, rng, n, sl):
+        x = random_reduced(rng, n, 0.8, sl, t=0.3)
+        times = np.linspace(0.3, 1.3, 11)
+        traj = free_projection(x, times)
+        q0, p0 = embedded_matrices(x.positions, x.momenta, x.g, sl)
+        assert traj.g == x.g and traj.states.start is x
+        for k, t in enumerate(times):
+            pos, mom = reduced_coordinates(q0 + (t - x.t) * p0, p0, x.g, sl)
+            assert np.array_equal(traj.states.a[k], pos)
+            assert np.array_equal(traj.states.b[k], mom)
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    def test_start_row_gives_the_start_back(self, rng, sl):
+        x = random_reduced(rng, 4, 1.0, sl, t=0.3)
+        first = free_projection(x, [0.3, 0.8]).states[0]
+        assert first.t == x.t and first.slice is sl
+        assert permuted_deviation(first, x) < 1e-14
+
+    @pytest.mark.parametrize("sl", list(Slice))
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_matches_rk4_to_truncation(self, rng, n, sl):
+        # criterion 9's draw: gentle momenta, real positions at wide gaps
+        x = random_reduced(rng, n, 1.0, sl, spread=2.0, complex_positions=False,
+                           mom_scale=0.5)
+        traj = integrate(spec_for(SystemKind.FREE), x, 0.0, 1.0, 1e-3)
+        rows = slice(None, None, 100)
+        exact = free_projection(x, traj.times[rows])
+        deviation = matched_deviation(traj.states.a[rows], traj.states.b[rows],
+                                      exact.states.a, exact.states.b)
+        assert deviation.max() < 1e-10
+
+    @pytest.mark.parametrize("times", [[], np.zeros((2, 2))], ids=["empty", "2-D"])
+    def test_times_must_be_a_nonempty_sequence(self, rng, times):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            free_projection(random_reduced(rng, 3, 1.0), times)
 
 
 class TestArrayRecord:

@@ -39,10 +39,11 @@ def test_bench_layers():
     per_point = {"spectral_duality"}
     per_step = {"integrate_matrix", "integrate_reduced"}
     per_state = {"monitor_invariants"}
+    per_time = {"free_projection"}
     per_stack = {"power_traces"}
     per_kind = {"lax_l"}
     assert set(table["layers"]) == (stacked | one_point | per_point | per_step | per_state
-                                     | per_stack | per_kind)
+                                     | per_time | per_stack | per_kind)
     assert table["reference_kernel_s"] > 0  # the speed that rescaled the rounds
     for name, layer in table["layers"].items():
         assert set(layer) == {"n2", "n3"}
@@ -51,6 +52,7 @@ def test_bench_layers():
                      else {"us_per_point"} if name in per_point
                      else {"us_per_step"} if name in per_step
                      else {"us_per_state"} if name in per_state
+                     else {"us_per_time"} if name in per_time
                      else {"lambda_stack_us", "monitor_block_us"} if name in per_stack
                      else {"Free_us", "HarmOsc_us", "P_I_us", "P_II_us", "P_IV_us"}
                      if name in per_kind
