@@ -42,9 +42,10 @@ The two steps of one spectral side, alone:
   * power_traces: `power_traces` of one spectral side, the autonomous P_II
     L of the first embedded point on the 20-point lambda grid scaled per
     lambda as `spectral_match` scales it, a (20, 2n, 2n) stack
-    (`lambda_stack_us`); and of one monitor block, L at lambda = 1 of the
-    first MONITOR_BLOCK = 256 states of the monitor_invariants flow below,
-    scaled by the first state's, a (256, 2n, 2n) stack (`monitor_block_us`);
+    (`lambda_stack_us`); and of one monitor block, L of the first
+    MONITOR_BLOCK = 128 states of the monitor_invariants flow below at both
+    MONITOR_LAMBDAS, scaled by the first state's, a (2, 128, 2n, 2n) stack
+    (`monitor_block_us`);
     each POINTS times, in microseconds per call.
 These layers time a whole flow:
   * integrate_matrix / integrate_reduced: one `integrate` call of the P_II
@@ -276,8 +277,8 @@ def call_loops(n: int, points: int) -> dict:
     side *= 1 / power_trace_scale(side, axis=())
     rows = slice(0, MONITOR_BLOCK)
     block = lax_l(curve_spec, monitored.states.a[rows], monitored.states.b[rows],
-                  monitored.times[rows], MONITOR_LAMBDAS[0])
-    block /= power_trace_scale(block[0])
+                  monitored.times[rows], np.array(MONITOR_LAMBDAS)[:, None])
+    block /= power_trace_scale(block[:, :1], axis=())
     timed["power_traces", "lambda_stack_us"] = (kernel_loop(side), points)
     timed["power_traces", "monitor_block_us"] = (kernel_loop(block), points)
     return timed

@@ -1,8 +1,9 @@
 """Lax and isomonodromic pairs, characteristic polynomials, spectral matching.
 
-Pairs are stored as four explicit n x n blocks of a 2n x 2n matrix; the
-gauge (C (x) Id_2) then acts blockwise, so the reduced pair is obtained by
-plain substitution of the embedded slice representative.
+L and M are Laurent polynomials in lambda, each held as one coefficient
+table of 2n x 2n matrices of four n x n blocks; the gauge (C (x) Id_2) then
+acts blockwise, so the reduced pair is obtained by plain substitution of
+the embedded slice representative.
 
 The P_IV pair ships in two variants.  "printed" reproduces the published
 matrices verbatim; it is not zero-curvature compatible (its lambda-residue
@@ -25,8 +26,7 @@ import numpy as np
 from .errors import (DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda,
                      UnsupportedSystem)
 from .hamiltonians import matrix_vector_field
-from .phase import (FREE, HARM_OSC, P_I, P_II, P_IV, MatrixPhasePoint, SystemSpec,
-                    add_to_diagonal)
+from .phase import FREE, HARM_OSC, P_I, P_II, P_IV, MatrixPhasePoint, SystemSpec
 from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel, point_arrays,
                         reduce)
 
@@ -47,144 +47,130 @@ class LaxPair(NamedTuple):
     M: np.ndarray
 
 
-def _zero_stack(spec: SystemSpec, q, p, t, lam, p4_variant: str):
-    """The inputs as arrays (t as spec.time(t)), a zero (..., 2n, 2n) stack, its blocks."""
+def _points(spec: SystemSpec, q, p, t, p4_variant: str):
+    """q and p as complex arrays, T = spec.time(t) as an array, and the points' leading shape."""
     if spec.kind is P_IV and p4_variant not in ("corrected", "printed"):
         raise ValueError(f"unknown P_IV variant {p4_variant!r}")
     q, p = np.asarray(q, dtype=complex), np.asarray(p, dtype=complex)
     T = np.asarray(spec.time(t))
-    lam = np.asarray(lam, dtype=complex)
-    n = q.shape[-1]
-    shape = np.broadcast_shapes(q.shape[:-2], p.shape[:-2], lam.shape, T.shape)
-    A = np.zeros(shape + (2 * n, 2 * n), dtype=complex)
-    return q, p, T, lam, A, (A[..., :n, :n], A[..., :n, n:], A[..., n:, :n], A[..., n:, n:])
+    return q, p, T, np.broadcast_shapes(q.shape[:-2], p.shape[:-2], T.shape)
 
 
-def _block_diagonals(A: np.ndarray) -> tuple:
-    """The diagonals (..., n) of the four n x n blocks of a _zero_stack A, as views.
+def _table(lead: tuple, n: int, low: int, high: int, blocks: dict,
+           scalars: dict) -> tuple[int, np.ndarray]:
+    """(low, C): C the (*lead, high - low + 1, 2n, 2n) table of lambda^low .. lambda^high.
 
-    A is C-contiguous, so a block's diagonal is every (2n + 1)-th entry of
-    a matrix's flat row, n of them from the block's corner: four strided
-    slices of one flat view, made once per build, where an einsum view per
-    write would cost more.
+    Block (a, b) of the lambda^m coefficient is blocks[m, a, b] plus
+    scalars[m, a, b] (broadcast over lead) times 1, each 0 where its key is
+    absent.  The scalars are written along every block diagonal at once,
+    through one einsum view (an in-place add there would buffer a copy).
     """
-    n = A.shape[-1] // 2
-    flat, d = A.reshape(A.shape[:-2] + (4 * n * n,)), 2 * n + 1
-    return (flat[..., :n * d:d], flat[..., n:n * d:d], flat[..., 2 * n * n::d],
-            flat[..., n * d::d])
+    S = np.zeros(lead + (high - low + 1, 2, 2), dtype=complex)
+    for (m, a, b), s in scalars.items():
+        S[..., m - low, a, b] = s
+    C = np.zeros(lead + (high - low + 1, 2, n, 2, n), dtype=complex)
+    np.einsum("...aibi->...abi", C)[...] = S[..., None]
+    for (m, a, b), X in blocks.items():
+        C[..., m - low, a, :, b, :] += X
+    return low, C.reshape(lead + (high - low + 1, 2 * n, 2 * n))
 
 
-def _column(s) -> np.ndarray:
-    """s with a trailing axis of length 1, to add along block diagonals (..., n)."""
-    return np.asarray(s)[..., None]
+def _evaluate(table: tuple[int, np.ndarray], lam) -> np.ndarray:
+    """sum_j lam^(low + j) C_j of a table (low, C), as (..., 2n, 2n).
+
+    lam's axes broadcast against C's leading axes in one np.matmul of the
+    powers of lam with the flattened coefficients.  A table with a
+    negative power raises PoleAtLambda where some |lam| < POLE_EPS.
+    """
+    low, C = table
+    lam = np.asarray(lam, dtype=complex)
+    if low < 0 and np.any(np.abs(lam) < POLE_EPS):
+        raise PoleAtLambda(f"a pole of order {-low} at lambda = 0")
+    J, K = C.shape[-3], C.shape[-1]
+    powers = lam[..., None, None] ** np.arange(low, low + J)
+    out = np.matmul(powers, C.reshape(C.shape[:-2] + (K * K,)))
+    return out.reshape(out.shape[:-2] + (K, K))
+
+
+def l_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
+                   p4_variant: str = "corrected") -> tuple[int, np.ndarray]:
+    """L as a Laurent table in lambda: (low, C), L(lambda) = sum_j lambda^(low + j) C_j.
+
+    q and p are (..., n, n) and t broadcasts over their leading axes; C is
+    (..., J, 2n, 2n).  Its powers: P_I lambda^0 .. lambda^2, P_II
+    lambda^-1 .. lambda^2, P_IV lambda^-1 .. lambda^1, HarmOsc and Free
+    lambda^0 alone.  Keys below are (power, block row, block column).
+    """
+    q, p, T, lead = _points(spec, q, p, t, p4_variant)
+    n, k = q.shape[-1], spec.kind
+    if k is FREE:  # [[p, 0], [0, -p]]
+        return _table(lead, n, 0, 0, {(0, 0, 0): p, (0, 1, 1): -p}, {})
+    if k is HARM_OSC:  # [[p, w q], [w q, -p]]
+        wq = spec.omega * q
+        return _table(lead, n, 0, 0, {(0, 0, 0): p, (0, 0, 1): wq, (0, 1, 0): wq,
+                                      (0, 1, 1): -p}, {})
+    if k is P_I:  # [[p, l - q], [l^2 + l q + q^2 + T/2, -p]]
+        return _table(lead, n, 0, 2, {(0, 0, 0): p, (0, 0, 1): -q, (0, 1, 0): q @ q,
+                                      (0, 1, 1): -p, (1, 1, 0): q},
+                      {(0, 1, 0): T / 2, (1, 0, 1): 1, (2, 1, 0): 1})
+    if k is P_II:  # [[d, l q - i p - th/l], [l q + i p - th/l, -d]], d = i (l^2/2 + q^2 + T/2)
+        iqq, ip = 1j * (q @ q), 1j * p
+        return _table(lead, n, -1, 2, {(0, 0, 0): iqq, (0, 1, 1): -iqq, (0, 0, 1): -ip,
+                                       (0, 1, 0): ip, (1, 0, 1): q, (1, 1, 0): q},
+                      {(-1, 0, 1): -spec.theta, (-1, 1, 0): -spec.theta,
+                       (0, 0, 0): 1j * (T / 2), (0, 1, 1): -1j * (T / 2),
+                       (2, 0, 0): 0.5j, (2, 1, 1): -0.5j})
+    if k is P_IV:  # the module docstring's A; "printed" flips its (1,1) residue
+        th0, qp, pq = spec.theta0, q @ p, p @ q
+        return _table(lead, n, -1, 1, {(-1, 0, 0): -pq if p4_variant == "corrected" else pq,
+                                       (-1, 0, 1): -(pq @ p + th0 * p), (-1, 1, 0): q,
+                                       (-1, 1, 1): qp, (0, 0, 1): qp},
+                      {(-1, 1, 1): th0, (0, 0, 1): th0 + spec.theta1, (0, 1, 0): 1,
+                       (0, 1, 1): T, (1, 1, 1): -1})
+    raise UnsupportedSystem(f"no printed pair for {k.value}")
+
+
+def m_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
+                   p4_variant: str = "corrected") -> tuple[int, np.ndarray]:
+    """M as a table of l_coefficients' kind over lambda^0 .. lambda^1: (0, C).
+
+    C is (..., 2, 2n, 2n); its lambda^1 coefficient is B_lambda, exactly.
+    """
+    q, p, T, lead = _points(spec, q, p, t, p4_variant)
+    n, k = q.shape[-1], spec.kind
+    if k is FREE:  # 0
+        blocks, scalars = {}, {}
+    elif k is HARM_OSC:  # (w/2) [[0, -1], [1, 0]]
+        blocks, scalars = {}, {(0, 0, 1): -(spec.omega / 2), (0, 1, 0): spec.omega / 2}
+    elif k is P_I:  # [[0, 1/2], [l/2 + q, 0]]
+        blocks, scalars = {(0, 1, 0): q}, {(0, 0, 1): 0.5, (1, 1, 0): 0.5}
+    elif k is P_IV and p4_variant == "corrected":  # the module docstring's B
+        blocks = {(0, 0, 1): -(q @ p), (0, 1, 1): -q}
+        scalars = {(0, 0, 0): T / 2, (0, 0, 1): -(spec.theta0 + spec.theta1),
+                   (0, 1, 0): -1, (0, 1, 1): -(T / 2), (1, 1, 1): 1}
+    elif k is P_II or k is P_IV:  # [[i l/2, q], [q, -i l/2]], also the printed P_IV M
+        blocks, scalars = {(0, 0, 1): q, (0, 1, 0): q}, {(1, 0, 0): 0.5j, (1, 1, 1): -0.5j}
+    else:
+        raise UnsupportedSystem(f"no printed pair for {k.value}")
+    return _table(lead, n, 0, 1, blocks, scalars)
 
 
 def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
-    """L over stacked points and spectral parameters.
+    """L over stacked points and spectral parameters: l_coefficients read at lam.
 
-    q and p are (..., n, n); t and lam broadcast over the leading axes,
-    and L comes back as a (..., 2n, 2n) array, filled block by block; the
-    block diagonals are written in place through _block_diagonals.
-    The coefficients lam^2 and theta/lam are formed in Python complex
-    arithmetic, one lambda at a time: numpy's vectorised complex loops
-    round them differently, and this way every point of a stack is
-    bitwise the matrix of its own lax_pair call.
+    q and p are (..., n, n); t broadcasts over their leading axes and lam's
+    axes against those, so L comes back as a (..., 2n, 2n) array.  The
+    P_II and P_IV tables start at lambda^-1, so they raise PoleAtLambda
+    where some |lam| < POLE_EPS.
     """
-    k = spec.kind
-    lam = np.asarray(lam, dtype=complex)
-    if (k is P_II or k is P_IV) and np.any(np.abs(lam) < POLE_EPS):
-        raise PoleAtLambda(f"{k.value} pair has a pole at lambda = 0")
-    q, p, T, lam, L, (L11, L12, L21, L22) = _zero_stack(spec, q, p, t, lam, p4_variant)
-    l = lam[..., None, None]
-
-    def per_lambda(f):
-        """f(z) of each lambda z, in Python arithmetic, as a column (..., 1) for the diagonals."""
-        return np.fromiter((f(z) for z in lam.ravel().tolist()), complex,
-                           lam.size).reshape(lam.shape + (1,))
-
-    # one block at a time, so that at most one stack-sized temporary is alive
-    if k is FREE:
-        L11[...] = p
-        L22[...] = -p
-    elif k is HARM_OSC:
-        L11[...] = p
-        L12[...] = spec.omega * q
-        L21[...] = L12
-        L22[...] = -p
-    elif k is P_I:
-        _, d12, d21, _ = _block_diagonals(L)
-        L11[...] = p
-        L12[...] = -q
-        d12 += lam[..., None]
-        L21[...] = l * q
-        d21 += per_lambda(lambda z: z ** 2)
-        L21 += q @ q
-        d21 += _column(T / 2)
-        L22[...] = -p
-    elif k is P_II:
-        d11, d12, d21, _ = _block_diagonals(L)
-        L11[...] = 1j * q @ q
-        d11 += 1j * (per_lambda(lambda z: z ** 2) / 2)
-        d11 += _column(1j * (T / 2))
-        L22[...] = -L11
-        theta_over_lam = per_lambda(lambda z: spec.theta / z)
-        L12[...] = l * q
-        L12 -= 1j * p
-        d12 -= theta_over_lam
-        L21[...] = l * q
-        L21 += 1j * p
-        d21 -= theta_over_lam
-    elif k is P_IV:
-        _, _, d21, d22 = _block_diagonals(L)
-        th0, th1 = spec.theta0, spec.theta1
-        qp, pq = q @ p, p @ q
-        L22[...] = qp
-        d22 += _column(th0)
-        L22 /= l
-        d22 += _column(T - lam)
-        X = add_to_diagonal(qp, th0 + th1)
-        L11[...] = pq / l
-        if p4_variant == "corrected":
-            np.negative(L11, out=L11)
-        L12[...] = X - (pq @ p + th0 * p) / l
-        L21[...] = q / l
-        d21 += 1.0
-    else:
-        raise UnsupportedSystem(f"no printed pair for {k.value}")
-    return L
+    return _evaluate(l_coefficients(spec, q, p, t, p4_variant), lam)
 
 
 def lax_m(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
           p4_variant: str = "corrected") -> np.ndarray:
-    """M over the stacks of lax_l, its block diagonals written as there; polynomial
-    in lambda, so it has no pole check."""
-    k = spec.kind
-    q, p, T, lam, M, (M11, M12, M21, M22) = _zero_stack(spec, q, p, t, lam, p4_variant)
-    d11, d12, d21, d22 = _block_diagonals(M)
-    if k is HARM_OSC:
-        d12 += -(spec.omega / 2)
-        d21 += spec.omega / 2
-    elif k is P_I:
-        d12 += 0.5
-        M21[...] = q
-        d21 += _column(lam / 2)
-    elif k is P_IV and p4_variant == "corrected":
-        d11 += _column(T / 2)
-        M12[...] = -add_to_diagonal(q @ p, spec.theta0 + spec.theta1)
-        d21 += -1.0
-        M22[...] = -q
-        d22 += lam[..., None]
-        d22 += _column(-(T / 2))
-    elif k is P_II or k is P_IV:
-        # [[i lam/2, q], [q, -i lam/2]]: the P_II pair's M, and the printed P_IV one
-        d11 += _column(1j * (lam / 2))
-        M12[...] = q
-        M21[...] = q
-        d22 += _column(-1j * (lam / 2))
-    elif k is not FREE:  # the free M is 0
-        raise UnsupportedSystem(f"no printed pair for {k.value}")
-    return M
+    """M over the stacks of lax_l: m_coefficients read at lam; polynomial, so no pole."""
+    return _evaluate(m_coefficients(spec, q, p, t, p4_variant), lam)
 
 
 def lax_pair(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex) -> LaxPair:
@@ -274,7 +260,7 @@ def power_traces(A: np.ndarray) -> np.ndarray:
     (newton_charpoly runs that recurrence).  A stack of 0 x 0 matrices
     gives an empty (..., 0).  spectral_match calls it once per side, on
     that side's (lambda, 2n, 2n) stack; the isospectral monitor once per
-    block of states and lambda.
+    block of states, at both of its lambdas.
     """
     K, lead = A.shape[-1], A.shape[:-2]
     traces = np.empty(lead + (K,), dtype=complex)
@@ -438,8 +424,8 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     n x n arrays is added to the equations of motion, to show that a wrong
     flow is detected; a pair of another shape raises DimensionMismatch.
     The builders are polynomials of degree <= 3 there, so the 5-point
-    central stencil is exact, as is one central difference of M (affine in
-    lambda) for B_lam: an exact pair leaves roundoff only.
+    central stencil is exact, and B_lam is M's lambda^1 coefficient (M is
+    affine in lambda): an exact pair leaves roundoff only.
     Autonomous specs freeze tau, drop the B_lam term, and check the Lax
     equation.
     """
@@ -455,14 +441,13 @@ def zero_curvature_residual(spec: SystemSpec, pt: MatrixPhasePoint, lam: complex
     s = np.array([0.0, 1.0, -1.0, 2.0, -2.0])
     ray = s[:, None, None]
     L = lax_l(spec, pt.q + ray * qdot, pt.p + ray * pdot, pt.t + s, lam, p4_variant)
-    # M at the point, and at lam +- d for B_lam (d > 0 also at lam = 0)
-    d = abs(lam) / 2 or 0.5
-    M = lax_m(spec, pt.q, pt.p, pt.t, [lam, lam + d, lam - d], p4_variant)
+    table = m_coefficients(spec, pt.q, pt.p, pt.t, p4_variant)
+    M = _evaluate(table, lam)
     At = (8 * (L[1] - L[2]) - (L[3] - L[4])) / 12
-    commutator = L[0] @ M[0] - M[0] @ L[0]
+    commutator = L[0] @ M - M @ L[0]
     residual = At + commutator
     if not spec.autonomous:
-        residual -= (M[1] - M[2]) / (2 * d)
+        residual -= table[1][1]
     scale = max(np.abs(At).max(), np.abs(commutator).max()) or 1.0
     return float(np.abs(residual).max() / scale)
 

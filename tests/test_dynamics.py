@@ -286,7 +286,8 @@ class TestStackedMonitor:
         assert monitor_invariants(spec, traj)["power_trace_drift"]
 
     def test_lax_stack_is_built_in_blocks(self, monkeypatch, monitored):
-        # the first state's L for the scale, then one stack per block
+        # the first state's L for the scale, then one stack per block, each
+        # at every lambda of MONITOR_LAMBDAS
         spec, traj, _ = monitored["matrix_autonomous"]
         monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 40)
         rows, real = [], dynamics.lax_l
@@ -298,7 +299,7 @@ class TestStackedMonitor:
         monkeypatch.setattr(dynamics, "lax_l", counting)
         rep = monitor_invariants(spec, traj)
         assert len(traj.states) == 101
-        assert rows == [(), (40,), (40,), (21,)] * len(MONITOR_LAMBDAS)
+        assert rows == [(), (40,), (40,), (21,)]
         monkeypatch.setattr(dynamics, "MONITOR_BLOCK", 256)
         assert monitor_invariants(spec, traj)["power_trace_drift"] == \
             rep["power_trace_drift"]

@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 import cplab.dynamics
 import cplab.lax
 from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
-from cplab.lax import (char_poly, default_lambda_grid, gauge_F, lax_l, lax_m, lax_pair,
-                       newton_charpoly, power_trace_scale, power_traces, reduced_lax,
-                       reduced_m, row_sum_norm, spectral_duality, spectral_match,
-                       spectral_table, zero_curvature_residual)
-from cplab.dynamics import integrate, monitor_invariants
+from cplab.lax import (char_poly, default_lambda_grid, gauge_F, l_coefficients, lax_l,
+                       lax_m, lax_pair, newton_charpoly, power_trace_scale, power_traces,
+                       reduced_lax, reduced_m, row_sum_norm, spectral_duality,
+                       spectral_match, spectral_table, zero_curvature_residual)
+from cplab.dynamics import MONITOR_LAMBDAS, integrate, monitor_invariants
+from cplab.hamiltonians import trace_hamiltonian
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice, embed, matrix_point, reduce
 from cplab.sampling import random_level_set_point, random_reduced, spec_for
@@ -137,22 +138,11 @@ class TestLaxMatrices:
                     scale = max(np.abs(want).max(), 1e-300)
                     assert np.abs(stack[i, j] - want).max() <= 1e-15 * scale
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
-    def test_block_diagonals_are_views(self, n):
-        # the four diagonals that lax_l and lax_m write through, as views of
-        # the zero stack, at one point and at a stack of them
-        spec = spec_for(SystemKind.P_I)
-        for lead in ((), (3, 2)):
-            q = np.zeros(lead + (n, n))
-            *_, A, blocks = cplab.lax._zero_stack(spec, q, q, 0.0, 1.0, "corrected")
-            A.real = np.arange(A.size).reshape(A.shape)
-            for block, diagonal in zip(blocks, cplab.lax._block_diagonals(A)):
-                assert np.shares_memory(diagonal, A)
-                assert np.array_equal(diagonal, np.diagonal(block, 0, -2, -1))
-
     @pytest.mark.parametrize("kind,variant", PAIR_CASES)
-    def test_lax_pair_bitwise_as_before(self, kind, variant):
-        # fixed inputs, real and complex times, n = 1..4
+    def test_lax_pair_matches_the_block_formulas(self, kind, variant):
+        # fixed inputs, real and complex times, n = 1..4: the tables read at
+        # lambda agree with the block formulas to roundoff, and exactly for
+        # the lambda-free Free and HarmOsc pairs
         rng = np.random.default_rng(2024)
         for n in range(1, 5):
             for t in (0.35, 0.2 - 0.6j):
@@ -162,13 +152,16 @@ class TestLaxMatrices:
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
                         rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), t)
                     lam = complex(*rng.normal(size=2))
-                    L, M = reference_pair(spec, pt, lam, variant)
-                    assert np.array_equal(lax_l(spec, pt.q, pt.p, pt.t, lam, variant), L)
-                    assert np.array_equal(lax_m(spec, pt.q, pt.p, pt.t, lam, variant), M)
+                    built = [lax_l(spec, pt.q, pt.p, pt.t, lam, variant),
+                             lax_m(spec, pt.q, pt.p, pt.t, lam, variant)]
                     if variant == "corrected":
-                        sample = lax_pair(spec, pt, lam)
-                        assert np.array_equal(sample.L, L)
-                        assert np.array_equal(sample.M, M)
+                        built += lax_pair(spec, pt, lam)
+                    for got, want in zip(built, 2 * reference_pair(spec, pt, lam, variant)):
+                        if kind in (SystemKind.FREE, SystemKind.HARM_OSC):
+                            assert np.array_equal(got, want)
+                        else:
+                            scale = max(np.abs(want).max(), 1e-300)
+                            assert np.abs(got - want).max() <= 1e-15 * scale
 
     @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
     def test_stacked_lambda_at_the_pole_raises(self, rng, kind):
@@ -188,7 +181,8 @@ class TestLaxMatrices:
 
     def test_entire_pairs_accept_lambda_zero(self, rng):
         q = rng.normal(size=(4, 2, 2))
-        for kind in (SystemKind.P_I, SystemKind.HARM_OSC):
+        # every kind whose table has no negative power
+        for kind in (SystemKind.FREE, SystemKind.P_I, SystemKind.HARM_OSC):
             L = lax_l(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
             assert L.shape == (3, 4, 4, 4)
 
@@ -473,9 +467,14 @@ class TestPowerTraces:
         assert calls == [((len(default_lambda_grid()), 4, 4), ())] * 2
         calls.clear()
         q = rng.normal(size=(5, 2, 2)) + 0j
-        cplab.dynamics.power_trace_drift(spec, q, 2 * q, np.linspace(0, 1, 5), 1.0)
-        # the monitor's one scale, of the first state's L
-        assert calls == [((4, 4), None)]
+        cplab.dynamics.power_trace_drift(spec, q, 2 * q, np.linspace(0, 1, 5), (1.0,))
+        # the monitor's one scale per lambda, of the first state's L at every
+        # lambda in one call
+        assert calls == [((1, 1, 4, 4), ())]
+        calls.clear()
+        cplab.dynamics.power_trace_drift(spec, q, 2 * q, np.linspace(0, 1, 5),
+                                         MONITOR_LAMBDAS)
+        assert calls == [((len(MONITOR_LAMBDAS), 1, 4, 4), ())]
 
     def test_side_norm_is_the_scale_where_l_is_not_zero(self, rng):
         # nu is the row-sum norm: 0 for a zero L, where the scale is 1, and
@@ -773,21 +772,23 @@ class TestZeroCurvature:
             zero_curvature_residual(spec, pt, 0.9 + 0.2j, perturb=pert)
 
     @pytest.mark.parametrize("autonomous", [False, True])
-    def test_one_l_build_on_the_ray_and_one_m_build_at_the_point(
+    def test_one_l_build_on_the_ray_and_one_m_table_at_the_point(
             self, rng, monkeypatch, autonomous):
+        # B_lambda is the table's lambda^1 coefficient: no M is built at
+        # another lambda
         calls = []
-        for name in ("lax_l", "lax_m"):
+        for name in ("lax_l", "lax_m", "m_coefficients"):
             build = getattr(cplab.lax, name)
 
-            def counting(spec, q, p, t, lam, p4_variant, _name=name, _build=build):
-                out = _build(spec, q, p, t, lam, p4_variant)
-                calls.append((_name, out.shape))
+            def counting(spec, q, p, t, *rest, _name=name, _build=build):
+                out = _build(spec, q, p, t, *rest)
+                calls.append((_name, np.shape(out[1] if _name == "m_coefficients" else out)))
                 return out
             monkeypatch.setattr(cplab.lax, name, counting)
         spec = spec_for(SystemKind.P_II, tau=1.0 if autonomous else None)
         pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), 0.3)
         assert zero_curvature_residual(spec, pt, 0.9 + 0.2j) <= 1e-12
-        assert calls == [("lax_l", (5, 4, 4)), ("lax_m", (3, 4, 4))]
+        assert calls == [("lax_l", (5, 4, 4)), ("m_coefficients", (2, 4, 4))]
 
     def test_p4_printed_fails_corrected_passes(self, rng):
         spec = spec_for(SystemKind.P_IV)
@@ -844,3 +845,40 @@ class TestLaurentExtraction:
         assert np.abs(coeffs[1:]).max() < 1e-12
         assert np.abs(coeffs[0] - np.array([1.0, 0.0, -25.0])).max() < 1e-12
         assert np.array_equal(lax_pair(spec, pt, 2.3 - 1.1j).L, lax_pair(spec, pt, 0.7).L)
+
+
+def tr_square_coefficient(table, m):
+    """[lambda^m] Tr L^2 of a Laurent table (low, C): the sum of Tr(C_i C_j) over
+    the index pairs whose powers add up to m."""
+    low, C = table
+    J = C.shape[-3]
+    return sum(np.einsum("...ab,...ba->...", C[..., i, :, :], C[..., m - 2 * low - i, :, :])
+               for i in range(J) if 0 <= m - 2 * low - i < J)
+
+
+class TestHamiltonianOnTheCurve:
+    """trace_hamiltonian as a coefficient of Tr L^2, read exactly off l_coefficients."""
+
+    @staticmethod
+    def reading(spec, pt):
+        table = l_coefficients(spec, pt.q, pt.p, pt.t)
+        if spec.kind is SystemKind.P_IV:  # the corrected pair's residue, plus a constant
+            T = spec.time(pt.t)
+            return -tr_square_coefficient(table, -1) / 2 + pt.n * spec.theta0 * T
+        return tr_square_coefficient(table, 0) / 4
+
+    @pytest.mark.parametrize("kind", PAIR_KINDS)
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_trace_hamiltonian_is_a_coefficient(self, kind, autonomous):
+        rng = np.random.default_rng(13)
+        spec = generic_spec(kind, autonomous)
+        for n in (1, 2, 3, 5, 8):
+            pt = MatrixPhasePoint(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                                  rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)),
+                                  0.35 - 0.2j)
+            H = trace_hamiltonian(spec, pt.q, pt.p, pt.t)
+            reading = self.reading(spec, pt)
+            assert abs(reading - H) <= 1e-12 * max(1.0, abs(H)), (n, reading, H)
+            # the control: H of p + 0.1, which moves H by O(1)
+            moved = trace_hamiltonian(spec, pt.q, pt.p + 0.1 * np.eye(n), pt.t)
+            assert abs(reading - moved) > 1e-3, (n, reading, moved)
