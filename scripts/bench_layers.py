@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Per-point cost of the layers of the lab: BENCH_layers.json.
 
-    python scripts/bench_layers.py
+    PYTHONPATH=src python3 scripts/bench_layers.py
 
 Three layers compare a point loop against one stack:
   * embed_reduce: embed a reduced point and reduce it back at its slice,

@@ -1,5 +1,9 @@
 """Matrix mKdV reductions: pointwise residual evaluators with convention switches.
 
+Every evaluator takes a stack of matrices (..., m, m), a scalar or a 1-D
+array being read as 1 x 1 matrices, with scalar or (...,) coefficients, and
+answers row by row: row k of a stacked call is the one-sample call on row k.
+
 The printed cubic-flow conventions are internally inconsistent (commutator
 choice, the coefficient of (z v)_z, the orientation of the self-similar
 variable), so residual evaluators are parameterized by ConventionSwitch
@@ -43,18 +47,24 @@ class ConventionSwitch:
             raise ValueError(f"s_comm must be one of {COMM_CHOICES}")
 
 
-def _as_matrix(u, name: str) -> np.ndarray:
+def _as_stack(u, name: str) -> np.ndarray:
+    """u as complex matrices (..., m, m); a scalar or a 1-D array is read as 1 x 1 matrices."""
     a = np.asarray(u, dtype=complex)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2:
+        a = a[..., None, None]
+    if a.shape[-2] != a.shape[-1]:
         raise DimensionMismatch(f"{name} must be square")
     return a
 
 
+def _coefficient(c) -> np.ndarray:
+    """A scalar or a (...,) stack of coefficients, shaped to scale (..., m, m) row by row."""
+    return np.asarray(c)[..., None, None]
+
+
 def mmkdv_rhs(u, u_x, u_xx, u_xxx, sw: ConventionSwitch) -> np.ndarray:
-    """u_xxx + 3 * (selected commutator) + s_cubic * 6 u u_x u."""
-    u, u_x, u_xx, u_xxx = (_as_matrix(m, n) for m, n in
+    """u_xxx + 3 * (selected commutator) + s_cubic * 6 u u_x u, on stacks (..., m, m)."""
+    u, u_x, u_xx, u_xxx = (_as_stack(m, n) for m, n in
                            zip((u, u_x, u_xx, u_xxx), ("u", "u_x", "u_xx", "u_xxx")))
     if sw.s_comm == "UX_U":
         comm = u_x @ u - u @ u_x
@@ -65,17 +75,19 @@ def mmkdv_rhs(u, u_x, u_xx, u_xxx, sw: ConventionSwitch) -> np.ndarray:
     return u_xxx + 3.0 * comm + sw.s_cubic * 6.0 * (u @ u_x @ u)
 
 
-def tw_closure(v: np.ndarray, wave_speed: complex, theta: complex) -> np.ndarray:
-    """Travelling-wave inner ODE: v_zz = 2 v^3 + w v + theta."""
-    I = np.eye(v.shape[0], dtype=complex)
-    return 2.0 * v @ v @ v + wave_speed * v + theta * I
+def tw_closure(v, wave_speed, theta) -> np.ndarray:
+    """Travelling-wave inner ODE: v_zz = 2 v^3 + w v + theta, on stacks (..., m, m)."""
+    v = _as_stack(v, "v")
+    I = np.eye(v.shape[-1], dtype=complex)
+    return 2.0 * v @ v @ v + _coefficient(wave_speed) * v + _coefficient(theta) * I
 
 
-def ss_closure(v: np.ndarray, z: float, const: complex,
-               sw: ConventionSwitch) -> np.ndarray:
-    """Self-similar inner ODE after one integration: v_zz = 2 v^3 + s_z z v + C."""
-    I = np.eye(v.shape[0], dtype=complex)
-    return 2.0 * v @ v @ v + sw.s_z * z * v + const * I
+def ss_closure(v, z, const, sw: ConventionSwitch) -> np.ndarray:
+    """Self-similar inner ODE after one integration: v_zz = 2 v^3 + s_z z v + C,
+    on stacks (..., m, m)."""
+    v = _as_stack(v, "v")
+    I = np.eye(v.shape[-1], dtype=complex)
+    return 2.0 * v @ v @ v + sw.s_z * _coefficient(z) * v + _coefficient(const) * I
 
 
 def _cubic_derivative(v, p):
@@ -83,36 +95,43 @@ def _cubic_derivative(v, p):
     return p @ v @ v + v @ p @ v + v @ v @ p
 
 
-def tw_residual(v, p, z_speed: complex, theta: complex,
-                sw: ConventionSwitch) -> float:
-    """Pointwise travelling-wave check; returns |w p - rhs|_max under the
-    closure v_zz = tw_closure(v, w, theta)."""
-    v = _as_matrix(v, "v")
-    p = _as_matrix(p, "p")
+def _max_norm(a: np.ndarray) -> np.ndarray:
+    """|a|_max of each matrix of the stack (..., m, m), as (...)."""
+    return np.abs(a).max(axis=(-2, -1))
+
+
+def tw_residual(v, p, z_speed, theta, sw: ConventionSwitch) -> np.ndarray:
+    """Pointwise travelling-wave check; returns |w p - rhs|_max of each row
+    under the closure v_zz = tw_closure(v, w, theta)."""
+    v = _as_stack(v, "v")
+    p = _as_stack(p, "p")
+    w = _coefficient(z_speed)
     v_zz = tw_closure(v, z_speed, theta)
-    v_zzz = 2.0 * _cubic_derivative(v, p) + z_speed * p
-    res = z_speed * p - mmkdv_rhs(v, p, v_zz, v_zzz, sw)
-    return float(np.abs(res).max())
+    v_zzz = 2.0 * _cubic_derivative(v, p) + w * p
+    return _max_norm(w * p - mmkdv_rhs(v, p, v_zz, v_zzz, sw))
 
 
-def ss_residual(v, p, z: float, theta: complex, sw: ConventionSwitch) -> float:
+def ss_residual(v, p, z, theta, sw: ConventionSwitch) -> np.ndarray:
     """Self-similar form v_zzz + 3[v, v_zz] - 6 v v_z v + s_linear (z v)_z,
-    closed by ss_closure; returns the max-norm."""
-    v = _as_matrix(v, "v")
-    p = _as_matrix(p, "p")
+    closed by ss_closure; returns the max-norm of each row."""
+    v = _as_stack(v, "v")
+    p = _as_stack(p, "p")
+    zc = _coefficient(z)
     v_zz = ss_closure(v, z, theta, sw)
-    v_zzz = 2.0 * _cubic_derivative(v, p) + sw.s_z * (v + z * p)
+    v_zzz = 2.0 * _cubic_derivative(v, p) + sw.s_z * (v + zc * p)
     lhs = (v_zzz + 3.0 * (v @ v_zz - v_zz @ v) - 6.0 * (v @ p @ v)
-           + sw.s_linear * (v + z * p))
-    return float(np.abs(lhs).max())
+           + sw.s_linear * (v + zc * p))
+    return _max_norm(lhs)
 
 
 def _scalar_samples(rng):
-    for _ in range(SCALAR_SAMPLES):
-        v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z = float(rng.normal())
-        th = complex(rng.normal() + 1j * rng.normal())
-        yield v, p, z, th
+    """SCALAR_SAMPLES scalar points (v, p, z, theta) as four stacks.
+
+    One normal block, read per sample as re v, re p, im v, im p, z, re theta,
+    im theta: the order in which one sample at a time would draw them.
+    """
+    x = rng.normal(size=(SCALAR_SAMPLES, 7))
+    return x[:, 0] + 1j * x[:, 2], x[:, 1] + 1j * x[:, 3], x[:, 4], x[:, 5] + 1j * x[:, 6]
 
 
 def calibrate() -> tuple[ConventionSwitch, dict]:
@@ -122,16 +141,15 @@ def calibrate() -> tuple[ConventionSwitch, dict]:
     vanish) and is left at its printed value; its effect is checked at the
     matrix level through mmkdv_rhs directly.
     """
-    rng = np.random.default_rng(0)
-    samples = list(_scalar_samples(rng))
+    samples = _scalar_samples(np.random.default_rng(0))
     tw_winners, ss_winners = [], []
     for s_cubic in (1, -1):
         sw = ConventionSwitch(s_cubic=s_cubic)
-        if np.max([tw_residual(v, p, z, th, sw) for v, p, z, th in samples]) < 1e-12:
+        if np.max(tw_residual(*samples, sw)) < 1e-12:
             tw_winners.append(s_cubic)
     for s_z, s_linear in itertools.product((1, -1), (1.0, 2.0)):
         sw = ConventionSwitch(s_z=s_z, s_linear=s_linear)
-        if np.max([ss_residual(v, p, z, th, sw) for v, p, z, th in samples]) < 1e-12:
+        if np.max(ss_residual(*samples, sw)) < 1e-12:
             ss_winners.append((s_z, s_linear))
     if len(tw_winners) != 1 or len(ss_winners) != 1:
         raise CplabError(
@@ -161,22 +179,17 @@ def switch_sensitivity(sw: ConventionSwitch) -> dict:
     seed 1, calibrate's from seed 0, so the two never share a sample.
     """
     rng = np.random.default_rng(1)
-    samples = list(_scalar_samples(rng))
-    out = {}
-    flipped = replace(sw, s_cubic=-sw.s_cubic)
-    out["s_cubic"] = float(np.max([tw_residual(v, p, z, th, flipped)
-                                   for v, p, z, th in samples]))
+    samples = _scalar_samples(rng)
+    out = {"s_cubic": float(np.max(tw_residual(*samples, replace(sw, s_cubic=-sw.s_cubic))))}
     for name, value in (("s_z", -sw.s_z),
                         ("s_linear", 3.0 - sw.s_linear)):
-        flipped = replace(sw, **{name: value})
-        out[name] = float(np.max([ss_residual(v, p, z, th, flipped)
-                                  for v, p, z, th in samples]))
+        out[name] = float(np.max(ss_residual(*samples, replace(sw, **{name: value}))))
     mats = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
             for _ in range(4)]
-    alternatives = [c for c in COMM_CHOICES if c != sw.s_comm]
+    rhs = mmkdv_rhs(*mats, sw)
     out["s_comm"] = float(np.min(
-        [np.abs(mmkdv_rhs(*mats, sw) - mmkdv_rhs(*mats, replace(sw, s_comm=alt))).max()
-         for alt in alternatives]))
+        [np.abs(rhs - mmkdv_rhs(*mats, replace(sw, s_comm=alt))).max()
+         for alt in COMM_CHOICES if alt != sw.s_comm]))
     return out
 
 
@@ -189,16 +202,16 @@ def deformation_check(sw: ConventionSwitch, samples) -> dict:
     evaluated through their own closure implementations; the negative
     control skips the identification (w = z), which must fail whenever
     s_z = -1.  Its largest gap is reported, since a sample with small |z|
-    has a small gap: w = z and w = -z then nearly agree.
+    has a small gap: w = z and w = -z then nearly agree.  samples are rows
+    (v, p, z, C) of scalars, a sequence of tuples or an (N, 4) array; each
+    closure is evaluated once, on the stack of all rows.
     """
-    deviations, gaps = [], []
-    for v, _p, z, const in samples:
-        if np.ndim(v) != 0:
-            raise NonScalarInput("deformation check is a scalar identity")
-        vm = np.array([[v]], dtype=complex)
-        ss = ss_closure(vm, z, const, sw)[0, 0]
-        tw = tw_closure(vm, sw.s_z * z, const)[0, 0]
-        deviations.append(abs(ss - tw))
-        gaps.append(abs(ss - tw_closure(vm, z, const)[0, 0]))
+    rows = list(samples)
+    if any(np.ndim(row[0]) != 0 for row in rows):
+        raise NonScalarInput("deformation check is a scalar identity")
+    v, z, const = (np.array([row[k] for row in rows]) for k in (0, 2, 3))
+    ss = ss_closure(v, z, const, sw)[..., 0, 0]
+    deviations = np.abs(ss - tw_closure(v, sw.s_z * z, const)[..., 0, 0])
+    gaps = np.abs(ss - tw_closure(v, z, const)[..., 0, 0])
     return {"max_deviation": float(np.max(deviations, initial=0.0)),
             "max_unidentified_gap": float(np.max(gaps, initial=0.0))}

@@ -362,18 +362,16 @@ def check_confluence(rng, theta=0.7 + 0.1j, n=2, g=1.0):
 
 def check_mmkdv(rng):
     sw, calib_report = mmkdv.calibrate()
-    readings = []
-    for _ in range(100):
-        v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
-        z = float(rng.normal())
-        th = complex(rng.normal())
-        readings += [mmkdv.tw_residual(v, p, z, th, sw), mmkdv.ss_residual(v, p, z, th, sw)]
-    samples = [(rng.normal(), rng.normal(), float(rng.normal()), rng.normal())
-               for _ in range(100)]
-    deform = mmkdv.deformation_check(sw, samples)
+    # one normal block, read per sample as re v, re p, im v, im p, z, theta:
+    # the order of drawing one sample at a time
+    x = rng.normal(size=(100, 6))
+    v, p, z, th = x[:, 0] + 1j * x[:, 2], x[:, 1] + 1j * x[:, 3], x[:, 4], x[:, 5]
+    readings = [mmkdv.tw_residual(v, p, z, th, sw), mmkdv.ss_residual(v, p, z, th, sw)]
+    # the deformation samples, one normal row (v, p, z, C) each
+    deform = mmkdv.deformation_check(sw, rng.normal(size=(100, 4)))
     d = np.diag(rng.normal(size=2)).astype(complex)
     e = np.diag(rng.normal(size=2)).astype(complex)
-    commuting = mmkdv.tw_residual(d, e, 0.7, 0.2, sw)
+    commuting = float(mmkdv.tw_residual(d, e, 0.7, 0.2, sw))
     sens = mmkdv.switch_sensitivity(sw)
     return _check("mmkdv", "tw/ss residuals under calibrated convention",
                   1e-12, readings, deform["max_deviation"] < 1e-10,
@@ -430,20 +428,18 @@ def check_core_invariants(rng):
 
 
 def check_charpoly_cross(rng):
-    readings = []
-    for _ in range(10):
-        L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-        a = char_poly(L)
-        b = newton_charpoly(L)
-        readings.append(_worst(relative_deviation(a, b)))
-        # unitary conjugator: a draw with cond(G) ~ 1e4 would measure the
-        # roundoff of forming G^-1 L G, not char_poly
-        G = np.linalg.qr(np.eye(8) + 0.3 * rng.normal(size=(8, 8)))[0]
-        c = char_poly(G.T @ L @ G)
-        readings.append(_worst(relative_deviation(c, a)))
+    # ten samples of one normal block, each read as re L, im L and the
+    # conjugator's noise: the order of drawing one sample at a time
+    x = rng.normal(size=(10, 3, 8, 8))
+    L = x[:, 0] + 1j * x[:, 1]
+    a = char_poly(L)
+    # unitary conjugator: a draw with cond(G) ~ 1e4 would measure the
+    # roundoff of forming G^-1 L G, not char_poly
+    G = np.linalg.qr(np.eye(8) + 0.3 * x[:, 2])[0]
+    c = char_poly(G.mT @ L @ G)
     return _check("charpoly_cross_check",
                   "eig vs Newton's identities on power_traces + conjugation invariance", 1e-8,
-                  readings)
+                  [relative_deviation(a, newton_charpoly(L)), relative_deviation(c, a)])
 
 
 # acceptance criteria 1-13, then 15 and 16 (14 is the determinism of this

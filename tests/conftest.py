@@ -38,17 +38,25 @@ def nan_like(value):
 def nan_on_call(monkeypatch):
     """nan_on_call(module, name, call) makes call number `call` of module.name return NaN.
 
-    It returns the list of the calls made, so that a test can assert that
-    the faulty call happened.
+    nan_on_call(module, name, call, row=k) makes only row k of that call's
+    stacked result read NaN, one faulty sample among its rows.  It returns
+    the list of the calls made, so that a test can assert that the faulty
+    call happened.
     """
-    def patch(module, name, call):
+    def patch(module, name, call, row=None):
         real = getattr(module, name)
         calls = []
 
         def faulty(*args, **kwargs):
             calls.append(name)
             value = real(*args, **kwargs)
-            return nan_like(value) if len(calls) == call else value
+            if len(calls) != call:
+                return value
+            if row is None:
+                return nan_like(value)
+            value = np.array(value)
+            value[row] = np.nan
+            return value
 
         monkeypatch.setattr(module, name, faulty)
         return calls

@@ -79,6 +79,50 @@ def test_criterion_11_quadruple_interaction_as_stated():
     assert entry["acceptance_criterion_11_as_stated"]
 
 
+def _criterion_13_per_sample(rng):
+    """Criterion 13's sampled readings drawn and evaluated one sample at a time."""
+    sw = sc.mmkdv.calibrate()[0]
+    readings = []
+    for _ in range(100):
+        v, p = rng.normal(size=2) + 1j * rng.normal(size=2)
+        z = float(rng.normal())
+        th = complex(rng.normal())
+        readings += [sc.mmkdv.tw_residual(v, p, z, th, sw),
+                     sc.mmkdv.ss_residual(v, p, z, th, sw)]
+    samples = [(rng.normal(), rng.normal(), float(rng.normal()), rng.normal())
+               for _ in range(100)]
+    deform = sc.mmkdv.deformation_check(sw, samples)
+    d = np.diag(rng.normal(size=2)).astype(complex)
+    e = np.diag(rng.normal(size=2)).astype(complex)
+    return float(np.max(readings)), deform, float(sc.mmkdv.tw_residual(d, e, 0.7, 0.2, sw))
+
+
+def _criterion_16_per_sample(rng):
+    """Criterion 16's measured value drawn and evaluated one sample at a time."""
+    readings = []
+    for _ in range(10):
+        L = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        a = sc.char_poly(L)
+        readings.append(np.max(sc.relative_deviation(a, sc.newton_charpoly(L))))
+        G = np.linalg.qr(np.eye(8) + 0.3 * rng.normal(size=(8, 8)))[0]
+        readings.append(np.max(sc.relative_deviation(sc.char_poly(G.T @ L @ G), a)))
+    return float(np.max(readings))
+
+
+@pytest.mark.parametrize("seed", [0, 13, 16])
+def test_bulk_draws_of_criteria_13_and_16_are_the_per_sample_draws(seed):
+    # each criterion reads the same numbers as its per-sample loop, bit for
+    # bit, and leaves the generator where the loop leaves it
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    entry = sc.check_mmkdv(rng)
+    measured, deform, commuting = _criterion_13_per_sample(ref)
+    assert (entry["measured"], entry["deformation"], entry["commuting_matrix_residual"]) == (
+        measured, deform, commuting)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert sc.check_charpoly_cross(rng)["measured"] == _criterion_16_per_sample(ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def seed_sweep(checks, seeds=range(100)):
     """(failed (check, seed) pairs, CPU seconds of this process) over the seeds.
 
@@ -131,36 +175,40 @@ def test_one_verdict_rule(readings, conditions, passed):
 
 # criterion, check, module and name of a function it reads, the call that
 # returns NaN (a later call where there is one: a running builtin max keeps
-# a NaN that comes first, and drops one that comes later)
+# a NaN that comes first, and drops one that comes later) and, for a call on
+# a stack of samples, the one row of it that reads NaN
 FAULTS = [
-    ("01", sc.check_level_set_embedding, sc, "moment_deviation", 2),
-    ("02", sc.check_round_trip, sc, "matched_deviation", 2),
-    ("03", sc.check_hamiltonian_oracle, sc, "embedded_trace_hamiltonian", 2),
-    ("04", sc.check_appendix_traces, sc, "trace_power_oracle", 2),
-    ("05", sc.check_spectral_duality, sc, "spectral_duality", 2),
-    ("06", sc.check_zero_curvature, sc, "zero_curvature_residual", 2),
-    ("07", sc.check_isospectral_conservation, sc, "monitor_invariants", 2),
-    ("08", sc.check_equivariance, sc, "equivariance_check", 2),
-    ("08_control", sc.check_equivariance, sc, "field_deviation", 2),
-    ("09", sc.check_ruijsenaars, sc, "dual_position_drift", 1),
-    ("09_leg", sc.check_ruijsenaars, sc, "matched_deviation", 1),
-    ("10", sc.check_p4_selfduality, sc, "closed_form_hamiltonian", 2),
-    ("11", sc.check_dual_p2_interaction_structure, sc, "a4_quad_sum", 1),
-    ("12", sc.check_confluence, sc.cf, "identity_defect", 2),
-    ("12_breakdown", sc.check_confluence, sc.cf, "permuted_deviation", 2),
-    # calibrate makes the first 48 calls of tw_residual
-    ("13", sc.check_mmkdv, sc.mmkdv, "tw_residual", 50),
-    ("13_deformation", sc.check_mmkdv, sc.mmkdv, "deformation_check", 1),
-    ("13_sensitivity", sc.check_mmkdv, sc.mmkdv, "switch_sensitivity", 1),
-    ("15", sc.check_core_invariants, sc, "symplectic_pairing", 2),
-    ("16", sc.check_charpoly_cross, sc, "newton_charpoly", 1),
+    ("01", sc.check_level_set_embedding, sc, "moment_deviation", 2, None),
+    ("02", sc.check_round_trip, sc, "matched_deviation", 2, None),
+    ("03", sc.check_hamiltonian_oracle, sc, "embedded_trace_hamiltonian", 2, None),
+    ("04", sc.check_appendix_traces, sc, "trace_power_oracle", 2, None),
+    ("05", sc.check_spectral_duality, sc, "spectral_duality", 2, None),
+    ("06", sc.check_zero_curvature, sc, "zero_curvature_residual", 2, None),
+    ("07", sc.check_isospectral_conservation, sc, "monitor_invariants", 2, None),
+    ("08", sc.check_equivariance, sc, "equivariance_check", 2, None),
+    ("08_control", sc.check_equivariance, sc, "field_deviation", 2, None),
+    ("09", sc.check_ruijsenaars, sc, "dual_position_drift", 1, None),
+    ("09_leg", sc.check_ruijsenaars, sc, "matched_deviation", 1, None),
+    ("10", sc.check_p4_selfduality, sc, "closed_form_hamiltonian", 2, None),
+    ("11", sc.check_dual_p2_interaction_structure, sc, "a4_quad_sum", 1, None),
+    ("12", sc.check_confluence, sc.cf, "identity_defect", 2, None),
+    ("12_breakdown", sc.check_confluence, sc.cf, "permuted_deviation", 2, None),
+    # calibrate makes the first 2 calls of tw_residual, one per s_cubic; the
+    # third is the criterion's stack of 100 samples
+    ("13", sc.check_mmkdv, sc.mmkdv, "tw_residual", 3, 1),
+    ("13_deformation", sc.check_mmkdv, sc.mmkdv, "deformation_check", 1, None),
+    ("13_sensitivity", sc.check_mmkdv, sc.mmkdv, "switch_sensitivity", 1, None),
+    ("15", sc.check_core_invariants, sc, "symplectic_pairing", 2, None),
+    # one call on the stack of 10 samples
+    ("16", sc.check_charpoly_cross, sc, "newton_charpoly", 1, 1),
 ]
 
 
-@pytest.mark.parametrize("case, check, module, name, call", FAULTS,
+@pytest.mark.parametrize("case, check, module, name, call, row", FAULTS,
                          ids=[f[0] for f in FAULTS])
-def test_a_nan_reading_fails_its_criterion(nan_on_call, case, check, module, name, call):
-    calls = nan_on_call(module, name, call)
+def test_a_nan_reading_fails_its_criterion(nan_on_call, case, check, module, name, call,
+                                           row):
+    calls = nan_on_call(module, name, call, row)
     entry = check(np.random.default_rng(int(case[:2])))
     assert len(calls) >= call
     assert entry["pass"] is False
