@@ -36,8 +36,8 @@ The others are one-point calls, looped over the points:
     microseconds per point (`us_per_point`); each triple powers 3 sides.
 The two steps of one spectral side, alone:
   * lax_l: one side's `lax_l` build, the (20, 2n, 2n) stack of an embedded
-    point on the 20-point lambda grid, for each kind with a pair (its
-    autonomous spec), over the POINTS points, in microseconds per call
+    point on the 20-point lambda grid, for each kind (its autonomous
+    spec), over the POINTS points, in microseconds per call
     (`<kind>_us`, e.g. `P_II_us`);
   * power_traces: `power_traces` of one spectral side, the autonomous P_II
     L of the first embedded point on the 20-point lambda grid scaled per
@@ -110,7 +110,6 @@ REPEATS = 21
 G, T = 0.9, 0.4
 H = 1e-3  # the RK4 step
 ZC_LAMBDA = 0.9 + 0.2j
-LAX_KINDS = tuple(k for k in SystemKind if k is not SystemKind.P_II_POLY)  # with a pair
 
 
 def load_speed():
@@ -261,7 +260,7 @@ def call_loops(n: int, points: int) -> dict:
                 lax_l(kind_spec, pt.q, pt.p, pt.t, grid)
         return loop
 
-    for kind in LAX_KINDS:
+    for kind in SystemKind:
         timed["lax_l", f"{kind.value}_us"] = (build_loop(spec_for(kind, tau=1.0)), points)
     flow_start = ReducedPoint(1j * (pos[0] - pos[0].mean()), 1j * mom[0], G, T, sl)
     timed["integrate_matrix", "us_per_step"] = (integrate_loop(embed(flow_start)), points)

@@ -13,14 +13,14 @@ import argparse
 import numpy as np
 
 from cplab.lax import spectral_duality
+from cplab.phase import SystemKind
 from cplab.sampling import random_level_set_point, spec_for
-from cplab.selfcheck import FOUR_KINDS
 
 
 def scan(seed: int, g: float, ns):
     rng = np.random.default_rng(seed)
     print(f"{'kind':10s} {'n':>2s}  unred/red    unred/dual   red/dual")
-    for kind in FOUR_KINDS:
+    for kind in SystemKind:
         spec = spec_for(kind, tau=1.0)
         for n in ns:
             devs = spectral_duality(spec, random_level_set_point(rng, n, g), g)

@@ -26,7 +26,7 @@ import jsonschema
 import numpy as np
 
 from .dynamics import integrate, monitor_invariants, step_count
-from .errors import CplabError, ConfigError, DimensionMismatch, UnsupportedSystem
+from .errors import CplabError, ConfigError, DimensionMismatch
 from .hamiltonians import trace_hamiltonian
 from .lax import (SPECTRAL_TOL, default_lambda_grid, spectral_duality, spectral_match,
                   spectral_table)
@@ -198,10 +198,9 @@ def cmd_simulate(cfg, rng, out):
         "final_time": traj.times[-1],
         "energy_initial": energy[0],
         "energy_final": energy[1],
+        "invariants": monitor_invariants(spec, traj),
+        "trajectory_csv": cfg["output"]["trajectory_csv"],
     }
-    if spec.kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
-        report["invariants"] = monitor_invariants(spec, traj)
-    report["trajectory_csv"] = cfg["output"]["trajectory_csv"]
     write_trajectory_csv(traj, out, report["trajectory_csv"])
     return report, True
 
@@ -311,7 +310,7 @@ def main(argv=None) -> int:
         report, ok = COMMANDS[args.command](cfg, rng, out)
         report.setdefault("seed", cfg.get("seed", 0))
         path = write_report(report, out, cfg["output"]["report_json"], time.perf_counter() - t0)
-    except (ConfigError, UnsupportedSystem, OSError) as exc:  # OSError: making an output
+    except (ConfigError, OSError) as exc:  # OSError: making an output
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (CplabError, ArithmeticError) as exc:  # a failed computation

@@ -43,10 +43,6 @@ class Overflow(CplabError):
     partial = None  # trajectory prefix, when aborting a flow
 
 
-class UnsupportedSystem(CplabError):
-    pass
-
-
 class NonScalarInput(CplabError):
     pass
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UnsupportedSystem
 from .phase import (FREE, HARM_OSC, P_I, P_II, P_II_POLY, P_IV, MatrixPhasePoint, SystemSpec,
                     add_to_diagonal, row_dot)
 from .reduction import ReducedPoint, Slice, embedded_matrices, inverse_square_kernel
@@ -58,7 +57,6 @@ def trace_hamiltonian(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t):
         return (tr(p @ q @ p) - tr(p @ q @ q) - T * tr(p @ q)
                 + spec.theta0 * tr(p)
                 - (spec.theta0 + spec.theta1) * tr(q))
-    raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
 def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
@@ -85,7 +83,6 @@ def matrix_gradients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float):
         gq = add_to_diagonal(p @ p - q @ p - p @ q - T * p, -(spec.theta0 + spec.theta1))
         gp = add_to_diagonal(q @ p + p @ q - q @ q - T * q, spec.theta0)
         return gq, gp
-    raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
 def matrix_vector_field(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t: float) -> np.ndarray:
@@ -170,7 +167,6 @@ def closed_form_hamiltonian(spec: SystemSpec, positions: np.ndarray, momenta: np
     if k is P_IV:
         return (pqp - pqq - T * pq + spec.theta0 * p[1]
                 - (spec.theta0 + spec.theta1) * q[1])
-    raise UnsupportedSystem(str(k))  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

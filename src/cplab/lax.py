@@ -15,6 +15,9 @@ constant trace, and uses the B derived from the deformation equations:
     B = [[t/2, -(qp+th0+th1)], [-1, l - q - t/2]]
 
 which reproduces the P_IV equations of motion exactly (see CONVENTIONS.md).
+
+P_II_poly's L is P_II's at the canonical image (q, P - q^2 - T/2) of its
+point, and its M is P_II's, which reads q alone (see CONVENTIONS.md).
 """
 from __future__ import annotations
 
@@ -23,8 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda,
-                     UnsupportedSystem)
+from .errors import DimensionMismatch, NonConvergedEigensolve, Overflow, PoleAtLambda
 from .hamiltonians import matrix_vector_field
 from .phase import FREE, HARM_OSC, P_I, P_II, P_IV, MatrixPhasePoint, SystemSpec
 from .reduction import (ReducedPoint, Slice, embed, inverse_square_kernel, point_arrays,
@@ -97,9 +99,9 @@ def l_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
     """L as a Laurent table in lambda: (low, C), L(lambda) = sum_j lambda^(low + j) C_j.
 
     q and p are (..., n, n) and t broadcasts over their leading axes; C is
-    (..., J, 2n, 2n).  Its powers: P_I lambda^0 .. lambda^2, P_II
-    lambda^-1 .. lambda^2, P_IV lambda^-1 .. lambda^1, HarmOsc and Free
-    lambda^0 alone.  Keys below are (power, block row, block column).
+    (..., J, 2n, 2n).  Its powers: P_I lambda^0 .. lambda^2, P_II and
+    P_II_poly lambda^-1 .. lambda^2, P_IV lambda^-1 .. lambda^1, HarmOsc
+    and Free lambda^0 alone.  Keys below are (power, block row, block column).
     """
     q, p, T, lead = _points(spec, q, p, t, p4_variant)
     n, k = q.shape[-1], spec.kind
@@ -127,7 +129,16 @@ def l_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
                                        (-1, 1, 1): qp, (0, 0, 1): qp},
                       {(-1, 1, 1): th0, (0, 0, 1): th0 + spec.theta1, (0, 1, 0): 1,
                        (0, 1, 1): T, (1, 1, 1): -1})
-    raise UnsupportedSystem(f"no printed pair for {k.value}")
+    return l_coefficients(*_p2_image(spec, q, p, T), t)  # P_II_poly
+
+
+def _p2_image(spec: SystemSpec, q: np.ndarray, p: np.ndarray, T):
+    """(P_II's spec, q, P - q^2 - T/2): a P_II_poly point (q, P) on P_II, by the
+    canonical map generated by Tr(qP) - Tr(q^3)/3 - (T/2) Tr q.  Its time
+    derivative, -(1/2) Tr q, shifts theta by -1/2, unless T is frozen."""
+    theta = spec.theta if spec.autonomous else spec.theta - 0.5
+    return (SystemSpec(P_II, spec.autonomous, theta, tau=spec.tau), q,
+            p - q @ q - (T / 2)[..., None, None] * np.eye(q.shape[-1]))
 
 
 def m_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
@@ -148,10 +159,8 @@ def m_coefficients(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t,
         blocks = {(0, 0, 1): -(q @ p), (0, 1, 1): -q}
         scalars = {(0, 0, 0): T / 2, (0, 0, 1): -(spec.theta0 + spec.theta1),
                    (0, 1, 0): -1, (0, 1, 1): -(T / 2), (1, 1, 1): 1}
-    elif k is P_II or k is P_IV:  # [[i l/2, q], [q, -i l/2]], also the printed P_IV M
+    else:  # P_II, P_II_poly and the printed P_IV: [[i l/2, q], [q, -i l/2]]
         blocks, scalars = {(0, 0, 1): q, (0, 1, 0): q}, {(1, 0, 0): 0.5j, (1, 1, 1): -0.5j}
-    else:
-        raise UnsupportedSystem(f"no printed pair for {k.value}")
     return _table(lead, n, 0, 1, blocks, scalars)
 
 
@@ -161,8 +170,8 @@ def lax_l(spec: SystemSpec, q: np.ndarray, p: np.ndarray, t, lam,
 
     q and p are (..., n, n); t broadcasts over their leading axes and lam's
     axes against those, so L comes back as a (..., 2n, 2n) array.  The
-    P_II and P_IV tables start at lambda^-1, so they raise PoleAtLambda
-    where some |lam| < POLE_EPS.
+    P_II, P_II_poly and P_IV tables start at lambda^-1, so they raise
+    PoleAtLambda where some |lam| < POLE_EPS.
     """
     return _evaluate(l_coefficients(spec, q, p, t, p4_variant), lam)
 

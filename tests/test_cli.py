@@ -8,7 +8,7 @@ import pytest
 import cplab.mmkdv as mmkdv
 from cplab import cli, selfcheck
 from cplab.cli import main
-from cplab.errors import NotOnLevelSet
+from cplab.errors import ConfigError, NotOnLevelSet
 from cplab.lax import SPECTRAL_TOL, default_lambda_grid, spectral_match
 from cplab.reduction import Slice
 from cplab.sampling import random_level_set_point
@@ -118,6 +118,14 @@ class TestConfigHandling:
         assert main([command, "--config", without, "--out", str(tmp_path)]) == 0
         cfg = write(tmp_path, "c.json", {**config, key: value})
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    def test_unknown_kind_is_config_error(self, tmp_path, capsys):
+        # the one gate on the kind: every SystemKind has every formula
+        cfg = write(tmp_path, "c.json", {"command": "spectral", "system": {"kind": "P_III"}})
+        assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "config rejected" in capsys.readouterr().err
+        with pytest.raises(ConfigError, match="'P_III' is not a valid SystemKind"):
+            cli.system_spec({"system": {"kind": "P_III"}})
 
     def test_tau_without_autonomous_is_config_error(self, tmp_path, capsys):
         # tau alone would be stored and never read: the non-autonomous system would run
@@ -305,6 +313,16 @@ class TestVerifyDuality:
         assert report["report"]["negative_control"] > 1e-8
         assert report["report"]["pass"] is True
 
+    def test_seeded_p2_poly_point(self, tmp_path):
+        cfg = write(tmp_path, "dual.json", {
+            "command": "verify-duality", "seed": 11,
+            "system": {"kind": "P_II_poly", "theta": 0.3}, "n": 3, "g": 1.0, "t": 0.4,
+        })
+        assert main(["verify-duality", "--config", cfg, "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / "verify-duality.json").read_text())["report"]
+        assert report["max_deviation"] < 1e-12
+        assert report["negative_control"] > SPECTRAL_TOL and report["pass"] is True
+
     @pytest.mark.parametrize("n", [1, 3])
     def test_negative_control_reads_other_point(self, tmp_path, n):
         cfg = write(tmp_path, "dual.json", {
@@ -376,14 +394,23 @@ class TestOtherCommands:
                                            "char-poly coefficients are not finite\n")
         assert not (tmp_path / "spectral.json").exists()
 
-    def test_spectral_without_lax_pair_is_config_error(self, tmp_path, capsys):
-        cfg = write(tmp_path, "s.json", {
-            "command": "spectral",
-            "system": {"kind": "P_II_poly"},
-            "initial": {"reduced": {"positions": [1.0], "momenta": [2.0]}},
-        })
-        assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "config error: no printed pair for P_II_poly\n"
+    def test_spectral_p2_poly_is_p2_at_the_canonical_image(self, tmp_path):
+        # on Q_DIAG q^2 is diagonal, so the image of momenta m is m - x^2 - T/2,
+        # at theta - 1/2: the two tables agree entry for entry
+        x, m, t, theta = [0.4, 1.3, -0.9], [0.7, -0.2, 1.1], 0.35, 0.3
+        tables = []
+        for name, kind, momenta, th in [
+                ("poly", "P_II_poly", m, theta),
+                ("p2", "P_II", [b - a * a - t / 2 for a, b in zip(x, m)], theta - 0.5)]:
+            cfg = write(tmp_path, f"{name}.json", {
+                "command": "spectral", "system": {"kind": kind, "theta": th}, "t": t,
+                "initial": {"reduced": {"positions": x, "momenta": momenta}},
+                "output": {"report_json": f"{name}_out.json"},
+            })
+            assert main(["spectral", "--config", cfg, "--out", str(tmp_path)]) == 0
+            report = json.loads((tmp_path / f"{name}_out.json").read_text())["report"]
+            tables.append([s["coeffs"] for s in report["samples"]])
+        assert tables[0] == tables[1]
 
     def test_traces_command(self, tmp_path):
         cfg = write(tmp_path, "t.json", {

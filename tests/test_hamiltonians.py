@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from cplab.hamiltonians import (closed_form_hamiltonian, embedded_trace_hamilton
                                 matrix_gradients, matrix_hamiltonian,
                                 matrix_vector_field, p4_involution_coordinates, reduced_hamiltonian,
                                 reduced_vector_field, rk4_step, trace_hamiltonian)
-from cplab.lax import lax_l, lax_m
+from cplab.lax import l_coefficients, lax_l, lax_m, m_coefficients
 from cplab.phase import MatrixPhasePoint, SystemKind, SystemSpec
 from cplab.reduction import ReducedPoint, Slice, embedded_matrices
 from cplab.sampling import (random_level_set_point, random_particles, random_reduced,
@@ -468,12 +469,37 @@ class TestOneTimeConvention:
             "matrix_vector_field": lambda spec, t: matrix_vector_field(spec, q, p, t),
             "reduced_vector_field": lambda spec, t: reduced_vector_field(
                 spec, pos[0], mom[0], 0.9, t, Slice.Q_DIAG),
+            "lax_l": lambda spec, t: lax_l(spec, q, p, t, 0.8 + 0.3j),
+            "lax_m": lambda spec, t: lax_m(spec, q, p, t, 0.8 + 0.3j),
         }
-        if kind is not SystemKind.P_II_POLY:  # the one kind without a Lax pair
-            builders["lax_l"] = lambda spec, t: lax_l(spec, q, p, t, 0.8 + 0.3j)
-            builders["lax_m"] = lambda spec, t: lax_m(spec, q, p, t, 0.8 + 0.3j)
         frozen, moving = spec_for(kind, tau=0.7), spec_for(kind)
         for name, build in builders.items():
-            want = np.asarray(build(moving, 0.7))
+            at = moving
+            if kind is SystemKind.P_II_POLY and name == "lax_l":
+                # L is P_II's at the canonical image, whose generator's time
+                # derivative shifts theta by -1/2 unless the time is frozen
+                at = dataclasses.replace(moving, theta=moving.theta + 0.5)
+            want = np.asarray(build(at, 0.7))
             for t in (0.1, 3.0):
                 assert np.array_equal(build(frozen, t), want), (name, t)
+
+
+@pytest.mark.parametrize("kind", list(SystemKind))
+def test_every_kind_is_served(rng, kind):
+    # each dispatch on the kind ends in a branch for every member: none
+    # falls through to an implicit None; an unknown kind is refused by the
+    # config (cli.system_spec), since no SystemSpec can hold one
+    spec = spec_for(kind)
+    q = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    p = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    pos, mom = random_particles(rng, 2, 3)
+    served = {
+        "trace_hamiltonian": trace_hamiltonian(spec, q, p, 0.3),
+        "matrix_gradients": matrix_gradients(spec, q, p, 0.3),
+        "closed_form_hamiltonian": closed_form_hamiltonian(spec, pos, mom, 0.9, 0.3,
+                                                           Slice.Q_DIAG),
+        "l_coefficients": l_coefficients(spec, q, p, 0.3)[1],
+        "m_coefficients": m_coefficients(spec, q, p, 0.3)[1],
+    }
+    for name, value in served.items():
+        assert value is not None and np.isfinite(value).all(), name

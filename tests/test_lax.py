@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import cplab.dynamics
 import cplab.lax
-from cplab.errors import DimensionMismatch, PoleAtLambda, UnsupportedSystem
+from cplab.errors import DimensionMismatch, PoleAtLambda
 from cplab.lax import (char_poly, default_lambda_grid, gauge_F, l_coefficients, lax_l,
-                       lax_m, lax_pair, newton_charpoly, power_trace_scale, power_traces,
-                       reduced_lax, reduced_m, row_sum_norm, spectral_duality,
+                       lax_m, lax_pair, m_coefficients, newton_charpoly, power_trace_scale,
+                       power_traces, reduced_lax, reduced_m, row_sum_norm, spectral_duality,
                        spectral_match, spectral_table, zero_curvature_residual)
 from cplab.dynamics import MONITOR_LAMBDAS, integrate, monitor_invariants
 from cplab.hamiltonians import trace_hamiltonian
@@ -44,17 +44,12 @@ class TestLaxPair:
 
     def test_pole_at_zero(self):
         pt = MatrixPhasePoint([[0.1]], [[0.2]])
-        for kind in (SystemKind.P_II, SystemKind.P_IV):
+        for kind in (SystemKind.P_II, SystemKind.P_II_POLY, SystemKind.P_IV):
             with pytest.raises(PoleAtLambda):
                 lax_pair(spec_for(kind), pt, 0.0)
         # P_I and HarmOsc are entire in lambda
         lax_pair(spec_for(SystemKind.P_I), pt, 0.0)
         lax_pair(spec_for(SystemKind.HARM_OSC), pt, 0.0)
-
-    def test_p2_poly_unsupported(self):
-        with pytest.raises(UnsupportedSystem):
-            lax_pair(spec_for(SystemKind.P_II_POLY),
-                     MatrixPhasePoint([[0.1]], [[0.2]]), 1.0)
 
     def test_free_spectrum_is_p(self, rng):
         pt = MatrixPhasePoint(rng.normal(size=(2, 2)), rng.normal(size=(2, 2)))
@@ -105,7 +100,7 @@ def reference_pair(spec, pt, lam, p4_variant="corrected"):
     return L, p2_m
 
 
-# every kind with a pair, P_IV in both variants
+# every kind with a table of its own (P_II_poly reads P_II's), P_IV in both variants
 PAIR_CASES = [(SystemKind.FREE, "corrected"), (SystemKind.HARM_OSC, "corrected"),
               (SystemKind.P_I, "corrected"), (SystemKind.P_II, "corrected"),
               (SystemKind.P_IV, "corrected"), (SystemKind.P_IV, "printed")]
@@ -163,13 +158,13 @@ class TestLaxMatrices:
                             scale = max(np.abs(want).max(), 1e-300)
                             assert np.abs(got - want).max() <= 1e-15 * scale
 
-    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
+    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_II_POLY, SystemKind.P_IV])
     def test_stacked_lambda_at_the_pole_raises(self, rng, kind):
         q = rng.normal(size=(4, 2, 2))
         with pytest.raises(PoleAtLambda):
             lax_l(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
 
-    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_IV])
+    @pytest.mark.parametrize("kind", [SystemKind.P_II, SystemKind.P_II_POLY, SystemKind.P_IV])
     def test_m_has_no_pole_at_lambda_zero(self, rng, kind):
         # M is polynomial in lambda; only L has the pole
         q = rng.normal(size=(4, 2, 2))
@@ -186,11 +181,29 @@ class TestLaxMatrices:
             L = lax_l(spec_for(kind), q, q, 0.0, np.array([[1.0], [0.0], [2j]]))
             assert L.shape == (3, 4, 4, 4)
 
-    def test_kinds_without_a_pair_raise(self):
-        q = np.zeros((2, 1, 1))
-        for build in (lax_l, lax_m):
-            with pytest.raises(UnsupportedSystem):
-                build(spec_for(SystemKind.P_II_POLY), q, q, 0.0, 1.0)
+    @pytest.mark.parametrize("autonomous", [False, True])
+    def test_p2_poly_is_p2_at_the_canonical_image(self, rng, autonomous):
+        # both tables are P_II's at (q, P - q^2 - T/2), theta - 1/2 (theta
+        # when autonomous), entry for entry; 5 states at their own times
+        spec = generic_spec(SystemKind.P_II_POLY, autonomous)
+        image = SystemSpec(SystemKind.P_II, autonomous, tau=spec.tau,
+                           theta=spec.theta - (0 if autonomous else 0.5))
+        n = 3
+        q = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        p = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+        t = rng.normal(size=5)
+        moved = p - q @ q - np.asarray(spec.time(t) / 2)[..., None, None] * np.eye(n)
+        for build in (l_coefficients, m_coefficients):
+            (low, C), (image_low, image_C) = build(spec, q, p, t), build(image, q, moved, t)
+            assert low == image_low and np.array_equal(C, image_C)
+        if not autonomous:
+            # the control (TestZeroCurvature gates the pair itself): P_II's pair at
+            # the unshifted theta is not zero curvature along the image of
+            # P_II_poly's flow, which is P_II's flow at theta - 1/2
+            unshifted = SystemSpec(SystemKind.P_II, theta=spec.theta)
+            pt = MatrixPhasePoint(q[0], moved[0], t[0])
+            shift = (np.zeros((n, n)), -0.5 * np.eye(n))
+            assert zero_curvature_residual(unshifted, pt, 0.9 + 0.2j, perturb=shift) >= 1e-3
 
     def test_unknown_p4_variant_raises(self):
         q = np.zeros((1, 1))
@@ -350,6 +363,15 @@ class TestSpectralMatch:
             for spec in (spec_for(kind), spec_for(kind, tau=1.0)):
                 assert spectral_match(spec, x, embed(x)) == (True, 0.0)
                 assert spectral_match(spec, embed(x), x) == (True, 0.0)
+
+    @pytest.mark.parametrize("tau", [None, 1.0])
+    def test_p2_poly_duality(self, rng, tau):
+        # the pair transported from P_II keeps the three curves of a triple equal
+        spec = spec_for(SystemKind.P_II_POLY, tau)
+        for n in (2, 3, 4, 8, 12):
+            pt = random_level_set_point(rng, n, 1.0, t=0.3)
+            devs = spectral_duality(spec, pt, 1.0)
+            assert max(devs.values()) < 1e-12, (n, devs)
 
     def test_reduced_sides_build_no_point(self, rng, monkeypatch):
         pt = random_level_set_point(rng, 3, 1.0)
@@ -723,8 +745,7 @@ class TestLOnlyReaders:
         assert max(rep["power_trace_drift"].values()) < 1e-6
 
 
-PAIR_KINDS = (SystemKind.FREE, SystemKind.HARM_OSC, SystemKind.P_I,
-              SystemKind.P_II, SystemKind.P_IV)
+PAIR_KINDS = tuple(SystemKind)
 
 
 class TestZeroCurvature:
@@ -865,6 +886,9 @@ class TestHamiltonianOnTheCurve:
         if spec.kind is SystemKind.P_IV:  # the corrected pair's residue, plus a constant
             T = spec.time(pt.t)
             return -tr_square_coefficient(table, -1) / 2 + pt.n * spec.theta0 * T
+        if spec.kind is SystemKind.P_II_POLY and not spec.autonomous:
+            # H_II(q, P - q^2 - T/2) = H_POLY + (theta - theta_II) Tr q, theta_II = theta - 1/2
+            return tr_square_coefficient(table, 0) / 4 - np.trace(pt.q) / 2
         return tr_square_coefficient(table, 0) / 4
 
     @pytest.mark.parametrize("kind", PAIR_KINDS)

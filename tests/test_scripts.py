@@ -25,7 +25,7 @@ def test_confluence_breakdown_demo(capsys):
 def test_duality_scan(capsys):
     load_script("duality_scan").scan(0, 1.0, [2])
     rows = capsys.readouterr().out.splitlines()
-    assert len(rows) == 1 + 4  # header, then one row per kind
+    assert len(rows) == 1 + 6  # header, then one row per kind
     for row in rows[1:]:
         assert all(float(d) < 1e-8 for d in row.split()[2:])
 
@@ -54,8 +54,8 @@ def test_bench_layers():
                      else {"us_per_state"} if name in per_state
                      else {"us_per_time"} if name in per_time
                      else {"lambda_stack_us", "monitor_block_us"} if name in per_stack
-                     else {"Free_us", "HarmOsc_us", "P_I_us", "P_II_us", "P_IV_us"}
-                     if name in per_kind
+                     else {"Free_us", "HarmOsc_us", "P_I_us", "P_II_us", "P_II_poly_us",
+                           "P_IV_us"} if name in per_kind
                      else {"us_per_call"})
             extra = {"speedup"} if name in stacked else set()
             assert set(row) == timed | {f"{f}_iqr" for f in timed} | extra
